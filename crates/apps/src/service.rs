@@ -448,6 +448,12 @@ pub fn trace_from_csv(text: &str) -> Result<Vec<JobSpec>, TraceError> {
             s.parse()
                 .map_err(|_| TraceError::at(ln, format!("bad {what} `{s}`")))
         };
+        // `chunks` and `tenant` are 32-bit in the job model: a value that
+        // parses as u64 but does not fit is an error, never a wraparound.
+        let num32 = |s: &str, what: &str| -> Result<u32, TraceError> {
+            u32::try_from(num(s, what)?)
+                .map_err(|_| TraceError::at(ln, format!("{what} `{s}` exceeds u32")))
+        };
         let priority = match f[2] {
             "interactive" => Priority::Interactive,
             "normal" => Priority::Normal,
@@ -466,14 +472,14 @@ pub fn trace_from_csv(text: &str) -> Result<Vec<JobSpec>, TraceError> {
                 reservation.set(northup::NodeId(node), num(bytes, "reservation bytes")?);
             }
         }
-        let work = JobWork::new(num(f[4], "chunks")? as u32)
+        let work = JobWork::new(num32(f[4], "chunks")?)
             .read(num(f[5], "read_bytes")?)
             .xfer(num(f[6], "xfer_bytes")?)
             .compute(SimDur(num(f[7], "compute_ns")?))
             .write(num(f[8], "write_bytes")?);
         trace.push(
             JobSpec::new(f[0], reservation, work)
-                .tenant(TenantId(num(f[1], "tenant")? as u32))
+                .tenant(TenantId(num32(f[1], "tenant")?))
                 .priority(priority)
                 .arrival(SimTime(num(f[3], "arrival_ns")?)),
         );
@@ -781,6 +787,16 @@ mod tests {
         let err = trace_from_csv(&bad_prio).unwrap_err();
         assert_eq!(err.line, 4, "comments and blanks keep their line numbers");
         assert!(err.msg.contains("urgent"));
+        // 2^32 + 1 fits u64 but not the 32-bit chunk / tenant fields: a
+        // typed error on the right line, not a silent 1.
+        for row in [
+            "j,0,normal,0,4294967297,1,1,1,1,-",
+            "j,4294967297,normal,0,1,1,1,1,1,-",
+        ] {
+            let err = trace_from_csv(&format!("{TRACE_CSV_HEADER}\n{row}\n")).unwrap_err();
+            assert_eq!(err.line, 2);
+            assert!(err.msg.contains("4294967297"), "{err}");
+        }
         assert!(trace_from_csv("").is_err());
     }
 

@@ -109,7 +109,7 @@ impl Fleet {
     /// Route, run, migrate, settle; returns the fleet-wide report.
     pub fn run(self) -> Result<FleetReport, FleetError> {
         let n = self.cfg.shards;
-        let budgets = NodeBudgets::from_tree(&self.cfg.tree, self.cfg.sched.headroom);
+        let budgets = NodeBudgets::from_tree(&self.cfg.tree, 1.0);
         let mut views = vec![ShardView::default(); n];
         let mut traces: Vec<Vec<TraceEntry>> = (0..n).map(|_| Vec::new()).collect();
         let mut path: Vec<Vec<Placement>> = self.jobs.iter().map(|_| Vec::new()).collect();

@@ -6,7 +6,9 @@
 use crate::config::{FleetConfig, FleetJob};
 use crate::fleet::{Placement, TraceEntry};
 use crate::router::mix64;
-use northup_sched::{JobState, NodeBudgets, Priority, RejectReason, SchedReport};
+use northup_sched::{
+    percentile_sorted, JobState, NodeBudgets, Priority, RejectReason, SchedReport,
+};
 use northup_sim::{SimDur, SimTime};
 
 /// One cross-shard migration: a checkpointed job moved over the
@@ -178,14 +180,6 @@ pub(crate) struct RunData<'a> {
     pub migrations_of: &'a [u32],
     pub budgets: &'a NodeBudgets,
     pub rounds: u32,
-}
-
-/// Integer-index percentile of an ascending-sorted slice.
-fn percentile(sorted: &[SimDur], pct: usize) -> SimDur {
-    if sorted.is_empty() {
-        return SimDur::ZERO;
-    }
-    sorted[(sorted.len() - 1) * pct / 100]
 }
 
 /// Stable code for the digest (JobState has no discriminant contract).
@@ -367,8 +361,8 @@ pub(crate) fn build(data: RunData) -> FleetReport {
         per_class.push(ClassLatency {
             class,
             completed: lats.len() as u64,
-            p50: percentile(&lats, 50),
-            p99: percentile(&lats, 99),
+            p50: percentile_sorted(&lats, 50),
+            p99: percentile_sorted(&lats, 99),
         });
     }
 
@@ -609,34 +603,34 @@ mod tests {
     #[test]
     fn percentiles_use_integer_indexing() {
         let lats: Vec<SimDur> = (1..=100).map(SimDur::from_millis).collect();
-        assert_eq!(percentile(&lats, 50), SimDur::from_millis(50));
-        assert_eq!(percentile(&lats, 99), SimDur::from_millis(99));
+        assert_eq!(percentile_sorted(&lats, 50), SimDur::from_millis(50));
+        assert_eq!(percentile_sorted(&lats, 99), SimDur::from_millis(99));
     }
 
     #[test]
     fn percentile_edge_cases_never_panic_or_lie() {
         // Empty: a defined zero, not a panic.
-        assert_eq!(percentile(&[], 0), SimDur::ZERO);
-        assert_eq!(percentile(&[], 99), SimDur::ZERO);
+        assert_eq!(percentile_sorted(&[], 0), SimDur::ZERO);
+        assert_eq!(percentile_sorted(&[], 99), SimDur::ZERO);
         // Single sample: every percentile is that sample.
         let one = [SimDur::from_millis(7)];
         for pct in [0, 1, 50, 99, 100] {
-            assert_eq!(percentile(&one, pct), SimDur::from_millis(7));
+            assert_eq!(percentile_sorted(&one, pct), SimDur::from_millis(7));
         }
         // All-equal: every percentile is the common value.
         let same = [SimDur::from_micros(250); 9];
         for pct in [0, 50, 99, 100] {
-            assert_eq!(percentile(&same, pct), SimDur::from_micros(250));
+            assert_eq!(percentile_sorted(&same, pct), SimDur::from_micros(250));
         }
         // Integer indexing: p99 of three samples is the median —
         // `sorted[(3-1)*99/100] = sorted[1]` — and only p100 reaches
-        // the max (the same convention as `northup_sched::percentile_of`).
+        // the max.
         let three = [
             SimDur::from_millis(1),
             SimDur::from_millis(5),
             SimDur::from_millis(9),
         ];
-        assert_eq!(percentile(&three, 99), SimDur::from_millis(5));
-        assert_eq!(percentile(&three, 100), SimDur::from_millis(9));
+        assert_eq!(percentile_sorted(&three, 99), SimDur::from_millis(5));
+        assert_eq!(percentile_sorted(&three, 100), SimDur::from_millis(9));
     }
 }

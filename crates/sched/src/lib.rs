@@ -89,9 +89,11 @@ pub use reserve::{NodeBudgets, Reservation, TenantQuota};
 pub use scheduler::{
     staging_reservation, AdmissionEvent, AdmissionEventKind, AdmissionPolicy, CapacitySample,
     ChunkSample, FaultOutcome, FaultSample, JobOutcome, JobScheduler, Probation, QuarantineSample,
-    ResizeDrain, ResizeSample, RestoreSample, SchedReport, SchedulerConfig, SpillSample,
+    ResizeDrain, ResizeSample, RestoreSample, SchedReport, SchedulerConfig,
 };
-pub use slo::{percentile_of, DegradeLevel, RejectReason, ShedOutcome, SloConfig, SloSample};
+pub use slo::{
+    percentile_of, percentile_sorted, DegradeLevel, RejectReason, ShedOutcome, SloConfig, SloSample,
+};
 // Re-export the shared IR (and the failure-domain vocabulary) so
 // scheduler users need not depend on `northup` directly.
 pub use northup::fabric::{build_chain, Checkpoint, ChunkChain, ChunkWork, Fabric};

@@ -63,7 +63,9 @@ use crate::error::SchedError;
 use crate::fabric::SimFabric;
 use crate::job::{JobId, JobSpec, JobState, Priority, SloClass, TenantId};
 use crate::reserve::{NodeBudgets, Reservation, TenantQuota};
-use crate::slo::{DegradeLevel, RejectReason, ShedOutcome, SloConfig, SloSample, SloState};
+use crate::slo::{
+    percentile_sorted, DegradeLevel, RejectReason, ShedOutcome, SloConfig, SloSample, SloState,
+};
 use northup::fabric::{build_chain, ChainStage, ChunkChain, ChunkWork};
 use northup::fault::{FaultKind, FaultPlan, RetryPolicy};
 use northup::{NodeId, Tree, WorkQueues};
@@ -139,12 +141,15 @@ impl Default for Probation {
     }
 }
 
-/// Scheduler knobs.
+/// Scheduler knobs — fourteen, each with a caller, test or gate that
+/// sets it: queueing (`max_queue`, `policy`, `aging_limit`), eviction
+/// (`preempt`, `resize_drain`), quotas (`tenant_quota`, `quota_fair`),
+/// faults (`fault_plan`, `retry`, `quarantine_after`, `max_job_faults`,
+/// `probation`, `fault_aware_placement`) and overload control (`slo`).
+/// Budgets are the tree's full device capacities and placement sees one
+/// work queue per node; neither is configurable.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Fraction of each node's capacity the scheduler may commit
-    /// (see [`NodeBudgets::from_tree`]).
-    pub headroom: f64,
     /// Maximum jobs waiting across all class queues before arrivals are
     /// rejected (backpressure).
     pub max_queue: usize,
@@ -153,8 +158,6 @@ pub struct SchedulerConfig {
     /// After a class head has been bypassed this many times, no
     /// lower-credit class may overtake it again until it admits.
     pub aging_limit: u32,
-    /// Work queues per tree node fed to placement.
-    pub queues_per_node: usize,
     /// Chunk-granular preemption: a queued arrival that does not fit may
     /// evict strictly-lower-priority running jobs at their next chunk
     /// boundary. Off by default (schedules are unchanged when off).
@@ -186,16 +189,6 @@ pub struct SchedulerConfig {
     /// *before* quarantine trips. Off by default — with no observed
     /// faults the bias is zero and schedules are untouched either way.
     pub fault_aware_placement: bool,
-    /// Checkpoint spill accounting: charge the writeback of a victim's
-    /// in-flight staging ring (its per-chunk transfer bytes) on the root
-    /// store at every mid-flight displacement — preemption, resize
-    /// eviction, or fault eviction. The writeback occupies the root
-    /// resource in virtual time (delaying later bookings) and lands in
-    /// [`SchedReport::spill_log`] and the victim's
-    /// [`JobOutcome::spilled_bytes`], so evict-vs-drain policies have a
-    /// measurable cost. Off by default — schedules are bit-identical to
-    /// pre-spill runs when off.
-    pub charge_spill: bool,
     /// Quota-aware fair queueing: blend each tenant's token-bucket debt
     /// into the admission pass so a throttled tenant's jobs stop
     /// consuming their class's aging budget — a throttled head neither
@@ -217,11 +210,9 @@ pub struct SchedulerConfig {
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
-            headroom: 1.0,
             max_queue: 64,
             policy: AdmissionPolicy::WeightedFair,
             aging_limit: 8,
-            queues_per_node: 1,
             preempt: false,
             resize_drain: ResizeDrain::Drain,
             tenant_quota: None,
@@ -231,26 +222,10 @@ impl Default for SchedulerConfig {
             max_job_faults: 8,
             probation: None,
             fault_aware_placement: false,
-            charge_spill: false,
             quota_fair: false,
             slo: None,
         }
     }
-}
-
-/// One checkpoint spill: a displaced job's in-flight staging ring written
-/// back to the root store at its eviction boundary (recorded only with
-/// [`SchedulerConfig::charge_spill`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpillSample {
-    /// Virtual time the writeback was booked (the eviction boundary).
-    pub at: SimTime,
-    /// The displaced job whose staging ring spilled.
-    pub job: JobId,
-    /// Bytes written back (the job's per-chunk transfer footprint).
-    pub bytes: u64,
-    /// Virtual time the root store finished absorbing the writeback.
-    pub done: SimTime,
 }
 
 /// One admission-log entry: capacity committed or released.
@@ -414,11 +389,6 @@ pub struct JobOutcome {
     pub preemptions: u32,
     /// Fault accounting: faults observed, retries, backoff, re-routes.
     pub fault: FaultOutcome,
-    /// Staging-ring writeback bytes charged when this job was evicted
-    /// mid-flight (preemption, resize, or fault displacement) with
-    /// [`SchedulerConfig::charge_spill`] enabled. Zero when the knob is
-    /// off or the job was never displaced.
-    pub spilled_bytes: u64,
     /// Why the job was rejected (`None` for every other terminal state):
     /// the typed split of backpressure vs. shed vs. infeasible that the
     /// bare rejection count used to hide.
@@ -487,9 +457,6 @@ pub struct SchedReport {
     /// Every probation restore, in restore order (empty without a
     /// [`SchedulerConfig::probation`] policy).
     pub restore_log: Vec<RestoreSample>,
-    /// Every checkpoint-spill writeback, in booking order (empty without
-    /// [`SchedulerConfig::charge_spill`]).
-    pub spill_log: Vec<SpillSample>,
     /// Scheduler events processed by the run loop — the raw unit of the
     /// event-engine throughput metric (events/sec) tracked by the bench
     /// harness.
@@ -628,7 +595,7 @@ impl SchedReport {
     /// 99th-percentile completion latency of `class` (integer-index
     /// percentile; `SimDur::ZERO` with no completions).
     pub fn class_p99(&self, class: Priority) -> SimDur {
-        crate::slo::percentile_of(&self.class_latencies(class), 99)
+        percentile_sorted(&self.class_latencies(class), 99)
     }
 
     /// Jobs that ran at least one admission below full fidelity
@@ -760,9 +727,6 @@ struct JobRec {
     retries: u32,
     backoff_total: SimDur,
     reroutes: u32,
-    /// Staging-ring writeback bytes charged across this job's evictions
-    /// (zero without [`SchedulerConfig::charge_spill`]).
-    spilled_bytes: u64,
     /// Typed reason if the job was rejected (arrival backpressure,
     /// controller shed, or infeasibility).
     reject_reason: Option<RejectReason>,
@@ -782,10 +746,10 @@ pub struct JobScheduler {
 }
 
 impl JobScheduler {
-    /// A scheduler over `tree` with budgets derived from its device
-    /// capacities scaled by `cfg.headroom`.
+    /// A scheduler over `tree` with budgets equal to its device
+    /// capacities.
     pub fn new(tree: Tree, cfg: SchedulerConfig) -> Self {
-        let budgets = NodeBudgets::from_tree(&tree, cfg.headroom);
+        let budgets = NodeBudgets::from_tree(&tree, 1.0);
         JobScheduler {
             tree,
             cfg,
@@ -818,7 +782,6 @@ impl JobScheduler {
             retries: 0,
             backoff_total: SimDur::ZERO,
             reroutes: 0,
-            spilled_bytes: 0,
             reject_reason: None,
             degrade: 0,
         });
@@ -922,21 +885,27 @@ impl JobScheduler {
         if let Some(slo) = st.slo.as_mut() {
             slo.on_arrival(class);
         }
-        if !self.budgets.feasible(&rec.spec.reservation) {
-            return self.reject_arrival(st, id, t, RejectReason::Infeasible);
-        }
-        if st.queues.len() >= self.cfg.max_queue {
-            return self.reject_arrival(st, id, t, RejectReason::QueueFull);
-        }
         // Tier-1 backpressure: while the controller's dynamic cap is in
         // force, best-effort arrivals bounce off their own class queue
         // before they can poison it.
-        if let Some(cap) = st.slo.as_ref().and_then(|s| s.batch_cap) {
-            if rec.spec.effective_slo() == SloClass::BestEffort
-                && st.queues.class_live(class) >= cap as usize
-            {
-                return self.reject_arrival(st, id, t, RejectReason::QueueFull);
-            }
+        let capped = st
+            .slo
+            .as_ref()
+            .and_then(|s| s.batch_cap)
+            .is_some_and(|cap| {
+                rec.spec.effective_slo() == SloClass::BestEffort
+                    && st.queues.class_live(class) >= cap as usize
+            });
+        let refused = if !self.budgets.feasible(&rec.spec.reservation) {
+            Some(RejectReason::Infeasible)
+        } else if st.queues.len() >= self.cfg.max_queue || capped {
+            Some(RejectReason::QueueFull)
+        } else {
+            None
+        };
+        if let Some(reason) = refused {
+            self.settle_rejected(st, id, t, reason);
+            return Ok(());
         }
         st.queues.push_back(id, class);
         self.admit_pass(st, t)?;
@@ -946,19 +915,30 @@ impl JobScheduler {
         Ok(())
     }
 
-    /// Settle an arrival `Rejected` with its typed reason.
-    fn reject_arrival(
-        &mut self,
-        st: &mut RunState,
-        id: JobId,
-        t: SimTime,
-        reason: RejectReason,
-    ) -> Result<(), SchedError> {
+    /// Settle a job that holds no capacity `Rejected` with its typed
+    /// reason: a refused arrival, a shed or swept waiter, or a victim a
+    /// shrink evicted below its own reservation.
+    fn settle_rejected(&mut self, st: &mut RunState, id: JobId, t: SimTime, reason: RejectReason) {
         st.hot[id.0 as usize].state = JobState::Rejected;
         let rec = &mut self.jobs[id.0 as usize];
         rec.finished_at = Some(t);
         rec.reject_reason = Some(reason);
-        Ok(())
+    }
+
+    /// Reject every waiter (queued, or evicted and waiting) whose
+    /// reservation can never fit the budgets now in force — after a
+    /// shrink or a fence — so the trace still totals out.
+    fn reject_infeasible_waiters(&mut self, st: &mut RunState, t: SimTime) {
+        let waiting: Vec<JobId> = st.queues.fifo_live().collect();
+        for id in waiting {
+            if !self
+                .budgets
+                .feasible(&self.jobs[id.0 as usize].spec.reservation)
+            {
+                st.queues.remove(id);
+                self.settle_rejected(st, id, t, RejectReason::Infeasible);
+            }
+        }
     }
 
     /// One SLO control tick: sample p99-so-far, decide the tier, apply
@@ -1028,14 +1008,11 @@ impl JobScheduler {
                     RejectReason::Shed
                 };
                 st.queues.remove(id);
-                st.hot[id.0 as usize].state = JobState::Rejected;
-                let rec = &mut self.jobs[id.0 as usize];
-                rec.finished_at = Some(t);
-                rec.reject_reason = Some(reason);
+                self.settle_rejected(st, id, t, reason);
                 let outcome = ShedOutcome {
                     job: id,
                     at: t,
-                    class: rec.spec.priority,
+                    class: self.jobs[id.0 as usize].spec.priority,
                     reason,
                 };
                 if let Some(slo) = st.slo.as_mut() {
@@ -1091,21 +1068,7 @@ impl JobScheduler {
             at: t,
             budgets: self.budgets.snapshot(),
         });
-        // Queued (or evicted-and-waiting) jobs whose reservation can never
-        // fit again are rejected now, so the trace still totals out.
-        let waiting: Vec<JobId> = st.queues.fifo_live().collect();
-        for id in waiting {
-            if !self
-                .budgets
-                .feasible(&self.jobs[id.0 as usize].spec.reservation)
-            {
-                st.queues.remove(id);
-                st.hot[id.0 as usize].state = JobState::Rejected;
-                let rec = &mut self.jobs[id.0 as usize];
-                rec.finished_at = Some(t);
-                rec.reject_reason = Some(RejectReason::Infeasible);
-            }
-        }
+        self.reject_infeasible_waiters(st, t);
         if self.cfg.resize_drain == ResizeDrain::Preempt {
             self.mark_for_resize(st, t);
         }
@@ -1159,10 +1122,10 @@ impl JobScheduler {
         } else if flags & F_FAULT != 0 {
             self.fault_evict(st, id, t)
         } else if flags & F_RESIZE != 0 {
-            self.evict(st, id, t)
+            self.displace(st, id, t, false)
         } else if flags & F_PREEMPT != 0 {
             if self.eviction_still_needed(st, id) {
-                self.evict(st, id, t)
+                self.displace(st, id, t, false)
             } else {
                 // The pressure passed (e.g. another release already made
                 // room); keep running.
@@ -1333,19 +1296,7 @@ impl JobScheduler {
         st.pre_fence_budget[node.0] = self.budgets.get(node);
         self.budgets.zero(node);
         self.schedule_probe(st, node, t);
-        let waiting: Vec<JobId> = st.queues.fifo_live().collect();
-        for wid in waiting {
-            if !self
-                .budgets
-                .feasible(&self.jobs[wid.0 as usize].spec.reservation)
-            {
-                st.queues.remove(wid);
-                st.hot[wid.0 as usize].state = JobState::Rejected;
-                let rec = &mut self.jobs[wid.0 as usize];
-                rec.finished_at = Some(t);
-                rec.reject_reason = Some(RejectReason::Infeasible);
-            }
-        }
+        self.reject_infeasible_waiters(st, t);
         for i in 0..st.hot.len() {
             let h = st.hot[i];
             if matches!(h.state, JobState::Admitted | JobState::Running)
@@ -1422,56 +1373,20 @@ impl JobScheduler {
         self.admit_pass(st, t)
     }
 
-    /// Displace a faulted job: release the reservation, keep the
-    /// checkpoint, and re-queue it at the front of its class so the next
+    /// Displace a faulted job through [`Self::displace`] so the next
     /// admission re-places it — `build_chain` re-targeting onto a
     /// surviving leaf. A job displaced more than
-    /// [`SchedulerConfig::max_job_faults`] times is failed instead, and a
-    /// job whose reservation cannot fit the surviving budget envelope
-    /// fails too — chaos runs always terminate.
+    /// [`SchedulerConfig::max_job_faults`] times is failed instead —
+    /// chaos runs always terminate.
     fn fault_evict(&mut self, st: &mut RunState, id: JobId, t: SimTime) -> Result<(), SchedError> {
-        {
-            let rec = &mut self.jobs[id.0 as usize];
-            rec.reroutes += 1;
-            rec.stage_attempts = 0;
-        }
+        let rec = &mut self.jobs[id.0 as usize];
+        rec.reroutes += 1;
+        rec.stage_attempts = 0;
         st.hot[id.0 as usize].flags &= !F_FAULT;
-        if self.jobs[id.0 as usize].reroutes > self.cfg.max_job_faults {
+        if rec.reroutes > self.cfg.max_job_faults {
             return self.finish(st, id, JobState::Failed, t);
         }
-        self.charge_spill(st, id, t);
-        self.release_capacity(st, id, t);
-        {
-            let h = &mut st.hot[id.0 as usize];
-            h.flags &= !(F_PREEMPT | F_RESIZE);
-            h.state = JobState::Preempted;
-            h.stage_idx = 0;
-            h.chain = CHAIN_NONE;
-        }
-        let rec = &mut self.jobs[id.0 as usize];
-        rec.preempt_requested_at = None;
-        if let (Some(leaf), Some(task)) = (rec.leaf, rec.task.take()) {
-            st.wq.complete(leaf, task);
-        }
-        rec.leaf = None;
-        st.admission_log.push(AdmissionEvent {
-            at: t,
-            job: id,
-            kind: AdmissionEventKind::FaultEvicted,
-        });
-        st.active -= 1;
-        if self
-            .budgets
-            .feasible(&self.jobs[id.0 as usize].spec.reservation)
-        {
-            let class = class_index(self.jobs[id.0 as usize].spec.priority);
-            st.queues.push_front(id, class);
-        } else {
-            // Its reserved node was fenced: the job lost its device.
-            st.hot[id.0 as usize].state = JobState::Failed;
-            self.jobs[id.0 as usize].finished_at = Some(t);
-        }
-        self.admit_pass(st, t)
+        self.displace(st, id, t, true)
     }
 
     /// Commit the reservation, place the job, and start its next chunk
@@ -1584,31 +1499,6 @@ impl JobScheduler {
         best.map(|(_, _, leaf)| leaf).ok_or(SchedError::NoLeaf)
     }
 
-    /// Charge the victim's in-flight staging ring — its per-chunk
-    /// transfer footprint — as a root-store writeback at an eviction
-    /// boundary ([`SchedulerConfig::charge_spill`]). The writeback
-    /// FIFO-queues on the shared root resource, so the cost of choosing
-    /// evict over drain is visible in later bookings, the
-    /// [`SchedReport::spill_log`], and the victim's
-    /// [`JobOutcome::spilled_bytes`].
-    fn charge_spill(&mut self, st: &mut RunState, id: JobId, t: SimTime) {
-        if !self.cfg.charge_spill {
-            return;
-        }
-        let bytes = self.jobs[id.0 as usize].spec.work.xfer_bytes;
-        if bytes == 0 {
-            return;
-        }
-        let done = st.fabric.spill_writeback(t, bytes);
-        self.jobs[id.0 as usize].spilled_bytes += bytes;
-        st.spill_log.push(SpillSample {
-            at: t,
-            job: id,
-            bytes,
-            done,
-        });
-    }
-
     /// Credit the reservation back and sample the capacity trace (shared
     /// by terminal release and eviction).
     fn release_capacity(&mut self, st: &mut RunState, id: JobId, t: SimTime) {
@@ -1670,49 +1560,60 @@ impl JobScheduler {
         self.admit_pass(st, t)
     }
 
-    /// Evict a running job at its chunk boundary: release the
-    /// reservation, keep the checkpoint, and re-queue it at the front of
-    /// its class so it resumes as soon as capacity returns.
-    fn evict(&mut self, st: &mut RunState, id: JobId, t: SimTime) -> Result<(), SchedError> {
-        self.charge_spill(st, id, t);
+    /// Take a running job off the machine at its chunk boundary:
+    /// release the reservation, keep the checkpoint, drop the placement,
+    /// and re-queue it at the front of its class so it resumes as soon as
+    /// capacity returns. `fault` tells a fault displacement from a
+    /// preempt/resize eviction: only the latter counts as a preemption
+    /// (and records its request→effect latency), and a job whose
+    /// reservation no longer fits the budgets in force dead-ends as
+    /// `Failed` (its node was fenced) rather than `Rejected` (a shrink
+    /// went below its own reservation).
+    fn displace(
+        &mut self,
+        st: &mut RunState,
+        id: JobId,
+        t: SimTime,
+        fault: bool,
+    ) -> Result<(), SchedError> {
         self.release_capacity(st, id, t);
         let rec = &mut self.jobs[id.0 as usize];
-        if let Some(at) = rec.preempt_requested_at.take() {
-            st.preemption_latencies.push(t - at);
+        let requested_at = rec.preempt_requested_at.take();
+        if !fault {
+            if let Some(at) = requested_at {
+                st.preemption_latencies.push(t - at);
+            }
+            rec.preemptions += 1;
         }
-        rec.preemptions += 1;
         if let (Some(leaf), Some(task)) = (rec.leaf, rec.task.take()) {
             st.wq.complete(leaf, task);
         }
         rec.leaf = None;
-        {
-            let h = &mut st.hot[id.0 as usize];
-            h.flags &= !(F_PREEMPT | F_RESIZE);
-            h.state = JobState::Preempted;
-            h.stage_idx = 0;
-            h.chain = CHAIN_NONE;
-        }
+        let feasible = self.budgets.feasible(&rec.spec.reservation);
+        let class = class_index(rec.spec.priority);
+        let h = &mut st.hot[id.0 as usize];
+        h.flags &= !(F_PREEMPT | F_RESIZE);
+        h.state = JobState::Preempted;
+        h.stage_idx = 0;
+        h.chain = CHAIN_NONE;
         st.admission_log.push(AdmissionEvent {
             at: t,
             job: id,
-            kind: AdmissionEventKind::Preempted,
+            kind: if fault {
+                AdmissionEventKind::FaultEvicted
+            } else {
+                AdmissionEventKind::Preempted
+            },
         });
         st.active -= 1;
-        if self
-            .budgets
-            .feasible(&self.jobs[id.0 as usize].spec.reservation)
-        {
-            // Front of the class: the victim has seniority and resumes as
-            // soon as capacity returns.
-            let class = class_index(self.jobs[id.0 as usize].spec.priority);
+        if feasible {
+            // Front of the class: the victim has seniority.
             st.queues.push_front(id, class);
-        } else {
-            // Evicted by a shrink below its own reservation: it can never
-            // be re-admitted, so reject rather than queue forever.
-            st.hot[id.0 as usize].state = JobState::Rejected;
-            let rec = &mut self.jobs[id.0 as usize];
+        } else if fault {
+            h.state = JobState::Failed;
             rec.finished_at = Some(t);
-            rec.reject_reason = Some(RejectReason::Infeasible);
+        } else {
+            self.settle_rejected(st, id, t, RejectReason::Infeasible);
         }
         self.admit_pass(st, t)
     }
@@ -1728,16 +1629,9 @@ impl JobScheduler {
         })
     }
 
-    /// A queued arrival that does not fit marks strictly-lower-priority
-    /// running jobs (lowest priority first, most recently admitted first)
-    /// for eviction at their next chunk boundary, until the projected
-    /// released capacity makes room. If even evicting every candidate
-    /// would not make room, nothing is marked.
-    fn try_preempt(&mut self, st: &mut RunState, id: JobId, t: SimTime) {
-        let (res, my_w) = {
-            let r = &self.jobs[id.0 as usize];
-            (r.spec.reservation.clone(), r.spec.priority.weight())
-        };
+    /// Committed bytes per node once every eviction already marked
+    /// (`F_PREEMPT | F_RESIZE`) has taken effect.
+    fn projected_commitment(&self, st: &RunState) -> Vec<u64> {
         let mut eff: Vec<u64> = st.committed.clone();
         for (i, h) in st.hot.iter().enumerate() {
             if h.flags & (F_PREEMPT | F_RESIZE) != 0
@@ -1748,9 +1642,13 @@ impl JobScheduler {
                 }
             }
         }
-        if self.budgets.fits(&eff, &res) {
-            return; // pending evictions already make room
-        }
+        eff
+    }
+
+    /// Running jobs not yet marked for eviction or cancellation whose
+    /// priority weight is below `below_weight`, in victim order: lowest
+    /// priority first, most recently admitted first.
+    fn ranked_victims(&self, st: &RunState, below_weight: u64) -> Vec<JobId> {
         let mut cands: Vec<JobId> = st
             .hot
             .iter()
@@ -1758,7 +1656,7 @@ impl JobScheduler {
             .filter(|(i, h)| {
                 matches!(h.state, JobState::Admitted | JobState::Running)
                     && h.flags & (F_PREEMPT | F_RESIZE | F_CANCEL) == 0
-                    && self.jobs[*i].spec.priority.weight() < my_w
+                    && self.jobs[*i].spec.priority.weight() < below_weight
             })
             .map(|(i, _)| JobId(i as u64))
             .collect();
@@ -1766,8 +1664,25 @@ impl JobScheduler {
             let r = &self.jobs[j.0 as usize];
             (r.spec.priority.weight(), Reverse(r.admitted_at), Reverse(j))
         });
+        cands
+    }
+
+    /// A queued arrival that does not fit marks strictly-lower-priority
+    /// running jobs (in [`Self::ranked_victims`] order) for eviction at
+    /// their next chunk boundary, until the projected released capacity
+    /// makes room. If even evicting every candidate would not make room,
+    /// nothing is marked.
+    fn try_preempt(&mut self, st: &mut RunState, id: JobId, t: SimTime) {
+        let (res, my_w) = {
+            let r = &self.jobs[id.0 as usize];
+            (r.spec.reservation.clone(), r.spec.priority.weight())
+        };
+        let mut eff = self.projected_commitment(st);
+        if self.budgets.fits(&eff, &res) {
+            return; // pending evictions already make room
+        }
         let mut marked = Vec::new();
-        for v in cands {
+        for v in self.ranked_victims(st, my_w) {
             // Targeted placement: skip victims whose eviction frees no
             // byte on any node that is actually blocking this arrival.
             // The old first-lower-class choice evicted in pure class
@@ -1801,44 +1716,17 @@ impl JobScheduler {
     }
 
     /// After a shrink with [`ResizeDrain::Preempt`]: mark running jobs
-    /// (lowest priority first, most recently admitted first) whose
+    /// of any priority (in [`Self::ranked_victims`] order) whose
     /// reservation touches an over-budget node, until the projected
     /// commitment fits everywhere.
     fn mark_for_resize(&mut self, st: &mut RunState, t: SimTime) {
-        let mut eff: Vec<u64> = st.committed.clone();
-        for (i, h) in st.hot.iter().enumerate() {
-            if h.flags & (F_PREEMPT | F_RESIZE) != 0
-                && matches!(h.state, JobState::Admitted | JobState::Running)
-            {
-                for (n, b) in self.jobs[i].spec.reservation.iter() {
-                    eff[n.0] = eff[n.0].saturating_sub(b);
-                }
-            }
-        }
-        let over = |eff: &[u64], budgets: &NodeBudgets| -> bool {
-            eff.iter()
+        let mut eff = self.projected_commitment(st);
+        for v in self.ranked_victims(st, u64::MAX) {
+            let over = eff
+                .iter()
                 .enumerate()
-                .any(|(n, &c)| c > budgets.get(NodeId(n)))
-        };
-        if !over(&eff, &self.budgets) {
-            return;
-        }
-        let mut cands: Vec<JobId> = st
-            .hot
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| {
-                matches!(h.state, JobState::Admitted | JobState::Running)
-                    && h.flags & (F_PREEMPT | F_RESIZE | F_CANCEL) == 0
-            })
-            .map(|(i, _)| JobId(i as u64))
-            .collect();
-        cands.sort_by_key(|&j| {
-            let r = &self.jobs[j.0 as usize];
-            (r.spec.priority.weight(), Reverse(r.admitted_at), Reverse(j))
-        });
-        for v in cands {
-            if !over(&eff, &self.budgets) {
+                .any(|(n, &c)| c > self.budgets.get(NodeId(n)));
+            if !over {
                 break;
             }
             let helps = self.jobs[v.0 as usize]
@@ -2077,7 +1965,6 @@ impl JobScheduler {
                     backoff: rec.backoff_total,
                     reroutes: rec.reroutes,
                 },
-                spilled_bytes: rec.spilled_bytes,
                 reject_reason: rec.reject_reason,
                 degrade: rec.degrade,
             })
@@ -2095,13 +1982,6 @@ impl JobScheduler {
 
         let mut lats: Vec<SimDur> = jobs.iter().filter_map(JobOutcome::latency).collect();
         lats.sort();
-        let pct = |p: usize| -> SimDur {
-            if lats.is_empty() {
-                SimDur::ZERO
-            } else {
-                lats[(lats.len() - 1) * p / 100]
-            }
-        };
         let rejected = jobs
             .iter()
             .filter(|j| j.state == JobState::Rejected)
@@ -2115,8 +1995,8 @@ impl JobScheduler {
         SchedReport {
             makespan,
             throughput,
-            p50_latency: pct(50),
-            p99_latency: pct(99),
+            p50_latency: percentile_sorted(&lats, 50),
+            p99_latency: percentile_sorted(&lats, 99),
             rejection_rate,
             admission_order: st.admission_order,
             admission_log: st.admission_log,
@@ -2128,7 +2008,6 @@ impl JobScheduler {
             fault_log: st.fault_log,
             quarantine_log: st.quarantine_log,
             restore_log: st.restore_log,
-            spill_log: st.spill_log,
             shed_log,
             slo_log,
             capacity_needed_pct,
@@ -2359,7 +2238,6 @@ struct RunState {
     /// (index = `NodeId.0`, meaningful only while the node is fenced).
     pre_fence_budget: Vec<u64>,
     restore_log: Vec<RestoreSample>,
-    spill_log: Vec<SpillSample>,
     /// SLO feedback-controller state, `Some` only when
     /// [`SchedulerConfig::slo`] is configured.
     slo: Option<SloState>,
@@ -2413,7 +2291,7 @@ impl RunState {
             quota_wake: BTreeMap::new(),
             active: 0,
             fabric: SimFabric::new(tree),
-            wq: WorkQueues::new(tree, cfg.queues_per_node.max(1)),
+            wq: WorkQueues::new(tree, 1),
             fault_ordinals: vec![0; tree.len()],
             node_persistent: vec![0; tree.len()],
             quarantined: BTreeSet::new(),
@@ -2422,7 +2300,6 @@ impl RunState {
             node_probes: vec![0; tree.len()],
             pre_fence_budget: vec![0; tree.len()],
             restore_log: Vec::new(),
-            spill_log: Vec::new(),
             slo: cfg.slo.clone().map(SloState::new),
             control_ticks: 0,
             slo_base_budgets: Vec::new(),
@@ -3473,5 +3350,81 @@ mod tests {
         assert_eq!(report.job(ghost).chunks_done, 3, "clamped to the work");
         assert!(!report.chunk_log.iter().any(|c| c.job == ghost));
         assert!(report.events > 0);
+    }
+
+    #[test]
+    fn every_infeasible_route_settles_typed_and_the_fault_dead_end_fails() {
+        let tree = presets::asymmetric_fig2();
+        let node = NodeId(1); // the lowest leaf: first placement lands here
+        let cap = tree.node(node).mem.capacity;
+        let job = |name: &str, bytes: u64, chunks: u32| {
+            JobSpec::new(
+                name,
+                Reservation::new().with(node, bytes),
+                JobWork::new(chunks).read(16 << 20).xfer(16 << 20),
+            )
+        };
+        let big = cap / 10 * 6; // two of these never co-fit
+        let shrink = |s: &mut JobScheduler| {
+            let half = NodeBudgets::from_tree(&tree, 1.0).scaled(0.5);
+            s.resize_budgets(SimTime::from_secs_f64(0.001), half);
+        };
+        let with = |cfg: SchedulerConfig| JobScheduler::new(tree.clone(), cfg);
+        let preempt_on_shrink = SchedulerConfig {
+            resize_drain: ResizeDrain::Preempt,
+            ..SchedulerConfig::default()
+        };
+        let fence_on_first_fault = SchedulerConfig {
+            fault_plan: Some(FaultPlan::new(3).persistent_rate(65536).on_nodes([node])),
+            quarantine_after: 1,
+            ..SchedulerConfig::default()
+        };
+
+        // Each row: route, its run, the job under test, its expected
+        // terminal state, and the kind of its last admission-log entry.
+        let check = |route: &str, report: &SchedReport, id: JobId, state, last_kind| {
+            assert!(report.all_terminal(), "{route}");
+            let out = report.job(id);
+            assert_eq!(out.state, state, "{route}");
+            let reason = (state == JobState::Rejected).then_some(RejectReason::Infeasible);
+            assert_eq!(out.reject_reason, reason, "{route}");
+            // Displaced jobs settle inside `displace`: their last log
+            // entry is the eviction itself, at the settle time, with no
+            // `Released` after it. Never-admitted jobs have no entry.
+            let last = report.admission_log.iter().rfind(|e| e.job == id);
+            assert_eq!(last.map(|e| e.kind), last_kind, "{route}");
+            if let Some(e) = last {
+                assert_eq!(Some(e.at), out.finished_at, "{route}");
+                let evictions = u32::from(e.kind == AdmissionEventKind::Preempted);
+                assert_eq!(out.preemptions, evictions, "{route}");
+            }
+        };
+        let (rejected, failed) = (JobState::Rejected, JobState::Failed);
+
+        let mut s = with(SchedulerConfig::default());
+        let whale = s.submit(job("whale", cap + 1, 1));
+        check("arrival", &s.run().unwrap(), whale, rejected, None);
+
+        let mut s = with(SchedulerConfig::default());
+        s.submit(job("hog", big, 12));
+        let waiter = s.submit(job("waiter", big, 1));
+        shrink(&mut s);
+        check("shrink sweep", &s.run().unwrap(), waiter, rejected, None);
+
+        let mut s = with(preempt_on_shrink);
+        let victim = s.submit(job("victim", big, 12));
+        shrink(&mut s);
+        let evicted = Some(AdmissionEventKind::Preempted);
+        check("shrink evict", &s.run().unwrap(), victim, rejected, evicted);
+
+        // One run, two routes: the first fault on `node` fences it, which
+        // sweeps the waiter and dead-ends the displaced holder.
+        let mut s = with(fence_on_first_fault);
+        let doomed = s.submit(job("doomed", big, 4));
+        let waiter = s.submit(job("waiter", big, 1));
+        let report = s.run().unwrap();
+        let displaced = Some(AdmissionEventKind::FaultEvicted);
+        check("fence sweep", &report, waiter, rejected, None);
+        check("fault dead end", &report, doomed, failed, displaced);
     }
 }

@@ -335,8 +335,7 @@ impl SloState {
     }
 
     /// p99-so-far of one class over the current window (integer-index
-    /// percentile; `SimDur::ZERO` with no samples — edge cases shared
-    /// with `fleet::report::percentile`).
+    /// percentile; `SimDur::ZERO` with no samples).
     pub fn p99(&self, class: usize) -> SimDur {
         percentile_of(&self.samples[class], 99)
     }
@@ -440,17 +439,23 @@ impl SloState {
     }
 }
 
-/// Integer-index percentile of an unsorted latency slice: sorts a copy,
-/// then indexes `(len - 1) * pct / 100` — the same convention as
-/// `SchedReport::summary` and the fleet report. Empty ⇒ `SimDur::ZERO`;
-/// a single sample is every percentile of itself.
-pub fn percentile_of(samples: &[SimDur], pct: usize) -> SimDur {
-    if samples.is_empty() {
-        return SimDur::ZERO;
+/// Integer-index percentile of an ascending-sorted latency slice: the
+/// sample at index `(len - 1) * pct / 100` — the one rule behind every
+/// p50/p99 the scheduler, the controller and the fleet report print.
+/// Empty ⇒ `SimDur::ZERO`; a single sample is every percentile of
+/// itself; `pct` above 100 clamps.
+pub fn percentile_sorted(sorted: &[SimDur], pct: usize) -> SimDur {
+    match sorted.len() {
+        0 => SimDur::ZERO,
+        n => sorted[(n - 1) * pct.min(100) / 100],
     }
+}
+
+/// [`percentile_sorted`] of an unsorted latency slice (sorts a copy).
+pub fn percentile_of(samples: &[SimDur], pct: usize) -> SimDur {
     let mut sorted: Vec<SimDur> = samples.to_vec();
     sorted.sort_unstable();
-    sorted[(sorted.len() - 1) * pct.min(100) / 100]
+    percentile_sorted(&sorted, pct)
 }
 
 #[cfg(test)]
