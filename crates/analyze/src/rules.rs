@@ -323,6 +323,11 @@ mod tests {
         // Handle escapes via return type: clean.
         let escape = "fn f(ctx: &Ctx) -> Result<BufferHandle> { ctx.alloc(n, 8) }";
         assert!(run("crates/core/src/x.rs", escape).is_empty());
+        // ... also from inside an array or a tuple.
+        let array = "fn f(ctx: &Ctx) -> Result<[BufferHandle; 4]> { four(ctx.alloc(n, 8)) }";
+        assert!(run("crates/core/src/x.rs", array).is_empty());
+        let tuple = "fn f(rt: Runtime) -> Result<(Runtime, BufferHandle)> { let h = rt.alloc(n, 8)?; Ok((rt, h)) }";
+        assert!(run("crates/core/src/x.rs", tuple).is_empty());
         // Neither: finding.
         let leak = "fn f(ctx: &Ctx) { let _h = ctx.alloc(n, 8); }";
         let f = run("crates/core/src/x.rs", leak);

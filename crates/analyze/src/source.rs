@@ -273,6 +273,13 @@ fn test_attr_item_end(sf: &SourceFile, ci: usize) -> Option<usize> {
     }
 }
 
+fn push_spaced(out: &mut String, tok: &str) {
+    if !out.is_empty() {
+        out.push(' ');
+    }
+    out.push_str(tok);
+}
+
 /// Extract every fn item (with a body) from the code-token stream.
 fn extract_fns(sf: &SourceFile) -> Vec<FnItem> {
     let mut fns = Vec::new();
@@ -301,11 +308,16 @@ fn extract_fns(sf: &SourceFile) -> Vec<FnItem> {
         let mut body_start = None;
         while j < n {
             let tok = &sf.toks[sf.code[j]];
-            if tok.is_punct('(') || tok.is_punct('[') {
-                paren += 1;
-            } else if tok.is_punct(')') || tok.is_punct(']') {
-                paren -= 1;
-            } else if paren == 0 {
+            let open = tok.is_punct('(') || tok.is_punct('[');
+            let close = tok.is_punct(')') || tok.is_punct(']');
+            paren += open as i32 - close as i32;
+            if open || close || paren > 0 {
+                // Inside a tuple or array: part of the return type once
+                // one is being captured (`-> Result<[BufferHandle; 4]>`).
+                if in_ret {
+                    push_spaced(&mut ret, &tok.text);
+                }
+            } else {
                 if tok.is_punct('{') {
                     body_start = Some(j);
                     break;
@@ -317,10 +329,7 @@ fn extract_fns(sf: &SourceFile) -> Vec<FnItem> {
                     in_ret = false;
                 }
                 if in_ret {
-                    if !ret.is_empty() {
-                        ret.push(' ');
-                    }
-                    ret.push_str(&tok.text);
+                    push_spaced(&mut ret, &tok.text);
                 }
                 if tok.is_punct('-')
                     && sf.ct(j + 1).is_some_and(|t2| t2.is_punct('>'))

@@ -14,13 +14,11 @@
 //! * each node's chain pipelines independently of the others, so node
 //!   parallelism emerges from the resource model rather than being coded.
 
-use crate::calibration::model_for;
-use crate::host::when_real;
+use crate::host::{read_matrix, verify_gemm, when_real};
+use crate::matmul::gemm_tile;
 use crate::report::AppRun;
-use northup::{BufferHandle, ExecMode, NodeId, ProcKind, Result, Runtime};
-use northup_kernels::{
-    bytes_to_f32s, f32s_to_bytes, matmul_naive, matmul_tiled, DenseMatrix, LEAF_TILE,
-};
+use northup::{BufferHandle, ChainBufs, ExecMode, Result, Runtime};
+use northup_kernels::{f32s_to_bytes, DenseMatrix};
 
 /// Configuration of a distributed GEMM run.
 #[derive(Debug, Clone)]
@@ -62,17 +60,15 @@ impl DistGemmConfig {
     }
 }
 
-/// One compute node's chain below the PFS root.
-struct NodeChain {
-    /// nvm -> dram -> gpu node ids.
-    path: Vec<NodeId>,
+/// One compute node's chain below the PFS root (nvm -> dram -> gpu).
+struct NodeChain<'rt> {
     /// Staged buffers at the first level (A strip kept + B ring).
     a_stage: BufferHandle,
     b_ring: [BufferHandle; 2],
     /// Resident C strip at the first level (written back once per strip).
     c_strip: BufferHandle,
-    /// Whole-shard buffers at each deeper level: [a, b, c].
-    deep: Vec<[BufferHandle; 3]>,
+    /// Whole-shard `[a, b, c]` buffers at each deeper level.
+    deep: ChainBufs<'rt>,
 }
 
 /// Run the distributed GEMM; Real mode verifies against the naive oracle.
@@ -105,30 +101,12 @@ pub fn gemm_cluster(cfg: &DistGemmConfig, mode: ExecMode) -> Result<AppRun> {
 
     // Build each node's chain and buffers.
     let mut chains: Vec<NodeChain> = Vec::new();
-    for &head in rt.tree().children(root) {
-        let mut path = vec![head];
-        let mut cur = head;
-        while let Some(&c) = rt.tree().children(cur).first() {
-            path.push(c);
-            cur = c;
-        }
-        let stage = path[0];
-        let deep = path[1..]
-            .iter()
-            .map(|&node| {
-                Ok([
-                    rt.alloc(strip_a, node)?,
-                    rt.alloc(shard_b, node)?,
-                    rt.alloc(block * block * 4, node)?,
-                ])
-            })
-            .collect::<Result<Vec<_>>>()?;
+    for &stage in rt.tree().children(root) {
         chains.push(NodeChain {
+            deep: ChainBufs::new(&rt, stage, &[strip_a, shard_b, block * block * 4])?,
             a_stage: rt.alloc(strip_a, stage)?,
             b_ring: [rt.alloc(shard_b, stage)?, rt.alloc(shard_b, stage)?],
             c_strip: rt.alloc(strip_a, stage)?,
-            path,
-            deep,
         });
     }
     assert!(!chains.is_empty(), "cluster has no compute nodes");
@@ -148,7 +126,20 @@ pub fn gemm_cluster(cfg: &DistGemmConfig, mode: ExecMode) -> Result<AppRun> {
         }
         for j in 0..nb {
             for &i in &active {
-                process_tile(&rt, cfg, &chains[(i % k) as usize], i, j, b_file, mode)?;
+                let chain = &chains[(i % k) as usize];
+                let b_buf = chain.b_ring[(j % 2) as usize];
+                rt.move_data(b_buf, 0, b_file, j * shard_b, shard_b)?;
+
+                // The same tile as the single-node schedule (A strip kept
+                // across j), then back up the chain into column j of the
+                // resident C strip.
+                let staged = [chain.a_stage, b_buf, chain.c_strip];
+                let label = format!("node gemm ({i},{j})");
+                let dims = (cfg.block, cfg.n);
+                if let Some(top) = gemm_tile(&rt, &chain.deep, &staged, j == 0, dims, &label)? {
+                    let row = block * 4;
+                    rt.move_data_strided(chain.c_strip, j * row, n * 4, top, 0, row, row, block)?;
+                }
             }
         }
         // Strip write-backs for the round.
@@ -161,19 +152,8 @@ pub fn gemm_cluster(cfg: &DistGemmConfig, mode: ExecMode) -> Result<AppRun> {
     let mut checksum = None;
     let mut verified = None;
     if let (Some(am), Some(bm)) = (&a_mat, &b_mat) {
-        let mut bytes = vec![0u8; (n * n * 4) as usize];
-        rt.read_slice(c_file, 0, &mut bytes)?;
-        let cm = DenseMatrix {
-            rows: cfg.n,
-            cols: cfg.n,
-            data: bytes_to_f32s(&bytes),
-        };
-        checksum = Some(cm.checksum());
-        if cfg.n <= 256 {
-            let mut oracle = DenseMatrix::zeros(cfg.n, cfg.n);
-            matmul_naive(am, bm, &mut oracle);
-            verified = Some(oracle.max_abs_diff(&cm) < 1e-3 * cfg.n as f32);
-        }
+        let cm = read_matrix(&rt, c_file, 0, cfg.n, cfg.n)?;
+        (checksum, verified) = verify_gemm(am, bm, &cm);
     }
 
     Ok(AppRun {
@@ -182,94 +162,6 @@ pub fn gemm_cluster(cfg: &DistGemmConfig, mode: ExecMode) -> Result<AppRun> {
         verified,
         checksum,
     })
-}
-
-/// Issue one (strip i, shard j) tile on `chain`.
-fn process_tile(
-    rt: &Runtime,
-    cfg: &DistGemmConfig,
-    chain: &NodeChain,
-    i: u64,
-    j: u64,
-    b_file: BufferHandle,
-    mode: ExecMode,
-) -> Result<()> {
-    let n = cfg.n as u64;
-    let block = cfg.block as u64;
-    let strip_a = block * n * 4;
-    let shard_b = n * block * 4;
-    let leaf = *chain.path.last().expect("chain leaf");
-    let gpu = rt
-        .tree()
-        .node(leaf)
-        .procs
-        .iter()
-        .find(|p| p.kind == ProcKind::Gpu)
-        .expect("compute node has a GPU");
-    let kernel_time = model_for(&gpu.name).gemm_time(block, block, n);
-
-    let b_buf = chain.b_ring[(j % 2) as usize];
-    rt.move_data(b_buf, 0, b_file, j * shard_b, shard_b)?;
-
-    let a_new = j == 0;
-    let (mut cur_a, mut cur_b) = (chain.a_stage, b_buf);
-    for bufs in &chain.deep {
-        if a_new {
-            rt.move_data(bufs[0], 0, cur_a, 0, strip_a)?;
-        }
-        rt.move_data(bufs[1], 0, cur_b, 0, shard_b)?;
-        cur_a = bufs[0];
-        cur_b = bufs[1];
-    }
-    let leaf_c = chain.deep.last().map(|b| b[2]).unwrap_or(chain.c_strip);
-    rt.charge_compute(
-        leaf,
-        ProcKind::Gpu,
-        kernel_time,
-        &[cur_a, cur_b],
-        &[leaf_c],
-        &format!("node gemm ({i},{j})"),
-    )?;
-
-    if mode == ExecMode::Real {
-        let mut ab = vec![0u8; strip_a as usize];
-        let mut bb = vec![0u8; shard_b as usize];
-        rt.read_slice(cur_a, 0, &mut ab)?;
-        rt.read_slice(cur_b, 0, &mut bb)?;
-        let am = DenseMatrix {
-            rows: cfg.block,
-            cols: cfg.n,
-            data: bytes_to_f32s(&ab),
-        };
-        let bm = DenseMatrix {
-            rows: cfg.n,
-            cols: cfg.block,
-            data: bytes_to_f32s(&bb),
-        };
-        let mut cm = DenseMatrix::zeros(cfg.block, cfg.block);
-        matmul_tiled(&am, &bm, &mut cm, LEAF_TILE);
-        rt.write_slice(leaf_c, 0, &f32s_to_bytes(&cm.data))?;
-    }
-
-    // Tile back up the chain into the resident C strip (column j).
-    let mut cur_c = leaf_c;
-    for bufs in chain.deep.iter().rev().skip(1) {
-        rt.move_data(bufs[2], 0, cur_c, 0, block * block * 4)?;
-        cur_c = bufs[2];
-    }
-    if !chain.deep.is_empty() {
-        rt.move_data_strided(
-            chain.c_strip,
-            j * block * 4,
-            n * 4,
-            cur_c,
-            0,
-            block * 4,
-            block * 4,
-            block,
-        )?;
-    }
-    Ok(())
 }
 
 /// Strong-scaling curve: makespan per node count for a fixed problem.

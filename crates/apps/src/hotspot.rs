@@ -11,12 +11,11 @@
 //! across passes.
 
 use crate::calibration::{model_for, HOTSPOT_STEPS_PER_PASS};
-use crate::host::when_real;
+use crate::host::{read_matrix, when_real};
 use crate::report::AppRun;
-use northup::{BufferHandle, ExecMode, ProcKind, Result, Runtime, Tree};
+use northup::{BufferHandle, ChainBufs, ChunkPipeline, ExecMode, ProcKind, Result, Runtime, Tree};
 use northup_kernels::{
-    bytes_to_f32s, f32s_to_bytes, multi_step_reference, step_halo_block, DenseMatrix, HaloBlock,
-    HotSpotParams,
+    f32s_to_bytes, multi_step_reference, step_halo_block, DenseMatrix, HaloBlock, HotSpotParams,
 };
 
 /// Configuration of one HotSpot scenario.
@@ -134,11 +133,7 @@ pub fn hotspot_in_memory(cfg: &HotspotConfig, mode: ExecMode) -> Result<AppRun> 
     let power = root.alloc(n2 * 4)?;
     let out = root.alloc(n2 * 4)?;
 
-    let gpu = root
-        .procs()
-        .iter()
-        .find(|p| p.kind == ProcKind::Gpu)
-        .expect("in-memory preset has a GPU");
+    let gpu = rt.proc_at(root.node(), ProcKind::Gpu)?;
     let dur = model_for(&gpu.name).stencil_time(n2, cfg.total_steps() as u64);
     root.compute(ProcKind::Gpu, dur, &[temp, power], &[out], "hotspot full")?;
 
@@ -161,6 +156,20 @@ pub fn hotspot_in_memory(cfg: &HotspotConfig, mode: ExecMode) -> Result<AppRun> 
         verified,
         checksum,
     })
+}
+
+/// The `(checksum, verified)` pair of an out-of-core run: the final grid in
+/// `file` against `total_steps` of the in-memory reference.
+fn verify_grid(
+    rt: &Runtime,
+    cfg: &HotspotConfig,
+    file: BufferHandle,
+    temp: &DenseMatrix,
+    power: &DenseMatrix,
+) -> Result<(Option<f64>, Option<bool>)> {
+    let got = read_matrix(rt, file, 0, cfg.n, cfg.n)?;
+    let oracle = multi_step_reference(temp, power, cfg.total_steps(), &HotSpotParams::default());
+    Ok((Some(got.checksum()), Some(oracle.max_abs_diff(&got) < 1e-3)))
 }
 
 /// Out-of-core Northup HotSpot over a chain topology.
@@ -195,49 +204,15 @@ pub fn hotspot_northup_on(rt: &Runtime, cfg: &HotspotConfig) -> Result<AppRun> {
     let stage_node = *rt.tree().children(root).first().expect("staging level");
     let max_region = ((cfg.block + 2 * halo) * (cfg.block + 2 * halo) * 4) as u64;
     let core_bytes = (cfg.block * cfg.block * 4) as u64;
-    // Prefetching tile t+1 while tile t computes requires at least two
-    // staging slots (real-byte safety as well as pipelining).
-    let ring = cfg.ring.max(2);
-    let in_stage: Vec<BufferHandle> = (0..ring)
-        .map(|_| rt.alloc(max_region, stage_node))
-        .collect::<Result<_>>()?;
-    let pw_stage: Vec<BufferHandle> = (0..ring)
-        .map(|_| rt.alloc(max_region, stage_node))
-        .collect::<Result<_>>()?;
-    let out_stage: Vec<BufferHandle> = (0..ring)
-        .map(|_| rt.alloc(core_bytes, stage_node))
-        .collect::<Result<_>>()?;
-
+    // One ring slot = (temperature region, power region, output core).
+    let sizes = [max_region, max_region, core_bytes];
+    let pipe = ChunkPipeline::new(rt, stage_node, cfg.ring, &sizes)?;
     // Deeper chain for discrete-GPU / exascale trees: the halo region moves
     // on to the leaf and the core result comes back through the staging
     // level (one buffer set per level; the PCIe link pipelines fine).
-    let mut chain: Vec<northup::NodeId> = Vec::new();
-    {
-        let mut cur = stage_node;
-        while let Some(&c) = rt.tree().children(cur).first() {
-            chain.push(c);
-            cur = c;
-        }
-    }
-    let deep: Vec<[BufferHandle; 3]> = chain
-        .iter()
-        .map(|&node| {
-            Ok([
-                rt.alloc(max_region, node)?,
-                rt.alloc(max_region, node)?,
-                rt.alloc(core_bytes, node)?,
-            ])
-        })
-        .collect::<Result<_>>()?;
-    let leaf_node = chain.last().copied().unwrap_or(stage_node);
-    let gpu = rt
-        .tree()
-        .node(leaf_node)
-        .procs
-        .iter()
-        .find(|p| p.kind == ProcKind::Gpu)
-        .expect("compute leaf has a GPU");
-    let gpu_model = model_for(&gpu.name);
+    let deep = ChainBufs::new(rt, stage_node, &sizes)?;
+    let leaf_node = deep.leaf();
+    let gpu_model = model_for(&rt.proc_at(leaf_node, ProcKind::Gpu)?.name);
     let prm = HotSpotParams::default();
 
     // Geometry of one tile's clipped halo rectangle.
@@ -254,61 +229,32 @@ pub fn hotspot_northup_on(rt: &Runtime, cfg: &HotspotConfig) -> Result<AppRun> {
         ((r0, c0), [north, south, west, east], (rr0, cc0), (hh, ww))
     };
 
+    let tile_ids: Vec<usize> = (0..tiles * tiles).collect();
     for pass in 0..cfg.passes {
         let input = t_files[pass % 2];
         let output = t_files[(pass + 1) % 2];
-        // Issue tile t+1's loads before tile t's compute and write-back
-        // (multi-stage transfer queues, §III-C) — within the pass only,
-        // because the next pass reads this pass's output file.
-        let load_tile = |t: usize| -> Result<()> {
-            let (bi, bj) = (t / tiles, t % tiles);
-            let r = t % ring;
-            let (_, _, (rr0, cc0), (hh, ww)) = geom(bi, bj);
-            let region_row = (ww * 4) as u64;
-            let src_off = (rr0 * n + cc0) as u64 * 4;
-            rt.move_data_strided(
-                in_stage[r],
-                0,
-                region_row,
-                input,
-                src_off,
-                row_bytes,
-                region_row,
-                hh as u64,
-            )?;
-            rt.move_data_strided(
-                pw_stage[r],
-                0,
-                region_row,
-                p_file,
-                src_off,
-                row_bytes,
-                region_row,
-                hh as u64,
-            )?;
-            Ok(())
-        };
-        let tile_count = tiles * tiles;
-        load_tile(0)?;
-        for t in 0..tile_count {
-            let (bi, bj) = (t / tiles, t % tiles);
-            if t + 1 < tile_count {
-                load_tile(t + 1)?;
-            }
-            {
-                let r = t % ring;
+        // One pipeline run per pass: the next pass reads this pass's output
+        // file, so prefetch must not cross the pass boundary.
+        pipe.run(
+            &tile_ids,
+            |&t, bufs| {
+                let (_, _, (rr0, cc0), (hh, ww)) = geom(t / tiles, t % tiles);
+                let region_row = (ww * 4) as u64;
+                let src_off = (rr0 * n + cc0) as u64 * 4;
+                for (dst, file) in [(bufs[0], input), (bufs[1], p_file)] {
+                    rt.move_data_strided(
+                        dst, 0, region_row, file, src_off, row_bytes, region_row, hh as u64,
+                    )?;
+                }
+                Ok(())
+            },
+            |&t, bufs| {
+                let (bi, bj) = (t / tiles, t % tiles);
                 let ((r0, c0), [north, south, west, east], _, (hh, ww)) = geom(bi, bj);
 
                 // Push the region down the deeper chain (if any).
                 let region_bytes = (hh * ww * 4) as u64;
-                let (mut in_c, mut pw_c, mut out_c) = (in_stage[r], pw_stage[r], out_stage[r]);
-                for bufs in &deep {
-                    rt.move_data(bufs[0], 0, in_c, 0, region_bytes)?;
-                    rt.move_data(bufs[1], 0, pw_c, 0, region_bytes)?;
-                    in_c = bufs[0];
-                    pw_c = bufs[1];
-                    out_c = bufs[2];
-                }
+                let leaf = deep.push_down(bufs, &[(0, region_bytes), (1, region_bytes)])?;
 
                 // Leaf kernel: steps_per_pass trapezoid steps.
                 let dur = gpu_model.stencil_time((hh * ww) as u64, cfg.steps_per_pass as u64);
@@ -316,43 +262,26 @@ pub fn hotspot_northup_on(rt: &Runtime, cfg: &HotspotConfig) -> Result<AppRun> {
                     leaf_node,
                     ProcKind::Gpu,
                     dur,
-                    &[in_c, pw_c],
-                    &[out_c],
+                    &[leaf[0], leaf[1]],
+                    &[leaf[2]],
                     &format!("hotspot tile ({bi},{bj}) pass {pass}"),
                 )?;
 
                 if mode == ExecMode::Real {
-                    let mut tb = vec![0u8; hh * ww * 4];
-                    let mut pb = vec![0u8; hh * ww * 4];
-                    rt.read_slice(in_c, 0, &mut tb)?;
-                    rt.read_slice(pw_c, 0, &mut pb)?;
                     let hb = HaloBlock {
-                        temp: DenseMatrix {
-                            rows: hh,
-                            cols: ww,
-                            data: bytes_to_f32s(&tb),
-                        },
-                        power: DenseMatrix {
-                            rows: hh,
-                            cols: ww,
-                            data: bytes_to_f32s(&pb),
-                        },
+                        temp: read_matrix(rt, leaf[0], 0, hh, ww)?,
+                        power: read_matrix(rt, leaf[1], 0, hh, ww)?,
                         halo: [north, south, west, east],
                         core_origin: (r0, c0),
                         core_size: (cfg.block, cfg.block),
                     };
                     let core = step_halo_block(&hb, cfg.steps_per_pass, &prm);
-                    rt.write_slice(out_c, 0, &f32s_to_bytes(&core.data))?;
+                    rt.write_slice(leaf[2], 0, &f32s_to_bytes(&core.data))?;
                 }
 
                 // Pull the core back up the chain into the staging buffer.
-                let mut cur_out = out_c;
-                for bufs in deep.iter().rev().skip(1) {
-                    rt.move_data(bufs[2], 0, cur_out, 0, core_bytes)?;
-                    cur_out = bufs[2];
-                }
-                if !deep.is_empty() {
-                    rt.move_data(out_stage[r], 0, cur_out, 0, core_bytes)?;
+                if let Some(top) = deep.pull_up(2, core_bytes)? {
+                    rt.move_data(bufs[2], 0, top, 0, core_bytes)?;
                 }
 
                 // Write the core back to the output file.
@@ -361,30 +290,21 @@ pub fn hotspot_northup_on(rt: &Runtime, cfg: &HotspotConfig) -> Result<AppRun> {
                     output,
                     dst_off,
                     row_bytes,
-                    out_stage[r],
+                    bufs[2],
                     0,
                     (cfg.block * 4) as u64,
                     (cfg.block * 4) as u64,
                     cfg.block as u64,
                 )?;
-            }
-        }
+                Ok(())
+            },
+        )?;
     }
 
     let mut checksum = None;
     let mut verified = None;
     if let (Some(tm), Some(pm)) = (&t_mat, &p_mat) {
-        let final_file = t_files[cfg.passes % 2];
-        let mut bytes = vec![0u8; n2b as usize];
-        rt.read_slice(final_file, 0, &mut bytes)?;
-        let got = DenseMatrix {
-            rows: n,
-            cols: n,
-            data: bytes_to_f32s(&bytes),
-        };
-        let oracle = multi_step_reference(tm, pm, cfg.total_steps(), &HotSpotParams::default());
-        checksum = Some(got.checksum());
-        verified = Some(oracle.max_abs_diff(&got) < 1e-3);
+        (checksum, verified) = verify_grid(rt, cfg, t_files[cfg.passes % 2], tm, pm)?;
     }
 
     Ok(AppRun {
@@ -515,20 +435,8 @@ pub fn hotspot_split_leaf(
             if mode == ExecMode::Real {
                 // Real compute: both device halves produced from the same
                 // staged halo block via the exact trapezoid kernel.
-                let mut tb = vec![0u8; region as usize];
-                let mut pb = vec![0u8; region as usize];
-                rt.read_slice(in_stage[r], 0, &mut tb)?;
-                rt.read_slice(pw_stage[r], 0, &mut pb)?;
-                let temp = DenseMatrix {
-                    rows: hh,
-                    cols: n,
-                    data: bytes_to_f32s(&tb),
-                };
-                let power = DenseMatrix {
-                    rows: hh,
-                    cols: n,
-                    data: bytes_to_f32s(&pb),
-                };
+                let temp = read_matrix(&rt, in_stage[r], 0, hh, n)?;
+                let power = read_matrix(&rt, pw_stage[r], 0, hh, n)?;
                 for (dev_r0, dev_rows, buf) in [
                     (0usize, gpu_rows, out_gpu[r]),
                     (gpu_rows, cpu_rows, out_cpu[r]),
@@ -578,17 +486,7 @@ pub fn hotspot_split_leaf(
     let mut checksum = None;
     let mut verified = None;
     if let (Some(tm), Some(pm)) = (&t_mat, &p_mat) {
-        let final_file = t_files[cfg.passes % 2];
-        let mut bytes = vec![0u8; n2b as usize];
-        rt.read_slice(final_file, 0, &mut bytes)?;
-        let got = DenseMatrix {
-            rows: n,
-            cols: n,
-            data: bytes_to_f32s(&bytes),
-        };
-        let oracle = multi_step_reference(tm, pm, cfg.total_steps(), &HotSpotParams::default());
-        checksum = Some(got.checksum());
-        verified = Some(oracle.max_abs_diff(&got) < 1e-3);
+        (checksum, verified) = verify_grid(&rt, cfg, t_files[cfg.passes % 2], tm, pm)?;
     }
 
     Ok(AppRun {

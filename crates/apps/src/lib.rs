@@ -3,10 +3,17 @@
 //! Each §IV application comes as an in-memory baseline plus a Northup
 //! out-of-core version over any chain topology preset, with Real mode
 //! (real bytes, results verified against oracles) and Modeled mode
-//! (paper-scale virtual-time runs):
+//! (paper-scale virtual-time runs).
 //!
-//! * [`matmul`] — tiled dense matrix multiply with the §IV-A row-shard
-//!   reuse optimization.
+//! An out-of-core version is a storage layout, a load closure, a leaf
+//! kernel and an oracle. The hierarchy walk itself is not in this crate:
+//! the prefetching ring at the staging level is [`northup::ChunkPipeline`]
+//! and the level-by-level descent and ascent below it is
+//! [`northup::ChainBufs`] (a tree that forks below the staging level is a
+//! typed `NotAChain` error, a leaf without the processor `NoProcessor`).
+//!
+//! * [`matmul`] — tiled dense matrix multiply; the §IV-A row-shard reuse
+//!   is a buffer left out of `ChainBufs::push_down`'s `moves`.
 //! * [`hotspot`] — HotSpot-2D with packed borders generalized to exact
 //!   trapezoid temporal blocking (§IV-B).
 //! * [`spmv`] — CSR-Adaptive with nnz-aware shards, per-shard CPU
@@ -14,7 +21,7 @@
 //! * [`balance`] — the §V-E CPU+GPU work-stealing leaf (Figs. 10/11).
 //! * [`adaptive`] — §III-E profile-guided task-to-processor mapping.
 //! * [`subtree`] — §V-E/§VII dynamic dispatch across asymmetric subtrees.
-//! * [`reduce`] — out-of-core map/reduce on the generic chunk pipeline.
+//! * [`reduce`] — out-of-core map/reduce on the same chunk pipeline.
 //! * [`layout`] — the §VI data-layout study: CSR→ELL transformation during
 //!   migration, with the input-dependent crossover quantified.
 //! * [`distributed`] — §VII distributed GEMM over the cluster preset, with
@@ -23,6 +30,8 @@
 //!   across N shard trees through the `northup-fleet` router, with
 //!   tenant data affinity and cross-shard migration (DESIGN.md §11).
 //! * [`calibration`] — every model knob, documented.
+//! * [`host`] — the Real-mode tails the drivers share (`when_real`,
+//!   `read_matrix`, `verify_gemm`).
 //! * [`report`] — run results and Fig.-6-style comparisons.
 
 #![warn(missing_docs)]

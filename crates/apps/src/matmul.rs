@@ -16,10 +16,10 @@
 //! the same A-reuse.
 
 use crate::calibration::{model_for, GEMM_RING};
-use crate::host::when_real;
+use crate::host::{read_matrix, verify_gemm, when_real};
 use crate::report::AppRun;
-use northup::{BufferHandle, ExecMode, NodeId, ProcKind, Result, Runtime, Tree};
-use northup_kernels::{f32s_to_bytes, matmul_naive, matmul_tiled, DenseMatrix, LEAF_TILE};
+use northup::{BufferHandle, ChainBufs, ChunkPipeline, ExecMode, ProcKind, Result, Runtime, Tree};
+use northup_kernels::{f32s_to_bytes, matmul_tiled, DenseMatrix, LEAF_TILE};
 
 /// Configuration of one matmul scenario.
 #[derive(Debug, Clone)]
@@ -122,11 +122,7 @@ pub fn matmul_in_memory(cfg: &MatmulConfig, mode: ExecMode) -> Result<AppRun> {
     })?
     .unzip();
 
-    let gpu = root
-        .procs()
-        .iter()
-        .find(|p| p.kind == ProcKind::Gpu)
-        .expect("in-memory preset has a GPU");
+    let gpu = rt.proc_at(root.node(), ProcKind::Gpu)?;
     let dur = model_for(&gpu.name).gemm_time(n, n, n);
     root.compute(ProcKind::Gpu, dur, &[a, b], &[c], "gemm full")?;
 
@@ -136,12 +132,7 @@ pub fn matmul_in_memory(cfg: &MatmulConfig, mode: ExecMode) -> Result<AppRun> {
         let mut cm = DenseMatrix::zeros(cfg.n, cfg.n);
         matmul_tiled(am, bm, &mut cm, LEAF_TILE);
         rt.write_slice(c, 0, &f32s_to_bytes(&cm.data))?;
-        checksum = Some(cm.checksum());
-        if cfg.n <= 256 {
-            let mut oracle = DenseMatrix::zeros(cfg.n, cfg.n);
-            matmul_naive(am, bm, &mut oracle);
-            verified = Some(oracle.max_abs_diff(&cm) < 1e-3 * cfg.n as f32);
-        }
+        (checksum, verified) = verify_gemm(am, bm, &cm);
     }
 
     Ok(AppRun {
@@ -167,28 +158,63 @@ pub fn staging_footprint(n: usize, ring: usize) -> impl Fn(usize, usize) -> u64 
     }
 }
 
-struct DeepBufs {
-    node: NodeId,
-    a: BufferHandle,
-    b: BufferHandle,
-    c: BufferHandle,
+/// Reassemble an `n x n` matrix from the block-major layout both schedules
+/// write C in (tile `(r, c)` at offset `(r * nb + c) * block * block * 4`).
+fn read_block_major(
+    rt: &Runtime,
+    file: BufferHandle,
+    n: usize,
+    block: usize,
+) -> Result<DenseMatrix> {
+    let nb = n / block;
+    let mut m = DenseMatrix::zeros(n, n);
+    for r in 0..nb {
+        for c in 0..nb {
+            let off = ((r * nb + c) * block * block * 4) as u64;
+            let tile = read_matrix(rt, file, off, block, block)?;
+            m.insert_block(r * block, c * block, &tile);
+        }
+    }
+    Ok(m)
 }
 
-/// Resolve the compute chain below the staging node: every node must have
-/// exactly one child down to the leaf.
-fn chain_below(tree: &Tree, from: NodeId) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    let mut cur = from;
-    while let Some(&child) = tree.children(cur).first() {
-        assert_eq!(
-            tree.children(cur).len(),
-            1,
-            "matmul schedule expects a chain topology below the staging level"
-        );
-        out.push(child);
-        cur = child;
+/// One `(block x n) x (n x block)` tile on the GPU at the bottom of `deep`:
+/// the `staged = [A, B, C]` shards go down the chain (A only when `a_new` —
+/// the §IV-A reuse keeps a row shard resident at every level), the leaf
+/// kernel runs, and the C tile climbs back to the level just below the
+/// staging node (`None` when the staged C buffer is the leaf's own).
+pub(crate) fn gemm_tile(
+    rt: &Runtime,
+    deep: &ChainBufs,
+    staged: &[BufferHandle; 3],
+    a_new: bool,
+    (block, n): (usize, usize),
+    label: &str,
+) -> Result<Option<BufferHandle>> {
+    let shard = (block * n * 4) as u64;
+    let moves = [(0, shard), (1, shard)];
+    let leaf = deep.push_down(staged, &moves[usize::from(!a_new)..])?;
+
+    let gpu = rt.proc_at(deep.leaf(), ProcKind::Gpu)?;
+    let dur = model_for(&gpu.name).gemm_time(block as u64, block as u64, n as u64);
+    rt.charge_compute(
+        deep.leaf(),
+        ProcKind::Gpu,
+        dur,
+        &[leaf[0], leaf[1]],
+        &[leaf[2]],
+        label,
+    )?;
+
+    // Real kernel execution on the leaf's bytes.
+    if rt.is_real() {
+        let am = read_matrix(rt, leaf[0], 0, block, n)?;
+        let bm = read_matrix(rt, leaf[1], 0, n, block)?;
+        let mut cm = DenseMatrix::zeros(block, block);
+        matmul_tiled(&am, &bm, &mut cm, LEAF_TILE);
+        rt.write_slice(leaf[2], 0, &f32s_to_bytes(&cm.data))?;
     }
-    out
+    deep.pull_up(2, (block * block * 4) as u64)
 }
 
 /// Out-of-core Northup matmul over a chain topology (storage root ->
@@ -232,153 +258,53 @@ pub fn matmul_northup_on(rt: &Runtime, cfg: &MatmulConfig) -> Result<AppRun> {
     })?
     .unzip();
 
-    // Staging level (first child of the root).
+    // Staging level (first child of the root): the A row shard is double-
+    // buffered for prefetch, B shards and C tiles ride the pipeline's ring.
     let stage_node = *rt.tree().children(root).first().expect("staging level");
-    let a_stage = rt.alloc(shard_a, stage_node)?;
-    // Prefetching needs at least double buffering (see the tile loop below).
-    let ring = cfg.ring.max(2);
-    let b_stage: Vec<BufferHandle> = (0..ring)
-        .map(|_| rt.alloc(shard_b, stage_node))
-        .collect::<Result<_>>()?;
-    let c_stage: Vec<BufferHandle> = (0..ring)
-        .map(|_| rt.alloc(tile_c, stage_node))
-        .collect::<Result<_>>()?;
-
+    let a_ring = [
+        rt.alloc(shard_a, stage_node)?,
+        rt.alloc(shard_a, stage_node)?,
+    ];
+    let pipe = ChunkPipeline::new(rt, stage_node, cfg.ring, &[shard_b, tile_c])?;
     // Deeper chain (discrete GPU / exascale): whole-shard staging per level.
-    let chain = chain_below(rt.tree(), stage_node);
-    let deep: Vec<DeepBufs> = chain
-        .iter()
-        .map(|&node| {
-            Ok(DeepBufs {
-                node,
-                a: rt.alloc(shard_a, node)?,
-                b: rt.alloc(shard_b, node)?,
-                c: rt.alloc(tile_c, node)?,
-            })
-        })
-        .collect::<Result<_>>()?;
+    let deep = ChainBufs::new(rt, stage_node, &[shard_a, shard_b, tile_c])?;
 
-    // The compute leaf and its GPU model.
-    let leaf_node = deep.last().map(|d| d.node).unwrap_or(stage_node);
-    let gpu = rt
-        .tree()
-        .node(leaf_node)
-        .procs
-        .iter()
-        .find(|p| p.kind == ProcKind::Gpu)
-        .expect("leaf has a GPU");
-    let gpu_model = model_for(&gpu.name);
-    let kernel_time = gpu_model.gemm_time(block, block, n);
-
-    // Tiles in row-shard-major order; loads for tile t+1 are issued before
-    // tile t's compute and write-back (software pipelining through the
-    // paper's multi-stage transfer queues), so the storage device streams
-    // ahead instead of head-of-line blocking behind result writes.
+    // Tiles in row-shard-major order through the pipeline.
     let stage_ctx = rt.ctx_at(stage_node);
-    let a_ring = [a_stage, rt.alloc(shard_a, stage_node)?];
-    let tiles = nb * nb;
-    let issue_loads = |t: u64| -> Result<()> {
-        let (i, j) = (t / nb, t % nb);
-        if j == 0 {
-            // New row shard of A — the §IV-A reuse optimization keeps it
-            // staged for the whole row of tiles.
-            root_ctx.spawn(0, |_| {}); // work-queue bookkeeping
-            rt.move_data(a_ring[(i % 2) as usize], 0, a_file, i * shard_a, shard_a)?;
-        }
-        let r = (t % ring as u64) as usize;
-        rt.move_data(b_stage[r], 0, b_file, j * shard_b, shard_b)?;
-        Ok(())
-    };
-    issue_loads(0)?;
-    for t in 0..tiles {
-        let (i, j) = (t / nb, t % nb);
-        if t + 1 < tiles {
-            issue_loads(t + 1)?;
-        }
-        {
-            let a_stage = a_ring[(i % 2) as usize];
-            let r = (t % ring as u64) as usize;
-            let a_new = j == 0;
-
-            // Push down the deeper chain (whole shards, A reused).
-            let (mut cur_a, mut cur_b) = (a_stage, b_stage[r]);
-            for d in &deep {
-                if a_new {
-                    rt.move_data(d.a, 0, cur_a, 0, shard_a)?;
-                }
-                rt.move_data(d.b, 0, cur_b, 0, shard_b)?;
-                cur_a = d.a;
-                cur_b = d.b;
+    let tiles: Vec<u64> = (0..nb * nb).collect();
+    pipe.run(
+        &tiles,
+        |&t, bufs| {
+            let (i, j) = (t / nb, t % nb);
+            if j == 0 {
+                // New row shard of A — the §IV-A reuse optimization keeps it
+                // staged for the whole row of tiles.
+                root_ctx.spawn(0, |_| {}); // work-queue bookkeeping
+                rt.move_data(a_ring[(i % 2) as usize], 0, a_file, i * shard_a, shard_a)?;
             }
-            let leaf_c = deep.last().map(|d| d.c).unwrap_or(c_stage[r]);
-
-            rt.charge_compute(
-                leaf_node,
-                ProcKind::Gpu,
-                kernel_time,
-                &[cur_a, cur_b],
-                &[leaf_c],
-                &format!("gemm tile ({i},{j})"),
-            )?;
-
-            // Real kernel execution on the leaf's bytes.
-            if mode == ExecMode::Real {
-                let mut ab = vec![0u8; shard_a as usize];
-                let mut bb = vec![0u8; shard_b as usize];
-                rt.read_slice(cur_a, 0, &mut ab)?;
-                rt.read_slice(cur_b, 0, &mut bb)?;
-                let am = DenseMatrix {
-                    rows: cfg.block,
-                    cols: cfg.n,
-                    data: northup_kernels::bytes_to_f32s(&ab),
-                };
-                let bm = DenseMatrix {
-                    rows: cfg.n,
-                    cols: cfg.block,
-                    data: northup_kernels::bytes_to_f32s(&bb),
-                };
-                let mut cm = DenseMatrix::zeros(cfg.block, cfg.block);
-                matmul_tiled(&am, &bm, &mut cm, LEAF_TILE);
-                rt.write_slice(leaf_c, 0, &f32s_to_bytes(&cm.data))?;
+            rt.move_data(bufs[0], 0, b_file, j * shard_b, shard_b)?;
+            Ok(())
+        },
+        |&t, bufs| {
+            let (i, j) = (t / nb, t % nb);
+            let staged = [a_ring[(i % 2) as usize], bufs[0], bufs[1]];
+            let label = format!("gemm tile ({i},{j})");
+            let dims = (cfg.block, cfg.n);
+            // The result tile comes back up the chain, then out to storage.
+            if let Some(top) = gemm_tile(rt, &deep, &staged, j == 0, dims, &label)? {
+                rt.move_data(bufs[1], 0, top, 0, tile_c)?;
             }
-
-            // Pull the result tile back up the chain, then out to storage.
-            let mut cur_c = leaf_c;
-            for d in deep.iter().rev().skip(1) {
-                rt.move_data(d.c, 0, cur_c, 0, tile_c)?;
-                cur_c = d.c;
-            }
-            if !deep.is_empty() {
-                rt.move_data(c_stage[r], 0, cur_c, 0, tile_c)?;
-                cur_c = c_stage[r];
-            }
-            stage_ctx.move_up(c_file, (i * nb + j) * tile_c, cur_c, 0, tile_c)?;
-        }
-    }
+            stage_ctx.move_up(c_file, (i * nb + j) * tile_c, bufs[1], 0, tile_c)?;
+            Ok(())
+        },
+    )?;
 
     // Verification: reassemble C from its block-major layout.
     let mut checksum = None;
     let mut verified = None;
     if let (Some(am), Some(bm)) = (&a_mat, &b_mat) {
-        let mut cm = DenseMatrix::zeros(cfg.n, cfg.n);
-        for i in 0..nb {
-            for j in 0..nb {
-                let mut tile = vec![0u8; tile_c as usize];
-                rt.read_slice(c_file, (i * nb + j) * tile_c, &mut tile)?;
-                let tm = DenseMatrix {
-                    rows: cfg.block,
-                    cols: cfg.block,
-                    data: northup_kernels::bytes_to_f32s(&tile),
-                };
-                cm.insert_block((i * block) as usize, (j * block) as usize, &tm);
-            }
-        }
-        checksum = Some(cm.checksum());
-        if cfg.n <= 256 {
-            let mut oracle = DenseMatrix::zeros(cfg.n, cfg.n);
-            matmul_naive(am, bm, &mut oracle);
-            verified = Some(oracle.max_abs_diff(&cm) < 1e-3 * cfg.n as f32);
-        }
+        let cm = read_block_major(rt, c_file, cfg.n, cfg.block)?;
+        (checksum, verified) = verify_gemm(am, bm, &cm);
     }
 
     Ok(AppRun {
@@ -434,72 +360,47 @@ pub fn matmul_northup_ksplit(cfg: &MatmulConfig, tree: Tree, mode: ExecMode) -> 
     .unzip();
 
     let stage = *rt.tree().children(root).first().expect("staging level");
-    let gpu = rt
-        .tree()
-        .node(stage)
-        .procs
-        .iter()
-        .find(|p| p.kind == ProcKind::Gpu)
-        .expect("k-split schedule expects the GPU at the staging leaf");
+    // The k-split schedule computes at the staging level itself.
+    let gpu = rt.proc_at(stage, ProcKind::Gpu)?;
     let kernel_time = model_for(&gpu.name).gemm_time(block, block, block);
 
-    let ring = cfg.ring.max(2);
-    let a_stage: Vec<BufferHandle> = (0..ring)
-        .map(|_| rt.alloc(tile, stage))
-        .collect::<Result<_>>()?;
-    let b_stage: Vec<BufferHandle> = (0..ring)
-        .map(|_| rt.alloc(tile, stage))
-        .collect::<Result<_>>()?;
+    let pipe = ChunkPipeline::new(&rt, stage, cfg.ring, &[tile, tile])?;
     let c_stage = rt.alloc(tile, stage)?;
 
     // Host-side accumulator for Real mode (the staged C tile's contents).
     let mut acc = DenseMatrix::zeros(cfg.block, cfg.block);
 
-    let load = |t: u64, i: u64, j: u64| -> Result<()> {
-        // Tile t of the (i, j) k-loop: A(i, t) and B(t, j).
-        let r = (t % ring as u64) as usize;
-        rt.move_data(a_stage[r], 0, a_file, (i * nb + t) * tile, tile)?;
-        rt.move_data(b_stage[r], 0, b_file, (t * nb + j) * tile, tile)?;
-        Ok(())
-    };
-
+    let k_tiles: Vec<u64> = (0..nb).collect();
     for i in 0..nb {
         for j in 0..nb {
             if mode == ExecMode::Real {
                 acc = DenseMatrix::zeros(cfg.block, cfg.block);
             }
-            load(0, i, j)?;
-            for t in 0..nb {
-                if t + 1 < nb {
-                    load(t + 1, i, j)?;
-                }
-                let r = (t % ring as u64) as usize;
-                rt.charge_compute(
-                    stage,
-                    ProcKind::Gpu,
-                    kernel_time,
-                    &[a_stage[r], b_stage[r], c_stage],
-                    &[c_stage],
-                    &format!("gemm k-tile ({i},{j},{t})"),
-                )?;
-                if mode == ExecMode::Real {
-                    let mut ab = vec![0u8; tile as usize];
-                    let mut bb = vec![0u8; tile as usize];
-                    rt.read_slice(a_stage[r], 0, &mut ab)?;
-                    rt.read_slice(b_stage[r], 0, &mut bb)?;
-                    let am = DenseMatrix {
-                        rows: cfg.block,
-                        cols: cfg.block,
-                        data: northup_kernels::bytes_to_f32s(&ab),
-                    };
-                    let bm = DenseMatrix {
-                        rows: cfg.block,
-                        cols: cfg.block,
-                        data: northup_kernels::bytes_to_f32s(&bb),
-                    };
-                    matmul_tiled(&am, &bm, &mut acc, LEAF_TILE);
-                }
-            }
+            pipe.run(
+                &k_tiles,
+                |&t, bufs| {
+                    // Tile t of the (i, j) k-loop: A(i, t) and B(t, j).
+                    rt.move_data(bufs[0], 0, a_file, (i * nb + t) * tile, tile)?;
+                    rt.move_data(bufs[1], 0, b_file, (t * nb + j) * tile, tile)?;
+                    Ok(())
+                },
+                |&t, bufs| {
+                    rt.charge_compute(
+                        stage,
+                        ProcKind::Gpu,
+                        kernel_time,
+                        &[bufs[0], bufs[1], c_stage],
+                        &[c_stage],
+                        &format!("gemm k-tile ({i},{j},{t})"),
+                    )?;
+                    if mode == ExecMode::Real {
+                        let am = read_matrix(&rt, bufs[0], 0, cfg.block, cfg.block)?;
+                        let bm = read_matrix(&rt, bufs[1], 0, cfg.block, cfg.block)?;
+                        matmul_tiled(&am, &bm, &mut acc, LEAF_TILE);
+                    }
+                    Ok(())
+                },
+            )?;
             if mode == ExecMode::Real {
                 rt.write_slice(c_stage, 0, &f32s_to_bytes(&acc.data))?;
             }
@@ -510,28 +411,8 @@ pub fn matmul_northup_ksplit(cfg: &MatmulConfig, tree: Tree, mode: ExecMode) -> 
     let mut checksum = None;
     let mut verified = None;
     if let (Some(am), Some(bm)) = (&a_mat, &b_mat) {
-        let mut cm = DenseMatrix::zeros(cfg.n, cfg.n);
-        for r in 0..nb {
-            for c in 0..nb {
-                let mut bytes = vec![0u8; tile as usize];
-                rt.read_slice(c_file, (r * nb + c) * tile, &mut bytes)?;
-                cm.insert_block(
-                    (r * block) as usize,
-                    (c * block) as usize,
-                    &DenseMatrix {
-                        rows: cfg.block,
-                        cols: cfg.block,
-                        data: northup_kernels::bytes_to_f32s(&bytes),
-                    },
-                );
-            }
-        }
-        checksum = Some(cm.checksum());
-        if cfg.n <= 256 {
-            let mut oracle = DenseMatrix::zeros(cfg.n, cfg.n);
-            matmul_naive(am, bm, &mut oracle);
-            verified = Some(oracle.max_abs_diff(&cm) < 1e-3 * cfg.n as f32);
-        }
+        let cm = read_block_major(&rt, c_file, cfg.n, cfg.block)?;
+        (checksum, verified) = verify_gemm(am, bm, &cm);
     }
 
     Ok(AppRun {
@@ -549,11 +430,6 @@ pub fn matmul_apu(
     mode: ExecMode,
 ) -> Result<AppRun> {
     matmul_northup(cfg, northup::presets::apu_two_level(storage), mode)
-}
-
-/// Convenience for tests: contexts must see a chain even when unused.
-pub fn chain_depth(tree: &Tree) -> usize {
-    chain_below(tree, tree.root()).len()
 }
 
 #[cfg(test)]

@@ -107,14 +107,7 @@ pub fn reduce_northup(
     })?;
 
     let stage = *rt.tree().children(root).first().expect("staging level");
-    let gpu = rt
-        .tree()
-        .node(stage)
-        .procs
-        .iter()
-        .find(|p| p.kind == ProcKind::Gpu)
-        .expect("reduction runs on the staging GPU");
-    let gpu_model = model_for(&gpu.name);
+    let gpu_model = model_for(&rt.proc_at(stage, ProcKind::Gpu)?.name);
 
     let pipe = ChunkPipeline::new(&rt, stage, cfg.ring, &[cfg.chunk * 4])?;
     let acc = std::cell::Cell::new(match op {
@@ -194,14 +187,7 @@ pub fn map_northup(
     })?;
 
     let stage = *rt.tree().children(root).first().expect("staging level");
-    let gpu = rt
-        .tree()
-        .node(stage)
-        .procs
-        .iter()
-        .find(|p| p.kind == ProcKind::Gpu)
-        .expect("map runs on the staging GPU");
-    let gpu_model = model_for(&gpu.name);
+    let gpu_model = model_for(&rt.proc_at(stage, ProcKind::Gpu)?.name);
 
     let pipe = ChunkPipeline::new(&rt, stage, cfg.ring, &[cfg.chunk * 4, cfg.chunk * 4])?;
     pipe.run(

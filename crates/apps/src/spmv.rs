@@ -21,7 +21,7 @@ use crate::calibration::{
     SPMV_NORTHUP_BIN_FACTOR, SPMV_REPACK_BW,
 };
 use crate::report::AppRun;
-use northup::{BufferHandle, ExecMode, NodeId, ProcKind, Result, Runtime, Tree};
+use northup::{BufferHandle, ChainBufs, ExecMode, NodeId, ProcKind, Result, Runtime, Tree};
 use northup_kernels::{binning_time, bytes_to_f32s, f32s_to_bytes, rel_error, spmv_adaptive};
 use northup_sim::SimDur;
 use northup_sparse::{bin_rows, partition_even_rows, BinningParams, Csr, PaperSpmvShape};
@@ -63,7 +63,7 @@ impl SpmvInput {
     }
 }
 
-/// Per-shard byte geometry (row_ptr slice, col slice, val slice, y segment).
+/// Per-shard geometry in rows and stored entries.
 #[derive(Debug, Clone, Copy)]
 struct ShardGeom {
     row_start: u64,
@@ -73,20 +73,15 @@ struct ShardGeom {
 }
 
 impl ShardGeom {
-    fn rp_bytes(&self) -> u64 {
-        (self.rows + 1) * 4
-    }
-    fn ci_bytes(&self) -> u64 {
-        self.nnz * 4
-    }
-    fn va_bytes(&self) -> u64 {
-        self.nnz * 4
-    }
-    fn payload(&self) -> u64 {
-        self.rp_bytes() + self.ci_bytes() + self.va_bytes()
-    }
-    fn y_bytes(&self) -> u64 {
-        self.rows * 4
+    /// Bytes of the shard's per-level buffer set: its `row_ptr`, `col_id`
+    /// and `data` slices and its `y` segment.
+    fn sizes(&self) -> [u64; 4] {
+        [
+            (self.rows + 1) * 4,
+            self.nnz * 4,
+            self.nnz * 4,
+            self.rows * 4,
+        ]
     }
 }
 
@@ -129,6 +124,42 @@ fn gpu_spmv_model(name: &str) -> northup_kernels::ProcModel {
     }
 }
 
+/// Preprocessing: write `m`'s arrays into the `[row_ptr, col_id, data]`
+/// storage files (uncharged, like the paper's one-time reorganization).
+fn write_csr(rt: &Runtime, files: [BufferHandle; 3], m: &Csr) -> Result<()> {
+    let rp: Vec<u8> = m
+        .row_ptr
+        .iter()
+        .flat_map(|&v| (v as u32).to_le_bytes())
+        .collect();
+    rt.write_slice(files[0], 0, &rp)?;
+    let ci: Vec<u8> = m.col_idx.iter().flat_map(|&v| v.to_le_bytes()).collect();
+    rt.write_slice(files[1], 0, &ci)?;
+    rt.write_slice(files[2], 0, &f32s_to_bytes(&m.vals))
+}
+
+/// Stage one shard at `stage`: per-shard `[row_ptr, col_id, data, y]`
+/// buffers (Listing 3's `setup_buffer`) and the three variable-sized array
+/// reads from the storage `files`. The caller releases the four handles.
+fn stage_shard(
+    rt: &Runtime,
+    stage: NodeId,
+    files: [BufferHandle; 3],
+    g: &ShardGeom,
+) -> Result<[BufferHandle; 4]> {
+    let [rp, ci, va, y] = g.sizes();
+    let bufs = [
+        rt.alloc(rp, stage)?,
+        rt.alloc(ci, stage)?,
+        rt.alloc(va, stage)?,
+        rt.alloc(y, stage)?,
+    ];
+    rt.move_data(bufs[0], 0, files[0], g.row_start * 4, rp)?;
+    rt.move_data(bufs[1], 0, files[1], g.nnz_start * 4, ci)?;
+    rt.move_data(bufs[2], 0, files[2], g.nnz_start * 4, va)?;
+    Ok(bufs)
+}
+
 /// In-memory CSR-Adaptive baseline: matrix resident in DRAM, one binning
 /// pass on the CPU, adaptive kernels on the GPU.
 pub fn spmv_in_memory(input: &SpmvInput, mode: ExecMode) -> Result<AppRun> {
@@ -143,16 +174,8 @@ pub fn spmv_in_memory(input: &SpmvInput, mode: ExecMode) -> Result<AppRun> {
     let x = root.alloc(rows * 4)?;
     let y = root.alloc(rows * 4)?;
 
-    let cpu = root
-        .procs()
-        .iter()
-        .find(|p| p.kind == ProcKind::Cpu)
-        .expect("CPU present");
-    let gpu = root
-        .procs()
-        .iter()
-        .find(|p| p.kind == ProcKind::Gpu)
-        .expect("GPU present");
+    let cpu = rt.proc_at(root.node(), ProcKind::Cpu)?;
+    let gpu = rt.proc_at(root.node(), ProcKind::Gpu)?;
     let _ = model_for(&cpu.name); // CPU model resolvable (binning_time is global)
 
     root.compute(ProcKind::Cpu, binning_time(rows), &[mat], &[mat], "binning")?;
@@ -196,71 +219,32 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
 
     let root = rt.tree().root();
     // Storage layout: row_ptr | col_id | data | x | y as separate regions.
-    let rp_file = rt.alloc((rows + 1) * 4, root)?;
-    let ci_file = rt.alloc(nnz * 4, root)?;
-    let va_file = rt.alloc(nnz * 4, root)?;
+    let csr_files = [
+        rt.alloc((rows + 1) * 4, root)?,
+        rt.alloc(nnz * 4, root)?,
+        rt.alloc(nnz * 4, root)?,
+    ];
     let x_file = rt.alloc(rows * 4, root)?;
     let y_file = rt.alloc(rows * 4, root)?;
 
     // Preprocessing: write the real matrix (Real mode only).
     let mut x_host: Vec<f32> = Vec::new();
     if let (ExecMode::Real, SpmvInput::Matrix(m)) = (mode, input) {
-        let rp: Vec<u8> = m
-            .row_ptr
-            .iter()
-            .flat_map(|&v| (v as u32).to_le_bytes())
-            .collect();
-        rt.write_slice(rp_file, 0, &rp)?;
-        let ci: Vec<u8> = m.col_idx.iter().flat_map(|&v| v.to_le_bytes()).collect();
-        rt.write_slice(ci_file, 0, &ci)?;
-        rt.write_slice(va_file, 0, &f32s_to_bytes(&m.vals))?;
+        write_csr(rt, csr_files, m)?;
         x_host = (0..m.cols).map(|i| ((i % 11) as f32 - 5.0) * 0.3).collect();
         rt.write_slice(x_file, 0, &f32s_to_bytes(&x_host))?;
     }
 
     let stage_node = *rt.tree().children(root).first().expect("staging level");
-    // The x vector stays resident at the staging level.
+    // The x vector stays resident at the staging level, and (deeper chain
+    // for discrete-GPU trees) moves on to the leaf once.
     let x_stage = rt.alloc(rows * 4, stage_node)?;
     rt.move_data(x_stage, 0, x_file, 0, rows * 4)?;
-
-    // Deeper chain for discrete-GPU trees: x also moves to the leaf once.
-    let mut chain: Vec<NodeId> = Vec::new();
-    {
-        let mut cur = stage_node;
-        while let Some(&c) = rt.tree().children(cur).first() {
-            chain.push(c);
-            cur = c;
-        }
-    }
-    let mut x_leaf = x_stage;
-    for &node in &chain {
-        let xb = rt.alloc(rows * 4, node)?;
-        rt.move_data(xb, 0, x_leaf, 0, rows * 4)?;
-        x_leaf = xb;
-    }
-    let leaf_node = chain.last().copied().unwrap_or(stage_node);
+    let x_deep = ChainBufs::new(rt, stage_node, &[rows * 4])?;
+    let x_leaf = x_deep.push_down(&[x_stage], &[(0, rows * 4)])?[0];
+    let leaf_node = x_deep.leaf();
     let cpu_node = stage_node; // CPU is at the staging DRAM in both presets
-    let gpu = rt
-        .tree()
-        .node(leaf_node)
-        .procs
-        .iter()
-        .find(|p| p.kind == ProcKind::Gpu)
-        .expect("leaf has a GPU");
-    let gpu_model = gpu_spmv_model(&gpu.name);
-
-    // Stage one shard: per-shard buffers (Listing 3's setup_buffer) and the
-    // three variable-sized array reads.
-    let stage_shard = |g: &ShardGeom| -> Result<[BufferHandle; 4]> {
-        let rp_s = rt.alloc(g.rp_bytes(), stage_node)?;
-        let ci_s = rt.alloc(g.ci_bytes(), stage_node)?;
-        let va_s = rt.alloc(g.va_bytes(), stage_node)?;
-        let y_s = rt.alloc(g.y_bytes(), stage_node)?;
-        rt.move_data(rp_s, 0, rp_file, g.row_start * 4, g.rp_bytes())?;
-        rt.move_data(ci_s, 0, ci_file, g.nnz_start * 4, g.ci_bytes())?;
-        rt.move_data(va_s, 0, va_file, g.nnz_start * 4, g.va_bytes())?;
-        Ok([rp_s, ci_s, va_s, y_s])
-    };
+    let gpu_model = gpu_spmv_model(&rt.proc_at(leaf_node, ProcKind::Gpu)?.name);
 
     // Unlike matmul/hotspot, shards are NOT prefetched ahead of the current
     // shard's processing: a sub-shard's extent is data-dependent ("the
@@ -271,10 +255,12 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
     // less I/O overlap than HotSpot's regular blocks in the paper (§V-B).
     let mut checksum = 0.0f64;
     for (ci_idx, g) in geoms.iter().enumerate() {
-        let [rp_s, ci_s, va_s, y_s] = stage_shard(g)?;
+        let staged = stage_shard(rt, stage_node, csr_files, g)?;
+        let [rp_s, ci_s, va_s, y_s] = staged;
+        let [rp, ci, va, y] = g.sizes();
 
         // CPU: repack (rebase offsets) + per-shard re-binning.
-        let repack = SimDur::from_secs_f64(g.payload() as f64 / SPMV_REPACK_BW);
+        let repack = SimDur::from_secs_f64((rp + ci + va) as f64 / SPMV_REPACK_BW);
         rt.charge_compute(
             cpu_node,
             ProcKind::Cpu,
@@ -294,22 +280,8 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
         )?;
 
         // Move shard down the deeper chain (device transfers on 3-level).
-        let (mut rp_c, mut ci_c, mut va_c, mut y_c) = (rp_s, ci_s, va_s, y_s);
-        let mut leaf_bufs: Vec<[BufferHandle; 4]> = Vec::new();
-        for &node in &chain {
-            let rp2 = rt.alloc(g.rp_bytes(), node)?;
-            let ci2 = rt.alloc(g.ci_bytes(), node)?;
-            let va2 = rt.alloc(g.va_bytes(), node)?;
-            let y2 = rt.alloc(g.y_bytes(), node)?;
-            rt.move_data(rp2, 0, rp_c, 0, g.rp_bytes())?;
-            rt.move_data(ci2, 0, ci_c, 0, g.ci_bytes())?;
-            rt.move_data(va2, 0, va_c, 0, g.va_bytes())?;
-            leaf_bufs.push([rp2, ci2, va2, y2]);
-            rp_c = rp2;
-            ci_c = ci2;
-            va_c = va2;
-            y_c = y2;
-        }
+        let deep = ChainBufs::new(rt, stage_node, &[rp, ci, va, y])?;
+        let leaf = deep.push_down(&staged, &[(0, rp), (1, ci), (2, va)])?;
 
         // GPU: adaptive kernels over the shard.
         let dur = gpu_model.spmv_time(g.rows, g.nnz);
@@ -317,8 +289,8 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
             leaf_node,
             ProcKind::Gpu,
             dur,
-            &[rp_c, ci_c, va_c, x_leaf],
-            &[y_c],
+            &[leaf[0], leaf[1], leaf[2], x_leaf],
+            &[leaf[3]],
             &format!("spmv shard {ci_idx}"),
         )?;
 
@@ -329,30 +301,19 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
             let mut yv = vec![0.0f32; sub.rows];
             spmv_adaptive(&sub, &blocks, &x_host, &mut yv);
             checksum += yv.iter().map(|&v| v as f64).sum::<f64>();
-            rt.write_slice(y_c, 0, &f32s_to_bytes(&yv))?;
+            rt.write_slice(leaf[3], 0, &f32s_to_bytes(&yv))?;
         }
 
         // Result segment back up the chain and out to storage.
-        let mut cur_y = y_c;
-        for bufs in leaf_bufs.iter().rev().skip(1) {
-            rt.move_data(bufs[3], 0, cur_y, 0, g.y_bytes())?;
-            cur_y = bufs[3];
+        if let Some(top) = deep.pull_up(3, y)? {
+            rt.move_data(y_s, 0, top, 0, y)?;
         }
-        if !leaf_bufs.is_empty() {
-            rt.move_data(y_s, 0, cur_y, 0, g.y_bytes())?;
-            cur_y = y_s;
-        }
-        rt.move_data(y_file, g.row_start * 4, cur_y, 0, g.y_bytes())?;
+        rt.move_data(y_file, g.row_start * 4, y_s, 0, y)?;
 
-        for bufs in leaf_bufs {
-            for b in bufs {
-                rt.release(b)?;
-            }
+        deep.release()?;
+        for h in staged {
+            rt.release(h)?;
         }
-        rt.release(rp_s)?;
-        rt.release(ci_s)?;
-        rt.release(va_s)?;
-        rt.release(y_s)?;
     }
 
     let mut verified = None;
@@ -391,29 +352,17 @@ pub fn power_iteration_northup(
     let geoms = shard_geometry(&SpmvInput::Matrix(m.clone()));
 
     let root = rt.tree().root();
-    let rp_file = rt.alloc((rows + 1) * 4, root)?;
-    let ci_file = rt.alloc(m.nnz() as u64 * 4, root)?;
-    let va_file = rt.alloc(m.nnz() as u64 * 4, root)?;
-    let rp: Vec<u8> = m
-        .row_ptr
-        .iter()
-        .flat_map(|&v| (v as u32).to_le_bytes())
-        .collect();
-    rt.write_slice(rp_file, 0, &rp)?;
-    let ci: Vec<u8> = m.col_idx.iter().flat_map(|&v| v.to_le_bytes()).collect();
-    rt.write_slice(ci_file, 0, &ci)?;
-    rt.write_slice(va_file, 0, &f32s_to_bytes(&m.vals))?;
+    let csr_files = [
+        rt.alloc((rows + 1) * 4, root)?,
+        rt.alloc(m.nnz() as u64 * 4, root)?,
+        rt.alloc(m.nnz() as u64 * 4, root)?,
+    ];
+    write_csr(&rt, csr_files, m)?;
 
     let stage_node = *rt.tree().children(root).first().expect("staging level");
     let cpu_node = stage_node;
-    let gpu = rt
-        .tree()
-        .node(stage_node)
-        .procs
-        .iter()
-        .find(|p| p.kind == ProcKind::Gpu)
-        .expect("power iteration runs at an APU leaf");
-    let gpu_model = gpu_spmv_model(&gpu.name);
+    // Power iteration computes at the staging level itself (an APU leaf).
+    let gpu_model = gpu_spmv_model(&rt.proc_at(stage_node, ProcKind::Gpu)?.name);
 
     // x stays resident at the staging level across iterations; y is
     // produced there and becomes the next x after normalization.
@@ -426,16 +375,7 @@ pub fn power_iteration_northup(
     for it in 0..iterations {
         let mut y_host = vec![0.0f32; m.rows];
         for (idx, g) in geoms.iter().enumerate() {
-            let [rp_s, ci_s, va_s, y_s] = {
-                let rp_s = rt.alloc(g.rp_bytes(), stage_node)?;
-                let ci_s = rt.alloc(g.ci_bytes(), stage_node)?;
-                let va_s = rt.alloc(g.va_bytes(), stage_node)?;
-                let y_s = rt.alloc(g.y_bytes(), stage_node)?;
-                rt.move_data(rp_s, 0, rp_file, g.row_start * 4, g.rp_bytes())?;
-                rt.move_data(ci_s, 0, ci_file, g.nnz_start * 4, g.ci_bytes())?;
-                rt.move_data(va_s, 0, va_file, g.nnz_start * 4, g.va_bytes())?;
-                [rp_s, ci_s, va_s, y_s]
-            };
+            let [rp_s, ci_s, va_s, y_s] = stage_shard(&rt, stage_node, csr_files, g)?;
             let bin = binning_time(g.rows);
             rt.charge_compute(cpu_node, ProcKind::Cpu, bin, &[rp_s], &[rp_s], "bin")?;
             let dur = gpu_model.spmv_time(g.rows, g.nnz);
@@ -453,7 +393,7 @@ pub fn power_iteration_northup(
             spmv_adaptive(&sub, &blocks, &x_host, &mut yv);
             y_host[g.row_start as usize..(g.row_start + g.rows) as usize].copy_from_slice(&yv);
             rt.write_slice(y_s, 0, &f32s_to_bytes(&yv))?;
-            rt.move_data(y_stage, g.row_start * 4, y_s, 0, g.y_bytes())?;
+            rt.move_data(y_stage, g.row_start * 4, y_s, 0, g.rows * 4)?;
             for h in [rp_s, ci_s, va_s, y_s] {
                 rt.release(h)?;
             }

@@ -17,6 +17,10 @@
 //!   per-device virtual-time resources with dataflow dependencies (so
 //!   compute/I-O overlap emerges as from the paper's multi-stage queues),
 //!   breakdown profiling (Figs. 7/8), and work-queue statistics.
+//! * [`pipeline`] — the divide-and-conquer template the applications run
+//!   on: [`ChunkPipeline`] (prefetching ring at the staging level) and
+//!   [`ChainBufs`] (Listing 3's push-down / pull-up through every level
+//!   below it).
 //! * [`fabric`] — the stage-chain IR (`ChunkChain`): one representation
 //!   of a chunk's read→link→compute→link→write-back journey shared by the
 //!   modeled co-simulation and real-thread execution backends, with
@@ -82,7 +86,7 @@ pub use fabric::{
 };
 pub use fault::{FaultKind, FaultPlan, RetryPolicy};
 pub use lease::CapacityLease;
-pub use pipeline::ChunkPipeline;
+pub use pipeline::{ChainBufs, ChunkPipeline};
 pub use plan::{plan_blocks, pow2_candidates, BlockPlan, DEFAULT_HEADROOM};
 pub use projection::{project_run, project_sweep, Projection, FIG9_SWEEP};
 pub use queues::{TaskId, TaskTag, WorkQueues};

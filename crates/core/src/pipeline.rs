@@ -1,22 +1,35 @@
-//! The reusable multi-stage chunk pipeline (paper §III-C).
+//! The divide-and-conquer template for chain topologies (paper §III-C,
+//! Listing 3).
 //!
 //! "We also support task queues to keep track of the progress of data
 //! movement for individual chunks ... This enables multi-stage data
 //! transfer and better parallelism. Whenever the space of lower memory
 //! levels is freed, more chunks can be scheduled for movement."
 //!
-//! Every Northup application repeats the same discipline: a ring of
-//! staging-buffer slots, loads for chunk *t+1* issued before chunk *t*'s
-//! compute and write-back (so the storage device streams ahead instead of
-//! head-of-line blocking behind result writes), and write-after-read
-//! hazards bounding how far ahead the ring may run. [`ChunkPipeline`]
-//! packages that pattern so new applications get correct pipelining for
-//! free.
+//! An out-of-core application states its buffer sizes, a load closure and
+//! a work closure; the two types here own the transfer discipline:
+//!
+//! * [`ChunkPipeline`] is the staging level: a ring of buffer slots, loads
+//!   for chunk *t+1* issued before chunk *t*'s compute and write-back (so
+//!   the storage device streams ahead instead of head-of-line blocking
+//!   behind result writes), write-after-read hazards bounding how far
+//!   ahead the ring may run. Users: `matmul` (shard and k-split
+//!   schedules), `hotspot` and `reduce` in `northup-apps`.
+//! * [`ChainBufs`] is Listing 3's recursion below the staging level
+//!   (`setup_buffer` at the child, `move_data_down`, recurse,
+//!   `move_data_up`): one buffer set per deeper level, pushed down and
+//!   pulled up level by level. Users: `matmul`, `hotspot`, `spmv` and
+//!   `distributed` in `northup-apps`.
 
 use crate::data::BufferHandle;
 use crate::error::Result;
 use crate::runtime::Runtime;
-use crate::topology::NodeId;
+use crate::topology::{NodeId, TopologyError};
+
+/// One buffer per entry of `sizes` on `node`.
+fn alloc_set(rt: &Runtime, node: NodeId, sizes: &[u64]) -> Result<Vec<BufferHandle>> {
+    sizes.iter().map(|&s| rt.alloc(s, node)).collect()
+}
 
 /// A ring of staging slots at one tree node, each slot holding one buffer
 /// per configured size.
@@ -58,14 +71,9 @@ impl<'rt> ChunkPipeline<'rt> {
     /// one buffer per entry of `buf_sizes` on `node`.
     pub fn new(rt: &'rt Runtime, node: NodeId, ring: usize, buf_sizes: &[u64]) -> Result<Self> {
         let ring = ring.max(2);
-        let mut slots = Vec::with_capacity(ring);
-        for _ in 0..ring {
-            let bufs = buf_sizes
-                .iter()
-                .map(|&s| rt.alloc(s, node))
-                .collect::<Result<Vec<_>>>()?;
-            slots.push(bufs);
-        }
+        let slots = (0..ring)
+            .map(|_| alloc_set(rt, node, buf_sizes))
+            .collect::<Result<_>>()?;
         Ok(ChunkPipeline {
             rt,
             node,
@@ -139,9 +147,125 @@ impl<'rt> ChunkPipeline<'rt> {
     }
 }
 
+/// One buffer set per memory level below a staging node, for trees that
+/// are a chain from there down (`stage -> [device memory ...] -> leaf`).
+///
+/// On a two-level tree the chain is empty and every call degenerates to
+/// the staged buffers themselves, so one application body serves every
+/// chain preset — the property the paper's Listing 2 lacks.
+///
+/// ```
+/// use northup::{presets, ChainBufs, ExecMode, NodeId, ProcKind, Runtime};
+/// use northup_hw::catalog;
+/// use northup_sim::SimDur;
+///
+/// // SSD root -> DRAM staging (n1) -> discrete-GPU memory leaf (n2).
+/// let rt = Runtime::new(
+///     presets::discrete_gpu_three_level(catalog::ssd_hyperx_predator()),
+///     ExecMode::Real,
+/// ).unwrap();
+/// let stage = NodeId(1);
+/// let staged = [rt.alloc(256, stage).unwrap(), rt.alloc(64, stage).unwrap()];
+/// rt.write_slice(staged[0], 0, &[3u8; 256]).unwrap();
+///
+/// let deep = ChainBufs::new(&rt, stage, &[256, 64]).unwrap();
+/// assert_eq!(deep.leaf(), NodeId(2));
+/// // Input 0 travels to the leaf; buffer 1 (the output) is not moved.
+/// let leaf = deep.push_down(&staged, &[(0, 256)]).unwrap();
+/// rt.charge_compute(deep.leaf(), ProcKind::Gpu, SimDur::from_micros(10),
+///                   &[leaf[0]], &[leaf[1]], "kernel").unwrap();
+/// // The result climbs back to the level just below the staging node.
+/// let top = deep.pull_up(1, 64).unwrap().expect("one deeper level");
+/// rt.move_data(staged[1], 0, top, 0, 64).unwrap();
+/// deep.release().unwrap();
+/// ```
+pub struct ChainBufs<'rt> {
+    rt: &'rt Runtime,
+    stage: NodeId,
+    /// `levels[d]` = node `d + 1` hops below the staging node and its
+    /// buffers, one per configured size.
+    levels: Vec<(NodeId, Vec<BufferHandle>)>,
+}
+
+impl<'rt> ChainBufs<'rt> {
+    /// Allocate one buffer per entry of `sizes` on every node below
+    /// `stage`. Errors with [`TopologyError::NotAChain`] when `stage` or a
+    /// node below it has more than one child.
+    pub fn new(rt: &'rt Runtime, stage: NodeId, sizes: &[u64]) -> Result<Self> {
+        let tree = rt.tree();
+        let chain = tree.chain_below(stage);
+        let fork = std::iter::once(&stage)
+            .chain(&chain)
+            .find(|&&n| tree.children(n).len() > 1);
+        if let Some(&fork) = fork {
+            return Err(TopologyError::NotAChain(fork).into());
+        }
+        let levels = chain
+            .into_iter()
+            .map(|node| Ok((node, alloc_set(rt, node, sizes)?)))
+            .collect::<Result<_>>()?;
+        Ok(ChainBufs { rt, stage, levels })
+    }
+
+    /// The compute leaf: the last node of the chain, or the staging node
+    /// itself when nothing lies below it.
+    pub fn leaf(&self) -> NodeId {
+        self.levels.last().map_or(self.stage, |l| l.0)
+    }
+
+    /// Move buffer `k`'s first `bytes` bytes one level down at a time, from
+    /// `staged[k]` to the leaf, for each `(k, bytes)` of `moves`; returns
+    /// the leaf-level buffer set (`staged` itself on an empty chain). A
+    /// buffer left out of `moves` keeps its contents at every level — the
+    /// §IV-A reuse of a shard that is already resident, or an output that
+    /// has nothing to send down.
+    pub fn push_down<'a>(
+        &'a self,
+        staged: &'a [BufferHandle],
+        moves: &[(usize, u64)],
+    ) -> Result<&'a [BufferHandle]> {
+        let mut cur = staged;
+        for (_, bufs) in &self.levels {
+            for &(k, bytes) in moves {
+                self.rt.move_data(bufs[k], 0, cur[k], 0, bytes)?;
+            }
+            cur = bufs;
+        }
+        Ok(cur)
+    }
+
+    /// Move the leaf's buffer `k` up to the level just below the staging
+    /// node and return that level's buffer `k`; the caller moves it into
+    /// its own staged buffer (plain or strided). `None` on an empty chain:
+    /// the leaf buffer already is the staged one.
+    pub fn pull_up(&self, k: usize, bytes: u64) -> Result<Option<BufferHandle>> {
+        let mut levels = self.levels.iter().rev();
+        let Some((_, leaf)) = levels.next() else {
+            return Ok(None);
+        };
+        let mut cur = leaf[k];
+        for (_, bufs) in levels {
+            self.rt.move_data(bufs[k], 0, cur, 0, bytes)?;
+            cur = bufs[k];
+        }
+        Ok(Some(cur))
+    }
+
+    /// Release every buffer, top level first.
+    pub fn release(self) -> Result<()> {
+        for (_, bufs) in self.levels {
+            for b in bufs {
+                self.rt.release(b)?;
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::NorthupError;
     use crate::presets;
     use crate::runtime::ExecMode;
     use crate::topology::ProcKind;
@@ -295,6 +419,90 @@ mod tests {
         )
         .unwrap();
         pipe.release().unwrap();
+    }
+
+    fn read8(rt: &Runtime, h: BufferHandle) -> [u8; 8] {
+        let mut out = [0u8; 8];
+        rt.read_slice(h, 0, &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn empty_chain_degenerates_to_the_staged_buffers() {
+        let rt = rt();
+        let stage = NodeId(1);
+        let staged = [rt.alloc(8, stage).unwrap()];
+        let deep = ChainBufs::new(&rt, stage, &[8]).unwrap();
+        let spans = rt.report().breakdown.spans;
+        assert_eq!(deep.leaf(), stage);
+        assert_eq!(deep.push_down(&staged, &[(0, 8)]).unwrap(), &staged);
+        assert_eq!(deep.pull_up(0, 8).unwrap(), None);
+        assert_eq!(rt.report().breakdown.spans, spans, "no transfer issued");
+        deep.release().unwrap();
+    }
+
+    #[test]
+    fn chain_moves_level_by_level_and_unlisted_buffers_keep_their_contents() {
+        let rt = Runtime::new(presets::exascale_node(), ExecMode::Real).unwrap();
+        let (stage, hbm, gpu) = (NodeId(1), NodeId(2), NodeId(3));
+        let free = [hbm, gpu].map(|n| rt.available(n));
+        let staged = [rt.alloc(8, stage).unwrap(), rt.alloc(8, stage).unwrap()];
+        rt.write_slice(staged[0], 0, &[1; 8]).unwrap();
+        rt.write_slice(staged[1], 0, &[2; 8]).unwrap();
+
+        let deep = ChainBufs::new(&rt, stage, &[8, 8]).unwrap();
+        assert_eq!(deep.leaf(), gpu);
+        let leaf = deep.push_down(&staged, &[(0, 8), (1, 8)]).unwrap();
+        assert_eq!((read8(&rt, leaf[0]), read8(&rt, leaf[1])), ([1; 8], [2; 8]));
+
+        // Both staged buffers change, only buffer 1 is pushed again: the
+        // leaf keeps buffer 0 from the previous full push.
+        rt.write_slice(staged[0], 0, &[9; 8]).unwrap();
+        rt.write_slice(staged[1], 0, &[7; 8]).unwrap();
+        let spans = rt.report().breakdown.spans;
+        assert_eq!(deep.push_down(&staged, &[(1, 8)]).unwrap(), leaf);
+        assert_eq!(
+            rt.report().breakdown.spans - spans,
+            2,
+            "one move_data per level"
+        );
+        assert_eq!((read8(&rt, leaf[0]), read8(&rt, leaf[1])), ([1; 8], [7; 8]));
+
+        // The leaf's bytes climb to the level just below the staging node.
+        let top = deep.pull_up(1, 8).unwrap().expect("two deeper levels");
+        assert_eq!(rt.buffer_node(top).unwrap(), hbm);
+        assert_eq!(read8(&rt, top), [7; 8]);
+
+        deep.release().unwrap();
+        assert_eq!([hbm, gpu].map(|n| rt.available(n)), free);
+    }
+
+    #[test]
+    fn forks_and_missing_processors_are_typed_errors() {
+        // Fig. 2: the DRAM node "3" fans out to two accelerator leaves.
+        let rt = Runtime::new(presets::asymmetric_fig2(), ExecMode::Real).unwrap();
+        let tree = rt.tree();
+        let fork = tree
+            .nodes()
+            .find(|n| n.parent.is_some() && n.children.len() == 2)
+            .expect("fig. 2 has a two-child inner node")
+            .id;
+        assert!(matches!(
+            ChainBufs::new(&rt, fork, &[8]),
+            Err(NorthupError::Topology(TopologyError::NotAChain(n))) if n == fork
+        ));
+        assert_eq!(
+            rt.used(tree.children(fork)[0]),
+            0,
+            "rejected before allocating"
+        );
+
+        // Node 1 is a DRAM leaf with only a CPU.
+        assert_eq!(rt.proc_at(NodeId(1), ProcKind::Cpu).unwrap().name, "cpu0");
+        assert!(matches!(
+            rt.proc_at(NodeId(1), ProcKind::Gpu),
+            Err(NorthupError::NoProcessor(NodeId(1)))
+        ));
     }
 
     #[test]

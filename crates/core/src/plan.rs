@@ -13,7 +13,7 @@
 //! HotSpot blocking the authors tuned by hand (asserted in the tests).
 
 use crate::error::{NorthupError, Result};
-use crate::topology::{NodeId, Tree};
+use crate::topology::Tree;
 use serde::{Deserialize, Serialize};
 
 /// A chosen block dimension per level below the root, outermost first.
@@ -76,13 +76,7 @@ pub fn plan_blocks(
     );
     assert!((0.0..=1.0).contains(&headroom), "headroom in (0, 1]");
 
-    // The compute chain below the root.
-    let mut chain: Vec<NodeId> = Vec::new();
-    let mut cur = tree.root();
-    while let Some(&child) = tree.children(cur).first() {
-        chain.push(child);
-        cur = child;
-    }
+    let chain = tree.chain_below(tree.root());
     if chain.is_empty() {
         return Err(NorthupError::Topology(
             crate::topology::TopologyError::Empty,
@@ -130,6 +124,7 @@ pub fn pow2_candidates(min: usize, max: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::presets;
+    use crate::topology::NodeId;
     use northup_hw::catalog;
 
     /// The GEMM staging working set of `crates/apps/src/matmul.rs`: the

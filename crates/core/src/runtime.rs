@@ -10,7 +10,7 @@
 use crate::dag::{DagRecorder, TaskDag};
 use crate::data::BufInfo;
 use crate::error::{NorthupError, Result};
-use crate::topology::{NodeId, ProcKind, Tree};
+use crate::topology::{NodeId, ProcKind, ProcessorDesc, Tree};
 use northup_hw::{
     FileBackend, HeapBackend, IoTracker, PhantomBackend, StorageBackend, StorageClass,
 };
@@ -236,6 +236,12 @@ impl Runtime {
     /// Whether real bytes move (Real mode).
     pub fn is_real(&self) -> bool {
         self.mode == ExecMode::Real
+    }
+
+    /// The first processor of `kind` attached to `node`
+    /// ([`NorthupError::NoProcessor`] when there is none).
+    pub fn proc_at(&self, node: NodeId, kind: ProcKind) -> Result<&ProcessorDesc> {
+        Ok(&self.tree.node(node).procs[self.proc_index(node, kind)?])
     }
 
     /// Locate the index of a processor of `kind` on `node`.

@@ -111,6 +111,8 @@ pub enum TopologyError {
     UnknownNode(NodeId),
     /// Attempted to build an empty tree.
     Empty,
+    /// A chain schedule met a node with more than one child.
+    NotAChain(NodeId),
 }
 
 impl fmt::Display for TopologyError {
@@ -118,6 +120,9 @@ impl fmt::Display for TopologyError {
         match self {
             TopologyError::UnknownNode(n) => write!(f, "unknown tree node {n}"),
             TopologyError::Empty => write!(f, "tree has no nodes"),
+            TopologyError::NotAChain(n) => {
+                write!(f, "node {n} has several children where a chain is required")
+            }
         }
     }
 }
@@ -185,6 +190,15 @@ impl Tree {
     /// The paper's `get_children_list()`.
     pub fn children(&self, id: NodeId) -> &[NodeId] {
         &self.node(id).children
+    }
+
+    /// The first-child chain strictly below `from`, top first — the path a
+    /// chain schedule descends (empty when `from` is a leaf).
+    pub fn chain_below(&self, from: NodeId) -> Vec<NodeId> {
+        std::iter::successors(self.children(from).first().copied(), |&n| {
+            self.children(n).first().copied()
+        })
+        .collect()
     }
 
     /// The paper's `get_level()`.

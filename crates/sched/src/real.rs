@@ -126,7 +126,6 @@ impl RealFabric {
             SetupCosts::default(),
             &factory,
         )?;
-        // analyze:allow(lease-discipline): the handle escapes to the caller inside the returned (Runtime, BufferHandle) arena tuple; RealFabric owns and releases it
         let file = rt.alloc(file_bytes, root)?;
         // Deterministic non-trivial content, written in bounded strips.
         let mut off = 0u64;

@@ -142,6 +142,59 @@ fn work_queue_statistics_count_every_chunk() {
     assert!(run.report.breakdown.spans > 0);
 }
 
+/// Paper-scale Modeled makespans, to the nanosecond, on every chain preset.
+/// `figures_output.txt` rounds to milliseconds and never runs the exascale
+/// tree; this table is what fails if an edit reorders a single transfer.
+#[test]
+fn paper_scale_makespans_are_pinned_to_the_nanosecond() {
+    use northup_suite::apps::distributed::{gemm_cluster, DistGemmConfig};
+    use northup_suite::apps::hotspot::hotspot_northup;
+    use northup_suite::apps::matmul::matmul_northup_ksplit;
+    use northup_suite::apps::spmv::spmv_northup;
+
+    let ssd = catalog::ssd_hyperx_predator;
+    let trees = || {
+        [
+            presets::apu_two_level(ssd()),
+            presets::discrete_gpu_three_level(ssd()),
+            presets::exascale_node(),
+        ]
+    };
+    type App = fn(Tree) -> Result<AppRun>;
+    let apps: [(&str, App, [u64; 3]); 3] = [
+        (
+            "matmul",
+            |t| matmul_northup(&MatmulConfig::paper(), t, ExecMode::Modeled),
+            [35_680_989_425, 5_673_980_092, 3_302_610_218],
+        ),
+        (
+            "hotspot",
+            |t| hotspot_northup(&HotspotConfig::paper(), t, ExecMode::Modeled),
+            [12_470_899_063, 3_349_047_676, 1_611_111_758],
+        ),
+        (
+            "spmv",
+            |t| spmv_northup(&SpmvInput::paper(), t, ExecMode::Modeled),
+            [1_415_288_123, 1_062_635_503, 850_982_574],
+        ),
+    ];
+    for (name, app, pinned) in apps {
+        for (tree, ns) in trees().into_iter().zip(pinned) {
+            let levels = tree.max_level();
+            let run = app(tree).unwrap();
+            assert_eq!(run.makespan().0, ns, "{name} on the {levels}-level tree");
+        }
+    }
+
+    let apu = presets::apu_two_level(ssd());
+    let ksplit = matmul_northup_ksplit(&MatmulConfig::paper(), apu, ExecMode::Modeled).unwrap();
+    assert_eq!(ksplit.makespan().0, 38_512_118_704, "matmul k-split on apu");
+    for (k, ns) in [(1, 8_475_635_992), (3, 4_490_827_754)] {
+        let run = gemm_cluster(&DistGemmConfig::paper(k), ExecMode::Modeled).unwrap();
+        assert_eq!(run.makespan().0, ns, "gemm_cluster on {k} nodes");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
