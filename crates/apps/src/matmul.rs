@@ -45,14 +45,6 @@ impl MatmulConfig {
         }
     }
 
-    /// Paper-scale 32k x 32k input.
-    pub fn paper_large() -> Self {
-        MatmulConfig {
-            n: crate::calibration::paper::GEMM_N_LARGE,
-            ..MatmulConfig::paper()
-        }
-    }
-
     /// Plan the blocking automatically from the tree's capacities
     /// (paper §III-B: "by examining the capacity and usage, a program can
     /// decide the blocking size"). On the paper's APU tree at 16k this

@@ -4,6 +4,7 @@
 //! ```text
 //! cargo run -p northup-bench --bin figures            # all figures
 //! cargo run -p northup-bench --bin figures -- fig6    # one figure
+//! cargo run -p northup-bench --bin figures -- ablations service
 //! cargo run -p northup-bench --bin figures -- headline
 //! ```
 
@@ -37,9 +38,75 @@ fn main() {
     if want("extensions") {
         print_extensions();
     }
+    if want("ablations") {
+        print_ablations();
+    }
+    if want("service") {
+        print_service();
+    }
     if want("headline") {
         print_headline();
     }
+}
+
+fn print_ablations() {
+    println!("== Ablations: the design choices DESIGN.md calls out ==");
+    for (ring, makespan) in nb::ablation_ring_depth().expect("ring ablation") {
+        println!("staging ring {ring}: gemm hdd makespan {makespan}");
+    }
+    for (steps, slowdown) in nb::ablation_temporal_blocking().expect("temporal ablation") {
+        println!("temporal blocking {steps:>2} steps/pass: hotspot hdd slowdown {slowdown:.3}");
+    }
+    for (mapping, makespan) in nb::ablation_nvm_mapping().expect("nvm ablation") {
+        println!("nvm {mapping}: gemm makespan {makespan}");
+    }
+    for (mode, makespan) in nb::ablation_layout_transform().expect("transform ablation") {
+        println!("move_data 64 MiB ssd->dram {mode}: {makespan}");
+    }
+    println!();
+}
+
+fn print_service() {
+    println!("== Service: 32 mixed jobs on the two-level APU, offered-load sweep ==");
+    println!(
+        "{:>7} {:>10} {:>10} {:>7} {:>7} {:>7} {:>8} {:>13} {:>12} {:>11} {:>6} {:>7} {:>11} {:>9} {:>6}",
+        "gap(us)",
+        "fair(j/s)",
+        "fifo(j/s)",
+        "p50(s)",
+        "p99(s)",
+        "reject",
+        "preempts",
+        "evict-lat(ms)",
+        "resized(j/s)",
+        "chaos(j/s)",
+        "faults",
+        "retries",
+        "backoff(ms)",
+        "recovered",
+        "failed"
+    );
+    for r in nb::service_scenario() {
+        println!(
+            "{:>7} {:>10.2} {:>10.2} {:>7.3} {:>7.3} {:>6.1}% {:>8} {:>13.3} {:>12.2} {:>11.2} {:>6} {:>7} {:>11.3} {:>9} {:>6}",
+            r.mean_gap_us,
+            r.fair_throughput,
+            r.fifo_throughput,
+            r.p50_latency_s,
+            r.p99_latency_s,
+            r.rejection_rate * 100.0,
+            r.preemptions,
+            r.preempt_latency_s * 1e3,
+            r.resize_throughput,
+            r.chaos_throughput,
+            r.chaos_faults,
+            r.chaos_retries,
+            r.chaos_backoff_s * 1e3,
+            r.chaos_recovered,
+            r.chaos_failed,
+        );
+    }
+    println!();
 }
 
 fn print_fig6_large() {

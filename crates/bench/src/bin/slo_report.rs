@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! cargo run --release -p northup-bench --bin slo_report
-//! cargo run --release -p northup-bench --bin slo_report -- slo-report.json BENCH_slo.json
+//! cargo run --release -p northup-bench --bin slo_report -- slo-report.json
 //! ```
 //!
 //! Exit code is non-zero when the acceptance criteria fail:
@@ -27,11 +27,9 @@
 
 use northup::presets;
 use northup_apps::{overload_slo, overload_trace, run_service_slo, OverloadConfig};
-use northup_bench::artifact::Artifact;
 use northup_hw::catalog;
 use northup_sched::{JobState, Priority, RejectReason, SchedReport};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 const JOBS: usize = 320;
 const SEED: u64 = 11;
@@ -151,13 +149,9 @@ fn report_json(s: &Study) -> String {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let report_path = args.next();
-    let bench_path = args.next();
+    let report_path = std::env::args().nth(1);
 
-    let wall = Instant::now();
     let study = run_once();
-    let wall_s = wall.elapsed().as_secs_f64();
     let json = report_json(&study);
 
     let replay_identical = json == report_json(&run_once());
@@ -196,7 +190,6 @@ fn main() {
             .unwrap_or(100),
         study.auto.capacity_needed_pct,
     );
-    println!("  {wall_s:.2}s wall");
 
     let mut failures = Vec::new();
     if !replay_identical {
@@ -263,10 +256,11 @@ fn main() {
     }
 
     if let Some(path) = &report_path {
-        write_or_die(path, &json);
-    }
-    if let Some(path) = &bench_path {
-        write_or_die(path, &bench_json(&study, wall_s, replay_identical));
+        std::fs::write(path, &json).unwrap_or_else(|e| {
+            eprintln!("slo_report: cannot write {path}: {e}");
+            std::process::exit(2);
+        });
+        println!("wrote {path}");
     }
 
     if failures.is_empty() {
@@ -282,43 +276,4 @@ fn main() {
         }
         std::process::exit(1);
     }
-}
-
-fn write_or_die(path: &str, body: &str) {
-    std::fs::write(path, body).unwrap_or_else(|e| {
-        eprintln!("slo_report: cannot write {path}: {e}");
-        std::process::exit(2);
-    });
-    println!("wrote {path}");
-}
-
-/// Throughput artifact in the shared `northup-bench-v2` envelope. Wall
-/// time varies run to run; everything else is deterministic.
-fn bench_json(s: &Study, wall_s: f64, replay_identical: bool) -> String {
-    let target = overload_slo().targets[0].0;
-    let overload = &s.on[LOADS.iter().position(|&l| l == WITNESS_LOAD).unwrap()];
-    Artifact::new("slo")
-        .num("seed", SEED)
-        .num("jobs", JOBS as u64)
-        .num("witness_load_pct", u64::from(WITNESS_LOAD))
-        .num("target_interactive_ns", target)
-        .num("p99_interactive_on_ns", p99i(overload))
-        .num("p99_interactive_off_ns", p99i(&s.off))
-        .num("p99_interactive_auto_ns", p99i(&s.auto))
-        .num("done_on", overload.count(JobState::Done) as u64)
-        .num("done_off", s.off.count(JobState::Done) as u64)
-        .num("done_auto", s.auto.count(JobState::Done) as u64)
-        .num("sheds_on", overload.shed_log.len() as u64)
-        .num("degraded_on", overload.degraded_jobs() as u64)
-        .num("capacity_needed_pct", u64::from(s.auto.capacity_needed_pct))
-        .num(
-            "final_scale_pct",
-            u64::from(s.auto.slo_log.last().map(|x| x.scale_pct).unwrap_or(100)),
-        )
-        .float("wall_s", wall_s, 3)
-        .flag("held_slo", p99i(overload) <= target)
-        .flag("witness_breached", p99i(&s.off) > target)
-        .flag("no_interactive_shed", sheds_interactive(overload) == 0)
-        .flag("replay_identical", replay_identical)
-        .finish()
 }

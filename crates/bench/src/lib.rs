@@ -2,8 +2,8 @@
 //!
 //! One function per figure, all running the paper-scale **Modeled** runs
 //! (deterministic virtual time; see DESIGN.md §5 for the calibration).
-//! The `figures` binary prints each series; the Criterion benches under
-//! `benches/` wrap the same functions.
+//! The `figures` binary prints each series and CI diffs its output against
+//! `figures_output.txt`; wall-clock numbers come from `benchmark/` only.
 //!
 //! | paper | function | what it shows |
 //! |---|---|---|
@@ -13,13 +13,14 @@
 //! | Fig. 9 | [`fig9`] | faster-storage projection sweep |
 //! | Fig. 11 | [`fig11`] | CPU+GPU work-stealing speedups |
 //! | headline | [`headline`] | abstract's "average 17% slower than in-memory" |
+//! | §III-C/§IV-B/§II/§VI | [`ablation_ring_depth`], [`ablation_temporal_blocking`], [`ablation_nvm_mapping`], [`ablation_layout_transform`] | design-choice ablations |
+//! | service | [`service_scenario`] | multi-tenant offered-load sweep |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod artifact;
-
-use northup::{presets, ExecMode, NorthupError, RunReport, Runtime};
+use northup::{presets, ExecMode, NorthupError, RunReport, Runtime, Transform};
+use northup_apps::calibration::paper::GEMM_N_LARGE;
 use northup_apps::{
     fig11_speedup, hotspot_apu, hotspot_in_memory, matmul_apu, matmul_in_memory, spmv_apu,
     spmv_in_memory, AppRun, HotspotConfig, MatmulConfig, SpmvInput,
@@ -139,7 +140,7 @@ pub fn fig6_large() -> Result<Vec<Fig6Row>, NorthupError> {
         // At 32k the paper's 4k blocking no longer fits the staging ring;
         // the SIII-B auto-planner picks the right one (2k).
         let tree = presets::apu_two_level(catalog::ssd_hyperx_predator());
-        let cfg = MatmulConfig::auto(&tree, 32 * 1024, 1)?;
+        let cfg = MatmulConfig::auto(&tree, GEMM_N_LARGE, 1)?;
         let base = matmul_in_memory(&cfg, ExecMode::Modeled)?;
         let ssd = matmul_apu(&cfg, catalog::ssd_hyperx_predator(), ExecMode::Modeled)?;
         let hdd = matmul_apu(&cfg, catalog::hdd_wd5000(), ExecMode::Modeled)?;
@@ -445,6 +446,92 @@ pub fn caching_study() -> Result<CachingStudy, NorthupError> {
         streaming: (cached_stream, explicit_stream, stream_hit_rate),
         reuse: (cached_reuse, explicit_reuse, reuse_hit_rate),
     })
+}
+
+// ---------------------------------------------------------------------------
+// Ablations of the design choices DESIGN.md calls out
+// ---------------------------------------------------------------------------
+
+/// §III-C staging ring depth: GEMM-on-HDD makespan at ring 2, 3 and 4.
+/// Double buffering already hides everything that can be hidden, so the
+/// deeper rings buy nothing.
+pub fn ablation_ring_depth() -> Result<Vec<(usize, SimDur)>, NorthupError> {
+    [2usize, 3, 4]
+        .iter()
+        .map(|&ring| {
+            let cfg = MatmulConfig {
+                ring,
+                ..MatmulConfig::paper()
+            };
+            let run = matmul_apu(&cfg, catalog::hdd_wd5000(), ExecMode::Modeled)?;
+            Ok((ring, run.makespan()))
+        })
+        .collect()
+}
+
+/// §IV-B temporal-blocking depth: HotSpot-on-HDD slowdown vs in-memory at
+/// 8/16/32/64 steps per pass with the total simulated steps held at 64.
+/// Deeper blocking amortizes each pass's I/O over more compute.
+pub fn ablation_temporal_blocking() -> Result<Vec<(usize, f64)>, NorthupError> {
+    [8usize, 16, 32, 64]
+        .iter()
+        .map(|&steps| {
+            let cfg = HotspotConfig {
+                steps_per_pass: steps,
+                passes: 64 / steps,
+                ..HotspotConfig::paper()
+            };
+            let base = hotspot_in_memory(&cfg, ExecMode::Modeled)?;
+            let run = hotspot_apu(&cfg, catalog::hdd_wd5000(), ExecMode::Modeled)?;
+            Ok((steps, run.slowdown_vs(&base)))
+        })
+        .collect()
+}
+
+/// §II remapping: the same NVM part as the storage root vs as a memory
+/// level, paper-scale GEMM makespan of each.
+pub fn ablation_nvm_mapping() -> Result<Vec<(&'static str, SimDur)>, NorthupError> {
+    [
+        (
+            "as-storage",
+            presets::apu_two_level(catalog::nvm_optane_like()),
+        ),
+        ("as-memory", presets::apu_with_nvm_memory()),
+    ]
+    .into_iter()
+    .map(|(name, tree)| {
+        let run =
+            northup_apps::matmul::matmul_northup(&MatmulConfig::paper(), tree, ExecMode::Modeled)?;
+        Ok((name, run.makespan()))
+    })
+    .collect()
+}
+
+/// §VI layout-transforming `move_data`: a 64 MiB 4096 x 4096 f32 matrix
+/// moved SSD -> DRAM as raw bytes vs with an inline transpose (which
+/// charges the permute pass but saves the consumer's strided access).
+pub fn ablation_layout_transform() -> Result<Vec<(&'static str, SimDur)>, NorthupError> {
+    let (rows, cols, elem) = (4096usize, 4096usize, 4usize);
+    let bytes = (rows * cols * elem) as u64;
+    [
+        ("plain", None),
+        ("transpose", Some(Transform::RowToCol { rows, cols, elem })),
+    ]
+    .into_iter()
+    .map(|(name, transform)| {
+        let rt = Runtime::new(
+            presets::apu_two_level(catalog::ssd_hyperx_predator()),
+            ExecMode::Modeled,
+        )?;
+        let src = rt.alloc(bytes, northup::NodeId(0))?;
+        let dst = rt.alloc(bytes, northup::NodeId(1))?;
+        match transform {
+            Some(t) => rt.move_data_transform(dst, src, t)?,
+            None => rt.move_data(dst, 0, src, 0, bytes)?,
+        };
+        Ok((name, rt.makespan()))
+    })
+    .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -785,6 +872,10 @@ mod tests {
                 ssd.gpu
             );
         }
+        // The CSR runs charge visible CPU (row binning) time.
+        for r in rows.iter().filter(|r| r.app == App::Spmv) {
+            assert!(r.cpu > 0.01, "{r:?}");
+        }
     }
 
     #[test]
@@ -854,6 +945,36 @@ mod tests {
             explicit <= cached,
             "explicit {explicit} should match/beat cache {cached} on reuse"
         );
+    }
+
+    #[test]
+    fn temporal_blocking_slowdown_is_non_increasing() {
+        // Constant 64 total steps: deeper blocking only amortizes I/O.
+        let series = ablation_temporal_blocking().unwrap();
+        let steps: Vec<usize> = series.iter().map(|&(s, _)| s).collect();
+        assert_eq!(steps, [8, 16, 32, 64]);
+        for w in series.windows(2) {
+            assert!(w[1].1 <= w[0].1 + 1e-9, "{series:?}");
+        }
+    }
+
+    #[test]
+    fn ring_depths_are_makespan_identical_on_hdd() {
+        let series = ablation_ring_depth().unwrap();
+        let rings: Vec<usize> = series.iter().map(|&(r, _)| r).collect();
+        assert_eq!(rings, [2, 3, 4]);
+        assert!(series.iter().all(|&(_, m)| m == series[0].1), "{series:?}");
+    }
+
+    #[test]
+    fn nvm_and_transform_ablations_keep_their_direction() {
+        // Compute-bound GEMM: the mapping is an interface choice, <1% apart.
+        let nvm = ablation_nvm_mapping().unwrap();
+        let ratio = nvm[1].1.as_secs_f64() / nvm[0].1.as_secs_f64();
+        assert!((0.99..=1.01).contains(&ratio), "{nvm:?}");
+        // The inline transpose charges a permute pass on top of the move.
+        let moves = ablation_layout_transform().unwrap();
+        assert!(moves[1].1 > moves[0].1, "{moves:?}");
     }
 
     #[test]

@@ -167,11 +167,6 @@ impl Runtime {
         Ok(self.inner.lock().info(h)?.size)
     }
 
-    /// Virtual time at which a buffer's content is ready.
-    pub fn buffer_ready_at(&self, h: BufferHandle) -> Result<SimTime> {
-        Ok(self.inner.lock().info(h)?.ready_at)
-    }
-
     /// Table I: `move_data(dst, src, size, offset, dst_tree_node,
     /// src_tree_node)` — move `len` bytes between two buffers on the same
     /// node or on adjacent tree nodes. The dispatch on storage classes
@@ -323,7 +318,13 @@ impl Runtime {
             return Err(NorthupError::NotAdjacent(si.node, di.node));
         }
 
-        let total = row_len * rows;
+        // A zero stride lets any `rows` pass the span checks above.
+        let total = row_len.checked_mul(rows).ok_or(NorthupError::BadRange {
+            buffer: dst,
+            offset: dst_off,
+            len: u64::MAX,
+            size: di.size,
+        })?;
         let ready = si.ready_at.max(di.ready_at).max(di.last_read_end);
         let served = self.schedule_transfer(&mut g, si.node, di.node, total, ready)?;
 
@@ -733,6 +734,18 @@ mod tests {
         // Last run would read bytes 13..17.
         assert!(matches!(
             rt.move_data_strided(dst, 0, 2, src, 5, 4, 2, 3),
+            Err(NorthupError::BadRange { .. })
+        ));
+        // Zero strides keep both spans in range; the byte total wraps u64.
+        let rt = Runtime::new(
+            presets::apu_two_level(catalog::ssd_hyperx_predator()),
+            ExecMode::Modeled,
+        )
+        .unwrap();
+        let src = rt.alloc(1 << 33, rt.tree().root()).unwrap();
+        let dst = rt.alloc(1 << 33, rt.tree().root()).unwrap();
+        assert!(matches!(
+            rt.move_data_strided(dst, 0, 0, src, 0, 0, 1 << 33, 1 << 33),
             Err(NorthupError::BadRange { .. })
         ));
     }

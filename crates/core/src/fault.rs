@@ -120,11 +120,6 @@ impl FaultPlan {
         self.nodes.is_empty() || self.nodes.contains(&node)
     }
 
-    /// True when the plan can ever inject a fault.
-    pub fn is_active(&self) -> bool {
-        self.transient_per_64k > 0 || self.persistent_per_64k > 0 || !self.scripted.is_empty()
-    }
-
     /// The fault (if any) for the `ordinal`-th booking on `node`. Pure:
     /// the same arguments always return the same answer.
     pub fn decide(&self, node: NodeId, ordinal: u64) -> Option<FaultKind> {

@@ -54,11 +54,6 @@ impl WorkQueues {
         }
     }
 
-    /// Number of queues per node.
-    pub fn queues_per_node(&self) -> usize {
-        self.queues[0].len()
-    }
-
     /// Enqueue a task tag on `(node, queue)`; returns its id.
     ///
     /// # Panics

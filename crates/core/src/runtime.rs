@@ -315,13 +315,6 @@ impl Runtime {
         self.inner.lock().timeline.chrome_trace()
     }
 
-    /// Virtual time at which a node's device resource frees up (used by
-    /// branch schedulers to estimate where a new chunk would finish first,
-    /// §V-E: "examining the status of a subsystem").
-    pub fn node_busy_until(&self, node: NodeId) -> SimTime {
-        self.inner.lock().node_res[node.0].busy_until()
-    }
-
     /// Virtual time at which a processor of `kind` on `node` frees up.
     pub fn proc_busy_until(&self, node: NodeId, kind: ProcKind) -> Result<SimTime> {
         let pi = self.proc_index(node, kind)?;
@@ -369,15 +362,6 @@ impl Runtime {
     /// The currently installed capacity lease, if any.
     pub fn lease(&self) -> Option<std::sync::Arc<crate::lease::CapacityLease>> {
         self.inner.lock().lease.clone()
-    }
-
-    /// Record an explicit runtime-overhead span (tree lookups, queue
-    /// management). The paper measures total runtime overhead < 1% (§V-B).
-    pub fn charge_runtime(&self, at_least: SimDur, label: &str) {
-        let mut g = self.inner.lock();
-        let start = SimTime::ZERO;
-        let end = start + at_least;
-        g.timeline.record(start, end, Category::Runtime, label);
     }
 }
 

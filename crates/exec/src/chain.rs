@@ -73,16 +73,11 @@ impl ThreadPool {
         start: u32,
         chunks: u32,
         token: &CancelToken,
-        mut chunk: impl FnMut(u32) -> bool,
+        chunk: impl FnMut(u32) -> bool,
     ) -> u32 {
-        let mut done = 0;
-        for i in start..chunks {
-            if token.is_cancelled() || !chunk(i) {
-                break;
-            }
-            done += 1;
-        }
-        done
+        // One attempt per chunk: a `false` stops the chain, no backoff.
+        self.run_chain_with_retry(start, chunks, token, 1, |_, _| Duration::ZERO, chunk)
+            .completed
     }
 
     /// Like [`run_chain`](Self::run_chain), but a chunk returning `false`

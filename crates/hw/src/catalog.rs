@@ -103,12 +103,6 @@ pub fn pcie3_x16() -> LinkSpec {
     LinkSpec::new("pcie3-x16", gb_s(12), SimDur::from_micros(20))
 }
 
-/// On-package link between CPU and integrated GPU on an APU (shares DRAM;
-/// effectively a zero-copy path, modeled as a fat low-latency link).
-pub fn apu_onchip_link() -> LinkSpec {
-    LinkSpec::new("apu-onchip", gb_s(20), SimDur::from_micros(2))
-}
-
 /// A generic DMA link between two host-memory levels.
 pub fn dram_dma_link() -> LinkSpec {
     LinkSpec::new("dram-dma", gb_s(18), SimDur::from_micros(5))

@@ -83,11 +83,6 @@ impl SimFabric {
             Stage::WriteBack => self.node_res[0].serve_bytes(ready, stage.cost.bytes).end,
         }
     }
-
-    /// Busy horizon of the root storage resource (diagnostics).
-    pub fn root_busy_until(&self) -> SimTime {
-        self.node_res[0].busy_until()
-    }
 }
 
 impl Fabric for SimFabric {

@@ -97,12 +97,6 @@ impl NodeBudgets {
         }
     }
 
-    /// Budgets from explicit per-node byte counts (index = `NodeId.0`),
-    /// for live reconfiguration scenarios.
-    pub fn from_vec(budget: Vec<u64>) -> Self {
-        NodeBudgets { budget }
-    }
-
     /// Schedulable bytes on `node` (zero for unknown nodes).
     pub fn get(&self, node: NodeId) -> u64 {
         self.budget.get(node.0).copied().unwrap_or(0)

@@ -99,11 +99,6 @@ impl PaperSpmvShape {
     pub fn storage_bytes(&self) -> u64 {
         (self.rows + 1) * 4 + self.nnz() * 8
     }
-
-    /// Bytes of the dense input/output vectors.
-    pub fn vector_bytes(&self) -> u64 {
-        self.rows * 4
-    }
 }
 
 #[cfg(test)]
