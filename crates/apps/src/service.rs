@@ -15,23 +15,27 @@
 //! `crates/apps/data/service_trace.csv`). [`run_service`] replays a trace
 //! in virtual time only; [`run_service_real`] additionally executes every
 //! admitted job's chunk chain on a shared `northup-exec` thread pool
-//! through [`RealFabric`], with each job's admitted reservation installed
-//! as a `CapacityLease` so staging allocations are enforced for real.
+//! through [`RealFabric`], several jobs at a time, with each job's
+//! admitted reservation installed as a `CapacityLease` so staging
+//! allocations are enforced for real.
 
 use crate::calibration::paper;
 use crate::calibration::GEMM_RING;
-use northup::Tree;
+use northup::fabric::ChunkChain;
+use northup::{NodeId, RetryPolicy, Tree};
 use northup_exec::{CancelToken, ThreadPool};
 use northup_sched::{
-    build_chain, staging_reservation, AdmissionPolicy, Fabric, FaultPlan, JobId, JobScheduler,
-    JobSpec, JobWork, Priority, RealFabric, SchedError, SchedReport, SchedulerConfig, SloConfig,
-    TenantId,
+    build_chain, staging_reservation, AdmissionPolicy, Fabric, FaultPlan, JobId, JobOutcome,
+    JobScheduler, JobSpec, JobWork, Priority, RealFabric, SchedError, SchedReport, SchedulerConfig,
+    SloConfig, TenantId,
 };
 use northup_sim::{SimDur, SimTime};
 use rand::{Rng, SeedableRng, StdRng};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// The application mix a service-trace job can be.
@@ -547,6 +551,10 @@ pub struct ServiceRealRun {
     pub jobs: Vec<RealJobRun>,
     /// Worker threads in the shared pool.
     pub threads: usize,
+    /// Jobs that were allowed in flight at once: `threads`, capped by the
+    /// job count and by how many of the largest admitted lease fit the
+    /// staging node's capacity.
+    pub lanes: usize,
 }
 
 /// Replay `trace` in virtual time, then execute every admitted job's
@@ -556,6 +564,12 @@ pub struct ServiceRealRun {
 /// driven in order through `ThreadPool::run_chain` on a shared
 /// work-stealing pool — exactly the chunks the model says the job
 /// completed, including partial prefixes of cancelled jobs.
+///
+/// Jobs overlap: [`ServiceRealRun::lanes`] of them are in flight at
+/// once, started in job-id order, each keeping its own chunks in order.
+/// Per-job results do not depend on `threads`, and when jobs fail the
+/// error returned is the lowest failed job id's, as if they had run one
+/// after another.
 pub fn run_service_real(
     tree: &Tree,
     trace: Vec<JobSpec>,
@@ -608,6 +622,103 @@ pub fn run_service_real_chaos(
 /// modeled replay charges the uncapped virtual-time backoff.
 const REAL_BACKOFF_CAP: Duration = Duration::from_millis(5);
 
+/// One admitted job that ran chunks in the model, ready to run for real.
+struct RealJob<'a> {
+    outcome: &'a JobOutcome,
+    chain: ChunkChain,
+    staging: NodeId,
+}
+
+/// How many jobs run at once: at most one per pool thread, and few enough
+/// that the staging buffers their leases allow fit the capacity of every
+/// staging node together (a job stages one chunk at a time, inside its
+/// lease, so `lanes × largest lease` bounds the bytes in flight).
+fn lane_count(tree: &Tree, jobs: &[RealJob<'_>], threads: usize) -> usize {
+    let mut largest: BTreeMap<NodeId, u64> = BTreeMap::new();
+    for job in jobs {
+        let lease = job.outcome.reservation.get(job.staging);
+        let slot = largest.entry(job.staging).or_default();
+        *slot = lease.max(*slot);
+    }
+    let fit = largest
+        .iter()
+        .filter(|(_, &lease)| lease > 0)
+        .map(|(&node, &lease)| tree.node(node).mem.capacity / lease)
+        .min()
+        .map_or(usize::MAX, |n| usize::try_from(n).unwrap_or(usize::MAX));
+    threads.min(jobs.len()).min(fit).max(1)
+}
+
+/// Execute one admitted job's chunk chain in an arena of its own.
+fn run_job_real(
+    tree: &Tree,
+    pool: &Arc<ThreadPool>,
+    job: &RealJob<'_>,
+    retry: RetryPolicy,
+    plan: Option<&FaultPlan>,
+) -> Result<RealJobRun, SchedError> {
+    let RealJob {
+        outcome,
+        chain,
+        staging,
+    } = job;
+    let work = chain.work;
+    let per_chunk = work
+        .read_bytes
+        .max(work.xfer_bytes)
+        .max(work.write_bytes)
+        .max(4 << 10);
+    let mut fab = match plan {
+        Some(p) => RealFabric::with_faults(tree, Arc::clone(pool), per_chunk * 2, p.clone())?,
+        None => RealFabric::new(tree, Arc::clone(pool), per_chunk * 2)?,
+    };
+    if let Some(lease) = outcome.lease() {
+        fab.install_lease(lease);
+    }
+    let token = CancelToken::new();
+    let mut t = SimTime::ZERO;
+    let mut failure = None;
+    let max_attempts = if plan.is_some() {
+        retry.max_attempts
+    } else {
+        1
+    };
+    let backoff = |chunk: u32, attempt: u32| -> Duration {
+        let jitter = plan
+            .map(|p| p.jitter(*staging, u64::from(chunk), attempt))
+            .unwrap_or(0.0);
+        Duration::from_secs_f64(retry.backoff(attempt, jitter).as_secs_f64()).min(REAL_BACKOFF_CAP)
+    };
+    let stats =
+        pool.run_chain_with_retry(0, outcome.chunks_done, &token, max_attempts, backoff, |i| {
+            match fab.run_chunk(chain, i, t) {
+                Ok(end) => {
+                    t = end;
+                    failure = None;
+                    true
+                }
+                Err(e) => {
+                    failure = Some(e);
+                    false
+                }
+            }
+        });
+    if stats.gave_up || stats.completed < outcome.chunks_done {
+        if let Some(e) = failure {
+            return Err(e.into());
+        }
+    }
+    debug_assert_eq!(stats.completed, outcome.chunks_done);
+    Ok(RealJobRun {
+        id: outcome.id,
+        name: outcome.name.clone(),
+        tenant: outcome.tenant,
+        chunks_run: stats.completed,
+        checksum: fab.checksum(),
+        retries: stats.retries,
+    })
+}
+
 fn run_real_inner(
     tree: &Tree,
     trace: Vec<JobSpec>,
@@ -619,76 +730,65 @@ fn run_real_inner(
     let specs = trace.clone();
     let report = run_service_with(tree, trace, cfg)?;
     let pool = Arc::new(ThreadPool::new(threads));
-    let mut jobs = Vec::new();
-    for (outcome, spec) in report.jobs.iter().zip(&specs) {
-        let Some(leaf) = outcome.leaf else { continue };
-        if outcome.chunks_done == 0 {
-            continue;
-        }
-        let chain = build_chain(tree, leaf, spec.work.chunk_work(), spec.work.chunks);
-        let staging = chain.staging_node(tree);
-        let per_chunk = spec
-            .work
-            .read_bytes
-            .max(spec.work.xfer_bytes)
-            .max(spec.work.write_bytes)
-            .max(4 << 10);
-        let mut fab = match &plan {
-            Some(p) => RealFabric::with_faults(tree, Arc::clone(&pool), per_chunk * 2, p.clone())?,
-            None => RealFabric::new(tree, Arc::clone(&pool), per_chunk * 2)?,
-        };
-        if let Some(lease) = outcome.lease() {
-            fab.install_lease(lease);
-        }
-        let token = CancelToken::new();
-        let mut t = SimTime::ZERO;
-        let mut failure = None;
-        let max_attempts = if plan.is_some() {
-            retry.max_attempts
-        } else {
-            1
-        };
-        let backoff = |chunk: u32, attempt: u32| -> Duration {
-            let jitter = plan
-                .as_ref()
-                .map(|p| p.jitter(staging, u64::from(chunk), attempt))
-                .unwrap_or(0.0);
-            Duration::from_secs_f64(retry.backoff(attempt, jitter).as_secs_f64())
-                .min(REAL_BACKOFF_CAP)
-        };
-        let stats =
-            pool.run_chain_with_retry(0, outcome.chunks_done, &token, max_attempts, backoff, |i| {
-                match fab.run_chunk(&chain, i, t) {
-                    Ok(end) => {
-                        t = end;
-                        failure = None;
-                        true
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        false
-                    }
+    let jobs: Vec<RealJob<'_>> = report
+        .jobs
+        .iter()
+        .zip(&specs)
+        .filter(|(outcome, _)| outcome.chunks_done > 0)
+        .filter_map(|(outcome, spec)| {
+            let chain = build_chain(
+                tree,
+                outcome.leaf?,
+                spec.work.chunk_work(),
+                spec.work.chunks,
+            );
+            let staging = chain.staging_node(tree);
+            Some(RealJob {
+                outcome,
+                chain,
+                staging,
+            })
+        })
+        .collect();
+    let lanes = lane_count(tree, &jobs, pool.threads());
+
+    // Each lane pulls the next job index, so jobs start in job-id order and
+    // every job below a started one has started too. After a failure no
+    // job above it starts; the ones below still finish, so the lowest
+    // failed job is known when the scope ends. Both counters only steer
+    // the lanes (`Relaxed`): results travel through the slots, which the
+    // scope's join publishes.
+    let next = AtomicUsize::new(0);
+    let lowest_failed = AtomicUsize::new(usize::MAX);
+    let slots: Vec<OnceLock<Result<RealJobRun, SchedError>>> =
+        jobs.iter().map(|_| OnceLock::new()).collect();
+    pool.scope(|s| {
+        for _ in 0..lanes {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= jobs.len() || i > lowest_failed.load(Ordering::Relaxed) {
+                    break;
                 }
+                let ran = run_job_real(tree, &pool, &jobs[i], retry, plan.as_ref());
+                if ran.is_err() {
+                    lowest_failed.fetch_min(i, Ordering::Relaxed);
+                }
+                let _ = slots[i].set(ran);
             });
-        if stats.gave_up || stats.completed < outcome.chunks_done {
-            if let Some(e) = failure {
-                return Err(e.into());
-            }
         }
-        debug_assert_eq!(stats.completed, outcome.chunks_done);
-        jobs.push(RealJobRun {
-            id: outcome.id,
-            name: outcome.name.clone(),
-            tenant: outcome.tenant,
-            chunks_run: stats.completed,
-            checksum: fab.checksum(),
-            retries: stats.retries,
-        });
-    }
+    });
+    // Job-id order; the first error met is the lowest failed job's, which
+    // is the one a sequential run would have stopped at. Slots above it
+    // may be empty.
+    let jobs = slots
+        .into_iter()
+        .map_while(OnceLock::into_inner)
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(ServiceRealRun {
         report,
         jobs,
         threads,
+        lanes,
     })
 }
 
@@ -1036,6 +1136,212 @@ mod tests {
                 "{}",
                 a.name
             );
+        }
+    }
+
+    /// Per kind, in `ServiceJobKind::ALL` order: `(chunks_run, checksum,
+    /// retries under chaos_plan())` of one scale-16 job, captured from the
+    /// sequential `run_service_real` before jobs overlapped. Every job of
+    /// the default 32-job trace and of the benchmark's 96-job trace
+    /// completes, so a job's record depends on its kind alone.
+    const PINNED: [(u32, u64, u32); 3] = [
+        (16, 0x1fe0_0000, 7),
+        (8, 0x3fbf_fb86, 3),
+        (4, 0xb8e0_00fc, 1),
+    ];
+
+    fn chaos_plan() -> FaultPlan {
+        FaultPlan::new(13).transient_rate(8192)
+    }
+
+    fn assert_pinned(run: &ServiceRealRun, jobs: usize, chaos: bool, what: &str) {
+        assert_eq!(run.jobs.len(), jobs, "{what}");
+        for (i, job) in run.jobs.iter().enumerate() {
+            let (chunks, checksum, retries) = PINNED[i % PINNED.len()];
+            assert_eq!(job.id, JobId(i as u64), "{what}: job-id order");
+            assert_eq!(
+                (job.chunks_run, job.checksum, job.retries),
+                (chunks, checksum, if chaos { retries } else { 0 }),
+                "{what}: {}",
+                job.name
+            );
+        }
+        let dram = tree().children(tree().root())[0];
+        let largest = run
+            .report
+            .jobs
+            .iter()
+            .map(|j| j.reservation.get(dram))
+            .max()
+            .unwrap();
+        assert!(
+            run.lanes >= 1 && run.lanes <= run.threads.min(jobs),
+            "{what}"
+        );
+        assert!(
+            run.lanes as u64 * largest <= tree().node(dram).mem.capacity,
+            "{what}: {} lanes of {largest} B leases overrun staging",
+            run.lanes
+        );
+    }
+
+    fn pinned_results_hold_at_every_thread_count(cfg: TraceConfig) {
+        let tree = tree();
+        for threads in [1, 2, 4, 8] {
+            let what = format!("{} jobs, {threads} threads", cfg.jobs);
+            let clean = run_service_real(
+                &tree,
+                synthetic_trace(&tree, &cfg),
+                AdmissionPolicy::WeightedFair,
+                threads,
+            )
+            .unwrap();
+            assert_pinned(&clean, cfg.jobs, false, &what);
+            let chaos = run_service_real_chaos(
+                &tree,
+                synthetic_trace(&tree, &cfg),
+                AdmissionPolicy::WeightedFair,
+                threads,
+                chaos_plan(),
+            )
+            .unwrap();
+            assert_pinned(&chaos, cfg.jobs, true, &format!("{what}, chaos"));
+        }
+    }
+
+    #[test]
+    fn overlap_keeps_the_pinned_results_of_the_default_trace() {
+        pinned_results_hold_at_every_thread_count(TraceConfig::default());
+    }
+
+    /// Half a minute unoptimized; CI's release step runs it.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release")]
+    fn overlap_keeps_the_pinned_results_of_the_benchmark_trace() {
+        pinned_results_hold_at_every_thread_count(TraceConfig {
+            jobs: 96,
+            ..TraceConfig::default()
+        });
+    }
+
+    /// `n` two-chunk jobs of 64 KiB chunks, each reserving `lease` bytes
+    /// of the staging level.
+    fn small_jobs(tree: &Tree, n: usize, lease: u64) -> Vec<JobSpec> {
+        (0..n)
+            .map(|i| {
+                JobSpec::new(
+                    format!("small-{i}"),
+                    staging_reservation(tree, lease),
+                    JobWork::new(2)
+                        .read(64 << 10)
+                        .xfer(64 << 10)
+                        .compute(SimDur::from_micros(50))
+                        .write(16 << 10),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lanes_follow_threads_jobs_and_the_staging_budget() {
+        let tree = tree();
+        let dram = tree.children(tree.root())[0];
+        let budget = tree.node(dram).mem.capacity;
+        let run = |jobs: usize, lease: u64, threads: usize| {
+            run_service_real(
+                &tree,
+                small_jobs(&tree, jobs, lease),
+                AdmissionPolicy::Fifo,
+                threads,
+            )
+            .unwrap()
+        };
+        let executed = |r: &ServiceRealRun| -> Vec<(JobId, u32, u64)> {
+            r.jobs
+                .iter()
+                .map(|j| (j.id, j.chunks_run, j.checksum))
+                .collect()
+        };
+        // One thread: one lane, and the run still ends.
+        let single = run(5, 64 << 10, 1);
+        assert_eq!((single.lanes, single.jobs.len()), (1, 5));
+        // More threads than jobs: a lane per job, same results.
+        let wide = run(5, 64 << 10, 8);
+        assert_eq!(wide.lanes, 5);
+        assert_eq!(executed(&wide), executed(&single));
+        // Only one 60 % lease fits the staging node, whatever the threads.
+        let fat = run(3, budget * 6 / 10, 4);
+        assert_eq!(fat.lanes, 1);
+        assert_eq!(executed(&fat), executed(&run(3, budget * 6 / 10, 1)));
+        // Three 30 % leases fit; a fourth would not.
+        assert_eq!(run(6, budget * 3 / 10, 8).lanes, 3);
+    }
+
+    /// Two jobs that both run out of retries, the slow one first: `big`
+    /// builds a 16 MiB arena and then meets an injected device fault on
+    /// every attempt (the plan's period equals a chunk's three staging
+    /// operations); `tiny` is refused its first staging buffer at once.
+    fn two_failing_jobs(tree: &Tree) -> (JobSpec, JobSpec, FaultPlan) {
+        let dram = tree.children(tree.root())[0];
+        let big = JobSpec::new(
+            "big",
+            staging_reservation(tree, 8 << 20),
+            JobWork::new(2)
+                .read(8 << 20)
+                .xfer(8 << 20)
+                .compute(SimDur::from_micros(50))
+                .write(1 << 20),
+        );
+        let tiny = JobSpec::new(
+            "tiny",
+            staging_reservation(tree, 1 << 10),
+            JobWork::new(2)
+                .read(4 << 10)
+                .xfer(4 << 10)
+                .compute(SimDur::from_micros(50))
+                .write(1 << 10),
+        );
+        let plan = FaultPlan::new(5).transient_rate(21845).on_nodes([dram]);
+        assert_eq!(plan.real_fail_every(dram), Some(3));
+        (big, tiny, plan)
+    }
+
+    #[test]
+    fn the_lowest_failed_job_decides_the_error_at_any_thread_count() {
+        let tree = tree();
+        let (big, tiny, plan) = two_failing_jobs(&tree);
+        let error = |trace: Vec<JobSpec>, threads: usize| -> String {
+            run_service_real_chaos(&tree, trace, AdmissionPolicy::Fifo, threads, plan.clone())
+                .unwrap_err()
+                .to_string()
+        };
+        for threads in [1, 4] {
+            let slow_first = error(vec![big.clone(), tiny.clone()], threads);
+            assert!(
+                slow_first.contains("injected device fault"),
+                "{threads} threads: job 0's fault, not job 1's quicker refusal: {slow_first}"
+            );
+            let quick_first = error(vec![tiny.clone(), big.clone()], threads);
+            assert!(
+                quick_first.contains("lease"),
+                "{threads} threads: {quick_first}"
+            );
+        }
+        // Without a plan there are no retries, and the rule is the same.
+        let clean = |trace: Vec<JobSpec>, threads: usize| -> String {
+            run_service_real(&tree, trace, AdmissionPolicy::Fifo, threads)
+                .unwrap_err()
+                .to_string()
+        };
+        let mut tinier = tiny.clone();
+        tinier.work = tinier.work.xfer(2 << 10).read(2 << 10);
+        assert_ne!(
+            clean(vec![tiny.clone(), tinier.clone()], 1),
+            clean(vec![tinier.clone(), tiny.clone()], 1),
+            "the two refusals name different sizes"
+        );
+        for trace in [vec![tiny.clone(), tinier.clone()], vec![tinier, tiny]] {
+            assert_eq!(clean(trace.clone(), 4), clean(trace, 1));
         }
     }
 

@@ -26,7 +26,7 @@
 use crate::error::{NorthupError, Result};
 use crate::runtime::{ExecMode, RtInner, Runtime};
 use crate::topology::{NodeId, ProcKind};
-use northup_hw::{BlockId, Dir, StorageClass};
+use northup_hw::{BlockId, Dir, HwResult, StorageBackend, StorageClass};
 use northup_sim::{transfer_time, Category, Served, SimDur, SimTime};
 
 /// Opaque reference to an allocation on some tree node (the paper's
@@ -56,6 +56,26 @@ fn check_range(h: BufferHandle, info: &BufInfo, offset: u64, len: u64) -> Result
         });
     }
     Ok(())
+}
+
+/// Two distinct elements of one slice, both mutable.
+fn pair_mut<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
+    debug_assert_ne!(a, b);
+    if a < b {
+        let (lo, hi) = v.split_at_mut(b);
+        (&mut lo[a], &mut hi[0])
+    } else {
+        let (lo, hi) = v.split_at_mut(a);
+        (&mut hi[0], &mut lo[b])
+    }
+}
+
+/// Where one side of a byte move starts and how far it advances per row.
+#[derive(Clone, Copy)]
+struct RowCursor {
+    info: BufInfo,
+    offset: u64,
+    stride: u64,
 }
 
 impl RtInner {
@@ -171,6 +191,12 @@ impl Runtime {
     /// src_tree_node)` — move `len` bytes between two buffers on the same
     /// node or on adjacent tree nodes. The dispatch on storage classes
     /// (file I/O vs memcpy vs device transfer) is internal.
+    ///
+    /// Bytes go from the source backend straight into the destination's
+    /// storage, so a move that fails part-way (a device fault on either
+    /// side) leaves the destination range **unspecified**. Its
+    /// virtual-time charge stands and the buffers' dataflow state is
+    /// untouched; a caller that retries must rewrite the whole range.
     pub fn move_data(
         &self,
         dst: BufferHandle,
@@ -194,9 +220,17 @@ impl Runtime {
 
         // Real byte movement (skipped in Modeled mode).
         if self.mode() == ExecMode::Real && len > 0 {
-            let mut tmp = vec![0u8; len as usize];
-            g.backends[si.node.0].read(si.block, src_off, &mut tmp)?;
-            g.backends[di.node.0].write(di.block, dst_off, &tmp)?;
+            let from = RowCursor {
+                info: si,
+                offset: src_off,
+                stride: 0,
+            };
+            let to = RowCursor {
+                info: di,
+                offset: dst_off,
+                stride: 0,
+            };
+            self.move_rows(&mut g, from, to, len, 1)?;
         }
 
         let s = g
@@ -329,11 +363,17 @@ impl Runtime {
         let served = self.schedule_transfer(&mut g, si.node, di.node, total, ready)?;
 
         if self.mode() == ExecMode::Real && total > 0 {
-            let mut tmp = vec![0u8; row_len as usize];
-            for r in 0..rows {
-                g.backends[si.node.0].read(si.block, src_off + r * src_stride, &mut tmp)?;
-                g.backends[di.node.0].write(di.block, dst_off + r * dst_stride, &tmp)?;
-            }
+            let from = RowCursor {
+                info: si,
+                offset: src_off,
+                stride: src_stride,
+            };
+            let to = RowCursor {
+                info: di,
+                offset: dst_off,
+                stride: dst_stride,
+            };
+            self.move_rows(&mut g, from, to, row_len, rows)?;
         }
 
         let s = g
@@ -355,6 +395,44 @@ impl Runtime {
             &[dst],
         );
         Ok(served)
+    }
+
+    /// The real byte movement of a (strided) move: per row, one read on the
+    /// source backend and one write on the destination backend, with no
+    /// staging copy in between. A file source reads straight into the
+    /// bytes the destination lends out; any other source lends its own
+    /// bytes to the destination's write.
+    fn move_rows(
+        &self,
+        g: &mut RtInner,
+        src: RowCursor,
+        dst: RowCursor,
+        row_len: u64,
+        rows: u64,
+    ) -> HwResult<()> {
+        let (sb, db) = (src.info.block, dst.info.block);
+        let (sn, dn) = (src.info.node.0, dst.info.node.0);
+        if sn == dn {
+            // One backend cannot lend and be filled at once.
+            let backend = &mut g.backends[sn];
+            let mut tmp = vec![0u8; row_len as usize];
+            for r in 0..rows {
+                backend.read(sb, src.offset + r * src.stride, &mut tmp)?;
+                backend.write(db, dst.offset + r * dst.stride, &tmp)?;
+            }
+            return Ok(());
+        }
+        let src_is_file = self.tree().storage_class(src.info.node) == StorageClass::File;
+        let (s, d): (&mut Box<dyn StorageBackend>, _) = pair_mut(&mut g.backends, sn, dn);
+        for r in 0..rows {
+            let (so, doff) = (src.offset + r * src.stride, dst.offset + r * dst.stride);
+            if src_is_file {
+                d.fill(db, doff, row_len, &mut |buf| s.read(sb, so, buf))?;
+            } else {
+                s.lend(sb, so, row_len, &mut |bytes| d.write(db, doff, bytes))?;
+            }
+        }
+        Ok(())
     }
 
     /// Schedule the virtual-time service of a transfer and record it. The
@@ -464,6 +542,27 @@ impl Runtime {
         Ok(())
     }
 
+    /// Run `f` over `len` bytes of a buffer starting at `offset`, in place
+    /// where the node holds them in memory (verification and leaf kernels
+    /// — not charged; one backend read, like [`read_slice`](Self::read_slice)).
+    /// `f` runs under the runtime lock and must not call into this runtime.
+    pub fn with_bytes(
+        &self,
+        h: BufferHandle,
+        offset: u64,
+        len: u64,
+        mut f: impl FnMut(&[u8]),
+    ) -> Result<()> {
+        let mut g = self.inner.lock();
+        let info = g.info(h)?;
+        check_range(h, &info, offset, len)?;
+        g.backends[info.node.0].lend(info.block, offset, len, &mut |bytes| {
+            f(bytes);
+            Ok(())
+        })?;
+        Ok(())
+    }
+
     /// Charge a leaf computation of duration `dur` on the processor of
     /// `kind` attached to `node`, reading `reads` and producing `writes`.
     /// Returns the scheduled interval.
@@ -528,7 +627,7 @@ impl Runtime {
 mod tests {
     use super::*;
     use crate::presets;
-    use northup_hw::catalog;
+    use northup_hw::{catalog, FaultOps, FaultyBackend, FileBackend, HeapBackend};
     use northup_sim::Category;
 
     fn rt() -> Runtime {
@@ -748,6 +847,274 @@ mod tests {
             rt.move_data_strided(dst, 0, 0, src, 0, 0, 1 << 33, 1 << 33),
             Err(NorthupError::BadRange { .. })
         ));
+    }
+
+    /// Forwards the required methods only, so `lend`/`fill` are the trait
+    /// defaults — the path an out-of-tree backend takes.
+    struct DefaultsOnly(Box<dyn StorageBackend>);
+
+    impl StorageBackend for DefaultsOnly {
+        fn alloc(&mut self, size: u64) -> HwResult<BlockId> {
+            self.0.alloc(size)
+        }
+        fn release(&mut self, block: BlockId) -> HwResult<()> {
+            self.0.release(block)
+        }
+        fn read(&mut self, block: BlockId, offset: u64, dst: &mut [u8]) -> HwResult<()> {
+            self.0.read(block, offset, dst)
+        }
+        fn write(&mut self, block: BlockId, offset: u64, src: &[u8]) -> HwResult<()> {
+            self.0.write(block, offset, src)
+        }
+        fn size_of(&self, block: BlockId) -> HwResult<u64> {
+            self.0.size_of(block)
+        }
+        fn used(&self) -> u64 {
+            self.0.used()
+        }
+        fn capacity(&self) -> u64 {
+            self.0.capacity()
+        }
+    }
+
+    fn plain_backend(node: &crate::topology::Node) -> Box<dyn StorageBackend> {
+        match node.mem.class {
+            StorageClass::File => {
+                Box::new(FileBackend::new(&node.mem.name, node.mem.capacity).unwrap())
+            }
+            _ => Box::new(HeapBackend::new(&node.mem.name, node.mem.capacity)),
+        }
+    }
+
+    /// A root of one storage class with one child of another: the two
+    /// nodes are adjacent, so every ordered class pair is a legal move.
+    fn two_node_tree(root: StorageClass, child: StorageClass) -> crate::topology::Tree {
+        let spec = |class, name: &str| {
+            let mut s = match class {
+                StorageClass::File => catalog::ssd_hyperx_predator(),
+                StorageClass::Memory => catalog::dram_staging_2gb(),
+                StorageClass::Device => catalog::gpu_devmem_4gb(),
+            };
+            s.name = name.into();
+            s
+        };
+        let mut b = crate::topology::TreeBuilder::new(spec(root, "root"));
+        b.add_child(NodeId(0), spec(child, "child"), catalog::dram_dma_link());
+        b.build()
+    }
+
+    fn pattern(len: usize, salt: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(13).wrapping_add(salt))
+            .collect()
+    }
+
+    fn contents(rt: &Runtime, h: BufferHandle, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        rt.read_slice(h, 0, &mut out).unwrap();
+        out
+    }
+
+    /// `move_data`, `move_data_strided` and `with_bytes` against a plain
+    /// `Vec<u8>` model, over every source × destination storage-class
+    /// pair (adjacent nodes and same-node), with the built-in backends
+    /// and with backends that only have the trait's default `lend`/`fill`.
+    #[test]
+    fn moves_agree_with_a_vec_model_for_every_class_pair() {
+        use StorageClass::{Device, File, Memory};
+        const SIZE: usize = 512;
+        // (src offset, dst offset, length): whole buffer, interior,
+        // single byte at the end, zero-length inside and at the end.
+        let spans = [
+            (0, 0, SIZE),
+            (31, 200, 77),
+            (511, 0, 1),
+            (9, 9, 0),
+            (512, 512, 0),
+        ];
+        // (src offset, src stride, dst offset, dst stride, row length, rows):
+        // gather, scatter, overlapping-free repack, zero rows, zero-length rows.
+        let grids = [
+            (5, 32, 0, 8, 8, 16),
+            (0, 4, 3, 50, 4, 10),
+            (100, 10, 100, 10, 10, 20),
+            (0, 7, 0, 7, 3, 0),
+            (0, 7, 0, 7, 0, 5),
+        ];
+        for root in [File, Memory, Device] {
+            for child in [File, Memory, Device] {
+                for defaults_only in [false, true] {
+                    let factory = |node: &crate::topology::Node| {
+                        defaults_only.then(|| {
+                            Box::new(DefaultsOnly(plain_backend(node))) as Box<dyn StorageBackend>
+                        })
+                    };
+                    let rt = Runtime::with_custom_backends(
+                        two_node_tree(root, child),
+                        ExecMode::Real,
+                        crate::runtime::SetupCosts::default(),
+                        &factory,
+                    )
+                    .unwrap();
+                    // Down, up, and on each node alone.
+                    for (sn, dn) in [(0, 1), (1, 0), (0, 0), (1, 1)] {
+                        let case =
+                            format!("{root:?}/{child:?} n{sn}->n{dn} defaults={defaults_only}");
+                        let src = rt.alloc(SIZE as u64, NodeId(sn)).unwrap();
+                        let dst = rt.alloc(SIZE as u64, NodeId(dn)).unwrap();
+                        let src_model = pattern(SIZE, 1);
+                        let mut dst_model = pattern(SIZE, 99);
+                        rt.write_slice(src, 0, &src_model).unwrap();
+                        rt.write_slice(dst, 0, &dst_model).unwrap();
+
+                        for &(so, doff, len) in &spans {
+                            rt.move_data(dst, doff as u64, src, so as u64, len as u64)
+                                .unwrap_or_else(|e| panic!("{case}: {e}"));
+                            dst_model[doff..doff + len].copy_from_slice(&src_model[so..so + len]);
+                            assert_eq!(
+                                contents(&rt, dst, SIZE),
+                                dst_model,
+                                "{case} {so},{doff},{len}"
+                            );
+                        }
+                        for &(so, ss, doff, ds, row, rows) in &grids {
+                            rt.move_data_strided(
+                                dst,
+                                doff as u64,
+                                ds as u64,
+                                src,
+                                so as u64,
+                                ss as u64,
+                                row as u64,
+                                rows as u64,
+                            )
+                            .unwrap_or_else(|e| panic!("{case}: {e}"));
+                            for r in 0..rows {
+                                let (s, d) = (so + r * ss, doff + r * ds);
+                                dst_model[d..d + row].copy_from_slice(&src_model[s..s + row]);
+                            }
+                            assert_eq!(
+                                contents(&rt, dst, SIZE),
+                                dst_model,
+                                "{case} strided {row}x{rows}"
+                            );
+                        }
+                        assert_eq!(contents(&rt, src, SIZE), src_model, "{case}: source intact");
+
+                        for &(so, _, len) in &spans {
+                            let mut seen = None;
+                            rt.with_bytes(dst, so as u64, len as u64, |b| seen = Some(b.to_vec()))
+                                .unwrap();
+                            assert_eq!(seen.as_deref(), Some(&dst_model[so..so + len]), "{case}");
+                        }
+                        rt.release(src).unwrap();
+                        rt.release(dst).unwrap();
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn with_bytes_rejects_bad_ranges_and_dead_handles_before_lending() {
+        let rt = rt();
+        for node in [rt.tree().root(), NodeId(1)] {
+            let h = rt.alloc(10, node).unwrap();
+            let mut called = false;
+            assert!(matches!(
+                rt.with_bytes(h, 8, 4, |_| called = true),
+                Err(NorthupError::BadRange {
+                    offset: 8,
+                    len: 4,
+                    size: 10,
+                    ..
+                })
+            ));
+            assert!(matches!(
+                rt.with_bytes(h, u64::MAX, 2, |_| called = true),
+                Err(NorthupError::BadRange { .. })
+            ));
+            rt.release(h).unwrap();
+            assert!(matches!(
+                rt.with_bytes(h, 0, 1, |_| called = true),
+                Err(NorthupError::UnknownBuffer(_))
+            ));
+            assert!(!called);
+        }
+    }
+
+    /// Both nodes of the APU tree behind fault injectors: `root_ops` on
+    /// the file root, `dram_ops` on the staging node, each failing every
+    /// `every`-th matching operation.
+    fn faulty_rt(root_ops: FaultOps, dram_ops: FaultOps, every: u64) -> Runtime {
+        let factory = move |node: &crate::topology::Node| -> Option<Box<dyn StorageBackend>> {
+            let (name, cap) = (&node.mem.name, node.mem.capacity);
+            Some(if node.id == NodeId(0) {
+                let file = FileBackend::new(name, cap).unwrap();
+                Box::new(FaultyBackend::new(file, root_ops, every))
+            } else {
+                Box::new(FaultyBackend::new(
+                    HeapBackend::new(name, cap),
+                    dram_ops,
+                    every,
+                ))
+            })
+        };
+        Runtime::with_custom_backends(
+            presets::apu_two_level(catalog::ssd_hyperx_predator()),
+            ExecMode::Real,
+            crate::runtime::SetupCosts::default(),
+            &factory,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn one_move_is_one_source_read_and_one_destination_write() {
+        use FaultOps::{Reads, Writes};
+        let failures = |rt: &Runtime, down: bool, strided: bool| -> Vec<bool> {
+            let file = rt.alloc(64, NodeId(0)).unwrap();
+            let mem = rt.alloc(64, NodeId(1)).unwrap();
+            let (dst, src) = if down { (mem, file) } else { (file, mem) };
+            (0..6)
+                .map(|_| {
+                    if strided {
+                        rt.move_data_strided(dst, 0, 16, src, 0, 16, 8, 2).is_err()
+                    } else {
+                        rt.move_data(dst, 0, src, 0, 64).is_err()
+                    }
+                })
+                .collect()
+        };
+        let third = [false, false, true, false, false, true];
+        // Two rows are two operations a side; a tripped row ends the move,
+        // so moves 2, 4, 6 hold operations 3, 6, 9.
+        let strided_third = [false, true, false, true, false, true];
+        let never = [false; 6];
+        for down in [true, false] {
+            // Injectors on both nodes, so whichever is the source counts
+            // reads and whichever is the destination counts writes.
+            assert_eq!(failures(&faulty_rt(Reads, Reads, 3), down, false), third);
+            assert_eq!(failures(&faulty_rt(Writes, Writes, 3), down, false), third);
+            assert_eq!(
+                failures(&faulty_rt(Reads, Reads, 3), down, true),
+                strided_third
+            );
+            assert_eq!(
+                failures(&faulty_rt(Writes, Writes, 3), down, true),
+                strided_third
+            );
+        }
+        // A move never writes its source or reads its destination.
+        assert_eq!(failures(&faulty_rt(Writes, Reads, 1), true, false), never);
+        assert_eq!(failures(&faulty_rt(Reads, Writes, 1), false, false), never);
+        // `with_bytes` is one read.
+        let rt = faulty_rt(Reads, Reads, 2);
+        let h = rt.alloc(8, NodeId(1)).unwrap();
+        let seen: Vec<bool> = (0..4)
+            .map(|_| rt.with_bytes(h, 0, 8, |_| {}).is_err())
+            .collect();
+        assert_eq!(seen, [false, true, false, true]);
     }
 
     #[test]

@@ -116,6 +116,38 @@ pub trait StorageBackend: Send {
     fn available(&self) -> u64 {
         self.capacity().saturating_sub(self.used())
     }
+    /// Lend `len` bytes of `block` starting at `offset` to `f`: one read.
+    /// A backend that holds its blocks in memory passes a slice of the
+    /// block itself; the default reads into a temporary.
+    fn lend(
+        &mut self,
+        block: BlockId,
+        offset: u64,
+        len: u64,
+        f: &mut dyn FnMut(&[u8]) -> HwResult<()>,
+    ) -> HwResult<()> {
+        check_bounds(block, offset, len, self.size_of(block)?)?;
+        let mut tmp = vec![0u8; len as usize];
+        self.read(block, offset, &mut tmp)?;
+        f(&tmp)
+    }
+    /// Let `f` fill `len` bytes of `block` starting at `offset`: one
+    /// write. A backend that holds its blocks in memory passes a slice of
+    /// the block itself, so an `f` that fails part-way leaves that range
+    /// unspecified; the default fills a temporary and writes it only when
+    /// `f` succeeded.
+    fn fill(
+        &mut self,
+        block: BlockId,
+        offset: u64,
+        len: u64,
+        f: &mut dyn FnMut(&mut [u8]) -> HwResult<()>,
+    ) -> HwResult<()> {
+        check_bounds(block, offset, len, self.size_of(block)?)?;
+        let mut tmp = vec![0u8; len as usize];
+        f(&mut tmp)?;
+        self.write(block, offset, &tmp)
+    }
 }
 
 fn check_bounds(block: BlockId, offset: u64, len: u64, size: u64) -> HwResult<()> {
@@ -182,25 +214,49 @@ impl StorageBackend for HeapBackend {
     }
 
     fn read(&mut self, block: BlockId, offset: u64, dst: &mut [u8]) -> HwResult<()> {
+        self.lend(block, offset, dst.len() as u64, &mut |bytes| {
+            dst.copy_from_slice(bytes);
+            Ok(())
+        })
+    }
+
+    fn write(&mut self, block: BlockId, offset: u64, src: &[u8]) -> HwResult<()> {
+        self.fill(block, offset, src.len() as u64, &mut |bytes| {
+            bytes.copy_from_slice(src);
+            Ok(())
+        })
+    }
+
+    fn lend(
+        &mut self,
+        block: BlockId,
+        offset: u64,
+        len: u64,
+        f: &mut dyn FnMut(&[u8]) -> HwResult<()>,
+    ) -> HwResult<()> {
         let buf = self
             .blocks
             .get(&block.0)
             .ok_or(HwError::InvalidBlock(block))?;
-        check_bounds(block, offset, dst.len() as u64, buf.len() as u64)?;
+        check_bounds(block, offset, len, buf.len() as u64)?;
         let o = offset as usize;
-        dst.copy_from_slice(&buf[o..o + dst.len()]);
-        Ok(())
+        f(&buf[o..o + len as usize])
     }
 
-    fn write(&mut self, block: BlockId, offset: u64, src: &[u8]) -> HwResult<()> {
+    fn fill(
+        &mut self,
+        block: BlockId,
+        offset: u64,
+        len: u64,
+        f: &mut dyn FnMut(&mut [u8]) -> HwResult<()>,
+    ) -> HwResult<()> {
         let buf = self
             .blocks
             .get_mut(&block.0)
             .ok_or(HwError::InvalidBlock(block))?;
-        check_bounds(block, offset, src.len() as u64, buf.len() as u64)?;
+        check_bounds(block, offset, len, buf.len() as u64)?;
         let o = offset as usize;
-        buf[o..o + src.len()].copy_from_slice(src);
-        Ok(())
+        f(&mut buf[o..o + len as usize])
     }
 
     fn size_of(&self, block: BlockId) -> HwResult<u64> {
@@ -571,6 +627,177 @@ mod tests {
         b.read(blk, 0, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 8], "phantom reads are deterministic zeros");
         roundtrip(&mut b);
+    }
+
+    /// Forwards the required methods only, so `lend`/`fill` are the trait
+    /// defaults — what a backend written before they existed gets.
+    struct DefaultsOnly<B>(B);
+
+    impl<B: StorageBackend> StorageBackend for DefaultsOnly<B> {
+        fn alloc(&mut self, size: u64) -> HwResult<BlockId> {
+            self.0.alloc(size)
+        }
+        fn release(&mut self, block: BlockId) -> HwResult<()> {
+            self.0.release(block)
+        }
+        fn read(&mut self, block: BlockId, offset: u64, dst: &mut [u8]) -> HwResult<()> {
+            self.0.read(block, offset, dst)
+        }
+        fn write(&mut self, block: BlockId, offset: u64, src: &[u8]) -> HwResult<()> {
+            self.0.write(block, offset, src)
+        }
+        fn size_of(&self, block: BlockId) -> HwResult<u64> {
+            self.0.size_of(block)
+        }
+        fn used(&self) -> u64 {
+            self.0.used()
+        }
+        fn capacity(&self) -> u64 {
+            self.0.capacity()
+        }
+    }
+
+    /// One of each way a backend can implement `lend`/`fill`: slices of
+    /// the block (heap), the defaults over a file, the defaults over a heap.
+    fn byte_backends() -> Vec<(&'static str, Box<dyn StorageBackend>)> {
+        vec![
+            ("heap", Box::new(HeapBackend::new("h", 1 << 16))),
+            ("file", Box::new(FileBackend::new("f", 1 << 16).unwrap())),
+            (
+                "defaults",
+                Box::new(DefaultsOnly(HeapBackend::new("d", 1 << 16))),
+            ),
+        ]
+    }
+
+    fn pattern(len: usize, salt: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(13).wrapping_add(salt))
+            .collect()
+    }
+
+    fn contents(b: &mut dyn StorageBackend, block: BlockId, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        b.read(block, 0, &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn lend_and_fill_agree_with_a_vec_model_between_every_backend_pair() {
+        const SIZE: usize = 300;
+        // (source offset, destination offset, length), zero-length included.
+        let spans = [
+            (0, 0, SIZE),
+            (17, 40, 100),
+            (299, 0, 1),
+            (5, 5, 0),
+            (300, 300, 0),
+        ];
+        let kinds = byte_backends().len();
+        for si in 0..kinds {
+            for di in 0..kinds {
+                for &(so, doff, len) in &spans {
+                    for lend_side in [true, false] {
+                        let (sname, mut src) = byte_backends().swap_remove(si);
+                        let (dname, mut dst) = byte_backends().swap_remove(di);
+                        let case = format!("{sname}->{dname} [{so},{doff},{len}] lend={lend_side}");
+                        let (sb, db) = (
+                            src.alloc(SIZE as u64).unwrap(),
+                            dst.alloc(SIZE as u64).unwrap(),
+                        );
+                        let (src_model, mut dst_model) = (pattern(SIZE, 1), pattern(SIZE, 99));
+                        src.write(sb, 0, &src_model).unwrap();
+                        dst.write(db, 0, &dst_model).unwrap();
+
+                        let (so64, do64, len64) = (so as u64, doff as u64, len as u64);
+                        if lend_side {
+                            src.lend(sb, so64, len64, &mut |bytes| dst.write(db, do64, bytes))
+                        } else {
+                            dst.fill(db, do64, len64, &mut |buf| src.read(sb, so64, buf))
+                        }
+                        .unwrap_or_else(|e| panic!("{case}: {e}"));
+                        dst_model[doff..doff + len].copy_from_slice(&src_model[so..so + len]);
+
+                        assert_eq!(contents(dst.as_mut(), db, SIZE), dst_model, "{case}");
+                        assert_eq!(contents(src.as_mut(), sb, SIZE), src_model, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lend_and_fill_report_the_typed_errors_of_read_and_write() {
+        for (name, mut b) in byte_backends() {
+            let blk = b.alloc(10).unwrap();
+            let mut called = false;
+            assert!(
+                matches!(
+                    b.lend(blk, 8, 4, &mut |_| {
+                        called = true;
+                        Ok(())
+                    }),
+                    Err(HwError::OutOfBounds {
+                        offset: 8,
+                        len: 4,
+                        size: 10,
+                        ..
+                    })
+                ),
+                "{name}"
+            );
+            assert!(
+                matches!(
+                    b.fill(blk, u64::MAX, 1, &mut |_| {
+                        called = true;
+                        Ok(())
+                    }),
+                    Err(HwError::OutOfBounds { .. })
+                ),
+                "{name}"
+            );
+            // A length that would not even fit in memory is refused
+            // before anything is allocated for it.
+            assert!(
+                matches!(
+                    b.lend(blk, 0, u64::MAX, &mut |_| Ok(())),
+                    Err(HwError::OutOfBounds { .. })
+                ),
+                "{name}"
+            );
+            b.release(blk).unwrap();
+            assert!(
+                matches!(
+                    b.lend(blk, 0, 1, &mut |_| Ok(())),
+                    Err(HwError::InvalidBlock(id)) if id == blk
+                ),
+                "{name}"
+            );
+            assert!(
+                matches!(
+                    b.fill(blk, 0, 1, &mut |_| Ok(())),
+                    Err(HwError::InvalidBlock(id)) if id == blk
+                ),
+                "{name}"
+            );
+            assert!(!called, "{name}: no bytes are lent on an error");
+        }
+    }
+
+    #[test]
+    fn a_failing_closure_surfaces_its_error() {
+        for (name, mut b) in byte_backends() {
+            let blk = b.alloc(8).unwrap();
+            let fail = || HwError::Io(io::Error::other("closure failed"));
+            assert!(
+                matches!(b.lend(blk, 0, 8, &mut |_| Err(fail())), Err(HwError::Io(_))),
+                "{name}"
+            );
+            assert!(
+                matches!(b.fill(blk, 0, 8, &mut |_| Err(fail())), Err(HwError::Io(_))),
+                "{name}"
+            );
+        }
     }
 
     #[test]

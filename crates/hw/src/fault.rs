@@ -58,6 +58,14 @@ impl<B: StorageBackend> FaultyBackend<B> {
         self.injected
     }
 
+    fn fails_reads(&self) -> bool {
+        matches!(self.ops, FaultOps::Reads | FaultOps::ReadsAndWrites)
+    }
+
+    fn fails_writes(&self) -> bool {
+        matches!(self.ops, FaultOps::Writes | FaultOps::ReadsAndWrites)
+    }
+
     fn trip(&mut self, matches: bool) -> HwResult<()> {
         if !matches {
             return Ok(());
@@ -82,19 +90,35 @@ impl<B: StorageBackend> StorageBackend for FaultyBackend<B> {
     }
 
     fn read(&mut self, block: BlockId, offset: u64, dst: &mut [u8]) -> HwResult<()> {
-        self.trip(matches!(
-            self.ops,
-            FaultOps::Reads | FaultOps::ReadsAndWrites
-        ))?;
+        self.trip(self.fails_reads())?;
         self.inner.read(block, offset, dst)
     }
 
     fn write(&mut self, block: BlockId, offset: u64, src: &[u8]) -> HwResult<()> {
-        self.trip(matches!(
-            self.ops,
-            FaultOps::Writes | FaultOps::ReadsAndWrites
-        ))?;
+        self.trip(self.fails_writes())?;
         self.inner.write(block, offset, src)
+    }
+
+    fn lend(
+        &mut self,
+        block: BlockId,
+        offset: u64,
+        len: u64,
+        f: &mut dyn FnMut(&[u8]) -> HwResult<()>,
+    ) -> HwResult<()> {
+        self.trip(self.fails_reads())?;
+        self.inner.lend(block, offset, len, f)
+    }
+
+    fn fill(
+        &mut self,
+        block: BlockId,
+        offset: u64,
+        len: u64,
+        f: &mut dyn FnMut(&mut [u8]) -> HwResult<()>,
+    ) -> HwResult<()> {
+        self.trip(self.fails_writes())?;
+        self.inner.fill(block, offset, len, f)
     }
 
     fn size_of(&self, block: BlockId) -> HwResult<u64> {
@@ -167,6 +191,56 @@ mod tests {
         let blk = second.alloc(4).unwrap();
         split.extend((0..4).map(|_| second.read(blk, 0, &mut buf).is_err()));
         assert_eq!(pattern, split);
+    }
+
+    #[test]
+    fn lend_counts_as_a_read_and_fill_as_a_write() {
+        // Alternating read/lend (write/fill) fails on the same ordinals as
+        // a stream of plain reads (writes) would.
+        let mut b = FaultyBackend::new(HeapBackend::new("x", 1024), FaultOps::ReadsAndWrites, 3);
+        let blk = b.alloc(8).unwrap();
+        let mut buf = [0u8; 8];
+        let mut reads = Vec::new();
+        for i in 0..6 {
+            reads.push(if i % 2 == 0 {
+                b.read(blk, 0, &mut buf).is_err()
+            } else {
+                b.lend(blk, 0, 8, &mut |_| Ok(())).is_err()
+            });
+        }
+        assert_eq!(reads, [false, false, true, false, false, true]);
+        let mut writes = Vec::new();
+        for i in 0..6 {
+            writes.push(if i % 2 == 0 {
+                b.fill(blk, 0, 8, &mut |dst| {
+                    dst.fill(1);
+                    Ok(())
+                })
+                .is_err()
+            } else {
+                b.write(blk, 0, &buf).is_err()
+            });
+        }
+        assert_eq!(writes, [false, false, true, false, false, true]);
+        assert_eq!(b.injected(), 4);
+
+        // A tripped fill never reaches the closure; reads-only injectors
+        // leave fill alone and the other way round.
+        let mut b = FaultyBackend::new(HeapBackend::new("x", 1024), FaultOps::Writes, 1);
+        let blk = b.alloc(4).unwrap();
+        let mut called = false;
+        assert!(b
+            .fill(blk, 0, 4, &mut |_| {
+                called = true;
+                Ok(())
+            })
+            .is_err());
+        assert!(!called);
+        assert!(b.lend(blk, 0, 4, &mut |_| Ok(())).is_ok());
+        let mut b = FaultyBackend::new(HeapBackend::new("x", 1024), FaultOps::Reads, 1);
+        let blk = b.alloc(4).unwrap();
+        assert!(b.fill(blk, 0, 4, &mut |_| Ok(())).is_ok());
+        assert!(b.lend(blk, 0, 4, &mut |_| Ok(())).is_err());
     }
 
     #[test]

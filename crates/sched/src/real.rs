@@ -128,15 +128,15 @@ impl RealFabric {
         )?;
         let file = rt.alloc(file_bytes, root)?;
         // Deterministic non-trivial content, written in bounded strips.
+        // Byte `i` of the file is a function of `i mod 256`, and 256
+        // divides the strip, so every strip holds the same bytes.
+        let strip: Vec<u8> = (0..1usize << 16)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
+            .collect();
         let mut off = 0u64;
-        let strip = 1u64 << 16;
-        let mut buf = vec![0u8; strip as usize];
         while off < file_bytes {
-            let n = strip.min(file_bytes - off) as usize;
-            for (i, b) in buf[..n].iter_mut().enumerate() {
-                *b = ((off as usize + i) as u8).wrapping_mul(31).wrapping_add(7);
-            }
-            rt.write_slice(file, off, &buf[..n])?;
+            let n = (strip.len() as u64).min(file_bytes - off) as usize;
+            rt.write_slice(file, off, &strip[..n])?;
             off += n as u64;
         }
         Ok((rt, file))
@@ -203,18 +203,20 @@ impl RealFabric {
                 let src_off = (u64::from(idx) * n) % (self.file_bytes - n + 1).max(1);
                 self.rt.move_data(buf, 0, self.file, src_off, n)?;
 
-                // The real kernel: fold the staged bytes into a
-                // commutative (wrapping-add) checksum on the pool.
-                let mut bytes = vec![0u8; n as usize];
-                self.rt.read_slice(buf, 0, &mut bytes)?;
+                // The real kernel: fold the staged bytes, where they
+                // lie, into a commutative (wrapping-add) checksum on the
+                // pool.
                 let acc = AtomicU64::new(0);
-                self.pool.par_for(bytes.len(), 1 << 14, |r| {
-                    let mut s = 0u64;
-                    for &b in &bytes[r] {
-                        s = s.wrapping_add(u64::from(b));
-                    }
-                    acc.fetch_add(s, Ordering::Relaxed);
-                });
+                let pool = &self.pool;
+                self.rt.with_bytes(buf, 0, n, |bytes| {
+                    pool.par_for(bytes.len(), 1 << 14, |r| {
+                        let mut s = 0u64;
+                        for &b in &bytes[r] {
+                            s = s.wrapping_add(u64::from(b));
+                        }
+                        acc.fetch_add(s, Ordering::Relaxed);
+                    });
+                })?;
                 chunk_sum = acc.into_inner();
             }
             if work.compute > northup_sim::SimDur::ZERO {

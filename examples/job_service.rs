@@ -97,12 +97,13 @@ fn main() {
     )
     .expect("real execution under admitted leases");
     println!(
-        "Real execution (scale 64): {} jobs ran {} chunks on {} threads",
+        "Real execution (scale 64): {} jobs ran {} chunks on {} threads, {} jobs at a time",
         real.jobs.len(),
         real.jobs
             .iter()
             .map(|j| u64::from(j.chunks_run))
             .sum::<u64>(),
-        real.threads
+        real.threads,
+        real.lanes
     );
 }
