@@ -26,7 +26,8 @@ pub fn when_real<T>(mode: ExecMode, init: impl FnOnce() -> Result<T>) -> Result<
 }
 
 /// Read a row-major `rows x cols` f32 matrix out of buffer `h`, starting
-/// at byte `off` (uncharged, like [`Runtime::read_slice`]).
+/// at byte `off` (uncharged, like [`Runtime::read_slice`]): the buffer's
+/// bytes are lent in place and converted once.
 pub fn read_matrix(
     rt: &Runtime,
     h: BufferHandle,
@@ -34,13 +35,11 @@ pub fn read_matrix(
     rows: usize,
     cols: usize,
 ) -> Result<DenseMatrix> {
-    let mut bytes = vec![0u8; rows * cols * 4];
-    rt.read_slice(h, off, &mut bytes)?;
-    Ok(DenseMatrix {
-        rows,
-        cols,
-        data: bytes_to_f32s(&bytes),
-    })
+    let mut data = Vec::new();
+    rt.with_bytes(h, off, (rows * cols * 4) as u64, |bytes| {
+        data = bytes_to_f32s(bytes);
+    })?;
+    Ok(DenseMatrix { rows, cols, data })
 }
 
 /// The `(checksum, verified)` pair of a square GEMM run: `c`'s checksum

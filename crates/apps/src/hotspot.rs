@@ -570,6 +570,29 @@ mod tests {
     }
 
     #[test]
+    fn small_run_checksums_are_pinned_bit_for_bit() {
+        // Captured before the stencil went row-wise: temporal blocking is
+        // exact, so every decomposition of the small grid shares the
+        // in-memory checksum, and a kernel rewrite must not move a bit.
+        const CHECKSUM_BITS: u64 = 0x4108_c7db_3170_0000;
+        let cfg = HotspotConfig::small();
+        let ssd = catalog::ssd_hyperx_predator;
+        let three = northup::presets::discrete_gpu_three_level(catalog::hdd_wd5000());
+        let mut runs = vec![
+            hotspot_apu(&cfg, ssd(), ExecMode::Real).unwrap(),
+            hotspot_northup(&cfg, three, ExecMode::Real).unwrap(),
+            hotspot_in_memory(&cfg, ExecMode::Real).unwrap(),
+        ];
+        for f in [0.0, 0.3, 0.7, 1.0] {
+            runs.push(hotspot_split_leaf(&cfg, f, ssd(), ExecMode::Real).unwrap());
+        }
+        for run in runs {
+            let bits = run.checksum.unwrap().to_bits();
+            assert_eq!(bits, CHECKSUM_BITS, "{}: {bits:#018x}", run.name);
+        }
+    }
+
+    #[test]
     fn paper_scale_slowdown_bands() {
         let cfg = HotspotConfig::paper();
         let base = hotspot_in_memory(&cfg, ExecMode::Modeled).unwrap();

@@ -457,6 +457,25 @@ mod tests {
     }
 
     #[test]
+    fn small_run_checksums_are_pinned_bit_for_bit() {
+        // Captured before the leaf kernel became the packed micro-kernel:
+        // both schedules and the in-memory baseline feed every C element
+        // its products in ascending k, so they share one checksum, and a
+        // kernel rewrite must not move a bit of it.
+        const CHECKSUM_BITS: u64 = 0x4021_06bb_1160_0000;
+        let cfg = MatmulConfig::small();
+        let tree = || northup::presets::apu_two_level(catalog::ssd_hyperx_predator());
+        for run in [
+            matmul_northup(&cfg, tree(), ExecMode::Real).unwrap(),
+            matmul_northup_ksplit(&cfg, tree(), ExecMode::Real).unwrap(),
+            matmul_in_memory(&cfg, ExecMode::Real).unwrap(),
+        ] {
+            let bits = run.checksum.unwrap().to_bits();
+            assert_eq!(bits, CHECKSUM_BITS, "{}: {bits:#018x}", run.name);
+        }
+    }
+
+    #[test]
     fn paper_scale_modeled_runs_without_real_memory() {
         let cfg = MatmulConfig::paper();
         let base = matmul_in_memory(&cfg, ExecMode::Modeled).unwrap();

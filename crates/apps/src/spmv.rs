@@ -85,17 +85,22 @@ impl ShardGeom {
     }
 }
 
+/// Even-row shards of a concrete matrix.
+fn matrix_shards(m: &Csr) -> Vec<ShardGeom> {
+    partition_even_rows(m, SPMV_CHUNKS)
+        .into_iter()
+        .map(|s| ShardGeom {
+            row_start: s.row_start as u64,
+            rows: s.rows() as u64,
+            nnz_start: s.nnz_start as u64,
+            nnz: s.nnz() as u64,
+        })
+        .collect()
+}
+
 fn shard_geometry(input: &SpmvInput) -> Vec<ShardGeom> {
     match input {
-        SpmvInput::Matrix(m) => partition_even_rows(m, SPMV_CHUNKS)
-            .into_iter()
-            .map(|s| ShardGeom {
-                row_start: s.row_start as u64,
-                rows: s.rows() as u64,
-                nnz_start: s.nnz_start as u64,
-                nnz: s.nnz() as u64,
-            })
-            .collect(),
+        SpmvInput::Matrix(m) => matrix_shards(m),
         SpmvInput::Shape(s) => {
             let k = s.chunks as u64;
             (0..k)
@@ -124,17 +129,22 @@ fn gpu_spmv_model(name: &str) -> northup_kernels::ProcModel {
     }
 }
 
+/// Little-endian byte image of `words`, written a word at a time into one
+/// allocation (the `u32` twin of [`f32s_to_bytes`]).
+fn u32s_to_bytes(words: impl ExactSizeIterator<Item = u32>) -> Vec<u8> {
+    let mut out = vec![0u8; words.len() * 4];
+    for (dst, w) in out.chunks_exact_mut(4).zip(words) {
+        dst.copy_from_slice(&w.to_le_bytes());
+    }
+    out
+}
+
 /// Preprocessing: write `m`'s arrays into the `[row_ptr, col_id, data]`
 /// storage files (uncharged, like the paper's one-time reorganization).
 fn write_csr(rt: &Runtime, files: [BufferHandle; 3], m: &Csr) -> Result<()> {
-    let rp: Vec<u8> = m
-        .row_ptr
-        .iter()
-        .flat_map(|&v| (v as u32).to_le_bytes())
-        .collect();
-    rt.write_slice(files[0], 0, &rp)?;
-    let ci: Vec<u8> = m.col_idx.iter().flat_map(|&v| v.to_le_bytes()).collect();
-    rt.write_slice(files[1], 0, &ci)?;
+    let row_ptr = u32s_to_bytes(m.row_ptr.iter().map(|&v| v as u32));
+    rt.write_slice(files[0], 0, &row_ptr)?;
+    rt.write_slice(files[1], 0, &u32s_to_bytes(m.col_idx.iter().copied()))?;
     rt.write_slice(files[2], 0, &f32s_to_bytes(&m.vals))
 }
 
@@ -349,7 +359,7 @@ pub fn power_iteration_northup(
     assert_eq!(m.rows, m.cols, "power iteration needs a square matrix");
     let rt = Runtime::new(tree, ExecMode::Real)?;
     let rows = m.rows as u64;
-    let geoms = shard_geometry(&SpmvInput::Matrix(m.clone()));
+    let geoms = matrix_shards(m);
 
     let root = rt.tree().root();
     let csr_files = [
@@ -489,6 +499,22 @@ mod tests {
     }
 
     #[test]
+    fn small_run_checksums_are_pinned_bit_for_bit() {
+        // Captured before CSR-Adaptive went allocation-free: sharding cuts
+        // between rows, never inside one, so the out-of-core run shares the
+        // in-memory checksum, and a kernel rewrite must not move a bit.
+        const CHECKSUM_BITS: u64 = 0x4045_dbc3_571e_0000;
+        let input = SpmvInput::Matrix(small_matrix());
+        for run in [
+            spmv_apu(&input, catalog::ssd_hyperx_predator(), ExecMode::Real).unwrap(),
+            spmv_in_memory(&input, ExecMode::Real).unwrap(),
+        ] {
+            let bits = run.checksum.unwrap().to_bits();
+            assert_eq!(bits, CHECKSUM_BITS, "{}: {bits:#018x}", run.name);
+        }
+    }
+
+    #[test]
     fn paper_scale_slowdowns_have_the_right_ordering() {
         let input = SpmvInput::paper();
         let base = spmv_in_memory(&input, ExecMode::Modeled).unwrap();
@@ -520,6 +546,9 @@ mod tests {
             (lambda - 64.0).abs() < 0.5,
             "dominant eigenvalue ~64, got {lambda}"
         );
+        // Sixty iterations feed every rounding of the kernel back into x:
+        // the estimate is pinned to the bits captured before its rewrite.
+        assert_eq!(lambda.to_bits(), 0x404f_edaa_ae0a_09ae, "{lambda}");
         // Each iteration re-streams the matrix: I/O grows with iterations.
         let io = run
             .report

@@ -136,9 +136,9 @@ impl DenseMatrix {
 
 /// Convert an `f32` slice to little-endian bytes (for buffer injection).
 pub fn f32s_to_bytes(vals: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 4);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
+    let mut out = vec![0u8; vals.len() * 4];
+    for (dst, v) in out.chunks_exact_mut(4).zip(vals) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
     out
 }

@@ -5,8 +5,9 @@
 //! per-compute-unit local memory with a 16x16 blocking. Our real kernels:
 //!
 //! * [`matmul_naive`] — the textbook triple loop, the correctness oracle;
-//! * [`matmul_tiled`] — cache-blocked ikj kernel with a fixed tile (the
-//!   single-threaded leaf kernel, structurally the LDS-tiled GPU kernel);
+//! * [`matmul_tiled`] — the single-threaded leaf kernel: packed panels
+//!   under a register-blocked micro-kernel (structurally the LDS-tiled GPU
+//!   kernel, with registers for the LDS), bit-identical to the oracle;
 //! * [`matmul_parallel`] — the tiled kernel parallelized over row bands on
 //!   the work-stealing pool (the in-memory baseline's real execution).
 //!
@@ -41,7 +42,25 @@ pub fn matmul_naive(a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix) {
     }
 }
 
-/// `c += a * b`, blocked with `tile x tile` tiles (ikj inside tiles).
+/// Micro-kernel geometry: an `MR x NR` block of `C` is held in registers
+/// (eight 4-lane vectors on the baseline x86-64 target) while one packed
+/// row panel of `A` and one packed column panel of `B` stream past it.
+const MR: usize = 4;
+const NR: usize = 8;
+/// Depth of one packed k panel: a `KC x NR` micro-panel of `B` (8 KiB)
+/// stays in L1 while the packed `A` panel streams past it.
+const KC: usize = 256;
+
+/// `c += a * b`: BLIS-style packed panels under a register-blocked
+/// `MR x NR` micro-kernel. The accumulator block is loaded from `C`, k
+/// panels are visited in ascending order and every product is one multiply
+/// followed by one add, so each element of `C` receives exactly the
+/// operations of [`matmul_naive`]'s loop in the same order: the result is
+/// bit-identical to the plain ikj loop this replaced.
+///
+/// `tile` does not affect the result (it never did: tiling reorders
+/// independent elements, not the sum of one) and no longer affects the
+/// blocking; callers pass [`LEAF_TILE`] to name the GPU kernel's blocking.
 ///
 /// # Panics
 /// Panics on dimension mismatch or `tile == 0`.
@@ -49,90 +68,80 @@ pub fn matmul_tiled(a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix, tile:
     check_dims(a, b, c);
     assert!(tile > 0, "tile must be positive");
     let (m, k, n) = (a.rows, a.cols, b.cols);
-    for i0 in (0..m).step_by(tile) {
-        let i1 = (i0 + tile).min(m);
-        for k0 in (0..k).step_by(tile) {
-            let k1 = (k0 + tile).min(k);
-            for j0 in (0..n).step_by(tile) {
-                let j1 = (j0 + tile).min(n);
-                for i in i0..i1 {
-                    for kk in k0..k1 {
-                        let av = a.get(i, kk);
-                        let brow = &b.data[kk * n + j0..kk * n + j1];
-                        let crow = &mut c.data[i * n + j0..i * n + j1];
-                        for (cv, bv) in crow.iter_mut().zip(brow) {
-                            *cv += av * bv;
-                        }
-                    }
+    let mut a_pack = vec![0.0f32; m.next_multiple_of(MR) * KC.min(k)];
+    let mut b_pack = vec![0.0f32; n.next_multiple_of(NR) * KC.min(k)];
+
+    for pc in (0..k).step_by(KC) {
+        let kb = KC.min(k - pc);
+        pack_a(a, pc, kb, &mut a_pack);
+        pack_b(b, pc, kb, &mut b_pack);
+        for jr in (0..n).step_by(NR) {
+            let b_panel = &b_pack[jr * kb..][..kb * NR];
+            let jb = NR.min(n - jr);
+            for ir in (0..m).step_by(MR) {
+                let a_panel = &a_pack[ir * kb..][..kb * MR];
+                let ib = MR.min(m - ir);
+                // Load the C block; an edge block's padding lanes start
+                // at zero and are never stored.
+                let mut acc = [[0.0f32; NR]; MR];
+                for (ii, row) in acc.iter_mut().enumerate().take(ib) {
+                    row[..jb].copy_from_slice(&c.data[(ir + ii) * n + jr..][..jb]);
+                }
+                micro_kernel(a_panel, b_panel, &mut acc);
+                for (ii, row) in acc.iter().enumerate().take(ib) {
+                    c.data[(ir + ii) * n + jr..][..jb].copy_from_slice(&row[..jb]);
                 }
             }
         }
     }
 }
 
-/// Micro-kernel geometry for [`matmul_packed`].
-const MR: usize = 4;
-const NR: usize = 8;
+/// Pack rows `pc..pc+kb` of `B` into `NR`-wide column micro-panels: panel
+/// `jr / NR` is `kb` rows of `NR` contiguous values, zero-padded past the
+/// last column.
+fn pack_b(b: &DenseMatrix, pc: usize, kb: usize, out: &mut [f32]) {
+    for jr in (0..b.cols).step_by(NR) {
+        let jb = NR.min(b.cols - jr);
+        let panel = &mut out[jr * kb..][..kb * NR];
+        for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
+            let src = &b.data[(pc + kk) * b.cols + jr..][..jb];
+            dst[..jb].copy_from_slice(src);
+            dst[jb..].fill(0.0);
+        }
+    }
+}
 
-/// `c += a * b` with BLIS-style packing and a register-blocked MRxNR
-/// micro-kernel: B is packed into NR-wide column panels and A into MR-wide
-/// row panels so the inner loop runs over contiguous memory with an
-/// accumulator block the compiler keeps in registers.
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn matmul_packed(a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix) {
-    check_dims(a, b, c);
-    let (m, k, n) = (a.rows, a.cols, b.cols);
-    const KC: usize = 256;
-    let mut b_panel = vec![0.0f32; KC * NR];
-    let mut a_panel = vec![0.0f32; MR * KC];
-
-    for k0 in (0..k).step_by(KC) {
-        let kb = KC.min(k - k0);
-        for j0 in (0..n).step_by(NR) {
-            let jb = NR.min(n - j0);
-            // Pack B(k0..k0+kb, j0..j0+jb) as kb rows of NR (zero-padded).
-            for kk in 0..kb {
-                let src = (k0 + kk) * n + j0;
-                for jj in 0..NR {
-                    b_panel[kk * NR + jj] = if jj < jb { b.data[src + jj] } else { 0.0 };
-                }
-            }
-            for i0 in (0..m).step_by(MR) {
-                let ib = MR.min(m - i0);
-                // Pack A(i0..i0+ib, k0..k0+kb) as kb columns of MR.
-                for kk in 0..kb {
-                    for ii in 0..MR {
-                        a_panel[kk * MR + ii] = if ii < ib {
-                            a.data[(i0 + ii) * k + k0 + kk]
-                        } else {
-                            0.0
-                        };
-                    }
-                }
-                // Micro-kernel: acc[MR][NR] += a_panel * b_panel.
-                let mut acc = [[0.0f32; NR]; MR];
-                for kk in 0..kb {
-                    let bp = &b_panel[kk * NR..kk * NR + NR];
-                    let ap = &a_panel[kk * MR..kk * MR + MR];
-                    for (ii, &av) in ap.iter().enumerate() {
-                        let row = &mut acc[ii];
-                        for (jj, &bv) in bp.iter().enumerate() {
-                            row[jj] += av * bv;
-                        }
-                    }
-                }
-                // Unpack into C.
-                for (ii, row) in acc.iter().enumerate().take(ib) {
-                    let dst = (i0 + ii) * n + j0;
-                    for (cv, &av) in c.data[dst..dst + jb].iter_mut().zip(row) {
-                        *cv += av;
-                    }
-                }
+/// Pack columns `pc..pc+kb` of `A` into `MR`-tall row micro-panels: panel
+/// `ir / MR` is `kb` columns of `MR` contiguous values, zero-padded past
+/// the last row.
+fn pack_a(a: &DenseMatrix, pc: usize, kb: usize, out: &mut [f32]) {
+    for ir in (0..a.rows).step_by(MR) {
+        let panel = &mut out[ir * kb..][..kb * MR];
+        panel.fill(0.0);
+        for ii in 0..MR.min(a.rows - ir) {
+            let src = &a.data[(ir + ii) * a.cols + pc..][..kb];
+            for (dst, &v) in panel[ii..].iter_mut().step_by(MR).zip(src) {
+                *dst = v;
             }
         }
     }
+}
+
+/// `acc += a_panel * b_panel` over the panels' shared k extent: one rank-1
+/// update of the register block per k, ascending.
+#[inline]
+fn micro_kernel(a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
+    // A by-value copy of the block: updated through the reference it stays
+    // in memory, as a local it stays in registers (4x faster).
+    let mut regs = *acc;
+    for (ak, bk) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
+        for (row, &av) in regs.iter_mut().zip(ak) {
+            for (cv, &bv) in row.iter_mut().zip(bk) {
+                *cv += av * bv;
+            }
+        }
+    }
+    *acc = regs;
 }
 
 /// `c += a * b` parallelized over row bands of `C` on the pool.
@@ -187,9 +196,50 @@ pub fn gemm_flops(m: u64, n: u64, k: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mats(m: usize, k: usize, n: usize) -> (DenseMatrix, DenseMatrix) {
         (DenseMatrix::random(m, k, 1), DenseMatrix::random(k, n, 2))
+    }
+
+    fn bits(m: &DenseMatrix) -> Vec<u32> {
+        m.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The blocked ikj triple loop `matmul_tiled` was before it became the
+    /// packed micro-kernel: the bit-level oracle for every `tile`.
+    fn tiled_ikj(a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix, tile: usize) {
+        let (m, k, n) = (a.rows, a.cols, b.cols);
+        for i0 in (0..m).step_by(tile) {
+            for k0 in (0..k).step_by(tile) {
+                for j0 in (0..n).step_by(tile) {
+                    let j1 = (j0 + tile).min(n);
+                    for i in i0..(i0 + tile).min(m) {
+                        for kk in k0..(k0 + tile).min(k) {
+                            let av = a.get(i, kk);
+                            let brow = &b.data[kk * n + j0..kk * n + j1];
+                            let crow = &mut c.data[i * n + j0..i * n + j1];
+                            for (cv, bv) in crow.iter_mut().zip(brow) {
+                                *cv += av * bv;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `matmul_tiled` on a pre-loaded `C`, bit for bit against the old loop
+    /// and the naive oracle.
+    fn assert_bit_identical(m: usize, k: usize, n: usize, tile: usize) {
+        let (a, b) = mats(m, k, n);
+        let c0 = DenseMatrix::random(m, n, 3);
+        let (mut got, mut old, mut naive) = (c0.clone(), c0.clone(), c0);
+        matmul_tiled(&a, &b, &mut got, tile);
+        tiled_ikj(&a, &b, &mut old, tile);
+        matmul_naive(&a, &b, &mut naive);
+        assert_eq!(bits(&got), bits(&old), "old loop ({m},{k},{n},{tile})");
+        assert_eq!(bits(&got), bits(&naive), "naive ({m},{k},{n},{tile})");
     }
 
     #[test]
@@ -199,40 +249,38 @@ mod tests {
             (16, 16, 16, 16),
             (33, 20, 17, 8),
         ] {
-            let (a, b) = mats(m, k, n);
-            let mut c1 = DenseMatrix::zeros(m, n);
-            let mut c2 = DenseMatrix::zeros(m, n);
-            matmul_naive(&a, &b, &mut c1);
-            matmul_tiled(&a, &b, &mut c2, tile);
-            assert!(c1.max_abs_diff(&c2) < 1e-4, "({m},{k},{n},{tile})");
+            assert_bit_identical(m, k, n, tile);
         }
     }
 
     #[test]
-    fn packed_matches_naive() {
+    fn tiled_is_bit_identical_off_the_panel_grid() {
+        // m, n off the MR/NR grid, k off the k-panel (and k = 1), every
+        // tile.
         for &(m, k, n) in &[
-            (4usize, 8usize, 8usize),
-            (5, 7, 3),
-            (64, 64, 64),
-            (33, 100, 17),
+            (1usize, 1usize, 1usize),
+            (MR + 1, 1, NR + 1),
+            (MR - 1, KC + 3, NR - 1),
+            (33, 77, 19),
+            (5, 2 * KC + 1, 9),
+            (130, 40, 67),
         ] {
-            let (a, b) = mats(m, k, n);
-            let mut c1 = DenseMatrix::zeros(m, n);
-            let mut c2 = DenseMatrix::zeros(m, n);
-            matmul_naive(&a, &b, &mut c1);
-            matmul_packed(&a, &b, &mut c2);
-            assert!(c1.max_abs_diff(&c2) < 1e-3, "({m},{k},{n})");
+            for tile in [1usize, 16, 64, 1000] {
+                assert_bit_identical(m, k, n, tile);
+            }
         }
     }
 
-    #[test]
-    fn packed_accumulates_into_nonzero_c() {
-        let (a, b) = mats(9, 9, 9);
-        let mut c = DenseMatrix::from_fn(9, 9, |r, _| r as f32);
-        let mut expect = c.clone();
-        matmul_naive(&a, &b, &mut expect);
-        matmul_packed(&a, &b, &mut c);
-        assert!(expect.max_abs_diff(&c) < 1e-3);
+    proptest! {
+        #[test]
+        fn tiled_is_bit_identical_on_random_shapes(
+            m in 1usize..40,
+            k in 1usize..300,
+            n in 1usize..40,
+            tile in 1usize..70,
+        ) {
+            assert_bit_identical(m, k, n, tile);
+        }
     }
 
     #[test]
@@ -243,13 +291,15 @@ mod tests {
         let mut c2 = DenseMatrix::zeros(70, 52);
         matmul_naive(&a, &b, &mut c1);
         matmul_parallel(&pool, &a, &b, &mut c2);
-        assert!(c1.max_abs_diff(&c2) < 1e-4);
+        assert_eq!(bits(&c1), bits(&c2));
     }
 
     #[test]
     fn accumulation_over_k_shards_matches_single_call() {
         // The out-of-core schedule multiplies k-slices and accumulates;
         // verify the decomposition identity C = sum_s A[:,s] * B[s,:].
+        // Ascending shards keep every element's products in k order, so
+        // the identity holds bit for bit.
         let (a, b) = mats(12, 20, 9);
         let mut whole = DenseMatrix::zeros(12, 9);
         matmul_naive(&a, &b, &mut whole);
@@ -260,7 +310,7 @@ mod tests {
             let b_sh = b.extract_block(s * 5, 0, 5, 9);
             matmul_tiled(&a_sh, &b_sh, &mut acc, 4);
         }
-        assert!(whole.max_abs_diff(&acc) < 1e-4);
+        assert_eq!(bits(&whole), bits(&acc));
     }
 
     #[test]
@@ -269,7 +319,7 @@ mod tests {
         let eye = DenseMatrix::from_fn(6, 6, |r, c| if r == c { 1.0 } else { 0.0 });
         let mut c = DenseMatrix::zeros(6, 6);
         matmul_tiled(&a, &eye, &mut c, 4);
-        assert!(a.max_abs_diff(&c) < 1e-6);
+        assert_eq!(bits(&a), bits(&c));
     }
 
     #[test]
@@ -279,7 +329,7 @@ mod tests {
         let mut expect = DenseMatrix::from_fn(4, 4, |_, _| 1.0);
         matmul_naive(&a, &b, &mut expect);
         matmul_tiled(&a, &b, &mut c, 16);
-        assert!(expect.max_abs_diff(&c) < 1e-5);
+        assert_eq!(bits(&expect), bits(&c));
     }
 
     #[test]
@@ -294,5 +344,15 @@ mod tests {
         let mut c = DenseMatrix::zeros(0, 3);
         matmul_tiled(&a, &b, &mut c, 8);
         assert_eq!(c.data.len(), 0);
+        // k = 0 leaves C as it was.
+        let mut c = DenseMatrix::random(4, 3, 9);
+        let before = c.clone();
+        matmul_tiled(
+            &DenseMatrix::zeros(4, 0),
+            &DenseMatrix::zeros(0, 3),
+            &mut c,
+            8,
+        );
+        assert_eq!(c, before);
     }
 }

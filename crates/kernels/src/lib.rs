@@ -8,9 +8,11 @@
 //! time for what the OpenCL kernel would have cost:
 //!
 //! * [`dense`] — row-major `f32` matrices with block extract/insert.
-//! * [`gemm`] — naive / tiled / pool-parallel `C += A·B` (§IV-A).
-//! * [`stencil`] — HotSpot-2D with halo extraction and exact temporal
-//!   blocking (§IV-B generalizes the packed border vectors to width > 1).
+//! * [`gemm`] — naive / packed micro-kernel / pool-parallel `C += A·B`
+//!   (§IV-A).
+//! * [`stencil`] — HotSpot-2D, updated a row at a time, with halo
+//!   extraction and exact temporal blocking (§IV-B generalizes the packed
+//!   border vectors to width > 1).
 //! * [`spmv`] — CSR-Stream / CSR-Vector / CSR-VectorL kernels dispatched by
 //!   the CSR-Adaptive binning (§IV-C).
 //! * [`model`] — roofline [`ProcModel`]s for the APU GPU/CPU and the
@@ -27,7 +29,7 @@ pub mod spmv;
 pub mod stencil;
 
 pub use dense::{bytes_to_f32s, f32s_to_bytes, DenseMatrix};
-pub use gemm::{gemm_flops, matmul_naive, matmul_packed, matmul_parallel, matmul_tiled, LEAF_TILE};
+pub use gemm::{gemm_flops, matmul_naive, matmul_parallel, matmul_tiled, LEAF_TILE};
 pub use model::{binning_time, latency_hiding_efficiency, ProcModel, BINNING_ROWS_PER_SEC};
 pub use spmv::{rel_error, spmv_adaptive, spmv_adaptive_parallel, WG_LANES};
 pub use stencil::{

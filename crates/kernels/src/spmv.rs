@@ -22,86 +22,107 @@ use northup_sparse::{BlockKind, Csr, RowBlock};
 /// Simulated workgroup width (lanes) for Vector kernels.
 pub const WG_LANES: usize = 64;
 
+/// Elements per cooperating workgroup pass of CSR-VectorL.
+const LONG_SEGMENT: usize = WG_LANES * 16;
+
+/// The stored values and column indices of rows `[row_start, row_end)`.
+fn entries(m: &Csr, row_start: usize, row_end: usize) -> (&[f32], &[u32]) {
+    let (lo, hi) = (m.row_ptr[row_start], m.row_ptr[row_end]);
+    (&m.vals[lo..hi], &m.col_idx[lo..hi])
+}
+
 /// CSR-Stream: process rows `[block.row_start, block.row_end)`.
 pub fn spmv_stream(m: &Csr, block: &RowBlock, x: &[f32], y: &mut [f32]) {
-    // Phase 1: stream all products of the block into scratch (the LDS).
-    let lo = m.row_ptr[block.row_start];
-    let hi = m.row_ptr[block.row_end];
-    let mut scratch = Vec::with_capacity(hi - lo);
-    for i in lo..hi {
-        scratch.push(m.vals[i] * x[m.col_idx[i] as usize]);
-    }
+    let y_block = &mut y[block.row_start..block.row_end];
+    stream_block(m, block, x, y_block, &mut Vec::new());
+}
+
+/// CSR-Stream into the block's own rows, staging the products in `scratch`
+/// (the workgroup's LDS; cleared here, so one buffer serves a whole pass).
+fn stream_block(m: &Csr, block: &RowBlock, x: &[f32], y_block: &mut [f32], scratch: &mut Vec<f32>) {
+    // Phase 1: stream all products of the block into scratch.
+    let (vals, cols) = entries(m, block.row_start, block.row_end);
+    scratch.clear();
+    scratch.extend(vals.iter().zip(cols).map(|(&v, &c)| v * x[c as usize]));
     // Phase 2: per-row reduction out of the scratch buffer.
     let ptrs = &m.row_ptr[block.row_start..=block.row_end];
-    for (yr, w) in y[block.row_start..block.row_end]
-        .iter_mut()
-        .zip(ptrs.windows(2))
-    {
-        let (a, b) = (w[0] - lo, w[1] - lo);
+    for (yr, w) in y_block.iter_mut().zip(ptrs.windows(2)) {
         let mut acc = 0.0f32;
-        for v in &scratch[a..b] {
+        for v in &scratch[w[0] - ptrs[0]..w[1] - ptrs[0]] {
             acc += v;
         }
         *yr = acc;
     }
 }
 
+/// One workgroup over a run of entries: entry `k` accumulates into lane
+/// `k % WG_LANES` (a workgroup-wide chunk per step), then the lanes combine
+/// by tree reduction.
+fn lane_sum(vals: &[f32], cols: &[u32], x: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; WG_LANES];
+    for (vs, cs) in vals.chunks(WG_LANES).zip(cols.chunks(WG_LANES)) {
+        for ((lane, &v), &c) in lanes.iter_mut().zip(vs).zip(cs) {
+            *lane += v * x[c as usize];
+        }
+    }
+    tree_reduce(lanes)
+}
+
 /// CSR-Vector: one long row, lane-strided partials + tree reduction.
 pub fn spmv_vector(m: &Csr, block: &RowBlock, x: &[f32], y: &mut [f32]) {
+    y[block.row_start] = vector_row(m, block, x);
+}
+
+fn vector_row(m: &Csr, block: &RowBlock, x: &[f32]) -> f32 {
     debug_assert_eq!(block.row_end - block.row_start, 1);
-    let r = block.row_start;
-    let lo = m.row_ptr[r];
-    let hi = m.row_ptr[r + 1];
-    let mut lanes = [0.0f32; WG_LANES];
-    for (k, i) in (lo..hi).enumerate() {
-        lanes[k % WG_LANES] += m.vals[i] * x[m.col_idx[i] as usize];
-    }
-    y[r] = tree_reduce(&lanes);
+    let (vals, cols) = entries(m, block.row_start, block.row_end);
+    lane_sum(vals, cols, x)
 }
 
 /// CSR-VectorL: one very long row, segment-wise Vector passes accumulated.
 pub fn spmv_vector_long(m: &Csr, block: &RowBlock, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(block.row_end - block.row_start, 1);
-    let r = block.row_start;
-    let lo = m.row_ptr[r];
-    let hi = m.row_ptr[r + 1];
-    let seg = WG_LANES * 16; // elements per cooperating workgroup
-    let mut acc = 0.0f32;
-    let mut s = lo;
-    while s < hi {
-        let e = (s + seg).min(hi);
-        let mut lanes = [0.0f32; WG_LANES];
-        for (k, i) in (s..e).enumerate() {
-            lanes[k % WG_LANES] += m.vals[i] * x[m.col_idx[i] as usize];
-        }
-        acc += tree_reduce(&lanes); // the GPU's cross-workgroup atomic add
-        s = e;
-    }
-    y[r] = acc;
+    y[block.row_start] = vector_long_row(m, block, x);
 }
 
-fn tree_reduce(lanes: &[f32; WG_LANES]) -> f32 {
-    let mut buf = *lanes;
+fn vector_long_row(m: &Csr, block: &RowBlock, x: &[f32]) -> f32 {
+    debug_assert_eq!(block.row_end - block.row_start, 1);
+    let (vals, cols) = entries(m, block.row_start, block.row_end);
+    let mut acc = 0.0f32;
+    for (vs, cs) in vals.chunks(LONG_SEGMENT).zip(cols.chunks(LONG_SEGMENT)) {
+        acc += lane_sum(vs, cs, x); // the GPU's cross-workgroup atomic add
+    }
+    acc
+}
+
+fn tree_reduce(mut lanes: [f32; WG_LANES]) -> f32 {
     let mut width = WG_LANES / 2;
     while width > 0 {
-        for i in 0..width {
-            buf[i] += buf[i + width];
+        let (lo, hi) = lanes.split_at_mut(width);
+        for (a, b) in lo.iter_mut().zip(hi) {
+            *a += *b;
         }
         width /= 2;
     }
-    buf[0]
+    lanes[0]
 }
 
-/// Dispatch every row block to its kernel: the full CSR-Adaptive SpMV.
+/// Run `b`'s kernel into the block's own rows `y_block`.
+fn run_block(m: &Csr, b: &RowBlock, x: &[f32], y_block: &mut [f32], scratch: &mut Vec<f32>) {
+    match b.kind {
+        BlockKind::Stream => stream_block(m, b, x, y_block, scratch),
+        BlockKind::Vector => y_block[0] = vector_row(m, b, x),
+        BlockKind::VectorLong => y_block[0] = vector_long_row(m, b, x),
+    }
+}
+
+/// Dispatch every row block to its kernel: the full CSR-Adaptive SpMV. One
+/// scratch buffer serves every Stream block of the pass.
 pub fn spmv_adaptive(m: &Csr, blocks: &[RowBlock], x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), m.cols);
     assert_eq!(y.len(), m.rows);
+    let mut scratch = Vec::new();
     for b in blocks {
-        match b.kind {
-            BlockKind::Stream => spmv_stream(m, b, x, y),
-            BlockKind::Vector => spmv_vector(m, b, x, y),
-            BlockKind::VectorLong => spmv_vector_long(m, b, x, y),
-        }
+        run_block(m, b, x, &mut y[b.row_start..b.row_end], &mut scratch);
     }
 }
 
@@ -128,18 +149,8 @@ pub fn spmv_adaptive_parallel(
         row = b.row_end;
     }
     pool.scope(|s| {
-        for (b, y_slice) in slices {
-            s.spawn(move || {
-                // Kernels write into global row coordinates; use a local
-                // temporary sized to the block.
-                let mut tmp = vec![0.0f32; m.rows];
-                match b.kind {
-                    BlockKind::Stream => spmv_stream(m, b, x, &mut tmp),
-                    BlockKind::Vector => spmv_vector(m, b, x, &mut tmp),
-                    BlockKind::VectorLong => spmv_vector_long(m, b, x, &mut tmp),
-                }
-                y_slice.copy_from_slice(&tmp[b.row_start..b.row_end]);
-            });
+        for (b, y_block) in slices {
+            s.spawn(move || run_block(m, b, x, y_block, &mut Vec::new()));
         }
     });
 }
@@ -165,6 +176,7 @@ pub fn rel_error(reference: &[f32], got: &[f32]) -> f32 {
 mod tests {
     use super::*;
     use northup_sparse::{bin_rows, gen, BinningParams};
+    use proptest::prelude::*;
 
     fn check_adaptive(m: &Csr, params: BinningParams) {
         let blocks = bin_rows(m, params);
@@ -180,6 +192,146 @@ mod tests {
             "adaptive mismatch: {}",
             rel_error(&reference, &y)
         );
+    }
+
+    /// The three kernels as they were before the slice rewrite (a fresh
+    /// scratch `Vec` per Stream block, indexed loads, `k % WG_LANES` lane
+    /// assignment): the bit-level oracle for `spmv_adaptive`.
+    fn old_adaptive(m: &Csr, blocks: &[RowBlock], x: &[f32], y: &mut [f32]) {
+        let product = |i: usize| m.vals[i] * x[m.col_idx[i] as usize];
+        let old_tree = |lanes: &[f32; WG_LANES]| {
+            let mut buf = *lanes;
+            let mut width = WG_LANES / 2;
+            while width > 0 {
+                for i in 0..width {
+                    buf[i] += buf[i + width];
+                }
+                width /= 2;
+            }
+            buf[0]
+        };
+        for b in blocks {
+            let (lo, hi) = (m.row_ptr[b.row_start], m.row_ptr[b.row_end]);
+            match b.kind {
+                BlockKind::Stream => {
+                    let scratch: Vec<f32> = (lo..hi).map(product).collect();
+                    for r in b.row_start..b.row_end {
+                        let mut acc = 0.0f32;
+                        for v in &scratch[m.row_ptr[r] - lo..m.row_ptr[r + 1] - lo] {
+                            acc += v;
+                        }
+                        y[r] = acc;
+                    }
+                }
+                BlockKind::Vector => {
+                    let mut lanes = [0.0f32; WG_LANES];
+                    for (k, i) in (lo..hi).enumerate() {
+                        lanes[k % WG_LANES] += product(i);
+                    }
+                    y[b.row_start] = old_tree(&lanes);
+                }
+                BlockKind::VectorLong => {
+                    let mut acc = 0.0f32;
+                    let mut s = lo;
+                    while s < hi {
+                        let e = (s + WG_LANES * 16).min(hi);
+                        let mut lanes = [0.0f32; WG_LANES];
+                        for (k, i) in (s..e).enumerate() {
+                            lanes[k % WG_LANES] += product(i);
+                        }
+                        acc += old_tree(&lanes);
+                        s = e;
+                    }
+                    y[b.row_start] = acc;
+                }
+            }
+        }
+    }
+
+    /// `spmv_adaptive` (and the pool variant) against the old kernels, bit
+    /// for bit, on an `x` whose magnitudes make summation order visible.
+    fn assert_bit_identical(m: &Csr, params: BinningParams) -> [usize; 3] {
+        let blocks = bin_rows(m, params);
+        let x: Vec<f32> = (0..m.cols)
+            .map(|i| (i as f32 * 0.37).sin() * (1 + i % 7) as f32)
+            .collect();
+        let bits = |y: &[f32]| y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let mut want = vec![f32::NAN; m.rows];
+        old_adaptive(m, &blocks, &x, &mut want);
+        let mut got = vec![f32::NAN; m.rows];
+        spmv_adaptive(m, &blocks, &x, &mut got);
+        assert_eq!(bits(&got), bits(&want), "{params:?}");
+        let mut par = vec![f32::NAN; m.rows];
+        spmv_adaptive_parallel(&ThreadPool::new(2), m, &blocks, &x, &mut par);
+        assert_eq!(bits(&par), bits(&want), "parallel {params:?}");
+        northup_sparse::kind_histogram(&blocks)
+    }
+
+    #[test]
+    fn adaptive_is_bit_identical_to_the_old_kernels_on_powerlaw() {
+        let m = gen::powerlaw(400, 3000, 2048, 0.8, 5);
+        let kinds = assert_bit_identical(
+            &m,
+            BinningParams {
+                stream_nnz: 64,
+                vector_long_nnz: 512,
+            },
+        );
+        assert!(kinds.iter().all(|&k| k > 0), "need all kernels: {kinds:?}");
+        assert_bit_identical(&m, BinningParams::default());
+    }
+
+    #[test]
+    fn adaptive_is_bit_identical_around_lane_and_segment_multiples() {
+        // Empty rows and rows of 64k - 1, 64k, 64k + 1 entries up to past
+        // two VectorL segments, under thresholds that send the long rows to
+        // Vector, to VectorL, and (defaults) mostly to Stream.
+        let mut lens = vec![0usize, 1, 0, 0, 2];
+        for k in [1usize, 2, 3, 15, 16, 17, 32, 33] {
+            lens.extend([WG_LANES * k - 1, 0, WG_LANES * k, WG_LANES * k + 1]);
+        }
+        lens.push(0);
+        let cols = 2200;
+        let triplets: Vec<(usize, u32, f32)> = lens
+            .iter()
+            .enumerate()
+            .flat_map(|(r, &len)| {
+                (0..len).map(move |j| {
+                    let c = (j * 7 + r * 13) % cols;
+                    (r, c as u32, ((r * 31 + j * 17) % 29) as f32 * 0.125 - 1.5)
+                })
+            })
+            .collect();
+        let m = Csr::from_coo(lens.len(), cols, triplets);
+        for (stream_nnz, vector_long_nnz) in [(60, 100_000), (60, 1000), (60, 60), (1, 1)] {
+            let kinds = assert_bit_identical(
+                &m,
+                BinningParams {
+                    stream_nnz,
+                    vector_long_nnz,
+                },
+            );
+            assert!(kinds[0] > 0, "stream blocks hold the short and empty rows");
+        }
+        assert_bit_identical(&m, BinningParams::default());
+    }
+
+    proptest! {
+        #[test]
+        fn adaptive_is_bit_identical_on_random_matrices(
+            rows in 1usize..60,
+            max_nnz in 1usize..1500,
+            alpha in 0usize..12,
+            seed in 0u64..1000,
+            stream_nnz in 1usize..200,
+            long_extra in 0usize..1200,
+        ) {
+            let m = gen::powerlaw(rows, 1500, max_nnz, alpha as f64 * 0.1, seed);
+            assert_bit_identical(&m, BinningParams {
+                stream_nnz,
+                vector_long_nnz: stream_nnz + long_extra,
+            });
+        }
     }
 
     #[test]

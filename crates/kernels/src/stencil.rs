@@ -24,6 +24,7 @@
 use crate::dense::DenseMatrix;
 use northup_exec::ThreadPool;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Physical constants of the HotSpot model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -53,6 +54,19 @@ impl Default for HotSpotParams {
     }
 }
 
+/// The update of one cell from its centre, west, east, north and south
+/// temperatures and its power input. Every path through this module
+/// evaluates this one expression, so results agree bit for bit.
+#[inline(always)]
+fn update(c: f32, w: f32, e: f32, n: f32, s: f32, p: f32, prm: &HotSpotParams) -> f32 {
+    c + prm.cp * p
+        + prm.cx * (e + w - 2.0 * c)
+        + prm.cy * (s + n - 2.0 * c)
+        + prm.cz * (prm.t_amb - c)
+}
+
+/// One cell with every neighbor clamped per cell: the grid's west and east
+/// edge columns, and the test oracle for [`step_region`].
 #[inline]
 fn update_cell(
     t: &[f32],
@@ -70,27 +84,76 @@ fn update_cell(
     let e = if x + 1 < cols { t[idx + 1] } else { c };
     let n = if y > 0 { t[idx - cols] } else { c };
     let s = if y + 1 < rows { t[idx + cols] } else { c };
-    c + prm.cp * p[idx]
-        + prm.cx * (e + w - 2.0 * c)
-        + prm.cy * (s + n - 2.0 * c)
-        + prm.cz * (prm.t_amb - c)
+    update(c, w, e, n, s, p[idx], prm)
+}
+
+/// Update the cells `ys x xs` of a `cols`-wide grid from `cur` into `next`,
+/// a row at a time. Columns with both horizontal neighbors run over plain
+/// north / centre / south row slices with no branch in the loop (on the
+/// grid's first and last row the clamped neighbor row is the centre row
+/// itself); the grid's edge columns go through [`update_cell`].
+fn step_region(
+    cur: &[f32],
+    power: &[f32],
+    next: &mut [f32],
+    cols: usize,
+    ys: Range<usize>,
+    xs: Range<usize>,
+    prm: &HotSpotParams,
+) {
+    let rows = cur.len() / cols.max(1);
+    // Columns of the region that have both horizontal neighbors.
+    let (xa, xb) = (xs.start.max(1), xs.end.min(cols.saturating_sub(1)));
+    let west_edge = xs.contains(&0);
+    let east_edge = cols > 1 && xs.contains(&(cols - 1));
+    for y in ys {
+        let row = y * cols;
+        if xa < xb {
+            let len = xb - xa;
+            let north = &cur[if y > 0 { row - cols } else { row } + xa..][..len];
+            let south = &cur[if y + 1 < rows { row + cols } else { row } + xa..][..len];
+            // [west, centre, east] of every cell, sliding along the row.
+            let centre = cur[row + xa - 1..][..len + 2].windows(3);
+            let p = &power[row + xa..][..len];
+            let out = &mut next[row + xa..][..len];
+            for ((((o, wce), &n), &s), &p) in
+                out.iter_mut().zip(centre).zip(north).zip(south).zip(p)
+            {
+                *o = update(wce[1], wce[0], wce[2], n, s, p, prm);
+            }
+        }
+        if west_edge {
+            next[row] = update_cell(cur, power, cols, rows, 0, y, prm);
+        }
+        if east_edge {
+            next[row + cols - 1] = update_cell(cur, power, cols, rows, cols - 1, y, prm);
+        }
+    }
+}
+
+/// One step of the whole grid `cur` into `next`.
+fn step_grid(cur: &DenseMatrix, power: &DenseMatrix, next: &mut DenseMatrix, prm: &HotSpotParams) {
+    assert_eq!((cur.rows, cur.cols), (power.rows, power.cols));
+    let (ys, xs) = (0..cur.rows, 0..cur.cols);
+    step_region(
+        &cur.data,
+        &power.data,
+        &mut next.data,
+        cur.cols,
+        ys,
+        xs,
+        prm,
+    );
 }
 
 /// One full-grid step (the correctness oracle).
 pub fn step_reference(temp: &DenseMatrix, power: &DenseMatrix, prm: &HotSpotParams) -> DenseMatrix {
-    assert_eq!(temp.rows, power.rows);
-    assert_eq!(temp.cols, power.cols);
     let mut out = DenseMatrix::zeros(temp.rows, temp.cols);
-    for y in 0..temp.rows {
-        for x in 0..temp.cols {
-            *out.get_mut(y, x) =
-                update_cell(&temp.data, &power.data, temp.cols, temp.rows, x, y, prm);
-        }
-    }
+    step_grid(temp, power, &mut out, prm);
     out
 }
 
-/// `steps` full-grid steps.
+/// `steps` full-grid steps, ping-ponging between two grids.
 pub fn multi_step_reference(
     temp: &DenseMatrix,
     power: &DenseMatrix,
@@ -98,8 +161,10 @@ pub fn multi_step_reference(
     prm: &HotSpotParams,
 ) -> DenseMatrix {
     let mut cur = temp.clone();
+    let mut next = DenseMatrix::zeros(temp.rows, temp.cols);
     for _ in 0..steps {
-        cur = step_reference(&cur, power, prm);
+        step_grid(&cur, power, &mut next, prm);
+        std::mem::swap(&mut cur, &mut next);
     }
     cur
 }
@@ -198,11 +263,15 @@ pub fn step_halo_block(block: &HaloBlock, steps: usize, prm: &HotSpotParams) -> 
         } else {
             cols - (step + 1).min(cols)
         };
-        for y in y0..y1 {
-            for x in x0..x1 {
-                next[y * cols + x] = update_cell(&cur, &block.power.data, cols, rows, x, y, prm);
-            }
-        }
+        step_region(
+            &cur,
+            &block.power.data,
+            &mut next,
+            cols,
+            y0..y1,
+            x0..x1,
+            prm,
+        );
         std::mem::swap(&mut cur, &mut next);
     }
     // Extract the core.
@@ -283,11 +352,126 @@ pub const FLOPS_PER_CELL: f64 = 12.0;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn grids(rows: usize, cols: usize) -> (DenseMatrix, DenseMatrix, HotSpotParams) {
         let temp = DenseMatrix::from_fn(rows, cols, |r, c| 80.0 + ((r * 31 + c * 17) % 23) as f32);
         let power = DenseMatrix::from_fn(rows, cols, |r, c| ((r + c) % 5) as f32 * 0.2);
-        (temp, power, HotSpotParams::default())
+        // Distinct x and y coefficients, so a swapped axis changes bits.
+        let prm = HotSpotParams {
+            cx: 0.14,
+            cy: 0.16,
+            ..HotSpotParams::default()
+        };
+        (temp, power, prm)
+    }
+
+    fn bits(m: &DenseMatrix) -> Vec<u32> {
+        m.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The per-cell region update `step_region` replaced: the bit-level
+    /// oracle. Cells outside the region keep what `next` held.
+    fn region_per_cell(
+        cur: &DenseMatrix,
+        power: &DenseMatrix,
+        next: &mut DenseMatrix,
+        ys: Range<usize>,
+        xs: Range<usize>,
+        prm: &HotSpotParams,
+    ) {
+        for y in ys {
+            for x in xs.clone() {
+                *next.get_mut(y, x) =
+                    update_cell(&cur.data, &power.data, cur.cols, cur.rows, x, y, prm);
+            }
+        }
+    }
+
+    /// `step_region` on `ys x xs` of a `rows x cols` grid against the
+    /// per-cell oracle, including the cells it must leave alone.
+    fn assert_region_bit_identical(rows: usize, cols: usize, ys: Range<usize>, xs: Range<usize>) {
+        let (temp, power, prm) = grids(rows, cols);
+        let mut got = DenseMatrix::from_fn(rows, cols, |r, c| -((r * cols + c) as f32));
+        let mut want = got.clone();
+        let (gy, gx) = (ys.clone(), xs.clone());
+        step_region(&temp.data, &power.data, &mut got.data, cols, gy, gx, &prm);
+        region_per_cell(&temp, &power, &mut want, ys.clone(), xs.clone(), &prm);
+        assert_eq!(bits(&got), bits(&want), "{rows}x{cols} {ys:?} x {xs:?}");
+    }
+
+    #[test]
+    fn row_wise_update_is_bit_identical_to_per_cell() {
+        for &(rows, cols) in &[
+            (1usize, 1usize),
+            (1, 9),
+            (9, 1),
+            (2, 2),
+            (3, 63),
+            (3, 64),
+            (3, 65),
+            (5, 129),
+        ] {
+            assert_region_bit_identical(rows, cols, 0..rows, 0..cols);
+            // Interior-only, each edge column alone, and empty regions.
+            assert_region_bit_identical(rows, cols, 0..rows, 1.min(cols)..cols.saturating_sub(1));
+            assert_region_bit_identical(rows, cols, 0..rows, 0..1);
+            assert_region_bit_identical(rows, cols, rows - 1..rows, cols - 1..cols);
+            assert_region_bit_identical(rows, cols, 0..rows, cols..cols);
+            assert_region_bit_identical(rows, cols, 0..0, 0..cols);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn row_wise_update_matches_per_cell_on_random_regions(
+            rows in 1usize..12,
+            cols in 1usize..80,
+            cut in (0usize..12, 0usize..12, 0usize..80, 0usize..80),
+            steps in 0usize..4,
+        ) {
+            let (y0, x0) = (cut.0.min(rows), cut.2.min(cols));
+            let (y1, x1) = (cut.1.min(rows).max(y0), cut.3.min(cols).max(x0));
+            assert_region_bit_identical(rows, cols, y0..y1, x0..x1);
+            // And the full-grid drivers on the same shape.
+            let (temp, power, prm) = grids(rows, cols);
+            let mut want = temp.clone();
+            for _ in 0..steps {
+                let mut next = DenseMatrix::zeros(rows, cols);
+                region_per_cell(&want, &power, &mut next, 0..rows, 0..cols, &prm);
+                want = next;
+            }
+            let got = multi_step_reference(&temp, &power, steps, &prm);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
+    #[test]
+    fn halo_block_matches_reference_core_for_every_halo_combination() {
+        // Every subset of sides with a halo (the others sit on the global
+        // boundary), every step count the halo allows.
+        let (h, w, halo, pad) = (5usize, 7usize, 3usize, 4usize);
+        for sides in 0..16usize {
+            let [north, south, west, east] = [0, 1, 2, 3].map(|s| sides >> s & 1 == 1);
+            let margin = |present: bool| if present { pad } else { 0 };
+            let (r0, c0) = (margin(north), margin(west));
+            let (temp, power, prm) = grids(r0 + h + margin(south), c0 + w + margin(east));
+            let hb = extract_halo_block(&temp, &power, r0, c0, h, w, halo);
+            assert_eq!(
+                hb.halo,
+                [north, south, west, east].map(|p| margin(p).min(halo))
+            );
+            for steps in 1..=halo {
+                let core = step_halo_block(&hb, steps, &prm);
+                let reference = multi_step_reference(&temp, &power, steps, &prm);
+                assert_eq!(
+                    bits(&core),
+                    bits(&reference.extract_block(r0, c0, h, w)),
+                    "halo {:?} steps {steps}",
+                    hb.halo
+                );
+            }
+        }
     }
 
     #[test]
@@ -296,8 +480,8 @@ mod tests {
         let power = DenseMatrix::zeros(6, 6);
         let prm = HotSpotParams::default();
         let out = step_reference(&temp, &power, &prm);
-        // t_amb == 80, so nothing changes.
-        assert!(temp.max_abs_diff(&out) < 1e-6);
+        // t_amb == 80, so every term of the update is exactly zero.
+        assert_eq!(bits(&temp), bits(&out));
     }
 
     #[test]
@@ -309,15 +493,19 @@ mod tests {
         let out = step_reference(&temp, &power, &prm);
         assert!(out.get(2, 2) < 100.0, "peak cools");
         assert!(out.get(2, 1) > 80.0, "neighbor warms");
-        assert!((out.get(0, 0) - 80.0).abs() < 1e-6, "far cell untouched");
+        assert_eq!(out.get(0, 0), 80.0, "far cell untouched");
     }
+
+    // Temporal blocking is exact by construction: a trusted cell sees the
+    // same neighbor values and evaluates the same expression as the
+    // full-grid reference, so the comparisons below are on bits.
 
     #[test]
     fn blocked_single_step_matches_reference() {
         let (temp, power, prm) = grids(17, 23);
         let reference = multi_step_reference(&temp, &power, 1, &prm);
         let blocked = multi_step_blocked(&temp, &power, 8, 1, &prm);
-        assert!(reference.max_abs_diff(&blocked) < 1e-5);
+        assert_eq!(bits(&reference), bits(&blocked));
     }
 
     #[test]
@@ -326,11 +514,7 @@ mod tests {
         for steps in [2usize, 3, 4] {
             let reference = multi_step_reference(&temp, &power, steps, &prm);
             let blocked = multi_step_blocked(&temp, &power, 8, steps, &prm);
-            assert!(
-                reference.max_abs_diff(&blocked) < 1e-4,
-                "steps={steps}: diff {}",
-                reference.max_abs_diff(&blocked)
-            );
+            assert_eq!(bits(&reference), bits(&blocked), "steps={steps}");
         }
     }
 
@@ -339,7 +523,7 @@ mod tests {
         let (temp, power, prm) = grids(19, 13);
         let reference = multi_step_reference(&temp, &power, 3, &prm);
         let blocked = multi_step_blocked(&temp, &power, 7, 3, &prm);
-        assert!(reference.max_abs_diff(&blocked) < 1e-4);
+        assert_eq!(bits(&reference), bits(&blocked));
     }
 
     #[test]
@@ -348,7 +532,7 @@ mod tests {
         let (temp, power, prm) = grids(32, 32);
         let reference = multi_step_reference(&temp, &power, 4, &prm);
         let par = multi_step_parallel(&pool, &temp, &power, 8, 4, &prm);
-        assert!(reference.max_abs_diff(&par) < 1e-4);
+        assert_eq!(bits(&reference), bits(&par));
     }
 
     #[test]
@@ -386,6 +570,6 @@ mod tests {
         assert_eq!(hb.halo, [0, 0, 0, 0]);
         let out = step_halo_block(&hb, 6, &prm);
         let reference = multi_step_reference(&temp, &power, 6, &prm);
-        assert!(reference.max_abs_diff(&out) < 1e-4);
+        assert_eq!(bits(&reference), bits(&out));
     }
 }
