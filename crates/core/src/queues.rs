@@ -12,7 +12,7 @@
 
 use crate::topology::{NodeId, Tree};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 
 /// Identifier of an enqueued task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -27,11 +27,17 @@ pub struct TaskTag {
     pub label: String,
 }
 
+/// One FIFO queue of a node, keyed by task id. Ids are handed out
+/// ascending, so key order is arrival order: the first entry is the
+/// oldest pending task, and retiring a task is a keyed removal, not a
+/// scan, however deep the queue is.
+type Queue = BTreeMap<u64, TaskTag>;
+
 /// Work-queue state for every node of a tree.
 #[derive(Debug, Clone)]
 pub struct WorkQueues {
     /// `queues[node][q]` = pending tasks of queue `q` at `node`.
-    queues: Vec<Vec<VecDeque<TaskTag>>>,
+    queues: Vec<Vec<Queue>>,
     /// Total ever enqueued per node.
     enqueued: Vec<u64>,
     /// Total completed per node.
@@ -46,7 +52,7 @@ impl WorkQueues {
         let per_node = per_node.max(1);
         WorkQueues {
             queues: (0..tree.len())
-                .map(|_| (0..per_node).map(|_| VecDeque::new()).collect())
+                .map(|_| vec![Queue::new(); per_node])
                 .collect(),
             enqueued: vec![0; tree.len()],
             completed: vec![0; tree.len()],
@@ -61,24 +67,22 @@ impl WorkQueues {
     pub fn enqueue(&mut self, node: NodeId, queue: usize, label: impl Into<String>) -> TaskId {
         let id = TaskId(self.next_id);
         self.next_id += 1;
-        self.queues[node.0][queue].push_back(TaskTag {
-            id,
-            label: label.into(),
-        });
+        let label = label.into();
+        self.queues[node.0][queue].insert(id.0, TaskTag { id, label });
         self.enqueued[node.0] += 1;
         id
     }
 
-    /// Complete (remove) a task wherever it sits. Returns true if found.
+    /// Complete (remove) a task wherever on `node` it sits, in time
+    /// logarithmic in the queue's depth. Returns true if found.
     pub fn complete(&mut self, node: NodeId, id: TaskId) -> bool {
-        for q in &mut self.queues[node.0] {
-            if let Some(pos) = q.iter().position(|t| t.id == id) {
-                q.remove(pos);
-                self.completed[node.0] += 1;
-                return true;
-            }
+        let found = self.queues[node.0]
+            .iter_mut()
+            .any(|q| q.remove(&id.0).is_some());
+        if found {
+            self.completed[node.0] += 1;
         }
-        false
+        found
     }
 
     /// Pending tasks on one queue.
@@ -88,7 +92,7 @@ impl WorkQueues {
 
     /// Pending tasks on a node (all queues).
     pub fn node_depth(&self, node: NodeId) -> usize {
-        self.queues[node.0].iter().map(VecDeque::len).sum()
+        self.queues[node.0].iter().map(Queue::len).sum()
     }
 
     /// Pending tasks in the whole subtree rooted at `node` — the §V-E
@@ -119,7 +123,9 @@ impl WorkQueues {
     /// Oldest pending task of a queue (what a consumer would pop — head —
     /// or a thief would steal).
     pub fn front(&self, node: NodeId, queue: usize) -> Option<&TaskTag> {
-        self.queues[node.0][queue].front()
+        self.queues[node.0][queue]
+            .first_key_value()
+            .map(|(_, tag)| tag)
     }
 }
 
@@ -183,5 +189,34 @@ mod tests {
         assert_eq!(wq.front(NodeId(1), 0).unwrap().id, first);
         wq.complete(NodeId(1), first);
         assert_eq!(wq.front(NodeId(1), 0).unwrap().label, "second");
+    }
+
+    #[test]
+    fn deep_queue_retires_newest_oldest_and_middle() {
+        let t = tree();
+        let mut wq = WorkQueues::new(&t, 1);
+        let n = NodeId(1);
+        let ids: Vec<TaskId> = (0..100_000).map(|_| wq.enqueue(n, 0, "")).collect();
+        assert_eq!(wq.depth(n, 0), 100_000);
+
+        // Newest: the front does not move.
+        assert!(wq.complete(n, ids[99_999]));
+        assert_eq!(wq.front(n, 0).unwrap().id, ids[0]);
+        // Oldest: the front becomes the second task.
+        assert!(wq.complete(n, ids[0]));
+        assert_eq!(wq.front(n, 0).unwrap().id, ids[1]);
+        // Middle: gone from the middle, the front stays.
+        assert!(wq.complete(n, ids[50_000]));
+        assert!(!wq.complete(n, ids[50_000]));
+        assert_eq!(wq.front(n, 0).unwrap().id, ids[1]);
+
+        assert_eq!(wq.depth(n, 0), 99_997);
+        assert_eq!(wq.totals(n), (100_000, 3));
+        // Draining oldest-first walks the front through every survivor.
+        for &id in &ids[1..50_000] {
+            assert_eq!(wq.front(n, 0).unwrap().id, id);
+            assert!(wq.complete(n, id));
+        }
+        assert_eq!(wq.front(n, 0).unwrap().id, ids[50_001]);
     }
 }

@@ -1422,7 +1422,6 @@ impl JobScheduler {
         });
         st.active += 1;
 
-        let name = self.jobs[id.0 as usize].spec.name.clone();
         let done = {
             let h = &st.hot[id.0 as usize];
             h.chunks_done >= h.chunks_total
@@ -1442,7 +1441,9 @@ impl JobScheduler {
             Err(e) => return Err(e),
         };
         let queue = st.wq.shortest_queue(leaf);
-        let task = st.wq.enqueue(leaf, queue, name);
+        // The queues die with the run and nobody reads a label back, so
+        // the tag carries none (an empty `String` does not allocate).
+        let task = st.wq.enqueue(leaf, queue, String::new());
         // Brownout: while the degradation tier is engaged, non-guaranteed
         // admissions compile a shrunken chain. Distinct degrade levels
         // produce distinct work shapes, so the arena interns them as
