@@ -1,5 +1,5 @@
 //! Diagnostics: findings, severity tiers, and the report they
-//! aggregate into (including per-rule timings).
+//! aggregate into.
 
 /// Rule identifiers, used both in diagnostics and in
 /// `// analyze:allow(<rule>)` suppressions.
@@ -131,10 +131,6 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of files analyzed.
     pub files_scanned: usize,
-    /// Wall-clock micros per analysis pass, in execution order. The
-    /// self-benchmark gate (`--max-millis`) sums these; they are *not*
-    /// part of the baseline diff (timings jitter, findings must not).
-    pub timings_us: Vec<(&'static str, u128)>,
 }
 
 impl Report {
@@ -153,14 +149,8 @@ impl Report {
         self.failing().filter(|f| f.rule == rule).count()
     }
 
-    /// Total analysis wall time in microseconds (sum of the pass
-    /// timings; lexing/IO excluded).
-    pub fn total_us(&self) -> u128 {
-        self.timings_us.iter().map(|(_, us)| us).sum()
-    }
-
     /// Sort findings into the stable (path, line, rule) order every
-    /// consumer (terminal, JSON, SARIF, tests) sees, dropping exact
+    /// consumer (terminal, SARIF, tests) sees, dropping exact
     /// duplicates (two passes may witness the same site).
     pub fn finalize(&mut self) {
         self.findings.sort_by(|a, b| {

@@ -1,7 +1,7 @@
-//! The single rules table behind `northup-analyze --explain <rule>`:
-//! every rule's contract, an example, and the allow syntax, so a
-//! suppression justification can reference the exact contract it
-//! waives.
+//! The single rules table behind `northup-analyze --explain <rule>` and
+//! the SARIF rule catalog: every rule's one-line summary, contract, an
+//! example, and the allow syntax, so a suppression justification can
+//! reference the exact contract it waives.
 
 use crate::diag::{rules, severity_of};
 
@@ -10,6 +10,8 @@ use crate::diag::{rules, severity_of};
 pub struct RuleDoc {
     /// Rule identifier (`lock-set`, ...).
     pub id: &'static str,
+    /// One line for the `--explain` index and the SARIF catalog.
+    pub summary: &'static str,
     /// The crates the rule scopes over.
     pub scope: &'static str,
     /// The invariant the rule enforces.
@@ -22,6 +24,7 @@ pub struct RuleDoc {
 pub const RULE_DOCS: &[RuleDoc] = &[
     RuleDoc {
         id: rules::ORDERED_ITERATION,
+        summary: "unordered HashMap/HashSet iteration leaks into schedules; use ordered containers",
         scope: "core, sim, sched, fleet",
         contract: "No HashMap/HashSet in schedule-affecting code: iteration order \
                    feeds event order, and unordered maps make replay diverge. Use \
@@ -30,6 +33,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: rules::LEASE_DISCIPLINE,
+        summary: "acquired buffers/leases need a reachable release or an escaping handle",
         scope: "core, sched, apps",
         contract: "Every alloc/lease acquisition needs a reachable release on the \
                    same path, or the handle must escape to a caller that releases \
@@ -38,6 +42,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: rules::PANIC_PATHS,
+        summary: "no unwrap()/expect(..)/panic! in non-test runtime code",
         scope: "core, exec, sched, fleet",
         contract: "No unwrap()/expect()/panic! in non-test runtime code; a panic on \
                    a pool thread poisons the run. Return the typed error instead.",
@@ -45,6 +50,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: rules::LOCK_ORDER,
+        summary: "the static lock-acquisition graph must be acyclic",
         scope: "exec, sched",
         contract: "The static lock-acquisition graph (guard extents plus locks \
                    acquired transitively through calls, over the shared call \
@@ -53,6 +59,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: rules::UNIT_CONSISTENCY,
+        summary: "no mixed-unit arithmetic/comparison across ns, bytes, byte·seconds, events",
         scope: "core, sched, fleet",
         contract: "No arithmetic/comparison mixing ns, bytes, byte-seconds, and \
                    event counts; unit identity comes from ident suffixes, field \
@@ -61,6 +68,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: rules::ARENA_INDEX,
+        summary: "dense arena indices stay in their declared domain and die on compaction",
         scope: "core, sched, fleet",
         contract: "Dense arena indices (HotJob, ChunkChain, ...) stay in their \
                    declared domain: no raw/literal/cross-domain usize indexing, \
@@ -70,6 +78,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: rules::DETERMINISM_TAINT,
+        summary: "wall-clock/entropy sources must not reach schedule-visible code, even transitively",
         scope: "core, sim, sched, fleet",
         contract: "No wall-clock or OS entropy (Instant/SystemTime/thread_rng) \
                    reaching schedule-visible code, even through helper fns in \
@@ -79,6 +88,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: rules::EVENT_ORDER,
+        summary: "packed calendar events are ordered by the full (SimTime, kind, id, seq) tuple",
         scope: "core, sched",
         contract: "Packed calendar events are ordered only by the full (SimTime, \
                    kind, id, seq) tuple; sorting or selecting by a projected key \
@@ -88,6 +98,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: rules::LOCK_SET,
+        summary: "guarded fields need a live guard; shared plain fields must not be written from thread-escaping code",
         scope: "exec, sched, fleet",
         contract: "A field declared `guarded by \\`lock\\`` in its doc comment is \
                    only touched while that guard is live (locally or via the \
@@ -99,6 +110,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: rules::ATOMIC_ORDER,
+        summary: "Relaxed accesses on a release/acquire publication or consumption edge need a fence or a justified allow",
         scope: "exec, sched, fleet",
         contract: "An atomic with a release/acquire protocol (a Release+ store or \
                    Acquire+ load anywhere) admits no Relaxed access on the \
@@ -109,6 +121,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: rules::BLOCKING_EXTENT,
+        summary: "no lock guard may be held across a may-block call (sleep, channel ops, nested locks, file I/O)",
         scope: "exec, sched, fleet",
         contract: "No lock guard held across a may-block operation: sleeping, \
                    channel recv/send, join/park, file I/O, and lock acquisition \
@@ -119,6 +132,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: rules::SUPPRESSION,
+        summary: "analyze:allow directives must be justified, known, and live",
         scope: "all analyzed files",
         contract: "Suppression hygiene: an analyze:allow with an empty \
                    justification, an unknown or retired rule name, or no finding \
@@ -147,14 +161,7 @@ pub fn explain(rule: &str) -> Option<String> {
 pub fn index() -> String {
     let mut out = String::from("rules (use --explain <rule> for the contract):\n");
     for d in RULE_DOCS {
-        // First sentence: split at ". " so an ellipsis ("HotJob, ...")
-        // inside a sentence does not truncate it.
-        let first = d.contract.split(". ").next().unwrap_or(d.contract);
-        out.push_str(&format!(
-            "  {:<18} {}.\n",
-            d.id,
-            first.trim().trim_end_matches('.')
-        ));
+        out.push_str(&format!("  {:<18} {}\n", d.id, d.summary));
     }
     out
 }
@@ -167,18 +174,13 @@ mod tests {
     #[test]
     fn every_rule_has_a_doc_and_vice_versa() {
         for r in rules::ALL.iter().chain([&rules::SUPPRESSION]) {
-            assert!(
-                RULE_DOCS.iter().any(|d| d.id == *r),
-                "rule {r} missing from RULE_DOCS"
+            assert_eq!(
+                RULE_DOCS.iter().filter(|d| d.id == *r).count(),
+                1,
+                "rule {r} needs exactly one RuleDoc"
             );
         }
-        for d in RULE_DOCS {
-            assert!(
-                rules::ALL.contains(&d.id) || d.id == rules::SUPPRESSION,
-                "RULE_DOCS has unknown rule {}",
-                d.id
-            );
-        }
+        assert_eq!(RULE_DOCS.len(), rules::ALL.len() + 1);
     }
 
     #[test]

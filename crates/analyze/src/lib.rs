@@ -3,12 +3,11 @@
 //! A dependency-free Rust-source analyzer (its own [`lexer`], no registry
 //! crates, not even the workspace shims) that enforces the project's
 //! determinism, unit, arena-index, lease, panic, and lock-order
-//! invariants with `file:line` diagnostics, machine-readable JSON and
-//! SARIF reports, a findings-baseline diff mode for CI, and
+//! invariants with `file:line` diagnostics, a SARIF report, and
 //! `// analyze:allow(rule): <justification>` suppressions that fail when
 //! unjustified, unknown, or stale.
 //!
-//! Since PR 8 the engine is interprocedural: a workspace-wide
+//! The engine is interprocedural: a workspace-wide
 //! [`symbols::SymbolTable`] and [`callgraph::CallGraph`] are built once
 //! from the lexed token streams, and a per-function dataflow pass
 //! ([`dataflow`]) feeds the flow-sensitive rules.
@@ -27,28 +26,26 @@
 //! | `atomic-order` (R11) | `exec`, `sched`, `fleet` | no `Relaxed` access on a release/acquire protocol edge (fence-carrying fns and CAS failure orderings exempt) |
 //! | `blocking-extent` (R12) | `exec`, `sched`, `fleet` | no lock guard held across a transitively may-block call (condvar waits handed the guard exempt) |
 //!
-//! R8 supersedes the per-file `determinism-sources` rule from PR 3: the
-//! same direct occurrences are still findings, but wrappers are now
-//! chased through the call graph across crate boundaries. The
-//! concurrency layer (R10–R12, PR 9) shares one [`shared::SharedRegistry`]
-//! of cross-thread state and one [`locks::LockWorld`] of guard extents;
-//! R5 rides the same call graph, and R12 subsumes PR 3's lexical
-//! statement-extent heuristic. `--explain <rule>` prints each rule's
-//! contract from the [`explain`] table.
+//! R8 flags direct occurrences and chases wrappers through the call
+//! graph across crate boundaries. The concurrency rules (R10–R12) share
+//! one [`shared::SharedRegistry`] of cross-thread state and one
+//! [`locks::LockWorld`] of guard extents; R5 rides the same call graph.
+//! `--explain <rule>` prints each rule's contract from the [`explain`]
+//! table.
 //!
-//! Run it as `cargo run -p northup-analyze -- --workspace
-//! [--json out.json] [--sarif out.sarif] [--baseline analyze-baseline.json]
-//! [--max-millis 10000]`.
+//! The gate is `cargo test`: `tests/workspace_clean.rs` runs
+//! [`analyze_workspace`] on the repository and fails on any unsuppressed
+//! finding or stale suppression. The CLI (`cargo run -p northup-analyze
+//! -- --workspace [--sarif out.sarif]`) prints the same findings and
+//! writes the SARIF artifact.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod dataflow;
 pub mod diag;
 pub mod explain;
-pub mod json;
 pub mod lexer;
 pub mod lockgraph;
 pub mod locks;
@@ -69,7 +66,6 @@ pub mod units;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 pub use diag::{Finding, Report};
 use source::SourceFile;
@@ -82,78 +78,25 @@ pub fn analyze_sources(files: &[(String, String)]) -> Report {
     let mut report = Report {
         findings: Vec::new(),
         files_scanned: parsed.len(),
-        timings_us: Vec::new(),
     };
     // Shared interprocedural infrastructure, built once.
-    let t = Instant::now();
     let symbols = symbols::SymbolTable::build(&parsed);
-    report.timings_us.push(("symbols", t.elapsed().as_micros()));
-    let t = Instant::now();
     let cg = callgraph::CallGraph::build(&parsed, &symbols);
-    report
-        .timings_us
-        .push(("callgraph", t.elapsed().as_micros()));
-    let t = Instant::now();
     let registry = shared::SharedRegistry::build(&parsed, &symbols, &cg);
-    report
-        .timings_us
-        .push(("shared-state registry", t.elapsed().as_micros()));
-    let t = Instant::now();
     let lock_world = locks::LockWorld::build(&parsed, &symbols, &cg);
-    report
-        .timings_us
-        .push(("lock world", t.elapsed().as_micros()));
-    // Rule passes, individually timed. Suppressions apply uniformly
-    // afterwards, file by file.
+    // Rule passes. Suppressions apply uniformly afterwards, file by file.
     let mut raw: Vec<Finding> = Vec::new();
-    let t = Instant::now();
     for sf in &parsed {
         rules::check_file(sf, &mut raw);
     }
-    report
-        .timings_us
-        .push(("per-file (R2-R4)", t.elapsed().as_micros()));
-    let t = Instant::now();
     lockgraph::check_lock_order(&parsed, &symbols, &cg, &lock_world, &mut raw);
-    report
-        .timings_us
-        .push(("lock-order (R5)", t.elapsed().as_micros()));
-    let t = Instant::now();
     r6_units::check(&parsed, &symbols, &cg, &mut raw);
-    report
-        .timings_us
-        .push(("unit-consistency (R6)", t.elapsed().as_micros()));
-    let t = Instant::now();
     r7_arena::check(&parsed, &symbols, &mut raw);
-    report
-        .timings_us
-        .push(("arena-index (R7)", t.elapsed().as_micros()));
-    let t = Instant::now();
     r8_taint::check(&parsed, &symbols, &cg, &mut raw);
-    report
-        .timings_us
-        .push(("determinism-taint (R8)", t.elapsed().as_micros()));
-    let t = Instant::now();
     r9_events::check(&parsed, &symbols, &mut raw);
-    report
-        .timings_us
-        .push(("event-order (R9)", t.elapsed().as_micros()));
-    let t = Instant::now();
     r10_lockset::check(&parsed, &symbols, &registry, &lock_world, &mut raw);
-    report
-        .timings_us
-        .push(("lock-set (R10)", t.elapsed().as_micros()));
-    let t = Instant::now();
     r11_atomics::check(&parsed, &registry, &mut raw);
-    report
-        .timings_us
-        .push(("atomic-order (R11)", t.elapsed().as_micros()));
-    let t = Instant::now();
     r12_blocking::check(&parsed, &symbols, &cg, &lock_world, &mut raw);
-    report
-        .timings_us
-        .push(("blocking-extent (R12)", t.elapsed().as_micros()));
-    let t = Instant::now();
     for sf in &parsed {
         let mut mine: Vec<Finding> = Vec::new();
         let mut rest = Vec::new();
@@ -169,18 +112,15 @@ pub fn analyze_sources(files: &[(String, String)]) -> Report {
         raw = rest;
     }
     report.findings.extend(raw);
-    report
-        .timings_us
-        .push(("suppressions", t.elapsed().as_micros()));
     report.finalize();
     report
 }
 
 /// Walk the workspace rooted at `root` and analyze every first-party
 /// `.rs` file: `crates/*/src/**` (shims excluded — they emulate external
-/// crates and are not on the audited paths) plus `crates/*/tests`,
-/// `crates/*/benches`, and root `src/`, `examples/`, `tests/` (scanned
-/// for completeness; no rule scopes over them).
+/// crates and are not on the audited paths) plus `crates/*/tests` and
+/// root `src/`, `examples/`, `tests/` (scanned for completeness; no rule
+/// scopes over them).
 pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     let mut files: Vec<(String, String)> = Vec::new();
     let crates_dir = root.join("crates");
@@ -191,7 +131,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
         .collect();
     crate_dirs.sort();
     for dir in crate_dirs {
-        for sub in ["src", "tests", "benches"] {
+        for sub in ["src", "tests"] {
             collect_rs(root, &dir.join(sub), &mut files)?;
         }
     }
@@ -284,34 +224,5 @@ mod tests {
         assert_eq!(r.failing().count(), 2);
         assert_eq!(r.findings[0].path, "crates/core/src/a.rs");
         assert!(!r.is_clean());
-    }
-
-    #[test]
-    fn every_pass_is_timed() {
-        let r = analyze_sources(&[("crates/core/src/a.rs".to_string(), "fn f() {}".to_string())]);
-        let names: Vec<&str> = r.timings_us.iter().map(|(n, _)| *n).collect();
-        for expected in [
-            "symbols",
-            "callgraph",
-            "shared-state registry",
-            "lock world",
-            "per-file (R2-R4)",
-            "lock-order (R5)",
-            "unit-consistency (R6)",
-            "arena-index (R7)",
-            "determinism-taint (R8)",
-            "event-order (R9)",
-            "lock-set (R10)",
-            "atomic-order (R11)",
-            "blocking-extent (R12)",
-            "suppressions",
-        ] {
-            assert!(names.contains(&expected), "missing pass timing {expected}");
-        }
-        // total_us is the sum of all passes.
-        assert_eq!(
-            r.total_us(),
-            r.timings_us.iter().map(|(_, us)| us).sum::<u128>()
-        );
     }
 }

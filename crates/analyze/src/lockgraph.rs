@@ -1,11 +1,8 @@
 //! R5: static lock-order analysis over `exec`/`sched`.
 //!
-//! Since PR 9 this rule consumes the shared [`LockWorld`] — acquisition
-//! sites, guard extents, and the call-graph fixpoint of transitive lock
-//! sets are built once (over [`crate::callgraph::CallGraph`]) and shared
-//! with R10/R12 — instead of the private name-keyed propagation the rule
-//! carried since PR 3. The reported edges and cycle shapes are
-//! unchanged.
+//! Consumes the shared [`LockWorld`]: acquisition sites, guard extents,
+//! and the call-graph fixpoint of transitive lock sets are built once
+//! (over [`crate::callgraph::CallGraph`]) and shared with R10/R12.
 //!
 //! While a guard is held, a nested `.lock()` adds the edge
 //! `held → nested`, and a call to another analyzed function adds edges
@@ -30,8 +27,8 @@ pub fn check_lock_order(
 ) {
     // Edges: held lock → lock acquired (directly or via a call) while
     // held. Deterministic order via BTreeMap; first site per edge wins.
-    // R5 keeps its historical exec/sched scope (fleet holds no locks,
-    // but scoping is explicit, not incidental).
+    // R5 scopes over exec/sched only (fleet holds no locks, but scoping
+    // is explicit, not incidental).
     let mut edges: BTreeMap<(String, String), (String, u32)> = BTreeMap::new();
     for (&g, acqs) in &world.acqs {
         let f = &symbols.fns[g];

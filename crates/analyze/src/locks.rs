@@ -1,9 +1,7 @@
 //! Shared lock machinery for the concurrency rules (R5 / R10 / R12).
 //!
-//! PR 3's lockgraph carried a private per-rule scan and its own
-//! name-keyed transitive propagation; since PR 9 the lock world is built
-//! once over the shared [`CallGraph`] and
-//! reused by every rule that reasons about guards:
+//! The lock world is built once over the shared [`CallGraph`] and reused
+//! by every rule that reasons about guards:
 //!
 //! * **acquisitions** — each `.lock()` site in a non-test function of a
 //!   lock-scoped crate, with its guard extent (let-bound guards live to

@@ -1,20 +1,19 @@
-//! CLI: `cargo run -p northup-analyze -- --workspace [--json out.json]
-//! [--sarif out.sarif] [--baseline analyze-baseline.json]
-//! [--max-millis N]`.
+//! CLI: `cargo run -p northup-analyze -- --workspace [--sarif out.sarif]`.
 //!
-//! Exit codes: 0 — analyze-clean (or no *new* findings in baseline
-//! mode, and within the `--max-millis` budget when given); 1 — failing
-//! findings / new findings / budget exceeded; 2 — usage or I/O error.
+//! Exit codes: 0 — analyze-clean; 1 — failing findings; 2 — usage or
+//! I/O error.
 
 use std::env;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use northup_analyze::baseline::Baseline;
-use northup_analyze::{analyze_sources, analyze_workspace, explain, json, sarif, Report};
+use northup_analyze::diag::rules;
+use northup_analyze::{analyze_sources, analyze_workspace, explain, sarif, Report};
 
-const USAGE: &str = "\
+fn usage() -> String {
+    format!(
+        "\
 northup-analyze — offline static analysis for the Northup workspace
 
 USAGE:
@@ -24,14 +23,7 @@ USAGE:
 OPTIONS:
     --workspace       analyze every first-party crate under --root (default: cwd)
     --root DIR        workspace root for --workspace and for relativizing paths
-    --json FILE       also write the machine-readable report to FILE
     --sarif FILE      also write a SARIF 2.1.0 report to FILE
-    --baseline FILE   diff mode: fail (and print) only findings NOT in the
-                      committed baseline (a previous --json report); line
-                      shifts don't trip the gate, new violations do
-    --max-millis N    self-benchmark gate: fail if total analysis time
-                      (sum of the per-pass timings) exceeds N milliseconds
-    --timings         print the per-pass timing table
     --quiet           print only the summary line, not per-finding lines
     --explain RULE    print RULE's contract, example, and allow syntax
                       (with no/unknown RULE: the one-line rule index)
@@ -40,9 +32,10 @@ OPTIONS:
 Suppress a finding with a justified directive on the same or previous line:
     // analyze:allow(<rule>): <why this is sound>
 A justified suppression that matches no finding is itself a finding.
-Rules: ordered-iteration, lease-discipline, panic-paths, lock-order,
-       unit-consistency, arena-index, determinism-taint, event-order,
-       lock-set, atomic-order, blocking-extent.";
+Rules: {}.",
+        rules::ALL.join(", ")
+    )
+}
 
 fn main() -> ExitCode {
     match run() {
@@ -57,12 +50,8 @@ fn main() -> ExitCode {
 fn run() -> Result<ExitCode, String> {
     let mut workspace = false;
     let mut quiet = false;
-    let mut timings = false;
     let mut root = PathBuf::from(".");
-    let mut json_out: Option<PathBuf> = None;
     let mut sarif_out: Option<PathBuf> = None;
-    let mut baseline_in: Option<PathBuf> = None;
-    let mut max_millis: Option<u128> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
 
     let mut args = env::args().skip(1);
@@ -70,23 +59,9 @@ fn run() -> Result<ExitCode, String> {
         match a.as_str() {
             "--workspace" => workspace = true,
             "--quiet" => quiet = true,
-            "--timings" => timings = true,
             "--root" => root = PathBuf::from(args.next().ok_or("--root needs a value")?),
-            "--json" => json_out = Some(PathBuf::from(args.next().ok_or("--json needs a value")?)),
             "--sarif" => {
                 sarif_out = Some(PathBuf::from(args.next().ok_or("--sarif needs a value")?))
-            }
-            "--baseline" => {
-                baseline_in = Some(PathBuf::from(
-                    args.next().ok_or("--baseline needs a value")?,
-                ))
-            }
-            "--max-millis" => {
-                let v = args.next().ok_or("--max-millis needs a value")?;
-                max_millis = Some(
-                    v.parse::<u128>()
-                        .map_err(|_| format!("--max-millis: `{v}` is not a number"))?,
-                );
             }
             "--explain" => {
                 match args.next().as_deref().and_then(explain::explain) {
@@ -96,15 +71,15 @@ fn run() -> Result<ExitCode, String> {
                 return Ok(ExitCode::SUCCESS);
             }
             "-h" | "--help" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return Ok(ExitCode::SUCCESS);
             }
             p if !p.starts_with('-') => paths.push(PathBuf::from(p)),
-            other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
+            other => return Err(format!("unknown flag `{other}`\n\n{}", usage())),
         }
     }
     if !workspace && paths.is_empty() {
-        return Err(format!("nothing to analyze\n\n{USAGE}"));
+        return Err(format!("nothing to analyze\n\n{}", usage()));
     }
 
     let report: Report = if workspace {
@@ -124,75 +99,24 @@ fn run() -> Result<ExitCode, String> {
         analyze_sources(&files)
     };
 
-    if let Some(out) = json_out {
-        fs::write(&out, json::report_to_json(&report))
-            .map_err(|e| format!("writing {}: {e}", out.display()))?;
-    }
     if let Some(out) = sarif_out {
         fs::write(&out, sarif::report_to_sarif(&report))
             .map_err(|e| format!("writing {}: {e}", out.display()))?;
     }
 
-    if timings || max_millis.is_some() {
-        for (pass, us) in &report.timings_us {
-            println!(
-                "northup-analyze: timing {pass:>24}: {:>8.2} ms",
-                *us as f64 / 1000.0
-            );
-        }
-        println!(
-            "northup-analyze: timing {:>24}: {:>8.2} ms",
-            "total",
-            report.total_us() as f64 / 1000.0
-        );
-    }
-
-    let mut failed = false;
-    if let Some(bl_path) = baseline_in {
-        let text = fs::read_to_string(&bl_path)
-            .map_err(|e| format!("reading {}: {e}", bl_path.display()))?;
-        let bl = Baseline::from_json(&text)
-            .map_err(|e| format!("parsing {}: {e}", bl_path.display()))?;
-        let new = bl.new_findings(&report);
-        if !quiet {
-            for f in &new {
-                println!("{} [NEW]", f.render());
-            }
-        }
-        println!(
-            "northup-analyze: {} file(s), {} finding(s) total, {} NEW vs baseline {}",
-            report.files_scanned,
-            report.findings.len(),
-            new.len(),
-            bl_path.display()
-        );
-        failed |= !new.is_empty();
-    } else {
-        if !quiet {
-            for f in &report.findings {
-                println!("{}", f.render());
-            }
-        }
-        let failing = report.failing().count();
-        let suppressed = report.findings.len() - failing;
-        println!(
-            "northup-analyze: {} file(s), {} failing finding(s), {} suppressed",
-            report.files_scanned, failing, suppressed
-        );
-        failed |= failing > 0;
-    }
-
-    if let Some(budget) = max_millis {
-        let total_ms = report.total_us() / 1000;
-        if total_ms > budget {
-            println!("northup-analyze: self-benchmark FAILED: {total_ms} ms > budget {budget} ms");
-            failed = true;
-        } else {
-            println!("northup-analyze: self-benchmark ok: {total_ms} ms <= {budget} ms");
+    if !quiet {
+        for f in &report.findings {
+            println!("{}", f.render());
         }
     }
-
-    Ok(if failed {
+    let failing = report.failing().count();
+    println!(
+        "northup-analyze: {} file(s), {} failing finding(s), {} suppressed",
+        report.files_scanned,
+        failing,
+        report.findings.len() - failing
+    );
+    Ok(if failing > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -70,13 +70,10 @@ pub fn check(files: &[SourceFile], symbols: &SymbolTable, cg: &CallGraph, out: &
             .any(|ci| !sf.in_test[ci] && SOURCES.iter().any(|s| sf.toks[sf.code[ci]].is_ident(s)))
     };
     // Exempt from sourcing *and* propagation: the carve-out files
-    // (wrapping real time is their job), test/bench/example fns (their
+    // (wrapping real time is their job) and test/example fns (their
     // names must not poison same-named runtime fns — propagation is
-    // name-keyed), and the analyzer itself (its per-rule timings use
-    // `Instant` legitimately and are not schedule-visible).
-    let is_exempt = |f: &FnSig| {
-        f.is_test || CARVE_OUTS.contains(&f.path.as_str()) || f.krate.as_deref() == Some("analyze")
-    };
+    // name-keyed).
+    let is_exempt = |f: &FnSig| f.is_test || CARVE_OUTS.contains(&f.path.as_str());
     let taint = cg.taint(symbols, is_source, is_exempt);
     // Findings at call sites of tainted fns inside scoped code.
     for call in &cg.calls {

@@ -3,8 +3,7 @@
 //!
 //! R5 (lock-order) lives in [`crate::lockgraph`]; the interprocedural
 //! rules R6–R9 live in [`crate::r6_units`], [`crate::r7_arena`],
-//! [`crate::r8_taint`] (which superseded the old per-file
-//! `determinism-sources` rule), and [`crate::r9_events`].
+//! [`crate::r8_taint`], and [`crate::r9_events`].
 
 use crate::diag::{rules, Finding};
 use crate::source::SourceFile;
@@ -252,15 +251,15 @@ mod tests {
 
     #[test]
     fn engine_modules_are_in_scope() {
-        // The event-engine rewrite (calendar queue + digest pinning) must
-        // stay under R2: an unordered map in either module would silently
-        // break bit-identical replay. Pin the scope so a future exception
-        // list can't quietly carve them out. (The determinism leg of this
-        // guarantee moved to R8 and is pinned in tests/fixtures.rs.)
+        // An unordered map anywhere in the event engine would silently
+        // break bit-identical replay. Scope follows the crate, not the
+        // file name, so splitting `scheduler.rs` into nested modules
+        // cannot carve anything out.
         for path in [
             "crates/sched/src/calendar.rs",
             "crates/sched/src/digest.rs",
             "crates/sched/src/scheduler.rs",
+            "crates/sched/src/scheduler/policy.rs",
         ] {
             let f = run(path, "use std::collections::HashMap;");
             assert_eq!(f.len(), 1, "{path} escaped R2");

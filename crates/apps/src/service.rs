@@ -306,8 +306,8 @@ pub fn overload_slo() -> SloConfig {
 /// Preemption is deliberately **off**: mid-flight eviction would absorb
 /// moderate overload by itself, so turning it off is what makes this
 /// driver certify that *admission-side* control alone defends the SLO.
-/// Pass `None` for the uncontrolled baseline the CI gate uses as its
-/// regression witness.
+/// Pass `None` for the uncontrolled baseline the overload study
+/// (`figures -- slo`) uses as its regression witness.
 pub fn run_service_slo(
     tree: &Tree,
     trace: Vec<JobSpec>,

@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run -p northup-bench --bin figures            # all figures
 //! cargo run -p northup-bench --bin figures -- fig6    # one figure
-//! cargo run -p northup-bench --bin figures -- ablations service
+//! cargo run -p northup-bench --bin figures -- ablations service slo chaos
 //! cargo run -p northup-bench --bin figures -- headline
 //! ```
 
@@ -43,6 +43,12 @@ fn main() {
     }
     if want("service") {
         print_service();
+    }
+    if want("slo") {
+        print_slo();
+    }
+    if want("chaos") {
+        print_chaos();
     }
     if want("headline") {
         print_headline();
@@ -104,6 +110,95 @@ fn print_service() {
             r.chaos_backoff_s * 1e3,
             r.chaos_recovered,
             r.chaos_failed,
+        );
+    }
+    println!();
+}
+
+fn print_slo() {
+    use northup_sched::{JobState, Priority, RejectReason};
+    println!(
+        "== SLO: {} open-loop jobs at 1x/1.5x/2x capacity, Interactive p99 target {} ==",
+        nb::SLO_JOBS,
+        northup_apps::overload_slo().targets[0]
+    );
+    println!(
+        "{:>5} {:>4} {:>5} {:>8} {:>9} {:>5} {:>7} {:>8} {:>10} {:>10} {:>10} {:>4} {:>5} {:>7} {:>6}  rejected: full/shed/quota/infeasible",
+        "load",
+        "ctl",
+        "done",
+        "rejected",
+        "cancelled",
+        "sheds",
+        "sheds-i",
+        "degraded",
+        "p99i(ms)",
+        "p99n(ms)",
+        "p99b(ms)",
+        "tier",
+        "ticks",
+        "needed",
+        "scale"
+    );
+    for run in nb::slo_study() {
+        let r = &run.report;
+        let p99_ms = |class| r.class_p99(class).as_secs_f64() * 1e3;
+        let reasons = RejectReason::ALL.map(|x| r.rejected_for(x).to_string());
+        println!(
+            "{:>4}% {:>4} {:>5} {:>8} {:>9} {:>5} {:>7} {:>8} {:>10.6} {:>10.6} {:>10.6} {:>4} {:>5} {:>6}% {:>5}%  {}",
+            run.load_pct,
+            run.control,
+            r.count(JobState::Done),
+            r.count(JobState::Rejected),
+            r.count(JobState::Cancelled),
+            r.shed_log.len(),
+            run.sheds_interactive(),
+            r.degraded_jobs(),
+            p99_ms(Priority::Interactive),
+            p99_ms(Priority::Normal),
+            p99_ms(Priority::Batch),
+            run.max_tier(),
+            r.slo_log.len(),
+            r.capacity_needed_pct,
+            run.scale_pct(),
+            reasons.join("/"),
+        );
+    }
+    println!();
+}
+
+fn print_chaos() {
+    println!("== Chaos: fault accounting of the two seeded scenarios ==");
+    println!(
+        "{:<22} {:>5} {:>5} {:>6} {:>8} {:>6} {:>7} {:>11} {:>9} {:>8} {:>6} {:>11}",
+        "scenario",
+        "jobs",
+        "done",
+        "failed",
+        "rejected",
+        "faults",
+        "retries",
+        "backoff(ms)",
+        "recovered",
+        "reroutes",
+        "fenced",
+        "makespan(s)"
+    );
+    for r in nb::chaos_accounting() {
+        println!(
+            "{:<22} {:>5} {:>5} {:>6} {:>8} {:>6} {:>7} {:>11.6} {:>9} {:>8} {:>6} {:>11.9}",
+            r.scenario,
+            r.jobs,
+            r.done,
+            r.failed,
+            r.rejected,
+            r.faults,
+            r.retries,
+            r.backoff_s * 1e3,
+            r.recovered,
+            r.reroutes,
+            format!("{:?}", r.quarantined),
+            r.makespan_s,
         );
     }
     println!();

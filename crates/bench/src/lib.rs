@@ -2,8 +2,9 @@
 //!
 //! One function per figure, all running the paper-scale **Modeled** runs
 //! (deterministic virtual time; see DESIGN.md §5 for the calibration).
-//! The `figures` binary prints each series and CI diffs its output against
-//! `figures_output.txt`; wall-clock numbers come from `benchmark/` only.
+//! The `figures` binary prints each series and `tests/figures_golden.rs`
+//! compares its output with the committed `figures_output.txt`;
+//! wall-clock numbers come from `benchmark/` only.
 //!
 //! | paper | function | what it shows |
 //! |---|---|---|
@@ -15,6 +16,8 @@
 //! | headline | [`headline`] | abstract's "average 17% slower than in-memory" |
 //! | §III-C/§IV-B/§II/§VI | [`ablation_ring_depth`], [`ablation_temporal_blocking`], [`ablation_nvm_mapping`], [`ablation_layout_transform`] | design-choice ablations |
 //! | service | [`service_scenario`] | multi-tenant offered-load sweep |
+//! | slo | [`slo_study`] | open-loop overload sweep through the SLO controller |
+//! | chaos | [`chaos_accounting`] | fault accounting of the two seeded chaos scenarios |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,11 +28,14 @@ use northup_apps::{
     fig11_speedup, hotspot_apu, hotspot_in_memory, matmul_apu, matmul_in_memory, spmv_apu,
     spmv_in_memory, AppRun, HotspotConfig, MatmulConfig, SpmvInput,
 };
-use northup_apps::{run_service, run_service_with, synthetic_trace, TraceConfig};
+use northup_apps::{
+    overload_slo, overload_trace, run_service, run_service_slo, run_service_with, synthetic_trace,
+    OverloadConfig, TraceConfig,
+};
 use northup_hw::{catalog, DeviceSpec};
 use northup_sched::{
-    AdmissionPolicy, FaultPlan, JobScheduler, JobSpec, JobState, JobWork, NodeBudgets, Reservation,
-    ResizeDrain, SchedulerConfig,
+    AdmissionPolicy, FaultPlan, JobScheduler, JobSpec, JobState, JobWork, NodeBudgets, Priority,
+    Reservation, ResizeDrain, SchedReport, SchedulerConfig,
 };
 use northup_sim::{Category, SimDur, SimTime};
 use serde::{Deserialize, Serialize};
@@ -698,15 +704,80 @@ pub fn service_scenario() -> Vec<ServiceRow> {
         .collect()
 }
 
-/// Fault accounting for one seeded chaos scenario (the CI `chaos` step's
-/// artifact row; see DESIGN.md §10).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+// ---------------------------------------------------------------------------
+// SLO overload study and seeded chaos scenarios (northup-sched)
+// ---------------------------------------------------------------------------
+
+/// One run of the open-loop overload study (`figures -- slo`).
+#[derive(Debug, Clone)]
+pub struct SloRun {
+    /// `on` (SLO controller), `off` (the uncontrolled witness) or `auto`
+    /// (controller with budget autoscaling up to 400 %).
+    pub control: &'static str,
+    /// Offered load as a percentage of estimated capacity.
+    pub load_pct: u32,
+    /// The scheduler's report for the run.
+    pub report: SchedReport,
+}
+
+impl SloRun {
+    /// Sheds that hit the guaranteed (Interactive) class.
+    pub fn sheds_interactive(&self) -> usize {
+        let sheds = self.report.shed_log.iter();
+        sheds.filter(|s| s.class == Priority::Interactive).count()
+    }
+
+    /// Highest controller tier any control tick reached (0 without one).
+    pub fn max_tier(&self) -> u8 {
+        let tiers = self.report.slo_log.iter().map(|s| s.tier);
+        tiers.max().unwrap_or(0)
+    }
+
+    /// Budget scale at the last control tick (100 ⇒ never grown).
+    pub fn scale_pct(&self) -> u32 {
+        self.report.slo_log.last().map_or(100, |s| s.scale_pct)
+    }
+}
+
+/// Jobs in each [`slo_study`] trace.
+pub const SLO_JOBS: usize = 320;
+
+/// The fixed-seed overload study (DESIGN.md §15): the same 320-job
+/// open-loop trace at 1×/1.5×/2× estimated capacity through the SLO
+/// feedback controller, then at 2× without it (the regression witness)
+/// and at 2× with autoscaling. Rows come back in that order.
+pub fn slo_study() -> [SloRun; 5] {
+    let tree = presets::apu_two_level(catalog::ssd_hyperx_predator());
+    let run = |control, load_pct, slo| {
+        let cfg = OverloadConfig {
+            jobs: SLO_JOBS,
+            seed: 11,
+            load_pct,
+            ..OverloadConfig::default()
+        };
+        SloRun {
+            control,
+            load_pct,
+            report: run_service_slo(&tree, overload_trace(&tree, &cfg), slo)
+                .expect("overload service run"),
+        }
+    };
+    [
+        run("on", 100, Some(overload_slo())),
+        run("on", 150, Some(overload_slo())),
+        run("on", 200, Some(overload_slo())),
+        run("off", 200, None),
+        run("auto", 200, Some(overload_slo().with_autoscale(400))),
+    ]
+}
+
+/// Fault accounting for one seeded chaos scenario (a `figures -- chaos`
+/// row; see DESIGN.md §10).
+#[derive(Debug, Clone)]
 pub struct ChaosSummary {
     /// Scenario name (`transient-recovery` / `persistent-quarantine`).
-    pub scenario: String,
-    /// Fault-plan seed (fixed — the run must replay bit-identically).
-    pub seed: u64,
-    /// Jobs submitted / completed / failed / rejected.
+    pub scenario: &'static str,
+    /// Jobs submitted.
     pub jobs: usize,
     /// Jobs that reached `Done`.
     pub done: usize,
@@ -728,22 +799,16 @@ pub struct ChaosSummary {
     pub quarantined: Vec<usize>,
     /// Trace makespan in virtual seconds.
     pub makespan_s: f64,
-    /// Whether a second same-seed run reproduced the report bit for bit.
-    pub replay_identical: bool,
 }
 
-/// The two fixed-seed chaos scenarios behind the CI `chaos` gate:
+/// The two fixed-seed chaos scenarios:
 ///
 /// 1. **transient-recovery** — a transient-only plan over the two-level
 ///    APU; every job must recover to `Done` through retry/backoff alone.
 /// 2. **persistent-quarantine** — a persistent plan scoped to the Fig. 2
 ///    DRAM leaf; the node must be fenced and the whole trace must still
 ///    complete on the surviving subtrees.
-///
-/// Each scenario runs twice and records whether the `SchedReport`
-/// reproduced bit-identically (`replay_identical`) — the consumer (the
-/// `chaos_report` binary, and CI through it) fails if it did not.
-pub fn chaos_accounting() -> Vec<ChaosSummary> {
+pub fn chaos_accounting() -> [ChaosSummary; 2] {
     let job = |name: String, chunks: u32| {
         JobSpec::new(
             name,
@@ -755,7 +820,7 @@ pub fn chaos_accounting() -> Vec<ChaosSummary> {
                 .write(4 << 20),
         )
     };
-    let transient = || {
+    let transient = {
         let tree = presets::apu_two_level(catalog::ssd_hyperx_predator());
         let mut sched = JobScheduler::new(
             tree,
@@ -769,7 +834,7 @@ pub fn chaos_accounting() -> Vec<ChaosSummary> {
         }
         sched.run().expect("transient chaos run")
     };
-    let persistent = || {
+    let persistent = {
         let tree = presets::asymmetric_fig2();
         let mut sched = JobScheduler::new(
             tree,
@@ -788,29 +853,23 @@ pub fn chaos_accounting() -> Vec<ChaosSummary> {
         }
         sched.run().expect("persistent chaos run")
     };
-    let summarize = |scenario: &str, seed: u64, run: &dyn Fn() -> northup_sched::SchedReport| {
-        let a = run();
-        let b = run();
-        ChaosSummary {
-            scenario: scenario.to_string(),
-            seed,
-            jobs: a.jobs.len(),
-            done: a.count(JobState::Done),
-            failed: a.count(JobState::Failed),
-            rejected: a.count(JobState::Rejected),
-            faults: a.fault_log.len(),
-            retries: a.total_retries(),
-            backoff_s: a.total_backoff().as_secs_f64(),
-            reroutes: a.jobs.iter().map(|j| u64::from(j.fault.reroutes)).sum(),
-            recovered: a.jobs_recovered(),
-            quarantined: a.quarantined_nodes().iter().map(|n| n.0).collect(),
-            makespan_s: a.makespan.as_secs_f64(),
-            replay_identical: format!("{a:?}") == format!("{b:?}"),
-        }
+    let summarize = |scenario, r: SchedReport| ChaosSummary {
+        scenario,
+        jobs: r.jobs.len(),
+        done: r.count(JobState::Done),
+        failed: r.count(JobState::Failed),
+        rejected: r.count(JobState::Rejected),
+        faults: r.fault_log.len(),
+        retries: r.total_retries(),
+        backoff_s: r.total_backoff().as_secs_f64(),
+        reroutes: r.jobs.iter().map(|j| u64::from(j.fault.reroutes)).sum(),
+        recovered: r.jobs_recovered(),
+        quarantined: r.quarantined_nodes().iter().map(|n| n.0).collect(),
+        makespan_s: r.makespan.as_secs_f64(),
     };
-    vec![
-        summarize("transient-recovery", 42, &transient),
-        summarize("persistent-quarantine", 7, &persistent),
+    [
+        summarize("transient-recovery", transient),
+        summarize("persistent-quarantine", persistent),
     ]
 }
 
@@ -1015,5 +1074,88 @@ mod tests {
         assert_eq!(h.gaps.len(), 3);
         // Paper: 17% average. Our model should land within a loose band.
         assert!((0.02..0.60).contains(&h.average), "{h:?}");
+    }
+
+    /// The overload gate (DESIGN.md §15): one assertion per acceptance
+    /// criterion, so a failure names the criterion.
+    #[test]
+    fn slo_controller_holds_the_target_at_twice_capacity() {
+        use northup_sched::RejectReason;
+        let [at_capacity, _, overload, off, auto] = &slo_study();
+        assert_eq!((overload.control, overload.load_pct), ("on", 200));
+        let target = overload_slo().targets[0];
+        let p99i = |r: &SloRun| r.report.class_p99(Priority::Interactive);
+
+        assert!(
+            p99i(overload) <= target,
+            "controller failed to hold the SLO at 2x: p99i {:?} > {target:?}",
+            p99i(overload)
+        );
+        assert!(
+            p99i(off) > target,
+            "witness run did not breach at 2x: p99i {:?} <= {target:?}",
+            p99i(off)
+        );
+        assert!(!overload.report.shed_log.is_empty(), "no shedding at 2x");
+        assert_eq!(
+            overload.sheds_interactive(),
+            0,
+            "the guaranteed class was shed"
+        );
+        assert!(
+            overload.report.degraded_jobs() > 0,
+            "brownout never engaged at 2x"
+        );
+        assert!(
+            at_capacity.report.shed_log.is_empty(),
+            "false-positive shedding at 1x capacity"
+        );
+        assert!(
+            auto.report.capacity_needed_pct > 100,
+            "autoscale projection reported no extra capacity needed"
+        );
+        assert!(
+            auto.scale_pct() > 100 && auto.max_tier() == 4,
+            "autoscale never grew the budgets (tier 4 unreached)"
+        );
+        for run in [overload, off, auto] {
+            let (name, r) = (run.control, &run.report);
+            let settled = [
+                JobState::Done,
+                JobState::Failed,
+                JobState::Rejected,
+                JobState::Cancelled,
+            ]
+            .map(|state| r.count(state));
+            assert!(
+                r.all_terminal() && settled.iter().sum::<usize>() == SLO_JOBS,
+                "{name}: {settled:?} of {SLO_JOBS} arrivals settled"
+            );
+            let by_reason: usize = RejectReason::ALL.iter().map(|&x| r.rejected_for(x)).sum();
+            assert_eq!(
+                by_reason,
+                r.count(JobState::Rejected),
+                "{name}: typed reasons do not partition the rejections"
+            );
+        }
+    }
+
+    /// The chaos gate (DESIGN.md §10). Bit-identical replay of faulted
+    /// runs is `fault_props::chaos_replays_bit_identically`.
+    #[test]
+    fn chaos_scenarios_recover_and_quarantine() {
+        let rows = chaos_accounting();
+        let [transient, persistent] = &rows;
+        for r in &rows {
+            assert!(r.faults > 0, "{}: plan injected nothing", r.scenario);
+        }
+        assert_eq!(transient.done, transient.jobs, "full transient recovery");
+        assert!(transient.recovered > 0, "recovery went through a fault");
+        assert_eq!(persistent.quarantined, [1], "the faulty leaf is fenced");
+        assert_eq!(
+            (persistent.jobs, persistent.done),
+            (8, 8),
+            "free jobs must finish on the survivors"
+        );
     }
 }

@@ -9,9 +9,9 @@
 //! order and log, the capacity trace, peak commitments, the chunk log,
 //! resizes, preemption latencies, and the three fault logs — into one
 //! number with a splitmix64-style mixer. Two reports share a digest
-//! exactly when their deterministic content is identical; the
-//! `sched_engine` bench gate pins the digests the pre-rewrite engine
-//! produced and fails on any drift.
+//! exactly when their deterministic content is identical;
+//! `tests/engine_scale_digests.rs` pins the digests the pre-rewrite
+//! engine produced and fails on any drift.
 //!
 //! Derived floating-point aggregates (`throughput`, percentile
 //! latencies, `rejection_rate`) are deliberately excluded: they are pure

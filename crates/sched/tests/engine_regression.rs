@@ -2,10 +2,10 @@
 //!
 //! The digests below were captured against the pre-rewrite
 //! `BinaryHeap` engine and pinned; the calendar-queue engine must
-//! reproduce every one bit-for-bit. Unlike the CI `sched_engine` gate
-//! this runs in tier-1 `cargo test` with its own local trace generator
-//! (no dependency on `northup-apps`), so any event-order drift in the
-//! engine fails the ordinary test suite, not just the bench gate.
+//! reproduce every one bit-for-bit. Unlike the root package's
+//! `tests/engine_scale_digests.rs` this uses its own local trace
+//! generator (no dependency on `northup-apps`), so a change to the
+//! service trace cannot mask an event-order drift in the engine.
 
 use northup::{presets, FaultPlan};
 use northup_hw::catalog;
