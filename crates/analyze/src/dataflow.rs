@@ -314,21 +314,14 @@ mod tests {
 
     #[test]
     fn call_rhs_takes_return_unit() {
-        let f = facts(
-            "fn transfer(&self) -> SimDur { x }\n\
-             fn g(&self) { let cost = self.link.transfer(); }\n",
-        );
-        // facts() collects fns[0]; redo for the second fn.
         let sf = SourceFile::parse(
             "crates/sched/src/x.rs",
             "fn transfer(&self) -> SimDur { x }\n\
              fn g(&self) { let cost = self.link.transfer(); }\n",
         );
         let symbols = SymbolTable::build(std::slice::from_ref(&sf));
-        let g = sf.fns[1].clone();
-        let fg = FnFacts::collect(&sf, &g, &symbols, &BTreeSet::new());
+        let fg = FnFacts::collect(&sf, &sf.fns[1], &symbols, &BTreeSet::new());
         assert_eq!(fg.unit_of["cost"], Unit::Ns);
-        drop(f);
     }
 
     #[test]

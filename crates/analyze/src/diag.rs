@@ -1,6 +1,8 @@
 //! Diagnostics: findings, severity tiers, and the report they
 //! aggregate into.
 
+use std::collections::BTreeMap;
+
 /// Rule identifiers, used both in diagnostics and in
 /// `// analyze:allow(<rule>)` suppressions.
 pub mod rules {
@@ -10,8 +12,6 @@ pub mod rules {
     pub const LEASE_DISCIPLINE: &str = "lease-discipline";
     /// R4: `unwrap()`/`expect(`/`panic!` in non-test runtime code.
     pub const PANIC_PATHS: &str = "panic-paths";
-    /// R5: cycles in the static lock-acquisition graph.
-    pub const LOCK_ORDER: &str = "lock-order";
     /// R6: mixed-unit arithmetic/comparison (ns vs bytes vs byte·seconds
     /// vs events) in scoring and accounting code.
     pub const UNIT_CONSISTENCY: &str = "unit-consistency";
@@ -25,9 +25,6 @@ pub mod rules {
     /// R9: ordering packed calendar events by anything other than the
     /// full `(SimTime, kind, id, seq)` tuple.
     pub const EVENT_ORDER: &str = "event-order";
-    /// R10: accessing a mutex-guarded field without its guard live, or
-    /// writing a shared field from thread-escaping code with no lock.
-    pub const LOCK_SET: &str = "lock-set";
     /// R11: a `Relaxed` access on the publication/consumption edge of a
     /// release/acquire protocol atomic.
     pub const ATOMIC_ORDER: &str = "atomic-order";
@@ -39,16 +36,14 @@ pub mod rules {
     pub const SUPPRESSION: &str = "suppression";
 
     /// Every rule a suppression may name.
-    pub const ALL: [&str; 11] = [
+    pub const ALL: [&str; 9] = [
         ORDERED_ITERATION,
         LEASE_DISCIPLINE,
         PANIC_PATHS,
-        LOCK_ORDER,
         UNIT_CONSISTENCY,
         ARENA_INDEX,
         DETERMINISM_TAINT,
         EVENT_ORDER,
-        LOCK_SET,
         ATOMIC_ORDER,
         BLOCKING_EXTENT,
     ];
@@ -124,6 +119,18 @@ impl Finding {
     }
 }
 
+/// The census: per `(rule, crate)`, how many non-test sites the rule
+/// actually inspected (see [`crate::explain::RuleDoc::inputs`] for what
+/// a site is, rule by rule).
+pub type Inputs = BTreeMap<(&'static str, String), usize>;
+
+/// Record one inspected site of `rule` in the crate `path` belongs to.
+pub fn count_input(inputs: &mut Inputs, rule: &'static str, path: &str) {
+    if let Some(krate) = crate::rules::crate_of(path) {
+        *inputs.entry((rule, krate.to_string())).or_default() += 1;
+    }
+}
+
 /// The aggregate result of analyzing a set of sources.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -131,6 +138,8 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of files analyzed.
     pub files_scanned: usize,
+    /// The census of inspected sites.
+    pub inputs: Inputs,
 }
 
 impl Report {

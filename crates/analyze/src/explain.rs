@@ -1,19 +1,27 @@
-//! The single rules table behind `northup-analyze --explain <rule>` and
-//! the SARIF rule catalog: every rule's one-line summary, contract, an
-//! example, and the allow syntax, so a suppression justification can
-//! reference the exact contract it waives.
+//! The single rules table: every rule's number, scope, one-line
+//! summary, census unit, contract and example. Rule scoping
+//! ([`in_scope`]), `northup-analyze --explain <rule>`, the SARIF rule
+//! catalog and the table in the crate docs ([`table`]) all read it, so a
+//! crate name decides scope in exactly one place.
 
 use crate::diag::{rules, severity_of};
+use crate::rules::crate_of;
 
 /// One rule's documentation.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleDoc {
-    /// Rule identifier (`lock-set`, ...).
+    /// Rule identifier (`atomic-order`, ...).
     pub id: &'static str,
+    /// Rule number (`R11`); empty for the suppression meta-rule.
+    pub number: &'static str,
     /// One line for the `--explain` index and the SARIF catalog.
     pub summary: &'static str,
-    /// The crates the rule scopes over.
-    pub scope: &'static str,
+    /// The crates the rule scopes over (empty: every analyzed file).
+    pub scope: &'static [&'static str],
+    /// What the census ([`crate::diag::Inputs`]) counts as one inspected
+    /// site of this rule; `None` when the rule inspects every fn or call
+    /// of a scoped crate, so no crate with code can starve it.
+    pub inputs: Option<&'static str>,
     /// The invariant the rule enforces.
     pub contract: &'static str,
     /// A minimal violating example.
@@ -24,8 +32,10 @@ pub struct RuleDoc {
 pub const RULE_DOCS: &[RuleDoc] = &[
     RuleDoc {
         id: rules::ORDERED_ITERATION,
+        number: "R2",
         summary: "unordered HashMap/HashSet iteration leaks into schedules; use ordered containers",
-        scope: "core, sim, sched, fleet",
+        scope: &["core", "sched", "fleet"],
+        inputs: Some("map/set type mentions (Hash*/BTree*)"),
         contract: "No HashMap/HashSet in schedule-affecting code: iteration order \
                    feeds event order, and unordered maps make replay diverge. Use \
                    BTreeMap/BTreeSet or sorted vecs.",
@@ -33,34 +43,34 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: rules::LEASE_DISCIPLINE,
+        number: "R3",
         summary: "acquired buffers/leases need a reachable release or an escaping handle",
-        scope: "core, sched, apps",
-        contract: "Every alloc/lease acquisition needs a reachable release on the \
-                   same path, or the handle must escape to a caller that releases \
-                   it; leaked leases starve admission.",
+        scope: &["sched", "apps"],
+        inputs: Some("alloc/alloc_on_child call sites in fns whose signature keeps the handle"),
+        contract: "Every alloc/lease acquisition needs a reachable release in the \
+                   same item — release/free/drop, or an alloc on a Runtime the \
+                   item itself built (its drop reclaims the buffer) — or the \
+                   handle must escape through the return type; leaked leases \
+                   starve admission. Any release in the item answers every \
+                   alloc in it: the rule does not pair them.",
         example: "let h = ctx.alloc(node, bytes)?;  // no release, h dropped",
     },
     RuleDoc {
         id: rules::PANIC_PATHS,
+        number: "R4",
         summary: "no unwrap()/expect(..)/panic! in non-test runtime code",
-        scope: "core, exec, sched, fleet",
+        scope: &["core", "exec", "sched", "fleet"],
+        inputs: None,
         contract: "No unwrap()/expect()/panic! in non-test runtime code; a panic on \
                    a pool thread poisons the run. Return the typed error instead.",
         example: "let v = map.get(&k).unwrap();  // runtime path",
     },
     RuleDoc {
-        id: rules::LOCK_ORDER,
-        summary: "the static lock-acquisition graph must be acyclic",
-        scope: "exec, sched",
-        contract: "The static lock-acquisition graph (guard extents plus locks \
-                   acquired transitively through calls, over the shared call \
-                   graph) must be acyclic; a cycle is a potential deadlock.",
-        example: "fn a() { _1 = x.lock(); y.lock(); }  fn b() { _2 = y.lock(); x.lock(); }",
-    },
-    RuleDoc {
         id: rules::UNIT_CONSISTENCY,
+        number: "R6",
         summary: "no mixed-unit arithmetic/comparison across ns, bytes, byte·seconds, events",
-        scope: "core, sched, fleet",
+        scope: &["core", "sched", "fleet"],
+        inputs: Some("operators and call arguments with a known unit on both sides"),
         contract: "No arithmetic/comparison mixing ns, bytes, byte-seconds, and \
                    event counts; unit identity comes from ident suffixes, field \
                    types, and fn signatures, and poisons through mul/div.",
@@ -68,8 +78,10 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: rules::ARENA_INDEX,
+        number: "R7",
         summary: "dense arena indices stay in their declared domain and die on compaction",
-        scope: "core, sched, fleet",
+        scope: &["sched"],
+        inputs: Some("index expressions over a declared arena from outside its owner"),
         contract: "Dense arena indices (HotJob, ChunkChain, ...) stay in their \
                    declared domain: no raw/literal/cross-domain usize indexing, \
                    and no index held across a compacting call (swap_remove, \
@@ -78,8 +90,10 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: rules::DETERMINISM_TAINT,
+        number: "R8",
         summary: "wall-clock/entropy sources must not reach schedule-visible code, even transitively",
-        scope: "core, sim, sched, fleet",
+        scope: &["core", "sim", "sched", "fleet"],
+        inputs: None,
         contract: "No wall-clock or OS entropy (Instant/SystemTime/thread_rng) \
                    reaching schedule-visible code, even through helper fns in \
                    other crates; the call graph is chased with a witness chain. \
@@ -88,8 +102,10 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: rules::EVENT_ORDER,
+        number: "R9",
         summary: "packed calendar events are ordered by the full (SimTime, kind, id, seq) tuple",
-        scope: "core, sched",
+        scope: &["sched"],
+        inputs: Some("*_by/*_by_key calls on an event store"),
         contract: "Packed calendar events are ordered only by the full (SimTime, \
                    kind, id, seq) tuple; sorting or selecting by a projected key \
                    drops the tie-break and lets insertion order leak into \
@@ -97,21 +113,11 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         example: "events.sort_by_key(|e| e.0);",
     },
     RuleDoc {
-        id: rules::LOCK_SET,
-        summary: "guarded fields need a live guard; shared plain fields must not be written from thread-escaping code",
-        scope: "exec, sched, fleet",
-        contract: "A field declared `guarded by \\`lock\\`` in its doc comment is \
-                   only touched while that guard is live (locally or via the \
-                   entry-held set every caller provides), and a plain field of a \
-                   shared struct is never written from thread-escaping code \
-                   (spawn/run_chain*/scope/par_for closures and their callees) \
-                   without a lock; findings carry the witness chain to the spawn.",
-        example: "pool.spawn(move || { shared.epoch += 1; });  // no guard",
-    },
-    RuleDoc {
         id: rules::ATOMIC_ORDER,
+        number: "R11",
         summary: "Relaxed accesses on a release/acquire publication or consumption edge need a fence or a justified allow",
-        scope: "exec, sched, fleet",
+        scope: &["exec"],
+        inputs: Some("accesses to a registered atomic"),
         contract: "An atomic with a release/acquire protocol (a Release+ store or \
                    Acquire+ load anywhere) admits no Relaxed access on the \
                    opposite edge. CAS failure orderings are exempt, as is any fn \
@@ -121,25 +127,61 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: rules::BLOCKING_EXTENT,
+        number: "R12",
         summary: "no lock guard may be held across a may-block call (sleep, channel ops, nested locks, file I/O)",
-        scope: "exec, sched, fleet",
+        scope: &["exec"],
+        inputs: Some(".lock() sites (guard extents audited)"),
         contract: "No lock guard held across a may-block operation: sleeping, \
                    channel recv/send, join/park, file I/O, and lock acquisition \
-                   itself, propagated transitively through the call graph. \
-                   Condvar waits handed a held guard are the sleep protocol and \
-                   are exempt.",
+                   itself, propagated transitively through the call graph — so \
+                   every edge of a lock-order cycle is a finding. Condvar waits \
+                   handed a held guard are the sleep protocol and are exempt.",
         example: "let g = state.lock(); rx.recv();  // convoy",
     },
     RuleDoc {
         id: rules::SUPPRESSION,
+        number: "",
         summary: "analyze:allow directives must be justified, known, and live",
-        scope: "all analyzed files",
+        scope: &[],
+        inputs: None,
         contract: "Suppression hygiene: an analyze:allow with an empty \
                    justification, an unknown or retired rule name, or no finding \
                    left to suppress is itself a (warning-tier) finding.",
-        example: "// analyze:allow(lock-order)  <- no justification",
+        example: "// analyze:allow(panic-paths)  <- no justification",
     },
 ];
+
+impl RuleDoc {
+    /// The scope as prose: `` `core`, `sched` `` or `all analyzed files`.
+    pub fn scope_text(&self) -> String {
+        if self.scope.is_empty() {
+            return "all analyzed files".to_string();
+        }
+        let names: Vec<String> = self.scope.iter().map(|c| format!("`{c}`")).collect();
+        names.join(", ")
+    }
+}
+
+/// Is `path` (a workspace-relative logical path) in `rule`'s scope?
+pub fn in_scope(rule: &str, path: &str) -> bool {
+    let scope = RULE_DOCS.iter().find(|d| d.id == rule).map(|d| d.scope);
+    crate_of(path).is_some_and(|k| scope.is_some_and(|s| s.contains(&k)))
+}
+
+/// The rule table of the crate docs, one markdown row per numbered rule.
+pub fn table() -> String {
+    let mut out = String::from("| Rule | Scope | Invariant |\n|------|-------|-----------|\n");
+    for d in RULE_DOCS.iter().filter(|d| !d.number.is_empty()) {
+        out.push_str(&format!(
+            "| `{}` ({}) | {} | {} |\n",
+            d.id,
+            d.number,
+            d.scope_text(),
+            d.summary
+        ));
+    }
+    out
+}
 
 /// Render the doc for one rule (or `None` if the rule is unknown).
 pub fn explain(rule: &str) -> Option<String> {
@@ -150,7 +192,7 @@ pub fn explain(rule: &str) -> Option<String> {
          instance upholds the contract anyway>",
         id = d.id,
         sev = severity_of(d.id).as_str(),
-        scope = d.scope,
+        scope = d.scope_text(),
         contract = d.contract,
         example = d.example,
     ))
@@ -187,8 +229,20 @@ mod tests {
     fn explain_renders_contract_and_allow_syntax() {
         let txt = explain("atomic-order").unwrap();
         assert!(txt.contains("fence(SeqCst)"));
+        assert!(txt.contains("scope:    `exec`"));
         assert!(txt.contains("analyze:allow(atomic-order)"));
         assert!(explain("no-such-rule").is_none());
         assert!(index().contains("blocking-extent"));
+    }
+
+    #[test]
+    fn the_crate_docs_carry_the_rendered_table() {
+        let crate_docs = include_str!("lib.rs");
+        for row in table().lines() {
+            assert!(
+                crate_docs.contains(&format!("//! {row}\n")),
+                "lib.rs: {row}"
+            );
+        }
     }
 }

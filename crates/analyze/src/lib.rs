@@ -2,36 +2,39 @@
 //!
 //! A dependency-free Rust-source analyzer (its own [`lexer`], no registry
 //! crates, not even the workspace shims) that enforces the project's
-//! determinism, unit, arena-index, lease, panic, and lock-order
-//! invariants with `file:line` diagnostics, a SARIF report, and
-//! `// analyze:allow(rule): <justification>` suppressions that fail when
-//! unjustified, unknown, or stale.
+//! determinism, unit, arena-index, lease, panic, atomic-ordering and
+//! lock-extent invariants with `file:line` diagnostics, a SARIF report,
+//! and `// analyze:allow(rule): <justification>` suppressions that fail
+//! when unjustified, unknown, or stale.
 //!
 //! The engine is interprocedural: a workspace-wide
 //! [`symbols::SymbolTable`] and [`callgraph::CallGraph`] are built once
 //! from the lexed token streams, and a per-function dataflow pass
 //! ([`dataflow`]) feeds the flow-sensitive rules.
 //!
+//! The rules and the crates each one scopes over are one table,
+//! [`explain::RULE_DOCS`]; this rendering of it ([`explain::table`]) is
+//! checked against the source by a test, and `--explain <rule>` and the
+//! SARIF rule catalog print the same rows:
+//!
 //! | Rule | Scope | Invariant |
 //! |------|-------|-----------|
-//! | `ordered-iteration` (R2) | `core`, `sim`, `sched`, `fleet` | no `HashMap`/`HashSet`; use `BTreeMap`/sorted vecs |
-//! | `lease-discipline` (R3) | `core`, `sched`, `apps` | `alloc`/lease acquisition needs a reachable release or an escaping handle |
-//! | `panic-paths` (R4) | `core`, `exec`, `sched`, `fleet` | no `unwrap()`/`expect(`/`panic!` in non-test runtime code |
-//! | `lock-order` (R5) | `exec`, `sched` | the static lock-acquisition graph must be acyclic |
-//! | `unit-consistency` (R6) | `core`, `sched`, `fleet` | no mixed-unit arithmetic/comparison (ns, bytes, byte·seconds, events) |
-//! | `arena-index` (R7) | `core`, `sched`, `fleet` | dense arena indices stay in their domain and die on compaction |
-//! | `determinism-taint` (R8) | `core`, `sim`, `sched`, `fleet` | no wall-clock/entropy reaching schedule-visible code, even through helpers in other crates |
-//! | `event-order` (R9) | `core`, `sched` | packed events ordered only by the full `(SimTime, kind, id, seq)` tuple |
-//! | `lock-set` (R10) | `exec`, `sched`, `fleet` | guarded fields touched only under their guard; no unguarded shared-field writes from thread-escaping closures |
-//! | `atomic-order` (R11) | `exec`, `sched`, `fleet` | no `Relaxed` access on a release/acquire protocol edge (fence-carrying fns and CAS failure orderings exempt) |
-//! | `blocking-extent` (R12) | `exec`, `sched`, `fleet` | no lock guard held across a transitively may-block call (condvar waits handed the guard exempt) |
+//! | `ordered-iteration` (R2) | `core`, `sched`, `fleet` | unordered HashMap/HashSet iteration leaks into schedules; use ordered containers |
+//! | `lease-discipline` (R3) | `sched`, `apps` | acquired buffers/leases need a reachable release or an escaping handle |
+//! | `panic-paths` (R4) | `core`, `exec`, `sched`, `fleet` | no unwrap()/expect(..)/panic! in non-test runtime code |
+//! | `unit-consistency` (R6) | `core`, `sched`, `fleet` | no mixed-unit arithmetic/comparison across ns, bytes, byte·seconds, events |
+//! | `arena-index` (R7) | `sched` | dense arena indices stay in their declared domain and die on compaction |
+//! | `determinism-taint` (R8) | `core`, `sim`, `sched`, `fleet` | wall-clock/entropy sources must not reach schedule-visible code, even transitively |
+//! | `event-order` (R9) | `sched` | packed calendar events are ordered by the full (SimTime, kind, id, seq) tuple |
+//! | `atomic-order` (R11) | `exec` | Relaxed accesses on a release/acquire publication or consumption edge need a fence or a justified allow |
+//! | `blocking-extent` (R12) | `exec` | no lock guard may be held across a may-block call (sleep, channel ops, nested locks, file I/O) |
 //!
-//! R8 flags direct occurrences and chases wrappers through the call
-//! graph across crate boundaries. The concurrency rules (R10–R12) share
-//! one [`shared::SharedRegistry`] of cross-thread state and one
-//! [`locks::LockWorld`] of guard extents; R5 rides the same call graph.
-//! `--explain <rule>` prints each rule's contract from the [`explain`]
-//! table.
+//! A rule is here because the census in DESIGN.md §9 found it product
+//! input and a seeded defect: `tests/fixtures.rs` and
+//! `tests/concurrency.rs` mutate a real product file per rule and assert
+//! the `file:line` finding, and `tests/workspace_clean.rs` fails when a
+//! rule scopes over a crate that gives it nothing to inspect
+//! ([`Report::inputs`] is that count).
 //!
 //! The gate is `cargo test`: `tests/workspace_clean.rs` runs
 //! [`analyze_workspace`] on the repository and fails on any unsuppressed
@@ -47,9 +50,7 @@ pub mod dataflow;
 pub mod diag;
 pub mod explain;
 pub mod lexer;
-pub mod lockgraph;
 pub mod locks;
-pub mod r10_lockset;
 pub mod r11_atomics;
 pub mod r12_blocking;
 pub mod r6_units;
@@ -76,27 +77,26 @@ use source::SourceFile;
 pub fn analyze_sources(files: &[(String, String)]) -> Report {
     let parsed: Vec<SourceFile> = files.iter().map(|(p, s)| SourceFile::parse(p, s)).collect();
     let mut report = Report {
-        findings: Vec::new(),
         files_scanned: parsed.len(),
+        ..Report::default()
     };
+    let inputs = &mut report.inputs;
     // Shared interprocedural infrastructure, built once.
     let symbols = symbols::SymbolTable::build(&parsed);
     let cg = callgraph::CallGraph::build(&parsed, &symbols);
-    let registry = shared::SharedRegistry::build(&parsed, &symbols, &cg);
+    let registry = shared::SharedRegistry::build(&parsed, &symbols);
     let lock_world = locks::LockWorld::build(&parsed, &symbols, &cg);
     // Rule passes. Suppressions apply uniformly afterwards, file by file.
     let mut raw: Vec<Finding> = Vec::new();
     for sf in &parsed {
-        rules::check_file(sf, &mut raw);
+        rules::check_file(sf, inputs, &mut raw);
     }
-    lockgraph::check_lock_order(&parsed, &symbols, &cg, &lock_world, &mut raw);
-    r6_units::check(&parsed, &symbols, &cg, &mut raw);
-    r7_arena::check(&parsed, &symbols, &mut raw);
+    r6_units::check(&parsed, &symbols, &cg, inputs, &mut raw);
+    r7_arena::check(&parsed, &symbols, inputs, &mut raw);
     r8_taint::check(&parsed, &symbols, &cg, &mut raw);
-    r9_events::check(&parsed, &symbols, &mut raw);
-    r10_lockset::check(&parsed, &symbols, &registry, &lock_world, &mut raw);
-    r11_atomics::check(&parsed, &registry, &mut raw);
-    r12_blocking::check(&parsed, &symbols, &cg, &lock_world, &mut raw);
+    r9_events::check(&parsed, &symbols, inputs, &mut raw);
+    r11_atomics::check(&parsed, &registry, inputs, &mut raw);
+    r12_blocking::check(&parsed, &symbols, &cg, &lock_world, inputs, &mut raw);
     for sf in &parsed {
         let mut mine: Vec<Finding> = Vec::new();
         let mut rest = Vec::new();
@@ -177,35 +177,33 @@ mod tests {
 
     #[test]
     fn cross_file_lock_cycle_is_found_and_suppressable() {
+        // Both edges of an a→b / b→a cycle are blocking-extent findings
+        // (what the retired lock-order rule reported), each in its own
+        // file, and each file's allows apply to its own findings only.
         let a = (
             "crates/exec/src/a.rs".to_string(),
             "fn ab(s: &S) { let _a = s.a.lock(); let _b = s.b.lock(); }".to_string(),
         );
         let b = (
             "crates/exec/src/b.rs".to_string(),
-            "// analyze:allow(lock-order): fixture demonstrates suppression\n\
+            "// analyze:allow(blocking-extent): fixture demonstrates suppression\n\
              fn ba(s: &S) { let _b = s.b.lock(); let _a = s.a.lock(); }"
                 .to_string(),
         );
         let r = analyze_sources(&[a.clone(), b]);
-        // The a.rs edge still fails; the b.rs edge is suppressed. (The
-        // same nested acquisitions also trip R12 blocking-extent, so
-        // counts are per-rule.)
-        assert_eq!(r.failing_for(diag::rules::LOCK_ORDER), 1);
+        assert_eq!(r.failing_for(diag::rules::BLOCKING_EXTENT), 1);
         assert_eq!(
-            r.findings
-                .iter()
-                .filter(|f| f.rule == diag::rules::LOCK_ORDER)
-                .count(),
-            2
+            r.failing().next().map(|f| f.path.as_str()),
+            Some("crates/exec/src/a.rs")
         );
+        assert_eq!(r.findings.len(), 2);
 
         let b_unsuppressed = (
             "crates/exec/src/b.rs".to_string(),
             "fn ba(s: &S) { let _b = s.b.lock(); let _a = s.a.lock(); }".to_string(),
         );
         let r = analyze_sources(&[a, b_unsuppressed]);
-        assert_eq!(r.failing_for(diag::rules::LOCK_ORDER), 2);
+        assert_eq!(r.failing_for(diag::rules::BLOCKING_EXTENT), 2);
     }
 
     #[test]

@@ -29,10 +29,10 @@
 
 use std::collections::BTreeMap;
 
-use crate::diag::{rules, Finding};
+use crate::diag::{count_input, rules, Finding, Inputs};
+use crate::explain::in_scope;
 use crate::lexer::TokKind;
-use crate::rules::crate_of;
-use crate::shared::{SharedRegistry, CONCURRENCY_SCOPE};
+use crate::shared::SharedRegistry;
 use crate::source::SourceFile;
 
 /// The atomic access methods the rule classifies.
@@ -72,14 +72,26 @@ struct Access {
 }
 
 /// Run R11 over every file.
-pub fn check(files: &[SourceFile], reg: &SharedRegistry, out: &mut Vec<Finding>) {
+pub fn check(
+    files: &[SourceFile],
+    reg: &SharedRegistry,
+    inputs: &mut Inputs,
+    out: &mut Vec<Finding>,
+) {
     if reg.atomics.is_empty() {
         return;
     }
     let mut accesses: Vec<Access> = Vec::new();
     for sf in files {
-        let in_scope = crate_of(&sf.path).is_some_and(|c| CONCURRENCY_SCOPE.contains(&c));
-        collect(sf, reg, in_scope, &mut accesses);
+        collect(
+            sf,
+            reg,
+            in_scope(rules::ATOMIC_ORDER, &sf.path),
+            &mut accesses,
+        );
+    }
+    for a in accesses.iter().filter(|a| a.in_scope) {
+        count_input(inputs, rules::ATOMIC_ORDER, &a.path);
     }
     // Protocol edges per atomic name.
     let mut publisher: BTreeMap<&str, &Access> = BTreeMap::new();

@@ -25,7 +25,7 @@
 use std::collections::BTreeSet;
 
 use crate::callgraph::CallGraph;
-use crate::diag::{rules, Finding};
+use crate::diag::{count_input, rules, Finding, Inputs};
 use crate::locks::LockWorld;
 use crate::source::SourceFile;
 use crate::symbols::SymbolTable;
@@ -82,6 +82,7 @@ pub fn check(
     symbols: &SymbolTable,
     cg: &CallGraph,
     world: &LockWorld,
+    inputs: &mut Inputs,
     out: &mut Vec<Finding>,
 ) {
     // Seed the may-block set: fns that call a direct blocker, plus fns
@@ -113,8 +114,9 @@ pub fn check(
         let f = &symbols.fns[g];
         let path = &files[f.file].path;
         for a in acqs {
+            count_input(inputs, rules::BLOCKING_EXTENT, path);
             // Nested acquisition while `a` is held: blocking by
-            // definition (and the lock-order rule's raw material).
+            // definition (and the raw material of a lock-order cycle).
             for b in acqs {
                 if b.site > a.site && b.site <= a.held_until {
                     out.push(Finding {

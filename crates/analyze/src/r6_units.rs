@@ -14,17 +14,12 @@ use std::collections::BTreeSet;
 
 use crate::callgraph::CallGraph;
 use crate::dataflow::FnFacts;
-use crate::diag::{rules, Finding};
+use crate::diag::{count_input, rules, Finding, Inputs};
+use crate::explain::in_scope;
 use crate::lexer::TokKind;
-use crate::rules::crate_of;
 use crate::source::SourceFile;
 use crate::symbols::SymbolTable;
 use crate::units::{self, Unit};
-
-/// Crates whose arithmetic is unit-audited.
-fn in_scope(path: &str) -> bool {
-    matches!(crate_of(path), Some("core" | "sched" | "fleet"))
-}
 
 /// A resolved operand: its unit, a display name, and the code-index
 /// span `[start, end]` of the atom.
@@ -37,10 +32,16 @@ struct Atom {
 
 /// Run R6 over every file: intraprocedural operator checks, then the
 /// interprocedural call-argument check.
-pub fn check(files: &[SourceFile], symbols: &SymbolTable, cg: &CallGraph, out: &mut Vec<Finding>) {
+pub fn check(
+    files: &[SourceFile],
+    symbols: &SymbolTable,
+    cg: &CallGraph,
+    inputs: &mut Inputs,
+    out: &mut Vec<Finding>,
+) {
     let empty = BTreeSet::new();
     for sf in files {
-        if !in_scope(&sf.path) {
+        if !in_scope(rules::UNIT_CONSISTENCY, &sf.path) {
             continue;
         }
         let mut cache: FactsCache = BTreeMap::new();
@@ -59,6 +60,7 @@ pub fn check(files: &[SourceFile], symbols: &SymbolTable, cg: &CallGraph, out: &
             let lhs = unit_ending_at(sf, facts, symbols, lhs_end);
             let rhs = unit_starting_at(sf, facts, symbols, rhs_start);
             if let (Some(l), Some(r)) = (lhs, rhs) {
+                count_input(inputs, rules::UNIT_CONSISTENCY, &sf.path);
                 if l.unit != r.unit {
                     let kind = if matches!(op, "+" | "-" | "+=" | "-=") {
                         "arithmetic"
@@ -83,7 +85,7 @@ pub fn check(files: &[SourceFile], symbols: &SymbolTable, cg: &CallGraph, out: &
             ci += width;
         }
     }
-    check_call_args(files, symbols, cg, out);
+    check_call_args(files, symbols, cg, inputs, out);
 }
 
 type FactsCache = BTreeMap<usize, FnFacts>;
@@ -496,13 +498,14 @@ fn check_call_args(
     files: &[SourceFile],
     symbols: &SymbolTable,
     cg: &CallGraph,
+    inputs: &mut Inputs,
     out: &mut Vec<Finding>,
 ) {
     let empty = BTreeSet::new();
     let mut caches: BTreeMap<usize, FactsCache> = BTreeMap::new();
     for call in &cg.calls {
         let sf = &files[call.file];
-        if call.in_test || !in_scope(&sf.path) {
+        if call.in_test || !in_scope(rules::UNIT_CONSISTENCY, &sf.path) {
             continue;
         }
         let Some(params) = symbols.unified_params(&call.callee) else {
@@ -529,6 +532,7 @@ fn check_call_args(
             if atom.end != *a_end {
                 continue; // argument is a larger expression — unknown
             }
+            count_input(inputs, rules::UNIT_CONSISTENCY, &sf.path);
             if atom.unit != pu {
                 let t = &sf.toks[sf.code[*a_start]];
                 out.push(Finding {

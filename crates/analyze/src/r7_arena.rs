@@ -27,9 +27,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::dataflow::{self, FnFacts};
-use crate::diag::{rules, Finding};
+use crate::diag::{count_input, rules, Finding, Inputs};
+use crate::explain::in_scope;
 use crate::lexer::TokKind;
-use crate::rules::crate_of;
 use crate::source::SourceFile;
 use crate::symbols::SymbolTable;
 
@@ -104,14 +104,19 @@ fn index_domain(doc: &str) -> Option<String> {
 }
 
 /// Run R7 over every file.
-pub fn check(files: &[SourceFile], symbols: &SymbolTable, out: &mut Vec<Finding>) {
+pub fn check(
+    files: &[SourceFile],
+    symbols: &SymbolTable,
+    inputs: &mut Inputs,
+    out: &mut Vec<Finding>,
+) {
     let reg = ArenaRegistry::build(symbols);
     if reg.domains.is_empty() {
         return;
     }
     let empty = BTreeSet::new();
     for sf in files {
-        if !matches!(crate_of(&sf.path), Some("core" | "sched" | "fleet")) {
+        if !in_scope(rules::ARENA_INDEX, &sf.path) {
             continue;
         }
         for f in &sf.fns {
@@ -119,7 +124,7 @@ pub fn check(files: &[SourceFile], symbols: &SymbolTable, out: &mut Vec<Finding>
                 continue;
             }
             let facts = FnFacts::collect(sf, f, symbols, &empty);
-            check_fn(sf, f.body_start + 1, f.body_end, &facts, &reg, out);
+            check_fn(sf, f.body_start + 1, f.body_end, &facts, &reg, inputs, out);
         }
     }
 }
@@ -141,6 +146,7 @@ fn check_fn(
     hi: usize,
     facts: &FnFacts,
     reg: &ArenaRegistry,
+    inputs: &mut Inputs,
     out: &mut Vec<Finding>,
 ) {
     let mut uses: Vec<IndexUse> = Vec::new();
@@ -175,6 +181,7 @@ fn check_fn(
         if path.starts_with("self.") || path == "self" {
             continue;
         }
+        count_input(inputs, rules::ARENA_INDEX, &sf.path);
         let open = ci + 1;
         let close = match_bracket(sf, open, hi);
         let idx_tokens = close.saturating_sub(open + 1);

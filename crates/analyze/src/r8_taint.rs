@@ -15,6 +15,7 @@
 
 use crate::callgraph::CallGraph;
 use crate::diag::{rules, Finding};
+use crate::explain;
 use crate::rules::crate_of;
 use crate::source::SourceFile;
 use crate::symbols::{FnSig, SymbolTable};
@@ -27,8 +28,7 @@ const CARVE_OUTS: &[&str] = &["crates/sim/src/time.rs", "crates/sched/src/real.r
 
 /// Is this file's non-test code schedule-visible (in rule scope)?
 fn in_scope(path: &str) -> bool {
-    matches!(crate_of(path), Some("core" | "sim" | "sched" | "fleet"))
-        && !CARVE_OUTS.contains(&path)
+    explain::in_scope(rules::DETERMINISM_TAINT, path) && !CARVE_OUTS.contains(&path)
 }
 
 /// Run R8: direct occurrences plus tainted transitive call sites.

@@ -20,9 +20,9 @@
 use std::collections::BTreeSet;
 
 use crate::dataflow::{self, FnFacts};
-use crate::diag::{rules, Finding};
+use crate::diag::{count_input, rules, Finding, Inputs};
+use crate::explain::in_scope;
 use crate::lexer::TokKind;
-use crate::rules::crate_of;
 use crate::source::SourceFile;
 use crate::symbols::SymbolTable;
 use crate::units;
@@ -61,13 +61,18 @@ fn type_mentions_event(ty: &str) -> bool {
 }
 
 /// Run R9 over every file.
-pub fn check(files: &[SourceFile], symbols: &SymbolTable, out: &mut Vec<Finding>) {
+pub fn check(
+    files: &[SourceFile],
+    symbols: &SymbolTable,
+    inputs: &mut Inputs,
+    out: &mut Vec<Finding>,
+) {
     let fields = event_fields(symbols);
     if fields.is_empty() {
         return;
     }
     for sf in files {
-        if !matches!(crate_of(&sf.path), Some("core" | "sched")) {
+        if !in_scope(rules::EVENT_ORDER, &sf.path) {
             continue;
         }
         for f in &sf.fns {
@@ -109,6 +114,7 @@ pub fn check(files: &[SourceFile], symbols: &SymbolTable, out: &mut Vec<Finding>
                 if !is_event {
                     continue;
                 }
+                count_input(inputs, rules::EVENT_ORDER, &sf.path);
                 if by_cmp && !closure_projects(sf, ci + 1, f.body_end) {
                     continue;
                 }

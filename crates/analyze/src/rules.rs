@@ -1,11 +1,13 @@
 //! Rules R2–R4: per-file token-pattern rules, plus suppression
 //! application (with liveness tracking) shared by every rule.
 //!
-//! R5 (lock-order) lives in [`crate::lockgraph`]; the interprocedural
-//! rules R6–R9 live in [`crate::r6_units`], [`crate::r7_arena`],
-//! [`crate::r8_taint`], and [`crate::r9_events`].
+//! The interprocedural rules live in [`crate::r6_units`],
+//! [`crate::r7_arena`], [`crate::r8_taint`], [`crate::r9_events`],
+//! [`crate::r11_atomics`] and [`crate::r12_blocking`]; which crates each
+//! rule scopes over is [`crate::explain::RULE_DOCS`]' business alone.
 
-use crate::diag::{rules, Finding};
+use crate::diag::{count_input, rules, Finding, Inputs};
+use crate::explain::in_scope;
 use crate::source::SourceFile;
 
 /// The workspace crate a logical path belongs to
@@ -18,20 +20,20 @@ pub fn crate_of(path: &str) -> Option<&str> {
 }
 
 /// Run R2–R4 over one file, appending raw (unsuppressed) findings.
-pub fn check_file(sf: &SourceFile, out: &mut Vec<Finding>) {
+pub fn check_file(sf: &SourceFile, inputs: &mut Inputs, out: &mut Vec<Finding>) {
     let Some(krate) = crate_of(&sf.path) else {
         return;
     };
-    r2_ordered_iteration(sf, krate, out);
-    r3_lease_discipline(sf, krate, out);
+    r2_ordered_iteration(sf, krate, inputs, out);
+    r3_lease_discipline(sf, inputs, out);
     r4_panic_paths(sf, krate, out);
 }
 
 /// R2: `HashMap`/`HashSet` iteration order varies run-to-run (and with
 /// the hasher); in schedule-affecting crates that order leaks into
 /// schedules, so ordered containers are required.
-fn r2_ordered_iteration(sf: &SourceFile, krate: &str, out: &mut Vec<Finding>) {
-    if !matches!(krate, "core" | "sched" | "sim" | "fleet") {
+fn r2_ordered_iteration(sf: &SourceFile, krate: &str, inputs: &mut Inputs, out: &mut Vec<Finding>) {
+    if !in_scope(rules::ORDERED_ITERATION, &sf.path) {
         return;
     }
     for ci in 0..sf.code.len() {
@@ -39,6 +41,12 @@ fn r2_ordered_iteration(sf: &SourceFile, krate: &str, out: &mut Vec<Finding>) {
             continue;
         }
         let t = &sf.toks[sf.code[ci]];
+        if ["HashMap", "HashSet", "BTreeMap", "BTreeSet"]
+            .iter()
+            .any(|s| t.is_ident(s))
+        {
+            count_input(inputs, rules::ORDERED_ITERATION, &sf.path);
+        }
         let bad = ["HashMap", "HashSet"].iter().find(|s| t.is_ident(s));
         if let Some(name) = bad {
             out.push(Finding {
@@ -59,10 +67,12 @@ fn r2_ordered_iteration(sf: &SourceFile, krate: &str, out: &mut Vec<Finding>) {
 
 /// R3: a function that acquires a buffer/lease (`alloc`/`alloc_on_child`
 /// call) must either release it in the same item (`release`/`free`/
-/// `drop` reachable in the body) or visibly transfer ownership out
-/// (return type mentioning a handle, or a constructor returning `Self`).
-fn r3_lease_discipline(sf: &SourceFile, krate: &str, out: &mut Vec<Finding>) {
-    if !matches!(krate, "core" | "sched" | "apps") {
+/// `drop` reachable in the body, or the receiver is a `Runtime` the item
+/// built, or a name bound from one, whose drop reclaims it) or visibly
+/// transfer ownership out (return type mentioning a handle, or a
+/// constructor returning `Self`).
+fn r3_lease_discipline(sf: &SourceFile, inputs: &mut Inputs, out: &mut Vec<Finding>) {
+    if !in_scope(rules::LEASE_DISCIPLINE, &sf.path) {
         return;
     }
     for f in &sf.fns {
@@ -78,6 +88,7 @@ fn r3_lease_discipline(sf: &SourceFile, krate: &str, out: &mut Vec<Finding>) {
         }
         let mut acquire: Option<(u32, String)> = None;
         let mut releases = false;
+        let mut owned: Vec<&str> = Vec::new();
         for ci in (f.body_start + 1)..f.body_end {
             // Skip nested fn bodies: they are separate items.
             if sf
@@ -88,12 +99,35 @@ fn r3_lease_discipline(sf: &SourceFile, krate: &str, out: &mut Vec<Finding>) {
                 continue;
             }
             let t = &sf.toks[sf.code[ci]];
+            // `let root = rt.root_ctx()`: a name bound from an owned
+            // runtime allocates on it.
+            if ci >= 3
+                && owned.contains(&t.text.as_str())
+                && sf.ct(ci - 1).is_some_and(|e| e.is_punct('='))
+                && sf.ct(ci - 3).is_some_and(|l| l.is_ident("let"))
+            {
+                owned.extend(sf.ct(ci - 2).map(|n| n.text.as_str()));
+            }
             if sf.ct(ci + 1).is_some_and(|n| n.is_punct('(')) {
                 if t.is_ident("alloc") || t.is_ident("alloc_on_child") {
-                    acquire.get_or_insert((t.line, t.text.clone()));
+                    count_input(inputs, rules::LEASE_DISCIPLINE, &sf.path);
+                    let receiver = ci.checked_sub(2).and_then(|r| sf.ct(r));
+                    if !receiver.is_some_and(|r| owned.contains(&r.text.as_str())) {
+                        acquire.get_or_insert((t.line, t.text.clone()));
+                    }
                 }
                 if t.is_ident("release") || t.is_ident("free") || t.is_ident("drop") {
                     releases = true;
+                }
+                // `let rt = Runtime::new(..)`: the item owns `rt`, and its
+                // drop at the end of the item reclaims every buffer
+                // allocated on it (and on it only).
+                if t.is_ident("new")
+                    && ci >= 5
+                    && sf.ct(ci - 3).is_some_and(|r| r.is_ident("Runtime"))
+                    && sf.ct(ci - 4).is_some_and(|e| e.is_punct('='))
+                {
+                    owned.extend(sf.ct(ci - 5).map(|n| n.text.as_str()));
                 }
             }
         }
@@ -121,7 +155,7 @@ fn r3_lease_discipline(sf: &SourceFile, krate: &str, out: &mut Vec<Finding>) {
 /// the execution crates turn recoverable conditions into aborts that
 /// take down co-scheduled tenants.
 fn r4_panic_paths(sf: &SourceFile, krate: &str, out: &mut Vec<Finding>) {
-    if !matches!(krate, "core" | "exec" | "sched" | "fleet") {
+    if !in_scope(rules::PANIC_PATHS, &sf.path) {
         return;
     }
     for ci in 0..sf.code.len() {
@@ -233,7 +267,7 @@ mod tests {
     fn run(path: &str, src: &str) -> Vec<Finding> {
         let sf = SourceFile::parse(path, src);
         let mut out = Vec::new();
-        check_file(&sf, &mut out);
+        check_file(&sf, &mut Inputs::new(), &mut out);
         let mut meta = Vec::new();
         apply_allows(&sf, &mut out, &mut meta);
         out.extend(meta);
@@ -247,24 +281,6 @@ mod tests {
         let f = run("crates/core/src/x.rs", "use std::collections::HashMap;");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, rules::ORDERED_ITERATION);
-    }
-
-    #[test]
-    fn engine_modules_are_in_scope() {
-        // An unordered map anywhere in the event engine would silently
-        // break bit-identical replay. Scope follows the crate, not the
-        // file name, so splitting `scheduler.rs` into nested modules
-        // cannot carve anything out.
-        for path in [
-            "crates/sched/src/calendar.rs",
-            "crates/sched/src/digest.rs",
-            "crates/sched/src/scheduler.rs",
-            "crates/sched/src/scheduler/policy.rs",
-        ] {
-            let f = run(path, "use std::collections::HashMap;");
-            assert_eq!(f.len(), 1, "{path} escaped R2");
-            assert_eq!(f[0].rule, rules::ORDERED_ITERATION);
-        }
     }
 
     #[test]
@@ -318,18 +334,25 @@ mod tests {
     fn r3_escape_hatches() {
         // Release in the same fn: clean.
         let clean = "fn f(ctx: &Ctx) { let h = ctx.alloc(n, 8).ok(); ctx.release(h); }";
-        assert!(run("crates/core/src/x.rs", clean).is_empty());
+        assert!(run("crates/apps/src/x.rs", clean).is_empty());
         // Handle escapes via return type: clean.
         let escape = "fn f(ctx: &Ctx) -> Result<BufferHandle> { ctx.alloc(n, 8) }";
-        assert!(run("crates/core/src/x.rs", escape).is_empty());
+        assert!(run("crates/apps/src/x.rs", escape).is_empty());
         // ... also from inside an array or a tuple.
         let array = "fn f(ctx: &Ctx) -> Result<[BufferHandle; 4]> { four(ctx.alloc(n, 8)) }";
-        assert!(run("crates/core/src/x.rs", array).is_empty());
+        assert!(run("crates/apps/src/x.rs", array).is_empty());
         let tuple = "fn f(rt: Runtime) -> Result<(Runtime, BufferHandle)> { let h = rt.alloc(n, 8)?; Ok((rt, h)) }";
-        assert!(run("crates/core/src/x.rs", tuple).is_empty());
+        assert!(run("crates/apps/src/x.rs", tuple).is_empty());
+        // The item builds the runtime the buffer lives on: its drop
+        // reclaims the buffer when the item returns.
+        let owned = "fn f() -> Result<AppRun> { let rt = Runtime::new(tree, mode)?; let root = rt.root_ctx(); let h = root.alloc(8)?; run(&rt, h) }";
+        assert!(run("crates/apps/src/x.rs", owned).is_empty());
+        // ... and only that one: a caller-owned runtime keeps the buffer.
+        let other = "fn f(rt: &Runtime) -> Result<AppRun> { let tmp = Runtime::new(tree, mode)?; let h = rt.alloc(8, root)?; run(&tmp, h) }";
+        assert_eq!(run("crates/apps/src/x.rs", other).len(), 1);
         // Neither: finding.
         let leak = "fn f(ctx: &Ctx) { let _h = ctx.alloc(n, 8); }";
-        let f = run("crates/core/src/x.rs", leak);
+        let f = run("crates/apps/src/x.rs", leak);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, rules::LEASE_DISCIPLINE);
     }

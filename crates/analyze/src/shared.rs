@@ -1,44 +1,12 @@
-//! Shared-state registry: what the concurrency rules (R10–R12) know
-//! about the workspace's cross-thread state.
-//!
-//! Built once from the symbol table and call graph, the registry
-//! discovers:
-//!
-//! * **atomic state** — struct fields and `static` items whose type is
-//!   one of the `Atomic*` primitives (the R11 protocol candidates);
-//! * **locks** — `Mutex`/`RwLock` fields (lock identity is the field
-//!   name, matching [`crate::locks`]);
-//! * **guarded fields** — plain fields whose doc comment carries a
-//!   ``guarded by `lockname` `` marker, declaring which guard must be
-//!   live across every access (the R10 contract);
-//! * **shared structs** — structs that hold a lock or atomic field, or
-//!   that appear under `Arc<...>` anywhere in the workspace, plus their
-//!   remaining *plain* fields (unguarded writes to those from a
-//!   thread-escaping context are the R10 race findings);
-//! * **thread-escaping code** — the argument spans of
-//!   `ThreadPool::spawn` / `run_chain*` / `scope` / `par_for` call
-//!   sites (the closures escape onto pool threads) and, downward
-//!   through the call graph, every function reachable from such a
-//!   closure body, with parent links for witness chains.
+//! Shared-state registry: the atomics R11 audits — struct fields and
+//! `static` items whose type is one of the `Atomic*` primitives, keyed
+//! by name like every other symbol in the analyzer.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use crate::callgraph::CallGraph;
 use crate::lexer::TokKind;
 use crate::source::SourceFile;
 use crate::symbols::SymbolTable;
-
-/// Crates the concurrency rules scope over: the real-mode thread path.
-pub const CONCURRENCY_SCOPE: &[&str] = &["exec", "sched", "fleet"];
-
-/// Call targets whose closure arguments escape onto pool threads.
-const ESCAPE_ENTRIES: &[&str] = &[
-    "spawn",
-    "run_chain",
-    "run_chain_with_retry",
-    "scope",
-    "par_for",
-];
 
 /// Where a declaration lives, for diagnostics.
 #[derive(Debug, Clone)]
@@ -49,253 +17,29 @@ pub struct DeclSite {
     pub line: u32,
 }
 
-/// A plain field declared ``guarded by `lock` `` in its doc comment.
-#[derive(Debug, Clone)]
-pub struct GuardedField {
-    /// The lock whose guard must be live across every access.
-    pub guard: String,
-    /// Declaration site.
-    pub decl: DeclSite,
-}
-
-/// One thread-escape root: the argument span of a spawn-like call.
-#[derive(Debug, Clone)]
-pub struct EscapeRegion {
-    /// Index of the containing file.
-    pub file: usize,
-    /// Code index of the opening `(` of the argument list.
-    pub lo: usize,
-    /// Code index of the matching `)`.
-    pub hi: usize,
-    /// 1-based line of the spawn-like callee.
-    pub line: u32,
-    /// The entry name (`spawn`, `run_chain`, ...).
-    pub entry: String,
-    /// Path of the containing file.
-    pub path: String,
-}
-
-/// How a function became thread-escaping, for witness chains.
-#[derive(Debug, Clone, Copy)]
-pub enum EscapeVia {
-    /// Called directly from the closure body of region `.0`.
-    Region(usize),
-    /// Called (name-keyed) from the already-escaping fn `.0`.
-    Caller(usize),
-}
-
-/// The registry every concurrency rule consumes.
+/// The registry R11 consumes.
 #[derive(Debug, Default)]
 pub struct SharedRegistry {
     /// Atomic field/static name → first declaration site.
     pub atomics: BTreeMap<String, DeclSite>,
-    /// Lock (`Mutex`/`RwLock`) field names.
-    pub locks: BTreeSet<String>,
-    /// Guarded plain fields (only names whose every declaration agrees
-    /// on the guard; ambiguous names are dropped conservatively).
-    pub guarded: BTreeMap<String, GuardedField>,
-    /// Structs holding cross-thread state.
-    pub shared_structs: BTreeSet<String>,
-    /// Plain fields of shared structs — not atomic, not a lock, not
-    /// guarded — whose every declaring struct is shared.
-    pub plain_fields: BTreeSet<String>,
-    /// Thread-escape roots.
-    pub regions: Vec<EscapeRegion>,
-    /// Per-global-fn: reachable from an escape region.
-    pub escaping: Vec<bool>,
-    /// Parent link for escaping fns (witness chains).
-    pub via: Vec<Option<EscapeVia>>,
 }
 
 impl SharedRegistry {
-    /// Build the registry over the parsed files, symbol table, and call
-    /// graph.
-    pub fn build(files: &[SourceFile], symbols: &SymbolTable, cg: &CallGraph) -> SharedRegistry {
-        let mut reg = SharedRegistry {
-            escaping: vec![false; symbols.fns.len()],
-            via: vec![None; symbols.fns.len()],
-            ..SharedRegistry::default()
-        };
-        reg.collect_fields(symbols);
-        for sf in files {
-            collect_atomic_statics(sf, &mut reg);
-        }
-        reg.collect_shared_structs(files, symbols);
-        reg.collect_escapes(files, symbols, cg);
-        reg
-    }
-
-    /// Is code index `ci` of file `fi` inside an escape region?
-    pub fn region_at(&self, fi: usize, ci: usize) -> Option<usize> {
-        self.regions
-            .iter()
-            .position(|r| r.file == fi && ci > r.lo && ci < r.hi)
-    }
-
-    /// Witness chain for an escaping fn: the fn names from `gi` up to
-    /// the rooting spawn-like call, plus that root region.
-    pub fn escape_chain(&self, symbols: &SymbolTable, gi: usize) -> (Vec<String>, Option<usize>) {
-        let mut names = Vec::new();
-        let mut seen = BTreeSet::new();
-        let mut cur = gi;
-        loop {
-            if !seen.insert(cur) {
-                return (names, None);
-            }
-            names.push(symbols.fns[cur].name.clone());
-            match self.via[cur] {
-                Some(EscapeVia::Region(r)) => return (names, Some(r)),
-                Some(EscapeVia::Caller(p)) => cur = p,
-                None => return (names, None),
-            }
-        }
-    }
-
-    fn collect_fields(&mut self, symbols: &SymbolTable) {
-        // Guard agreement per field name; `None` marks a conflict.
-        let mut guards: BTreeMap<String, Option<GuardedField>> = BTreeMap::new();
+    /// Build the registry over the parsed files and symbol table.
+    pub fn build(files: &[SourceFile], symbols: &SymbolTable) -> SharedRegistry {
+        let mut reg = SharedRegistry::default();
         for f in &symbols.fields {
             if f.ty.split(' ').any(|w| w.starts_with("Atomic")) {
-                self.atomics.entry(f.name.clone()).or_insert(DeclSite {
+                reg.atomics.entry(f.name.clone()).or_insert(DeclSite {
                     path: f.path.clone(),
                     line: f.line,
                 });
-            } else if f.ty.split(' ').any(|w| w == "Mutex" || w == "RwLock") {
-                self.locks.insert(f.name.clone());
-            } else if let Some(guard) = guard_marker(&f.doc) {
-                let gf = GuardedField {
-                    guard,
-                    decl: DeclSite {
-                        path: f.path.clone(),
-                        line: f.line,
-                    },
-                };
-                match guards.get(&f.name) {
-                    None => {
-                        guards.insert(f.name.clone(), Some(gf));
-                    }
-                    Some(Some(prev)) if prev.guard == gf.guard => {}
-                    Some(_) => {
-                        guards.insert(f.name.clone(), None);
-                    }
-                }
             }
         }
-        for (name, gf) in guards {
-            if let Some(gf) = gf {
-                self.guarded.insert(name, gf);
-            }
-        }
-    }
-
-    fn collect_shared_structs(&mut self, files: &[SourceFile], symbols: &SymbolTable) {
-        // A struct is shared when it owns lock/atomic state...
-        for f in &symbols.fields {
-            if self.atomics.contains_key(&f.name)
-                || self.locks.contains(&f.name)
-                || self.guarded.contains_key(&f.name)
-            {
-                self.shared_structs.insert(f.strukt.clone());
-            }
-        }
-        // ...or is handed around behind `Arc<...>`.
         for sf in files {
-            for ci in 0..sf.code.len() {
-                let t = &sf.toks[sf.code[ci]];
-                if t.is_ident("Arc") && sf.ct(ci + 1).is_some_and(|n| n.is_punct('<')) {
-                    if let Some(n) = sf.ct(ci + 2) {
-                        if n.kind == TokKind::Ident && n.text != "dyn" && n.text != "Self" {
-                            self.shared_structs.insert(n.text.clone());
-                        }
-                    }
-                }
-            }
+            collect_atomic_statics(sf, &mut reg);
         }
-        self.shared_structs
-            .retain(|s| symbols.fields.iter().any(|f| &f.strukt == s));
-        // Plain fields: every declaring struct must be shared, or the
-        // name is dropped (name-keyed matching must not flag a same-named
-        // field of an unshared struct).
-        let mut by_name: BTreeMap<&str, (bool, bool)> = BTreeMap::new(); // (all_shared, any)
-        for f in &symbols.fields {
-            if self.atomics.contains_key(&f.name)
-                || self.locks.contains(&f.name)
-                || self.guarded.contains_key(&f.name)
-            {
-                continue;
-            }
-            let e = by_name.entry(&f.name).or_insert((true, false));
-            e.0 &= self.shared_structs.contains(&f.strukt);
-            e.1 = true;
-        }
-        for (name, (all_shared, any)) in by_name {
-            if all_shared && any {
-                self.plain_fields.insert(name.to_string());
-            }
-        }
-    }
-
-    fn collect_escapes(&mut self, files: &[SourceFile], symbols: &SymbolTable, cg: &CallGraph) {
-        // Roots: argument spans of spawn-like calls that contain a
-        // closure (`|`), outside test code.
-        for call in &cg.calls {
-            if call.in_test || !ESCAPE_ENTRIES.contains(&call.callee.as_str()) {
-                continue;
-            }
-            let sf = &files[call.file];
-            let lo = call.ci + 1;
-            if !sf.ct(lo).is_some_and(|t| t.is_punct('(')) {
-                continue;
-            }
-            let hi = match_paren(sf, lo);
-            let has_closure = (lo + 1..hi).any(|k| sf.ct(k).is_some_and(|t| t.is_punct('|')));
-            if !has_closure {
-                continue;
-            }
-            self.regions.push(EscapeRegion {
-                file: call.file,
-                lo,
-                hi,
-                line: call.line,
-                entry: call.callee.clone(),
-                path: sf.path.clone(),
-            });
-        }
-        // Seed: fns called from a region's closure body.
-        let mut work: Vec<usize> = Vec::new();
-        for (ri, r) in self.regions.iter().enumerate() {
-            for call in &cg.calls {
-                if call.file != r.file || call.ci <= r.lo || call.ci >= r.hi || call.in_test {
-                    continue;
-                }
-                for &g in symbols.fn_by_name.get(&call.callee).into_iter().flatten() {
-                    if !symbols.fns[g].is_test && !self.escaping[g] {
-                        self.escaping[g] = true;
-                        self.via[g] = Some(EscapeVia::Region(ri));
-                        work.push(g);
-                    }
-                }
-            }
-        }
-        // Downward closure over the call graph.
-        let mut calls_by_caller: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (c, call) in cg.calls.iter().enumerate() {
-            if let Some(g) = call.caller {
-                calls_by_caller.entry(g).or_default().push(c);
-            }
-        }
-        while let Some(g) = work.pop() {
-            for &c in calls_by_caller.get(&g).into_iter().flatten() {
-                let callee = &cg.calls[c].callee;
-                for &g2 in symbols.fn_by_name.get(callee).into_iter().flatten() {
-                    if !symbols.fns[g2].is_test && !self.escaping[g2] {
-                        self.escaping[g2] = true;
-                        self.via[g2] = Some(EscapeVia::Caller(g));
-                        work.push(g2);
-                    }
-                }
-            }
-        }
+        reg
     }
 }
 
@@ -336,112 +80,25 @@ fn collect_atomic_statics(sf: &SourceFile, reg: &mut SharedRegistry) {
     }
 }
 
-/// Parse a ``guarded by `lock` `` marker out of a field doc comment.
-fn guard_marker(doc: &str) -> Option<String> {
-    let at = doc.find("guarded by `")?;
-    let rest = &doc[at + "guarded by `".len()..];
-    let end = rest.find('`')?;
-    let name = rest[..end].trim();
-    (!name.is_empty()).then(|| name.to_string())
-}
-
-/// Find the code index of the `)` matching the `(` at code index `open`.
-fn match_paren(sf: &SourceFile, open: usize) -> usize {
-    let mut depth = 0i32;
-    for ci in open..sf.code.len() {
-        let t = &sf.toks[sf.code[ci]];
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return ci;
-            }
-        }
-    }
-    sf.code.len().saturating_sub(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn reg(srcs: &[(&str, &str)]) -> (Vec<SourceFile>, SymbolTable, SharedRegistry) {
-        let files: Vec<SourceFile> = srcs.iter().map(|(p, s)| SourceFile::parse(p, s)).collect();
+    fn reg(path: &str, src: &str) -> SharedRegistry {
+        let files = vec![SourceFile::parse(path, src)];
         let symbols = SymbolTable::build(&files);
-        let cg = CallGraph::build(&files, &symbols);
-        let r = SharedRegistry::build(&files, &symbols, &cg);
-        (files, symbols, r)
-    }
-
-    #[test]
-    fn atomics_locks_and_guarded_fields_are_classified() {
-        let (_f, _s, r) = reg(&[(
-            "crates/exec/src/a.rs",
-            "struct Shared {\n\
-             \x20   bottom: AtomicIsize,\n\
-             \x20   injector: Mutex<VecDeque<u64>>,\n\
-             \x20   /// guarded by `injector`\n\
-             \x20   epoch: u64,\n\
-             \x20   label: String,\n\
-             }\n\
-             fn f(s: &Shared) { let _x = Arc::new(0); }\n",
-        )]);
-        assert!(r.atomics.contains_key("bottom"));
-        assert!(r.locks.contains("injector"));
-        assert_eq!(r.guarded["epoch"].guard, "injector");
-        assert!(r.shared_structs.contains("Shared"));
-        assert!(r.plain_fields.contains("label"));
+        SharedRegistry::build(&files, &symbols)
     }
 
     #[test]
     fn atomic_statics_are_registered() {
-        let (_f, _s, r) = reg(&[(
+        let r = reg(
             "crates/exec/src/a.rs",
-            "static POOL_IDS: AtomicU64 = AtomicU64::new(0);\nfn f() {}\n",
-        )]);
+            "static POOL_IDS: AtomicU64 = AtomicU64::new(0);\n\
+             struct Shared { bottom: AtomicIsize, label: String }\n",
+        );
         assert!(r.atomics.contains_key("POOL_IDS"));
-    }
-
-    #[test]
-    fn arc_wrapped_structs_are_shared_and_ambiguous_plain_fields_drop() {
-        let (_f, _s, r) = reg(&[(
-            "crates/exec/src/a.rs",
-            "struct State { count: u64 }\n\
-             struct Other { count: u64 }\n\
-             fn f() { let s: Arc<State> = Arc::new(State { count: 0 }); }\n",
-        )]);
-        assert!(r.shared_structs.contains("State"));
-        assert!(!r.shared_structs.contains("Other"));
-        // `count` also lives in the unshared `Other`: dropped.
-        assert!(!r.plain_fields.contains("count"));
-    }
-
-    #[test]
-    fn escape_reaches_through_the_call_graph_with_a_witness() {
-        let (_f, s, r) = reg(&[(
-            "crates/exec/src/a.rs",
-            "fn launch(pool: &P) { pool.spawn(move || helper()); }\n\
-             fn helper() { leaf(); }\n\
-             fn leaf() {}\n\
-             fn bystander() {}\n",
-        )]);
-        let leaf = s.fn_by_name["leaf"][0];
-        let bystander = s.fn_by_name["bystander"][0];
-        assert!(r.escaping[leaf]);
-        assert!(!r.escaping[bystander]);
-        let (chain, root) = r.escape_chain(&s, leaf);
-        assert_eq!(chain, vec!["leaf", "helper"]);
-        assert_eq!(r.regions[root.unwrap()].entry, "spawn");
-    }
-
-    #[test]
-    fn conflicting_guard_markers_are_dropped() {
-        let (_f, _s, r) = reg(&[(
-            "crates/exec/src/a.rs",
-            "struct A { m: Mutex<()>, /// guarded by `m`\n n: u64 }\n\
-             struct B { k: Mutex<()>, /// guarded by `k`\n n: u64 }\n",
-        )]);
-        assert!(!r.guarded.contains_key("n"));
+        assert!(r.atomics.contains_key("bottom"));
+        assert!(!r.atomics.contains_key("label"));
     }
 }

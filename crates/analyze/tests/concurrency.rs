@@ -1,200 +1,30 @@
-//! Fixture tests for the concurrency soundness rules (R10–R12): every
-//! rule gets a seeded true-positive with an exact `file:line` assert, a
-//! clean fixture exercising its carve-outs, and a
-//! suppressed-with-justification fixture — all through the public
-//! [`northup_analyze::analyze_sources`] entry point, exactly as the CLI
-//! runs.
+//! The concurrency rules (R11, R12) on `crates/exec`, the one crate
+//! with atomics and locks: each rule's seeded defect is a mutation of
+//! the real deque/pool source (see [`common::Seed`]); synthetic fixtures
+//! remain for the shapes the product tree has one instance of or none —
+//! the publication edge, the carve-outs, suppression.
 
-use northup_analyze::analyze_sources;
+mod common;
+
+use common::{failing_lines, one, Seed};
 use northup_analyze::diag::rules;
-
-fn one(path: &str, src: &str) -> northup_analyze::Report {
-    analyze_sources(&[(path.to_string(), src.to_string())])
-}
-
-fn failing_count(r: &northup_analyze::Report, rule: &str) -> usize {
-    r.failing().filter(|f| f.rule == rule).count()
-}
-
-fn failing_lines(r: &northup_analyze::Report, rule: &str) -> Vec<u32> {
-    r.failing()
-        .filter(|f| f.rule == rule)
-        .map(|f| f.line)
-        .collect()
-}
-
-// --------------------------------------------------------------- R10
-
-/// A fixture shared struct: `epoch` is declared guarded by `lock`.
-const GUARDED_DECL: &str = "\
-pub struct Table {
-    lock: Mutex<()>,
-    /// guarded by `lock`
-    epoch: u64,
-}
-";
-
-#[test]
-fn lockset_guarded_access_without_guard_true_positive() {
-    let src = format!("{GUARDED_DECL}fn bad(t: &Table) -> u64 {{\n    t.epoch\n}}\n");
-    let r = one("crates/exec/src/table.rs", &src);
-    assert_eq!(failing_lines(&r, rules::LOCK_SET), vec![7]);
-    let f = r.failing().find(|f| f.rule == rules::LOCK_SET).unwrap();
-    assert!(f.message.contains("guarded by `lock`"), "{}", f.message);
-    assert!(
-        f.message.contains("crates/exec/src/table.rs:4"),
-        "declaration site missing: {}",
-        f.message
-    );
-}
-
-#[test]
-fn lockset_guard_extent_ends_at_drop() {
-    // Covered while the let-bound guard lives; flagged after `drop(g)`,
-    // on the exact line.
-    let src = format!(
-        "{GUARDED_DECL}fn churn(t: &Table) -> u64 {{\n\
-         \x20   let g = t.lock.lock();\n\
-         \x20   let early = t.epoch;\n\
-         \x20   drop(g);\n\
-         \x20   early + t.epoch\n\
-         }}\n"
-    );
-    let r = one("crates/exec/src/table.rs", &src);
-    assert_eq!(failing_lines(&r, rules::LOCK_SET), vec![10]);
-}
-
-#[test]
-fn lockset_entry_held_helper_is_clean() {
-    // `helper` is only ever invoked under `lock`: the entry-held
-    // fixpoint proves the guard and the access is clean.
-    let src = format!(
-        "{GUARDED_DECL}fn outer(t: &Table) -> u64 {{\n\
-         \x20   let _g = t.lock.lock();\n\
-         \x20   helper(t)\n\
-         }}\n\
-         fn helper(t: &Table) -> u64 {{\n\
-         \x20   t.epoch\n\
-         }}\n"
-    );
-    let r = one("crates/exec/src/table.rs", &src);
-    assert_eq!(failing_count(&r, rules::LOCK_SET), 0);
-}
-
-#[test]
-fn lockset_escaping_write_caught_through_call_graph_hop() {
-    // The seeded race: a closure escapes into `spawn`, calls a helper,
-    // and the helper writes a plain field of a shared struct with no
-    // lock held — caught one call-graph hop away from the spawn site,
-    // with the witness chain back to it.
-    let src = "\
-pub struct Stats {
-    total: AtomicU64,
-    hits: u64,
-}
-fn launch(pool: &ThreadPool, s: &Arc<Stats>) {
-    pool.spawn(move || bump(s));
-}
-fn bump(s: &Stats) {
-    s.hits += 1;
-}
-";
-    let r = one("crates/exec/src/stats.rs", src);
-    assert_eq!(failing_lines(&r, rules::LOCK_SET), vec![9]);
-    let f = r.failing().find(|f| f.rule == rules::LOCK_SET).unwrap();
-    assert!(
-        f.message
-            .contains("closure passed to `spawn` at crates/exec/src/stats.rs:6"),
-        "{}",
-        f.message
-    );
-    assert!(f.message.contains("bump"), "{}", f.message);
-}
-
-#[test]
-fn lockset_write_inside_spawn_closure_true_positive() {
-    let src = "\
-pub struct Stats {
-    total: AtomicU64,
-    hits: u64,
-}
-fn launch(pool: &ThreadPool, s: &Arc<Stats>) {
-    pool.spawn(move || s.hits += 1);
-}
-";
-    let r = one("crates/exec/src/stats.rs", src);
-    assert_eq!(failing_lines(&r, rules::LOCK_SET), vec![6]);
-}
-
-#[test]
-fn lockset_clean_cases() {
-    // A write from non-escaping code, a read from escaping code, and a
-    // guarded-by-lock write under the guard are all clean.
-    let src = "\
-pub struct Stats {
-    total: AtomicU64,
-    lock: Mutex<()>,
-    hits: u64,
-}
-fn local_only(s: &mut Stats) {
-    s.hits += 1;
-}
-fn launch(pool: &ThreadPool, s: &Arc<Stats>) {
-    pool.spawn(move || report(s));
-}
-fn report(s: &Stats) -> u64 {
-    s.hits
-}
-fn under_lock(s: &Stats) {
-    let _g = s.lock.lock();
-    s.hits += 1;
-}
-";
-    let r = one("crates/exec/src/stats.rs", src);
-    assert_eq!(failing_count(&r, rules::LOCK_SET), 0);
-    // Outside the concurrency scope the rule does not run.
-    let src = format!("{GUARDED_DECL}fn bad(t: &Table) -> u64 {{ t.epoch }}\n");
-    let r = one("crates/core/src/table.rs", &src);
-    assert_eq!(failing_count(&r, rules::LOCK_SET), 0);
-}
-
-#[test]
-fn lockset_suppressed_with_justification() {
-    let src = format!(
-        "{GUARDED_DECL}fn snapshot(t: &Table) -> u64 {{\n\
-         \x20   // analyze:allow(lock-set): read-only stats snapshot; a torn epoch only skews one log line\n\
-         \x20   t.epoch\n\
-         }}\n"
-    );
-    let r = one("crates/exec/src/table.rs", &src);
-    assert_eq!(r.failing().count(), 0);
-    assert_eq!(r.findings.iter().filter(|f| f.suppressed).count(), 1);
-}
 
 // --------------------------------------------------------------- R11
 
+/// PR 9's one real finding, reverted: `Stealer::len` reads `bottom`
+/// Relaxed although `push` publishes slots through a Release store of
+/// it, so a thief can see the new length without the slot it counts.
 #[test]
 fn atomic_relaxed_load_on_consumption_edge_true_positive() {
-    let src = "\
-pub struct Gate {
-    ready: AtomicBool,
-}
-fn publish(g: &Gate) {
-    g.ready.store(true, Ordering::Release);
-}
-fn consume(g: &Gate) -> bool {
-    g.ready.load(Ordering::Relaxed)
-}
-";
-    let r = one("crates/sched/src/gate.rs", src);
-    assert_eq!(failing_lines(&r, rules::ATOMIC_ORDER), vec![8]);
-    let f = r.failing().find(|f| f.rule == rules::ATOMIC_ORDER).unwrap();
-    assert!(f.message.contains("consumption edge"), "{}", f.message);
-    assert!(
-        f.message.contains("Release `store`"),
-        "protocol peer missing: {}",
-        f.message
-    );
+    let seed = Seed {
+        path: "crates/exec/src/deque.rs",
+        with: &[],
+        old: "impl<T> Stealer<T> {\n    /// Best-effort current length.\n    pub fn len(&self) -> usize {\n        let b = self.inner.bottom.load(Ordering::Acquire);",
+        new: "impl<T> Stealer<T> {\n    /// Best-effort current length.\n    pub fn len(&self) -> usize {\n        let b = self.inner.bottom.load(Ordering::Relaxed); // seeded",
+    };
+    let message = seed.trips(rules::ATOMIC_ORDER, "Ordering::Relaxed); // seeded");
+    assert!(message.contains("consumption edge"), "{message}");
+    assert!(message.contains("Release `store`"), "{message}");
 }
 
 #[test]
@@ -265,7 +95,7 @@ mod tests {
 }
 ";
     let r = one("crates/exec/src/ctr.rs", src);
-    assert_eq!(failing_count(&r, rules::ATOMIC_ORDER), 0);
+    assert_eq!(r.failing_for(rules::ATOMIC_ORDER), 0);
 }
 
 #[test]
@@ -282,7 +112,7 @@ fn consume(g: &Gate) -> bool {
     g.ready.load(Ordering::Relaxed)
 }
 ";
-    let r = one("crates/sched/src/gate.rs", src);
+    let r = one("crates/exec/src/gate.rs", src);
     assert_eq!(r.failing().count(), 0);
     assert_eq!(r.findings.iter().filter(|f| f.suppressed).count(), 1);
 }
@@ -307,10 +137,25 @@ fn convoy(s: &S, rx: &Receiver<u64>) {
     assert!(f.message.contains("guard `state`"), "{}", f.message);
 }
 
+/// `inject` keeps the injector guard across `wake_one`, which takes the
+/// sleep lock `worker_loop` holds while it re-checks the injector: a
+/// lock-order cycle, and a deadlock that hangs `race_stress` and the
+/// pool's own tests. The finding is the call, reached through the
+/// helper's lock acquisition — the edge the retired lock-order rule
+/// would have closed the cycle with.
 #[test]
 fn blocking_taint_reaches_through_a_helper() {
-    // `pause` blocks only transitively (it calls `sleep`); holding the
-    // guard across the `pause()` call is flagged with the taint chain.
+    let seed = Seed {
+        path: "crates/exec/src/pool.rs",
+        with: &[],
+        old: "        self.injector.lock().push_back(job);\n        self.wake_one();",
+        new: "        let mut q = self.injector.lock();\n        q.push_back(job);\n        self.wake_one(); // seeded",
+    };
+    let message = seed.trips(rules::BLOCKING_EXTENT, "self.wake_one(); // seeded");
+    assert!(message.contains("guard `injector`"), "{message}");
+    assert!(message.contains("may block via"), "{message}");
+    // The other way into the may-block set: `pause` takes no lock, it
+    // blocks because it calls a direct blocker (`sleep`).
     let src = "\
 fn convoy(s: &S) {
     let _g = s.state.lock();
@@ -320,13 +165,10 @@ fn pause() {
     std::thread::sleep(Duration::from_millis(1));
 }
 ";
-    let r = one("crates/sched/src/convoy.rs", src);
+    let r = one("crates/exec/src/convoy.rs", src);
     assert_eq!(failing_lines(&r, rules::BLOCKING_EXTENT), vec![3]);
-    let f = r
-        .failing()
-        .find(|f| f.rule == rules::BLOCKING_EXTENT)
-        .unwrap();
-    assert!(f.message.contains("may block via"), "{}", f.message);
+    let f = r.failing().next().expect("the convoy finding");
+    assert!(f.message.contains("may block via `pause`"), "{}", f.message);
 }
 
 #[test]
@@ -371,7 +213,7 @@ fn counted(s: &S) {
 }
 ";
     let r = one("crates/exec/src/quiet.rs", src);
-    assert_eq!(failing_count(&r, rules::BLOCKING_EXTENT), 0);
+    assert_eq!(r.failing_for(rules::BLOCKING_EXTENT), 0);
 }
 
 #[test]

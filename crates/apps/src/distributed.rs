@@ -82,7 +82,6 @@ pub fn gemm_cluster(cfg: &DistGemmConfig, mode: ExecMode) -> Result<AppRun> {
     let shard_b = n * block * 4; // B column shard
 
     let root = rt.tree().root();
-    // analyze:allow(lease-discipline): the matrices live for the whole run; the caller's Runtime reclaims them on drop
     let a_file = rt.alloc(n * n * 4, root)?;
     let b_file = rt.alloc(n * n * 4, root)?;
     let c_file = rt.alloc(n * n * 4, root)?;

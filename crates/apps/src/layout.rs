@@ -75,7 +75,7 @@ pub fn spmv_with_format(
         // the file content only matters for byte accounting here.
     }
 
-    let stage = *rt.tree().children(root).first().expect("staging level");
+    let stage = rt.tree().staging_level()?;
     let x_stage = rt.alloc(rows * 4, stage)?;
     rt.move_data(x_stage, 0, x_file, 0, rows * 4)?;
 

@@ -106,7 +106,7 @@ pub fn reduce_northup(
         Ok(data)
     })?;
 
-    let stage = *rt.tree().children(root).first().expect("staging level");
+    let stage = rt.tree().staging_level()?;
     let gpu_model = model_for(&rt.proc_at(stage, ProcKind::Gpu)?.name);
 
     let pipe = ChunkPipeline::new(&rt, stage, cfg.ring, &[cfg.chunk * 4])?;
@@ -186,7 +186,7 @@ pub fn map_northup(
         Ok(data)
     })?;
 
-    let stage = *rt.tree().children(root).first().expect("staging level");
+    let stage = rt.tree().staging_level()?;
     let gpu_model = model_for(&rt.proc_at(stage, ProcKind::Gpu)?.name);
 
     let pipe = ChunkPipeline::new(&rt, stage, cfg.ring, &[cfg.chunk * 4, cfg.chunk * 4])?;

@@ -179,7 +179,6 @@ pub fn spmv_in_memory(input: &SpmvInput, mode: ExecMode) -> Result<AppRun> {
     let rows = input.rows();
     let nnz = input.nnz();
     let payload = (rows + 1) * 4 + nnz * 8;
-    // analyze:allow(lease-discipline): matrix and vectors live for the whole run; the run's Runtime reclaims them on drop
     let mat = root.alloc(payload)?;
     let x = root.alloc(rows * 4)?;
     let y = root.alloc(rows * 4)?;
@@ -245,7 +244,7 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
         rt.write_slice(x_file, 0, &f32s_to_bytes(&x_host))?;
     }
 
-    let stage_node = *rt.tree().children(root).first().expect("staging level");
+    let stage_node = rt.tree().staging_level()?;
     // The x vector stays resident at the staging level, and (deeper chain
     // for discrete-GPU trees) moves on to the leaf once.
     let x_stage = rt.alloc(rows * 4, stage_node)?;
@@ -369,7 +368,7 @@ pub fn power_iteration_northup(
     ];
     write_csr(&rt, csr_files, m)?;
 
-    let stage_node = *rt.tree().children(root).first().expect("staging level");
+    let stage_node = rt.tree().staging_level()?;
     let cpu_node = stage_node;
     // Power iteration computes at the staging level itself (an APU leaf).
     let gpu_model = gpu_spmv_model(&rt.proc_at(stage_node, ProcKind::Gpu)?.name);

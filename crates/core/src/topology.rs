@@ -113,6 +113,8 @@ pub enum TopologyError {
     Empty,
     /// A chain schedule met a node with more than one child.
     NotAChain(NodeId),
+    /// The root has no child: there is no level to stage chunks on.
+    NoStagingLevel,
 }
 
 impl fmt::Display for TopologyError {
@@ -122,6 +124,9 @@ impl fmt::Display for TopologyError {
             TopologyError::Empty => write!(f, "tree has no nodes"),
             TopologyError::NotAChain(n) => {
                 write!(f, "node {n} has several children where a chain is required")
+            }
+            TopologyError::NoStagingLevel => {
+                write!(f, "the root has no child level to stage data on")
             }
         }
     }
@@ -190,6 +195,16 @@ impl Tree {
     /// The paper's `get_children_list()`.
     pub fn children(&self, id: NodeId) -> &[NodeId] {
         &self.node(id).children
+    }
+
+    /// The staging level of an out-of-core schedule: the root's first
+    /// child, where chunks of the root's data are buffered. A single-node
+    /// tree has none.
+    pub fn staging_level(&self) -> Result<NodeId, TopologyError> {
+        self.children(self.root())
+            .first()
+            .copied()
+            .ok_or(TopologyError::NoStagingLevel)
     }
 
     /// The first-child chain strictly below `from`, top first — the path a

@@ -73,7 +73,7 @@ pub(crate) struct ShardView {
 /// compares these against each other, so the scale factor cancels.
 pub(crate) fn cost_ns(work: &JobWork, remaining: u32) -> u128 {
     let per_chunk = u128::from(work.compute.0)
-        // analyze:allow(unit-consistency): deliberate 1 byte ≈ 1 ns blend at the modeled 1 GiB/s; costs are only compared against each other, so the scale cancels
+        // analyze:allow(unit-consistency): deliberate: a byte is priced at 1 ns (the modeled ~1 GiB/s), which makes the sum the ns service-time estimate the score weighs against its other ns terms
         + u128::from(work.read_bytes)
         + u128::from(work.xfer_bytes)
         + u128::from(work.write_bytes);

@@ -123,3 +123,80 @@ fn render_outputs_are_stable() {
     assert_eq!(a, b);
     assert!(tree.render_dot().contains("digraph"));
 }
+
+/// A tree that is only a root has no level to stage chunks on. Every
+/// out-of-core entry point that takes a tree reports that as the typed
+/// [`TopologyError::NoStagingLevel`] instead of panicking. The other two
+/// `staging_level()` callers, `hotspot_split_leaf` and
+/// `layout::spmv_with_format`, take a storage device and build
+/// `presets::apu_two_level` themselves, so nobody can hand them a lone
+/// root and they have no row.
+#[test]
+fn a_single_node_tree_is_a_typed_error_from_every_out_of_core_entry_point() {
+    use northup_suite::apps::reduce::{map_northup, reduce_northup, ReduceOp, StreamConfig};
+    use northup_suite::apps::{hotspot, matmul, spmv};
+    use northup_suite::core::TopologyError;
+    use northup_suite::sparse::gen;
+
+    let lone = || TreeBuilder::new(catalog::ssd_hyperx_predator()).build();
+    let m = gen::banded(64, 2, 7);
+    let modeled = ExecMode::Modeled;
+    let (mm, hs, st) = (
+        MatmulConfig::small(),
+        HotspotConfig::small(),
+        StreamConfig::small(),
+    );
+    let input = SpmvInput::Matrix(m.clone());
+    let on = |f: &dyn Fn(&Runtime) -> Result<AppRun>| f(&Runtime::new(lone(), modeled)?);
+    let table: Vec<(&str, Result<()>)> = vec![
+        (
+            "reduce_northup",
+            reduce_northup(&st, ReduceOp::Sum, lone(), modeled).map(drop),
+        ),
+        (
+            "map_northup",
+            map_northup(&st, 2.0, 1.0, lone(), modeled).map(drop),
+        ),
+        (
+            "matmul_northup",
+            matmul::matmul_northup(&mm, lone(), modeled).map(drop),
+        ),
+        (
+            "matmul_northup_on",
+            on(&|rt| matmul::matmul_northup_on(rt, &mm)).map(drop),
+        ),
+        (
+            "matmul_northup_ksplit",
+            matmul::matmul_northup_ksplit(&mm, lone(), modeled).map(drop),
+        ),
+        (
+            "spmv_northup",
+            spmv::spmv_northup(&input, lone(), modeled).map(drop),
+        ),
+        (
+            "spmv_northup_on",
+            on(&|rt| spmv::spmv_northup_on(rt, &input)).map(drop),
+        ),
+        (
+            "power_iteration_northup",
+            spmv::power_iteration_northup(&m, 2, lone()).map(drop),
+        ),
+        (
+            "hotspot_northup",
+            hotspot::hotspot_northup(&hs, lone(), modeled).map(drop),
+        ),
+        (
+            "hotspot_northup_on",
+            on(&|rt| hotspot::hotspot_northup_on(rt, &hs)).map(drop),
+        ),
+    ];
+    for (name, result) in table {
+        assert!(
+            matches!(
+                result,
+                Err(NorthupError::Topology(TopologyError::NoStagingLevel))
+            ),
+            "{name}: {result:?}"
+        );
+    }
+}
