@@ -15,6 +15,8 @@
 //! * [`job`] — [`JobSpec`]/[`JobWork`] (arrival, priority, per-chunk
 //!   fabric demand) and the `Queued → Admitted → Running → Done` /
 //!   `Failed` / `Rejected` / `Cancelled` lifecycle.
+//! * [`log`] — [`Log`], the paged append-only series the report's
+//!   per-event logs are kept in.
 //! * [`fabric`] — [`SimFabric`], the *modeled* backend of the shared
 //!   stage-chain IR (`northup::fabric`): virtual-time resources (root
 //!   storage, links, leaf processors) all admitted jobs contend on,
@@ -74,6 +76,7 @@ pub mod digest;
 pub mod error;
 pub mod fabric;
 pub mod job;
+pub mod log;
 pub mod real;
 pub mod reserve;
 pub mod scheduler;
@@ -84,6 +87,7 @@ pub use digest::report_digest;
 pub use error::SchedError;
 pub use fabric::SimFabric;
 pub use job::{JobId, JobSpec, JobState, JobWork, Priority, SloClass, TenantId};
+pub use log::Log;
 pub use real::RealFabric;
 pub use reserve::{NodeBudgets, Reservation, TenantQuota};
 pub use scheduler::{

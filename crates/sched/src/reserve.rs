@@ -9,13 +9,17 @@
 
 use northup::lease::CapacityLease;
 use northup::{NodeId, Tree};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Per-node byte reservation declared by a job.
+///
+/// Entries are `(node, bytes)` pairs with `bytes > 0`, sorted by node
+/// and held at exact capacity: the usual reservation names one node, and
+/// a scheduler holds one per job, so it costs one 16-byte allocation and
+/// the admission loops walk a slice.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Reservation {
-    per_node: BTreeMap<NodeId, u64>,
+    per_node: Vec<(NodeId, u64)>,
 }
 
 impl Reservation {
@@ -33,21 +37,30 @@ impl Reservation {
     /// Reserve `bytes` on `node` (replacing any previous amount; zero
     /// removes the entry).
     pub fn set(&mut self, node: NodeId, bytes: u64) {
-        if bytes == 0 {
-            self.per_node.remove(&node);
-        } else {
-            self.per_node.insert(node, bytes);
+        match (self.per_node.binary_search_by_key(&node, |e| e.0), bytes) {
+            (Ok(i), 0) => {
+                self.per_node.remove(i);
+                self.per_node.shrink_to_fit();
+            }
+            (Ok(i), _) => self.per_node[i].1 = bytes,
+            (Err(_), 0) => {}
+            (Err(i), _) => {
+                self.per_node.reserve_exact(1);
+                self.per_node.insert(i, (node, bytes));
+            }
         }
     }
 
     /// Reserved bytes on `node` (zero when not reserved).
     pub fn get(&self, node: NodeId) -> u64 {
-        self.per_node.get(&node).copied().unwrap_or(0)
+        self.per_node
+            .binary_search_by_key(&node, |e| e.0)
+            .map_or(0, |i| self.per_node[i].1)
     }
 
     /// All (node, bytes) entries in node-id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.per_node.iter().map(|(&n, &b)| (n, b))
+        self.per_node.iter().copied()
     }
 
     /// True when nothing is reserved.
@@ -57,7 +70,7 @@ impl Reservation {
 
     /// Sum of all reserved bytes (a crude job "size" for reports).
     pub fn total(&self) -> u64 {
-        self.per_node.values().sum()
+        self.per_node.iter().map(|e| e.1).sum()
     }
 
     /// Bridge to the runtime: a capacity lease granting exactly this
@@ -185,6 +198,8 @@ mod tests {
     use super::*;
     use northup::presets;
     use northup_hw::catalog;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn reservation_accumulates_and_bridges_to_lease() {
@@ -197,6 +212,44 @@ mod tests {
         let lease = r.to_lease();
         assert_eq!(lease.granted(NodeId(1)), Some(80));
         assert_eq!(lease.granted(NodeId(0)), None);
+    }
+
+    proptest! {
+        /// Against a `BTreeMap<NodeId, u64>` (what `Reservation` was):
+        /// set-to-zero removes, a second set replaces, and every reader
+        /// agrees with the map after every step.
+        #[test]
+        fn reservation_matches_a_btreemap_model(
+            ops in prop::collection::vec((0usize..6, prop_oneof![0u64..1, 1u64..1000]), 0..24),
+        ) {
+            let mut model: BTreeMap<NodeId, u64> = BTreeMap::new();
+            let mut r = Reservation::new();
+            for &(n, bytes) in &ops {
+                let node = NodeId(n);
+                r.set(node, bytes);
+                if bytes == 0 {
+                    model.remove(&node);
+                } else {
+                    model.insert(node, bytes);
+                }
+                prop_assert!(r.iter().eq(model.iter().map(|(&n, &b)| (n, b))), "node order");
+                prop_assert_eq!(r.per_node.capacity(), model.len(), "held at exact capacity");
+                prop_assert_eq!(r.is_empty(), model.is_empty());
+                prop_assert_eq!(r.total(), model.values().sum::<u64>());
+                let lease = r.to_lease();
+                for probe in (0..7).map(NodeId) {
+                    prop_assert_eq!(r.get(probe), model.get(&probe).copied().unwrap_or(0));
+                    prop_assert_eq!(lease.granted(probe), model.get(&probe).copied());
+                }
+            }
+            // Equality is by content: the same entries collected in the
+            // opposite order, and built with the builder, compare equal.
+            let collected: Reservation = model.iter().rev().map(|(&n, &b)| (n, b)).collect();
+            let built = model.iter().fold(Reservation::new(), |r, (&n, &b)| r.with(n, b));
+            prop_assert_eq!(&collected, &r);
+            prop_assert_eq!(&built, &r);
+            prop_assert_eq!(r.clone().with(NodeId(6), 1) == r, false);
+        }
     }
 
     #[test]

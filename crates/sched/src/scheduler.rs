@@ -62,6 +62,7 @@ use crate::calendar::{CalendarQueue, Event};
 use crate::error::SchedError;
 use crate::fabric::SimFabric;
 use crate::job::{JobId, JobSpec, JobState, Priority, SloClass, TenantId};
+use crate::log::Log;
 use crate::reserve::{NodeBudgets, Reservation, TenantQuota};
 use crate::slo::{
     percentile_sorted, DegradeLevel, RejectReason, ShedOutcome, SloConfig, SloSample, SloState,
@@ -418,6 +419,14 @@ impl JobOutcome {
 
 /// Everything `run` learned: per-job outcomes plus aggregate service
 /// metrics and the audit trails the acceptance tests inspect.
+///
+/// Each series is held once. *Stored*, because the run decided them:
+/// [`jobs`](Self::jobs), [`admission_log`](Self::admission_log) and
+/// [`chunk_log`](Self::chunk_log) (the two per-event series, paged
+/// [`Log`]s), and the small per-feature logs. *Derived* on demand from
+/// those, because they are pure functions of them:
+/// [`admission_order()`](Self::admission_order) and
+/// [`capacity_trace()`](Self::capacity_trace).
 #[derive(Debug, Clone)]
 pub struct SchedReport {
     /// One record per submitted job, in `JobId` order.
@@ -432,18 +441,13 @@ pub struct SchedReport {
     pub p99_latency: SimDur,
     /// Rejected jobs / submitted jobs.
     pub rejection_rate: f64,
-    /// Jobs in the order their reservations were committed (re-admissions
-    /// after eviction appear again).
-    pub admission_order: Vec<JobId>,
     /// Every commit/release/evict transition.
-    pub admission_log: Vec<AdmissionEvent>,
-    /// Committed bytes per touched node after every transition.
-    pub capacity_trace: Vec<CapacitySample>,
+    pub admission_log: Log<AdmissionEvent>,
     /// Peak committed bytes ever observed per node, dense by `NodeId.0`
     /// (zero for nodes no reservation ever touched).
     pub max_committed: Vec<u64>,
     /// Every completed chunk, in completion order.
-    pub chunk_log: Vec<ChunkSample>,
+    pub chunk_log: Log<ChunkSample>,
     /// Every applied budget reconfiguration, in effect order.
     pub resize_log: Vec<ResizeSample>,
     /// Eviction-request → eviction-effect delay of every preemption (how
@@ -473,12 +477,58 @@ pub struct SchedReport {
     /// percent of the configured budgets (100 = they sufficed; always
     /// 100 without [`SchedulerConfig::slo`]).
     pub capacity_needed_pct: u32,
+    /// The two derived series as the engine used to store them, pushed
+    /// from the dispatch loop where the stored fields were: what the
+    /// derivations are compared against.
+    #[cfg(test)]
+    recorded: Recorded,
 }
 
 impl SchedReport {
     /// Outcome of one job.
     pub fn job(&self, id: JobId) -> &JobOutcome {
         &self.jobs[id.0 as usize]
+    }
+
+    /// Jobs in the order their reservations were committed (re-admissions
+    /// after eviction appear again): the `Admitted` entries of
+    /// [`admission_log`](Self::admission_log).
+    pub fn admission_order(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.admission_log
+            .iter()
+            .filter(|e| e.kind == AdmissionEventKind::Admitted)
+            .map(|e| e.job)
+    }
+
+    /// Committed bytes per touched node after every transition: each
+    /// [`admission_log`](Self::admission_log) entry adds (`Admitted`) or
+    /// credits back (every other kind) its job's reservation, one sample
+    /// per reserved node in node order.
+    pub fn capacity_trace(&self) -> impl Iterator<Item = CapacitySample> + '_ {
+        let mut committed = vec![0u64; self.max_committed.len()];
+        self.admission_log
+            .iter()
+            .flat_map(|e| {
+                let admitted = e.kind == AdmissionEventKind::Admitted;
+                let reserved = self.job(e.job).reservation.iter();
+                reserved.map(move |(node, bytes)| (e.at, admitted, node, bytes))
+            })
+            .map(move |(at, admitted, node, bytes)| {
+                if committed.len() <= node.0 {
+                    committed.resize(node.0 + 1, 0);
+                }
+                let c = &mut committed[node.0];
+                *c = if admitted {
+                    c.saturating_add(bytes)
+                } else {
+                    c.saturating_sub(bytes)
+                };
+                CapacitySample {
+                    at,
+                    node,
+                    committed: *c,
+                }
+            })
     }
 
     /// Peak committed bytes per *touched* node, as `(node, peak)` pairs
@@ -734,41 +784,10 @@ struct JobRec {
     degrade: u8,
 }
 
-/// The multi-tenant scheduler. Submit jobs, then [`run`](Self::run) the
-/// deterministic co-simulation to a [`SchedReport`].
-#[derive(Debug)]
-pub struct JobScheduler {
-    tree: Tree,
-    cfg: SchedulerConfig,
-    budgets: NodeBudgets,
-    pending_resizes: Vec<(SimTime, NodeBudgets)>,
-    jobs: Vec<JobRec>,
-}
-
-impl JobScheduler {
-    /// A scheduler over `tree` with budgets equal to its device
-    /// capacities.
-    pub fn new(tree: Tree, cfg: SchedulerConfig) -> Self {
-        let budgets = NodeBudgets::from_tree(&tree, 1.0);
-        JobScheduler {
-            tree,
-            cfg,
-            budgets,
-            pending_resizes: Vec::new(),
-            jobs: Vec::new(),
-        }
-    }
-
-    /// The admission budgets in force (before `run`, the initial ones).
-    pub fn budgets(&self) -> &NodeBudgets {
-        &self.budgets
-    }
-
-    /// Submit a job; returns its id. Jobs may be submitted in any order —
-    /// `run` replays them by arrival time.
-    pub fn submit(&mut self, spec: JobSpec) -> JobId {
-        let id = JobId(self.jobs.len() as u64);
-        self.jobs.push(JobRec {
+impl JobRec {
+    /// The record of a job nothing has happened to yet.
+    fn new(spec: JobSpec) -> Self {
+        JobRec {
             spec,
             admitted_at: None,
             finished_at: None,
@@ -784,15 +803,59 @@ impl JobScheduler {
             reroutes: 0,
             reject_reason: None,
             degrade: 0,
-        });
+        }
+    }
+}
+
+/// The multi-tenant scheduler. Submit jobs, then [`run`](Self::run) the
+/// deterministic co-simulation to a [`SchedReport`].
+#[derive(Debug)]
+pub struct JobScheduler {
+    tree: Tree,
+    cfg: SchedulerConfig,
+    budgets: NodeBudgets,
+    pending_resizes: Vec<(SimTime, NodeBudgets)>,
+    /// The trace as submitted, in `JobId` order.
+    submitted: Vec<JobSpec>,
+    /// One record per submitted job. Empty until `run` builds it from
+    /// `submitted`, at the trace's size: a table grown by `submit` would
+    /// hold up to twice that, beside the caller's own copy of the trace.
+    jobs: Vec<JobRec>,
+}
+
+impl JobScheduler {
+    /// A scheduler over `tree` with budgets equal to its device
+    /// capacities.
+    pub fn new(tree: Tree, cfg: SchedulerConfig) -> Self {
+        let budgets = NodeBudgets::from_tree(&tree, 1.0);
+        JobScheduler {
+            tree,
+            cfg,
+            budgets,
+            pending_resizes: Vec::new(),
+            submitted: Vec::new(),
+            jobs: Vec::new(),
+        }
+    }
+
+    /// The admission budgets in force (before `run`, the initial ones).
+    pub fn budgets(&self) -> &NodeBudgets {
+        &self.budgets
+    }
+
+    /// Submit a job; returns its id. Jobs may be submitted in any order —
+    /// `run` replays them by arrival time.
+    pub fn submit(&mut self, spec: JobSpec) -> JobId {
+        let id = JobId(self.submitted.len() as u64);
+        self.submitted.push(spec);
         id
     }
 
     /// Request cancellation of `id` at virtual time `at` (same effect as
     /// submitting the spec with [`JobSpec::cancel_at`]).
     pub fn cancel(&mut self, id: JobId, at: SimTime) {
-        if let Some(rec) = self.jobs.get_mut(id.0 as usize) {
-            rec.spec.cancel_at = Some(at);
+        if let Some(spec) = self.submitted.get_mut(id.0 as usize) {
+            spec.cancel_at = Some(at);
         }
     }
 
@@ -810,6 +873,10 @@ impl JobScheduler {
     /// Errors surface violated internal invariants as [`SchedError`]
     /// instead of panicking the embedding service.
     pub fn run(mut self) -> Result<SchedReport, SchedError> {
+        self.jobs = std::mem::take(&mut self.submitted)
+            .into_iter()
+            .map(JobRec::new)
+            .collect();
         let mut st = RunState::new(&self.tree, &self.cfg, &self.jobs);
 
         // Seed arrivals (and standalone cancellations of queued jobs).
@@ -1406,7 +1473,8 @@ impl JobScheduler {
             if *e > st.max_committed[n.0] {
                 st.max_committed[n.0] = *e;
             }
-            st.capacity_trace.push(CapacitySample {
+            #[cfg(test)]
+            st.recorded.capacity_trace.push(CapacitySample {
                 at: t,
                 node: n,
                 committed: *e,
@@ -1414,7 +1482,8 @@ impl JobScheduler {
         }
         rec.admitted_at = Some(t);
         st.hot[id.0 as usize].state = JobState::Admitted;
-        st.admission_order.push(id);
+        #[cfg(test)]
+        st.recorded.admission_order.push(id);
         st.admission_log.push(AdmissionEvent {
             at: t,
             job: id,
@@ -1500,8 +1569,8 @@ impl JobScheduler {
         best.map(|(_, _, leaf)| leaf).ok_or(SchedError::NoLeaf)
     }
 
-    /// Credit the reservation back and sample the capacity trace (shared
-    /// by terminal release and eviction).
+    /// Credit the reservation back (shared by terminal release and
+    /// eviction).
     fn release_capacity(&mut self, st: &mut RunState, id: JobId, t: SimTime) {
         let (tenant, held, since) = {
             let rec = &self.jobs[id.0 as usize];
@@ -1520,7 +1589,8 @@ impl JobScheduler {
         for (n, b) in rec.spec.reservation.iter() {
             let e = &mut st.committed[n.0];
             *e = e.saturating_sub(b);
-            st.capacity_trace.push(CapacitySample {
+            #[cfg(test)]
+            st.recorded.capacity_trace.push(CapacitySample {
                 at: t,
                 node: n,
                 committed: *e,
@@ -1941,7 +2011,12 @@ impl JobScheduler {
             Some(slo) => (slo.sheds, slo.log, slo.needed_pct),
             None => (Vec::new(), Vec::new(), 100),
         };
-        let jobs: Vec<JobOutcome> = self
+        // An outcome is smaller than the record it is made from, so this
+        // `collect` writes the outcomes over the job table as it drains
+        // it (the standard library's in-place `collect`): table and
+        // outcomes never stand side by side. `tests/engine_heap.rs`
+        // fails if they ever do.
+        let mut jobs: Vec<JobOutcome> = self
             .jobs
             .into_iter()
             .zip(&st.hot)
@@ -1970,6 +2045,7 @@ impl JobScheduler {
                 degrade: rec.degrade,
             })
             .collect();
+        jobs.shrink_to_fit();
 
         let makespan = jobs
             .iter()
@@ -1999,9 +2075,7 @@ impl JobScheduler {
             p50_latency: percentile_sorted(&lats, 50),
             p99_latency: percentile_sorted(&lats, 99),
             rejection_rate,
-            admission_order: st.admission_order,
             admission_log: st.admission_log,
-            capacity_trace: st.capacity_trace,
             max_committed: st.max_committed,
             chunk_log: st.chunk_log,
             resize_log: st.resize_log,
@@ -2014,6 +2088,8 @@ impl JobScheduler {
             capacity_needed_pct,
             events: st.events_processed,
             jobs,
+            #[cfg(test)]
+            recorded: st.recorded,
         }
     }
 }
@@ -2030,11 +2106,13 @@ const NOT_QUEUED: u64 = u64::MAX;
 
 /// The waiting-job queues with O(1) removal. Class order and global
 /// FIFO order are mirrored entry lists of `(job, seq)` pairs; a job's
-/// live `seq` sits in a dense per-job slot. Removing a job just bumps
-/// its slot to [`NOT_QUEUED`] — stale entries are skipped lazily when
-/// a head is read. This replaces the heap-era engine's O(queue-depth)
-/// `retain` scans on every admission, the dominant cost once a
-/// 10^6-job trace holds thousands of waiters (see DESIGN.md §12).
+/// live `seq` sits in a dense per-job slot. Removing a job bumps its
+/// slot to [`NOT_QUEUED`] and pops the stale entries this leaves at the
+/// head of either order, so a non-empty order always starts with a live
+/// waiter and holds no entry older than its oldest one — whichever
+/// policy is reading. This replaces the heap-era engine's
+/// O(queue-depth) `retain` scans on every admission, the dominant cost
+/// once a 10^6-job trace holds thousands of waiters (see DESIGN.md §12).
 struct JobQueues {
     class: [VecDeque<(JobId, u64)>; 3],
     fifo: VecDeque<(JobId, u64)>,
@@ -2096,12 +2174,23 @@ impl JobQueues {
         self.fifo.push_front((id, seq));
     }
 
-    /// Remove the job from both orders — O(1), lazy.
+    /// Remove the job from both orders — amortised O(1): its entries
+    /// go stale in place and are popped once they reach a head.
     fn remove(&mut self, id: JobId) {
-        if self.slot[id.0 as usize] != NOT_QUEUED {
-            self.slot[id.0 as usize] = NOT_QUEUED;
-            self.waiting -= 1;
-            self.live[usize::from(self.cls[id.0 as usize])] -= 1;
+        if self.slot[id.0 as usize] == NOT_QUEUED {
+            return;
+        }
+        self.slot[id.0 as usize] = NOT_QUEUED;
+        self.waiting -= 1;
+        let class = usize::from(self.cls[id.0 as usize]);
+        self.live[class] -= 1;
+        for order in [&mut self.class[class], &mut self.fifo] {
+            while let Some(&(head, seq)) = order.front() {
+                if self.slot[head.0 as usize] == seq {
+                    break;
+                }
+                order.pop_front();
+            }
         }
     }
 
@@ -2115,29 +2204,17 @@ impl JobQueues {
             .map(|&(id, _)| id)
     }
 
-    /// Prune stale entries, then peek the head of class `c`.
-    fn class_head(&mut self, c: usize) -> Option<JobId> {
-        while let Some(&(id, seq)) = self.class[c].front() {
-            if self.slot[id.0 as usize] == seq {
-                return Some(id);
-            }
-            self.class[c].pop_front();
-        }
-        None
+    /// The longest-waiting job of class `c`.
+    fn class_head(&self, c: usize) -> Option<JobId> {
+        self.class[c].front().map(|&(id, _)| id)
     }
 
-    /// Prune stale entries, then peek the global FIFO head.
-    fn fifo_head(&mut self) -> Option<JobId> {
-        while let Some(&(id, seq)) = self.fifo.front() {
-            if self.slot[id.0 as usize] == seq {
-                return Some(id);
-            }
-            self.fifo.pop_front();
-        }
-        None
+    /// The longest-waiting job overall.
+    fn fifo_head(&self) -> Option<JobId> {
+        self.fifo.front().map(|&(id, _)| id)
     }
 
-    /// Live jobs in FIFO order (stale entries skipped, not pruned).
+    /// Live jobs in FIFO order (stale entries behind the head skipped).
     fn fifo_live(&self) -> impl Iterator<Item = JobId> + '_ {
         self.fifo
             .iter()
@@ -2189,6 +2266,15 @@ impl ChainArena {
     }
 }
 
+/// [`SchedReport::admission_order`] and [`SchedReport::capacity_trace`]
+/// as stored series.
+#[cfg(test)]
+#[derive(Debug, Clone, Default)]
+struct Recorded {
+    admission_order: Vec<JobId>,
+    capacity_trace: Vec<CapacitySample>,
+}
+
 /// Per-run mutable state, kept out of `JobScheduler` so `run` borrows
 /// stay simple.
 struct RunState {
@@ -2211,10 +2297,10 @@ struct RunState {
     committed: Vec<u64>,
     max_committed: Vec<u64>,
     chains: ChainArena,
-    capacity_trace: Vec<CapacitySample>,
-    admission_order: Vec<JobId>,
-    admission_log: Vec<AdmissionEvent>,
-    chunk_log: Vec<ChunkSample>,
+    admission_log: Log<AdmissionEvent>,
+    chunk_log: Log<ChunkSample>,
+    #[cfg(test)]
+    recorded: Recorded,
     resize_log: Vec<ResizeSample>,
     preemption_latencies: Vec<SimDur>,
     quota: BTreeMap<TenantId, QuotaState>,
@@ -2282,10 +2368,10 @@ impl RunState {
             committed: vec![0; tree.len()],
             max_committed: vec![0; tree.len()],
             chains: ChainArena::new(),
-            capacity_trace: Vec::new(),
-            admission_order: Vec::new(),
-            admission_log: Vec::new(),
-            chunk_log: Vec::new(),
+            admission_log: Log::new(),
+            chunk_log: Log::new(),
+            #[cfg(test)]
+            recorded: Recorded::default(),
             resize_log: Vec::new(),
             preemption_latencies: Vec::new(),
             quota: BTreeMap::new(),
@@ -2408,6 +2494,7 @@ mod tests {
     use crate::job::JobWork;
     use northup::presets;
     use northup_hw::catalog;
+    use proptest::prelude::*;
 
     fn tree() -> Tree {
         presets::apu_two_level(catalog::ssd_hyperx_predator())
@@ -2449,7 +2536,7 @@ mod tests {
         let b_admit = report.job(b).admitted_at.unwrap();
         assert!(b_admit >= a_release, "0.6+0.6 > 1.0 must serialize");
         // Committed bytes never exceed the budget at any sample.
-        for s in &report.capacity_trace {
+        for s in report.capacity_trace() {
             assert!(s.committed <= budget, "sample {s:?} exceeds budget");
         }
         assert!(report.max_committed[dram.0] <= budget);
@@ -2581,9 +2668,9 @@ mod tests {
         };
         let r1 = build();
         let r2 = build();
-        assert_eq!(r1.admission_order, r2.admission_order);
+        assert!(r1.admission_order().eq(r2.admission_order()));
         assert_eq!(r1.makespan, r2.makespan);
-        assert_eq!(r1.capacity_trace, r2.capacity_trace);
+        assert!(r1.capacity_trace().eq(r2.capacity_trace()));
         assert_eq!(r1.chunk_log, r2.chunk_log);
     }
 
@@ -2653,9 +2740,9 @@ mod tests {
         };
         let off = build(false);
         let on = build(true);
-        assert_eq!(off.admission_order, on.admission_order);
+        assert!(off.admission_order().eq(on.admission_order()));
         assert_eq!(off.makespan, on.makespan);
-        assert_eq!(off.capacity_trace, on.capacity_trace);
+        assert!(off.capacity_trace().eq(on.capacity_trace()));
         assert_eq!(on.total_preemptions(), 0);
     }
 
@@ -2707,8 +2794,7 @@ mod tests {
         // After the eviction, committed bytes on DRAM fit the new budget.
         let new_budget = report.resize_log[0].budgets[dram.0];
         let after_shrink: Vec<_> = report
-            .capacity_trace
-            .iter()
+            .capacity_trace()
             .filter(|s| s.node == dram && s.at > shrink_at)
             .collect();
         assert!(!after_shrink.is_empty());
@@ -2817,13 +2903,210 @@ mod tests {
         let on = build(Some(
             SloConfig::default().interactive_target(SimDur::from_secs_f64(3600.0)),
         ));
-        assert_eq!(off.admission_order, on.admission_order);
+        assert!(off.admission_order().eq(on.admission_order()));
         assert_eq!(off.makespan, on.makespan);
-        assert_eq!(off.capacity_trace, on.capacity_trace);
+        assert!(off.capacity_trace().eq(on.capacity_trace()));
         assert!(on.slo_log.iter().all(|s| s.tier == 0 && s.shed_now == 0));
         assert!(on.shed_log.is_empty());
         assert_eq!(on.capacity_needed_pct, 100);
         assert!(off.slo_log.is_empty(), "no controller, no samples");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The derived series against the stored ones they replaced
+        /// (kept as a test-only recorder pushed from the same lines),
+        /// element for element, with every event source on at once:
+        /// preemption, faults with probation, quotas, two live resizes
+        /// with eviction, and the SLO controller with autoscale.
+        #[test]
+        fn derived_series_equal_the_recorded_ones(
+            trace in prop::collection::vec(
+                (0.05f64..0.8, 0.0f64..0.6, 1u32..6, 0usize..3, 0u64..20_000, 0u32..3),
+                1..40,
+            ),
+            seed in 0u64..1_000,
+            fifo in any::<bool>(),
+        ) {
+            let tree = presets::asymmetric_fig2();
+            let (cpu, staging) = (NodeId(1), NodeId(3));
+            let cap = |n: NodeId, frac: f64| (tree.node(n).mem.capacity as f64 * frac) as u64;
+            let mut slo = SloConfig::default()
+                .interactive_target(SimDur::from_millis(2))
+                .with_autoscale(200);
+            slo.tick = SimDur::from_millis(1);
+            let mut sched = JobScheduler::new(
+                tree.clone(),
+                SchedulerConfig {
+                    max_queue: 12,
+                    policy: if fifo { AdmissionPolicy::Fifo } else { AdmissionPolicy::WeightedFair },
+                    preempt: true,
+                    resize_drain: ResizeDrain::Preempt,
+                    tenant_quota: Some(TenantQuota::new(
+                        cap(cpu, 0.002) as f64,
+                        cap(cpu, 0.05) as f64,
+                    )),
+                    quota_fair: true,
+                    fault_plan: Some(FaultPlan::new(seed).transient_rate(3000).persistent_rate(600)),
+                    quarantine_after: 2,
+                    probation: Some(Probation {
+                        window: SimDur::from_millis(3),
+                        probes: 2,
+                        backoff: 2,
+                        max_restores: 2,
+                    }),
+                    fault_aware_placement: true,
+                    slo: Some(slo),
+                    ..SchedulerConfig::default()
+                },
+            );
+            for (i, &(on_cpu, on_staging, chunks, prio, arrival_us, tenant)) in trace.iter().enumerate() {
+                // One or two reserved nodes: a two-entry reservation
+                // yields two samples per transition.
+                let res = Reservation::new()
+                    .with(cpu, cap(cpu, on_cpu))
+                    .with(staging, cap(staging, (on_staging - 0.3).max(0.0)));
+                sched.submit(
+                    JobSpec::new(
+                        format!("d{i}"),
+                        res,
+                        JobWork::new(chunks)
+                            .read(8 << 20)
+                            .xfer(8 << 20)
+                            .compute(SimDur::from_micros(400)),
+                    )
+                    .priority(Priority::ALL[prio])
+                    .tenant(TenantId(tenant))
+                    .arrival(SimTime::from_secs_f64(arrival_us as f64 * 1e-6)),
+                );
+            }
+            let full = NodeBudgets::from_tree(&tree, 1.0);
+            sched.resize_budgets(SimTime::from_secs_f64(0.004), full.scaled(0.5));
+            sched.resize_budgets(SimTime::from_secs_f64(0.012), full);
+            let report = sched.run().unwrap();
+            prop_assert!(report.all_terminal());
+            prop_assert!(
+                report.admission_order().eq(report.recorded.admission_order.iter().copied()),
+                "admission order: derived {:?}, recorded {:?}",
+                report.admission_order().collect::<Vec<_>>(),
+                report.recorded.admission_order
+            );
+            prop_assert!(
+                report.capacity_trace().eq(report.recorded.capacity_trace.iter().copied()),
+                "capacity trace: derived {:?}, recorded {:?}",
+                report.capacity_trace().collect::<Vec<_>>(),
+                report.recorded.capacity_trace
+            );
+        }
+    }
+
+    /// The recorder comparison above is not vacuous: the same knobs on a
+    /// fixed trace do evict, fault, fence, restore and resize, and the
+    /// derived series still match sample for sample.
+    #[test]
+    fn derived_series_hold_through_evictions_faults_and_resizes() {
+        let tree = presets::asymmetric_fig2();
+        let node = NodeId(1);
+        let bytes = tree.node(node).mem.capacity / 10 * 4;
+        let mut s = JobScheduler::new(
+            tree.clone(),
+            SchedulerConfig {
+                preempt: true,
+                resize_drain: ResizeDrain::Preempt,
+                fault_plan: Some(FaultPlan::new(11).transient_rate(3000).persistent_rate(900)),
+                quarantine_after: 2,
+                probation: Some(Probation {
+                    window: SimDur::from_millis(3),
+                    ..Probation::default()
+                }),
+                ..SchedulerConfig::default()
+            },
+        );
+        for i in 0..24u64 {
+            s.submit(
+                JobSpec::new(
+                    format!("j{i}"),
+                    Reservation::new()
+                        .with(node, bytes)
+                        .with(NodeId(3), 1 << 20),
+                    JobWork::new(6).read(8 << 20).xfer(8 << 20),
+                )
+                .priority(Priority::ALL[2 - (i % 3) as usize])
+                .arrival(SimTime::from_secs_f64(0.0007 * i as f64)),
+            );
+        }
+        let full = NodeBudgets::from_tree(&tree, 1.0);
+        s.resize_budgets(SimTime::from_secs_f64(0.004), full.scaled(0.5));
+        s.resize_budgets(SimTime::from_secs_f64(0.02), full);
+        let report = s.run().unwrap();
+        assert!(report.all_terminal());
+        let kinds = |k| report.admission_log.iter().filter(|e| e.kind == k).count();
+        assert!(
+            kinds(AdmissionEventKind::Preempted) > 0,
+            "{}",
+            report.summary()
+        );
+        assert!(
+            kinds(AdmissionEventKind::FaultEvicted) > 0,
+            "{}",
+            report.summary()
+        );
+        assert!(!report.quarantine_log.is_empty(), "{}", report.summary());
+        assert_eq!(report.resize_log.len(), 2);
+        assert!(report
+            .admission_order()
+            .eq(report.recorded.admission_order.iter().copied()));
+        assert!(report
+            .capacity_trace()
+            .eq(report.recorded.capacity_trace.iter().copied()));
+        assert_eq!(
+            report.capacity_trace().count(),
+            2 * report.admission_log.len(),
+            "two reserved nodes, two samples per transition"
+        );
+    }
+
+    #[test]
+    fn stale_queue_entries_never_outlive_the_oldest_waiter() {
+        // `fifo_live()` walks `fifo` end to end, so `fifo.len()` is what
+        // every resize, fence and preemption boundary pays. Admission by
+        // class head (weighted fair) used to leave it one entry per job
+        // ever enqueued.
+        const JOBS: usize = 100_000;
+        let mut q = JobQueues::new(JOBS + 8);
+        for i in 0..JOBS {
+            let id = JobId(i as u64);
+            q.push_back(id, i % 3);
+            assert_eq!(q.class_head(i % 3), Some(id));
+            q.remove(id);
+        }
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.fifo.len(), 0, "nothing waits, nothing is scanned");
+        // A sliding window of waiters admitted out of arrival order:
+        // the scan never exceeds the span the oldest waiter pins.
+        const WINDOW: usize = 64;
+        let mut q = JobQueues::new(JOBS);
+        for i in 0..JOBS {
+            q.push_back(JobId(i as u64), i % 3);
+            if i >= WINDOW {
+                // Newest-arrived class head first, oldest last.
+                let c = (0..3)
+                    .filter(|&c| q.class_head(c).is_some())
+                    .max_by_key(|&c| (i + c) % 3)
+                    .unwrap();
+                q.remove(q.class_head(c).unwrap());
+            }
+            assert!(q.fifo.len() <= q.len() + WINDOW, "at job {i}");
+        }
+        assert_eq!(q.len(), WINDOW);
+        assert_eq!(q.fifo_live().count(), WINDOW);
+        // Drain from the front: no stale entry survives its head.
+        while let Some(id) = q.fifo_head() {
+            q.remove(id);
+            assert!(q.fifo.len() <= q.len() + WINDOW);
+        }
+        assert!(q.fifo.is_empty() && q.class.iter().all(VecDeque::is_empty));
     }
 
     /// A chunky job with no reservation (always admissible) — fault
@@ -2892,9 +3175,9 @@ mod tests {
         };
         let off = build(None);
         let on = build(Some(FaultPlan::new(9))); // zero rates, no scripts
-        assert_eq!(off.admission_order, on.admission_order);
+        assert!(off.admission_order().eq(on.admission_order()));
         assert_eq!(off.makespan, on.makespan);
-        assert_eq!(off.capacity_trace, on.capacity_trace);
+        assert!(off.capacity_trace().eq(on.capacity_trace()));
         assert_eq!(off.chunk_log, on.chunk_log);
         assert!(on.fault_log.is_empty());
     }

@@ -156,7 +156,7 @@ proptest! {
     ) {
         let report = build(&trace, &plan);
         let tree = presets::asymmetric_fig2();
-        for s in &report.capacity_trace {
+        for s in report.capacity_trace() {
             prop_assert!(
                 s.committed <= tree.node(s.node).mem.capacity,
                 "node {:?} over capacity at {:?}", s.node, s.at
@@ -166,7 +166,7 @@ proptest! {
         // series is non-increasing from the quarantine instant on.
         for q in &report.quarantine_log {
             let mut last = None;
-            for s in report.capacity_trace.iter()
+            for s in report.capacity_trace()
                 .filter(|s| s.node == q.node && s.at >= q.at)
             {
                 if let Some(prev) = last {
@@ -187,12 +187,12 @@ proptest! {
     ) {
         let r1 = build(&trace, &plan);
         let r2 = build(&trace, &plan);
-        prop_assert_eq!(&r1.admission_order, &r2.admission_order);
+        prop_assert!(r1.admission_order().eq(r2.admission_order()));
         prop_assert_eq!(r1.makespan, r2.makespan);
         prop_assert_eq!(&r1.chunk_log, &r2.chunk_log);
         prop_assert_eq!(&r1.fault_log, &r2.fault_log);
         prop_assert_eq!(&r1.quarantine_log, &r2.quarantine_log);
-        prop_assert_eq!(&r1.capacity_trace, &r2.capacity_trace);
+        prop_assert!(r1.capacity_trace().eq(r2.capacity_trace()));
         for (a, b) in r1.jobs.iter().zip(r2.jobs.iter()) {
             prop_assert_eq!(a.state, b.state);
             prop_assert_eq!(a.finished_at, b.finished_at);

@@ -128,7 +128,7 @@ proptest! {
         let drain = if preempt_drain { ResizeDrain::Preempt } else { ResizeDrain::Drain };
         let sc = build(&trace, &resizes, drain, None);
         let tree = presets::apu_two_level(catalog::ssd_hyperx_predator());
-        for s in &sc.report.capacity_trace {
+        for s in sc.report.capacity_trace() {
             // The envelope at s.at: the largest budget in force at any
             // instant up to s.at (initial budgets = full capacity).
             let mut envelope = tree.node(s.node).mem.capacity;
@@ -155,10 +155,10 @@ proptest! {
         let quota = Some(TenantQuota::new(1e15, 1e12));
         let s1 = build(&trace, &resizes, ResizeDrain::Preempt, quota);
         let s2 = build(&trace, &resizes, ResizeDrain::Preempt, quota);
-        prop_assert_eq!(&s1.report.admission_order, &s2.report.admission_order);
+        prop_assert!(s1.report.admission_order().eq(s2.report.admission_order()));
         prop_assert_eq!(s1.report.makespan, s2.report.makespan);
         prop_assert_eq!(&s1.report.chunk_log, &s2.report.chunk_log);
-        prop_assert_eq!(&s1.report.capacity_trace, &s2.report.capacity_trace);
+        prop_assert!(s1.report.capacity_trace().eq(s2.report.capacity_trace()));
         for (a, b) in s1.report.jobs.iter().zip(s2.report.jobs.iter()) {
             prop_assert_eq!(a.state, b.state);
             prop_assert_eq!(a.finished_at, b.finished_at);
@@ -203,7 +203,7 @@ proptest! {
         let s1 = build(&trace, &[], ResizeDrain::Drain, quota);
         let s2 = build(&trace, &[], ResizeDrain::Drain, quota);
         prop_assert!(s1.report.all_terminal());
-        prop_assert_eq!(&s1.report.admission_order, &s2.report.admission_order);
+        prop_assert!(s1.report.admission_order().eq(s2.report.admission_order()));
         prop_assert_eq!(s1.report.makespan, s2.report.makespan);
     }
 }

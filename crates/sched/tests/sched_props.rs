@@ -66,7 +66,7 @@ proptest! {
         let tree = presets::apu_two_level(catalog::ssd_hyperx_predator());
         let dram = tree.children(tree.root())[0];
         let budget = tree.node(dram).mem.capacity;
-        for s in &report.capacity_trace {
+        for s in report.capacity_trace() {
             prop_assert!(
                 s.committed <= budget,
                 "node {:?} committed {} > budget {}",
@@ -95,9 +95,9 @@ proptest! {
     ) {
         let r1 = build(&trace, AdmissionPolicy::WeightedFair, 8);
         let r2 = build(&trace, AdmissionPolicy::WeightedFair, 8);
-        prop_assert_eq!(&r1.admission_order, &r2.admission_order);
+        prop_assert!(r1.admission_order().eq(r2.admission_order()));
         prop_assert_eq!(r1.makespan, r2.makespan);
-        prop_assert_eq!(r1.capacity_trace.len(), r2.capacity_trace.len());
+        prop_assert!(r1.capacity_trace().eq(r2.capacity_trace()));
         for (a, b) in r1.jobs.iter().zip(r2.jobs.iter()) {
             prop_assert_eq!(a.state, b.state);
             prop_assert_eq!(a.finished_at, b.finished_at);

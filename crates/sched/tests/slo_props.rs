@@ -116,7 +116,7 @@ proptest! {
         // scaled ceiling, never more.
         let ceiling = budget.saturating_mul(3);
         let scaled = report.slo_log.iter().any(|s| s.scale_pct > 100);
-        for s in &report.capacity_trace {
+        for s in report.capacity_trace() {
             let cap = if scaled { ceiling } else { budget };
             prop_assert!(
                 s.committed <= cap,
@@ -141,7 +141,7 @@ proptest! {
         let b = build(&trace, Some(slo_config(&slo)), preempt);
         prop_assert_eq!(format!("{:?}", a.slo_log), format!("{:?}", b.slo_log));
         prop_assert_eq!(format!("{:?}", a.shed_log), format!("{:?}", b.shed_log));
-        prop_assert_eq!(&a.admission_order, &b.admission_order);
+        prop_assert!(a.admission_order().eq(b.admission_order()));
         prop_assert_eq!(a.makespan, b.makespan);
         prop_assert_eq!(a.capacity_needed_pct, b.capacity_needed_pct);
     }

@@ -39,7 +39,8 @@ fn main() {
         println!("{policy:?}: {}", report.summary());
 
         if policy == AdmissionPolicy::WeightedFair {
-            println!("  admission order: {:?}", &report.admission_order[..8]);
+            let first: Vec<_> = report.admission_order().take(8).collect();
+            println!("  admission order: {first:?}");
             let peak = report.max_committed.get(dram.0).copied().unwrap_or(0);
             println!(
                 "  peak DRAM committed: {} MiB of {} MiB budget",
