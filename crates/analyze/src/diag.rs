@@ -12,8 +12,8 @@ pub mod rules {
     pub const LEASE_DISCIPLINE: &str = "lease-discipline";
     /// R4: `unwrap()`/`expect(`/`panic!` in non-test runtime code.
     pub const PANIC_PATHS: &str = "panic-paths";
-    /// R6: mixed-unit arithmetic/comparison (ns vs bytes vs byte·seconds
-    /// vs events) in scoring and accounting code.
+    /// R6: mixed-unit arithmetic/comparison (ns vs bytes vs events) in
+    /// scoring and accounting code.
     pub const UNIT_CONSISTENCY: &str = "unit-consistency";
     /// R7: raw or cross-domain indexing into dense arenas, and indices
     /// held across arena-compacting calls.

@@ -68,12 +68,12 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     RuleDoc {
         id: rules::UNIT_CONSISTENCY,
         number: "R6",
-        summary: "no mixed-unit arithmetic/comparison across ns, bytes, byte·seconds, events",
+        summary: "no mixed-unit arithmetic/comparison across ns, bytes, events",
         scope: &["core", "sched", "fleet"],
         inputs: Some("operators and call arguments with a known unit on both sides"),
-        contract: "No arithmetic/comparison mixing ns, bytes, byte-seconds, and \
-                   event counts; unit identity comes from ident suffixes, field \
-                   types, and fn signatures, and poisons through mul/div.",
+        contract: "No arithmetic/comparison mixing ns, bytes, and event counts; \
+                   unit identity comes from ident suffixes, field types, and \
+                   fn signatures, and poisons through mul/div.",
         example: "let cost = transfer_ns + payload_bytes;",
     },
     RuleDoc {

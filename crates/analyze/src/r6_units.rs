@@ -1,5 +1,5 @@
 //! R6 unit-consistency: flags arithmetic and comparisons that mix the
-//! workspace's physical units (ns, bytes, byte·seconds, events), plus
+//! workspace's physical units (ns, bytes, events), plus
 //! call sites that pass a value of one unit to a parameter declared in
 //! another.
 //!

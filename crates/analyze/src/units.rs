@@ -3,11 +3,11 @@
 //! The workspace denominates scheduler and router arithmetic in a small
 //! set of physical units: virtual **nanoseconds** (deadlines, transfer
 //! times, router scores), **bytes** (capacity budgets, staging traffic),
-//! **byte·seconds** (tenant quota charges), and **events** (engine
-//! throughput numerators). Everything else is dimensionless.
+//! and **events** (engine throughput numerators). Everything else is
+//! dimensionless.
 //!
 //! Units are inferred, never declared: an identifier suffix (`_ns`,
-//! `_bytes`, `byte_secs`, `_events`), a declared field or parameter type
+//! `_bytes`, `_events`), a declared field or parameter type
 //! (`SimTime`/`SimDur` are ns-denominated), or a function's return type
 //! each pin a unit. Expressions combine units conservatively — `*` and
 //! `/` legitimately change units so they *erase* knowledge, while `+`,
@@ -23,8 +23,6 @@ pub enum Unit {
     Ns,
     /// Bytes (`*_bytes`, capacity budgets).
     Bytes,
-    /// Byte·seconds (`byte_secs`, quota charges).
-    ByteSecs,
     /// Engine events (`*_events`, throughput numerators).
     Events,
 }
@@ -34,7 +32,6 @@ impl fmt::Display for Unit {
         f.write_str(match self {
             Unit::Ns => "ns",
             Unit::Bytes => "bytes",
-            Unit::ByteSecs => "byte·seconds",
             Unit::Events => "events",
         })
     }
@@ -44,11 +41,7 @@ impl fmt::Display for Unit {
 /// name). Case-insensitive so `PRESSURE_NS` and `load_ns` agree.
 pub fn of_ident(name: &str) -> Option<Unit> {
     let n = name.to_ascii_lowercase();
-    // Longest suffixes first: `byte_secs` must not read as seconds, and
-    // `_bytes` must win over a hypothetical `_s`.
-    if n.ends_with("byte_secs") || n.ends_with("byte_seconds") {
-        Some(Unit::ByteSecs)
-    } else if n.ends_with("_ns") || n == "ns" {
+    if n.ends_with("_ns") || n == "ns" {
         Some(Unit::Ns)
     } else if n.ends_with("_bytes") || n == "bytes" {
         Some(Unit::Bytes)
@@ -120,12 +113,8 @@ mod tests {
         assert_eq!(of_ident("deadline_ns"), Some(Unit::Ns));
         assert_eq!(of_ident("PRESSURE_NS"), Some(Unit::Ns));
         assert_eq!(of_ident("read_bytes"), Some(Unit::Bytes));
-        assert_eq!(of_ident("byte_secs"), Some(Unit::ByteSecs));
-        assert_eq!(of_ident("byte_seconds"), Some(Unit::ByteSecs));
         assert_eq!(of_ident("events"), Some(Unit::Events));
         assert_eq!(of_ident("chunks"), None);
-        // `byte_secs` must not be read as a bytes-suffixed name.
-        assert_ne!(of_ident("byte_secs"), Some(Unit::Bytes));
     }
 
     #[test]

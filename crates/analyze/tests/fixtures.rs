@@ -226,9 +226,9 @@ fn unit_mixed_arithmetic_true_positive() {
 #[test]
 fn unit_mixed_comparison_true_positive() {
     let r = one(
-        "crates/sched/src/quota.rs",
-        "fn over(t_ns: u64, quota_bytes: u64) -> bool {\n\
-         \x20   t_ns < quota_bytes\n\
+        "crates/sched/src/budget.rs",
+        "fn over(t_ns: u64, budget_bytes: u64) -> bool {\n\
+         \x20   t_ns < budget_bytes\n\
          }\n",
     );
     assert_eq!(failing_lines(&r, rules::UNIT_CONSISTENCY), vec![2]);

@@ -9,7 +9,6 @@
 //! device with the best observed throughput — re-probing periodically so
 //! a phase change is noticed.
 
-use crate::calibration::model_for;
 use crate::report::AppRun;
 use northup::{ExecMode, ProcKind, Result, Runtime};
 use northup_kernels::ProcModel;
@@ -114,8 +113,8 @@ pub fn adaptive_stencil_stream(
     let cells = (block * block) as u64;
     let work = cells as f64 * steps as f64;
 
-    let gpu_model = model_for("apu-gpu");
-    let cpu_model = model_for("apu-cpu");
+    let gpu_model = ProcModel::apu_gpu();
+    let cpu_model = ProcModel::apu_cpu();
     let time_on = |m: &ProcModel| m.stencil_time(cells, steps);
 
     let file = rt.alloc(bytes * chunks as u64, rt.tree().root())?;

@@ -7,15 +7,14 @@
 //! reports only indirectly through its figures. EXPERIMENTS.md records how
 //! the resulting series compare with the paper's.
 
+use northup::{NorthupError, Result};
 use northup_kernels::ProcModel;
 use northup_sim::SimDur;
 
-/// Resolve the cost model for a processor by its topology name.
-///
-/// # Panics
-/// Panics on an unknown processor name (presets only use these three).
-pub fn model_for(proc_name: &str) -> ProcModel {
-    match proc_name {
+/// Resolve the cost model for a processor by its topology name; an
+/// unknown name is [`NorthupError::NoCostModel`].
+pub fn model_for(proc_name: &str) -> Result<ProcModel> {
+    Ok(match proc_name {
         "apu-gpu" => ProcModel::apu_gpu(),
         "w9100" | "exa-gpu" | "gpu0" => ProcModel::w9100(),
         "apu-cpu" | "host-cpu" | "cpu0" => ProcModel::apu_cpu(),
@@ -33,8 +32,8 @@ pub fn model_for(proc_name: &str) -> ProcModel {
             mem_bw: 40e9,
             launch: SimDur::from_micros(50),
         },
-        other => panic!("no cost model for processor '{other}'"),
-    }
+        other => return Err(NorthupError::NoCostModel(other.into())),
+    })
 }
 
 /// GEMM: staging ring depth (double buffering of B shards and C blocks —
@@ -125,15 +124,18 @@ mod tests {
     #[test]
     fn models_resolve_for_all_preset_processors() {
         for name in ["apu-gpu", "apu-cpu", "w9100", "host-cpu"] {
-            let m = model_for(name);
+            let m = model_for(name).unwrap();
             assert!(m.flops > 0.0);
         }
     }
 
     #[test]
-    #[should_panic(expected = "no cost model")]
-    fn unknown_processor_panics() {
-        model_for("quantum-accelerator");
+    fn unknown_processor_is_a_typed_error() {
+        let err = model_for("quantum-accelerator").unwrap_err();
+        assert!(
+            matches!(&err, NorthupError::NoCostModel(n) if n == "quantum-accelerator"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::report::AppRun;
 use northup::{BufferHandle, ChainBufs, ChunkPipeline, ExecMode, ProcKind, Result, Runtime, Tree};
 use northup_kernels::{
     f32s_to_bytes, multi_step_reference, step_halo_block, DenseMatrix, HaloBlock, HotSpotParams,
+    ProcModel,
 };
 
 /// Configuration of one HotSpot scenario.
@@ -133,7 +134,7 @@ pub fn hotspot_in_memory(cfg: &HotspotConfig, mode: ExecMode) -> Result<AppRun> 
     let out = root.alloc(n2 * 4)?;
 
     let gpu = rt.proc_at(root.node(), ProcKind::Gpu)?;
-    let dur = model_for(&gpu.name).stencil_time(n2, cfg.total_steps() as u64);
+    let dur = model_for(&gpu.name)?.stencil_time(n2, cfg.total_steps() as u64);
     root.compute(ProcKind::Gpu, dur, &[temp, power], &[out], "hotspot full")?;
 
     let mut checksum = None;
@@ -211,7 +212,7 @@ pub fn hotspot_northup_on(rt: &Runtime, cfg: &HotspotConfig) -> Result<AppRun> {
     // level (one buffer set per level; the PCIe link pipelines fine).
     let deep = ChainBufs::new(rt, stage_node, &sizes)?;
     let leaf_node = deep.leaf();
-    let gpu_model = model_for(&rt.proc_at(leaf_node, ProcKind::Gpu)?.name);
+    let gpu_model = model_for(&rt.proc_at(leaf_node, ProcKind::Gpu)?.name)?;
     let prm = HotSpotParams::default();
 
     // Geometry of one tile's clipped halo rectangle.
@@ -319,8 +320,8 @@ pub fn hotspot_northup_on(rt: &Runtime, cfg: &HotspotConfig) -> Result<AppRun> {
 /// data-parallel fashion"). The optimum equals the GPU's share of combined
 /// throughput.
 pub fn optimal_gpu_fraction() -> f64 {
-    let gpu = model_for("apu-gpu");
-    let cpu = model_for("apu-cpu");
+    let gpu = ProcModel::apu_gpu();
+    let cpu = ProcModel::apu_cpu();
     // Memory-bound stencil: throughput ~ mem_bw.
     gpu.mem_bw / (gpu.mem_bw + cpu.mem_bw)
 }
@@ -355,8 +356,8 @@ pub fn hotspot_split_leaf(
     .unzip();
 
     let stage_node = rt.tree().staging_level()?;
-    let gpu_model = model_for("apu-gpu");
-    let cpu_model = model_for("apu-cpu");
+    let gpu_model = ProcModel::apu_gpu();
+    let cpu_model = ProcModel::apu_cpu();
     let prm = HotSpotParams::default();
 
     // One chunk = a horizontal band of the grid (simplest split geometry);

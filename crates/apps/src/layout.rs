@@ -15,7 +15,7 @@
 //! inputs win big; power-law inputs lose big. [`format_study`] quantifies
 //! the crossover.
 
-use crate::calibration::{model_for, spmv_gpu_model};
+use crate::calibration::spmv_gpu_model;
 use crate::report::AppRun;
 use northup::{ExecMode, ProcKind, Result, Runtime, TRANSFORM_BW};
 use northup_kernels::{f32s_to_bytes, rel_error, ProcModel};
@@ -82,7 +82,6 @@ pub fn spmv_with_format(
     let cpu = ProcKind::Cpu;
     let gpu_csr = spmv_gpu_model();
     let gpu_ell = ell_gpu_model();
-    let _ = model_for("apu-cpu");
 
     let shards = partition_even_rows(m, crate::calibration::SPMV_CHUNKS);
     let mut y_host = vec![0.0f32; m.rows];

@@ -66,10 +66,10 @@ pub use matmul::{matmul_apu, matmul_in_memory, matmul_northup, MatmulConfig};
 pub use reduce::{map_northup, reduce_northup, ReduceOp, StreamConfig};
 pub use report::AppRun;
 pub use service::{
-    job_profile, overload_slo, overload_trace, run_service, run_service_real,
-    run_service_real_chaos, run_service_slo, run_service_with, service_estimate, synthetic_trace,
-    trace_from_csv, trace_to_csv, OverloadConfig, RealJobRun, ServiceJobKind, ServiceRealRun,
-    TraceConfig, TraceError, TraceSource, SERVICE_TENANTS, TRACE_CSV_HEADER,
+    job_profile, overload_slo, overload_trace, run_service_real, run_service_slo, run_service_with,
+    service_estimate, synthetic_trace, trace_from_csv, trace_to_csv, OverloadConfig, RealJobRun,
+    ServiceJobKind, ServiceRealRun, TraceConfig, TraceError, TraceSource, SERVICE_TENANTS,
+    TRACE_CSV_HEADER,
 };
 pub use spmv::{spmv_apu, spmv_in_memory, spmv_northup, SpmvInput};
 pub use subtree::{branches, run_batch, Branch, Dispatch, SubtreeOutcome};

@@ -114,7 +114,7 @@ pub fn matmul_in_memory(cfg: &MatmulConfig, mode: ExecMode) -> Result<AppRun> {
     .unzip();
 
     let gpu = rt.proc_at(root.node(), ProcKind::Gpu)?;
-    let dur = model_for(&gpu.name).gemm_time(n, n, n);
+    let dur = model_for(&gpu.name)?.gemm_time(n, n, n);
     root.compute(ProcKind::Gpu, dur, &[a, b], &[c], "gemm full")?;
 
     let mut checksum = None;
@@ -187,7 +187,7 @@ pub(crate) fn gemm_tile(
     let leaf = deep.push_down(staged, &moves[usize::from(!a_new)..])?;
 
     let gpu = rt.proc_at(deep.leaf(), ProcKind::Gpu)?;
-    let dur = model_for(&gpu.name).gemm_time(block as u64, block as u64, n as u64);
+    let dur = model_for(&gpu.name)?.gemm_time(block as u64, block as u64, n as u64);
     rt.charge_compute(
         deep.leaf(),
         ProcKind::Gpu,
@@ -352,7 +352,7 @@ pub fn matmul_northup_ksplit(cfg: &MatmulConfig, tree: Tree, mode: ExecMode) -> 
     let stage = rt.tree().staging_level()?;
     // The k-split schedule computes at the staging level itself.
     let gpu = rt.proc_at(stage, ProcKind::Gpu)?;
-    let kernel_time = model_for(&gpu.name).gemm_time(block, block, block);
+    let kernel_time = model_for(&gpu.name)?.gemm_time(block, block, block);
 
     let pipe = ChunkPipeline::new(&rt, stage, cfg.ring, &[tile, tile])?;
     let c_stage = rt.alloc(tile, stage)?;

@@ -107,7 +107,7 @@ pub fn reduce_northup(
     })?;
 
     let stage = rt.tree().staging_level()?;
-    let gpu_model = model_for(&rt.proc_at(stage, ProcKind::Gpu)?.name);
+    let gpu_model = model_for(&rt.proc_at(stage, ProcKind::Gpu)?.name)?;
 
     let pipe = ChunkPipeline::new(&rt, stage, cfg.ring, &[cfg.chunk * 4])?;
     let acc = std::cell::Cell::new(match op {
@@ -187,7 +187,7 @@ pub fn map_northup(
     })?;
 
     let stage = rt.tree().staging_level()?;
-    let gpu_model = model_for(&rt.proc_at(stage, ProcKind::Gpu)?.name);
+    let gpu_model = model_for(&rt.proc_at(stage, ProcKind::Gpu)?.name)?;
 
     let pipe = ChunkPipeline::new(&rt, stage, cfg.ring, &[cfg.chunk * 4, cfg.chunk * 4])?;
     pipe.run(

@@ -12,8 +12,10 @@
 //! Traces come from a [`TraceSource`]: generated
 //! ([`synthetic_trace`], seeded and deterministic) or imported from CSV
 //! ([`trace_from_csv`]; a checked-in sample lives at
-//! `crates/apps/data/service_trace.csv`). [`run_service`] replays a trace
-//! in virtual time only; [`run_service_real`] additionally executes every
+//! `crates/apps/data/service_trace.csv`). Three entry points replay a
+//! trace: [`run_service_with`] in virtual time under any
+//! [`SchedulerConfig`]; [`run_service_slo`] under the overload-control
+//! stack; and [`run_service_real`], which additionally executes every
 //! admitted job's chunk chain on a shared `northup-exec` thread pool
 //! through [`RealFabric`], several jobs at a time, with each job's
 //! admitted reservation installed as a `CapacityLease` so staging
@@ -156,9 +158,8 @@ pub const SERVICE_TENANTS: u32 = 4;
 
 /// Generate a deterministic mixed-application arrival trace: kinds cycle
 /// Gemm → Hotspot → SpMV, tenants cycle `0..SERVICE_TENANTS` (both
-/// index-derived, so adding quota experiments never perturbs the RNG
-/// stream), priorities and inter-arrival gaps are drawn from the seeded
-/// RNG.
+/// index-derived, so neither draws from the RNG stream), priorities and
+/// inter-arrival gaps are drawn from the seeded RNG.
 pub fn synthetic_trace(tree: &Tree, cfg: &TraceConfig) -> Vec<JobSpec> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut at_us: u64 = 0;
@@ -491,25 +492,8 @@ pub fn trace_from_csv(text: &str) -> Result<Vec<JobSpec>, TraceError> {
     Ok(trace)
 }
 
-/// Replay `trace` through a [`JobScheduler`] with the given policy and
-/// otherwise-default configuration.
-pub fn run_service(
-    tree: &Tree,
-    trace: Vec<JobSpec>,
-    policy: AdmissionPolicy,
-) -> Result<SchedReport, SchedError> {
-    run_service_with(
-        tree,
-        trace,
-        SchedulerConfig {
-            policy,
-            ..SchedulerConfig::default()
-        },
-    )
-}
-
 /// Replay `trace` through a [`JobScheduler`] with full control over the
-/// configuration (preemption, resize drain, tenant quotas).
+/// configuration (policy, preemption, resize drain, faults, SLO control).
 pub fn run_service_with(
     tree: &Tree,
     trace: Vec<JobSpec>,
@@ -584,37 +568,6 @@ pub fn run_service_real(
             ..SchedulerConfig::default()
         },
         threads,
-        None,
-    )
-}
-
-/// [`run_service_real`] under a deterministic chaos plan: the same
-/// [`FaultPlan`] drives the modeled replay (seeded stage faults, retry
-/// backoff, quarantine — all in virtual time) **and** the real execution
-/// (every job's [`RealFabric`] arena wires fault injectors into its
-/// staging backends; chunks are driven through
-/// `ThreadPool::run_chain_with_retry` with real, cancellation-aware
-/// backoff sleeps). Chunk bodies are transactional, so a retried chunk
-/// applies its side effects exactly once and the per-job checksums equal
-/// a fault-free run's. Same tree + trace + plan ⇒ bit-identical report,
-/// checksums, and retry counts.
-pub fn run_service_real_chaos(
-    tree: &Tree,
-    trace: Vec<JobSpec>,
-    policy: AdmissionPolicy,
-    threads: usize,
-    plan: FaultPlan,
-) -> Result<ServiceRealRun, SchedError> {
-    run_real_inner(
-        tree,
-        trace,
-        SchedulerConfig {
-            policy,
-            fault_plan: Some(plan.clone()),
-            ..SchedulerConfig::default()
-        },
-        threads,
-        Some(plan),
     )
 }
 
@@ -654,7 +607,6 @@ fn run_job_real(
     tree: &Tree,
     pool: &Arc<ThreadPool>,
     job: &RealJob<'_>,
-    retry: RetryPolicy,
     plan: Option<&FaultPlan>,
 ) -> Result<RealJobRun, SchedError> {
     let RealJob {
@@ -678,6 +630,7 @@ fn run_job_real(
     let token = CancelToken::new();
     let mut t = SimTime::ZERO;
     let mut failure = None;
+    let retry = RetryPolicy::default();
     let max_attempts = if plan.is_some() {
         retry.max_attempts
     } else {
@@ -719,14 +672,23 @@ fn run_job_real(
     })
 }
 
+/// [`run_service_real`] under any configuration. With a
+/// [`SchedulerConfig::fault_plan`], the one plan drives the modeled
+/// replay (seeded stage faults, retry backoff, quarantine — all in
+/// virtual time) **and** the real execution (every job's [`RealFabric`]
+/// arena wires fault injectors into its staging backends; chunks are
+/// driven through `ThreadPool::run_chain_with_retry` with real,
+/// cancellation-aware backoff sleeps). Chunk bodies are transactional,
+/// so a retried chunk applies its side effects exactly once and the
+/// per-job checksums equal a fault-free run's. Same tree + trace + plan
+/// ⇒ bit-identical report, checksums, and retry counts.
 fn run_real_inner(
     tree: &Tree,
     trace: Vec<JobSpec>,
     cfg: SchedulerConfig,
     threads: usize,
-    plan: Option<FaultPlan>,
 ) -> Result<ServiceRealRun, SchedError> {
-    let retry = cfg.retry;
+    let plan = cfg.fault_plan.clone();
     let specs = trace.clone();
     let report = run_service_with(tree, trace, cfg)?;
     let pool = Arc::new(ThreadPool::new(threads));
@@ -769,7 +731,7 @@ fn run_real_inner(
                 if i >= jobs.len() || i > lowest_failed.load(Ordering::Relaxed) {
                     break;
                 }
-                let ran = run_job_real(tree, &pool, &jobs[i], retry, plan.as_ref());
+                let ran = run_job_real(tree, &pool, &jobs[i], plan.as_ref());
                 if ran.is_err() {
                     lowest_failed.fetch_min(i, Ordering::Relaxed);
                 }
@@ -801,6 +763,30 @@ mod tests {
 
     fn tree() -> Tree {
         presets::apu_two_level(catalog::ssd_hyperx_predator())
+    }
+
+    /// The default configuration under `policy`.
+    fn with_policy(policy: AdmissionPolicy) -> SchedulerConfig {
+        SchedulerConfig {
+            policy,
+            ..SchedulerConfig::default()
+        }
+    }
+
+    /// [`run_service_real`] with `plan` driving both the model and the
+    /// real arenas.
+    fn run_real_chaos(
+        tree: &Tree,
+        trace: Vec<JobSpec>,
+        policy: AdmissionPolicy,
+        threads: usize,
+        plan: FaultPlan,
+    ) -> Result<ServiceRealRun, SchedError> {
+        let cfg = SchedulerConfig {
+            fault_plan: Some(plan),
+            ..with_policy(policy)
+        };
+        run_real_inner(tree, trace, cfg, threads)
     }
 
     #[test]
@@ -837,8 +823,13 @@ mod tests {
     fn service_completes_mixed_trace_and_beats_fifo() {
         let tree = tree();
         let trace = synthetic_trace(&tree, &TraceConfig::default());
-        let fair = run_service(&tree, trace.clone(), AdmissionPolicy::WeightedFair).unwrap();
-        let fifo = run_service(&tree, trace, AdmissionPolicy::Fifo).unwrap();
+        let fair = run_service_with(
+            &tree,
+            trace.clone(),
+            with_policy(AdmissionPolicy::WeightedFair),
+        )
+        .unwrap();
+        let fifo = run_service_with(&tree, trace, with_policy(AdmissionPolicy::Fifo)).unwrap();
         assert!(fair.all_terminal() && fifo.all_terminal());
         assert!(fair.count(JobState::Done) + fair.count(JobState::Rejected) == fair.jobs.len());
         assert!(
@@ -908,7 +899,8 @@ mod tests {
         assert!(trace.len() >= 8, "sample should be a real workload");
         let tenants: std::collections::BTreeSet<_> = trace.iter().map(|s| s.tenant).collect();
         assert!(tenants.len() >= 2, "sample exercises multiple tenants");
-        let report = run_service(&tree, trace, AdmissionPolicy::WeightedFair).unwrap();
+        let report =
+            run_service_with(&tree, trace, with_policy(AdmissionPolicy::WeightedFair)).unwrap();
         assert!(report.all_terminal());
         assert!(report.count(JobState::Done) > 0);
     }
@@ -1100,7 +1092,7 @@ mod tests {
         )
         .unwrap();
         let chaos = || {
-            run_service_real_chaos(
+            run_real_chaos(
                 &tree,
                 synthetic_trace(&tree, &cfg),
                 AdmissionPolicy::Fifo,
@@ -1197,7 +1189,7 @@ mod tests {
             )
             .unwrap();
             assert_pinned(&clean, cfg.jobs, false, &what);
-            let chaos = run_service_real_chaos(
+            let chaos = run_real_chaos(
                 &tree,
                 synthetic_trace(&tree, &cfg),
                 AdmissionPolicy::WeightedFair,
@@ -1311,7 +1303,7 @@ mod tests {
         let tree = tree();
         let (big, tiny, plan) = two_failing_jobs(&tree);
         let error = |trace: Vec<JobSpec>, threads: usize| -> String {
-            run_service_real_chaos(&tree, trace, AdmissionPolicy::Fifo, threads, plan.clone())
+            run_real_chaos(&tree, trace, AdmissionPolicy::Fifo, threads, plan.clone())
                 .unwrap_err()
                 .to_string()
         };

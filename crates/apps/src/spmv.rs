@@ -185,7 +185,7 @@ pub fn spmv_in_memory(input: &SpmvInput, mode: ExecMode) -> Result<AppRun> {
 
     let cpu = rt.proc_at(root.node(), ProcKind::Cpu)?;
     let gpu = rt.proc_at(root.node(), ProcKind::Gpu)?;
-    let _ = model_for(&cpu.name); // CPU model resolvable (binning_time is global)
+    model_for(&cpu.name)?; // CPU model resolvable (binning_time is global)
 
     root.compute(ProcKind::Cpu, binning_time(rows), &[mat], &[mat], "binning")?;
     let dur = gpu_spmv_model(&gpu.name).spmv_time(rows, nnz);

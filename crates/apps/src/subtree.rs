@@ -175,7 +175,7 @@ pub fn run_batch(
             cur_off = 0;
         }
         let leaf = *branch.path.last().expect("non-empty path");
-        let dur = model_for(&branch.proc_name).stencil_time(cells, steps);
+        let dur = model_for(&branch.proc_name)?.stencil_time(cells, steps);
         let served =
             rt.charge_compute(leaf, branch.proc, dur, &[cur], &[cur], &format!("job {j}"))?;
         if dispatch == Dispatch::ShortestQueue {

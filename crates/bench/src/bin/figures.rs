@@ -123,7 +123,7 @@ fn print_slo() {
         northup_apps::overload_slo().targets[0]
     );
     println!(
-        "{:>5} {:>4} {:>5} {:>8} {:>9} {:>5} {:>7} {:>8} {:>10} {:>10} {:>10} {:>4} {:>5} {:>7} {:>6}  rejected: full/shed/quota/infeasible",
+        "{:>5} {:>4} {:>5} {:>8} {:>9} {:>5} {:>7} {:>8} {:>10} {:>10} {:>10} {:>4} {:>5} {:>7} {:>6}  rejected: full/shed/infeasible",
         "load",
         "ctl",
         "done",

@@ -29,7 +29,7 @@ use northup_apps::{
     spmv_in_memory, AppRun, HotspotConfig, MatmulConfig, SpmvInput,
 };
 use northup_apps::{
-    overload_slo, overload_trace, run_service, run_service_slo, run_service_with, synthetic_trace,
+    overload_slo, overload_trace, run_service_slo, run_service_with, synthetic_trace,
     OverloadConfig, TraceConfig,
 };
 use northup_hw::{catalog, DeviceSpec};
@@ -625,14 +625,15 @@ pub fn service_scenario() -> Vec<ServiceRow> {
                 mean_gap_us: gap,
                 ..TraceConfig::default()
             };
-            let fair = run_service(
-                &tree,
-                synthetic_trace(&tree, &cfg),
-                AdmissionPolicy::WeightedFair,
-            )
-            .expect("weighted-fair service run");
-            let fifo = run_service(&tree, synthetic_trace(&tree, &cfg), AdmissionPolicy::Fifo)
-                .expect("fifo service run");
+            let replay = |policy| {
+                let sched = SchedulerConfig {
+                    policy,
+                    ..SchedulerConfig::default()
+                };
+                run_service_with(&tree, synthetic_trace(&tree, &cfg), sched)
+            };
+            let fair = replay(AdmissionPolicy::WeightedFair).expect("weighted-fair service run");
+            let fifo = replay(AdmissionPolicy::Fifo).expect("fifo service run");
             // Preemption and live resize only matter when the staging
             // level is contended, so those two series run the same mix at
             // paper scale (scale = 1): hotspot holds ~1/4 of DRAM and

@@ -26,6 +26,9 @@ pub enum NorthupError {
     },
     /// A leaf operation was issued on a node without the requested processor.
     NoProcessor(NodeId),
+    /// No cost model is known for the named processor, so its compute
+    /// time cannot be modeled.
+    NoCostModel(String),
     /// An access range does not fit the buffer.
     BadRange {
         /// Offending buffer.
@@ -62,6 +65,7 @@ impl fmt::Display for NorthupError {
                 write!(f, "buffer lives on {actual}, operation requires {expected}")
             }
             NorthupError::NoProcessor(n) => write!(f, "node {n} has no matching processor"),
+            NorthupError::NoCostModel(name) => write!(f, "no cost model for processor '{name}'"),
             NorthupError::BadRange {
                 buffer,
                 offset,

@@ -2,9 +2,7 @@
 //! and router weights.
 
 use northup::{presets, FaultPlan, Tree};
-use northup_sched::{
-    JobSpec, JobWork, Priority, Probation, Reservation, SchedulerConfig, TenantId,
-};
+use northup_sched::{JobSpec, JobWork, Priority, Reservation, SchedulerConfig, TenantId};
 use northup_sim::{SimDur, SimTime};
 use std::collections::BTreeMap;
 
@@ -119,7 +117,7 @@ impl FleetConfig {
             sched: SchedulerConfig {
                 max_queue: 8192,
                 fault_aware_placement: true,
-                probation: Some(Probation::default()),
+                probation: true,
                 ..SchedulerConfig::default()
             },
             link: InterShardLink::default(),
@@ -239,7 +237,7 @@ mod tests {
         let cfg = FleetConfig::preset(16, 7);
         assert_eq!(cfg.shards, 16);
         assert!(cfg.sched.fault_aware_placement);
-        assert!(cfg.sched.probation.is_some());
+        assert!(cfg.sched.probation);
         assert!(cfg.tree.leaves().count() >= 3);
     }
 

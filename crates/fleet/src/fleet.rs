@@ -239,9 +239,7 @@ impl Fleet {
     /// node) exports every job whose latest outcome there is `Failed`
     /// or `Rejected`; an *exporting* shard (healthy but overloaded —
     /// its controller shed work) exports only the jobs it shed, so
-    /// overload spills sideways instead of burning the work. Shed jobs
-    /// whose tenant was over quota stay rejected — migrating them would
-    /// launder the quota debt onto another shard.
+    /// overload spills sideways instead of burning the work.
     fn find_candidates(
         &self,
         views: &[ShardView],
@@ -360,7 +358,7 @@ mod tests {
         let build = || {
             let mut cfg = FleetConfig::preset(3, 5);
             cfg.sched.quarantine_after = 2;
-            cfg.sched.probation = None;
+            cfg.sched.probation = false;
             // The staging node every reservation targets (first child of
             // the root) dies early on shard 0 only.
             let staging = cfg.tree.children(cfg.tree.root())[0];

@@ -33,7 +33,7 @@ fn run(trace: &[JobTuple], shards: usize, seed: u64, chaos: bool) -> FleetReport
     if chaos {
         cfg.sched.quarantine_after = 2;
         cfg.sched.fault_aware_placement = false;
-        cfg.sched.probation = None;
+        cfg.sched.probation = false;
         cfg.shard_overrides.insert(
             0,
             FaultPlan::new(seed)

@@ -15,8 +15,8 @@ impl std::fmt::Display for JobId {
     }
 }
 
-/// Tenant identity for multi-tenant quota accounting. Jobs default to
-/// tenant 0; the id is opaque to the scheduler beyond quota bookkeeping.
+/// Tenant identity, carried through to the report for per-tenant
+/// accounting. Jobs default to tenant 0; the scheduler never reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct TenantId(pub u32);
 
@@ -203,7 +203,7 @@ impl JobWork {
 pub struct JobSpec {
     /// Name for reports ("gemm-8g", "hotspot-t3").
     pub name: String,
-    /// Owning tenant (for per-tenant quotas; defaults to tenant 0).
+    /// Owning tenant (reported, not scheduled on; defaults to tenant 0).
     pub tenant: TenantId,
     /// Admission class.
     pub priority: Priority,

@@ -31,19 +31,19 @@
 //!   placement by work-queue depth (§V-E subtree-status checks),
 //!   chunk-granular preemption with checkpointed resume, live
 //!   [`NodeBudgets`] reconfiguration ([`JobScheduler::resize_budgets`]),
-//!   per-tenant token-bucket quotas ([`TenantQuota`]), and a
-//!   deterministic event-driven co-simulation producing a
+//!   and a deterministic event-driven co-simulation producing a
 //!   [`SchedReport`] (makespan, throughput, p50/p99 latency, rejection
 //!   rate, preemption latencies, and per-node capacity audit trails).
 //!
 //! The scheduler is also **fault-tolerant** (DESIGN.md §10): a seeded
 //! [`FaultPlan`] deterministically injects transient and persistent
-//! stage faults, a [`RetryPolicy`] retries with exponential backoff
-//! charged in virtual time, nodes that keep failing are quarantined
-//! (budget zeroed, in-flight chains re-routed to surviving leaves from
-//! their checkpoints, infeasible queued jobs rejected), and every
-//! injection/retry/fence lands in the report's `fault_log`,
-//! `quarantine_log`, and per-job [`FaultOutcome`]. The same plan drives
+//! stage faults, the default [`RetryPolicy`](northup::fault::RetryPolicy)
+//! retries with exponential backoff charged in virtual time, nodes that
+//! keep failing are quarantined (budget zeroed, in-flight chains
+//! re-routed to surviving leaves from their checkpoints, infeasible
+//! queued jobs rejected), and every injection/retry/fence lands in the
+//! report's `fault_log`, `quarantine_log`, and per-job [`FaultOutcome`].
+//! The same plan drives
 //! [`RealFabric::with_faults`] so real-thread chaos runs replay the
 //! modeled fault pattern on actual storage backends.
 //!
@@ -89,10 +89,10 @@ pub use fabric::SimFabric;
 pub use job::{JobId, JobSpec, JobState, JobWork, Priority, SloClass, TenantId};
 pub use log::Log;
 pub use real::RealFabric;
-pub use reserve::{NodeBudgets, Reservation, TenantQuota};
+pub use reserve::{NodeBudgets, Reservation};
 pub use scheduler::{
     staging_reservation, AdmissionEvent, AdmissionEventKind, AdmissionPolicy, CapacitySample,
-    ChunkSample, FaultOutcome, FaultSample, JobOutcome, JobScheduler, Probation, QuarantineSample,
+    ChunkSample, FaultOutcome, FaultSample, JobOutcome, JobScheduler, QuarantineSample,
     ResizeDrain, ResizeSample, RestoreSample, SchedReport, SchedulerConfig,
 };
 pub use slo::{
@@ -101,4 +101,4 @@ pub use slo::{
 // Re-export the shared IR (and the failure-domain vocabulary) so
 // scheduler users need not depend on `northup` directly.
 pub use northup::fabric::{build_chain, Checkpoint, ChunkChain, ChunkWork, Fabric};
-pub use northup::fault::{FaultKind, FaultPlan, RetryPolicy};
+pub use northup::fault::{FaultKind, FaultPlan};

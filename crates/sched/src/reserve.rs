@@ -166,33 +166,6 @@ impl NodeBudgets {
     }
 }
 
-/// A per-tenant token-bucket quota in **byte-seconds** of held capacity.
-///
-/// Each tenant's bucket starts full at `burst` and refills at `refill`
-/// byte-seconds per virtual second, capped at `burst`. Admission requires
-/// a non-negative balance; when a job releases its reservation the bucket
-/// is charged `reservation.total() × residence_seconds` (post-paid, so a
-/// single long job can overdraw once — the debt then throttles the
-/// tenant's next admissions until the bucket refills past zero).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TenantQuota {
-    /// Bucket capacity and starting balance, in byte-seconds.
-    pub burst: f64,
-    /// Refill rate in byte-seconds per second (clamped to ≥ 1.0 so a
-    /// throttled tenant always has a finite wake time).
-    pub refill: f64,
-}
-
-impl TenantQuota {
-    /// A quota with the given burst and refill rate.
-    pub fn new(burst: f64, refill: f64) -> Self {
-        TenantQuota {
-            burst: burst.max(0.0),
-            refill: refill.max(1.0),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,9 +15,7 @@
 //!    the invariant `committed(node) ≤ budget(node)` holds at every
 //!    virtual instant (for the budgets in force — see resize below). A
 //!    starvation guard blocks further bypasses once a class head has
-//!    been overtaken `aging_limit` times. Per-tenant token-bucket quotas
-//!    ([`SchedulerConfig::tenant_quota`]) throttle tenants that have
-//!    overdrawn their byte-second allowance.
+//!    been overtaken eight times.
 //! 3. **Execution** — admitted jobs issue sequential chunks on the shared
 //!    [`SimFabric`]; each chunk is the compiled stage chain of
 //!    [`northup::fabric::build_chain`], so contention on root storage and
@@ -38,14 +36,14 @@
 //!    are rejected, preserving terminal totality.
 //! 6. **Faults** — with a [`SchedulerConfig::fault_plan`] installed,
 //!    every stage booking first consults the seeded plan (DESIGN.md
-//!    §10). A *transient* fault re-books the same stage after an
-//!    exponential [`RetryPolicy`] backoff charged in virtual time; a
-//!    *persistent* fault (or an exhausted retry budget) counts the
-//!    node toward [`SchedulerConfig::quarantine_after`], after which
+//!    §10). A *transient* fault re-books the same stage after the
+//!    default [`RetryPolicy`]'s exponential backoff charged in virtual
+//!    time; a *persistent* fault (or an exhausted retry budget) counts
+//!    the node toward [`SchedulerConfig::quarantine_after`], after which
 //!    the node is fenced: budget zeroed, infeasible queued jobs
 //!    rejected, and in-flight chains fault-evicted at the next chunk
 //!    boundary to re-place on a surviving leaf from their checkpoint —
-//!    bounded per job by [`SchedulerConfig::max_job_faults`]. All of it
+//!    at most eight times per job, after which it fails. All of it
 //!    is accounted in [`SchedReport::fault_log`],
 //!    [`SchedReport::quarantine_log`], and each job's [`FaultOutcome`].
 //!
@@ -53,8 +51,8 @@
 //! `JobId`), so one trace + one config ⇒ one schedule, bit for bit —
 //! including chaos runs: fault decisions and backoff jitter are pure
 //! hashes of (plan seed, node, booking ordinal), never OS entropy.
-//! Preemption, quotas, resizes, and fault plans are all off by default
-//! and leave the schedule untouched when unused.
+//! Preemption, resizes, fault plans and probation are all off by
+//! default and leave the schedule untouched when unused.
 //!
 //! [`Checkpoint`]: northup::fabric::Checkpoint
 
@@ -63,7 +61,7 @@ use crate::error::SchedError;
 use crate::fabric::SimFabric;
 use crate::job::{JobId, JobSpec, JobState, Priority, SloClass, TenantId};
 use crate::log::Log;
-use crate::reserve::{NodeBudgets, Reservation, TenantQuota};
+use crate::reserve::{NodeBudgets, Reservation};
 use crate::slo::{
     percentile_sorted, DegradeLevel, RejectReason, ShedOutcome, SloConfig, SloSample, SloState,
 };
@@ -100,55 +98,36 @@ pub enum ResizeDrain {
     Preempt,
 }
 
-/// Node recovery policy: how a quarantined node earns its budget back.
-///
-/// A fence is not forever — transient environmental trouble (a flaky
-/// cable, a thermal excursion) clears, and a long fleet replay that
-/// never recovers capacity drifts ever further from reality. With a
-/// probation policy installed, fencing a node schedules a *probe* after
-/// a probation window: the probe consults the fault plan [`Self::probes`]
-/// times at fresh ordinals, and only if **every** decision comes back
-/// clean is the node restored — budget back to its pre-fence value,
-/// persistent-fault count reset (the node must accumulate
-/// [`SchedulerConfig::quarantine_after`] fresh faults to be fenced
-/// again). A dirty probe re-schedules with hysteresis: each successive
-/// probe (and each restore-then-re-fence flap) multiplies the next
-/// window by [`Self::backoff`], and after [`Self::max_restores`] probes
-/// the node stays fenced for good — so an unstable node cannot flap
-/// between fenced and live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Probation {
-    /// Virtual-time window between the fence (or a failed probe) and the
-    /// next probe.
-    pub window: SimDur,
-    /// Fault-plan consultations per probe; all must be clean to restore.
-    pub probes: u32,
-    /// Window multiplier per successive probe of the same node
-    /// (hysteresis; clamped to ≥ 1).
-    pub backoff: u32,
-    /// Total probes (and hence restores) one node may ever get; after
-    /// this the fence is permanent.
-    pub max_restores: u32,
-}
+/// After a class head has been bypassed this many times, no lower-credit
+/// class may overtake it again until it admits (the starvation guard).
+const AGING_LIMIT: u32 = 8;
 
-impl Default for Probation {
-    fn default() -> Self {
-        Probation {
-            window: SimDur::from_millis(50),
-            probes: 8,
-            backoff: 4,
-            max_restores: 3,
-        }
-    }
-}
+/// Fault-driven displacements one job tolerates before it is failed
+/// (bounds chaos runs: every job stays terminal).
+const MAX_JOB_FAULTS: u32 = 8;
 
-/// Scheduler knobs — fourteen, each with a caller, test or gate that
-/// sets it: queueing (`max_queue`, `policy`, `aging_limit`), eviction
-/// (`preempt`, `resize_drain`), quotas (`tenant_quota`, `quota_fair`),
-/// faults (`fault_plan`, `retry`, `quarantine_after`, `max_job_faults`,
+/// Probation: virtual time between a fence (or a failed probe) and the
+/// node's first probe.
+const PROBE_WINDOW: SimDur = SimDur::from_millis(50);
+/// Probation: fault-plan consultations per probe; all must be clean to
+/// restore the node.
+const PROBE_CONSULTS: u32 = 8;
+/// Probation: window multiplier per successive probe of the same node
+/// (hysteresis against flapping).
+const PROBE_BACKOFF: u64 = 4;
+/// Probation: probes (and hence restores) one node may ever get; after
+/// this the fence is permanent.
+const MAX_PROBES: u32 = 3;
+
+/// Scheduler knobs — the nine that a non-test caller sets to more than
+/// one value: queueing (`max_queue`, `policy`), eviction (`preempt`,
+/// `resize_drain`), faults (`fault_plan`, `quarantine_after`,
 /// `probation`, `fault_aware_placement`) and overload control (`slo`).
-/// Budgets are the tree's full device capacities and placement sees one
-/// work queue per node; neither is configurable.
+/// Budgets are the tree's full device capacities, placement sees one
+/// work queue per node, the starvation guard trips after eight bypasses,
+/// transient faults retry under [`RetryPolicy::default`], a job fails
+/// after eight fault displacements, and probation probes on a fixed
+/// schedule; none of these is configurable.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
     /// Maximum jobs waiting across all class queues before arrivals are
@@ -156,48 +135,40 @@ pub struct SchedulerConfig {
     pub max_queue: usize,
     /// Admission policy.
     pub policy: AdmissionPolicy,
-    /// After a class head has been bypassed this many times, no
-    /// lower-credit class may overtake it again until it admits.
-    pub aging_limit: u32,
     /// Chunk-granular preemption: a queued arrival that does not fit may
     /// evict strictly-lower-priority running jobs at their next chunk
     /// boundary. Off by default (schedules are unchanged when off).
     pub preempt: bool,
     /// What a live budget shrink does to jobs already over the new line.
     pub resize_drain: ResizeDrain,
-    /// Per-tenant byte-second admission quota; `None` disables quotas.
-    pub tenant_quota: Option<TenantQuota>,
     /// Deterministic fault injection: the seeded plan consulted at every
     /// stage booking. `None` (the default) injects nothing and leaves
     /// the schedule bit-identical to a fault-free run.
     pub fault_plan: Option<FaultPlan>,
-    /// Retry policy for transiently faulted stages (bounded attempts,
-    /// exponential virtual-time backoff with jitter from the plan).
-    pub retry: RetryPolicy,
     /// After this many persistent faults a node is quarantined: its
     /// budget drops to zero, in-flight chains re-route to surviving
     /// leaves, and reservations touching it become infeasible.
     pub quarantine_after: u32,
-    /// How many fault-driven displacements one job tolerates before it
-    /// is failed (bounds chaos runs: every job stays terminal).
-    pub max_job_faults: u32,
-    /// Node recovery: probation window restoring a fenced node's budget
-    /// after a fault-free interval, with hysteresis against flapping.
-    /// `None` (the default) keeps quarantine permanent.
-    pub probation: Option<Probation>,
+    /// Node recovery: a fence is not forever — transient environmental
+    /// trouble (a flaky cable, a thermal excursion) clears, and a long
+    /// fleet replay that never recovers capacity drifts ever further
+    /// from reality. With probation on, fencing a node schedules a
+    /// *probe* 50 ms later: the probe consults the fault plan eight
+    /// times at fresh ordinals, and only if **every** decision comes
+    /// back clean is the node restored — budget back to its pre-fence
+    /// value, persistent-fault count reset (the node must accumulate
+    /// [`SchedulerConfig::quarantine_after`] fresh faults to be fenced
+    /// again). A dirty probe re-schedules with hysteresis: each
+    /// successive probe of the node waits four times longer, and after
+    /// three probes the node stays fenced for good — so an unstable node
+    /// cannot flap between fenced and live. Off (the default) keeps
+    /// quarantine permanent.
+    pub probation: bool,
     /// Fault-aware placement: bias leaf choice away from nodes
     /// accumulating sub-threshold persistent faults, so chains migrate
     /// *before* quarantine trips. Off by default — with no observed
     /// faults the bias is zero and schedules are untouched either way.
     pub fault_aware_placement: bool,
-    /// Quota-aware fair queueing: blend each tenant's token-bucket debt
-    /// into the admission pass so a throttled tenant's jobs stop
-    /// consuming their class's aging budget — a throttled head neither
-    /// accrues starvation counts against other classes nor blocks them
-    /// via the aging guard. Off by default (and a no-op without
-    /// [`SchedulerConfig::tenant_quota`]); schedules are unchanged when
-    /// off.
-    pub quota_fair: bool,
     /// SLO overload control: a deterministic feedback controller samples
     /// per-class completion latency on a virtual-time `EV_CONTROL` tick
     /// and defends the guaranteed class's p99 in escalating tiers —
@@ -213,17 +184,12 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             max_queue: 64,
             policy: AdmissionPolicy::WeightedFair,
-            aging_limit: 8,
             preempt: false,
             resize_drain: ResizeDrain::Drain,
-            tenant_quota: None,
             fault_plan: None,
-            retry: RetryPolicy::default(),
             quarantine_after: 3,
-            max_job_faults: 8,
-            probation: None,
+            probation: false,
             fault_aware_placement: false,
-            quota_fair: false,
             slo: None,
         }
     }
@@ -458,8 +424,8 @@ pub struct SchedReport {
     pub fault_log: Vec<FaultSample>,
     /// Every node quarantine, in fencing order.
     pub quarantine_log: Vec<QuarantineSample>,
-    /// Every probation restore, in restore order (empty without a
-    /// [`SchedulerConfig::probation`] policy).
+    /// Every probation restore, in restore order (empty without
+    /// [`SchedulerConfig::probation`]).
     pub restore_log: Vec<RestoreSample>,
     /// Scheduler events processed by the run loop — the raw unit of the
     /// event-engine throughput metric (events/sec) tracked by the bench
@@ -698,21 +664,20 @@ impl SchedReport {
 
 /// Event kinds, in processing order at equal virtual time: completions
 /// free capacity first, then backed-off stages retry; cancellations and
-/// budget/quota changes take effect before new arrivals are considered.
+/// budget changes take effect before new arrivals are considered.
 const EV_STAGE_DONE: u8 = 0;
 const EV_RETRY: u8 = 1;
 const EV_CANCEL: u8 = 2;
 const EV_RESIZE: u8 = 3;
-const EV_QUOTA: u8 = 4;
-const EV_ARRIVAL: u8 = 5;
+const EV_ARRIVAL: u8 = 4;
 /// Probation probe of a fenced node (after arrivals at the same instant,
 /// so a restore at time t serves queued work from t onward, not a
 /// same-instant arrival race).
-const EV_PROBE: u8 = 6;
+const EV_PROBE: u8 = 5;
 /// SLO control tick (last at equal time, so the controller observes the
 /// instant's completions and arrivals before it reacts). Scheduled only
 /// with [`SchedulerConfig::slo`]; the handler re-arms the next tick.
-const EV_CONTROL: u8 = 7;
+const EV_CONTROL: u8 = 6;
 
 /// Sentinel chain index of a job that currently has no placement.
 const CHAIN_NONE: u32 = u32::MAX;
@@ -932,7 +897,6 @@ impl JobScheduler {
                 EV_RETRY => self.on_retry(&mut st, JobId(id), t)?,
                 EV_CANCEL => self.on_cancel(&mut st, JobId(id), t),
                 EV_RESIZE => self.on_resize(&mut st, id as usize, t)?,
-                EV_QUOTA => self.on_quota(&mut st, TenantId(id as u32), t)?,
                 EV_ARRIVAL => self.on_arrival(&mut st, JobId(id), t)?,
                 EV_PROBE => self.on_probe(&mut st, NodeId(id as usize), t)?,
                 EV_CONTROL => self.on_control(&mut st, t)?,
@@ -1053,7 +1017,7 @@ impl JobScheduler {
                     if victims.len() >= decision.shed as usize {
                         break;
                     }
-                    let quota = decision.shed as usize - victims.len();
+                    let left = decision.shed as usize - victims.len();
                     victims.extend(
                         st.queues
                             .class_live_rev(class)
@@ -1061,26 +1025,17 @@ impl JobScheduler {
                                 let spec = &self.jobs[id.0 as usize].spec;
                                 spec.effective_slo() == want && spec.effective_slo().sheddable()
                             })
-                            .take(quota),
+                            .take(left),
                     );
                 }
             }
             for id in victims {
-                let tenant = self.jobs[id.0 as usize].spec.tenant;
-                let over_quota =
-                    self.cfg.tenant_quota.is_some() && self.quota_balance(st, tenant, t) < 0.0;
-                let reason = if over_quota {
-                    RejectReason::QuotaExceeded
-                } else {
-                    RejectReason::Shed
-                };
                 st.queues.remove(id);
-                self.settle_rejected(st, id, t, reason);
+                self.settle_rejected(st, id, t, RejectReason::Shed);
                 let outcome = ShedOutcome {
                     job: id,
                     at: t,
                     class: self.jobs[id.0 as usize].spec.priority,
-                    reason,
                 };
                 if let Some(slo) = st.slo.as_mut() {
                     slo.record_shed(outcome);
@@ -1140,17 +1095,6 @@ impl JobScheduler {
             self.mark_for_resize(st, t);
         }
         self.admit_pass(st, t) // a growth may admit immediately
-    }
-
-    /// A throttled tenant's bucket has refilled past zero: retry admission.
-    fn on_quota(
-        &mut self,
-        st: &mut RunState,
-        tenant: TenantId,
-        t: SimTime,
-    ) -> Result<(), SchedError> {
-        st.quota_wake.remove(&tenant);
-        self.admit_pass(st, t)
     }
 
     /// A stage of the current chunk finished: book the next stage at its
@@ -1293,8 +1237,9 @@ impl JobScheduler {
                 let rec = &mut self.jobs[id.0 as usize];
                 rec.faults_transient += 1;
                 rec.stage_attempts += 1;
-                if rec.stage_attempts < self.cfg.retry.max_attempts {
-                    let delay = self.cfg.retry.backoff(rec.stage_attempts, jitter);
+                let retry = RetryPolicy::default();
+                if rec.stage_attempts < retry.max_attempts {
+                    let delay = retry.backoff(rec.stage_attempts, jitter);
                     rec.retries += 1;
                     rec.backoff_total += delay;
                     st.events.push((t + delay, EV_RETRY, id.0, 0));
@@ -1375,22 +1320,22 @@ impl JobScheduler {
         }
     }
 
-    /// Schedule the fenced node's next probation probe, if the policy
-    /// grants it one: the `n`-th probe of a node waits
-    /// `window × backoff^n` (hysteresis — a flapping node waits
-    /// exponentially longer each time), and after `max_restores` probes
-    /// the fence is permanent.
+    /// Schedule the fenced node's next probation probe, if probation is
+    /// on and the node has one left: the `n`-th probe of a node waits
+    /// `PROBE_WINDOW × PROBE_BACKOFF^n` (hysteresis — a flapping node
+    /// waits exponentially longer each time), and after `MAX_PROBES`
+    /// probes the fence is permanent.
     fn schedule_probe(&mut self, st: &mut RunState, node: NodeId, t: SimTime) {
-        let Some(p) = self.cfg.probation else {
+        if !self.cfg.probation {
             return;
-        };
+        }
         let attempts = st.node_probes[node.0];
-        if attempts >= p.max_restores {
+        if attempts >= MAX_PROBES {
             return; // out of chances: fenced for good
         }
         st.node_probes[node.0] = attempts + 1;
-        let mult = u64::from(p.backoff.max(1)).saturating_pow(attempts.min(16));
-        let window = SimDur(p.window.0.saturating_mul(mult)).max(SimDur::from_micros(1));
+        let mult = PROBE_BACKOFF.saturating_pow(attempts);
+        let window = SimDur(PROBE_WINDOW.0.saturating_mul(mult));
         st.events.push((t + window, EV_PROBE, node.0 as u64, 0));
     }
 
@@ -1403,13 +1348,10 @@ impl JobScheduler {
         if !st.quarantined.contains(&node) {
             return Ok(()); // stale probe (already restored)
         }
-        let Some(p) = self.cfg.probation else {
-            return Ok(());
-        };
         let clean = match &self.cfg.fault_plan {
             Some(plan) => {
                 let mut clean = true;
-                for _ in 0..p.probes.max(1) {
+                for _ in 0..PROBE_CONSULTS {
                     let ord = st.fault_ordinals[node.0];
                     st.fault_ordinals[node.0] += 1;
                     if plan.decide(node, ord).is_some() {
@@ -1442,15 +1384,14 @@ impl JobScheduler {
 
     /// Displace a faulted job through [`Self::displace`] so the next
     /// admission re-places it — `build_chain` re-targeting onto a
-    /// surviving leaf. A job displaced more than
-    /// [`SchedulerConfig::max_job_faults`] times is failed instead —
-    /// chaos runs always terminate.
+    /// surviving leaf. A job displaced more than `MAX_JOB_FAULTS` times
+    /// is failed instead — chaos runs always terminate.
     fn fault_evict(&mut self, st: &mut RunState, id: JobId, t: SimTime) -> Result<(), SchedError> {
         let rec = &mut self.jobs[id.0 as usize];
         rec.reroutes += 1;
         rec.stage_attempts = 0;
         st.hot[id.0 as usize].flags &= !F_FAULT;
-        if rec.reroutes > self.cfg.max_job_faults {
+        if rec.reroutes > MAX_JOB_FAULTS {
             return self.finish(st, id, JobState::Failed, t);
         }
         self.displace(st, id, t, true)
@@ -1569,24 +1510,16 @@ impl JobScheduler {
         best.map(|(_, _, leaf)| leaf).ok_or(SchedError::NoLeaf)
     }
 
-    /// Credit the reservation back (shared by terminal release and
-    /// eviction).
-    fn release_capacity(&mut self, st: &mut RunState, id: JobId, t: SimTime) {
-        let (tenant, held, since) = {
-            let rec = &self.jobs[id.0 as usize];
-            (
-                rec.spec.tenant,
-                rec.spec.reservation.total(),
-                rec.admitted_at,
-            )
-        };
-        if let Some(since) = since {
-            // Post-paid quota: byte-seconds of held capacity this residency.
-            let byte_secs = held as f64 * (t - since).as_secs_f64();
-            self.quota_charge(st, tenant, byte_secs, t);
-        }
-        let rec = &mut self.jobs[id.0 as usize];
-        for (n, b) in rec.spec.reservation.iter() {
+    /// Credit an admitted job's reservation back and log the transition
+    /// as `kind` (shared by terminal release and eviction).
+    fn release_capacity(
+        &mut self,
+        st: &mut RunState,
+        id: JobId,
+        t: SimTime,
+        kind: AdmissionEventKind,
+    ) {
+        for (n, b) in self.jobs[id.0 as usize].spec.reservation.iter() {
             let e = &mut st.committed[n.0];
             *e = e.saturating_sub(b);
             #[cfg(test)]
@@ -1596,6 +1529,12 @@ impl JobScheduler {
                 committed: *e,
             });
         }
+        st.admission_log.push(AdmissionEvent {
+            at: t,
+            job: id,
+            kind,
+        });
+        st.active -= 1;
     }
 
     fn finish(
@@ -1606,7 +1545,7 @@ impl JobScheduler {
         t: SimTime,
     ) -> Result<(), SchedError> {
         debug_assert!(state.is_terminal());
-        self.release_capacity(st, id, t);
+        self.release_capacity(st, id, t, AdmissionEventKind::Released);
         st.hot[id.0 as usize].state = state;
         let rec = &mut self.jobs[id.0 as usize];
         rec.finished_at = Some(t);
@@ -1622,12 +1561,6 @@ impl JobScheduler {
                 slo.on_completion(class, latency);
             }
         }
-        st.admission_log.push(AdmissionEvent {
-            at: t,
-            job: id,
-            kind: AdmissionEventKind::Released,
-        });
-        st.active -= 1;
         self.admit_pass(st, t)
     }
 
@@ -1647,7 +1580,12 @@ impl JobScheduler {
         t: SimTime,
         fault: bool,
     ) -> Result<(), SchedError> {
-        self.release_capacity(st, id, t);
+        let kind = if fault {
+            AdmissionEventKind::FaultEvicted
+        } else {
+            AdmissionEventKind::Preempted
+        };
+        self.release_capacity(st, id, t, kind);
         let rec = &mut self.jobs[id.0 as usize];
         let requested_at = rec.preempt_requested_at.take();
         if !fault {
@@ -1667,16 +1605,6 @@ impl JobScheduler {
         h.state = JobState::Preempted;
         h.stage_idx = 0;
         h.chain = CHAIN_NONE;
-        st.admission_log.push(AdmissionEvent {
-            at: t,
-            job: id,
-            kind: if fault {
-                AdmissionEventKind::FaultEvicted
-            } else {
-                AdmissionEventKind::Preempted
-            },
-        });
-        st.active -= 1;
         if feasible {
             // Front of the class: the victim has seniority.
             st.queues.push_front(id, class);
@@ -1816,64 +1744,6 @@ impl JobScheduler {
         }
     }
 
-    // ---- per-tenant token-bucket quotas ------------------------------
-
-    /// Refresh and return the tenant's byte-second balance at `t`.
-    fn quota_balance(&self, st: &mut RunState, tenant: TenantId, t: SimTime) -> f64 {
-        let Some(q) = self.cfg.tenant_quota else {
-            return 0.0;
-        };
-        let qs = st.quota.entry(tenant).or_insert(QuotaState {
-            tokens: q.burst,
-            last: SimTime::ZERO,
-        });
-        let dt = (t - qs.last).as_secs_f64();
-        qs.tokens = (qs.tokens + dt * q.refill).min(q.burst);
-        qs.last = t;
-        qs.tokens
-    }
-
-    /// Whether the tenant's balance permits an admission right now.
-    fn quota_ok(&self, st: &mut RunState, tenant: TenantId, t: SimTime) -> bool {
-        self.cfg.tenant_quota.is_none() || self.quota_balance(st, tenant, t) >= 0.0
-    }
-
-    /// Deduct `byte_secs` from the tenant's bucket (post-paid: the
-    /// balance may go negative, throttling future admissions).
-    fn quota_charge(&self, st: &mut RunState, tenant: TenantId, byte_secs: f64, t: SimTime) {
-        if self.cfg.tenant_quota.is_none() {
-            return;
-        }
-        self.quota_balance(st, tenant, t);
-        if let Some(qs) = st.quota.get_mut(&tenant) {
-            qs.tokens -= byte_secs;
-        }
-    }
-
-    /// Schedule (deduplicated) the virtual time at which a throttled
-    /// tenant's balance refills past zero, so admission retries exactly
-    /// then instead of busy-polling.
-    fn schedule_quota_wake(&self, st: &mut RunState, tenant: TenantId, t: SimTime) {
-        let Some(q) = self.cfg.tenant_quota else {
-            return;
-        };
-        let bal = self.quota_balance(st, tenant, t);
-        if bal >= 0.0 {
-            return;
-        }
-        // `refill` is clamped ≥ 1 byte-sec/s, so the wait is finite; the
-        // floor keeps rounding from producing a same-instant event loop.
-        let wait = SimDur::from_secs_f64(-bal / q.refill).max(SimDur::from_micros(1));
-        let wake = t + wait;
-        match st.quota_wake.get(&tenant) {
-            Some(&pending) if pending <= wake => {}
-            _ => {
-                st.quota_wake.insert(tenant, wake);
-                st.events.push((wake, EV_QUOTA, tenant.0 as u64, 0));
-            }
-        }
-    }
-
     /// One admission pass at virtual time `t`: admit every queued job the
     /// policy allows until nothing more fits.
     fn admit_pass(&mut self, st: &mut RunState, t: SimTime) -> Result<(), SchedError> {
@@ -1884,11 +1754,6 @@ impl JobScheduler {
                     let Some(id) = st.queues.fifo_head() else {
                         break;
                     };
-                    let tenant = self.jobs[id.0 as usize].spec.tenant;
-                    if !self.quota_ok(st, tenant, t) {
-                        self.schedule_quota_wake(st, tenant, t);
-                        break;
-                    }
                     st.queues.remove(id);
                     self.admit(st, id, t)?;
                 }
@@ -1916,7 +1781,7 @@ impl JobScheduler {
             order.sort_by_key(|&c| (Reverse(st.credits[c]), c));
 
             // Starvation guard: once a class head has been bypassed
-            // `aging_limit` times, only it may admit until it does.
+            // `AGING_LIMIT` times, only it may admit until it does.
             if let Some(b) = st.blocked_class {
                 match st.queues.class_head(b) {
                     None => st.blocked_class = None,
@@ -1925,21 +1790,6 @@ impl JobScheduler {
                             .budgets
                             .fits(&st.committed, &self.jobs[id.0 as usize].spec.reservation)
                         {
-                            let tenant = self.jobs[id.0 as usize].spec.tenant;
-                            if !self.quota_ok(st, tenant, t) {
-                                self.schedule_quota_wake(st, tenant, t);
-                                if self.cfg.quota_fair {
-                                    // The head is held back by its tenant's
-                                    // quota, not by class starvation: drop
-                                    // the block (and the aging it banked)
-                                    // so the rest of the machine keeps
-                                    // admitting while the bucket refills.
-                                    st.blocked_class = None;
-                                    st.starve[b] = 0;
-                                    continue;
-                                }
-                                return Ok(()); // throttled; retry at the wake
-                            }
                             st.queues.remove(id);
                             st.credits[b] = 0;
                             st.starve[b] = 0;
@@ -1964,29 +1814,11 @@ impl JobScheduler {
                 {
                     continue;
                 }
-                let tenant = self.jobs[id.0 as usize].spec.tenant;
-                if !self.quota_ok(st, tenant, t) {
-                    self.schedule_quota_wake(st, tenant, t);
-                    continue; // the class is throttled, not blocked
-                }
                 if rank > 0 {
                     // Overtook the head of every higher-credit class.
                     for &hc in &order[..rank] {
-                        if self.cfg.quota_fair {
-                            // A class whose head is quota-throttled was
-                            // not starved of capacity — it spent its own
-                            // budget. Don't let it bank aging credit
-                            // (and eventually block the machine) while
-                            // throttled.
-                            if let Some(hid) = st.queues.class_head(hc) {
-                                let ht = self.jobs[hid.0 as usize].spec.tenant;
-                                if !self.quota_ok(st, ht, t) {
-                                    continue;
-                                }
-                            }
-                        }
                         st.starve[hc] += 1;
-                        if st.starve[hc] >= self.cfg.aging_limit {
+                        if st.starve[hc] >= AGING_LIMIT {
                             st.blocked_class = Some(hc);
                         }
                     }
@@ -2092,13 +1924,6 @@ impl JobScheduler {
             recorded: st.recorded,
         }
     }
-}
-
-/// Per-tenant token-bucket state (lazy refill).
-#[derive(Debug, Clone, Copy)]
-struct QuotaState {
-    tokens: f64,
-    last: SimTime,
 }
 
 /// Sentinel sequence number of a job with no live queue entry.
@@ -2303,8 +2128,6 @@ struct RunState {
     recorded: Recorded,
     resize_log: Vec<ResizeSample>,
     preemption_latencies: Vec<SimDur>,
-    quota: BTreeMap<TenantId, QuotaState>,
-    quota_wake: BTreeMap<TenantId, SimTime>,
     active: usize,
     fabric: SimFabric,
     wq: WorkQueues,
@@ -2374,8 +2197,6 @@ impl RunState {
             recorded: Recorded::default(),
             resize_log: Vec::new(),
             preemption_latencies: Vec::new(),
-            quota: BTreeMap::new(),
-            quota_wake: BTreeMap::new(),
             active: 0,
             fabric: SimFabric::new(tree),
             wq: WorkQueues::new(tree, 1),
@@ -2626,29 +2447,35 @@ mod tests {
 
     #[test]
     fn interactive_class_is_favored_but_batch_not_starved() {
+        // A batch hog needing 90 % of DRAM queues behind a stream of
+        // interactive jobs that fit three at a time, so while any of
+        // them waits one is running and the hog never fits. Once the
+        // hog's credit leads, every interactive admission bypasses it;
+        // after `AGING_LIMIT` bypasses the guard holds the machine for
+        // the hog, and the rest of the stream runs after it.
         let tree = tree();
-        let mut sched = JobScheduler::new(
-            tree.clone(),
-            SchedulerConfig {
-                aging_limit: 4,
-                ..SchedulerConfig::default()
-            },
+        let mut sched = JobScheduler::new(tree.clone(), SchedulerConfig::default());
+        for i in 0..24 {
+            sched
+                .submit(small_job(&format!("i{i}"), &tree, 0.3, 2).priority(Priority::Interactive));
+        }
+        let hog = sched.submit(
+            small_job("hog", &tree, 0.9, 2)
+                .priority(Priority::Batch)
+                .arrival(SimTime::from_secs_f64(0.001)),
         );
-        // A stream where everything co-fits two-at-a-time.
-        for i in 0..4 {
-            sched.submit(small_job(&format!("b{i}"), &tree, 0.45, 2).priority(Priority::Batch));
-        }
-        for i in 0..4 {
-            sched.submit(
-                small_job(&format!("i{i}"), &tree, 0.45, 2).priority(Priority::Interactive),
-            );
-        }
         let report = sched.run().unwrap();
-        assert_eq!(report.count(JobState::Done), 8);
-        // Every batch job finished — no starvation.
-        for j in &report.jobs {
-            assert_eq!(j.state, JobState::Done, "{} starved", j.name);
-        }
+        assert_eq!(report.count(JobState::Done), 25, "{}", report.summary());
+        let order: Vec<JobId> = report.admission_order().collect();
+        let ahead = order.iter().position(|&j| j == hog).unwrap();
+        assert!(
+            ahead > AGING_LIMIT as usize,
+            "interactive is favored: {ahead} admissions went first"
+        );
+        assert!(
+            ahead < order.len() - 1,
+            "the hog is admitted before the interactive stream drains"
+        );
     }
 
     #[test]
@@ -2918,8 +2745,8 @@ mod tests {
         /// The derived series against the stored ones they replaced
         /// (kept as a test-only recorder pushed from the same lines),
         /// element for element, with every event source on at once:
-        /// preemption, faults with probation, quotas, two live resizes
-        /// with eviction, and the SLO controller with autoscale.
+        /// preemption, faults with probation, two live resizes with
+        /// eviction, and the SLO controller with autoscale.
         #[test]
         fn derived_series_equal_the_recorded_ones(
             trace in prop::collection::vec(
@@ -2943,22 +2770,11 @@ mod tests {
                     policy: if fifo { AdmissionPolicy::Fifo } else { AdmissionPolicy::WeightedFair },
                     preempt: true,
                     resize_drain: ResizeDrain::Preempt,
-                    tenant_quota: Some(TenantQuota::new(
-                        cap(cpu, 0.002) as f64,
-                        cap(cpu, 0.05) as f64,
-                    )),
-                    quota_fair: true,
                     fault_plan: Some(FaultPlan::new(seed).transient_rate(3000).persistent_rate(600)),
                     quarantine_after: 2,
-                    probation: Some(Probation {
-                        window: SimDur::from_millis(3),
-                        probes: 2,
-                        backoff: 2,
-                        max_restores: 2,
-                    }),
+                    probation: true,
                     fault_aware_placement: true,
                     slo: Some(slo),
-                    ..SchedulerConfig::default()
                 },
             );
             for (i, &(on_cpu, on_staging, chunks, prio, arrival_us, tenant)) in trace.iter().enumerate() {
@@ -3016,10 +2832,7 @@ mod tests {
                 resize_drain: ResizeDrain::Preempt,
                 fault_plan: Some(FaultPlan::new(11).transient_rate(3000).persistent_rate(900)),
                 quarantine_after: 2,
-                probation: Some(Probation {
-                    window: SimDur::from_millis(3),
-                    ..Probation::default()
-                }),
+                probation: true,
                 ..SchedulerConfig::default()
             },
         );
@@ -3053,6 +2866,7 @@ mod tests {
             report.summary()
         );
         assert!(!report.quarantine_log.is_empty(), "{}", report.summary());
+        assert!(!report.restore_log.is_empty(), "{}", report.summary());
         assert_eq!(report.resize_log.len(), 2);
         assert!(report
             .admission_order()
@@ -3300,28 +3114,37 @@ mod tests {
     fn retry_exhaustion_escalates_to_the_persistent_path() {
         let tree = tree();
         let root = tree.root();
-        // Script a transient fault at every early root ordinal: with a
-        // no-retry policy the first fault escalates immediately.
+        // Script a transient fault at every root ordinal the job can
+        // reach: each placement's first stage exhausts its retries and
+        // escalates, until the job has been displaced past the cap.
+        let attempts = RetryPolicy::default().max_attempts;
         let mut plan = FaultPlan::new(5);
-        for ord in 0..8 {
+        for ord in 0..u64::from((MAX_JOB_FAULTS + 1) * attempts) {
             plan = plan.script(root, ord, FaultKind::Transient);
         }
         let mut s = JobScheduler::new(
             tree.clone(),
             SchedulerConfig {
                 fault_plan: Some(plan),
-                retry: RetryPolicy::none(),
-                quarantine_after: u32::MAX, // never fence: exercise max_job_faults
-                max_job_faults: 2,
+                quarantine_after: u32::MAX, // never fence: exercise MAX_JOB_FAULTS
                 ..SchedulerConfig::default()
             },
         );
         let id = s.submit(free_job("unlucky", 2));
         let report = s.run().unwrap();
         assert!(report.all_terminal());
-        assert_eq!(report.job(id).state, JobState::Failed);
-        assert_eq!(report.job(id).fault.retries, 0, "no-retry policy");
-        assert!(report.job(id).fault.reroutes > 2, "displaced past the cap");
+        let out = report.job(id);
+        assert_eq!(out.state, JobState::Failed);
+        assert_eq!(
+            out.fault.reroutes,
+            MAX_JOB_FAULTS + 1,
+            "displaced past the cap"
+        );
+        assert_eq!(
+            out.fault.retries,
+            out.fault.reroutes * (attempts - 1),
+            "every placement retried its stage to exhaustion"
+        );
         // The admission log balances: every commit is matched by exactly
         // one release-like event (Released / Preempted / FaultEvicted).
         let count =
@@ -3331,135 +3154,6 @@ mod tests {
             count(AdmissionEventKind::Released)
                 + count(AdmissionEventKind::Preempted)
                 + count(AdmissionEventKind::FaultEvicted)
-        );
-    }
-
-    #[test]
-    fn tenant_quota_throttles_heavy_tenant() {
-        let tree = tree();
-        let dram = tree.children(tree.root())[0];
-        // Two jobs that cannot co-fit: q2 normally starts the instant q1
-        // releases. The post-paid charge at q1's release overdraws the
-        // small bucket, so with a quota q2 must additionally wait for the
-        // refill.
-        let bytes = (tree.node(dram).mem.capacity as f64 * 0.6) as u64;
-        let build = |quota| {
-            let mut s = JobScheduler::new(
-                tree.clone(),
-                SchedulerConfig {
-                    tenant_quota: quota,
-                    ..SchedulerConfig::default()
-                },
-            );
-            let t0 = TenantId(7);
-            let mk = |name: &str| {
-                JobSpec::new(
-                    name,
-                    Reservation::new().with(dram, bytes),
-                    JobWork::new(4)
-                        .read(32 << 20)
-                        .xfer(32 << 20)
-                        .compute(SimDur::from_millis(2)),
-                )
-                .tenant(t0)
-            };
-            s.submit(mk("q1"));
-            s.submit(mk("q2"));
-            s.run().unwrap()
-        };
-        let free = build(None);
-        let quota = build(Some(TenantQuota::new(
-            bytes as f64 * 0.01,
-            bytes as f64 * 0.1,
-        )));
-        assert!(free.all_terminal() && quota.all_terminal());
-        assert_eq!(quota.count(JobState::Done), 2);
-        assert!(
-            quota.makespan > free.makespan,
-            "throttled tenant ({:?}) must finish later than unthrottled ({:?})",
-            quota.makespan,
-            free.makespan
-        );
-    }
-
-    #[test]
-    fn quota_fair_keeps_batch_flowing_past_a_throttled_head() {
-        // A heavy interactive tenant overdraws its token bucket; its next
-        // job sits at the head of the interactive class while the bucket
-        // refills. Without `quota_fair` the throttled head banks aging
-        // credit, trips the starvation guard, and the guard then stalls
-        // *every* class until the quota wake. With `quota_fair` the
-        // throttled head is recognised as quota-limited rather than
-        // starved, so the batch tenant keeps admitting through the
-        // refill window and finishes strictly earlier.
-        let tree = tree();
-        let dram = tree.children(tree.root())[0];
-        let cap = tree.node(dram).mem.capacity as f64;
-        let heavy = (cap * 0.6) as u64;
-        let light = (cap * 0.25) as u64;
-        let t_heavy = TenantId(7);
-        let build = |quota_fair| {
-            let mut s = JobScheduler::new(
-                tree.clone(),
-                SchedulerConfig {
-                    aging_limit: 2,
-                    // Tiny bucket, slow refill: the heavy job's post-paid
-                    // release charge overdraws it for a long stretch of
-                    // virtual time, while each light batch job's charge
-                    // stays well inside its own tenant's bucket.
-                    tenant_quota: Some(TenantQuota::new(cap * 0.01, cap * 0.05)),
-                    quota_fair,
-                    ..SchedulerConfig::default()
-                },
-            );
-            let mk_heavy = |name: &str| {
-                JobSpec::new(
-                    name,
-                    Reservation::new().with(dram, heavy),
-                    JobWork::new(6)
-                        .read(32 << 20)
-                        .xfer(32 << 20)
-                        .compute(SimDur::from_millis(2)),
-                )
-                .tenant(t_heavy)
-                .priority(Priority::Interactive)
-            };
-            s.submit(mk_heavy("hog"));
-            s.submit(mk_heavy("throttled").arrival(SimTime::from_secs_f64(0.0001)));
-            for i in 0..5 {
-                s.submit(
-                    JobSpec::new(
-                        format!("b{i}"),
-                        Reservation::new().with(dram, light),
-                        JobWork::new(1)
-                            .read(16 << 20)
-                            .xfer(16 << 20)
-                            .compute(SimDur::from_millis(1)),
-                    )
-                    .priority(Priority::Batch)
-                    .arrival(SimTime::from_secs_f64(0.0002)),
-                );
-            }
-            s.run().unwrap()
-        };
-        let fair = build(true);
-        let strict = build(false);
-        assert!(fair.all_terminal() && strict.all_terminal());
-        assert_eq!(fair.count(JobState::Done), 7, "{}", fair.summary());
-        assert_eq!(strict.count(JobState::Done), 7, "{}", strict.summary());
-        let last_batch = |r: &SchedReport| {
-            r.jobs
-                .iter()
-                .filter(|j| j.priority == Priority::Batch)
-                .filter_map(|j| j.finished_at)
-                .max()
-                .unwrap()
-        };
-        assert!(
-            last_batch(&fair) < last_batch(&strict),
-            "quota-fair batch tail {:?} must beat strict batch tail {:?}",
-            last_batch(&fair),
-            last_batch(&strict)
         );
     }
 
@@ -3481,12 +3175,7 @@ mod tests {
                             .script(sick, 1, FaultKind::Persistent),
                     ),
                     quarantine_after: 2,
-                    probation: Some(Probation {
-                        window: SimDur::from_millis(10),
-                        probes: 4,
-                        backoff: 2,
-                        max_restores: 3,
-                    }),
+                    probation: true,
                     ..SchedulerConfig::default()
                 },
             );
@@ -3512,7 +3201,7 @@ mod tests {
         let restore = report.restore_log[0];
         assert_eq!(restore.attempt, 1, "first probe was already clean");
         assert!(restore.budget > 0, "pre-fence budget came back");
-        assert!(restore.at > report.quarantine_log[0].at);
+        assert_eq!(restore.at - report.quarantine_log[0].at, PROBE_WINDOW);
         assert_eq!(report.count(JobState::Done), 5, "{}", report.summary());
         assert!(report.summary().contains("restored"));
         let again = build();
@@ -3524,40 +3213,41 @@ mod tests {
         let tree = presets::asymmetric_fig2();
         let sick = NodeId(1);
         let bytes = tree.node(sick).mem.capacity / 4;
-        let mut s = JobScheduler::new(
-            tree.clone(),
-            SchedulerConfig {
-                // Every consultation faults: each probe finds the node
-                // still dirty, and after `max_restores` probes the fence
-                // is permanent — the run still terminates.
-                fault_plan: Some(FaultPlan::new(7).persistent_rate(65536).on_nodes([sick])),
-                quarantine_after: 2,
-                probation: Some(Probation {
-                    window: SimDur::from_millis(10),
-                    probes: 2,
-                    backoff: 4,
-                    max_restores: 3,
-                }),
-                ..SchedulerConfig::default()
-            },
-        );
-        for i in 0..4 {
-            s.submit(free_job(&format!("j{i}"), 3));
-        }
-        let late = s.submit(
-            JobSpec::new(
-                "late",
-                Reservation::new().with(sick, bytes),
-                JobWork::new(1).read(1 << 20),
-            )
-            .arrival(SimTime::from_secs_f64(30.0)),
-        );
-        let report = s.run().unwrap();
+        let build = |probation| {
+            let mut s = JobScheduler::new(
+                tree.clone(),
+                SchedulerConfig {
+                    // Every consultation faults: each probe finds the
+                    // node still dirty, and after `MAX_PROBES` probes the
+                    // fence is permanent — the run still terminates.
+                    fault_plan: Some(FaultPlan::new(7).persistent_rate(65536).on_nodes([sick])),
+                    quarantine_after: 2,
+                    probation,
+                    ..SchedulerConfig::default()
+                },
+            );
+            for i in 0..4 {
+                s.submit(free_job(&format!("j{i}"), 3));
+            }
+            s.submit(
+                JobSpec::new(
+                    "late",
+                    Reservation::new().with(sick, bytes),
+                    JobWork::new(1).read(1 << 20),
+                )
+                .arrival(SimTime::from_secs_f64(30.0)),
+            );
+            s.run().unwrap()
+        };
+        let (report, fenced) = (build(true), build(false));
+        let late = JobId(4); // submitted after the four free jobs
         assert!(report.all_terminal(), "bounded probes: no infinite probing");
         assert_eq!(report.quarantined_nodes(), vec![sick]);
         assert!(report.restored_nodes().is_empty(), "never flapped back in");
         assert_eq!(report.job(late).state, JobState::Rejected);
-        assert!(report.events > 0);
+        // The dirty probes are the only events probation added: exactly
+        // `MAX_PROBES` of them, then nothing.
+        assert_eq!(report.events, fenced.events + u64::from(MAX_PROBES));
     }
 
     #[test]

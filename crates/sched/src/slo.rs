@@ -10,9 +10,8 @@
 //!    so Batch work is rejected-with-reason before it poisons the
 //!    queues ([`RejectReason::QueueFull`]).
 //! 2. **Shedding** — queued sheddable work is evicted newest-first and
-//!    settled `Rejected` with [`RejectReason::Shed`] (or
-//!    [`RejectReason::QuotaExceeded`] when its tenant's token bucket is
-//!    already dry), logged as a typed [`ShedOutcome`].
+//!    settled `Rejected` with [`RejectReason::Shed`], logged as a typed
+//!    [`ShedOutcome`].
 //! 3. **Degradation** — brownout: subsequent non-guaranteed admissions
 //!    compile a shrunken chain ([`DegradeLevel`] skips the writeback
 //!    stage, then halves/quarters the staged bytes), trading result
@@ -42,20 +41,15 @@ pub enum RejectReason {
     /// The overload controller evicted or declined the job to defend
     /// the guaranteed class's SLO.
     Shed,
-    /// Shed while its tenant's quota bucket was already exhausted — the
-    /// tenant was over its contracted rate when the controller had to
-    /// choose victims.
-    QuotaExceeded,
     /// The reservation can never fit the (current) node budgets.
     Infeasible,
 }
 
 impl RejectReason {
     /// Every variant, in a stable order for report iteration.
-    pub const ALL: [RejectReason; 4] = [
+    pub const ALL: [RejectReason; 3] = [
         RejectReason::QueueFull,
         RejectReason::Shed,
-        RejectReason::QuotaExceeded,
         RejectReason::Infeasible,
     ];
 
@@ -64,7 +58,6 @@ impl RejectReason {
         match self {
             RejectReason::QueueFull => "queue_full",
             RejectReason::Shed => "shed",
-            RejectReason::QuotaExceeded => "quota_exceeded",
             RejectReason::Infeasible => "infeasible",
         }
     }
@@ -141,7 +134,8 @@ impl DegradeLevel {
     }
 }
 
-/// One job the shedding tier removed, and why.
+/// One job the shedding tier removed (settled with
+/// [`RejectReason::Shed`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShedOutcome {
     /// The shed job.
@@ -150,9 +144,6 @@ pub struct ShedOutcome {
     pub at: SimTime,
     /// The job's admission class.
     pub class: Priority,
-    /// [`RejectReason::Shed`], or [`RejectReason::QuotaExceeded`] when
-    /// the owner's bucket was dry.
-    pub reason: RejectReason,
 }
 
 /// One control-tick observation: what the controller saw and what tier

@@ -10,8 +10,8 @@
 use northup::{presets, FaultPlan};
 use northup_hw::catalog;
 use northup_sched::{
-    report_digest, JobScheduler, JobSpec, JobWork, NodeBudgets, Priority, Probation, Reservation,
-    SchedulerConfig, TenantId, TenantQuota,
+    report_digest, JobScheduler, JobSpec, JobWork, NodeBudgets, Priority, Reservation,
+    SchedulerConfig, TenantId,
 };
 use northup_sim::{SimDur, SimTime};
 
@@ -82,10 +82,9 @@ fn chaos_cfg() -> SchedulerConfig {
     SchedulerConfig {
         max_queue: 512,
         preempt: true,
-        tenant_quota: Some(TenantQuota::new(24e9, 12e9)),
         fault_plan: Some(FaultPlan::new(7).transient_rate(300).persistent_rate(20)),
         quarantine_after: 3,
-        probation: Some(Probation::default()),
+        probation: true,
         ..SchedulerConfig::default()
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the fault-tolerance layer: random seeded fault
-//! plans (transient + persistent rates, scoped or global, random retry
-//! and quarantine thresholds) driven over random job traces on the
+//! plans (transient + persistent rates, scoped or global, random
+//! quarantine thresholds) driven over random job traces on the
 //! multi-leaf Fig. 2 machine. Whatever the plan injects:
 //!
 //! (a) every job reaches a terminal state — retries are bounded, every
@@ -20,7 +20,7 @@
 use northup::presets;
 use northup_sched::{
     AdmissionEventKind, FaultPlan, JobScheduler, JobSpec, JobState, JobWork, Priority, Reservation,
-    RetryPolicy, SchedReport, SchedulerConfig, TenantId,
+    SchedReport, SchedulerConfig, TenantId,
 };
 use northup_sim::{SimDur, SimTime};
 use proptest::prelude::*;
@@ -66,10 +66,6 @@ fn build(trace: &[JobTuple], p: &PlanTuple) -> SchedReport {
         tree,
         SchedulerConfig {
             fault_plan: Some(make_plan(p)),
-            retry: RetryPolicy {
-                base_backoff: SimDur::from_micros(100),
-                ..RetryPolicy::default()
-            },
             quarantine_after: p.3,
             ..SchedulerConfig::default()
         },

@@ -1,5 +1,5 @@
-//! Property tests for chunk-granular preemption, live budget
-//! reconfiguration, and per-tenant quotas:
+//! Property tests for chunk-granular preemption and live budget
+//! reconfiguration:
 //!
 //! (a) every chunk executes exactly once — across any number of
 //!     evict/resume cycles, a job's chunk log is a duplicate-free prefix
@@ -7,8 +7,8 @@
 //! (b) committed bytes never exceed the budget *envelope* — the largest
 //!     budget in force up to that instant (a drain-mode shrink lets
 //!     admitted jobs finish but never grows the commitment);
-//! (c) the schedule stays bit-identical with preemption, resizes, and
-//!     quotas all enabled;
+//! (c) the schedule stays bit-identical with preemption and resizes
+//!     both enabled;
 //! (d) preemptions conserve capacity accounting: each `Preempted`
 //!     admission-log event pairs with a preceding `Admitted` for the
 //!     same job, and evicted jobs are re-admitted or rejected, never
@@ -18,7 +18,7 @@ use northup::presets;
 use northup_hw::catalog;
 use northup_sched::{
     AdmissionEventKind, JobScheduler, JobSpec, JobState, JobWork, NodeBudgets, Priority,
-    Reservation, ResizeDrain, SchedReport, SchedulerConfig, TenantId, TenantQuota,
+    Reservation, ResizeDrain, SchedReport, SchedulerConfig, TenantId,
 };
 use northup_sim::{SimDur, SimTime};
 use proptest::prelude::*;
@@ -41,12 +41,7 @@ struct Scenario {
     chunks_declared: Vec<u32>,
 }
 
-fn build(
-    trace: &[JobTuple],
-    resizes: &[ResizeTuple],
-    drain: ResizeDrain,
-    quota: Option<TenantQuota>,
-) -> Scenario {
+fn build(trace: &[JobTuple], resizes: &[ResizeTuple], drain: ResizeDrain) -> Scenario {
     let tree = presets::apu_two_level(catalog::ssd_hyperx_predator());
     let dram = tree.children(tree.root())[0];
     let budget = tree.node(dram).mem.capacity;
@@ -56,7 +51,6 @@ fn build(
         SchedulerConfig {
             preempt: true,
             resize_drain: drain,
-            tenant_quota: quota,
             ..SchedulerConfig::default()
         },
     );
@@ -97,7 +91,7 @@ proptest! {
         trace in prop::collection::vec(job_strategy(), 0..12),
         resizes in prop::collection::vec(resize_strategy(), 0..3),
     ) {
-        let sc = build(&trace, &resizes, ResizeDrain::Preempt, None);
+        let sc = build(&trace, &resizes, ResizeDrain::Preempt);
         prop_assert!(sc.report.all_terminal());
         for (i, j) in sc.report.jobs.iter().enumerate() {
             let mut seen: Vec<u32> = sc.report.chunk_log.iter()
@@ -126,7 +120,7 @@ proptest! {
         preempt_drain in any::<bool>(),
     ) {
         let drain = if preempt_drain { ResizeDrain::Preempt } else { ResizeDrain::Drain };
-        let sc = build(&trace, &resizes, drain, None);
+        let sc = build(&trace, &resizes, drain);
         let tree = presets::apu_two_level(catalog::ssd_hyperx_predator());
         for s in sc.report.capacity_trace() {
             // The envelope at s.at: the largest budget in force at any
@@ -152,9 +146,8 @@ proptest! {
         trace in prop::collection::vec(job_strategy(), 0..10),
         resizes in prop::collection::vec(resize_strategy(), 0..2),
     ) {
-        let quota = Some(TenantQuota::new(1e15, 1e12));
-        let s1 = build(&trace, &resizes, ResizeDrain::Preempt, quota);
-        let s2 = build(&trace, &resizes, ResizeDrain::Preempt, quota);
+        let s1 = build(&trace, &resizes, ResizeDrain::Preempt);
+        let s2 = build(&trace, &resizes, ResizeDrain::Preempt);
         prop_assert!(s1.report.admission_order().eq(s2.report.admission_order()));
         prop_assert_eq!(s1.report.makespan, s2.report.makespan);
         prop_assert_eq!(&s1.report.chunk_log, &s2.report.chunk_log);
@@ -170,7 +163,7 @@ proptest! {
     fn preemptions_conserve_admission_accounting(
         trace in prop::collection::vec(job_strategy(), 0..12),
     ) {
-        let sc = build(&trace, &[], ResizeDrain::Drain, None);
+        let sc = build(&trace, &[], ResizeDrain::Drain);
         prop_assert!(sc.report.all_terminal());
         for j in &sc.report.jobs {
             let admits = sc.report.admission_log.iter()
@@ -192,18 +185,5 @@ proptest! {
                 prop_assert!(admits >= 1);
             }
         }
-    }
-
-    #[test]
-    fn quota_throttled_traces_still_terminate_deterministically(
-        trace in prop::collection::vec(job_strategy(), 0..10),
-        burst_gb in 0.01f64..2.0,
-    ) {
-        let quota = Some(TenantQuota::new(burst_gb * 1e9, 0.5e9));
-        let s1 = build(&trace, &[], ResizeDrain::Drain, quota);
-        let s2 = build(&trace, &[], ResizeDrain::Drain, quota);
-        prop_assert!(s1.report.all_terminal());
-        prop_assert!(s1.report.admission_order().eq(s2.report.admission_order()));
-        prop_assert_eq!(s1.report.makespan, s2.report.makespan);
     }
 }

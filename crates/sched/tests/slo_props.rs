@@ -92,10 +92,7 @@ proptest! {
         for out in &report.jobs {
             if out.priority == Priority::Interactive {
                 prop_assert!(
-                    !matches!(
-                        out.reject_reason,
-                        Some(RejectReason::Shed) | Some(RejectReason::QuotaExceeded)
-                    ),
+                    out.reject_reason != Some(RejectReason::Shed),
                     "{} carries a shed reason", out.name
                 );
             }
@@ -167,9 +164,7 @@ proptest! {
             report.count(JobState::Rejected),
             "typed reasons partition the rejections"
         );
-        // Without tenant quotas every shed is reason `Shed`, and the
-        // shed log records exactly those jobs.
-        prop_assert_eq!(report.rejected_for(RejectReason::QuotaExceeded), 0);
+        // The shed log records exactly the jobs rejected as `Shed`.
         prop_assert_eq!(report.shed_log.len(), report.rejected_for(RejectReason::Shed));
     }
 }

@@ -63,12 +63,12 @@ impl SimDur {
     }
 
     /// Construct from microseconds.
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimDur(us.saturating_mul(1_000))
     }
 
     /// Construct from milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDur(ms.saturating_mul(1_000_000))
     }
 

@@ -11,9 +11,7 @@
 //! cargo run --example job_service
 //! ```
 
-use northup_suite::apps::{
-    run_service, run_service_real, run_service_with, synthetic_trace, TraceConfig,
-};
+use northup_suite::apps::{run_service_real, run_service_with, synthetic_trace, TraceConfig};
 use northup_suite::prelude::*;
 
 fn main() {
@@ -34,8 +32,15 @@ fn main() {
     };
 
     for policy in [AdmissionPolicy::WeightedFair, AdmissionPolicy::Fifo] {
-        let report =
-            run_service(&tree, synthetic_trace(&tree, &cfg), policy).expect("service replay");
+        let report = run_service_with(
+            &tree,
+            synthetic_trace(&tree, &cfg),
+            SchedulerConfig {
+                policy,
+                ..SchedulerConfig::default()
+            },
+        )
+        .expect("service replay");
         println!("{policy:?}: {}", report.summary());
 
         if policy == AdmissionPolicy::WeightedFair {

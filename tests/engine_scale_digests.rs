@@ -20,9 +20,7 @@
 
 use northup_suite::apps::service::{synthetic_trace, TraceConfig};
 use northup_suite::prelude::*;
-use northup_suite::sched::{
-    report_digest, FaultPlan, NodeBudgets, Probation, SchedReport, TenantQuota,
-};
+use northup_suite::sched::{report_digest, FaultPlan, NodeBudgets, SchedReport};
 
 const HEAP_ENGINE_SEED: u64 = 2026_0807;
 const SCHED_REPLAY_SEED: u64 = 20_260_927;
@@ -35,19 +33,18 @@ fn clean() -> SchedulerConfig {
 }
 
 /// Every optional event source switched on, so the digest pins retry,
-/// probation probes, quota wakes and preemption on the calendar queue —
-/// not just arrivals and stage completions.
+/// probation probes and preemption on the calendar queue — not just
+/// arrivals and stage completions.
 fn chaos() -> SchedulerConfig {
     SchedulerConfig {
         preempt: true,
-        tenant_quota: Some(TenantQuota::new(48e9, 24e9)),
         fault_plan: Some(
             FaultPlan::new(HEAP_ENGINE_SEED)
                 .transient_rate(400)
                 .persistent_rate(24),
         ),
         quarantine_after: 3,
-        probation: Some(Probation::default()),
+        probation: true,
         ..clean()
     }
 }

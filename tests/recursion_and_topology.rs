@@ -200,3 +200,43 @@ fn a_single_node_tree_is_a_typed_error_from_every_out_of_core_entry_point() {
         );
     }
 }
+
+/// A user-built tree may name its processors anything. One whose GPU has
+/// no cost model gets the typed [`NorthupError::NoCostModel`] from the
+/// out-of-core drivers that price its kernels, not a panic.
+#[test]
+fn an_unmodelled_processor_is_a_typed_error() {
+    use northup_suite::apps::{hotspot, matmul};
+
+    let mut b = TreeBuilder::new(catalog::ssd_hyperx_predator());
+    let dram = b.add_child(
+        NodeId(0),
+        catalog::dram_staging_2gb(),
+        catalog::dram_dma_link(),
+    );
+    b.attach_processor(
+        dram,
+        ProcessorDesc::new(ProcKind::Gpu, "mystery-gpu", 1 << 20),
+    );
+    b.attach_processor(dram, ProcessorDesc::new(ProcKind::Cpu, "apu-cpu", 8 << 20));
+    let tree = b.build();
+    let on =
+        |f: &dyn Fn(&Runtime) -> Result<AppRun>| f(&Runtime::new(tree.clone(), ExecMode::Modeled)?);
+    let (mm, hs) = (MatmulConfig::small(), HotspotConfig::small());
+    let table: Vec<(&str, Result<AppRun>)> = vec![
+        (
+            "matmul_northup_on",
+            on(&|rt| matmul::matmul_northup_on(rt, &mm)),
+        ),
+        (
+            "hotspot_northup_on",
+            on(&|rt| hotspot::hotspot_northup_on(rt, &hs)),
+        ),
+    ];
+    for (name, result) in table {
+        assert!(
+            matches!(&result, Err(NorthupError::NoCostModel(n)) if n == "mystery-gpu"),
+            "{name}: {result:?}"
+        );
+    }
+}
