@@ -95,9 +95,7 @@ pub use scheduler::{
     ChunkSample, FaultOutcome, FaultSample, JobOutcome, JobScheduler, QuarantineSample,
     ResizeDrain, ResizeSample, RestoreSample, SchedReport, SchedulerConfig,
 };
-pub use slo::{
-    percentile_of, percentile_sorted, DegradeLevel, RejectReason, ShedOutcome, SloConfig, SloSample,
-};
+pub use slo::{percentile_sorted, DegradeLevel, RejectReason, ShedOutcome, SloConfig, SloSample};
 // Re-export the shared IR (and the failure-domain vocabulary) so
 // scheduler users need not depend on `northup` directly.
 pub use northup::fabric::{build_chain, Checkpoint, ChunkChain, ChunkWork, Fabric};

@@ -1,11 +1,15 @@
-//! Heap held by the event engine, pinned per job (DESIGN.md §12).
+//! Heap held and allocations made by the event engine, pinned per job
+//! (DESIGN.md §12).
 //!
-//! One test in its own binary, because it installs a counting
+//! A binary of its own, because it installs a counting
 //! `#[global_allocator]` (the counters of `benchmark/src/alloc.rs`,
-//! copied: the harness is a separate package). It replays the
-//! benchmark's `sched_replay` configuration at 50 000 jobs — the
-//! `replay_50k_digest_is_pinned` run of `engine_scale_digests.rs` — and
-//! reads two exact counts that need no stopwatch:
+//! copied: the harness is a separate package). The counters are
+//! process-wide, so the two tests take one lock and never overlap. Each
+//! reads exact counts that need no stopwatch.
+//!
+//! `replay_heap_per_job_is_pinned` replays the benchmark's `sched_replay`
+//! configuration at 50 000 jobs — the `replay_50k_digest_is_pinned` run
+//! of `engine_scale_digests.rs` — and reads two byte counts:
 //!
 //! * **peak** — the highest live heap between the first `submit` and the
 //!   return of `run()`, the trace being consumed included;
@@ -23,24 +27,41 @@
 //! beside the caller's trace, kept whole behind `report.jobs`; a B-tree
 //! leaf per one-entry reservation; two series stored that are functions
 //! of a third; and logs at up to twice their length.
+//!
+//! `overload_run_allocations_are_pinned` replays the benchmark's
+//! `sched_overload` configuration at 10 000 jobs (3 196 control ticks)
+//! and counts the allocations `run()` makes — the benchmark's
+//! `sched.allocs_per_job`. Measured (debug == release): 27 564 when each
+//! tick copied and sorted every class window (three allocations a tick),
+//! 17 987 since the controller keeps each window's largest samples.
 
-use northup_suite::apps::service::{synthetic_trace, TraceConfig};
+use northup_suite::apps::service::{
+    overload_slo, overload_trace, synthetic_trace, OverloadConfig, TraceConfig,
+};
 use northup_suite::prelude::*;
 use northup_suite::sched::report_digest;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// `System` plus live and peak-live byte counters. The counters publish
-/// no other data, so every access is `Relaxed`.
+/// `System` plus live and peak-live byte counters and an allocation
+/// count (a growing `realloc` counts as one). The counters publish no
+/// other data, so every access is `Relaxed`.
 struct CountingAlloc {
     live: AtomicUsize,
     peak: AtomicUsize,
+    allocs: AtomicUsize,
 }
 
 impl CountingAlloc {
     fn grew(&self, by: usize) {
         let live = self.live.fetch_add(by, Relaxed) + by;
         self.peak.fetch_max(live, Relaxed);
+        self.allocs.fetch_add(1, Relaxed);
+    }
+
+    fn allocs(&self) -> usize {
+        self.allocs.load(Relaxed)
     }
 
     fn live(&self) -> usize {
@@ -94,12 +115,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc {
     live: AtomicUsize::new(0),
     peak: AtomicUsize::new(0),
+    allocs: AtomicUsize::new(0),
 };
+
+/// Held by each test for its whole run, so neither reads the other's
+/// allocations.
+fn counters() -> MutexGuard<'static, ()> {
+    static COUNTERS: Mutex<()> = Mutex::new(());
+    COUNTERS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 const JOBS: usize = 50_000;
 
 #[test]
 fn replay_heap_per_job_is_pinned() {
+    let _counters = counters();
     let tree = presets::fleet_shard();
     let base = ALLOC.live();
     let trace = synthetic_trace(
@@ -144,4 +174,51 @@ fn replay_heap_per_job_is_pinned() {
             "{what}: {now} B ({per_job} B/job) is not 40 % under the parent's {parent} B"
         );
     }
+}
+
+const OVERLOAD_JOBS: usize = 10_000;
+
+#[test]
+fn overload_run_allocations_are_pinned() {
+    let _counters = counters();
+    let tree = presets::apu_two_level(catalog::ssd_hyperx_predator());
+    let trace = overload_trace(
+        &tree,
+        &OverloadConfig {
+            jobs: OVERLOAD_JOBS,
+            seed: 20_260_927,
+            load_pct: 300,
+            scale: 32,
+            concurrency: 3,
+        },
+    );
+    let mut sched = JobScheduler::new(
+        tree.clone(),
+        SchedulerConfig {
+            policy: AdmissionPolicy::WeightedFair,
+            preempt: false,
+            slo: Some(overload_slo()),
+            ..SchedulerConfig::default()
+        },
+    );
+    for spec in trace {
+        sched.submit(spec);
+    }
+    let before = ALLOC.allocs();
+    let report = sched.run().expect("controlled replay");
+    let allocs = ALLOC.allocs() - before;
+    let ticks = report.slo_log.len();
+    // What the parent commit counted, and what this engine does.
+    const PARENT: usize = 27_564;
+    const PINNED: usize = 17_987;
+    println!("run(): {allocs} allocations over {ticks} control ticks"); // `-- --nocapture` to re-base
+    assert!(
+        allocs * 100 <= PINNED * 101,
+        "run() made {allocs} allocations, pinned at {PINNED} + 1 %"
+    );
+    assert!(
+        allocs + 2 * ticks <= PARENT,
+        "run() made {allocs} allocations over {ticks} control ticks: \
+         not two per tick under the parent's {PARENT}"
+    );
 }

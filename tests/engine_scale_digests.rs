@@ -13,12 +13,18 @@
 //!   ring before either was replaced. The 300k-job run is the one whose
 //!   calendar pile outgrows a fixed ring mid-trace, so it guards the
 //!   refill path.
+//! * seed 20260927, `overload_trace` at 300 % load on the APU tree under
+//!   `overload_slo()` — the harness's `sched_overload` workload at its
+//!   75k jobs and at 5k, captured before the SLO controller's p99 stopped
+//!   sorting its window. These are the only rows that run the controller.
 //!
 //! Whatever container the engine pops from must reproduce every digest
 //! bit for bit. Nothing here reads a clock; engine speed is
 //! `benchmark/`'s `sched_replay`.
 
-use northup_suite::apps::service::{synthetic_trace, TraceConfig};
+use northup_suite::apps::service::{
+    overload_slo, overload_trace, run_service_slo, synthetic_trace, OverloadConfig, TraceConfig,
+};
 use northup_suite::prelude::*;
 use northup_suite::sched::{report_digest, FaultPlan, NodeBudgets, SchedReport};
 
@@ -148,4 +154,33 @@ fn replay_200k_digest_is_pinned() {
 #[cfg_attr(debug_assertions, ignore = "300k-job replay: run in release")]
 fn replay_300k_digest_is_pinned() {
     assert_eq!(sched_replay_digest(300_000), 0x81d1_25d5_ab2e_c6a5);
+}
+
+/// Replay the harness's `sched_overload` configuration at `jobs` jobs.
+fn overload_digest(jobs: usize) -> u64 {
+    let tree = presets::apu_two_level(catalog::ssd_hyperx_predator());
+    let trace = overload_trace(
+        &tree,
+        &OverloadConfig {
+            jobs,
+            seed: SCHED_REPLAY_SEED,
+            load_pct: 300,
+            scale: 32,
+            concurrency: 3,
+        },
+    );
+    let report = run_service_slo(&tree, trace, Some(overload_slo())).expect("controlled replay");
+    assert!(!report.shed_log.is_empty(), "the controller never shed");
+    report_digest(&report)
+}
+
+#[test]
+fn overload_5k_digest_is_pinned() {
+    assert_eq!(overload_digest(5_000), 0x20fc_85fc_2197_0293);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "75k-job overload replay: run in release")]
+fn overload_75k_digest_is_pinned() {
+    assert_eq!(overload_digest(75_000), 0x0481_d8c2_1385_b4dc);
 }
