@@ -55,7 +55,7 @@ pub mod subtree;
 pub use adaptive::{adaptive_stencil_stream, AdaptiveMapper, AdaptiveOutcome, Policy};
 pub use balance::{fig11_speedup, run_balanced, BalanceConfig, BalanceRun, LeafRates};
 pub use distributed::{gemm_cluster, scaling_curve, DistGemmConfig};
-pub use fleet::{fleet_trace, run_fleet, run_fleet_with, AFFINITY_PCT};
+pub use fleet::{fleet_trace, run_fleet, AFFINITY_PCT};
 pub use host::when_real;
 pub use hotspot::{
     hotspot_apu, hotspot_in_memory, hotspot_northup, hotspot_split_leaf, optimal_gpu_fraction,

@@ -120,7 +120,7 @@ fn print_slo() {
     println!(
         "== SLO: {} open-loop jobs at 1x/1.5x/2x capacity, Interactive p99 target {} ==",
         nb::SLO_JOBS,
-        northup_apps::overload_slo().targets[0]
+        northup_sched::INTERACTIVE_TARGET
     );
     println!(
         "{:>5} {:>4} {:>5} {:>8} {:>9} {:>5} {:>7} {:>8} {:>10} {:>10} {:>10} {:>4} {:>5} {:>7} {:>6}  rejected: full/shed/infeasible",

@@ -35,7 +35,7 @@ use northup_apps::{
 use northup_hw::{catalog, DeviceSpec};
 use northup_sched::{
     AdmissionPolicy, FaultPlan, JobScheduler, JobSpec, JobState, JobWork, NodeBudgets, Priority,
-    Reservation, ResizeDrain, SchedReport, SchedulerConfig,
+    Reservation, ResizeDrain, SchedReport, SchedulerConfig, SloConfig,
 };
 use northup_sim::{Category, SimDur, SimTime};
 use serde::{Deserialize, Serialize};
@@ -768,7 +768,7 @@ pub fn slo_study() -> [SloRun; 5] {
         run("on", 150, Some(overload_slo())),
         run("on", 200, Some(overload_slo())),
         run("off", 200, None),
-        run("auto", 200, Some(overload_slo().with_autoscale(400))),
+        run("auto", 200, Some(SloConfig { autoscale: true })),
     ]
 }
 
@@ -1081,10 +1081,10 @@ mod tests {
     /// criterion, so a failure names the criterion.
     #[test]
     fn slo_controller_holds_the_target_at_twice_capacity() {
-        use northup_sched::RejectReason;
+        use northup_sched::{RejectReason, INTERACTIVE_TARGET};
         let [at_capacity, _, overload, off, auto] = &slo_study();
         assert_eq!((overload.control, overload.load_pct), ("on", 200));
-        let target = overload_slo().targets[0];
+        let target = INTERACTIVE_TARGET;
         let p99i = |r: &SloRun| r.report.class_p99(Priority::Interactive);
 
         assert!(

@@ -17,10 +17,11 @@
 //! * [`FaultKind`] — *transient* faults go away when retried (a bus
 //!   hiccup, a dropped DMA); *persistent* faults do not (a dying device)
 //!   and count toward node quarantine.
-//! * [`RetryPolicy`] — bounded attempts with exponential backoff and
-//!   jitter drawn from the plan's seeded stream (never from a global
-//!   RNG). The scheduler sleeps in virtual time; real-mode drivers sleep
-//!   for real — both compute the delay with [`RetryPolicy::backoff`].
+//! * [`retry_backoff`] — at most [`RETRY_ATTEMPTS`] attempts with
+//!   exponential backoff and jitter drawn from the plan's seeded stream
+//!   (never from a global RNG). The scheduler sleeps in virtual time;
+//!   real-mode drivers sleep for real — both compute the delay with
+//!   [`retry_backoff`].
 //!
 //! Nothing here touches wall clocks or ambient randomness, so the
 //! project's determinism-taint invariant holds by construction.
@@ -177,58 +178,29 @@ impl FaultPlan {
     }
 }
 
-/// Bounded-attempt exponential backoff for transiently faulted stages.
-///
-/// A stage is attempted at most `max_attempts` times; the `n`-th retry
-/// waits `base_backoff × 2^(n-1)`, capped at `max_backoff` and stretched
-/// by up to 100% of seeded jitter. When the attempts are exhausted the
-/// fault escalates to the persistent path (the stage moves to other
-/// hardware, or the job fails).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total serve attempts per stage, including the first (≥ 1; 1 means
-    /// no retries — every fault escalates immediately).
-    pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub base_backoff: SimDur,
-    /// Ceiling on the exponential backoff (before jitter).
-    pub max_backoff: SimDur,
-}
+/// Total serve attempts per transiently faulted stage, including the
+/// first. When they are exhausted the fault escalates to the persistent
+/// path (the stage moves to other hardware, or the job fails).
+pub const RETRY_ATTEMPTS: u32 = 4;
+/// Backoff before the first retry.
+pub const RETRY_BASE: SimDur = SimDur::from_micros(200);
+/// Ceiling on the exponential backoff (before jitter).
+pub const RETRY_CAP: SimDur = SimDur::from_millis(20);
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: SimDur::from_micros(200),
-            max_backoff: SimDur::from_millis(20),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries (every fault escalates immediately).
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// The backoff before the `retry`-th retry (1-based), stretched by
-    /// `jitter ∈ [0, 1]`: `min(base × 2^(retry-1), max) × (1 + jitter)`,
-    /// floored at one microsecond so same-instant event loops cannot
-    /// form.
-    pub fn backoff(&self, retry: u32, jitter: f64) -> SimDur {
-        let exp = retry.saturating_sub(1).min(20);
-        let raw = self.base_backoff.as_secs_f64() * (1u64 << exp) as f64;
-        let capped = raw.min(self.max_backoff.as_secs_f64());
-        let j = if jitter.is_finite() {
-            jitter.clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        SimDur::from_secs_f64(capped * (1.0 + j)).max(SimDur::from_micros(1))
-    }
+/// The backoff before the `retry`-th retry (1-based), stretched by
+/// `jitter ∈ [0, 1]`: `min(RETRY_BASE × 2^(retry-1), RETRY_CAP) ×
+/// (1 + jitter)`, floored at one microsecond so same-instant event loops
+/// cannot form.
+pub fn retry_backoff(retry: u32, jitter: f64) -> SimDur {
+    let exp = retry.saturating_sub(1).min(20);
+    let raw = RETRY_BASE.as_secs_f64() * (1u64 << exp) as f64;
+    let capped = raw.min(RETRY_CAP.as_secs_f64());
+    let j = if jitter.is_finite() {
+        jitter.clamp(0.0, 1.0)
+    } else {
+        0.0
+    };
+    SimDur::from_secs_f64(capped * (1.0 + j)).max(SimDur::from_micros(1))
 }
 
 #[cfg(test)]
@@ -296,19 +268,22 @@ mod tests {
 
     #[test]
     fn backoff_grows_caps_and_respects_jitter() {
-        let p = RetryPolicy {
-            max_attempts: 8,
-            base_backoff: SimDur::from_micros(100),
-            max_backoff: SimDur::from_micros(1000),
-        };
-        let b1 = p.backoff(1, 0.0);
-        let b2 = p.backoff(2, 0.0);
-        let b5 = p.backoff(5, 0.0);
+        let b1 = retry_backoff(1, 0.0);
+        let b2 = retry_backoff(2, 0.0);
+        // 200 µs × 2^7 = 25.6 ms is past the 20 ms cap.
+        let b8 = retry_backoff(8, 0.0);
+        assert_eq!(b1, RETRY_BASE);
         assert!(b2 > b1, "exponential growth");
-        assert_eq!(b5, SimDur::from_micros(1000), "capped");
-        assert!(p.backoff(1, 1.0) > b1, "jitter stretches");
-        assert!(p.backoff(1, f64::NAN) == b1, "non-finite jitter ignored");
-        assert!(p.backoff(40, 0.0) >= b1, "huge retry counts do not wrap");
+        assert_eq!(b8, RETRY_CAP, "capped");
+        assert!(retry_backoff(1, 1.0) > b1, "jitter stretches");
+        assert!(
+            retry_backoff(1, f64::NAN) == b1,
+            "non-finite jitter ignored"
+        );
+        assert!(
+            retry_backoff(40, 0.0) >= b1,
+            "huge retry counts do not wrap"
+        );
     }
 
     #[test]

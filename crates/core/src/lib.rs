@@ -84,7 +84,7 @@ pub use fabric::{
     build_chain, ChainStage, Checkpoint, ChunkChain, ChunkWork, Fabric, FabricError, Stage,
     StageCost, StageRun,
 };
-pub use fault::{FaultKind, FaultPlan, RetryPolicy};
+pub use fault::{retry_backoff, FaultKind, FaultPlan, RETRY_ATTEMPTS};
 pub use lease::CapacityLease;
 pub use pipeline::{ChainBufs, ChunkPipeline};
 pub use plan::{plan_blocks, pow2_candidates, BlockPlan, DEFAULT_HEADROOM};

@@ -1,76 +1,26 @@
-//! Fleet configuration: shard topology, seeding, the inter-shard link,
-//! and router weights.
+//! Fleet configuration: shard topology, seeding and per-shard scheduler
+//! knobs, plus the modeled inter-shard link.
 
 use northup::{presets, FaultPlan, Tree};
 use northup_sched::{JobSpec, JobWork, Priority, Reservation, SchedulerConfig, TenantId};
-use northup_sim::{SimDur, SimTime};
+use northup_sim::{transfer_time, SimDur, SimTime};
 use std::collections::BTreeMap;
 
-/// The modeled link jobs migrate over (DESIGN.md §11): checkpointed
-/// state and un-staged input move between shards at `bandwidth` with a
-/// fixed `latency` floor. Shards share nothing else — the link is the
-/// only inter-tree edge in the fleet.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InterShardLink {
-    /// Sustained transfer bandwidth in bytes per second (clamped to
-    /// ≥ 1.0 so a transfer always has a finite finish time).
-    pub bandwidth: f64,
-    /// Per-transfer setup latency.
-    pub latency: SimDur,
-}
+/// Bandwidth of the link jobs migrate over (DESIGN.md §11), in bytes per
+/// second: EDR InfiniBand-class. Checkpointed state and un-staged input
+/// move between shards over it; shards share nothing else.
+const LINK_BANDWIDTH: f64 = 12.5e9;
+/// Fixed setup latency of one inter-shard transfer.
+const LINK_LATENCY: SimDur = SimDur::from_micros(5);
 
-impl Default for InterShardLink {
-    fn default() -> Self {
-        // EDR InfiniBand-class: ~12.5 GB/s with a 5 µs setup cost.
-        InterShardLink {
-            bandwidth: 12.5e9,
-            latency: SimDur::from_micros(5),
-        }
-    }
-}
-
-impl InterShardLink {
-    /// Virtual time to move `bytes` across the link: latency plus the
-    /// serialization time at `bandwidth`.
-    pub fn transfer(&self, bytes: u64) -> SimDur {
-        let serialize = SimDur::from_secs_f64(bytes as f64 / self.bandwidth.max(1.0));
-        self.latency + serialize
-    }
-}
-
-/// Weights of the router's scoring terms (all in comparable
-/// nanosecond-denominated units; see [`crate::router`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouterWeights {
-    /// Weight of the data-locality term: the modeled time to move the
-    /// job's input to a non-home shard.
-    pub locality: u64,
-    /// Weight of the load term: estimated service time of work already
-    /// routed to the shard this replay.
-    pub load: u64,
-    /// Weight of the fault-pressure term: each sub-threshold persistent
-    /// fault a shard has accumulated repels roughly one millisecond's
-    /// worth of score.
-    pub fault: u64,
-    /// Weight of the SLO-pressure term: shed jobs and guaranteed-class
-    /// p99 overshoot from the shard's latest report repel new work the
-    /// same way fault pressure does.
-    pub slo: u64,
-}
-
-impl Default for RouterWeights {
-    fn default() -> Self {
-        RouterWeights {
-            locality: 1,
-            load: 1,
-            fault: 1,
-            slo: 1,
-        }
-    }
+/// Virtual time to move `bytes` across the inter-shard link: latency
+/// plus the serialization time.
+pub(crate) fn link_transfer(bytes: u64) -> SimDur {
+    transfer_time(bytes, LINK_BANDWIDTH, LINK_LATENCY)
 }
 
 /// Everything the federation needs to run: N shard trees, per-shard
-/// scheduler knobs, the inter-shard link, and the migration bounds.
+/// scheduler knobs and per-shard fault overrides.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of shards (independent trees; must be ≥ 1).
@@ -87,28 +37,17 @@ pub struct FleetConfig {
     /// fleet seed, so every shard faults with the same shape but an
     /// independent stream.
     pub sched: SchedulerConfig,
-    /// The modeled inter-shard migration link.
-    pub link: InterShardLink,
-    /// Router scoring weights.
-    pub weights: RouterWeights,
     /// Per-shard fault-plan overrides: shard `s` uses
     /// `shard_overrides[&s]` verbatim (no reseeding) instead of the
     /// reseeded template — how a chaos study scripts a guaranteed
     /// quarantine on one shard while the rest stay clean.
     pub shard_overrides: BTreeMap<usize, FaultPlan>,
-    /// Cross-shard migrations one job may make before its failure is
-    /// final.
-    pub max_migrations: u32,
-    /// Re-run rounds the federation may take to settle migrations
-    /// (bounds the replay; each round only re-runs shards that received
-    /// migrants).
-    pub max_rounds: u32,
 }
 
 impl FleetConfig {
     /// The standard fleet: `shards` × [`presets::fleet_shard`] trees with
-    /// fault-aware placement and probation enabled inside every shard, a
-    /// deep admission queue for trace replay, and default link/weights.
+    /// fault-aware placement and probation enabled inside every shard and
+    /// a deep admission queue for trace replay.
     pub fn preset(shards: usize, seed: u64) -> Self {
         FleetConfig {
             shards,
@@ -120,11 +59,7 @@ impl FleetConfig {
                 probation: true,
                 ..SchedulerConfig::default()
             },
-            link: InterShardLink::default(),
-            weights: RouterWeights::default(),
             shard_overrides: BTreeMap::new(),
-            max_migrations: 3,
-            max_rounds: 4,
         }
     }
 }
@@ -217,19 +152,12 @@ mod tests {
 
     #[test]
     fn link_transfer_is_latency_plus_serialization() {
-        let link = InterShardLink {
-            bandwidth: 1e9,
-            latency: SimDur::from_micros(10),
-        };
-        assert_eq!(link.transfer(0), SimDur::from_micros(10));
-        let t = link.transfer(1 << 30);
-        assert!(t > SimDur::from_secs_f64(1.0), "1 GiB at 1 GB/s: {t:?}");
-        let degenerate = InterShardLink {
-            bandwidth: 0.0,
-            latency: SimDur::ZERO,
-        };
-        // Clamped bandwidth keeps transfers finite.
-        assert!(degenerate.transfer(1 << 20) < SimDur::from_secs_f64(1e9));
+        assert_eq!(link_transfer(0), LINK_LATENCY);
+        let one_second = LINK_BANDWIDTH as u64;
+        assert_eq!(
+            link_transfer(one_second),
+            LINK_LATENCY + SimDur::from_secs_f64(1.0)
+        );
     }
 
     #[test]

@@ -11,29 +11,33 @@
 //! 3. **Migrate**: on shards that fenced a node, jobs that ended
 //!    `Failed` or `Rejected` move to an untroubled shard, resuming from
 //!    their chunk checkpoint (`JobSpec::resume_from`) after a modeled
-//!    inter-shard transfer. Shards whose overload controller *shed*
-//!    work export exactly those shed jobs the same way — overloaded but
-//!    healthy shards offload instead of burning the work. Only the
-//!    receiving shards re-run.
-//! 4. Repeat until no migrations remain or `max_rounds` passes.
+//!    inter-shard transfer, at most `MAX_MIGRATIONS` (3) times per job.
+//!    Only the receiving shards re-run.
+//! 4. Repeat until no migrations remain or `MAX_ROUNDS` (4) re-run rounds
+//!    have passed.
 //!
-//! The protocol's exactly-once guarantee rests on one rule: **a shard
-//! that has ever exported work — by fencing a node or by shedding under
-//! overload — accepts no migrants**. Jobs only leave such shards and
-//! only enter clean ones, so once a job's chunks 0..k have run
-//! somewhere, that shard's trace — and therefore its bit-deterministic
-//! replay — never changes again, and the remnant `k..n` runs exactly
-//! once elsewhere (DESIGN.md §11).
+//! The protocol's exactly-once guarantee rests on one rule: **troubled
+//! shards export, clean shards import** — a shard that has fenced a
+//! node accepts no migrants. Jobs only leave such shards and only enter
+//! clean ones, so once a job's chunks 0..k have run somewhere, that
+//! shard's trace — and therefore its bit-deterministic replay — never
+//! changes again, and the remnant `k..n` runs exactly once elsewhere
+//! (DESIGN.md §11).
 
-use crate::config::{FleetConfig, FleetJob};
+use crate::config::{link_transfer, FleetConfig, FleetJob};
 use crate::error::FleetError;
 use crate::report::{self, FleetReport, MigrationRecord};
-use crate::router::{cost_ns, mix64, route, ShardView, PRESSURE_NS};
-use northup_sched::{
-    JobScheduler, JobSpec, JobState, NodeBudgets, Priority, RejectReason, SchedReport,
-};
+use crate::router::{cost_ns, mix64, route, ShardView};
+use northup_sched::{JobScheduler, JobSpec, JobState, NodeBudgets, SchedReport};
 use northup_sim::SimTime;
 use std::collections::BTreeSet;
+
+/// Cross-shard migrations one job may make before its failure is final.
+const MAX_MIGRATIONS: u32 = 3;
+
+/// Re-run rounds the federation may take to settle migrations (bounds
+/// the replay; each round only re-runs shards that received migrants).
+const MAX_ROUNDS: u32 = 4;
 
 /// One entry of a shard's submission trace: the fleet-wide uid plus the
 /// shard-local spec (with `start_chunk` set for migrated remnants).
@@ -108,7 +112,7 @@ impl Fleet {
 
     /// Route, run, migrate, settle; returns the fleet-wide report.
     pub fn run(self) -> Result<FleetReport, FleetError> {
-        let n = self.cfg.shards;
+        let (n, seed) = (self.cfg.shards, self.cfg.seed);
         let budgets = NodeBudgets::from_tree(&self.cfg.tree, 1.0);
         let mut views = vec![ShardView::default(); n];
         let mut traces: Vec<Vec<TraceEntry>> = (0..n).map(|_| Vec::new()).collect();
@@ -127,8 +131,7 @@ impl Fleet {
                 continue;
             }
             let home = (job.home as usize).min(n - 1);
-            let Some(s) = route(&self.cfg, uid as u64, home, job.input_bytes(), &views, None)
-            else {
+            let Some(s) = route(seed, uid as u64, home, job.input_bytes(), &views, None) else {
                 // Unreachable while at least one shard is untroubled,
                 // but a closed fleet rejects rather than errors.
                 router_rejected[uid] = true;
@@ -163,40 +166,24 @@ impl Fleet {
                         .map(|&v| u64::from(v))
                         .sum();
                     view.troubled = !r.quarantine_log.is_empty();
-                    // SLO pressure: sheds repel like faults, and p99
-                    // overshoot of the guaranteed class repels in plain
-                    // nanoseconds. A shard that shed work is exporting —
-                    // healthy or not, it accepts no migrants (frozen
-                    // trace ⇒ exactly-once, same rule as quarantine).
-                    view.slo_ns = match &self.cfg.sched.slo {
-                        Some(slo) => {
-                            let p99 = r.class_p99(Priority::Interactive);
-                            let over = p99.0.saturating_sub(slo.targets[0].0);
-                            u128::from(r.shed_log.len() as u64) * u128::from(PRESSURE_NS)
-                                + u128::from(over)
-                        }
-                        None => 0,
-                    };
-                    view.exporting |= !r.shed_log.is_empty();
                 }
             }
-            if rounds > self.cfg.max_rounds {
+            if rounds > MAX_ROUNDS {
                 break;
             }
             let candidates = self.find_candidates(&views, &traces, &path, &reports);
             for c in candidates {
-                if migrations_of[c.uid as usize] >= self.cfg.max_migrations {
+                if migrations_of[c.uid as usize] >= MAX_MIGRATIONS {
                     continue;
                 }
                 let job = &self.jobs[c.uid as usize];
                 let remaining = job.work.chunks.saturating_sub(c.chunks_done);
                 let bytes = job.work.read_bytes.saturating_mul(u64::from(remaining));
                 let home = (job.home as usize).min(n - 1);
-                let Some(target) = route(&self.cfg, c.uid, home, bytes, &views, Some(c.from))
-                else {
+                let Some(target) = route(seed, c.uid, home, bytes, &views, Some(c.from)) else {
                     continue; // nowhere untroubled: the failure is final
                 };
-                let transfer = self.cfg.link.transfer(bytes);
+                let transfer = link_transfer(bytes);
                 let spec = job
                     .to_spec()
                     .resume_from(c.chunks_done)
@@ -235,11 +222,9 @@ impl Fleet {
         }))
     }
 
-    /// The migration set, in uid order. A *troubled* shard (fenced a
-    /// node) exports every job whose latest outcome there is `Failed`
-    /// or `Rejected`; an *exporting* shard (healthy but overloaded —
-    /// its controller shed work) exports only the jobs it shed, so
-    /// overload spills sideways instead of burning the work.
+    /// The migration set, in uid order: every job whose latest outcome on
+    /// a *troubled* shard (one that fenced a node) is `Failed` or
+    /// `Rejected`.
     fn find_candidates(
         &self,
         views: &[ShardView],
@@ -249,7 +234,7 @@ impl Fleet {
     ) -> Vec<Candidate> {
         let mut candidates = Vec::new();
         for (s, view) in views.iter().enumerate() {
-            if !view.troubled && !view.exporting {
+            if !view.troubled {
                 continue;
             }
             let Some(report) = &reports[s] else {
@@ -263,12 +248,7 @@ impl Fleet {
                 let Some(out) = report.jobs.get(idx) else {
                     continue;
                 };
-                let exports = if view.troubled {
-                    matches!(out.state, JobState::Failed | JobState::Rejected)
-                } else {
-                    out.reject_reason == Some(RejectReason::Shed)
-                };
-                if !exports {
+                if !matches!(out.state, JobState::Failed | JobState::Rejected) {
                     continue;
                 }
                 candidates.push(Candidate {

@@ -6,17 +6,15 @@
 //! (DESIGN.md §11).
 //!
 //! * [`config`] — [`FleetConfig`] (shard count, fleet seed, shard tree,
-//!   per-shard scheduler knobs, the modeled [`InterShardLink`], router
-//!   weights, migration bounds) and [`FleetJob`] (a shard-agnostic spec
-//!   plus its data-home shard).
-//! * [`router`] — the pure scoring function: data locality (input→shard
-//!   affinity), current shard load, the same sub-threshold
-//!   fault-pressure signal fault-aware placement uses inside a shard,
-//!   and SLO pressure (shed jobs plus guaranteed-class p99 overshoot,
-//!   when per-shard overload control is on), with a seeded splitmix64
-//!   tiebreak. Placement is gang-style all-or-nothing: a job's whole
-//!   reservation fits one shard's budget vector or the router rejects
-//!   it.
+//!   per-shard scheduler knobs and fault overrides), the modeled
+//!   inter-shard link (a fixed 12.5 GB/s + 5 µs) and [`FleetJob`] (a
+//!   shard-agnostic spec plus its data-home shard).
+//! * [`router`] — the pure scoring function: the plain sum of data
+//!   locality (input→shard affinity), current shard load and the same
+//!   sub-threshold fault-pressure signal fault-aware placement uses
+//!   inside a shard, with a seeded splitmix64 tiebreak. Placement is
+//!   gang-style all-or-nothing: a job's whole reservation fits one
+//!   shard's budget vector or the router rejects it.
 //! * [`fleet`] — [`Fleet`]: instantiate N independent `JobScheduler`s
 //!   (each with budgets and a `FaultPlan` reseeded from the fleet
 //!   seed), run the routed traces, and **migrate** jobs off shards that
@@ -60,7 +58,7 @@ pub mod fleet;
 pub mod report;
 pub mod router;
 
-pub use config::{FleetConfig, FleetJob, InterShardLink, RouterWeights};
+pub use config::{FleetConfig, FleetJob};
 pub use error::FleetError;
 pub use fleet::Fleet;
 pub use report::{

@@ -1,8 +1,8 @@
 //! The shard router: pure scoring over data locality, shard load, and
 //! fault pressure, with a seeded deterministic tiebreak.
 //!
-//! Every term is denominated in (estimated) nanoseconds so the weighted
-//! sum compares like with like:
+//! Every term is denominated in (estimated) nanoseconds, so the score is
+//! their plain sum:
 //!
 //! * **locality** — the modeled time to move the job's input over the
 //!   inter-shard link when the candidate is not the job's home shard
@@ -15,19 +15,16 @@
 //!   fault-aware placement biases on *inside* a shard
 //!   (`SchedReport::node_fault_pressure`), lifted to the router: each
 //!   accumulated fault repels [`PRESSURE_NS`] of score.
-//! * **SLO pressure** — the overload-controller signal: [`PRESSURE_NS`]
-//!   per job the shard shed last round, plus the guaranteed-class p99
-//!   overshoot beyond its target in plain nanoseconds. An
-//!   overloaded-but-healthy shard additionally *exports* load — like a
-//!   quarantined shard it accepts no migrants, so its frozen trace keeps
-//!   the exactly-once chunk accounting.
+//!
+//! The router does not read a shard's SLO state: a shard given an
+//! overload controller runs it, and its sheds settle in place.
 //!
 //! Ties break by a splitmix64 hash of `(fleet seed, job uid, shard)` —
 //! deterministic for a fixed seed, yet uncorrelated with submission
 //! order — and finally by shard id. The score is a pure function of its
 //! inputs: same seed + same trace ⇒ same placement, bit for bit.
 
-use crate::config::{FleetConfig, RouterWeights};
+use crate::config::link_transfer;
 use northup_sched::JobWork;
 
 /// Score penalty per unit of accumulated fault pressure (~1 ms: one
@@ -56,16 +53,6 @@ pub(crate) struct ShardView {
     /// changing, which is what keeps completed chunk prefixes stable
     /// across migration rounds (DESIGN.md §11).
     pub troubled: bool,
-    /// SLO pressure from the shard's latest report, in score
-    /// nanoseconds: [`PRESSURE_NS`] per shed job plus the
-    /// guaranteed-class p99 overshoot beyond its target. Healthy shards
-    /// report zero.
-    pub slo_ns: u128,
-    /// The shard is exporting overload (it shed work this replay):
-    /// like `troubled`, it gives work away and accepts no migrants —
-    /// the same frozen-trace rule that keeps chunk prefixes exactly-once
-    /// applies to overload exports.
-    pub exporting: bool,
 }
 
 /// Crude service-time estimate of `remaining` chunks in nanoseconds:
@@ -83,7 +70,8 @@ pub(crate) fn cost_ns(work: &JobWork, remaining: u32) -> u128 {
 /// Pick the best shard for a job (or migration remnant), or `None` when
 /// no candidate is open.
 ///
-/// `transfer_bytes` is what a non-home placement moves over the link;
+/// `seed` is the fleet seed the tiebreak hashes; `transfer_bytes` is
+/// what a non-home placement moves over the link;
 /// `exclude` removes the migration source from candidacy. Troubled
 /// shards are never candidates. The gang-style all-or-nothing
 /// feasibility check — the *whole* reservation fits a single shard's
@@ -91,31 +79,23 @@ pub(crate) fn cost_ns(work: &JobWork, remaining: u32) -> u128 {
 /// caller, because shards are homogeneous and the answer is
 /// shard-independent.
 pub(crate) fn route(
-    cfg: &FleetConfig,
+    seed: u64,
     uid: u64,
     home: usize,
     transfer_bytes: u64,
     views: &[ShardView],
     exclude: Option<usize>,
 ) -> Option<usize> {
-    let RouterWeights {
-        locality,
-        load,
-        fault,
-        slo,
-    } = cfg.weights;
-    let away_ns = u128::from(cfg.link.transfer(transfer_bytes).0);
+    let away_ns = u128::from(link_transfer(transfer_bytes).0);
     let mut best: Option<((u128, u64, usize), usize)> = None;
     for (s, view) in views.iter().enumerate() {
-        if view.troubled || view.exporting || Some(s) == exclude {
+        if view.troubled || Some(s) == exclude {
             continue;
         }
         let locality_ns = if s == home { 0 } else { away_ns };
-        let score = u128::from(locality) * locality_ns
-            + u128::from(load) * view.load_ns
-            + u128::from(fault) * u128::from(view.pressure) * u128::from(PRESSURE_NS)
-            + u128::from(slo) * view.slo_ns;
-        let tiebreak = mix64(cfg.seed ^ mix64(uid.wrapping_mul(0x5851_F42D_4C95_7F2D) ^ s as u64));
+        let score =
+            locality_ns + view.load_ns + u128::from(view.pressure) * u128::from(PRESSURE_NS);
+        let tiebreak = mix64(seed ^ mix64(uid.wrapping_mul(0x5851_F42D_4C95_7F2D) ^ s as u64));
         let key = (score, tiebreak, s);
         if best.as_ref().is_none_or(|(b, _)| key < *b) {
             best = Some((key, s));
@@ -129,77 +109,45 @@ mod tests {
     use super::*;
     use northup_sched::JobWork;
 
-    fn cfg(shards: usize, seed: u64) -> FleetConfig {
-        FleetConfig::preset(shards, seed)
-    }
-
     #[test]
     fn data_gravity_wins_on_an_idle_fleet() {
-        let c = cfg(8, 42);
         let views = vec![ShardView::default(); 8];
         // A job with real input bytes sticks to its home shard.
         for home in 0..8 {
-            assert_eq!(route(&c, 1, home, 64 << 20, &views, None), Some(home));
+            assert_eq!(route(42, 1, home, 64 << 20, &views, None), Some(home));
         }
     }
 
     #[test]
     fn load_spills_jobs_off_a_saturated_home() {
-        let c = cfg(4, 7);
         let mut views = vec![ShardView::default(); 4];
         // Home is drowning in routed work; the input is tiny.
-        views[0].load_ns = u128::from(c.link.transfer(1 << 10).0) * 1000;
-        let s = route(&c, 5, 0, 1 << 10, &views, None);
+        views[0].load_ns = u128::from(link_transfer(1 << 10).0) * 1000;
+        let s = route(7, 5, 0, 1 << 10, &views, None);
         assert!(s.is_some() && s != Some(0), "spilled off home: {s:?}");
     }
 
     #[test]
     fn fault_pressure_repels_and_troubled_excludes() {
-        let c = cfg(3, 9);
         let mut views = vec![ShardView::default(); 3];
         views[0].troubled = true; // never a candidate
         views[1].pressure = 50; // ~50 ms of repulsion
-        let s = route(&c, 2, 0, 0, &views, None);
+        let s = route(9, 2, 0, 0, &views, None);
         assert_eq!(s, Some(2));
         views[2].troubled = true;
-        assert_eq!(route(&c, 2, 0, 0, &views, Some(1)), None, "all closed");
-    }
-
-    #[test]
-    fn slo_pressure_repels_and_exporting_excludes() {
-        let c = cfg(3, 11);
-        let mut views = vec![ShardView::default(); 3];
-        // Home shard is drowning in SLO pressure (sheds + p99 overshoot):
-        // new work is repelled even though its data lives there.
-        views[0].slo_ns = u128::from(PRESSURE_NS) * 10_000;
-        let s = route(&c, 4, 0, 1 << 10, &views, None);
-        assert!(s.is_some() && s != Some(0), "repelled off home: {s:?}");
-        // An overloaded-but-healthy shard exporting load accepts no
-        // migrants, exactly like a quarantined one.
-        views[1].exporting = true;
-        views[2].troubled = true;
-        assert_eq!(route(&c, 4, 0, 0, &views, Some(0)), None, "all closed");
+        assert_eq!(route(9, 2, 0, 0, &views, Some(1)), None, "all closed");
     }
 
     #[test]
     fn tiebreaks_are_seed_deterministic() {
         let views = vec![ShardView::default(); 16];
-        // Zero transfer bytes over a zero-latency link: every shard
-        // scores identically, so only the seeded tiebreak decides.
-        let tieable = |seed| {
-            let mut c = cfg(16, seed);
-            c.link.latency = northup_sim::SimDur::ZERO;
-            c
-        };
-        let a: Vec<_> = (0..64)
-            .map(|uid| route(&tieable(1), uid, 0, 0, &views, None))
-            .collect();
-        let b: Vec<_> = (0..64)
-            .map(|uid| route(&tieable(1), uid, 0, 0, &views, None))
-            .collect();
-        let c: Vec<_> = (0..64)
-            .map(|uid| route(&tieable(2), uid, 0, 0, &views, None))
-            .collect();
+        // With the home shard excluded, every candidate pays the same
+        // link latency on an idle fleet and scores identically, so only
+        // the seeded tiebreak decides.
+        let place = |seed, uid| route(seed, uid, 0, 0, &views, Some(0));
+        let a: Vec<_> = (0..64).map(|uid| place(1, uid)).collect();
+        let b: Vec<_> = (0..64).map(|uid| place(1, uid)).collect();
+        let c: Vec<_> = (0..64).map(|uid| place(2, uid)).collect();
         assert_eq!(a, b, "same seed ⇒ same placements");
         assert_ne!(a, c, "different seed ⇒ different tiebreaks");
         // And the tiebreak actually spreads jobs around.

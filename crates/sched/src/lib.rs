@@ -37,7 +37,7 @@
 //!
 //! The scheduler is also **fault-tolerant** (DESIGN.md §10): a seeded
 //! [`FaultPlan`] deterministically injects transient and persistent
-//! stage faults, the default [`RetryPolicy`](northup::fault::RetryPolicy)
+//! stage faults, [`retry_backoff`](northup::fault::retry_backoff)
 //! retries with exponential backoff charged in virtual time, nodes that
 //! keep failing are quarantined (budget zeroed, in-flight chains
 //! re-routed to surviving leaves from their checkpoints, infeasible
@@ -95,7 +95,10 @@ pub use scheduler::{
     ChunkSample, FaultOutcome, FaultSample, JobOutcome, JobScheduler, QuarantineSample,
     ResizeDrain, ResizeSample, RestoreSample, SchedReport, SchedulerConfig,
 };
-pub use slo::{percentile_sorted, DegradeLevel, RejectReason, ShedOutcome, SloConfig, SloSample};
+pub use slo::{
+    percentile_sorted, DegradeLevel, RejectReason, ShedOutcome, SloConfig, SloSample,
+    INTERACTIVE_TARGET,
+};
 // Re-export the shared IR (and the failure-domain vocabulary) so
 // scheduler users need not depend on `northup` directly.
 pub use northup::fabric::{build_chain, Checkpoint, ChunkChain, ChunkWork, Fabric};

@@ -171,78 +171,49 @@ pub struct SloSample {
     pub scale_pct: u32,
 }
 
-/// Controller knobs. All thresholds are integer percentages of the
-/// guaranteed-class target so every comparison is exact integer math.
-/// The p99 each tick reads covers a sliding window of at least the last
-/// 512 completions per class (`WINDOW`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The controller's one setting. Everything else it decides from is a
+/// constant: the Interactive p99 target ([`INTERACTIVE_TARGET`]), the
+/// tick, and the tier thresholds, each an integer percentage of the
+/// target so every comparison is exact integer math. The p99 each tick
+/// reads covers a sliding window of at least the last 512 completions
+/// per class (`WINDOW`).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SloConfig {
-    /// Control-tick interval in virtual time.
-    pub tick: SimDur,
-    /// Per-class p99 latency targets (Interactive, Normal, Batch).
-    /// Tiers trigger on the *Interactive* (guaranteed) target; the
-    /// others are reported for headroom.
-    pub targets: [SimDur; 3],
-    /// Pressure (percent of target) at which backpressure engages.
-    pub cap_pct: u32,
-    /// Pressure at which shedding engages.
-    pub shed_pct: u32,
-    /// Pressure at which brownout deepens one level per tick.
-    pub degrade_pct: u32,
-    /// Pressure below which the controller relaxes one step per tick.
-    pub relax_pct: u32,
-    /// Best-effort queue cap applied while backpressure is engaged.
-    pub batch_cap: u32,
-    /// Most jobs the shedding tier removes per tick (bounds the work a
-    /// single tick does).
-    pub shed_per_tick: u32,
-    /// Consecutive breached ticks before the autoscale tier reacts.
-    pub breach_ticks: u32,
-    /// Apply the projected capacity to the node budgets (when `false`
-    /// the projection is still computed and reported, but budgets stay
-    /// fixed — pure capacity planning).
+    /// Apply the projected capacity to the node budgets, up to 4× the
+    /// originals (when `false` the projection is still computed and
+    /// reported, but budgets stay fixed — pure capacity planning).
     pub autoscale: bool,
-    /// Autoscale ceiling in percent of the original budgets (read as
-    /// at least the scale already applied).
-    pub max_scale_pct: u32,
 }
 
-impl Default for SloConfig {
-    fn default() -> Self {
-        SloConfig {
-            tick: SimDur::from_millis(5),
-            targets: [
-                SimDur::from_millis(50),
-                SimDur::from_millis(200),
-                SimDur::from_millis(1_000),
-            ],
-            cap_pct: 85,
-            shed_pct: 100,
-            degrade_pct: 115,
-            relax_pct: 70,
-            batch_cap: 4,
-            shed_per_tick: 8,
-            breach_ticks: 4,
-            autoscale: false,
-            max_scale_pct: 400,
-        }
-    }
-}
+/// The guaranteed-class (Interactive) p99 latency target the tiers
+/// defend.
+pub const INTERACTIVE_TARGET: SimDur = SimDur::from_millis(70);
+/// Control-tick interval in virtual time.
+pub(crate) const TICK: SimDur = SimDur::from_millis(5);
+/// Pressure (percent of target) at which backpressure engages.
+const CAP_PCT: u32 = 50;
+/// Pressure at which shedding engages.
+const SHED_PCT: u32 = 70;
+/// Pressure at which brownout deepens one level per tick.
+const DEGRADE_PCT: u32 = 85;
+/// Pressure below which the controller relaxes one step per tick — low
+/// enough that the clamps never oscillate off mid-overload.
+const RELAX_PCT: u32 = 40;
+/// Best-effort queue cap applied while backpressure is engaged.
+const BATCH_CAP: u32 = 1;
+/// Most jobs the shedding tier removes per tick (bounds the work a
+/// single tick does).
+const SHED_PER_TICK: u32 = 16;
+/// Consecutive breached ticks before the autoscale tier reacts.
+const BREACH_TICKS: u32 = 4;
+/// Autoscale ceiling in percent of the original budgets.
+const MAX_SCALE_PCT: u32 = 400;
 
-impl SloConfig {
-    /// Set the guaranteed-class (Interactive) p99 target.
-    pub fn interactive_target(mut self, t: SimDur) -> Self {
-        self.targets[0] = t;
-        self
-    }
-
-    /// Enable budget autoscaling up to `max_scale_pct`.
-    pub fn with_autoscale(mut self, ceiling_pct: u32) -> Self {
-        self.autoscale = true;
-        self.max_scale_pct = ceiling_pct.max(100);
-        self
-    }
-}
+const _: () = {
+    assert!(TICK.0 > 0 && INTERACTIVE_TARGET.0 > 0);
+    assert!(RELAX_PCT < CAP_PCT && CAP_PCT < SHED_PCT && SHED_PCT < DEGRADE_PCT);
+    assert!(BREACH_TICKS >= 1 && MAX_SCALE_PCT >= 100);
+};
 
 /// Completion-latency samples a class window always covers: it grows to
 /// `2 * WINDOW - 1` samples, then its older half drains.
@@ -290,8 +261,8 @@ pub(crate) struct SloDecision {
 /// deterministic function of the completion stream and the tick clock.
 #[derive(Debug, Clone)]
 pub(crate) struct SloState {
-    /// The knobs.
-    pub cfg: SloConfig,
+    /// Apply the projection to the budgets ([`SloConfig::autoscale`]).
+    autoscale: bool,
     /// Sliding completion-latency windows per class, in arrival order.
     samples: [Vec<SimDur>; 3],
     /// The `TOP` largest samples of each window, in descending order
@@ -310,7 +281,7 @@ pub(crate) struct SloState {
     pub degrade: DegradeLevel,
     /// Dynamic best-effort queue cap (`None` = uncapped).
     pub batch_cap: Option<u32>,
-    /// Consecutive ticks at or above `shed_pct`.
+    /// Consecutive ticks at or above `SHED_PCT`.
     breach_streak: u32,
     /// Capacity scale currently applied, percent of original budgets.
     pub scale_pct: u32,
@@ -328,7 +299,7 @@ impl SloState {
     /// Fresh controller state for one run.
     pub fn new(cfg: SloConfig) -> Self {
         SloState {
-            cfg,
+            autoscale: cfg.autoscale,
             samples: [Vec::new(), Vec::new(), Vec::new()],
             top: Box::new([[SimDur::ZERO; TOP]; 3]),
             arrivals: [0; 3],
@@ -384,24 +355,24 @@ impl SloState {
     /// sheddable jobs are currently queued (bounds the shed quota).
     pub fn tick(&mut self, at: SimTime, shed_backlog: u32) -> SloDecision {
         let p99 = [self.p99(0), self.p99(1), self.p99(2)];
-        let target = self.cfg.targets[0].0.max(1);
         // Ratio of like units (ns / ns) expressed in integer percent.
-        let pressure_pct = u32::try_from(p99[0].0.saturating_mul(100) / target).unwrap_or(u32::MAX);
+        let pressure_pct =
+            u32::try_from(p99[0].0.saturating_mul(100) / INTERACTIVE_TARGET.0).unwrap_or(u32::MAX);
 
         let mut shed = 0u32;
-        if pressure_pct >= self.cfg.degrade_pct {
+        if pressure_pct >= DEGRADE_PCT {
             self.tier = self.tier.max(3);
             self.degrade = self.degrade.deeper();
-            self.batch_cap = Some(self.cfg.batch_cap);
-            shed = self.cfg.shed_per_tick.min(shed_backlog);
-        } else if pressure_pct >= self.cfg.shed_pct {
+            self.batch_cap = Some(BATCH_CAP);
+            shed = SHED_PER_TICK.min(shed_backlog);
+        } else if pressure_pct >= SHED_PCT {
             self.tier = self.tier.max(2);
-            self.batch_cap = Some(self.cfg.batch_cap);
-            shed = self.cfg.shed_per_tick.min(shed_backlog);
-        } else if pressure_pct >= self.cfg.cap_pct {
+            self.batch_cap = Some(BATCH_CAP);
+            shed = SHED_PER_TICK.min(shed_backlog);
+        } else if pressure_pct >= CAP_PCT {
             self.tier = self.tier.max(1);
-            self.batch_cap = Some(self.cfg.batch_cap);
-        } else if pressure_pct < self.cfg.relax_pct {
+            self.batch_cap = Some(BATCH_CAP);
+        } else if pressure_pct < RELAX_PCT {
             // De-escalate one step per calm tick: brownout lifts first,
             // then the queue cap, then the tier resets.
             if self.degrade != DegradeLevel::None {
@@ -431,17 +402,18 @@ impl SloState {
         let shed_expand =
             u32::try_from(total_arrivals.saturating_mul(100) / served).unwrap_or(u32::MAX);
         let demand_pct = pressure_pct.max(shed_expand);
-        if pressure_pct >= self.cfg.shed_pct {
+        if pressure_pct >= SHED_PCT {
             self.breach_streak += 1;
         } else {
             self.breach_streak = 0;
         }
-        if self.breach_streak >= self.cfg.breach_ticks.max(1) {
-            let ceiling = self.cfg.max_scale_pct.max(self.scale_pct);
-            let projected =
-                (self.scale_pct.saturating_mul(demand_pct) / 100).clamp(self.scale_pct, ceiling);
+        if self.breach_streak >= BREACH_TICKS {
+            // `scale_pct` only grows toward the ceiling, so the clamp's
+            // bounds are always ordered.
+            let projected = (self.scale_pct.saturating_mul(demand_pct) / 100)
+                .clamp(self.scale_pct, MAX_SCALE_PCT);
             self.needed_pct = self.needed_pct.max(projected);
-            if self.cfg.autoscale && projected > self.scale_pct {
+            if self.autoscale && projected > self.scale_pct {
                 self.tier = 4;
                 self.scale_pct = projected;
                 self.breach_streak = 0;
@@ -579,12 +551,7 @@ mod tests {
 
     #[test]
     fn escalation_ladder_walks_up_and_relaxes_down() {
-        let cfg = SloConfig {
-            breach_ticks: 2,
-            ..SloConfig::default()
-        };
-        let target = cfg.targets[0];
-        let mut s = SloState::new(cfg);
+        let mut s = SloState::new(SloConfig::default());
         // Calm: plenty of fast completions, no reaction.
         for _ in 0..32 {
             s.on_completion(0, SimDur::from_millis(1));
@@ -594,14 +561,19 @@ mod tests {
         assert!(s.batch_cap.is_none());
         // Breach: p99 lands well past target ⇒ cap, shed, then brownout.
         for _ in 0..64 {
-            s.on_completion(0, SimDur(target.0 * 2));
+            s.on_completion(0, SimDur(INTERACTIVE_TARGET.0 * 2));
         }
-        let d = s.tick(SimTime::from_secs_f64(0.005), 10);
+        let mut at = SimTime::ZERO + TICK;
+        let d = s.tick(at, 10);
         assert!(s.tier >= 2, "tier {}", s.tier);
         assert!(d.shed > 0 && s.batch_cap.is_some());
-        s.tick(SimTime::from_secs_f64(0.010), 10);
+        assert_eq!(s.needed_pct, 100, "one breached tick projects nothing");
         assert!(s.degrade != DegradeLevel::None, "brownout engaged");
         // Sustained breach projects a capacity need > 100%.
+        for _ in 1..BREACH_TICKS {
+            at += TICK;
+            s.tick(at, 10);
+        }
         assert!(s.needed_pct > 100, "needed {}", s.needed_pct);
         assert_eq!(s.scale_pct, 100, "autoscale off: budgets untouched");
         // Recovery: fresh fast completions age the breach out of the
@@ -609,10 +581,9 @@ mod tests {
         for _ in 0..2048 {
             s.on_completion(0, SimDur::from_millis(1));
         }
-        let mut at = SimTime::from_secs_f64(0.015);
         for _ in 0..8 {
+            at += TICK;
             s.tick(at, 0);
-            at += SimDur::from_millis(5);
         }
         assert_eq!(s.degrade, DegradeLevel::None, "brownout lifted");
         assert!(s.batch_cap.is_none(), "cap lifted");
@@ -621,45 +592,20 @@ mod tests {
 
     #[test]
     fn autoscale_projection_applies_and_respects_the_ceiling() {
-        let cfg = SloConfig {
-            breach_ticks: 1,
-            ..SloConfig::default().with_autoscale(250)
-        };
-        let target = cfg.targets[0];
-        let mut s = SloState::new(cfg);
+        let mut s = SloState::new(SloConfig { autoscale: true });
+        // 8× the target: the demand is twice the ceiling.
         for _ in 0..64 {
-            s.on_completion(0, SimDur(target.0 * 4));
+            s.on_completion(0, SimDur(INTERACTIVE_TARGET.0 * 8));
         }
         let mut at = SimTime::ZERO;
-        for _ in 0..6 {
+        for _ in 0..2 * BREACH_TICKS {
             s.tick(at, 0);
-            at += SimDur::from_millis(5);
+            at += TICK;
         }
+        assert!(s.log.iter().all(|t| t.pressure_pct > MAX_SCALE_PCT));
         assert!(s.scale_pct > 100, "scaled: {}", s.scale_pct);
-        assert!(s.scale_pct <= 250, "ceiling: {}", s.scale_pct);
+        assert!(s.scale_pct <= MAX_SCALE_PCT, "ceiling: {}", s.scale_pct);
         assert_eq!(s.needed_pct, s.scale_pct);
-    }
-
-    #[test]
-    fn a_ceiling_below_the_applied_scale_is_read_as_the_scale() {
-        // `max_scale_pct` is a public field: set directly it skips
-        // `with_autoscale`'s clamp to at least 100 %.
-        let cfg = SloConfig {
-            breach_ticks: 1,
-            max_scale_pct: 50,
-            ..SloConfig::default()
-        };
-        let target = cfg.targets[0];
-        let mut s = SloState::new(cfg);
-        for _ in 0..64 {
-            s.on_completion(0, SimDur(target.0 * 4));
-        }
-        let mut at = SimTime::ZERO;
-        for _ in 0..6 {
-            s.tick(at, 0);
-            at += SimDur::from_millis(5);
-        }
-        assert_eq!(s.scale_pct, 100, "budgets never shrink below the original");
     }
 
     #[test]

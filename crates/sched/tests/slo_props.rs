@@ -20,30 +20,27 @@ use northup_sched::{
 use northup_sim::{SimDur, SimTime};
 use proptest::prelude::*;
 
-/// (dram fraction, chunks, priority index, arrival µs).
+/// (dram fraction, chunks, priority index, arrival µs before [`SLOW`]).
 type JobTuple = (f64, u32, usize, u64);
 
 fn job_strategy() -> impl Strategy<Value = JobTuple> {
     (0.05f64..0.95, 0u32..6, 0usize..3, 0u64..30_000)
 }
 
-/// (target µs, batch cap, shed per tick, autoscale) — tight targets so
-/// small generated traces still push the controller through its tiers.
-type SloTuple = (u64, u32, u32, bool);
+/// Work and arrivals are stretched this many times, so that small
+/// generated traces push the controller's fixed 70 ms Interactive
+/// target through every tier.
+const SLOW: u64 = 20;
+
+/// The controller's one setting, autoscale.
+type SloTuple = bool;
 
 fn slo_strategy() -> impl Strategy<Value = SloTuple> {
-    (500u64..50_000, 1u32..6, 1u32..16, any::<bool>())
+    any::<bool>()
 }
 
-fn slo_config(&(target_us, batch_cap, shed_per_tick, autoscale): &SloTuple) -> SloConfig {
-    let mut slo = SloConfig::default().interactive_target(SimDur::from_micros(target_us));
-    slo.tick = SimDur::from_millis(1);
-    slo.batch_cap = batch_cap;
-    slo.shed_per_tick = shed_per_tick;
-    if autoscale {
-        slo = slo.with_autoscale(300);
-    }
-    slo
+fn slo_config(&autoscale: &SloTuple) -> SloConfig {
+    SloConfig { autoscale }
 }
 
 fn build(trace: &[JobTuple], slo: Option<SloConfig>, preempt: bool) -> SchedReport {
@@ -66,12 +63,12 @@ fn build(trace: &[JobTuple], slo: Option<SloConfig>, preempt: bool) -> SchedRepo
                 format!("s{i}"),
                 Reservation::new().with(dram, (budget as f64 * frac) as u64),
                 JobWork::new(chunks)
-                    .read(8 << 20)
-                    .xfer(8 << 20)
-                    .compute(SimDur::from_micros(500)),
+                    .read(SLOW * (8 << 20))
+                    .xfer(SLOW * (8 << 20))
+                    .compute(SimDur::from_micros(SLOW * 500)),
             )
             .priority(Priority::ALL[prio])
-            .arrival(SimTime::from_secs_f64(arrival_us as f64 * 1e-6)),
+            .arrival(SimTime(SLOW * arrival_us * 1_000)),
         );
     }
     sched.run().unwrap()
@@ -110,8 +107,8 @@ proptest! {
         let dram = tree.children(tree.root())[0];
         let budget = tree.node(dram).mem.capacity;
         // Autoscale may legitimately raise budgets; the envelope is the
-        // scaled ceiling, never more.
-        let ceiling = budget.saturating_mul(3);
+        // scaled ceiling (4× the budget), never more.
+        let ceiling = budget.saturating_mul(4);
         let scaled = report.slo_log.iter().any(|s| s.scale_pct > 100);
         for s in report.capacity_trace() {
             let cap = if scaled { ceiling } else { budget };
@@ -123,7 +120,7 @@ proptest! {
         }
         for (node, peak) in report.max_committed_pairs() {
             let base = tree.node(node).mem.capacity;
-            let cap = if scaled { base.saturating_mul(3) } else { base };
+            let cap = if scaled { base.saturating_mul(4) } else { base };
             prop_assert!(peak <= cap);
         }
     }
