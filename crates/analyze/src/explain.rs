@@ -46,7 +46,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         number: "R3",
         summary: "acquired buffers/leases need a reachable release or an escaping handle",
         scope: &["sched", "apps"],
-        inputs: Some("alloc/alloc_on_child call sites in fns whose signature keeps the handle"),
+        inputs: Some("alloc call sites in fns whose signature keeps the handle"),
         contract: "Every alloc/lease acquisition needs a reachable release in the \
                    same item — release/free/drop, or an alloc on a Runtime the \
                    item itself built (its drop reclaims the buffer) — or the \
@@ -59,7 +59,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         id: rules::PANIC_PATHS,
         number: "R4",
         summary: "no unwrap()/expect(..)/panic! in non-test runtime code",
-        scope: &["core", "exec", "sched", "fleet"],
+        scope: &["core", "exec", "sched", "fleet", "apps"],
         inputs: None,
         contract: "No unwrap()/expect()/panic! in non-test runtime code; a panic on \
                    a pool thread poisons the run. Return the typed error instead.",

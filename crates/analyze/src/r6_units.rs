@@ -583,9 +583,10 @@ fn split_args(sf: &SourceFile, open: usize) -> Option<Vec<(usize, usize)>> {
             start = k + 1;
         }
     }
-    if start >= close {
-        return None;
+    // A trailing comma (a call rustfmt wraps) already closed the last
+    // argument.
+    if start < close {
+        spans.push((start, close - 1));
     }
-    spans.push((start, close - 1));
     Some(spans)
 }

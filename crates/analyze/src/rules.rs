@@ -65,8 +65,7 @@ fn r2_ordered_iteration(sf: &SourceFile, krate: &str, inputs: &mut Inputs, out: 
     }
 }
 
-/// R3: a function that acquires a buffer/lease (`alloc`/`alloc_on_child`
-/// call) must either release it in the same item (`release`/`free`/
+/// R3: a function that acquires a buffer/lease (`alloc` call) must either release it in the same item (`release`/`free`/
 /// `drop` reachable in the body, or the receiver is a `Runtime` the item
 /// built, or a name bound from one, whose drop reclaims it) or visibly
 /// transfer ownership out (return type mentioning a handle, or a
@@ -109,7 +108,7 @@ fn r3_lease_discipline(sf: &SourceFile, inputs: &mut Inputs, out: &mut Vec<Findi
                 owned.extend(sf.ct(ci - 2).map(|n| n.text.as_str()));
             }
             if sf.ct(ci + 1).is_some_and(|n| n.is_punct('(')) {
-                if t.is_ident("alloc") || t.is_ident("alloc_on_child") {
+                if t.is_ident("alloc") {
                     count_input(inputs, rules::LEASE_DISCIPLINE, &sf.path);
                     let receiver = ci.checked_sub(2).and_then(|r| sf.ct(r));
                     if !receiver.is_some_and(|r| owned.contains(&r.text.as_str())) {

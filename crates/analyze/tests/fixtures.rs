@@ -94,7 +94,7 @@ fn lease_clean_release_and_escape() {
 fn lease_suppressed_with_justification() {
     let r = one(
         "crates/apps/src/pinned.rs",
-        "fn pinned(rt: &Runtime) {\n    // analyze:allow(lease-discipline): buffer lives for the whole run; Runtime drop reclaims it\n    let b = rt.alloc(1024, root).unwrap();\n    let _ = b;\n}\n",
+        "fn pinned(rt: &Runtime) {\n    // analyze:allow(lease-discipline): buffer lives for the whole run; Runtime drop reclaims it\n    let b = rt.alloc(1024, root);\n    let _ = b;\n}\n",
     );
     assert_eq!(r.failing().count(), 0);
     assert_eq!(r.findings.iter().filter(|f| f.suppressed).count(), 1);
@@ -118,7 +118,7 @@ fn panic_paths_true_positive() {
     // the rest of the scope.
     let r = one("crates/exec/src/hot.rs", "fn f() { panic!(\"boom\"); }\n");
     assert_eq!(r.failing_for(rules::PANIC_PATHS), 1);
-    for krate in ["sched", "fleet"] {
+    for krate in ["sched", "fleet", "apps"] {
         let path = format!("crates/{krate}/src/hot.rs");
         let r = one(&path, "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n");
         assert_eq!(failing_lines(&r, rules::PANIC_PATHS), vec![2], "{krate}");
@@ -150,8 +150,8 @@ fn panic_paths_clean() {
         "// never unwrap() here\nfn f() -> &'static str { \"x.unwrap()\" }\n",
     );
     assert_eq!(r.failing_for(rules::PANIC_PATHS), 0);
-    // apps is outside R4's scope.
-    let r = one("crates/apps/src/hot.rs", "fn f() { x.unwrap(); }\n");
+    // kernels is outside R4's scope.
+    let r = one("crates/kernels/src/hot.rs", "fn f() { x.unwrap(); }\n");
     assert_eq!(r.failing_for(rules::PANIC_PATHS), 0);
 }
 
@@ -296,6 +296,25 @@ fn unit_call_site_argument_check() {
     let message = seed.trips(rules::UNIT_CONSISTENCY, ".xfer(self.compute.0)");
     assert!(message.contains("`compute` (ns)"), "{message}");
     assert!(message.contains("parameter `bytes`"), "{message}");
+}
+
+/// A call rustfmt wraps over several lines ends its argument list in a
+/// comma; the argument check must still see its arguments.
+#[test]
+fn unit_call_site_argument_check_sees_wrapped_calls() {
+    let r = one(
+        "crates/sched/src/stage.rs",
+        "fn stage(bytes: u64, label: &str) -> u64 {\n\
+         \x20   bytes + label.len() as u64\n\
+         }\n\
+         fn caller(wait_ns: u64) -> u64 {\n\
+         \x20   stage(\n\
+         \x20       wait_ns,\n\
+         \x20       \"a label long enough that rustfmt wraps the call\",\n\
+         \x20   )\n\
+         }\n",
+    );
+    assert_eq!(failing_lines(&r, rules::UNIT_CONSISTENCY), vec![6]);
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! a phase change is noticed.
 
 use crate::report::AppRun;
-use northup::{ExecMode, ProcKind, Result, Runtime};
+use northup::{ExecMode, NorthupError, ProcKind, Result, Runtime};
 use northup_kernels::ProcModel;
 use northup_sim::SimDur;
 use serde::{Deserialize, Serialize};
@@ -50,12 +50,14 @@ impl AdaptiveMapper {
         }
     }
 
-    /// Pick the processor for the next chunk.
-    pub fn choose(&mut self) -> ProcKind {
+    /// Pick the processor for the next chunk: `None` only for a mapper
+    /// over no processors. Until some device has a measured rate, the
+    /// first one runs.
+    pub fn choose(&mut self) -> Option<ProcKind> {
         // Outstanding probes first (deterministic order).
         if let Some(slot) = self.probes_left.iter_mut().find(|(_, n)| *n > 0) {
             slot.1 -= 1;
-            return slot.0;
+            return Some(slot.0);
         }
         // Periodic re-probe of the currently losing device.
         self.since_reprobe += 1;
@@ -63,10 +65,10 @@ impl AdaptiveMapper {
         if self.since_reprobe >= self.reprobe_every {
             self.since_reprobe = 0;
             if let Some(&(loser, _)) = self.probes_left.iter().find(|(k, _)| Some(*k) != best) {
-                return loser;
+                return Some(loser);
             }
         }
-        best.expect("probed at least one device")
+        best.or_else(|| self.probes_left.first().map(|&(k, _)| k))
     }
 
     /// The device with the best observed rate.
@@ -93,8 +95,8 @@ pub struct AdaptiveOutcome {
     pub run: AppRun,
     /// Chunks executed per processor.
     pub per_device: Vec<(ProcKind, usize)>,
-    /// The device the mapper settled on.
-    pub settled: ProcKind,
+    /// The device the mapper settled on (`None` when no chunk ran).
+    pub settled: Option<ProcKind>,
 }
 
 /// Scenario: a stream of equal stencil chunks at an APU leaf; choose the
@@ -124,7 +126,7 @@ pub fn adaptive_stencil_stream(
         let stage_buf = rt.alloc(bytes, stage)?;
         rt.move_data(stage_buf, 0, file, c * bytes, bytes)?;
         let kind = match policy {
-            Policy::Adaptive => mapper.choose(),
+            Policy::Adaptive => mapper.choose().ok_or(NorthupError::NoProcessor(stage))?,
             Policy::Static(k) => k,
         };
         let dur = match kind {
@@ -137,7 +139,7 @@ pub fn adaptive_stencil_stream(
         rt.release(stage_buf)?;
     }
 
-    let settled = mapper.best().expect("ran chunks");
+    let settled = mapper.best();
     let mut per_device: Vec<(ProcKind, usize)> = counts.into_iter().collect();
     per_device.sort_by_key(|(k, _)| format!("{k}"));
     Ok(AdaptiveOutcome {
@@ -171,7 +173,7 @@ mod tests {
         // Four probes (two per device) come first.
         let mut probes = Vec::new();
         for _ in 0..4 {
-            let k = m.choose();
+            let k = m.choose().unwrap();
             // GPU is 4x faster in this synthetic feed.
             let dur = if k == ProcKind::Gpu {
                 SimDur::from_millis(10)
@@ -184,7 +186,7 @@ mod tests {
         assert_eq!(probes.iter().filter(|&&k| k == ProcKind::Gpu).count(), 2);
         // Then it settles on the GPU.
         for _ in 0..10 {
-            let k = m.choose();
+            let k = m.choose().unwrap();
             m.observe(
                 k,
                 1.0,
@@ -200,7 +202,7 @@ mod tests {
         let mut m = AdaptiveMapper::new(&[ProcKind::Gpu, ProcKind::Cpu], 1, 5);
         // Initially GPU wins.
         for _ in 0..8 {
-            let k = m.choose();
+            let k = m.choose().unwrap();
             m.observe(
                 k,
                 1.0,
@@ -210,7 +212,7 @@ mod tests {
         assert_eq!(m.best(), Some(ProcKind::Gpu));
         // Phase change: GPU becomes terrible. Re-probes must flip the choice.
         for _ in 0..200 {
-            let k = m.choose();
+            let k = m.choose().unwrap();
             m.observe(
                 k,
                 1.0,
@@ -223,7 +225,7 @@ mod tests {
     #[test]
     fn large_blocks_settle_on_the_gpu() {
         let out = adaptive_stencil_stream(32, 1024, 8, Policy::Adaptive).unwrap();
-        assert_eq!(out.settled, ProcKind::Gpu);
+        assert_eq!(out.settled, Some(ProcKind::Gpu));
         let gpu_chunks = out
             .per_device
             .iter()
@@ -237,7 +239,15 @@ mod tests {
     fn tiny_blocks_settle_on_the_cpu() {
         // 8x8 chunks: the GPU's 15us launch overhead dwarfs the work.
         let out = adaptive_stencil_stream(32, 8, 1, Policy::Adaptive).unwrap();
-        assert_eq!(out.settled, ProcKind::Cpu, "{:?}", out.per_device);
+        assert_eq!(out.settled, Some(ProcKind::Cpu), "{:?}", out.per_device);
+    }
+
+    #[test]
+    fn an_empty_stream_settles_nowhere() {
+        let out = adaptive_stencil_stream(0, 8, 1, Policy::Adaptive).unwrap();
+        assert_eq!(out.settled, None);
+        assert!(out.per_device.is_empty());
+        assert_eq!(AdaptiveMapper::new(&[], 1, 1).choose(), None);
     }
 
     #[test]

@@ -167,40 +167,27 @@ pub fn run_balanced(cfg: &BalanceConfig) -> BalanceRun {
     }
 }
 
-/// The Fig. 11 series: for one input point, the speedup of CPU+GPU work
-/// stealing over GPU-only Northup execution at the same GPU queue count
-/// (the paper's normalization; "up to 24%" improvement, 32 queues best in
-/// absolute terms).
-pub fn fig11_speedup(m: usize, chunk: usize, gpu_queues: usize) -> f64 {
-    let base_cfg = BalanceConfig {
-        gpu_queues,
+/// The Fig. 11 series: for one input point (one of
+/// [`BalanceConfig::paper_points`]), the speedup of CPU+GPU work stealing
+/// over GPU-only Northup execution at the same GPU queue count (the
+/// paper's normalization; "up to 24%" improvement, 32 queues best in
+/// absolute terms). `point.stealing` is ignored: both sides are run.
+pub fn fig11_speedup(point: &BalanceConfig) -> f64 {
+    let base = run_balanced(&BalanceConfig {
         stealing: false,
-        ..BalanceConfig::paper_points(gpu_queues, false)
-            .into_iter()
-            .find(|c| c.m == m && c.chunk == chunk)
-            .expect("known input point")
-    };
-    let steal_cfg = BalanceConfig {
-        stealing: true,
-        ..base_cfg
-    };
-    let base = run_balanced(&base_cfg);
-    let steal = run_balanced(&steal_cfg);
-    base.makespan.as_secs_f64() / steal.makespan.as_secs_f64()
+        ..*point
+    });
+    base.makespan.as_secs_f64() / fig11_absolute(point).as_secs_f64()
 }
 
-/// Absolute makespan of the work-stealing configuration (used to show that
-/// 32 queues gives the best absolute performance).
-pub fn fig11_absolute(m: usize, chunk: usize, gpu_queues: usize) -> SimDur {
-    let cfg = BalanceConfig {
-        gpu_queues,
+/// Absolute makespan of the work-stealing configuration at `point` (used
+/// to show that 32 queues gives the best absolute performance).
+pub fn fig11_absolute(point: &BalanceConfig) -> SimDur {
+    run_balanced(&BalanceConfig {
         stealing: true,
-        ..BalanceConfig::paper_points(gpu_queues, true)
-            .into_iter()
-            .find(|c| c.m == m && c.chunk == chunk)
-            .expect("known input point")
-    };
-    run_balanced(&cfg).makespan
+        ..*point
+    })
+    .makespan
 }
 
 #[cfg(test)]
@@ -215,6 +202,14 @@ mod tests {
         }
     }
 
+    /// The paper input `input` at `q` GPU queues.
+    fn point_at(input: &BalanceConfig, q: usize) -> BalanceConfig {
+        BalanceConfig {
+            gpu_queues: q,
+            ..*input
+        }
+    }
+
     #[test]
     fn chunk_and_task_counts() {
         let c = point(32, true);
@@ -224,9 +219,10 @@ mod tests {
 
     #[test]
     fn stealing_improves_every_queue_count() {
-        for (m, n) in [(16_384usize, 2_048usize), (16_384, 4_096), (32_768, 4_096)] {
+        for input in BalanceConfig::paper_points(8, true) {
+            let (m, n) = (input.m, input.chunk);
             for q in [8usize, 16, 32] {
-                let s = fig11_speedup(m, n, q);
+                let s = fig11_speedup(&point_at(&input, q));
                 // Paper: improvements up to ~24%. In our deterministic
                 // model the gain concentrates at low queue counts, where
                 // GPU workgroups run fast relative to CPU threads and
@@ -243,10 +239,11 @@ mod tests {
 
     #[test]
     fn thirty_two_queues_is_best_in_absolute_terms() {
-        for (m, n) in [(16_384usize, 2_048usize), (16_384, 4_096), (32_768, 4_096)] {
-            let t8 = fig11_absolute(m, n, 8);
-            let t16 = fig11_absolute(m, n, 16);
-            let t32 = fig11_absolute(m, n, 32);
+        for input in BalanceConfig::paper_points(8, true) {
+            let (m, n) = (input.m, input.chunk);
+            let t8 = fig11_absolute(&point_at(&input, 8));
+            let t16 = fig11_absolute(&point_at(&input, 16));
+            let t32 = fig11_absolute(&point_at(&input, 32));
             assert!(t32 < t16 && t16 < t8, "({m},{n}): {t8} {t16} {t32}");
         }
     }
@@ -275,7 +272,9 @@ mod tests {
     fn cpu_contribution_is_bounded_by_rates() {
         // At full GPU occupancy (q=32) the speedup can't exceed
         // 1 + cpu/gpu throughput ratio (plus a small stealing-tail margin).
-        let s = fig11_speedup(32_768, 4_096, 32);
+        let p = BalanceConfig::paper_points(32, true)[2];
+        assert_eq!((p.m, p.chunk), (32_768, 4_096));
+        let s = fig11_speedup(&p);
         let r = LeafRates::default();
         let bound = 1.0 + r.cpu_cells_per_sec / r.gpu_cells_per_sec + 0.05;
         assert!(s < bound, "{s} vs bound {bound}");

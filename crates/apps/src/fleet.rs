@@ -13,7 +13,7 @@
 //! load or fault pressure outweighs the modeled transfer cost.
 
 use crate::service::{job_profile, ServiceJobKind, TraceConfig, SERVICE_TENANTS};
-use northup_fleet::{Fleet, FleetConfig, FleetError, FleetJob, FleetReport};
+use northup_fleet::{FleetConfig, FleetJob};
 use northup_sched::{Priority, TenantId};
 use northup_sim::SimTime;
 use rand::{Rng, SeedableRng, StdRng};
@@ -36,7 +36,7 @@ pub fn fleet_trace(cfg: &FleetConfig, tc: &TraceConfig) -> Vec<FleetJob> {
     let mut trace = Vec::with_capacity(tc.jobs);
     for i in 0..tc.jobs {
         let kind = ServiceJobKind::ALL[i % ServiceJobKind::ALL.len()];
-        let (spec, _) = job_profile(kind, &cfg.tree, tc.scale);
+        let spec = job_profile(kind, &cfg.tree, tc.scale);
         let tenant = TenantId(i as u32 % SERVICE_TENANTS);
         let priority = match rng.gen_range(0..6u32) {
             0 => Priority::Interactive,
@@ -61,23 +61,22 @@ pub fn fleet_trace(cfg: &FleetConfig, tc: &TraceConfig) -> Vec<FleetJob> {
     trace
 }
 
-/// Replay a synthetic fleet trace through [`FleetConfig::preset`] —
-/// `shards` × `presets::fleet_shard` trees with fault-aware placement
-/// and probation enabled — and return the settled [`FleetReport`].
-pub fn run_fleet(shards: usize, seed: u64, tc: &TraceConfig) -> Result<FleetReport, FleetError> {
-    let cfg = FleetConfig::preset(shards, seed);
-    let trace = fleet_trace(&cfg, tc);
-    let mut fleet = Fleet::new(cfg)?;
-    for job in trace {
-        fleet.submit(job);
-    }
-    fleet.run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use northup_fleet::{Fleet, FleetReport};
     use northup_sched::JobState;
+
+    /// Replay a synthetic fleet trace through [`FleetConfig::preset`].
+    fn replay(shards: usize, seed: u64, tc: &TraceConfig) -> FleetReport {
+        let cfg = FleetConfig::preset(shards, seed);
+        let trace = fleet_trace(&cfg, tc);
+        let mut fleet = Fleet::new(cfg).unwrap();
+        for job in trace {
+            fleet.submit(job);
+        }
+        fleet.run().unwrap()
+    }
 
     fn light() -> TraceConfig {
         TraceConfig {
@@ -90,14 +89,25 @@ mod tests {
 
     #[test]
     fn run_fleet_settles_every_job_and_replays_bit_identically() {
-        let report = run_fleet(4, 7, &light()).unwrap();
+        let report = replay(4, 7, &light());
         assert_eq!(report.outcomes.len(), 48);
         let done = report.count(JobState::Done);
         assert!(done > 40, "most jobs complete: {done}");
         assert!(report.capacity_ok, "fleet capacity invariant");
         assert!(report.exactly_once(), "no chunk ran twice or was skipped");
-        let again = run_fleet(4, 7, &light()).unwrap();
+        let again = replay(4, 7, &light());
         assert_eq!(report.to_json(), again.to_json(), "bit-identical replay");
+        // Empty and single-job traces settle too.
+        for jobs in [0, 1] {
+            let tc = TraceConfig {
+                jobs,
+                ..TraceConfig::default()
+            };
+            let fleet = replay(2, 7, &tc);
+            assert_eq!(fleet.outcomes.len(), jobs);
+            assert_eq!(fleet.count(JobState::Done), jobs);
+            assert!(fleet.capacity_ok && fleet.exactly_once());
+        }
     }
 
     #[test]
@@ -116,7 +126,7 @@ mod tests {
         // Over the IB-class link, moving a few-MB input costs well under
         // one job's service time, so load balancing wins and most jobs
         // spill off their data shard.
-        let report = run_fleet(4, 7, &light()).unwrap();
+        let report = replay(4, 7, &light());
         let at_home = report
             .outcomes
             .iter()

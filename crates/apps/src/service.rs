@@ -9,16 +9,14 @@
 //! so a "GEMM tenant" holds the DRAM staging ring a real paper-scale
 //! GEMM would hold.
 //!
-//! Traces come from a [`TraceSource`]: generated
-//! ([`synthetic_trace`], seeded and deterministic) or imported from CSV
-//! ([`trace_from_csv`]; a checked-in sample lives at
-//! `crates/apps/data/service_trace.csv`). Three entry points replay a
-//! trace: [`run_service_with`] in virtual time under any
-//! [`SchedulerConfig`]; [`run_service_slo`] under the overload-control
-//! stack; and [`run_service_real`], which additionally executes every
-//! admitted job's chunk chain on a shared `northup-exec` thread pool
-//! through [`RealFabric`], several jobs at a time, with each job's
-//! admitted reservation installed as a `CapacityLease` so staging
+//! Traces are generated, seeded and deterministic: [`synthetic_trace`]
+//! for a mixed arrival stream, [`overload_trace`] for open-loop overload.
+//! Three entry points replay a trace: [`run_service_with`] in virtual
+//! time under any [`SchedulerConfig`]; [`run_service_slo`] under the
+//! overload-control stack; and [`run_service_real`], which additionally
+//! executes every admitted job's chunk chain on a shared `northup-exec`
+//! thread pool through [`RealFabric`], several jobs at a time, with each
+//! job's admitted reservation installed as a `CapacityLease` so staging
 //! allocations are enforced for real.
 
 use crate::calibration::paper;
@@ -34,8 +32,6 @@ use northup_sched::{
 use northup_sim::{SimDur, SimTime};
 use rand::{Rng, SeedableRng, StdRng};
 use std::collections::BTreeMap;
-use std::fmt;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -72,9 +68,9 @@ impl ServiceJobKind {
 /// Derive (reservation, per-chunk work) for one tenant of `kind` on
 /// `tree`, scaled down from paper-scale by `1/scale` in linear dimension
 /// (`scale ≥ 1`; larger ⇒ smaller jobs).
-pub fn job_profile(kind: ServiceJobKind, tree: &Tree, scale: u64) -> (JobSpec, ServiceJobKind) {
+pub fn job_profile(kind: ServiceJobKind, tree: &Tree, scale: u64) -> JobSpec {
     let scale = scale.max(1);
-    let spec = match kind {
+    match kind {
         ServiceJobKind::Gemm => {
             // One chunk = one block × block tile of C; the staging ring
             // holds `GEMM_RING` B-shards of the same size.
@@ -124,8 +120,7 @@ pub fn job_profile(kind: ServiceJobKind, tree: &Tree, scale: u64) -> (JobSpec, S
                     .write(rows * 4 / crate::calibration::SPMV_CHUNKS as u64),
             )
         }
-    };
-    (spec, kind)
+    }
 }
 
 /// Shape of a synthetic arrival trace.
@@ -166,7 +161,7 @@ pub fn synthetic_trace(tree: &Tree, cfg: &TraceConfig) -> Vec<JobSpec> {
     let mut trace = Vec::with_capacity(cfg.jobs);
     for i in 0..cfg.jobs {
         let kind = ServiceJobKind::ALL[i % ServiceJobKind::ALL.len()];
-        let (mut spec, _) = job_profile(kind, tree, cfg.scale);
+        let mut spec = job_profile(kind, tree, cfg.scale);
         spec.name = format!("{}-{i}", kind.label());
         spec.tenant = TenantId(i as u32 % SERVICE_TENANTS);
         spec.priority = match rng.gen_range(0..6u32) {
@@ -250,7 +245,7 @@ pub fn overload_trace(tree: &Tree, cfg: &OverloadConfig) -> Vec<JobSpec> {
     // divided by the assumed concurrency; offered load scales it down.
     let mut demand_ns: u64 = 0;
     for kind in ServiceJobKind::ALL {
-        let (spec, _) = job_profile(kind, tree, cfg.scale);
+        let spec = job_profile(kind, tree, cfg.scale);
         demand_ns += service_estimate(&spec).0 / ServiceJobKind::ALL.len() as u64;
     }
     let concurrency = u64::from(cfg.concurrency.max(1));
@@ -268,7 +263,7 @@ pub fn overload_trace(tree: &Tree, cfg: &OverloadConfig) -> Vec<JobSpec> {
     let mut trace = Vec::with_capacity(cfg.jobs);
     for i in 0..cfg.jobs {
         let kind = ServiceJobKind::ALL[i % ServiceJobKind::ALL.len()];
-        let (mut spec, _) = job_profile(kind, tree, cfg.scale);
+        let mut spec = job_profile(kind, tree, cfg.scale);
         spec.name = format!("{}-{i}", kind.label());
         spec.tenant = TenantId(i as u32 % SERVICE_TENANTS);
         spec.reservation = staging_reservation(tree, slot_bytes);
@@ -322,172 +317,6 @@ pub fn run_service_slo(
             ..SchedulerConfig::default()
         },
     )
-}
-
-/// Where a service trace comes from.
-#[derive(Debug, Clone)]
-pub enum TraceSource {
-    /// Generated from a seeded [`TraceConfig`].
-    Synthetic(TraceConfig),
-    /// Imported from a CSV file (see [`trace_from_csv`] for the format).
-    Csv(PathBuf),
-}
-
-impl TraceSource {
-    /// Materialize the trace (generating or parsing as appropriate).
-    pub fn load(&self, tree: &Tree) -> Result<Vec<JobSpec>, TraceError> {
-        match self {
-            TraceSource::Synthetic(cfg) => Ok(synthetic_trace(tree, cfg)),
-            TraceSource::Csv(path) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| TraceError::at(0, format!("{}: {e}", path.display())))?;
-                trace_from_csv(&text)
-            }
-        }
-    }
-}
-
-/// A malformed trace file: the offending line (1-based; 0 for file-level
-/// problems) and what went wrong.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceError {
-    /// 1-based line number (0 when the file itself could not be read).
-    pub line: usize,
-    /// Human-readable description.
-    pub msg: String,
-}
-
-impl TraceError {
-    fn at(line: usize, msg: impl Into<String>) -> Self {
-        TraceError {
-            line,
-            msg: msg.into(),
-        }
-    }
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.msg)
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-/// The header line every trace CSV must start with (after optional `#`
-/// comments). Times are integer nanoseconds so round-trips are exact.
-pub const TRACE_CSV_HEADER: &str =
-    "name,tenant,priority,arrival_ns,chunks,read_bytes,xfer_bytes,compute_ns,write_bytes,reservation";
-
-fn priority_label(p: Priority) -> &'static str {
-    match p {
-        Priority::Interactive => "interactive",
-        Priority::Normal => "normal",
-        Priority::Batch => "batch",
-    }
-}
-
-/// Serialize a trace to the CSV format [`trace_from_csv`] parses. The
-/// `reservation` column holds `node:bytes` pairs joined by `;` (`-` when
-/// empty); job names must not contain commas.
-pub fn trace_to_csv(trace: &[JobSpec]) -> String {
-    let mut out = String::from(TRACE_CSV_HEADER);
-    out.push('\n');
-    for spec in trace {
-        let reserve = if spec.reservation.is_empty() {
-            "-".to_string()
-        } else {
-            spec.reservation
-                .iter()
-                .map(|(n, b)| format!("{}:{b}", n.0))
-                .collect::<Vec<_>>()
-                .join(";")
-        };
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{}\n",
-            spec.name,
-            spec.tenant.0,
-            priority_label(spec.priority),
-            spec.arrival.0,
-            spec.work.chunks,
-            spec.work.read_bytes,
-            spec.work.xfer_bytes,
-            spec.work.compute.0,
-            spec.work.write_bytes,
-            reserve,
-        ));
-    }
-    out
-}
-
-/// Parse a trace from CSV text: a [`TRACE_CSV_HEADER`] line followed by
-/// one job per line. Blank lines and `#` comments are ignored; errors
-/// carry the 1-based line number.
-pub fn trace_from_csv(text: &str) -> Result<Vec<JobSpec>, TraceError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
-    let (hline, header) = lines
-        .next()
-        .ok_or_else(|| TraceError::at(0, "empty trace"))?;
-    if header != TRACE_CSV_HEADER {
-        return Err(TraceError::at(
-            hline,
-            format!("expected header `{TRACE_CSV_HEADER}`"),
-        ));
-    }
-    let mut trace = Vec::new();
-    for (ln, line) in lines {
-        let f: Vec<&str> = line.split(',').collect();
-        if f.len() != 10 {
-            return Err(TraceError::at(
-                ln,
-                format!("expected 10 fields, got {}", f.len()),
-            ));
-        }
-        let num = |s: &str, what: &str| -> Result<u64, TraceError> {
-            s.parse()
-                .map_err(|_| TraceError::at(ln, format!("bad {what} `{s}`")))
-        };
-        // `chunks` and `tenant` are 32-bit in the job model: a value that
-        // parses as u64 but does not fit is an error, never a wraparound.
-        let num32 = |s: &str, what: &str| -> Result<u32, TraceError> {
-            u32::try_from(num(s, what)?)
-                .map_err(|_| TraceError::at(ln, format!("{what} `{s}` exceeds u32")))
-        };
-        let priority = match f[2] {
-            "interactive" => Priority::Interactive,
-            "normal" => Priority::Normal,
-            "batch" => Priority::Batch,
-            other => return Err(TraceError::at(ln, format!("bad priority `{other}`"))),
-        };
-        let mut reservation = northup_sched::Reservation::new();
-        if f[9] != "-" {
-            for pair in f[9].split(';') {
-                let (node, bytes) = pair
-                    .split_once(':')
-                    .ok_or_else(|| TraceError::at(ln, format!("bad reservation `{pair}`")))?;
-                let node: usize = node
-                    .parse()
-                    .map_err(|_| TraceError::at(ln, format!("bad reservation node `{node}`")))?;
-                reservation.set(northup::NodeId(node), num(bytes, "reservation bytes")?);
-            }
-        }
-        let work = JobWork::new(num32(f[4], "chunks")?)
-            .read(num(f[5], "read_bytes")?)
-            .xfer(num(f[6], "xfer_bytes")?)
-            .compute(SimDur(num(f[7], "compute_ns")?))
-            .write(num(f[8], "write_bytes")?);
-        trace.push(
-            JobSpec::new(f[0], reservation, work)
-                .tenant(TenantId(num32(f[1], "tenant")?))
-                .priority(priority)
-                .arrival(SimTime(num(f[3], "arrival_ns")?)),
-        );
-    }
-    Ok(trace)
 }
 
 /// Replay `trace` through a [`JobScheduler`] with full control over the
@@ -788,7 +617,7 @@ mod tests {
         let dram = tree.children(tree.root())[0];
         let budget = tree.node(dram).mem.capacity;
         for kind in ServiceJobKind::ALL {
-            let (spec, _) = job_profile(kind, &tree, 16);
+            let spec = job_profile(kind, &tree, 16);
             assert!(
                 spec.reservation.get(dram) > 0 && spec.reservation.get(dram) <= budget,
                 "{:?} reservation must be admissible",
@@ -844,89 +673,16 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trips_the_synthetic_trace() {
-        let tree = tree();
-        let trace = synthetic_trace(&tree, &TraceConfig::default());
-        let csv = trace_to_csv(&trace);
-        let back = trace_from_csv(&csv).unwrap();
-        assert_eq!(back.len(), trace.len());
-        for (a, b) in trace.iter().zip(back.iter()) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.tenant, b.tenant);
-            assert_eq!(a.priority, b.priority);
-            assert_eq!(a.arrival, b.arrival);
-            assert_eq!(a.work, b.work);
-            assert_eq!(a.reservation, b.reservation);
-        }
-    }
-
-    #[test]
-    fn csv_parse_errors_carry_line_numbers() {
-        let err = trace_from_csv("nonsense").unwrap_err();
-        assert_eq!(err.line, 1);
-        let nine_fields = format!("{TRACE_CSV_HEADER}\nbad,0,normal,0,1,1,1,1,1\n");
-        let err = trace_from_csv(&nine_fields).unwrap_err();
-        assert_eq!(err.line, 2);
-        let bad_prio = format!("{TRACE_CSV_HEADER}\n# a comment\n\nj,0,urgent,0,1,1,1,1,1,-\n");
-        let err = trace_from_csv(&bad_prio).unwrap_err();
-        assert_eq!(err.line, 4, "comments and blanks keep their line numbers");
-        assert!(err.msg.contains("urgent"));
-        // 2^32 + 1 fits u64 but not the 32-bit chunk / tenant fields: a
-        // typed error on the right line, not a silent 1.
-        for row in [
-            "j,0,normal,0,4294967297,1,1,1,1,-",
-            "j,4294967297,normal,0,1,1,1,1,1,-",
-        ] {
-            let err = trace_from_csv(&format!("{TRACE_CSV_HEADER}\n{row}\n")).unwrap_err();
-            assert_eq!(err.line, 2);
-            assert!(err.msg.contains("4294967297"), "{err}");
-        }
-        assert!(trace_from_csv("").is_err());
-    }
-
-    #[test]
     fn service_estimate_saturates_on_hostile_byte_counts() {
-        // `trace_from_csv` accepts any u64 byte count: the per-chunk sum
+        // A `JobSpec` may carry any u64 byte count: the per-chunk sum
         // saturates instead of overflowing.
-        let row = format!(
-            "{TRACE_CSV_HEADER}\nj,0,normal,0,2,{},1,1,1,-\n",
-            u64::MAX - 1
-        );
-        let trace = trace_from_csv(&row).unwrap();
-        assert_eq!(service_estimate(&trace[0]), SimDur(u64::MAX));
-    }
-
-    #[test]
-    fn checked_in_sample_trace_loads_and_completes() {
-        let tree = tree();
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/data/service_trace.csv");
-        let trace = TraceSource::Csv(path.into()).load(&tree).unwrap();
-        assert!(trace.len() >= 8, "sample should be a real workload");
-        let tenants: std::collections::BTreeSet<_> = trace.iter().map(|s| s.tenant).collect();
-        assert!(tenants.len() >= 2, "sample exercises multiple tenants");
-        let report =
-            run_service_with(&tree, trace, with_policy(AdmissionPolicy::WeightedFair)).unwrap();
-        assert!(report.all_terminal());
-        assert!(report.count(JobState::Done) > 0);
-    }
-
-    /// Regenerate `data/service_trace.csv` after format or profile
-    /// changes: `cargo test -p northup-apps regenerate_sample_trace --
-    /// --ignored`.
-    #[test]
-    #[ignore = "writes the checked-in sample trace"]
-    fn regenerate_sample_trace() {
-        let tree = tree();
-        let cfg = TraceConfig {
-            jobs: 12,
-            seed: 11,
-            mean_gap_us: 1_500,
-            scale: 32,
-        };
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/data");
-        std::fs::create_dir_all(dir).unwrap();
-        let csv = trace_to_csv(&synthetic_trace(&tree, &cfg));
-        std::fs::write(format!("{dir}/service_trace.csv"), csv).unwrap();
+        let work = JobWork::new(2)
+            .read(u64::MAX - 1)
+            .xfer(1)
+            .compute(SimDur(1))
+            .write(1);
+        let spec = JobSpec::new("j", northup_sched::Reservation::new(), work);
+        assert_eq!(service_estimate(&spec), SimDur(u64::MAX));
     }
 
     #[test]
@@ -992,14 +748,6 @@ mod tests {
                     assert_eq!(r.slo_log.len(), usize::from(controlled));
                 }
             }
-            let tc = TraceConfig {
-                jobs,
-                ..TraceConfig::default()
-            };
-            let fleet = crate::fleet::run_fleet(2, 7, &tc).unwrap();
-            assert_eq!(fleet.outcomes.len(), jobs);
-            assert_eq!(fleet.count(JobState::Done), jobs);
-            assert!(fleet.capacity_ok && fleet.exactly_once());
         }
     }
 

@@ -20,7 +20,7 @@
 
 use crate::calibration::model_for;
 use crate::report::AppRun;
-use northup::{ExecMode, NodeId, ProcKind, Result, Runtime, Tree};
+use northup::{ExecMode, NodeId, NorthupError, ProcKind, Result, Runtime, Tree};
 use northup_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -44,6 +44,8 @@ pub enum Dispatch {
 pub struct Branch {
     /// Nodes from the first level below the root down to the leaf.
     pub path: Vec<NodeId>,
+    /// The compute leaf, `path`'s last node.
+    leaf: NodeId,
     /// The leaf's processor kind.
     pub proc: ProcKind,
     /// The leaf's processor name (cost-model key).
@@ -69,6 +71,7 @@ pub fn branches(tree: &Tree) -> Vec<Branch> {
         path.reverse();
         out.push(Branch {
             path,
+            leaf: leaf.id,
             proc: proc_.kind,
             proc_name: proc_.name.clone(),
         });
@@ -86,7 +89,8 @@ pub struct SubtreeOutcome {
 }
 
 /// Run `jobs` identical stencil chunks (`block x block`, `steps` deep)
-/// over the branches of `tree` under the given dispatch policy.
+/// over the branches of `tree` under the given dispatch policy. A tree
+/// without a compute leaf is [`NorthupError::NoProcessor`] at its root.
 pub fn run_batch(
     tree: Tree,
     jobs: usize,
@@ -96,7 +100,9 @@ pub fn run_batch(
 ) -> Result<SubtreeOutcome> {
     let rt = Runtime::new(tree, ExecMode::Modeled)?;
     let branches = branches(rt.tree());
-    assert!(!branches.is_empty(), "tree has no compute leaves");
+    if branches.is_empty() {
+        return Err(NorthupError::NoProcessor(rt.tree().root()));
+    }
     let bytes = (block * block * 4) as u64;
     let cells = (block * block) as u64;
 
@@ -107,9 +113,9 @@ pub fn run_batch(
     let output = rt.alloc(bytes * jobs as u64, rt.tree().root())?;
     let mut counts = vec![0usize; branches.len()];
     let mut pending: Vec<(u64, Vec<northup::BufferHandle>)> = Vec::new();
-    let mut wq = northup::WorkQueues::new(rt.tree(), 1);
-    // (completion time, branch head node, task id) for ShortestQueue.
-    let mut inflight: Vec<(SimTime, NodeId, northup::TaskId)> = Vec::new();
+    let mut wq = northup::WorkQueues::new(rt.tree());
+    // (completion time, branch head node) for ShortestQueue.
+    let mut inflight: Vec<(SimTime, NodeId)> = Vec::new();
 
     for j in 0..jobs as u64 {
         let b = match dispatch {
@@ -123,14 +129,10 @@ pub fn run_batch(
                 // than a mere assignment count.
                 let window = 2 * branches.len();
                 while inflight.len() >= window {
-                    let (pos, &(done, head, id)) = inflight
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &(done, _, _))| done)
-                        .expect("non-empty inflight");
-                    let _ = done;
-                    wq.complete(head, id);
-                    inflight.remove(pos);
+                    let Some(pos) = (0..inflight.len()).min_by_key(|&i| inflight[i].0) else {
+                        break;
+                    };
+                    wq.complete(inflight.remove(pos).1);
                 }
                 // The SV-E query: shallowest subtree queue wins.
                 let mut best = 0usize;
@@ -150,8 +152,7 @@ pub fn run_batch(
                 let mut best = 0usize;
                 let mut best_t = SimTime(u64::MAX);
                 for (i, br) in branches.iter().enumerate() {
-                    let leaf = *br.path.last().expect("non-empty path");
-                    let t = rt.proc_busy_until(leaf, br.proc)?;
+                    let t = rt.proc_busy_until(br.leaf, br.proc)?;
                     if t < best_t {
                         best_t = t;
                         best = i;
@@ -174,13 +175,18 @@ pub fn run_batch(
             cur = stage;
             cur_off = 0;
         }
-        let leaf = *branch.path.last().expect("non-empty path");
         let dur = model_for(&branch.proc_name)?.stencil_time(cells, steps);
-        let served =
-            rt.charge_compute(leaf, branch.proc, dur, &[cur], &[cur], &format!("job {j}"))?;
+        let served = rt.charge_compute(
+            branch.leaf,
+            branch.proc,
+            dur,
+            &[cur],
+            &[cur],
+            &format!("job {j}"),
+        )?;
         if dispatch == Dispatch::ShortestQueue {
-            let id = wq.enqueue(branch.path[0], 0, format!("job {j}"));
-            inflight.push((served.end, branch.path[0], id));
+            wq.enqueue(branch.path[0]);
+            inflight.push((served.end, branch.path[0]));
         }
         pending.push((j, stages));
     }
@@ -202,7 +208,7 @@ pub fn run_batch(
     let per_leaf = branches
         .iter()
         .zip(&counts)
-        .map(|(br, &n)| (*br.path.last().unwrap(), n))
+        .map(|(br, &n)| (br.leaf, n))
         .collect();
     Ok(SubtreeOutcome {
         run: AppRun {
@@ -219,6 +225,7 @@ pub fn run_batch(
 mod tests {
     use super::*;
     use northup::presets;
+    use northup_hw::catalog;
 
     #[test]
     fn fig2_tree_has_four_branches() {
@@ -291,6 +298,16 @@ mod tests {
         .unwrap();
         let ratio = rr.run.makespan().as_secs_f64() / ef.run.makespan().as_secs_f64();
         assert!((0.9..1.2).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn a_tree_without_compute_leaves_is_an_error() {
+        let storage_only = northup::TreeBuilder::new(catalog::ssd_hyperx_predator()).build();
+        let err = run_batch(storage_only, 4, 64, 1, Dispatch::EarliestFinish).unwrap_err();
+        assert!(
+            matches!(err, NorthupError::NoProcessor(n) if n == NodeId(0)),
+            "{err}"
+        );
     }
 
     #[test]

@@ -268,9 +268,10 @@ fn print_extensions() {
     // SIII-E adaptive mapping.
     for block in [8usize, 1024] {
         let out = adaptive_stencil_stream(32, block, 8, Policy::Adaptive).expect("adaptive");
+        let settled = out.settled.expect("32 chunks ran");
         println!(
-            "adaptive mapping (block {block}): settled on {} ({:?})",
-            out.settled, out.per_device
+            "adaptive mapping (block {block}): settled on {settled} ({:?})",
+            out.per_device
         );
     }
 

@@ -26,7 +26,7 @@ use northup::{presets, ExecMode, NorthupError, RunReport, Runtime, Transform};
 use northup_apps::calibration::paper::GEMM_N_LARGE;
 use northup_apps::{
     fig11_speedup, hotspot_apu, hotspot_in_memory, matmul_apu, matmul_in_memory, spmv_apu,
-    spmv_in_memory, AppRun, HotspotConfig, MatmulConfig, SpmvInput,
+    spmv_in_memory, AppRun, BalanceConfig, HotspotConfig, MatmulConfig, SpmvInput,
 };
 use northup_apps::{
     overload_slo, overload_trace, run_service_slo, run_service_with, synthetic_trace,
@@ -330,13 +330,17 @@ pub struct Fig11Bar {
 /// and 8/16/32 GPU queues.
 pub fn fig11() -> Vec<Fig11Bar> {
     let mut bars = Vec::new();
-    for (m, n) in [(16_384usize, 2_048usize), (16_384, 4_096), (32_768, 4_096)] {
+    for input in BalanceConfig::paper_points(8, true) {
         for q in [8usize, 16, 32] {
+            let point = BalanceConfig {
+                gpu_queues: q,
+                ..input
+            };
             bars.push(Fig11Bar {
-                input: (m, n),
+                input: (input.m, input.chunk),
                 queues: q,
-                speedup: fig11_speedup(m, n, q),
-                absolute: northup_apps::balance::fig11_absolute(m, n, q),
+                speedup: fig11_speedup(&point),
+                absolute: northup_apps::balance::fig11_absolute(&point),
             });
         }
     }

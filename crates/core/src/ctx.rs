@@ -106,11 +106,6 @@ impl<'rt> Ctx<'rt> {
         self.procs().first().map(|p| p.kind)
     }
 
-    /// Whether a processor of `kind` is attached here.
-    pub fn has_device(&self, kind: ProcKind) -> bool {
-        self.procs().iter().any(|p| p.kind == kind)
-    }
-
     /// The paper's `northup_spawn`: recurse into child `index`, tracking the
     /// task in this node's work-queue statistics. Returns the closure's
     /// result.
@@ -134,11 +129,6 @@ impl<'rt> Ctx<'rt> {
     /// `setup_buffer`).
     pub fn alloc(&self, size: u64) -> Result<BufferHandle> {
         self.rt.alloc(size, self.node)
-    }
-
-    /// Allocate a buffer on child `index`.
-    pub fn alloc_on_child(&self, index: usize, size: u64) -> Result<BufferHandle> {
-        self.rt.alloc(size, self.children()[index])
     }
 
     /// `data_down`: move from a buffer on this node into a buffer on a child.
@@ -289,8 +279,8 @@ mod tests {
         )
         .unwrap();
         let leaf = rt.ctx_at(NodeId(1));
-        assert!(leaf.has_device(ProcKind::Gpu));
-        assert!(leaf.has_device(ProcKind::Cpu));
+        let kinds: Vec<ProcKind> = leaf.procs().iter().map(|p| p.kind).collect();
+        assert_eq!(kinds, [ProcKind::Gpu, ProcKind::Cpu]);
         assert_eq!(leaf.device(), Some(ProcKind::Gpu));
     }
 }

@@ -195,7 +195,7 @@ pub(crate) struct DagRecorder {
 impl DagRecorder {
     pub(crate) fn record(
         &mut self,
-        label: &str,
+        label: impl std::fmt::Display,
         category: Category,
         duration: SimDur,
         reads: &[BufferHandle],

@@ -138,7 +138,7 @@ impl Runtime {
             g.charged.insert(h.0, lease);
         }
         g.dag_record(
-            &format!("alloc {size}B @{node}"),
+            format_args!("alloc {size}B @{node}"),
             Category::BufferSetup,
             served.duration(),
             &[],
@@ -163,7 +163,7 @@ impl Runtime {
             format!("release @{}", info.node),
         );
         g.dag_record(
-            &format!("release @{}", info.node),
+            format_args!("release @{}", info.node),
             Category::BufferSetup,
             served.duration(),
             &[h],
@@ -245,7 +245,7 @@ impl Runtime {
         d.ready_at = served.end;
         d.last_read_end = d.last_read_end.max(served.end);
         g.dag_record(
-            &format!("move {len}B {}->{}", si.node, di.node),
+            format_args!("move {len}B {}->{}", si.node, di.node),
             Category::MemCopy,
             served.duration(),
             &[src],
@@ -388,7 +388,7 @@ impl Runtime {
         d.ready_at = served.end;
         d.last_read_end = d.last_read_end.max(served.end);
         g.dag_record(
-            &format!("move-strided {}B {}->{}", total, si.node, di.node),
+            format_args!("move-strided {}B {}->{}", total, si.node, di.node),
             Category::MemCopy,
             served.duration(),
             &[src],
@@ -665,7 +665,12 @@ mod tests {
         rt.move_data(a, 0, b, 0, 1_000_000).unwrap(); // DRAM -> storage: write
         let report = rt.report();
         assert!(report.breakdown.get(Category::FileIo) > SimDur::ZERO);
-        let io = rt.io_totals("hyperx-predator");
+        let io = report
+            .io
+            .iter()
+            .find(|(n, _)| n == "hyperx-predator")
+            .unwrap()
+            .1;
         assert_eq!(io.bytes_read, 1_000_000);
         assert_eq!(io.bytes_written, 1_000_000);
         // Read at 1400 MB/s is faster than write at 600 MB/s.
@@ -821,8 +826,14 @@ mod tests {
         rt.read_slice(dst, 0, &mut out).unwrap();
         assert_eq!(out, [5, 6, 9, 10]);
         // Charged as one 4-byte file read.
-        assert_eq!(rt.io_totals("hyperx-predator").read_ops, 1);
-        assert_eq!(rt.io_totals("hyperx-predator").bytes_read, 4);
+        let report = rt.report();
+        let io = report
+            .io
+            .iter()
+            .find(|(n, _)| n == "hyperx-predator")
+            .unwrap()
+            .1;
+        assert_eq!((io.read_ops, io.bytes_read), (1, 4));
     }
 
     #[test]

@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn chain_covers_the_path_and_skips_zero_cost() -> Result<(), crate::TopologyError> {
         let tree = tree();
-        let leaf = tree.first_leaf()?.id;
+        let leaf = tree.staging_level()?;
         let work = ChunkWork::new()
             .read(1)
             .xfer(1)
@@ -399,7 +399,7 @@ mod tests {
     #[test]
     fn costs_attach_to_the_right_stages() -> Result<(), crate::TopologyError> {
         let tree = tree();
-        let leaf = tree.first_leaf()?.id;
+        let leaf = tree.staging_level()?;
         let work = ChunkWork::new()
             .read(100)
             .xfer(50)
@@ -421,7 +421,7 @@ mod tests {
     #[test]
     fn staging_node_is_first_hop_below_root() -> Result<(), crate::TopologyError> {
         let tree = tree();
-        let leaf = tree.first_leaf()?.id;
+        let leaf = tree.staging_level()?;
         let chain = build_chain(&tree, leaf, ChunkWork::new().read(1), 1);
         let staging = chain.staging_node(&tree);
         // On the two-level APU preset the leaf hangs directly off the root.
@@ -432,7 +432,7 @@ mod tests {
     #[test]
     fn stage_nodes_name_their_failure_domain() -> Result<(), crate::TopologyError> {
         let tree = tree();
-        let leaf = tree.first_leaf()?.id;
+        let leaf = tree.staging_level()?;
         let root = tree.root();
         let work = ChunkWork::new()
             .read(8)

@@ -47,17 +47,6 @@ impl CapacityLease {
         self.used.lock().get(&node).copied().unwrap_or(0)
     }
 
-    /// Remaining budget on `node` (`None` when the node is unconstrained).
-    pub fn remaining(&self, node: NodeId) -> Option<u64> {
-        self.granted(node)
-            .map(|g| g.saturating_sub(self.used(node)))
-    }
-
-    /// Nodes this lease constrains, with their grants, in id order.
-    pub fn grants(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.granted.iter().map(|(&n, &b)| (n, b))
-    }
-
     /// Charge `bytes` on `node`; on over-budget, nothing is charged and the
     /// remaining budget is returned as the error.
     pub(crate) fn try_charge(&self, node: NodeId, bytes: u64) -> Result<(), u64> {
@@ -95,7 +84,6 @@ mod tests {
         let lease = CapacityLease::new([(NodeId(1), 100), (NodeId(2), 50)]);
         assert_eq!(lease.try_charge(NodeId(1), 60), Ok(()));
         assert_eq!(lease.used(NodeId(1)), 60);
-        assert_eq!(lease.remaining(NodeId(1)), Some(40));
         // Over-budget: rejected, nothing charged.
         assert_eq!(lease.try_charge(NodeId(1), 41), Err(40));
         assert_eq!(lease.used(NodeId(1)), 60);
@@ -107,7 +95,6 @@ mod tests {
     fn unlisted_nodes_are_unconstrained() {
         let lease = CapacityLease::new([(NodeId(1), 10)]);
         assert_eq!(lease.granted(NodeId(0)), None);
-        assert_eq!(lease.remaining(NodeId(0)), None);
         assert_eq!(lease.try_charge(NodeId(0), u64::MAX), Ok(()));
         lease.credit(NodeId(0), 5);
         assert_eq!(lease.used(NodeId(0)), 0);
@@ -119,6 +106,6 @@ mod tests {
         lease.try_charge(NodeId(3), 4).unwrap();
         lease.credit(NodeId(3), 100);
         assert_eq!(lease.used(NodeId(3)), 0);
-        assert_eq!(lease.remaining(NodeId(3)), Some(8));
+        assert_eq!(lease.try_charge(NodeId(3), 8), Ok(()));
     }
 }

@@ -88,8 +88,8 @@ pub use fault::{retry_backoff, FaultKind, FaultPlan, RETRY_ATTEMPTS};
 pub use lease::CapacityLease;
 pub use pipeline::{ChainBufs, ChunkPipeline};
 pub use plan::{plan_blocks, pow2_candidates, BlockPlan, DEFAULT_HEADROOM};
-pub use projection::{project_run, project_sweep, Projection, FIG9_SWEEP};
-pub use queues::{TaskId, TaskTag, WorkQueues};
+pub use projection::{project_run, Projection, FIG9_SWEEP};
+pub use queues::WorkQueues;
 pub use runtime::{ExecMode, RunReport, Runtime, SetupCosts};
 pub use topology::{Node, NodeId, ProcKind, ProcessorDesc, TopologyError, Tree, TreeBuilder};
 pub use transform::{Transform, TRANSFORM_BW};

@@ -66,14 +66,6 @@ fn replay(t: IoTotals, p: BwPoint) -> SimDur {
 /// market, as (read, write) MB/s.
 pub const FIG9_SWEEP: [(u64, u64); 4] = [(1400, 600), (2000, 1000), (2800, 1600), (3500, 2100)];
 
-/// Project a run across the whole Fig. 9 sweep.
-pub fn project_sweep(report: &RunReport, device: &str) -> Vec<Projection> {
-    FIG9_SWEEP
-        .iter()
-        .map(|&(r, w)| project_run(report, device, BwPoint::from_mb_s(r, w)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,12 +108,23 @@ mod tests {
         let p = project_run(&rep, "ssd", BwPoint::from_mb_s(1400, 600));
         assert!((p.io_time.as_secs_f64() - 1.0).abs() < 1e-6);
         assert!((p.overall.as_secs_f64() - 10.0).abs() < 1e-6);
+        // Each recorded operation (one read, one write) adds its latency.
+        let slow = BwPoint {
+            read_latency: SimDur::from_millis(8),
+            write_latency: SimDur::from_millis(3),
+            ..BwPoint::from_mb_s(1400, 600)
+        };
+        let p = project_run(&rep, "ssd", slow);
+        assert!((p.io_time.as_secs_f64() - 1.011).abs() < 1e-6);
     }
 
     #[test]
     fn faster_storage_shrinks_io_and_overall() {
         let rep = fake_report(2.0, 8.0, 1_400_000_000, 600_000_000);
-        let sweep = project_sweep(&rep, "ssd");
+        let sweep: Vec<Projection> = FIG9_SWEEP
+            .iter()
+            .map(|&(r, w)| project_run(&rep, "ssd", BwPoint::from_mb_s(r, w)))
+            .collect();
         assert_eq!(sweep.len(), 4);
         for w in sweep.windows(2) {
             assert!(w[1].io_time < w[0].io_time, "I/O monotone");

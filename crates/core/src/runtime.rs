@@ -113,10 +113,12 @@ pub(crate) struct RtInner {
 }
 
 impl RtInner {
-    /// Record an operation into the DAG, if recording is enabled.
+    /// Record an operation into the DAG, if recording is enabled. The
+    /// label is formatted only then (callers pass `format_args!`), so a
+    /// run that records no DAG allocates nothing for it.
     pub(crate) fn dag_record(
         &mut self,
-        label: &str,
+        label: impl std::fmt::Display,
         category: northup_sim::Category,
         duration: SimDur,
         reads: &[crate::data::BufferHandle],
@@ -299,11 +301,6 @@ impl Runtime {
         }
     }
 
-    /// Current per-device I/O totals for one device name.
-    pub fn io_totals(&self, device: &str) -> northup_hw::IoTotals {
-        self.inner.lock().io.totals(device)
-    }
-
     /// Current virtual makespan (latest finish of anything scheduled).
     pub fn makespan(&self) -> SimDur {
         self.inner.lock().timeline.makespan()
@@ -352,11 +349,6 @@ impl Runtime {
         lease: std::sync::Arc<crate::lease::CapacityLease>,
     ) -> Option<std::sync::Arc<crate::lease::CapacityLease>> {
         self.inner.lock().lease.replace(lease)
-    }
-
-    /// Remove the installed capacity lease; allocations become unmetered.
-    pub fn clear_lease(&self) {
-        self.inner.lock().lease = None;
     }
 
     /// The currently installed capacity lease, if any.

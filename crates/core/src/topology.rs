@@ -174,13 +174,6 @@ impl Tree {
         self.nodes.iter().filter(|n| n.is_leaf())
     }
 
-    /// The lowest-id leaf. Every well-formed tree has at least one
-    /// (a childless root is its own leaf), so this only errors on a
-    /// tree constructed with no nodes.
-    pub fn first_leaf(&self) -> Result<&Node, TopologyError> {
-        self.leaves().next().ok_or(TopologyError::Empty)
-    }
-
     /// The paper's `fetch_node_type()`: the storage class driving data-
     /// movement dispatch.
     pub fn storage_class(&self, id: NodeId) -> StorageClass {
@@ -229,17 +222,6 @@ impl Tree {
     /// Whether `a` and `b` share an edge (data moves along tree edges).
     pub fn adjacent(&self, a: NodeId, b: NodeId) -> bool {
         self.parent(a) == Some(b) || self.parent(b) == Some(a)
-    }
-
-    /// The link spec of the edge between two adjacent nodes.
-    pub fn edge_link(&self, a: NodeId, b: NodeId) -> Option<&LinkSpec> {
-        if self.parent(a) == Some(b) {
-            self.node(a).link.as_ref()
-        } else if self.parent(b) == Some(a) {
-            self.node(b).link.as_ref()
-        } else {
-            None
-        }
     }
 
     /// Render as an ASCII tree (what "Northup can output the topology"
@@ -425,8 +407,8 @@ mod tests {
         assert!(t.adjacent(NodeId(0), NodeId(1)));
         assert!(t.adjacent(NodeId(2), NodeId(1)));
         assert!(!t.adjacent(NodeId(0), NodeId(2)));
-        assert_eq!(t.edge_link(NodeId(1), NodeId(2)).unwrap().name, "pcie3-x16");
-        assert!(t.edge_link(NodeId(0), NodeId(2)).is_none());
+        // A node's link is the edge to its parent.
+        assert_eq!(t.node(NodeId(2)).link.as_ref().unwrap().name, "pcie3-x16");
     }
 
     #[test]

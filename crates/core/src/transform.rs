@@ -15,7 +15,10 @@ use crate::runtime::Runtime;
 use crate::topology::{NodeId, ProcKind};
 use northup_sim::{Served, SimDur};
 
-/// Supported layout transformations.
+/// Supported layout transformations. An array of `records` structures of
+/// `fields` fields each is a `records x fields` matrix, so its AoS→SoA
+/// conversion is `RowToCol { rows: records, cols: fields, .. }` and the way
+/// back is the [`inverse`](Self::inverse).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transform {
     /// Transpose a row-major `rows x cols` matrix of `elem`-byte elements
@@ -28,84 +31,25 @@ pub enum Transform {
         /// Element size in bytes.
         elem: usize,
     },
-    /// Convert an array of `records` structures, each of `fields` fields of
-    /// `elem` bytes, from AoS to SoA.
-    AosToSoa {
-        /// Number of records.
-        records: usize,
-        /// Fields per record.
-        fields: usize,
-        /// Bytes per field.
-        elem: usize,
-    },
-    /// Inverse of [`Transform::AosToSoa`].
-    SoaToAos {
-        /// Number of records.
-        records: usize,
-        /// Fields per record.
-        fields: usize,
-        /// Bytes per field.
-        elem: usize,
-    },
 }
 
 impl Transform {
     /// Total bytes a buffer under this transform must hold.
     pub fn bytes(&self) -> u64 {
-        match *self {
-            Transform::RowToCol { rows, cols, elem } => (rows * cols * elem) as u64,
-            Transform::AosToSoa {
-                records,
-                fields,
-                elem,
-            }
-            | Transform::SoaToAos {
-                records,
-                fields,
-                elem,
-            } => (records * fields * elem) as u64,
-        }
+        let Transform::RowToCol { rows, cols, elem } = *self;
+        (rows * cols * elem) as u64
     }
 
     /// Apply to a byte buffer (pure function; used in Real mode).
     pub fn apply(&self, src: &[u8]) -> Vec<u8> {
         assert_eq!(src.len() as u64, self.bytes(), "transform size mismatch");
+        let Transform::RowToCol { rows, cols, elem } = *self;
         let mut out = vec![0u8; src.len()];
-        match *self {
-            Transform::RowToCol { rows, cols, elem } => {
-                for r in 0..rows {
-                    for c in 0..cols {
-                        let s = (r * cols + c) * elem;
-                        let d = (c * rows + r) * elem;
-                        out[d..d + elem].copy_from_slice(&src[s..s + elem]);
-                    }
-                }
-            }
-            Transform::AosToSoa {
-                records,
-                fields,
-                elem,
-            } => {
-                for rec in 0..records {
-                    for f in 0..fields {
-                        let s = (rec * fields + f) * elem;
-                        let d = (f * records + rec) * elem;
-                        out[d..d + elem].copy_from_slice(&src[s..s + elem]);
-                    }
-                }
-            }
-            Transform::SoaToAos {
-                records,
-                fields,
-                elem,
-            } => {
-                for rec in 0..records {
-                    for f in 0..fields {
-                        let s = (f * records + rec) * elem;
-                        let d = (rec * fields + f) * elem;
-                        out[d..d + elem].copy_from_slice(&src[s..s + elem]);
-                    }
-                }
+        for r in 0..rows {
+            for c in 0..cols {
+                let s = (r * cols + c) * elem;
+                let d = (c * rows + r) * elem;
+                out[d..d + elem].copy_from_slice(&src[s..s + elem]);
             }
         }
         out
@@ -113,30 +57,11 @@ impl Transform {
 
     /// The inverse transform.
     pub fn inverse(&self) -> Transform {
-        match *self {
-            Transform::RowToCol { rows, cols, elem } => Transform::RowToCol {
-                rows: cols,
-                cols: rows,
-                elem,
-            },
-            Transform::AosToSoa {
-                records,
-                fields,
-                elem,
-            } => Transform::SoaToAos {
-                records,
-                fields,
-                elem,
-            },
-            Transform::SoaToAos {
-                records,
-                fields,
-                elem,
-            } => Transform::AosToSoa {
-                records,
-                fields,
-                elem,
-            },
+        let Transform::RowToCol { rows, cols, elem } = *self;
+        Transform::RowToCol {
+            rows: cols,
+            cols: rows,
+            elem,
         }
     }
 }
@@ -248,14 +173,9 @@ mod tests {
                 cols: 5,
                 elem: 4,
             },
-            Transform::AosToSoa {
-                records: 5,
-                fields: 3,
-                elem: 4,
-            },
-            Transform::SoaToAos {
-                records: 5,
-                fields: 3,
+            Transform::RowToCol {
+                rows: 5,
+                cols: 3,
                 elem: 4,
             },
         ] {
@@ -271,9 +191,10 @@ mod tests {
             ExecMode::Real,
         )
         .unwrap();
-        let t = Transform::AosToSoa {
-            records: 4,
-            fields: 2,
+        // Four records of two one-byte fields, AoS to SoA.
+        let t = Transform::RowToCol {
+            rows: 4,
+            cols: 2,
             elem: 1,
         };
         let src = rt.alloc(8, rt.tree().root()).unwrap();

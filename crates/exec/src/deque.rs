@@ -129,13 +129,6 @@ impl<T> Worker<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// A new thief handle for this deque.
-    pub fn stealer(&self) -> Stealer<T> {
-        Stealer {
-            inner: Arc::clone(&self.inner),
-        }
-    }
 }
 
 impl<T: Send> Worker<T> {

@@ -137,15 +137,6 @@ impl ThreadPool {
         }
     }
 
-    /// A pool sized to the machine (`available_parallelism`, capped at 16).
-    pub fn with_default_threads() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(16);
-        ThreadPool::new(n)
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.threads

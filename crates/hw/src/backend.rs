@@ -316,11 +316,6 @@ impl FileBackend {
             files: HashMap::new(),
         })
     }
-
-    /// Path of the scratch directory holding the files.
-    pub fn scratch_dir(&self) -> &std::path::Path {
-        &self.dir
-    }
 }
 
 impl Drop for FileBackend {
@@ -547,7 +542,7 @@ mod tests {
     fn file_backend_uses_real_files() {
         let mut b = FileBackend::new("ssd", 4096).unwrap();
         let blk = b.alloc(128).unwrap();
-        let path = b.scratch_dir().join("blk-0.bin");
+        let path = b.dir.join("blk-0.bin");
         assert!(path.exists(), "allocation creates a real file");
         b.write(blk, 100, &[0xAB; 28]).unwrap();
         let mut out = [0u8; 28];
@@ -565,7 +560,7 @@ mod tests {
         {
             let mut b = FileBackend::new("ssd", 4096).unwrap();
             b.alloc(16).unwrap();
-            dir = b.scratch_dir().to_path_buf();
+            dir = b.dir.clone();
             assert!(dir.exists());
         }
         assert!(!dir.exists(), "scratch dir cleaned up");

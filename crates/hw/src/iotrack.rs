@@ -1,13 +1,13 @@
-//! I/O accounting and the first-order storage projection (paper §V-D).
+//! I/O accounting for the first-order storage projection (paper §V-D).
 //!
 //! The paper: "we develop an emulator capable of performing a first-order
 //! projection by keeping track of read/writes issued by application I/Os and
 //! considering read/write bandwidths of the storage." [`IoTracker`] is that
-//! tracker: every byte moved to or from a device is recorded per device, and
-//! [`IoTracker::project`] recomputes the total I/O time under a hypothetical
-//! (read, write) bandwidth pair.
+//! tracker: every byte moved to or from a device is recorded per device.
+//! The projection itself — re-timing those counts at a hypothetical
+//! [`BwPoint`] — is `northup::projection`, the one copy of the formula.
 
-use northup_sim::{transfer_time, SimDur};
+use northup_sim::SimDur;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -31,18 +31,6 @@ pub struct IoTotals {
     pub read_ops: u64,
     /// Write operations issued.
     pub write_ops: u64,
-}
-
-impl IoTotals {
-    /// Total bytes in both directions.
-    pub fn bytes(&self) -> u64 {
-        self.bytes_read + self.bytes_written
-    }
-
-    /// Total operations in both directions.
-    pub fn ops(&self) -> u64 {
-        self.read_ops + self.write_ops
-    }
 }
 
 /// A hypothetical device performance point for projection.
@@ -84,7 +72,12 @@ impl IoTracker {
 
     /// Record one I/O against `device`.
     pub fn record(&mut self, device: &str, dir: Dir, bytes: u64) {
-        let t = self.totals.entry(device.to_string()).or_default();
+        // Look the device up before allocating its name: only a device's
+        // first operation pays for the `String`.
+        let t = match self.totals.get_mut(device) {
+            Some(t) => t,
+            None => self.totals.entry(device.to_owned()).or_default(),
+        };
         match dir {
             Dir::Read => {
                 t.bytes_read += bytes;
@@ -105,29 +98,6 @@ impl IoTracker {
     /// All devices seen, in name order.
     pub fn devices(&self) -> impl Iterator<Item = (&str, IoTotals)> {
         self.totals.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Grand totals across devices.
-    pub fn grand_totals(&self) -> IoTotals {
-        let mut g = IoTotals::default();
-        for t in self.totals.values() {
-            g.bytes_read += t.bytes_read;
-            g.bytes_written += t.bytes_written;
-            g.read_ops += t.read_ops;
-            g.write_ops += t.write_ops;
-        }
-        g
-    }
-
-    /// First-order projected I/O time for `device` at a hypothetical
-    /// bandwidth point: `Σ latency + bytes/bw` over recorded operations.
-    pub fn project(&self, device: &str, point: BwPoint) -> SimDur {
-        let t = self.totals(device);
-        let read = transfer_time(t.bytes_read, point.read_bw, SimDur::ZERO)
-            + point.read_latency * t.read_ops;
-        let write = transfer_time(t.bytes_written, point.write_bw, SimDur::ZERO)
-            + point.write_latency * t.write_ops;
-        read + write
     }
 
     /// Clear all counters.
@@ -153,50 +123,8 @@ mod tests {
         assert_eq!(ssd.bytes_written, 30);
         assert_eq!(t.totals("hdd").write_ops, 1);
         assert_eq!(t.totals("nvme"), IoTotals::default());
-        assert_eq!(t.grand_totals().bytes(), 187);
-    }
-
-    #[test]
-    fn projection_matches_first_order_formula() {
-        let mut t = IoTracker::new();
-        // 1400 MB read + 600 MB written.
-        t.record("ssd", Dir::Read, 1_400_000_000);
-        t.record("ssd", Dir::Write, 600_000_000);
-        // At the paper's entry SSD speeds this is exactly 1s + 1s.
-        let base = t.project("ssd", BwPoint::from_mb_s(1400, 600));
-        assert!((base.as_secs_f64() - 2.0).abs() < 1e-9);
-        // At the fast end of the §V-D sweep I/O shrinks substantially.
-        let fast = t.project("ssd", BwPoint::from_mb_s(3500, 2100));
-        assert!((fast.as_secs_f64() - (0.4 + 600.0 / 2100.0)).abs() < 1e-6);
-        assert!(fast < base);
-    }
-
-    #[test]
-    fn projection_is_monotone_in_bandwidth() {
-        let mut t = IoTracker::new();
-        t.record("ssd", Dir::Read, 10_000_000_000);
-        t.record("ssd", Dir::Write, 3_000_000_000);
-        let mut last = SimDur(u64::MAX);
-        for (r, w) in [(1400, 600), (2000, 1000), (2800, 1600), (3500, 2100)] {
-            let p = t.project("ssd", BwPoint::from_mb_s(r, w));
-            assert!(p < last, "({r},{w}) -> {p} not faster than {last}");
-            last = p;
-        }
-    }
-
-    #[test]
-    fn latency_term_scales_with_ops() {
-        let mut t = IoTracker::new();
-        for _ in 0..10 {
-            t.record("hdd", Dir::Read, 0);
-        }
-        let point = BwPoint {
-            read_bw: 1e9,
-            write_bw: 1e9,
-            read_latency: SimDur::from_millis(8),
-            write_latency: SimDur::ZERO,
-        };
-        assert_eq!(t.project("hdd", point), SimDur::from_millis(80));
+        let names: Vec<&str> = t.devices().map(|(name, _)| name).collect();
+        assert_eq!(names, ["hdd", "ssd"]);
     }
 
     #[test]
@@ -204,6 +132,6 @@ mod tests {
         let mut t = IoTracker::new();
         t.record("ssd", Dir::Read, 1);
         t.reset();
-        assert_eq!(t.grand_totals(), IoTotals::default());
+        assert_eq!(t.devices().count(), 0);
     }
 }

@@ -15,8 +15,8 @@
 //!   nodes, *real files* (positioned read/write, like the paper's Listing 4
 //!   wrapper) for storage nodes, and a capacity-only phantom backend for
 //!   paper-scale modeled runs.
-//! * [`iotrack`] — per-device byte/op accounting powering the §V-D
-//!   faster-storage projection.
+//! * [`iotrack`] — per-device byte/op accounting, the input of the §V-D
+//!   faster-storage projection (`northup::projection`).
 //! * [`cache`] — the transparent SSD-over-HDD LRU block cache that §VI
 //!   contrasts Northup's explicit management against.
 //!
@@ -38,4 +38,4 @@ pub use backend::{
 pub use cache::{CacheStats, CachedDevice};
 pub use fault::{FaultOps, FaultyBackend};
 pub use iotrack::{BwPoint, Dir, IoTotals, IoTracker};
-pub use spec::{gb_s, gib, mb_s, mib, DeviceKind, DeviceSpec, LinkSpec, StorageClass};
+pub use spec::{gb_s, gib, mb_s, DeviceKind, DeviceSpec, LinkSpec, StorageClass};

@@ -25,8 +25,6 @@ pub enum DeviceKind {
     StackedDram,
     /// Discrete-GPU device memory (GDDR/HBM behind PCIe).
     GpuDevice,
-    /// Software-managed on-chip scratchpad (GPU local memory).
-    Scratchpad,
 }
 
 impl DeviceKind {
@@ -42,7 +40,7 @@ impl DeviceKind {
             DeviceKind::Hdd | DeviceKind::Ssd => StorageClass::File,
             DeviceKind::Nvm => StorageClass::File,
             DeviceKind::Dram | DeviceKind::StackedDram => StorageClass::Memory,
-            DeviceKind::GpuDevice | DeviceKind::Scratchpad => StorageClass::Device,
+            DeviceKind::GpuDevice => StorageClass::Device,
         }
     }
 }
@@ -56,7 +54,6 @@ impl fmt::Display for DeviceKind {
             DeviceKind::Dram => "dram",
             DeviceKind::StackedDram => "hbm",
             DeviceKind::GpuDevice => "gpumem",
-            DeviceKind::Scratchpad => "lds",
         };
         f.write_str(s)
     }
@@ -187,11 +184,6 @@ pub const fn gib(n: u64) -> u64 {
     n * 1024 * 1024 * 1024
 }
 
-/// Convenience: mebibytes to bytes.
-pub const fn mib(n: u64) -> u64 {
-    n * 1024 * 1024
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,7 +210,6 @@ mod tests {
         assert_eq!(mb_s(1400), 1.4e9);
         assert_eq!(gb_s(12), 1.2e10);
         assert_eq!(gib(2), 2_147_483_648);
-        assert_eq!(mib(1), 1_048_576);
     }
 
     #[test]

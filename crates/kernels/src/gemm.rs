@@ -7,16 +7,13 @@
 //! * [`matmul_naive`] — the textbook triple loop, the correctness oracle;
 //! * [`matmul_tiled`] — the single-threaded leaf kernel: packed panels
 //!   under a register-blocked micro-kernel (structurally the LDS-tiled GPU
-//!   kernel, with registers for the LDS), bit-identical to the oracle;
-//! * [`matmul_parallel`] — the tiled kernel parallelized over row bands on
-//!   the work-stealing pool (the in-memory baseline's real execution).
+//!   kernel, with registers for the LDS), bit-identical to the oracle.
 //!
 //! All compute `C += A * B` so the out-of-core accumulation over k-shards
 //! ("first computing partial results ... then accumulate the partial sums",
 //! §IV-A) uses the same kernels.
 
 use crate::dense::DenseMatrix;
-use northup_exec::ThreadPool;
 
 /// Leaf tile edge, matching the paper's 16x16 GPU local-memory blocking.
 pub const LEAF_TILE: usize = 16;
@@ -144,44 +141,6 @@ fn micro_kernel(a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
     *acc = regs;
 }
 
-/// `c += a * b` parallelized over row bands of `C` on the pool.
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn matmul_parallel(pool: &ThreadPool, a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix) {
-    check_dims(a, b, c);
-    let n = b.cols;
-    let band = (a.rows / (pool.threads() * 4)).max(LEAF_TILE);
-    let a_ref: &DenseMatrix = a;
-    let b_ref: &DenseMatrix = b;
-    // Split C into disjoint row bands, one task per band.
-    let mut bands: Vec<(usize, &mut [f32])> = Vec::new();
-    let mut rest: &mut [f32] = &mut c.data;
-    let mut row = 0usize;
-    while row < a.rows {
-        let rows_here = band.min(a.rows - row);
-        let (head, tail) = rest.split_at_mut(rows_here * n);
-        bands.push((row, head));
-        rest = tail;
-        row += rows_here;
-    }
-    pool.scope(|s| {
-        for (row0, band_data) in bands {
-            s.spawn(move || {
-                let rows_here = band_data.len() / n;
-                let mut cb = DenseMatrix {
-                    rows: rows_here,
-                    cols: n,
-                    data: band_data.to_vec(),
-                };
-                let ab = a_ref.extract_block(row0, 0, rows_here, a_ref.cols);
-                matmul_tiled(&ab, b_ref, &mut cb, 64);
-                band_data.copy_from_slice(&cb.data);
-            });
-        }
-    });
-}
-
 fn check_dims(a: &DenseMatrix, b: &DenseMatrix, c: &DenseMatrix) {
     assert_eq!(a.cols, b.rows, "inner dimensions differ");
     assert_eq!(c.rows, a.rows, "C rows mismatch");
@@ -281,17 +240,6 @@ mod tests {
         ) {
             assert_bit_identical(m, k, n, tile);
         }
-    }
-
-    #[test]
-    fn parallel_matches_naive() {
-        let pool = ThreadPool::new(4);
-        let (a, b) = mats(70, 45, 52);
-        let mut c1 = DenseMatrix::zeros(70, 52);
-        let mut c2 = DenseMatrix::zeros(70, 52);
-        matmul_naive(&a, &b, &mut c1);
-        matmul_parallel(&pool, &a, &b, &mut c2);
-        assert_eq!(bits(&c1), bits(&c2));
     }
 
     #[test]

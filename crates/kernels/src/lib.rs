@@ -8,8 +8,7 @@
 //! time for what the OpenCL kernel would have cost:
 //!
 //! * [`dense`] — row-major `f32` matrices with block extract/insert.
-//! * [`gemm`] — naive / packed micro-kernel / pool-parallel `C += A·B`
-//!   (§IV-A).
+//! * [`gemm`] — naive / packed micro-kernel `C += A·B` (§IV-A).
 //! * [`stencil`] — HotSpot-2D, updated a row at a time, with halo
 //!   extraction and exact temporal blocking (§IV-B generalizes the packed
 //!   border vectors to width > 1).
@@ -29,10 +28,10 @@ pub mod spmv;
 pub mod stencil;
 
 pub use dense::{bytes_to_f32s, f32s_to_bytes, DenseMatrix};
-pub use gemm::{gemm_flops, matmul_naive, matmul_parallel, matmul_tiled, LEAF_TILE};
+pub use gemm::{gemm_flops, matmul_naive, matmul_tiled, LEAF_TILE};
 pub use model::{binning_time, latency_hiding_efficiency, ProcModel, BINNING_ROWS_PER_SEC};
-pub use spmv::{rel_error, spmv_adaptive, spmv_adaptive_parallel, WG_LANES};
+pub use spmv::{rel_error, spmv_adaptive, WG_LANES};
 pub use stencil::{
-    extract_halo_block, multi_step_blocked, multi_step_parallel, multi_step_reference,
-    step_halo_block, step_reference, HaloBlock, HotSpotParams, FLOPS_PER_CELL,
+    extract_halo_block, multi_step_blocked, multi_step_reference, step_halo_block, step_reference,
+    HaloBlock, HotSpotParams, FLOPS_PER_CELL,
 };

@@ -16,7 +16,6 @@
 //! * **CSR-VectorL** — like Vector but partial sums accumulate across
 //!   multiple workgroup-sized segments.
 
-use northup_exec::ThreadPool;
 use northup_sparse::{BlockKind, Csr, RowBlock};
 
 /// Simulated workgroup width (lanes) for Vector kernels.
@@ -31,14 +30,9 @@ fn entries(m: &Csr, row_start: usize, row_end: usize) -> (&[f32], &[u32]) {
     (&m.vals[lo..hi], &m.col_idx[lo..hi])
 }
 
-/// CSR-Stream: process rows `[block.row_start, block.row_end)`.
-pub fn spmv_stream(m: &Csr, block: &RowBlock, x: &[f32], y: &mut [f32]) {
-    let y_block = &mut y[block.row_start..block.row_end];
-    stream_block(m, block, x, y_block, &mut Vec::new());
-}
-
-/// CSR-Stream into the block's own rows, staging the products in `scratch`
-/// (the workgroup's LDS; cleared here, so one buffer serves a whole pass).
+/// CSR-Stream: rows `[block.row_start, block.row_end)` into `y_block`,
+/// staging the products in `scratch` (the workgroup's LDS; cleared here,
+/// so one buffer serves a whole pass).
 fn stream_block(m: &Csr, block: &RowBlock, x: &[f32], y_block: &mut [f32], scratch: &mut Vec<f32>) {
     // Phase 1: stream all products of the block into scratch.
     let (vals, cols) = entries(m, block.row_start, block.row_end);
@@ -69,10 +63,6 @@ fn lane_sum(vals: &[f32], cols: &[u32], x: &[f32]) -> f32 {
 }
 
 /// CSR-Vector: one long row, lane-strided partials + tree reduction.
-pub fn spmv_vector(m: &Csr, block: &RowBlock, x: &[f32], y: &mut [f32]) {
-    y[block.row_start] = vector_row(m, block, x);
-}
-
 fn vector_row(m: &Csr, block: &RowBlock, x: &[f32]) -> f32 {
     debug_assert_eq!(block.row_end - block.row_start, 1);
     let (vals, cols) = entries(m, block.row_start, block.row_end);
@@ -80,10 +70,6 @@ fn vector_row(m: &Csr, block: &RowBlock, x: &[f32]) -> f32 {
 }
 
 /// CSR-VectorL: one very long row, segment-wise Vector passes accumulated.
-pub fn spmv_vector_long(m: &Csr, block: &RowBlock, x: &[f32], y: &mut [f32]) {
-    y[block.row_start] = vector_long_row(m, block, x);
-}
-
 fn vector_long_row(m: &Csr, block: &RowBlock, x: &[f32]) -> f32 {
     debug_assert_eq!(block.row_end - block.row_start, 1);
     let (vals, cols) = entries(m, block.row_start, block.row_end);
@@ -124,35 +110,6 @@ pub fn spmv_adaptive(m: &Csr, blocks: &[RowBlock], x: &[f32], y: &mut [f32]) {
     for b in blocks {
         run_block(m, b, x, &mut y[b.row_start..b.row_end], &mut scratch);
     }
-}
-
-/// Parallel CSR-Adaptive over row blocks on the work-stealing pool. Row
-/// blocks own disjoint `y` ranges, so the output splits cleanly per task.
-pub fn spmv_adaptive_parallel(
-    pool: &ThreadPool,
-    m: &Csr,
-    blocks: &[RowBlock],
-    x: &[f32],
-    y: &mut [f32],
-) {
-    assert_eq!(x.len(), m.cols);
-    assert_eq!(y.len(), m.rows);
-    // Split y into per-block disjoint slices (blocks tile rows in order).
-    let mut slices: Vec<(&RowBlock, &mut [f32])> = Vec::with_capacity(blocks.len());
-    let mut rest = y;
-    let mut row = 0usize;
-    for b in blocks {
-        debug_assert_eq!(b.row_start, row);
-        let (head, tail) = rest.split_at_mut(b.row_end - b.row_start);
-        slices.push((b, head));
-        rest = tail;
-        row = b.row_end;
-    }
-    pool.scope(|s| {
-        for (b, y_block) in slices {
-            s.spawn(move || run_block(m, b, x, y_block, &mut Vec::new()));
-        }
-    });
 }
 
 /// Relative error between two vectors (inf-norm of the difference over the
@@ -248,7 +205,7 @@ mod tests {
         }
     }
 
-    /// `spmv_adaptive` (and the pool variant) against the old kernels, bit
+    /// `spmv_adaptive` against the old kernels, bit
     /// for bit, on an `x` whose magnitudes make summation order visible.
     fn assert_bit_identical(m: &Csr, params: BinningParams) -> [usize; 3] {
         let blocks = bin_rows(m, params);
@@ -261,9 +218,6 @@ mod tests {
         let mut got = vec![f32::NAN; m.rows];
         spmv_adaptive(m, &blocks, &x, &mut got);
         assert_eq!(bits(&got), bits(&want), "{params:?}");
-        let mut par = vec![f32::NAN; m.rows];
-        spmv_adaptive_parallel(&ThreadPool::new(2), m, &blocks, &x, &mut par);
-        assert_eq!(bits(&par), bits(&want), "parallel {params:?}");
         northup_sparse::kind_histogram(&blocks)
     }
 
@@ -363,23 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let pool = ThreadPool::new(4);
-        let m = gen::powerlaw(500, 2000, 1024, 0.9, 11);
-        let p = BinningParams {
-            stream_nnz: 128,
-            vector_long_nnz: 600,
-        };
-        let blocks = bin_rows(&m, p);
-        let x: Vec<f32> = (0..m.cols).map(|i| (i as f32 * 0.01).sin()).collect();
-        let mut seq = vec![0.0f32; m.rows];
-        spmv_adaptive(&m, &blocks, &x, &mut seq);
-        let mut par = vec![0.0f32; m.rows];
-        spmv_adaptive_parallel(&pool, &m, &blocks, &x, &mut par);
-        assert_eq!(seq, par, "identical kernels => bitwise identical results");
-    }
-
-    #[test]
     fn vector_kernel_handles_exact_lane_multiples() {
         let triplets: Vec<(usize, u32, f32)> = (0..(WG_LANES as u32 * 2))
             .map(|c| (0usize, c, 0.5f32))
@@ -393,13 +330,13 @@ mod tests {
         };
         let x = vec![2.0f32; WG_LANES * 2];
         let mut y = vec![0.0f32; 1];
-        spmv_vector(&m, &b, &x, &mut y);
+        spmv_adaptive(&m, &[b], &x, &mut y);
         assert!((y[0] - WG_LANES as f32 * 2.0).abs() < 1e-3);
     }
 
     #[test]
     fn empty_matrix() {
-        let m = Csr::empty(10, 10);
+        let m = Csr::from_coo(10, 10, Vec::new());
         let blocks = bin_rows(&m, BinningParams::default());
         let x = vec![1.0f32; 10];
         let mut y = vec![9.0f32; 10];

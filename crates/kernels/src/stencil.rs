@@ -22,7 +22,6 @@
 //! tunes with its blocking sizes.
 
 use crate::dense::DenseMatrix;
-use northup_exec::ThreadPool;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -185,16 +184,6 @@ pub struct HaloBlock {
     pub core_size: (usize, usize),
 }
 
-impl HaloBlock {
-    /// Bytes of halo data moved in addition to the core block — the paper's
-    /// compact border vectors ("we allocate vector buffers and pack the
-    /// border data in a contiguous manner", §IV-B).
-    pub fn border_bytes(&self) -> u64 {
-        let core = (self.core_size.0 * self.core_size.1) as u64;
-        (self.temp.data.len() as u64 - core) * 4
-    }
-}
-
 /// Extract the block at (`r0`, `c0`) of `h x w` cells with halo width
 /// `halo`, clipping the halo at the global grid boundary.
 ///
@@ -304,44 +293,6 @@ pub fn multi_step_blocked(
             let core = step_halo_block(&hb, steps, prm);
             out.insert_block(r0, c0, &core);
         }
-    }
-    out
-}
-
-/// Parallel in-memory multi-step over tiles using the work-stealing pool.
-pub fn multi_step_parallel(
-    pool: &ThreadPool,
-    temp: &DenseMatrix,
-    power: &DenseMatrix,
-    block: usize,
-    steps: usize,
-    prm: &HotSpotParams,
-) -> DenseMatrix {
-    assert!(block > 0);
-    let rows = temp.rows;
-    let cols = temp.cols;
-    let tiles: Vec<(usize, usize, usize, usize)> = (0..rows)
-        .step_by(block)
-        .flat_map(|r0| {
-            let h = block.min(rows - r0);
-            (0..cols)
-                .step_by(block)
-                .map(move |c0| (r0, c0, h, 0))
-                .map(move |(r0, c0, h, _)| (r0, c0, h, block.min(cols - c0)))
-        })
-        .collect();
-    let mut results: Vec<Option<DenseMatrix>> = vec![None; tiles.len()];
-    pool.scope(|s| {
-        for (slot, &(r0, c0, h, w)) in results.iter_mut().zip(&tiles) {
-            s.spawn(move || {
-                let hb = extract_halo_block(temp, power, r0, c0, h, w, steps);
-                *slot = Some(step_halo_block(&hb, steps, prm));
-            });
-        }
-    });
-    let mut out = DenseMatrix::zeros(rows, cols);
-    for (core, &(r0, c0, _, _)) in results.into_iter().zip(&tiles) {
-        out.insert_block(r0, c0, &core.expect("tile computed"));
     }
     out
 }
@@ -527,15 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_reference() {
-        let pool = ThreadPool::new(4);
-        let (temp, power, prm) = grids(32, 32);
-        let reference = multi_step_reference(&temp, &power, 4, &prm);
-        let par = multi_step_parallel(&pool, &temp, &power, 8, 4, &prm);
-        assert_eq!(bits(&reference), bits(&par));
-    }
-
-    #[test]
     fn halo_clips_at_global_boundary() {
         let (temp, power, _) = grids(10, 10);
         let hb = extract_halo_block(&temp, &power, 0, 4, 4, 4, 2);
@@ -543,14 +485,6 @@ mod tests {
         assert_eq!(hb.temp.rows, 6);
         assert_eq!(hb.temp.cols, 8);
         assert_eq!(hb.core_origin, (0, 4));
-    }
-
-    #[test]
-    fn border_bytes_accounts_halo_only() {
-        let (temp, power, _) = grids(16, 16);
-        let hb = extract_halo_block(&temp, &power, 4, 4, 8, 8, 2);
-        assert_eq!(hb.halo, [2, 2, 2, 2]);
-        assert_eq!(hb.border_bytes(), ((12 * 12 - 64) * 4) as u64);
     }
 
     #[test]

@@ -732,8 +732,10 @@ struct JobRec {
     spec: JobSpec,
     admitted_at: Option<SimTime>,
     finished_at: Option<SimTime>,
+    /// The leaf the current admission placed the job on; counted in that
+    /// leaf's work queue from placement until the job finishes or is
+    /// displaced.
     leaf: Option<NodeId>,
-    task: Option<northup::TaskId>,
     /// When an eviction was requested (for the latency report).
     preempt_requested_at: Option<SimTime>,
     preemptions: u32,
@@ -761,7 +763,6 @@ impl JobRec {
             admitted_at: None,
             finished_at: None,
             leaf: None,
-            task: None,
             preempt_requested_at: None,
             preemptions: 0,
             stage_attempts: 0,
@@ -1452,10 +1453,7 @@ impl JobScheduler {
             }
             Err(e) => return Err(e),
         };
-        let queue = st.wq.shortest_queue(leaf);
-        // The queues die with the run and nobody reads a label back, so
-        // the tag carries none (an empty `String` does not allocate).
-        let task = st.wq.enqueue(leaf, queue, String::new());
+        st.wq.enqueue(leaf);
         // Brownout: while the degradation tier is engaged, non-guaranteed
         // admissions compile a shrunken chain. Distinct degrade levels
         // produce distinct work shapes, so the arena interns them as
@@ -1471,7 +1469,6 @@ impl JobScheduler {
         let chain_len = st.chains.get(chain).stages.len() as u16;
         let rec = &mut self.jobs[id.0 as usize];
         rec.leaf = Some(leaf);
-        rec.task = Some(task);
         rec.degrade = rec.degrade.max(degrade.rank());
         let h = &mut st.hot[id.0 as usize];
         h.chain = chain;
@@ -1551,8 +1548,10 @@ impl JobScheduler {
         st.hot[id.0 as usize].state = state;
         let rec = &mut self.jobs[id.0 as usize];
         rec.finished_at = Some(t);
-        if let (Some(leaf), Some(task)) = (rec.leaf, rec.task.take()) {
-            st.wq.complete(leaf, task);
+        // A job finishes once, so its placement (kept for the report) is
+        // counted out exactly once.
+        if let Some(leaf) = rec.leaf {
+            st.wq.complete(leaf);
         }
         // Feed the SLO sampler: completion latency in virtual time,
         // arrival-to-done (what the submitter experiences).
@@ -1596,10 +1595,9 @@ impl JobScheduler {
             }
             rec.preemptions += 1;
         }
-        if let (Some(leaf), Some(task)) = (rec.leaf, rec.task.take()) {
-            st.wq.complete(leaf, task);
+        if let Some(leaf) = rec.leaf.take() {
+            st.wq.complete(leaf);
         }
-        rec.leaf = None;
         let feasible = self.budgets.feasible(&rec.spec.reservation);
         let class = class_index(rec.spec.priority);
         let h = &mut st.hot[id.0 as usize];
@@ -2201,7 +2199,7 @@ impl RunState {
             preemption_latencies: Vec::new(),
             active: 0,
             fabric: SimFabric::new(tree),
-            wq: WorkQueues::new(tree, 1),
+            wq: WorkQueues::new(tree),
             fault_ordinals: vec![0; tree.len()],
             node_persistent: vec![0; tree.len()],
             quarantined: BTreeSet::new(),

@@ -6,10 +6,9 @@
 //! every figure regenerates identically on any machine:
 //!
 //! * [`time`] — integer-nanosecond [`SimTime`]/[`SimDur`] and the first-order
-//!   transfer/work cost formulas.
-//! * [`resource`] — FIFO bandwidth servers ([`Resource`]) and bounded staging
-//!   capacity ([`SlotPool`]); compute/I-O overlap emerges from issuing
-//!   dependent requests to separate resources.
+//!   transfer cost formula.
+//! * [`resource`] — FIFO bandwidth servers ([`Resource`]); compute/I-O
+//!   overlap emerges from issuing dependent requests to separate resources.
 //! * [`timeline`] — per-category span recording for the paper's execution
 //!   breakdowns (Figs. 7 and 8).
 //! * [`workers`] — a discrete-event simulation of queue-based CPU+GPU work
@@ -26,7 +25,7 @@ pub mod time;
 pub mod timeline;
 pub mod workers;
 
-pub use resource::{Resource, ResourceStats, Served, Slot, SlotPool};
-pub use time::{transfer_time, work_time, SimDur, SimTime};
+pub use resource::{Resource, ResourceStats, Served};
+pub use time::{transfer_time, SimDur, SimTime};
 pub use timeline::{Breakdown, Category, Span, Timeline};
 pub use workers::{deal_round_robin, simulate_stealing, SimWorker, StealOutcome, WorkerStats};

@@ -3,7 +3,7 @@
 //! A [`Resource`] models a single hardware unit that serves requests one at a
 //! time in issue order: a storage device, a DMA/PCIe link, or a processor.
 //! Requests are expressed either as byte transfers (served at the resource's
-//! bandwidth) or as abstract work (served at a caller-provided rate).
+//! bandwidth) or as precomputed durations (e.g. a kernel's modeled time).
 //!
 //! The scheduling rule is the classic list-scheduling recurrence
 //!
@@ -17,7 +17,7 @@
 //! executes the real program. Overlap between, say, the SSD and the GPU falls
 //! out naturally because each is its own `Resource`.
 
-use crate::time::{transfer_time, work_time, SimDur, SimTime};
+use crate::time::{transfer_time, SimDur, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Accumulated utilization statistics for a resource.
@@ -70,8 +70,8 @@ impl Resource {
         }
     }
 
-    /// Create a resource used only via [`serve_for`](Self::serve_for) /
-    /// [`serve_work`](Self::serve_work) (e.g. a processor).
+    /// Create a resource used only via [`serve_for`](Self::serve_for) (e.g.
+    /// a processor).
     pub fn new_compute(name: impl Into<String>) -> Self {
         Resource::new(name, f64::INFINITY, SimDur::ZERO)
     }
@@ -91,17 +91,6 @@ impl Resource {
         self.stats
     }
 
-    /// Configured bandwidth in bytes per second.
-    pub fn bandwidth(&self) -> f64 {
-        self.bytes_per_sec
-    }
-
-    /// Replace the bandwidth (used by the §V-D faster-storage projection to
-    /// re-run a workload under a different device).
-    pub fn set_bandwidth(&mut self, bytes_per_sec: f64) {
-        self.bytes_per_sec = bytes_per_sec;
-    }
-
     /// Serve a byte transfer that becomes ready at `ready`.
     pub fn serve_bytes(&mut self, ready: SimTime, bytes: u64) -> Served {
         let dur = if self.bytes_per_sec.is_infinite() {
@@ -110,12 +99,6 @@ impl Resource {
             transfer_time(bytes, self.bytes_per_sec, self.latency)
         };
         self.stats.bytes += bytes;
-        self.enqueue(ready, dur)
-    }
-
-    /// Serve an abstract work request at `units_per_sec`.
-    pub fn serve_work(&mut self, ready: SimTime, work: f64, units_per_sec: f64) -> Served {
-        let dur = work_time(work, units_per_sec);
         self.enqueue(ready, dur)
     }
 
@@ -137,72 +120,6 @@ impl Resource {
     pub fn reset(&mut self) {
         self.busy_until = SimTime::ZERO;
         self.stats = ResourceStats::default();
-    }
-}
-
-/// A pool of `k` interchangeable slots, used to model bounded staging
-/// capacity: at most `k` chunks may be in flight below a memory level at
-/// once (paper §III-C, "whenever the space of lower memory levels is freed,
-/// more chunks can be scheduled for movement").
-#[derive(Debug, Clone)]
-pub struct SlotPool {
-    free_at: Vec<SimTime>,
-}
-
-/// A claim on one slot of a [`SlotPool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Slot {
-    /// Index of the slot within the pool.
-    pub index: usize,
-    /// The time at which the slot actually became available to this claim.
-    pub available_at: SimTime,
-}
-
-impl SlotPool {
-    /// A pool with `k` slots, all free at t = 0. `k` is clamped to at least 1.
-    pub fn new(k: usize) -> Self {
-        SlotPool {
-            free_at: vec![SimTime::ZERO; k.max(1)],
-        }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.free_at.len()
-    }
-
-    /// Always false; pools have at least one slot.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Claim the earliest-free slot for a request ready at `ready`.
-    ///
-    /// The claim must later be returned with [`release`](Self::release);
-    /// until then the slot is considered occupied forever.
-    pub fn acquire(&mut self, ready: SimTime) -> Slot {
-        let (index, &free) = self
-            .free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, t)| (**t, *i))
-            .expect("pool has at least one slot");
-        let available_at = ready.max(free);
-        self.free_at[index] = SimTime(u64::MAX);
-        Slot {
-            index,
-            available_at,
-        }
-    }
-
-    /// Release a claimed slot at time `at`.
-    pub fn release(&mut self, slot: Slot, at: SimTime) {
-        self.free_at[slot.index] = at;
-    }
-
-    /// Reset all slots to free at t = 0.
-    pub fn reset(&mut self) {
-        self.free_at.fill(SimTime::ZERO);
     }
 }
 
@@ -250,8 +167,8 @@ mod tests {
     #[test]
     fn compute_resource_serves_work() {
         let mut p = Resource::new_compute("gpu");
-        let s = p.serve_work(SimTime::ZERO, 2.0e12, 1.0e12); // 2 TFLOP at 1 TF/s
-        assert!((s.duration().as_secs_f64() - 2.0).abs() < 1e-9);
+        let s = p.serve_for(at_ms(5), ms(2_000));
+        assert_eq!((s.start, s.end), (at_ms(5), at_ms(2_005)));
     }
 
     #[test]
@@ -270,47 +187,11 @@ mod tests {
     }
 
     #[test]
-    fn set_bandwidth_changes_future_service() {
-        let mut r = Resource::new("ssd", 1e9, SimDur::ZERO);
-        let a = r.serve_bytes(SimTime::ZERO, 1_000_000_000);
-        r.set_bandwidth(2e9);
-        let b = r.serve_bytes(SimTime::ZERO, 1_000_000_000);
-        assert!((a.duration().as_secs_f64() - 1.0).abs() < 1e-9);
-        assert!((b.duration().as_secs_f64() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn reset_clears_queue_and_stats() {
         let mut r = Resource::new("x", 1e6, ms(1));
         r.serve_bytes(SimTime::ZERO, 10);
         r.reset();
         assert_eq!(r.busy_until(), SimTime::ZERO);
         assert_eq!(r.stats(), ResourceStats::default());
-    }
-
-    #[test]
-    fn slot_pool_limits_concurrency() {
-        let mut pool = SlotPool::new(2);
-        let s1 = pool.acquire(SimTime::ZERO);
-        let s2 = pool.acquire(SimTime::ZERO);
-        assert_eq!(s1.available_at, SimTime::ZERO);
-        assert_eq!(s2.available_at, SimTime::ZERO);
-        // Third request must wait for a release.
-        pool.release(s1, at_ms(300));
-        let s3 = pool.acquire(at_ms(10));
-        assert_eq!(s3.available_at, at_ms(300));
-        // Fourth waits for s2's release even if requested later.
-        pool.release(s2, at_ms(700));
-        let s4 = pool.acquire(at_ms(650));
-        assert_eq!(s4.available_at, at_ms(700));
-    }
-
-    #[test]
-    fn slot_pool_zero_clamps_to_one() {
-        let mut pool = SlotPool::new(0);
-        assert_eq!(pool.len(), 1);
-        let s = pool.acquire(SimTime::ZERO);
-        pool.release(s, at_ms(5));
-        assert_eq!(pool.acquire(SimTime::ZERO).available_at, at_ms(5));
     }
 }

@@ -217,17 +217,6 @@ pub fn transfer_time(bytes: u64, bytes_per_sec: f64, latency: SimDur) -> SimDur 
     latency + SimDur::from_secs_f64(bytes as f64 / bytes_per_sec)
 }
 
-/// Time taken to execute `work` abstract units at `units_per_sec`.
-pub fn work_time(work: f64, units_per_sec: f64) -> SimDur {
-    if work <= 0.0 {
-        return SimDur::ZERO;
-    }
-    if units_per_sec <= 0.0 {
-        return SimDur(u64::MAX);
-    }
-    SimDur::from_secs_f64(work / units_per_sec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,14 +262,6 @@ mod tests {
     #[test]
     fn zero_bandwidth_is_effectively_infinite_time() {
         assert_eq!(transfer_time(1, 0.0, SimDur::ZERO), SimDur(u64::MAX));
-    }
-
-    #[test]
-    fn work_time_scales_linearly() {
-        let t1 = work_time(1e9, 1e9);
-        let t2 = work_time(2e9, 1e9);
-        assert_eq!(t1.as_secs_f64(), 1.0);
-        assert_eq!(t2.as_secs_f64(), 2.0);
     }
 
     #[test]

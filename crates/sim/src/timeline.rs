@@ -126,13 +126,6 @@ impl Breakdown {
     pub fn compute(&self) -> SimDur {
         self.get(Category::CpuCompute) + self.get(Category::GpuCompute)
     }
-
-    /// Combined data-movement time (file I/O + device transfers + memcpy).
-    pub fn movement(&self) -> SimDur {
-        self.get(Category::FileIo)
-            + self.get(Category::DeviceTransfer)
-            + self.get(Category::MemCopy)
-    }
 }
 
 /// Records activity spans and computes breakdowns.

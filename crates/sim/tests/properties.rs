@@ -1,8 +1,8 @@
 //! Property tests on the virtual-time substrate: FIFO resource laws,
-//! slot-pool admission, timeline aggregation, and steal-simulation
-//! conservation under arbitrary request sequences.
+//! timeline aggregation, and steal-simulation conservation under arbitrary
+//! request sequences.
 
-use northup_sim::{Resource, SimDur, SimTime, SlotPool, Timeline};
+use northup_sim::{Resource, SimDur, SimTime, Timeline};
 use proptest::prelude::*;
 
 proptest! {
@@ -39,35 +39,6 @@ proptest! {
         }
         let busy = r.stats().busy;
         prop_assert!(last_end.since(SimTime::ZERO) >= busy);
-    }
-
-    /// Slot pools never hand out more than `k` concurrently-held slots:
-    /// the i-th acquisition (0-based) is available no earlier than the
-    /// (i-k)-th release.
-    #[test]
-    fn slot_pool_respects_capacity(
-        k in 1usize..5,
-        holds in prop::collection::vec(1u64..100, 1..40),
-    ) {
-        let mut pool = SlotPool::new(k);
-        let mut releases: Vec<SimTime> = Vec::new();
-        for (i, &hold_ms) in holds.iter().enumerate() {
-            let slot = pool.acquire(SimTime::ZERO);
-            if i >= k {
-                let mut sorted = releases.clone();
-                sorted.sort();
-                let gate = sorted[i - k];
-                prop_assert!(
-                    slot.available_at >= gate,
-                    "slot {i} at {} before gate {}",
-                    slot.available_at,
-                    gate
-                );
-            }
-            let freed = slot.available_at + SimDur::from_millis(hold_ms);
-            pool.release(slot, freed);
-            releases.push(freed);
-        }
     }
 
     /// Timeline aggregation equals a straightforward reference fold.

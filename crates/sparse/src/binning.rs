@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn empty_rows_pack_into_stream() {
-        let m = Csr::empty(100, 10);
+        let m = Csr::from_coo(100, 10, Vec::new());
         let p = BinningParams::default();
         let blocks = bin_rows(&m, p);
         assert!(validate_binning(&m, &blocks, p));

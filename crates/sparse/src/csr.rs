@@ -68,17 +68,6 @@ impl fmt::Display for CsrError {
 impl std::error::Error for CsrError {}
 
 impl Csr {
-    /// An empty `rows x cols` matrix.
-    pub fn empty(rows: usize, cols: usize) -> Self {
-        Csr {
-            rows,
-            cols,
-            row_ptr: vec![0; rows + 1],
-            col_idx: Vec::new(),
-            vals: Vec::new(),
-        }
-    }
-
     /// Build from COO triplets. Duplicate (row, col) entries are summed;
     /// out-of-range triplets panic.
     pub fn from_coo(rows: usize, cols: usize, mut triplets: Vec<(usize, u32, f32)>) -> Self {
@@ -360,7 +349,7 @@ mod tests {
 
     #[test]
     fn empty_matrix_is_valid() {
-        let m = Csr::empty(5, 7);
+        let m = Csr::from_coo(5, 7, Vec::new());
         m.validate().unwrap();
         assert_eq!(m.nnz(), 0);
         let mut y = [1.0f32; 5];

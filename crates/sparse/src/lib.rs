@@ -30,13 +30,5 @@ pub mod suite;
 pub use binning::{bin_rows, kind_histogram, validate_binning, BinningParams, BlockKind, RowBlock};
 pub use csr::{Csr, CsrError, RowStats};
 pub use ell::{Ell, ELL_PAD};
-
-/// Inf-norm error between two result vectors (shared by format tests).
-pub fn csr_ell_err(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0f32, f32::max)
-}
 pub use shard::{covers_exactly, partition_by_nnz, partition_even_rows, Shard};
 pub use suite::{PaperSpmvShape, SuiteMatrix};

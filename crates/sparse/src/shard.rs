@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn empty_matrix_yields_no_shards() {
-        let m = Csr::empty(0, 10);
+        let m = Csr::from_coo(0, 10, Vec::new());
         assert!(partition_by_nnz(&m, 100).is_empty());
     }
 }

@@ -122,22 +122,19 @@ fn fig11_study() {
         "{:<16} {:>4} {:>9} {:>12} {:>8}",
         "input", "q", "speedup", "makespan", "steals"
     );
-    for (m, n) in [(16_384usize, 2_048usize), (16_384, 4_096), (32_768, 4_096)] {
+    for input in BalanceConfig::paper_points(8, true) {
+        let (m, n) = (input.m, input.chunk);
         for q in [8usize, 16, 32] {
             let cfg = BalanceConfig {
                 gpu_queues: q,
-                stealing: true,
-                ..BalanceConfig::paper_points(q, true)
-                    .into_iter()
-                    .find(|c| c.m == m && c.chunk == n)
-                    .unwrap()
+                ..input
             };
             let run = run_balanced(&cfg);
             println!(
                 "{:<16} {:>4} {:>9.3} {:>12} {:>8}",
                 format!("({m},{n})"),
                 q,
-                fig11_speedup(m, n, q),
+                fig11_speedup(&cfg),
                 format!("{}", run.makespan),
                 run.steals
             );

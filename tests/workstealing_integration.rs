@@ -1,39 +1,10 @@
-//! Work-stealing integration: the real pool computing real kernels, the
-//! virtual-time DES's conservation laws, and agreement between the two on
-//! relative throughput.
+//! Work-stealing integration: the real pool and deque, and the
+//! virtual-time DES's conservation laws.
 
 use northup_suite::exec::ThreadPool;
-use northup_suite::kernels::{
-    matmul_naive, matmul_parallel, multi_step_parallel, DenseMatrix, HotSpotParams,
-};
 use northup_suite::sim::{deal_round_robin, simulate_stealing, SimWorker};
 use proptest::prelude::*;
 use std::collections::VecDeque;
-
-#[test]
-fn pool_parallel_gemm_matches_naive_under_contention() {
-    let pool = ThreadPool::new(8);
-    for seed in 0..4u64 {
-        let a = DenseMatrix::random(96, 64, seed);
-        let b = DenseMatrix::random(64, 80, seed + 100);
-        let mut expect = DenseMatrix::zeros(96, 80);
-        matmul_naive(&a, &b, &mut expect);
-        let mut got = DenseMatrix::zeros(96, 80);
-        matmul_parallel(&pool, &a, &b, &mut got);
-        assert!(expect.max_abs_diff(&got) < 1e-3, "seed {seed}");
-    }
-}
-
-#[test]
-fn pool_parallel_stencil_matches_blocked() {
-    let pool = ThreadPool::new(6);
-    let temp = DenseMatrix::random(40, 56, 1);
-    let power = DenseMatrix::random(40, 56, 2);
-    let prm = HotSpotParams::default();
-    let seq = northup_suite::kernels::multi_step_reference(&temp, &power, 3, &prm);
-    let par = multi_step_parallel(&pool, &temp, &power, 16, 3, &prm);
-    assert!(seq.max_abs_diff(&par) < 1e-4);
-}
 
 #[test]
 fn many_pools_can_coexist() {
