@@ -58,11 +58,13 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     RuleDoc {
         id: rules::PANIC_PATHS,
         number: "R4",
-        summary: "no unwrap()/expect(..)/panic! in non-test runtime code",
+        summary: "no unwrap()/expect(..)/panic!/assert! in non-test runtime code",
         scope: &["core", "exec", "sched", "fleet", "apps"],
         inputs: None,
-        contract: "No unwrap()/expect()/panic! in non-test runtime code; a panic on \
-                   a pool thread poisons the run. Return the typed error instead.",
+        contract: "No unwrap()/expect()/panic!/assert!/assert_eq!/assert_ne! in \
+                   non-test runtime code; a panic on a pool thread poisons the run. \
+                   Return the typed error instead. debug_assert* and asserts in a \
+                   const item (outside every fn body) are not matched.",
         example: "let v = map.get(&k).unwrap();  // runtime path",
     },
     RuleDoc {

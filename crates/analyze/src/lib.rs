@@ -21,7 +21,7 @@
 //! |------|-------|-----------|
 //! | `ordered-iteration` (R2) | `core`, `sched`, `fleet` | unordered HashMap/HashSet iteration leaks into schedules; use ordered containers |
 //! | `lease-discipline` (R3) | `sched`, `apps` | acquired buffers/leases need a reachable release or an escaping handle |
-//! | `panic-paths` (R4) | `core`, `exec`, `sched`, `fleet`, `apps` | no unwrap()/expect(..)/panic! in non-test runtime code |
+//! | `panic-paths` (R4) | `core`, `exec`, `sched`, `fleet`, `apps` | no unwrap()/expect(..)/panic!/assert! in non-test runtime code |
 //! | `unit-consistency` (R6) | `core`, `sched`, `fleet` | no mixed-unit arithmetic/comparison across ns, bytes, events |
 //! | `arena-index` (R7) | `sched` | dense arena indices stay in their declared domain and die on compaction |
 //! | `determinism-taint` (R8) | `core`, `sim`, `sched`, `fleet` | wall-clock/entropy sources must not reach schedule-visible code, even transitively |

@@ -150,9 +150,12 @@ fn r3_lease_discipline(sf: &SourceFile, inputs: &mut Inputs, out: &mut Vec<Findi
     }
 }
 
-/// R4: `unwrap()` / `expect(..)` / `panic!` in non-test runtime code of
-/// the execution crates turn recoverable conditions into aborts that
-/// take down co-scheduled tenants.
+/// R4: `unwrap()` / `expect(..)` / `panic!` and `assert!` /
+/// `assert_eq!` / `assert_ne!` in non-test runtime code of the execution
+/// crates turn recoverable conditions into aborts that take down
+/// co-scheduled tenants. `debug_assert*` is not matched, and neither is
+/// an assert outside every fn body: that is a `const` item's initializer,
+/// checked at compile time.
 fn r4_panic_paths(sf: &SourceFile, krate: &str, out: &mut Vec<Finding>) {
     if !in_scope(rules::PANIC_PATHS, &sf.path) {
         return;
@@ -170,8 +173,20 @@ fn r4_panic_paths(sf: &SourceFile, krate: &str, out: &mut Vec<Finding>) {
             Some("unwrap()")
         } else if method_call && t.is_ident("expect") {
             Some("expect(..)")
-        } else if t.is_ident("panic") && sf.ct(ci + 1).is_some_and(|n| n.is_punct('!')) {
+        } else if !sf.ct(ci + 1).is_some_and(|n| n.is_punct('!')) {
+            None
+        } else if t.is_ident("panic") {
             Some("panic!")
+        } else if sf.fn_at(ci).is_none() {
+            // Outside every fn body an assert belongs to a `const` item,
+            // which the compiler evaluates.
+            None
+        } else if t.is_ident("assert") {
+            Some("assert!")
+        } else if t.is_ident("assert_eq") {
+            Some("assert_eq!")
+        } else if t.is_ident("assert_ne") {
+            Some("assert_ne!")
         } else {
             None
         };

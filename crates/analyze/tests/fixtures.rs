@@ -130,6 +130,22 @@ fn panic_paths_true_positive() {
     assert_eq!(r.failing_for(rules::PANIC_PATHS), 1);
 }
 
+/// The `assert!` family aborts as surely as `panic!`; `debug_assert!`
+/// is compiled out of release builds, and an assert in a `const` item is
+/// evaluated by the compiler, so neither is reported.
+#[test]
+fn panic_paths_reports_the_assert_family() {
+    let r = one(
+        "crates/apps/src/hot.rs",
+        "fn f(n: usize, b: usize) -> usize {\n    assert!(n % b == 0);\n    \
+         assert_eq!(n, 64);\n    assert_ne!(b, 0);\n    debug_assert!(b <= n);\n    \
+         debug_assert_eq!(n % b, 0);\n    n / b\n}\n\
+         const _: () = {\n    assert!(WINDOW > 0);\n};\n\
+         const TOP: usize = { assert!(WINDOW > 1); WINDOW };\n",
+    );
+    assert_eq!(failing_lines(&r, rules::PANIC_PATHS), vec![2, 3, 4]);
+}
+
 #[test]
 fn panic_paths_clean() {
     // Typed error instead of panic: clean.

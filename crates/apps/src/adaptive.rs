@@ -13,7 +13,6 @@ use crate::report::AppRun;
 use northup::{ExecMode, NorthupError, ProcKind, Result, Runtime};
 use northup_kernels::ProcModel;
 use northup_sim::SimDur;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Online processor chooser based on observed chunk throughput.
@@ -89,7 +88,7 @@ impl AdaptiveMapper {
 }
 
 /// Outcome of one adaptive stencil run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdaptiveOutcome {
     /// The run itself.
     pub run: AppRun,

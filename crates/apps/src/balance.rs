@@ -18,10 +18,9 @@ use northup_kernels::latency_hiding_efficiency;
 use northup_sim::{
     deal_round_robin, simulate_stealing, Resource, SimDur, SimTime, SimWorker, StealOutcome,
 };
-use serde::{Deserialize, Serialize};
 
 /// Throughput calibration for the balanced leaf.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeafRates {
     /// Total GPU stencil throughput at full occupancy, cells/s.
     pub gpu_cells_per_sec: f64,
@@ -44,7 +43,7 @@ impl Default for LeafRates {
 }
 
 /// One Fig. 11 configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BalanceConfig {
     /// Input grid dimension in SSD (the paper's `m`).
     pub m: usize,
@@ -99,14 +98,12 @@ impl BalanceConfig {
 }
 
 /// Result of one balanced run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BalanceRun {
     /// Total runtime (staging + balanced leaf compute, pipelined).
     pub makespan: SimDur,
     /// Total successful steals across all chunks.
     pub steals: u64,
-    /// Sum of leaf compute makespans (per-chunk DES results).
-    pub leaf_time: SimDur,
 }
 
 /// Simulate the leaf of one chunk: deal the rows of blocks round-robin
@@ -153,7 +150,7 @@ pub fn run_balanced(cfg: &BalanceConfig) -> BalanceRun {
     let leaf = simulate_chunk_leaf(cfg);
     let chunk_bytes = (cfg.chunk * cfg.chunk * 4) as u64;
     let mut ssd = Resource::new("ssd", cfg.ssd_read_bw, SimDur::ZERO);
-    let mut leaf_res = Resource::new_compute("leaf");
+    let mut leaf_res = Resource::new_compute();
     let mut end = SimTime::ZERO;
     for _ in 0..cfg.chunks() {
         let load = ssd.serve_bytes(SimTime::ZERO, chunk_bytes);
@@ -163,7 +160,6 @@ pub fn run_balanced(cfg: &BalanceConfig) -> BalanceRun {
     BalanceRun {
         makespan: end.since(SimTime::ZERO),
         steals: leaf.steals * cfg.chunks() as u64,
-        leaf_time: leaf.makespan * cfg.chunks() as u64,
     }
 }
 

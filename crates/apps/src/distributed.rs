@@ -17,7 +17,7 @@
 use crate::host::{read_matrix, verify_gemm, when_real};
 use crate::matmul::gemm_tile;
 use crate::report::AppRun;
-use northup::{BufferHandle, ChainBufs, ExecMode, Result, Runtime};
+use northup::{BufferHandle, ChainBufs, ExecMode, NorthupError, Result, Runtime};
 use northup_kernels::{f32s_to_bytes, DenseMatrix};
 
 /// Configuration of a distributed GEMM run.
@@ -54,9 +54,14 @@ impl DistGemmConfig {
         }
     }
 
-    fn nb(&self) -> usize {
-        assert!(self.block > 0 && self.n.is_multiple_of(self.block));
-        self.n / self.block
+    fn nb(&self) -> Result<usize> {
+        if self.block == 0 || !self.n.is_multiple_of(self.block) {
+            return Err(NorthupError::Invalid(format!(
+                "block {} must divide n {}",
+                self.block, self.n
+            )));
+        }
+        Ok(self.n / self.block)
     }
 }
 
@@ -77,7 +82,7 @@ pub fn gemm_cluster(cfg: &DistGemmConfig, mode: ExecMode) -> Result<AppRun> {
     let rt = Runtime::new(tree, mode)?;
     let n = cfg.n as u64;
     let block = cfg.block as u64;
-    let nb = cfg.nb() as u64;
+    let nb = cfg.nb()? as u64;
     let strip_a = block * n * 4; // A row strip / C row strip
     let shard_b = n * block * 4; // B column shard
 
@@ -108,7 +113,9 @@ pub fn gemm_cluster(cfg: &DistGemmConfig, mode: ExecMode) -> Result<AppRun> {
             c_strip: rt.alloc(strip_a, stage)?,
         });
     }
-    assert!(!chains.is_empty(), "cluster has no compute nodes");
+    if chains.is_empty() {
+        return Err(NorthupError::Invalid("cluster has no compute nodes".into()));
+    }
 
     // Row strips owned round-robin; every node streams all B shards.
     // Tiles are ISSUED round-robin across the nodes working in a round:

@@ -13,7 +13,9 @@
 use crate::calibration::{model_for, HOTSPOT_STEPS_PER_PASS};
 use crate::host::{read_matrix, when_real};
 use crate::report::AppRun;
-use northup::{BufferHandle, ChainBufs, ChunkPipeline, ExecMode, ProcKind, Result, Runtime, Tree};
+use northup::{
+    BufferHandle, ChainBufs, ChunkPipeline, ExecMode, NorthupError, ProcKind, Result, Runtime, Tree,
+};
 use northup_kernels::{
     f32s_to_bytes, multi_step_reference, step_halo_block, DenseMatrix, HaloBlock, HotSpotParams,
     ProcModel,
@@ -49,34 +51,6 @@ impl HotspotConfig {
         }
     }
 
-    /// Plan the blocking automatically from the tree's capacities
-    /// (paper §III-B). On the paper's APU tree at a 16k grid with 64-step
-    /// temporal blocking this reproduces the hand-tuned 8k x 8k blocking.
-    pub fn auto(
-        tree: &Tree,
-        n: usize,
-        steps_per_pass: usize,
-        passes: usize,
-        seed: u64,
-    ) -> Result<Self> {
-        assert!(n.is_power_of_two(), "auto planning expects power-of-two n");
-        let ring = 2;
-        let plan = northup::plan_blocks(
-            tree,
-            &northup::pow2_candidates(16, n),
-            northup::DEFAULT_HEADROOM,
-            staging_footprint(steps_per_pass, ring),
-        )?;
-        Ok(HotspotConfig {
-            n,
-            block: plan.staging_block().min(n),
-            steps_per_pass,
-            passes,
-            ring,
-            seed,
-        })
-    }
-
     /// Laptop-scale grid for Real-mode verification.
     pub fn small() -> Self {
         HotspotConfig {
@@ -94,24 +68,14 @@ impl HotspotConfig {
         self.steps_per_pass * self.passes
     }
 
-    fn tiles(&self) -> usize {
-        assert!(
-            self.block > 0 && self.n.is_multiple_of(self.block),
-            "block {} must divide n {}",
-            self.block,
-            self.n
-        );
-        self.n / self.block
-    }
-}
-
-/// Staging working set of this module's schedule, for the auto-planner:
-/// `ring` (temperature + power) halo regions plus `ring` output cores.
-pub fn staging_footprint(halo: usize, ring: usize) -> impl Fn(usize, usize) -> u64 {
-    move |_level, b| {
-        let region = ((b + 2 * halo) * (b + 2 * halo) * 4) as u64;
-        let core = (b * b * 4) as u64;
-        ring as u64 * (2 * region + core)
+    fn tiles(&self) -> Result<usize> {
+        if self.block == 0 || !self.n.is_multiple_of(self.block) {
+            return Err(NorthupError::Invalid(format!(
+                "block {} must divide n {}",
+                self.block, self.n
+            )));
+        }
+        Ok(self.n / self.block)
     }
 }
 
@@ -183,7 +147,7 @@ pub fn hotspot_northup_on(rt: &Runtime, cfg: &HotspotConfig) -> Result<AppRun> {
     let mode = rt.mode();
     let n = cfg.n;
     let halo = cfg.steps_per_pass;
-    let tiles = cfg.tiles();
+    let tiles = cfg.tiles()?;
     let row_bytes = (n * 4) as u64;
 
     let root = rt.tree().root();
@@ -336,7 +300,12 @@ pub fn hotspot_split_leaf(
     storage: northup_hw::DeviceSpec,
     mode: ExecMode,
 ) -> Result<AppRun> {
-    assert!((0.0..=1.0).contains(&gpu_fraction));
+    if !(0.0..=1.0).contains(&gpu_fraction) {
+        return Err(NorthupError::Invalid(format!(
+            "gpu_fraction {gpu_fraction} must lie in [0, 1]"
+        )));
+    }
+    let bands = cfg.tiles()?;
     let tree = northup::presets::apu_two_level(storage);
     let rt = Runtime::new(tree, mode)?;
     let n = cfg.n;
@@ -365,13 +334,6 @@ pub fn hotspot_split_leaf(
     // the devices, each computing a trapezoid over its own sub-band (the
     // split line behaves like an internal halo boundary, so each side needs
     // `halo` extra rows from the other — both read the same staged block).
-    assert!(
-        n.is_multiple_of(cfg.block),
-        "block {} must divide n {}",
-        cfg.block,
-        cfg.n
-    );
-    let bands = n / cfg.block;
     let gpu_rows = ((cfg.block as f64 * gpu_fraction).round() as usize).min(cfg.block);
     let cpu_rows = cfg.block - gpu_rows;
     let max_region = ((cfg.block + 2 * halo) * n * 4) as u64;
@@ -541,14 +503,24 @@ mod tests {
         assert_eq!(run.verified, Some(true));
     }
 
+    /// A block that does not divide n, or a GPU share outside [0, 1], is a
+    /// typed error, refused before anything is allocated.
     #[test]
-    fn auto_blocking_reproduces_the_paper_choice() {
+    fn hostile_blocking_on_a_caller_runtime_is_an_error() {
+        let cfg = HotspotConfig {
+            n: 48,
+            block: 20,
+            ..HotspotConfig::small()
+        };
         let tree = northup::presets::apu_two_level(catalog::ssd_hyperx_predator());
-        let cfg = HotspotConfig::auto(&tree, 16 * 1024, 64, 1, 0).unwrap();
-        assert_eq!(cfg.block, 8 * 1024, "the paper's manual 8k blocking");
-        let cfg = HotspotConfig::auto(&tree, 64, 3, 2, 0).unwrap();
-        let run = hotspot_northup(&cfg, tree, ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true));
+        let rt = Runtime::new(tree, ExecMode::Real).unwrap();
+        let run = hotspot_northup_on(&rt, &cfg);
+        assert!(matches!(run, Err(NorthupError::Invalid(_))), "{run:?}");
+        let storage = catalog::ssd_hyperx_predator();
+        let run = hotspot_split_leaf(&cfg, 0.5, storage.clone(), ExecMode::Real);
+        assert!(matches!(run, Err(NorthupError::Invalid(_))), "{run:?}");
+        let run = hotspot_split_leaf(&HotspotConfig::small(), 1.5, storage, ExecMode::Real);
+        assert!(matches!(run, Err(NorthupError::Invalid(_))), "{run:?}");
     }
 
     #[test]

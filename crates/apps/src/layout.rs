@@ -17,14 +17,13 @@
 
 use crate::calibration::spmv_gpu_model;
 use crate::report::AppRun;
-use northup::{ExecMode, ProcKind, Result, Runtime, TRANSFORM_BW};
+use northup::{ExecMode, NorthupError, ProcKind, Result, Runtime, TRANSFORM_BW};
 use northup_kernels::{f32s_to_bytes, rel_error, ProcModel};
 use northup_sim::SimDur;
 use northup_sparse::{partition_even_rows, Csr, Ell};
-use serde::{Deserialize, Serialize};
 
 /// Leaf layout for the out-of-core SpMV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpmvFormat {
     /// Keep CSR end to end (gather-bound kernel).
     Csr,
@@ -53,7 +52,12 @@ pub fn spmv_with_format(
     storage: northup_hw::DeviceSpec,
     mode: ExecMode,
 ) -> Result<AppRun> {
-    assert_eq!(m.rows, m.cols, "study uses square matrices");
+    if m.rows != m.cols {
+        return Err(NorthupError::Invalid(format!(
+            "the format study needs a square matrix, got {}x{}",
+            m.rows, m.cols
+        )));
+    }
     let tree = northup::presets::apu_two_level(storage);
     let rt = Runtime::new(tree, mode)?;
     let rows = m.rows as u64;
@@ -176,7 +180,7 @@ pub fn spmv_with_format(
 }
 
 /// One row of the format study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FormatRow {
     /// Input label.
     pub input: String,
@@ -203,8 +207,11 @@ pub fn format_study(inputs: &[(&str, Csr)]) -> Result<Vec<FormatRow>> {
             let storage = northup_hw::catalog::ssd_hyperx_predator();
             let csr = spmv_with_format(m, SpmvFormat::Csr, storage.clone(), ExecMode::Real)?;
             let ell = spmv_with_format(m, SpmvFormat::EllOnMigrate, storage, ExecMode::Real)?;
-            assert_eq!(csr.verified, Some(true));
-            assert_eq!(ell.verified, Some(true));
+            if csr.verified != Some(true) || ell.verified != Some(true) {
+                return Err(NorthupError::Invalid(format!(
+                    "{name}: SpMV result failed verification"
+                )));
+            }
             Ok(FormatRow {
                 input: name.to_string(),
                 padding: Ell::from_csr(m).padding_ratio(),

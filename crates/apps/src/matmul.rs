@@ -18,7 +18,9 @@
 use crate::calibration::{model_for, GEMM_RING};
 use crate::host::{read_matrix, verify_gemm, when_real};
 use crate::report::AppRun;
-use northup::{BufferHandle, ChainBufs, ChunkPipeline, ExecMode, ProcKind, Result, Runtime, Tree};
+use northup::{
+    BufferHandle, ChainBufs, ChunkPipeline, ExecMode, NorthupError, ProcKind, Result, Runtime, Tree,
+};
 use northup_kernels::{f32s_to_bytes, matmul_tiled, DenseMatrix, LEAF_TILE};
 
 /// Configuration of one matmul scenario.
@@ -50,7 +52,11 @@ impl MatmulConfig {
     /// decide the blocking size"). On the paper's APU tree at 16k this
     /// reproduces the hand-tuned 4k x 4k blocking.
     pub fn auto(tree: &Tree, n: usize, seed: u64) -> Result<Self> {
-        assert!(n.is_power_of_two(), "auto planning expects power-of-two n");
+        if !n.is_power_of_two() {
+            return Err(NorthupError::Invalid(format!(
+                "auto planning expects a power-of-two n, got {n}"
+            )));
+        }
         let ring = GEMM_RING;
         let plan = northup::plan_blocks(
             tree,
@@ -76,14 +82,14 @@ impl MatmulConfig {
         }
     }
 
-    fn nb(&self) -> usize {
-        assert!(
-            self.block > 0 && self.n.is_multiple_of(self.block),
-            "block {} must divide n {}",
-            self.block,
-            self.n
-        );
-        self.n / self.block
+    fn nb(&self) -> Result<usize> {
+        if self.block == 0 || !self.n.is_multiple_of(self.block) {
+            return Err(NorthupError::Invalid(format!(
+                "block {} must divide n {}",
+                self.block, self.n
+            )));
+        }
+        Ok(self.n / self.block)
     }
 
     fn elem_bytes(&self) -> u64 {
@@ -149,8 +155,8 @@ pub fn staging_footprint(n: usize, ring: usize) -> impl Fn(usize, usize) -> u64 
     }
 }
 
-/// Reassemble an `n x n` matrix from the block-major layout both schedules
-/// write C in (tile `(r, c)` at offset `(r * nb + c) * block * block * 4`).
+/// Reassemble an `n x n` matrix from the block-major layout the schedule
+/// writes C in (tile `(r, c)` at offset `(r * nb + c) * block * block * 4`).
 fn read_block_major(
     rt: &Runtime,
     file: BufferHandle,
@@ -222,7 +228,7 @@ pub fn matmul_northup_on(rt: &Runtime, cfg: &MatmulConfig) -> Result<AppRun> {
     let es = cfg.elem_bytes();
     let n = cfg.n as u64;
     let block = cfg.block as u64;
-    let nb = cfg.nb() as u64;
+    let nb = cfg.nb()? as u64;
     let shard_a = block * n * es; // row shard: block x n
     let shard_b = n * block * es; // col shard: n x block (row-major k x block)
     let tile_c = block * block * es;
@@ -306,113 +312,6 @@ pub fn matmul_northup_on(rt: &Runtime, cfg: &MatmulConfig) -> Result<AppRun> {
     })
 }
 
-/// Out-of-core matmul with the k dimension split as well (the "dot
-/// product at the block level" of the paper's Fig. 3): every operand moves
-/// as a `block x block` tile, and C tiles accumulate partial sums over the
-/// k tiles. This is the schedule needed once even a single row shard
-/// (`block x n`) no longer fits the staging level — the price is that C
-/// tiles must round-trip for accumulation unless they stay resident, so we
-/// keep the current C tile staged across the whole k loop (write-back once
-/// per (i, j)).
-pub fn matmul_northup_ksplit(cfg: &MatmulConfig, tree: Tree, mode: ExecMode) -> Result<AppRun> {
-    let rt = Runtime::new(tree, mode)?;
-    let es = cfg.elem_bytes();
-    let n = cfg.n as u64;
-    let block = cfg.block as u64;
-    let nb = cfg.nb() as u64;
-    let tile = block * block * es;
-
-    let root = rt.tree().root();
-    // Storage layout: all three matrices tile-major (tile (r, c) at offset
-    // (r * nb + c) * tile), written by preprocessing.
-    let a_file = rt.alloc(n * n * es, root)?;
-    let b_file = rt.alloc(n * n * es, root)?;
-    let c_file = rt.alloc(n * n * es, root)?;
-
-    let (a_mat, b_mat) = when_real(mode, || {
-        let am = DenseMatrix::random(cfg.n, cfg.n, cfg.seed);
-        let bm = DenseMatrix::random(cfg.n, cfg.n, cfg.seed + 1);
-        for (m, file) in [(&am, a_file), (&bm, b_file)] {
-            for r in 0..nb {
-                for c in 0..nb {
-                    let t = m.extract_block(
-                        (r * block) as usize,
-                        (c * block) as usize,
-                        cfg.block,
-                        cfg.block,
-                    );
-                    rt.write_slice(file, (r * nb + c) * tile, &f32s_to_bytes(&t.data))?;
-                }
-            }
-        }
-        Ok((am, bm))
-    })?
-    .unzip();
-
-    let stage = rt.tree().staging_level()?;
-    // The k-split schedule computes at the staging level itself.
-    let gpu = rt.proc_at(stage, ProcKind::Gpu)?;
-    let kernel_time = model_for(&gpu.name)?.gemm_time(block, block, block);
-
-    let pipe = ChunkPipeline::new(&rt, stage, cfg.ring, &[tile, tile])?;
-    let c_stage = rt.alloc(tile, stage)?;
-
-    // Host-side accumulator for Real mode (the staged C tile's contents).
-    let mut acc = DenseMatrix::zeros(cfg.block, cfg.block);
-
-    let k_tiles: Vec<u64> = (0..nb).collect();
-    for i in 0..nb {
-        for j in 0..nb {
-            if mode == ExecMode::Real {
-                acc = DenseMatrix::zeros(cfg.block, cfg.block);
-            }
-            pipe.run(
-                &k_tiles,
-                |&t, bufs| {
-                    // Tile t of the (i, j) k-loop: A(i, t) and B(t, j).
-                    rt.move_data(bufs[0], 0, a_file, (i * nb + t) * tile, tile)?;
-                    rt.move_data(bufs[1], 0, b_file, (t * nb + j) * tile, tile)?;
-                    Ok(())
-                },
-                |&t, bufs| {
-                    rt.charge_compute(
-                        stage,
-                        ProcKind::Gpu,
-                        kernel_time,
-                        &[bufs[0], bufs[1], c_stage],
-                        &[c_stage],
-                        &format!("gemm k-tile ({i},{j},{t})"),
-                    )?;
-                    if mode == ExecMode::Real {
-                        let am = read_matrix(&rt, bufs[0], 0, cfg.block, cfg.block)?;
-                        let bm = read_matrix(&rt, bufs[1], 0, cfg.block, cfg.block)?;
-                        matmul_tiled(&am, &bm, &mut acc, LEAF_TILE);
-                    }
-                    Ok(())
-                },
-            )?;
-            if mode == ExecMode::Real {
-                rt.write_slice(c_stage, 0, &f32s_to_bytes(&acc.data))?;
-            }
-            rt.move_data(c_file, (i * nb + j) * tile, c_stage, 0, tile)?;
-        }
-    }
-
-    let mut checksum = None;
-    let mut verified = None;
-    if let (Some(am), Some(bm)) = (&a_mat, &b_mat) {
-        let cm = read_block_major(&rt, c_file, cfg.n, cfg.block)?;
-        (checksum, verified) = verify_gemm(am, bm, &cm);
-    }
-
-    Ok(AppRun {
-        name: "matmul/northup-ksplit".into(),
-        report: rt.report(),
-        verified,
-        checksum,
-    })
-}
-
 /// Run the Northup matmul over the 2-level APU preset with a given storage.
 pub fn matmul_apu(
     cfg: &MatmulConfig,
@@ -457,15 +356,14 @@ mod tests {
     #[test]
     fn small_run_checksums_are_pinned_bit_for_bit() {
         // Captured before the leaf kernel became the packed micro-kernel:
-        // both schedules and the in-memory baseline feed every C element
-        // its products in ascending k, so they share one checksum, and a
-        // kernel rewrite must not move a bit of it.
+        // the Northup schedule and the in-memory baseline feed every C
+        // element its products in ascending k, so they share one checksum,
+        // and a kernel rewrite must not move a bit of it.
         const CHECKSUM_BITS: u64 = 0x4021_06bb_1160_0000;
         let cfg = MatmulConfig::small();
         let tree = || northup::presets::apu_two_level(catalog::ssd_hyperx_predator());
         for run in [
             matmul_northup(&cfg, tree(), ExecMode::Real).unwrap(),
-            matmul_northup_ksplit(&cfg, tree(), ExecMode::Real).unwrap(),
             matmul_in_memory(&cfg, ExecMode::Real).unwrap(),
         ] {
             let bits = run.checksum.unwrap().to_bits();
@@ -508,49 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn ksplit_matches_reference_and_in_memory() {
-        let cfg = MatmulConfig {
-            n: 64,
-            block: 16,
-            ring: 2,
-            seed: 13,
-        };
-        let tree = northup::presets::apu_two_level(catalog::ssd_hyperx_predator());
-        let run = matmul_northup_ksplit(&cfg, tree, ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true));
-        let base = matmul_in_memory(&cfg, ExecMode::Real).unwrap();
-        let (ca, cb) = (base.checksum.unwrap(), run.checksum.unwrap());
-        assert!((ca - cb).abs() <= 1e-6 * ca.abs().max(1.0));
-    }
-
-    #[test]
-    fn ksplit_reads_more_but_needs_less_staging() {
-        // The k-split schedule re-reads operands (no row-shard residency)
-        // but its staging footprint is only a few block tiles — the trade
-        // the paper's Fig. 3 dot-product variant makes.
-        let cfg = MatmulConfig::paper();
-        let shard = matmul_apu(&cfg, catalog::ssd_hyperx_predator(), ExecMode::Modeled).unwrap();
-        let ksplit = matmul_northup_ksplit(
-            &cfg,
-            northup::presets::apu_two_level(catalog::ssd_hyperx_predator()),
-            ExecMode::Modeled,
-        )
-        .unwrap();
-        let io = |run: &AppRun| {
-            run.report
-                .io
-                .iter()
-                .find(|(n, _)| n == "hyperx-predator")
-                .map(|(_, t)| t.bytes_read)
-                .unwrap()
-        };
-        assert!(io(&ksplit) > io(&shard), "k-split re-reads operands");
-        // Both still compute-bound on the APU: similar makespans.
-        let ratio = ksplit.makespan().as_secs_f64() / shard.makespan().as_secs_f64();
-        assert!((0.9..1.4).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
     fn auto_blocking_reproduces_the_paper_choice() {
         let tree = northup::presets::apu_two_level(catalog::ssd_hyperx_predator());
         let cfg = MatmulConfig::auto(&tree, 16 * 1024, 1).unwrap();
@@ -562,7 +417,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must divide")]
     fn indivisible_block_is_rejected() {
         let cfg = MatmulConfig {
             n: 100,
@@ -570,6 +424,25 @@ mod tests {
             ring: 2,
             seed: 0,
         };
-        let _ = matmul_apu(&cfg, catalog::ssd_hyperx_predator(), ExecMode::Real);
+        let run = matmul_apu(&cfg, catalog::ssd_hyperx_predator(), ExecMode::Real);
+        assert!(matches!(run, Err(NorthupError::Invalid(_))), "{run:?}");
+    }
+
+    /// A block that does not divide n, and a non-power-of-two n for the
+    /// planner, are typed errors, refused before anything is allocated on
+    /// the caller's runtime.
+    #[test]
+    fn hostile_blocking_on_a_caller_runtime_is_an_error() {
+        let cfg = MatmulConfig {
+            n: 64,
+            block: 24,
+            ..MatmulConfig::small()
+        };
+        let tree = northup::presets::apu_two_level(catalog::ssd_hyperx_predator());
+        let rt = Runtime::new(tree, ExecMode::Real).unwrap();
+        let run = matmul_northup_on(&rt, &cfg);
+        assert!(matches!(run, Err(NorthupError::Invalid(_))), "{run:?}");
+        let run = MatmulConfig::auto(rt.tree(), 48, 1);
+        assert!(matches!(run, Err(NorthupError::Invalid(_))), "{run:?}");
     }
 }

@@ -19,7 +19,6 @@ use crate::host::when_real;
 use crate::report::AppRun;
 use northup::{ChunkPipeline, ExecMode, ProcKind, Result, Runtime, Tree};
 use northup_kernels::{bytes_to_f32s, f32s_to_bytes};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a streaming map/reduce scenario.
 #[derive(Debug, Clone)]
@@ -79,7 +78,7 @@ impl StreamConfig {
 }
 
 /// The reduction performed at the leaf.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Global sum.
     Sum,

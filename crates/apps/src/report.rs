@@ -2,14 +2,13 @@
 
 use northup::RunReport;
 use northup_sim::{Category, SimDur};
-use serde::{Deserialize, Serialize};
 
 /// Result of one application run (baseline or Northup).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppRun {
     /// Scenario label ("matmul/northup/ssd").
     pub name: String,
-    /// Full runtime report (breakdown, I/O, utilization).
+    /// Full runtime report (breakdown and I/O totals).
     pub report: RunReport,
     /// `Some(true)` when Real-mode output matched the reference oracle.
     pub verified: Option<bool>,
@@ -77,7 +76,6 @@ mod tests {
             report: RunReport {
                 breakdown: tl.breakdown(),
                 io: vec![],
-                utilization: vec![],
             },
             verified: None,
             checksum: None,

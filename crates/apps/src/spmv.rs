@@ -21,7 +21,9 @@ use crate::calibration::{
     SPMV_NORTHUP_BIN_FACTOR, SPMV_REPACK_BW,
 };
 use crate::report::AppRun;
-use northup::{BufferHandle, ChainBufs, ExecMode, NodeId, ProcKind, Result, Runtime, Tree};
+use northup::{
+    BufferHandle, ChainBufs, ExecMode, NodeId, NorthupError, ProcKind, Result, Runtime, Tree,
+};
 use northup_kernels::{binning_time, bytes_to_f32s, f32s_to_bytes, rel_error, spmv_adaptive};
 use northup_sim::SimDur;
 use northup_sparse::{bin_rows, partition_even_rows, BinningParams, Csr, PaperSpmvShape};
@@ -355,7 +357,12 @@ pub fn power_iteration_northup(
     iterations: usize,
     tree: northup::Tree,
 ) -> Result<(f64, AppRun)> {
-    assert_eq!(m.rows, m.cols, "power iteration needs a square matrix");
+    if m.rows != m.cols {
+        return Err(NorthupError::Invalid(format!(
+            "power iteration needs a square matrix, got {}x{}",
+            m.rows, m.cols
+        )));
+    }
     let rt = Runtime::new(tree, ExecMode::Real)?;
     let rows = m.rows as u64;
     let geoms = matrix_shards(m);

@@ -22,21 +22,14 @@ use crate::calibration::model_for;
 use crate::report::AppRun;
 use northup::{ExecMode, NodeId, NorthupError, ProcKind, Result, Runtime, Tree};
 use northup_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Job dispatch policy across subtrees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dispatch {
     /// Jobs rotate across branches regardless of their speed.
     RoundRobin,
     /// Each job goes to the branch whose leaf frees up first.
     EarliestFinish,
-    /// Each job goes to the branch whose subtree work queue is shallowest —
-    /// the paper's literal queue-status mechanism (Listing 1 work queues +
-    /// §V-E subsystem checks). Tracks pending jobs with
-    /// [`northup::WorkQueues`] and completes them as their virtual
-    /// completion times pass.
-    ShortestQueue,
 }
 
 /// One branch: the path from the root to a compute leaf.
@@ -80,7 +73,7 @@ pub fn branches(tree: &Tree) -> Vec<Branch> {
 }
 
 /// Outcome of a batch run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SubtreeOutcome {
     /// The run report.
     pub run: AppRun,
@@ -113,39 +106,10 @@ pub fn run_batch(
     let output = rt.alloc(bytes * jobs as u64, rt.tree().root())?;
     let mut counts = vec![0usize; branches.len()];
     let mut pending: Vec<(u64, Vec<northup::BufferHandle>)> = Vec::new();
-    let mut wq = northup::WorkQueues::new(rt.tree());
-    // (completion time, branch head node) for ShortestQueue.
-    let mut inflight: Vec<(SimTime, NodeId)> = Vec::new();
 
     for j in 0..jobs as u64 {
         let b = match dispatch {
             Dispatch::RoundRobin => (j as usize) % branches.len(),
-            Dispatch::ShortestQueue => {
-                // Bounded admission: a real dispatcher hands out work as
-                // completions free slots. Block (advance virtual "now" to
-                // the earliest completion) while the in-flight window is
-                // full, retiring finished tasks from their queues — this is
-                // what lets queue depths reflect per-branch backlog rather
-                // than a mere assignment count.
-                let window = 2 * branches.len();
-                while inflight.len() >= window {
-                    let Some(pos) = (0..inflight.len()).min_by_key(|&i| inflight[i].0) else {
-                        break;
-                    };
-                    wq.complete(inflight.remove(pos).1);
-                }
-                // The SV-E query: shallowest subtree queue wins.
-                let mut best = 0usize;
-                let mut best_depth = usize::MAX;
-                for (i, br) in branches.iter().enumerate() {
-                    let depth = wq.subtree_depth(rt.tree(), br.path[0]);
-                    if depth < best_depth {
-                        best_depth = depth;
-                        best = i;
-                    }
-                }
-                best
-            }
             Dispatch::EarliestFinish => {
                 // The §V-E subsystem-status query: pick the branch whose
                 // leaf processor frees up first.
@@ -176,7 +140,7 @@ pub fn run_batch(
             cur_off = 0;
         }
         let dur = model_for(&branch.proc_name)?.stencil_time(cells, steps);
-        let served = rt.charge_compute(
+        rt.charge_compute(
             branch.leaf,
             branch.proc,
             dur,
@@ -184,10 +148,6 @@ pub fn run_batch(
             &[cur],
             &format!("job {j}"),
         )?;
-        if dispatch == Dispatch::ShortestQueue {
-            wq.enqueue(branch.path[0]);
-            inflight.push((served.end, branch.path[0]));
-        }
         pending.push((j, stages));
     }
 
@@ -316,33 +276,6 @@ mod tests {
         let out = run_batch(tree, 10, 128, 4, Dispatch::EarliestFinish).unwrap();
         assert_eq!(out.per_leaf.len(), 1);
         assert_eq!(out.per_leaf[0].1, 10);
-    }
-
-    #[test]
-    fn shortest_queue_dispatch_also_balances() {
-        // The paper's literal queue-depth mechanism performs comparably to
-        // earliest-finish on the heterogeneous tree.
-        let rr = run_batch(fig2_ssd(), 60, 512, 256, Dispatch::RoundRobin).unwrap();
-        let sq = run_batch(fig2_ssd(), 60, 512, 256, Dispatch::ShortestQueue).unwrap();
-        let ef = run_batch(fig2_ssd(), 60, 512, 256, Dispatch::EarliestFinish).unwrap();
-        let (t_rr, t_sq, t_ef) = (
-            rr.run.makespan().as_secs_f64(),
-            sq.run.makespan().as_secs_f64(),
-            ef.run.makespan().as_secs_f64(),
-        );
-        assert!(
-            t_sq < 0.7 * t_rr,
-            "queue depths beat round-robin: {t_sq} vs {t_rr}"
-        );
-        // Depth is a weaker signal than projected finish times (it ignores
-        // branch service rates), so SQ lands between RR and EF.
-        assert!(
-            t_sq <= t_ef * 2.0,
-            "within 2x of earliest-finish: {t_sq} vs {t_ef}"
-        );
-        assert!(t_ef <= t_sq, "finish-time projection dominates depth-only");
-        let total: usize = sq.per_leaf.iter().map(|(_, n)| n).sum();
-        assert_eq!(total, 60);
     }
 
     #[test]

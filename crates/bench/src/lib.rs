@@ -38,10 +38,9 @@ use northup_sched::{
     Reservation, ResizeDrain, SchedReport, SchedulerConfig, SloConfig,
 };
 use northup_sim::{Category, SimDur, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The three evaluated applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum App {
     /// Dense matrix multiply (§IV-A).
     Matmul,
@@ -106,7 +105,7 @@ pub fn run_northup_discrete(app: App, storage: DeviceSpec) -> Result<AppRun, Nor
 // ---------------------------------------------------------------------------
 
 /// One Fig. 6 row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Row {
     /// Application.
     pub app: App,
@@ -180,7 +179,7 @@ pub fn fig6_large() -> Result<Vec<Fig6Row>, NorthupError> {
 // ---------------------------------------------------------------------------
 
 /// One breakdown row (Figs. 7/8 bars): shares of summed busy time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BreakdownRow {
     /// Application.
     pub app: App,
@@ -246,7 +245,7 @@ pub fn fig8() -> Result<Vec<BreakdownRow>, NorthupError> {
 // ---------------------------------------------------------------------------
 
 /// One point of the Fig. 9 sweep for one app.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Point {
     /// (read, write) MB/s of the projected SSD.
     pub bw: (u64, u64),
@@ -260,7 +259,7 @@ pub struct Fig9Point {
 }
 
 /// Fig. 9 series for one app.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Series {
     /// Application.
     pub app: App,
@@ -314,7 +313,7 @@ pub fn fig9() -> Result<Vec<Fig9Series>, NorthupError> {
 // ---------------------------------------------------------------------------
 
 /// One Fig. 11 bar.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Bar {
     /// Input point (m, n): grid dim on SSD, chunk dim in DRAM.
     pub input: (usize, usize),
@@ -352,7 +351,7 @@ pub fn fig11() -> Vec<Fig11Bar> {
 // ---------------------------------------------------------------------------
 
 /// Result of the §VI caching study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CachingStudy {
     /// One streaming pass over `stream_mb`: (transparent cache, Northup
     /// explicit HDD, cache hit rate).
@@ -432,7 +431,7 @@ pub fn caching_study() -> Result<CachingStudy, NorthupError> {
     let dram = b.add_child(ssd, catalog::dram_staging_2gb(), catalog::dram_dma_link());
     b.attach_processor(
         dram,
-        northup::ProcessorDesc::new(northup::ProcKind::Gpu, "apu-gpu", 1 << 20),
+        northup::ProcessorDesc::new(northup::ProcKind::Gpu, "apu-gpu"),
     );
     let rt = Runtime::new(b.build(), ExecMode::Modeled)?;
     let file = rt.alloc(reuse_mb << 20, rt.tree().root())?;
@@ -550,7 +549,7 @@ pub fn ablation_layout_transform() -> Result<Vec<(&'static str, SimDur)>, Northu
 
 /// The abstract's headline: per-app gap between Northup (fast SSD) and
 /// in-memory processing, and their average (paper: 5%, 15%, 30% -> ~17%).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Headline {
     /// Per-app (label, gap) where gap = slowdown - 1.
     pub gaps: Vec<(String, f64)>,
@@ -578,7 +577,7 @@ pub fn headline() -> Result<Headline, NorthupError> {
 /// One offered-load point of the multi-tenant service scenario: the same
 /// mixed GEMM/HotSpot/SpMV arrival trace replayed under weighted-fair
 /// admission and under the strict-FIFO baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServiceRow {
     /// Mean virtual inter-arrival gap (µs); smaller ⇒ higher offered load.
     pub mean_gap_us: u64,

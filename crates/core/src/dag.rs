@@ -18,11 +18,10 @@
 
 use crate::data::BufferHandle;
 use northup_sim::{Category, SimDur};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One recorded operation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DagNode {
     /// Node id (== index; ids are topologically ordered by construction).
     pub id: u32,
@@ -57,7 +56,7 @@ pub struct DagNode {
 /// let (cp, path) = dag.critical_path();
 /// assert!(cp > SimDur::ZERO && !path.is_empty());
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TaskDag {
     /// Operations, in issue order (a valid topological order).
     pub nodes: Vec<DagNode>,

@@ -29,6 +29,10 @@ pub enum NorthupError {
     /// No cost model is known for the named processor, so its compute
     /// time cannot be modeled.
     NoCostModel(String),
+    /// An argument breaks the operation's contract: a block that does not
+    /// divide the problem size, a non-square matrix where one is needed,
+    /// an empty candidate list — or a computed result failed its check.
+    Invalid(String),
     /// An access range does not fit the buffer.
     BadRange {
         /// Offending buffer.
@@ -66,6 +70,7 @@ impl fmt::Display for NorthupError {
             }
             NorthupError::NoProcessor(n) => write!(f, "node {n} has no matching processor"),
             NorthupError::NoCostModel(name) => write!(f, "no cost model for processor '{name}'"),
+            NorthupError::Invalid(why) => write!(f, "invalid argument: {why}"),
             NorthupError::BadRange {
                 buffer,
                 offset,

@@ -14,20 +14,19 @@
 //! * [`ChunkChain`] — the compiled chain: an ordered list of costed
 //!   stages for one placement, repeated `chunks` times, built by
 //!   [`build_chain`].
-//! * [`Checkpoint`] — the resume token preemption hands back: every
-//!   completed chunk is a checkpoint, so an evicted job restarts from
-//!   its next unprocessed chunk — no chunk runs twice.
-//! * [`Fabric`] — the backend trait. A *modeled* fabric books stages on
-//!   shared virtual-time resources (`northup-sched::SimFabric`); a *real*
-//!   fabric drives the same chain through a [`Runtime`](crate::Runtime)
-//!   in [`ExecMode::Real`](crate::ExecMode) on the `northup-exec`
-//!   work-stealing pool, with allocations metered by the job's
-//!   [`CapacityLease`](crate::CapacityLease).
+//! * [`Fabric`] — the chunk-serving trait, implemented by the *real*
+//!   backend (`northup-sched::RealFabric`): it drives a chain through a
+//!   [`Runtime`](crate::Runtime) in [`ExecMode::Real`](crate::ExecMode)
+//!   on the `northup-exec` work-stealing pool, with allocations metered
+//!   by the job's [`CapacityLease`](crate::CapacityLease). The *modeled*
+//!   backend (`northup-sched::SimFabric`) books the same chain stage by
+//!   stage on shared virtual-time resources and needs no trait.
 //!
 //! The invariant that makes preemption and mode-agreement testable: a
 //! chain is a pure function of (tree, leaf, work), so every backend sees
 //! the *same* stages with the *same* costs, and chunk index `i` means the
-//! same unit of work everywhere.
+//! same unit of work everywhere. A preempted job's checkpoint is the
+//! count of chunks it completed; it resumes at the next index.
 
 use crate::error::NorthupError;
 use crate::topology::{NodeId, Tree};
@@ -35,23 +34,19 @@ use northup_sim::{SimDur, SimTime};
 use std::fmt;
 
 /// Errors from fabric execution — distinct from [`NorthupError`] so
-/// backends can say *which* phase failed and callers (the scheduler, the
-/// service driver) can react without string-matching.
+/// callers (the scheduler, the service driver) can tell a failed chunk
+/// from their own errors without string-matching.
 #[derive(Debug)]
 pub enum FabricError {
     /// The backing runtime rejected a data movement or compute charge
     /// while serving a chunk.
     Runtime(NorthupError),
-    /// Restoring the fabric to idle failed (e.g. rebuilding a real
-    /// arena's runtime and file pattern).
-    Reset(NorthupError),
 }
 
 impl fmt::Display for FabricError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FabricError::Runtime(e) => write!(f, "fabric chunk execution failed: {e}"),
-            FabricError::Reset(e) => write!(f, "fabric reset failed: {e}"),
         }
     }
 }
@@ -59,7 +54,7 @@ impl fmt::Display for FabricError {
 impl std::error::Error for FabricError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            FabricError::Runtime(e) | FabricError::Reset(e) => Some(e),
+            FabricError::Runtime(e) => Some(e),
         }
     }
 }
@@ -241,26 +236,6 @@ impl ChunkChain {
     }
 }
 
-/// The resume token of chunk-granular preemption: every completed chunk
-/// is a checkpoint. An evicted job holds a `Checkpoint` and later resumes
-/// at `next_chunk` — chunks `0..next_chunk` ran exactly once and never
-/// run again.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Checkpoint {
-    /// The first chunk index that has not completed.
-    pub next_chunk: u32,
-}
-
-impl Checkpoint {
-    /// The checkpoint at the very start of a chain.
-    pub const START: Checkpoint = Checkpoint { next_chunk: 0 };
-
-    /// The checkpoint after `done` completed chunks.
-    pub fn after(done: u32) -> Self {
-        Checkpoint { next_chunk: done }
-    }
-}
-
 /// Compile the stage chain for one chunk of `work` placed on `leaf`:
 /// root read, link staging down every linked hop of the root→leaf path,
 /// leaf compute, link write-back up the same hops, root write-back —
@@ -339,12 +314,8 @@ pub fn build_chain(tree: &Tree, leaf: NodeId, work: ChunkWork, chunks: u32) -> C
     }
 }
 
-/// An execution backend for stage chains.
-///
-/// Implementations agree on *what* a chunk is (the compiled
-/// [`ChunkChain`]) and differ in *how* it is served: a modeled fabric
-/// books the stages on shared virtual-time resources and returns the
-/// booked completion; a real fabric moves actual bytes and runs actual
+/// An execution backend that serves a compiled [`ChunkChain`] one whole
+/// chunk at a time: the real fabric moves actual bytes and runs actual
 /// kernels, returning the virtual completion its runtime charged.
 pub trait Fabric {
     /// Serve one whole chunk of `chain` (chunk index `idx`), starting no
@@ -357,10 +328,6 @@ pub trait Fabric {
         idx: u32,
         ready: SimTime,
     ) -> Result<SimTime, FabricError>;
-
-    /// Restore the fabric to idle at time zero. Fallible: a real fabric
-    /// rebuilds its runtime and file pattern, which can be refused.
-    fn reset(&mut self) -> Result<(), FabricError>;
 }
 
 #[cfg(test)]
@@ -449,12 +416,6 @@ mod tests {
             }
         }
         Ok(())
-    }
-
-    #[test]
-    fn checkpoint_tokens_advance_per_chunk() {
-        assert_eq!(Checkpoint::START.next_chunk, 0);
-        assert_eq!(Checkpoint::after(5).next_chunk, 5);
     }
 
     /// The precompiled `nodes` and `runs` vectors are derived views of

@@ -81,8 +81,7 @@ pub use dag::{DagNode, TaskDag};
 pub use data::BufferHandle;
 pub use error::{NorthupError, Result};
 pub use fabric::{
-    build_chain, ChainStage, Checkpoint, ChunkChain, ChunkWork, Fabric, FabricError, Stage,
-    StageCost, StageRun,
+    build_chain, ChainStage, ChunkChain, ChunkWork, Fabric, FabricError, Stage, StageCost, StageRun,
 };
 pub use fault::{retry_backoff, FaultKind, FaultPlan, RETRY_ATTEMPTS};
 pub use lease::CapacityLease;

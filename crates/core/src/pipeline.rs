@@ -13,8 +13,9 @@
 //!   for chunk *t+1* issued before chunk *t*'s compute and write-back (so
 //!   the storage device streams ahead instead of head-of-line blocking
 //!   behind result writes), write-after-read hazards bounding how far
-//!   ahead the ring may run. Users: `matmul` (shard and k-split
-//!   schedules), `hotspot` and `reduce` in `northup-apps`.
+//!   ahead the ring may run. A run always starts at the first item;
+//!   nothing resumes a pipeline part-way. Users: `matmul`, `hotspot` and
+//!   `reduce` in `northup-apps`.
 //! * [`ChainBufs`] is Listing 3's recursion below the staging level
 //!   (`setup_buffer` at the child, `move_data_down`, recurse,
 //!   `move_data_up`): one buffer set per deeper level, pushed down and
@@ -101,35 +102,16 @@ impl<'rt> ChunkPipeline<'rt> {
     pub fn run<T>(
         &self,
         items: &[T],
-        load: impl FnMut(&T, &[BufferHandle]) -> Result<()>,
-        work: impl FnMut(&T, &[BufferHandle]) -> Result<()>,
-    ) -> Result<()> {
-        self.run_from(crate::fabric::Checkpoint::START, items, load, work)
-    }
-
-    /// Like [`run`](Self::run), resuming from a [`Checkpoint`]: items
-    /// before `from.next_chunk` are skipped entirely — neither loaded nor
-    /// worked — so an evicted chain continues at its next unprocessed
-    /// chunk without repeating completed ones. Slot indexing stays keyed
-    /// on the absolute item position, so a resumed run reuses the same
-    /// ring slots the uninterrupted run would have.
-    ///
-    /// [`Checkpoint`]: crate::fabric::Checkpoint
-    pub fn run_from<T>(
-        &self,
-        from: crate::fabric::Checkpoint,
-        items: &[T],
         mut load: impl FnMut(&T, &[BufferHandle]) -> Result<()>,
         mut work: impl FnMut(&T, &[BufferHandle]) -> Result<()>,
     ) -> Result<()> {
-        let start = (from.next_chunk as usize).min(items.len());
-        if start >= items.len() {
+        let Some(first) = items.first() else {
             return Ok(());
-        }
-        load(&items[start], &self.slots[start % self.ring])?;
-        for (t, item) in items.iter().enumerate().skip(start) {
-            if t + 1 < items.len() {
-                load(&items[t + 1], &self.slots[(t + 1) % self.ring])?;
+        };
+        load(first, &self.slots[0])?;
+        for (t, item) in items.iter().enumerate() {
+            if let Some(next) = items.get(t + 1) {
+                load(next, &self.slots[(t + 1) % self.ring])?;
             }
             work(item, &self.slots[t % self.ring])?;
         }
@@ -358,45 +340,6 @@ mod tests {
             "makespan {makespan:.3} vs serial {serial:.3}"
         );
         assert!(makespan >= io.max(comp) - 1e-9);
-    }
-
-    #[test]
-    fn resume_from_checkpoint_skips_completed_items() {
-        let rt = rt();
-        let pipe = ChunkPipeline::new(&rt, NodeId(1), 2, &[16]).unwrap();
-        let items: Vec<u32> = (0..6).collect();
-        let worked = std::cell::RefCell::new(Vec::new());
-        // First run is evicted after 4 items (caller stops early by
-        // truncating); the resume picks up at the checkpoint.
-        pipe.run(
-            &items[..4],
-            |_, _| Ok(()),
-            |&i, _| {
-                worked.borrow_mut().push(i);
-                Ok(())
-            },
-        )
-        .unwrap();
-        pipe.run_from(
-            crate::fabric::Checkpoint::after(4),
-            &items,
-            |_, _| Ok(()),
-            |&i, _| {
-                worked.borrow_mut().push(i);
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(worked.into_inner(), items, "each chunk exactly once");
-        // A checkpoint at/after the end is a no-op.
-        pipe.run_from(
-            crate::fabric::Checkpoint::after(6),
-            &items,
-            |_, _| panic!("no loads"),
-            |_, _| panic!("no work"),
-        )
-        .unwrap();
-        pipe.release().unwrap();
     }
 
     #[test]

@@ -14,10 +14,9 @@
 
 use crate::error::{NorthupError, Result};
 use crate::topology::Tree;
-use serde::{Deserialize, Serialize};
 
 /// A chosen block dimension per level below the root, outermost first.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockPlan {
     /// Block dimension per chain level below the root.
     pub per_level: Vec<usize>,
@@ -61,20 +60,26 @@ pub const DEFAULT_HEADROOM: f64 = 0.9;
 /// * `footprint(level, block)` — bytes the application needs resident on
 ///   that level when using `block` (staging rings, kept shards, halos...).
 ///
-/// Errors with [`NorthupError::NoProcessor`]-free topology issues aside,
-/// planning fails if even the smallest candidate does not fit somewhere.
+/// Errors with [`NorthupError::Invalid`] on an empty or unsorted
+/// candidate list or a headroom outside `[0, 1]`, with a topology error
+/// on a tree with no level below the root, and with an out-of-capacity
+/// error if even the smallest candidate does not fit somewhere.
 pub fn plan_blocks(
     tree: &Tree,
     candidates: &[usize],
     headroom: f64,
     footprint: impl Fn(usize, usize) -> u64,
 ) -> Result<BlockPlan> {
-    assert!(!candidates.is_empty(), "need at least one candidate block");
-    assert!(
-        candidates.windows(2).all(|w| w[0] < w[1]),
-        "candidates must be ascending"
-    );
-    assert!((0.0..=1.0).contains(&headroom), "headroom in (0, 1]");
+    let invalid = |why: &str| Err(NorthupError::Invalid(why.into()));
+    if candidates.is_empty() {
+        return invalid("plan_blocks needs at least one candidate block");
+    }
+    if !candidates.windows(2).all(|w| w[0] < w[1]) {
+        return invalid("plan_blocks candidates must be ascending");
+    }
+    if !(0.0..=1.0).contains(&headroom) {
+        return invalid("plan_blocks headroom must lie in [0, 1]");
+    }
 
     let chain = tree.chain_below(tree.root());
     if chain.is_empty() {
@@ -211,7 +216,7 @@ mod tests {
         let dram = b.add_child(NodeId(0), catalog::dram_16gb(), catalog::dram_dma_link());
         b.attach_processor(
             dram,
-            crate::topology::ProcessorDesc::new(crate::topology::ProcKind::Gpu, "apu-gpu", 1 << 20),
+            crate::topology::ProcessorDesc::new(crate::topology::ProcKind::Gpu, "apu-gpu"),
         );
         let big = b.build();
 

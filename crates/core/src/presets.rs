@@ -5,12 +5,11 @@ use crate::topology::{NodeId, ProcKind, ProcessorDesc, Tree, TreeBuilder};
 use northup_hw::{catalog, DeviceSpec};
 
 fn apu_gpu_proc() -> ProcessorDesc {
-    // 1 MiB of GPU L2 on the APU part.
-    ProcessorDesc::new(ProcKind::Gpu, "apu-gpu", 1 << 20)
+    ProcessorDesc::new(ProcKind::Gpu, "apu-gpu")
 }
 
 fn apu_cpu_proc() -> ProcessorDesc {
-    ProcessorDesc::new(ProcKind::Cpu, "apu-cpu", 4 << 20)
+    ProcessorDesc::new(ProcKind::Cpu, "apu-cpu")
 }
 
 /// The paper's two-level APU configuration (§V-B): storage (SSD or HDD) at
@@ -44,9 +43,9 @@ pub fn discrete_gpu_three_level(storage: DeviceSpec) -> Tree {
         catalog::dram_staging_2gb(),
         catalog::dram_dma_link(),
     );
-    b.attach_processor(dram, ProcessorDesc::new(ProcKind::Cpu, "host-cpu", 8 << 20));
+    b.attach_processor(dram, ProcessorDesc::new(ProcKind::Cpu, "host-cpu"));
     let gpumem = b.add_child(dram, catalog::gpu_devmem_w9100(), catalog::pcie3_x16());
-    b.attach_processor(gpumem, ProcessorDesc::new(ProcKind::Gpu, "w9100", 1 << 20));
+    b.attach_processor(gpumem, ProcessorDesc::new(ProcKind::Gpu, "w9100"));
     b.build()
 }
 
@@ -74,7 +73,7 @@ pub fn asymmetric_fig2_with(storage: DeviceSpec) -> Tree {
     let mut b = TreeBuilder::new(storage); // n0
                                            // Subtree 1: DRAM leaf with a CPU.
     let n1 = b.add_child(NodeId(0), catalog::dram_16gb(), catalog::dram_dma_link());
-    b.attach_processor(n1, ProcessorDesc::new(ProcKind::Cpu, "cpu0", 8 << 20));
+    b.attach_processor(n1, ProcessorDesc::new(ProcKind::Cpu, "cpu0"));
     // Subtree 2: NVM -> DRAM -> GPU device memory.
     let n2 = b.add_child(
         NodeId(0),
@@ -83,7 +82,7 @@ pub fn asymmetric_fig2_with(storage: DeviceSpec) -> Tree {
     );
     let n4 = b.add_child(n2, catalog::dram_staging_2gb(), catalog::dram_dma_link());
     let n5 = b.add_child(n4, catalog::gpu_devmem_4gb(), catalog::pcie3_x16());
-    b.attach_processor(n5, ProcessorDesc::new(ProcKind::Gpu, "gpu0", 1 << 20));
+    b.attach_processor(n5, ProcessorDesc::new(ProcKind::Gpu, "gpu0"));
     // Subtree 3: DRAM with two accelerator children (nodes 6 and 7).
     let n3 = b.add_child(
         NodeId(0),
@@ -91,9 +90,9 @@ pub fn asymmetric_fig2_with(storage: DeviceSpec) -> Tree {
         catalog::dram_dma_link(),
     );
     let n6 = b.add_child(n3, catalog::stacked_dram_4gb(), catalog::dram_dma_link());
-    b.attach_processor(n6, ProcessorDesc::new(ProcKind::Gpu, "pim", 512 << 10));
+    b.attach_processor(n6, ProcessorDesc::new(ProcKind::Gpu, "pim"));
     let n7 = b.add_child(n3, catalog::gpu_devmem_4gb(), catalog::pcie3_x16());
-    b.attach_processor(n7, ProcessorDesc::new(ProcKind::Fpga, "fpga0", 256 << 10));
+    b.attach_processor(n7, ProcessorDesc::new(ProcKind::Fpga, "fpga0"));
     b.build()
 }
 
@@ -103,10 +102,10 @@ pub fn asymmetric_fig2_with(storage: DeviceSpec) -> Tree {
 pub fn exascale_node() -> Tree {
     let mut b = TreeBuilder::new(catalog::nvm_optane_like());
     let dram = b.add_child(NodeId(0), catalog::dram_16gb(), catalog::dram_dma_link());
-    b.attach_processor(dram, ProcessorDesc::new(ProcKind::Cpu, "host-cpu", 8 << 20));
+    b.attach_processor(dram, ProcessorDesc::new(ProcKind::Cpu, "host-cpu"));
     let hbm = b.add_child(dram, catalog::stacked_dram_4gb(), catalog::dram_dma_link());
     let gpu = b.add_child(hbm, catalog::gpu_devmem_w9100(), catalog::pcie3_x16());
-    b.attach_processor(gpu, ProcessorDesc::new(ProcKind::Gpu, "exa-gpu", 2 << 20));
+    b.attach_processor(gpu, ProcessorDesc::new(ProcKind::Gpu, "exa-gpu"));
     b.build()
 }
 
@@ -124,9 +123,9 @@ pub fn cluster(gpu_nodes: usize, cpu_nodes: usize) -> Tree {
             catalog::infiniband_edr(),
         );
         let dram = b.add_child(nvm, catalog::dram_16gb(), catalog::dram_dma_link());
-        b.attach_processor(dram, ProcessorDesc::new(ProcKind::Cpu, "host-cpu", 8 << 20));
+        b.attach_processor(dram, ProcessorDesc::new(ProcKind::Cpu, "host-cpu"));
         let gpu = b.add_child(dram, catalog::gpu_devmem_w9100(), catalog::pcie3_x16());
-        b.attach_processor(gpu, ProcessorDesc::new(ProcKind::Gpu, "gpu0", 1 << 20));
+        b.attach_processor(gpu, ProcessorDesc::new(ProcKind::Gpu, "gpu0"));
         let _ = i;
     }
     for _ in 0..cpu_nodes {
@@ -136,7 +135,7 @@ pub fn cluster(gpu_nodes: usize, cpu_nodes: usize) -> Tree {
             catalog::infiniband_edr(),
         );
         let dram = b.add_child(nvm, catalog::dram_16gb(), catalog::dram_dma_link());
-        b.attach_processor(dram, ProcessorDesc::new(ProcKind::Cpu, "cpu0", 8 << 20));
+        b.attach_processor(dram, ProcessorDesc::new(ProcKind::Cpu, "cpu0"));
     }
     b.build()
 }

@@ -18,10 +18,9 @@
 use crate::runtime::RunReport;
 use northup_hw::{BwPoint, IoTotals};
 use northup_sim::{transfer_time, Category, SimDur};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of projecting one run to one bandwidth point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Projection {
     /// The hypothetical device's read bandwidth (bytes/s).
     pub read_bw: f64,
@@ -97,7 +96,6 @@ mod tests {
                     write_ops: 1,
                 },
             )],
-            utilization: vec![],
         }
     }
 

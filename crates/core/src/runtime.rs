@@ -16,7 +16,6 @@ use northup_hw::{
 };
 use northup_sim::{Breakdown, Category, Resource, SimDur, SimTime, Timeline};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How data operations execute.
@@ -34,7 +33,7 @@ pub enum ExecMode {
 /// Per-storage-class fixed costs of buffer setup/teardown (file open/close
 /// plus metadata, malloc, clCreateBuffer/clReleaseMemObject). These feed
 /// the "buffer setup" category of the paper's Figs. 7 and 8.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SetupCosts {
     /// File allocation (open + create).
     pub file_alloc: SimDur,
@@ -100,8 +99,6 @@ pub(crate) struct RtInner {
     /// Per-node count of recursive tasks spawned through it (the work-queue
     /// bookkeeping of Listing 1).
     pub spawned: Vec<u64>,
-    /// Per-node current recursion depth occupancy.
-    pub active: Vec<u64>,
     /// Optional §III-C dependency-graph recorder.
     pub dag: Option<DagRecorder>,
     /// Optional capacity lease: the admitted reservation `alloc` draws from
@@ -190,12 +187,7 @@ impl Runtime {
                     .as_ref()
                     .map(|l| Resource::new(&l.name, l.bandwidth, l.latency)),
             );
-            proc_res.push(
-                node.procs
-                    .iter()
-                    .map(|p| Resource::new_compute(&p.name))
-                    .collect(),
-            );
+            proc_res.push(node.procs.iter().map(|_| Resource::new_compute()).collect());
         }
         let n = tree.len();
         Ok(Runtime {
@@ -212,7 +204,6 @@ impl Runtime {
                 timeline: Timeline::with_spans(),
                 io: IoTracker::new(),
                 spawned: vec![0; n],
-                active: vec![0; n],
                 dag: None,
                 lease: None,
                 charged: BTreeMap::new(),
@@ -258,15 +249,7 @@ impl Runtime {
 
     /// Record a recursive spawn through `node` (work-queue bookkeeping).
     pub(crate) fn note_spawn(&self, node: NodeId) {
-        let mut g = self.inner.lock();
-        g.spawned[node.0] += 1;
-        g.active[node.0] += 1;
-    }
-
-    /// Record a recursive task retiring at `node`.
-    pub(crate) fn note_retire(&self, node: NodeId) {
-        let mut g = self.inner.lock();
-        g.active[node.0] = g.active[node.0].saturating_sub(1);
+        self.inner.lock().spawned[node.0] += 1;
     }
 
     /// Total recursive tasks ever spawned through `node` (queue statistics,
@@ -274,11 +257,6 @@ impl Runtime {
     /// by checking the queue associated with the root of a subtree").
     pub fn tasks_spawned(&self, node: NodeId) -> u64 {
         self.inner.lock().spawned[node.0]
-    }
-
-    /// Recursive tasks currently in flight at `node`.
-    pub fn tasks_active(&self, node: NodeId) -> u64 {
-        self.inner.lock().active[node.0]
     }
 
     /// Snapshot the execution report so far.
@@ -289,16 +267,7 @@ impl Runtime {
             g.io.devices()
                 .map(|(name, t)| (name.to_string(), t))
                 .collect();
-        let utilization = g
-            .node_res
-            .iter()
-            .map(|r| (r.name().to_string(), r.stats()))
-            .collect();
-        RunReport {
-            breakdown,
-            io,
-            utilization,
-        }
+        RunReport { breakdown, io }
     }
 
     /// Current virtual makespan (latest finish of anything scheduled).
@@ -350,22 +319,15 @@ impl Runtime {
     ) -> Option<std::sync::Arc<crate::lease::CapacityLease>> {
         self.inner.lock().lease.replace(lease)
     }
-
-    /// The currently installed capacity lease, if any.
-    pub fn lease(&self) -> Option<std::sync::Arc<crate::lease::CapacityLease>> {
-        self.inner.lock().lease.clone()
-    }
 }
 
 /// Execution report: the material of the paper's Figs. 6–8.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Per-category busy times + makespan.
     pub breakdown: Breakdown,
     /// Per-device I/O totals (bytes and ops).
     pub io: Vec<(String, northup_hw::IoTotals)>,
-    /// Per-node device resource utilization.
-    pub utilization: Vec<(String, northup_sim::ResourceStats)>,
 }
 
 impl RunReport {

@@ -13,12 +13,11 @@
 //! `get_children_list`, `get_level`, `get_max_treelevel`.
 
 use northup_hw::{DeviceSpec, LinkSpec, StorageClass};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a tree node ("each tree node is associated with a unique
 /// identifier").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 impl fmt::Display for NodeId {
@@ -28,7 +27,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Processor technology attached to a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcKind {
     /// General-purpose CPU cores.
     Cpu,
@@ -49,30 +48,26 @@ impl fmt::Display for ProcKind {
 }
 
 /// A processor attached to a tree node (the paper's `processor_t`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessorDesc {
     /// Technology.
     pub kind: ProcKind,
     /// Name for reports ("apu-gpu").
     pub name: String,
-    /// Last-level (hardware-managed) cache size in bytes — the paper keeps
-    /// `LLC_size` in the leaf node structure.
-    pub llc_bytes: u64,
 }
 
 impl ProcessorDesc {
     /// Convenience constructor.
-    pub fn new(kind: ProcKind, name: impl Into<String>, llc_bytes: u64) -> Self {
+    pub fn new(kind: ProcKind, name: impl Into<String>) -> Self {
         ProcessorDesc {
             kind,
             name: name.into(),
-            llc_bytes,
         }
     }
 }
 
 /// One tree node (the paper's `tree_node_t`, Listing 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Unique id.
     pub id: NodeId,
@@ -99,7 +94,7 @@ impl Node {
 }
 
 /// The topological tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tree {
     nodes: Vec<Node>,
 }
@@ -323,6 +318,7 @@ impl TreeBuilder {
     /// # Panics
     /// Panics on an unknown parent (builder ids come from this builder).
     pub fn add_child(&mut self, parent: NodeId, mem: DeviceSpec, link: LinkSpec) -> NodeId {
+        // analyze:allow(panic-paths): a parent id comes from this builder (its root or an earlier add_child); a foreign id is a construction bug in preset code, not a runtime condition
         assert!(parent.0 < self.nodes.len(), "unknown parent {parent}");
         let id = NodeId(self.nodes.len());
         let level = self.nodes[parent.0].level + 1;
@@ -344,6 +340,7 @@ impl TreeBuilder {
     /// # Panics
     /// Panics on an unknown node.
     pub fn attach_processor(&mut self, node: NodeId, proc_: ProcessorDesc) -> &mut Self {
+        // analyze:allow(panic-paths): a node id comes from this builder (its root or an add_child); a foreign id is a construction bug in preset code, not a runtime condition
         assert!(node.0 < self.nodes.len(), "unknown node {node}");
         self.nodes[node.0].procs.push(proc_);
         self
@@ -368,8 +365,8 @@ mod tests {
             catalog::dram_dma_link(),
         );
         let gpu = b.add_child(dram, catalog::gpu_devmem_4gb(), catalog::pcie3_x16());
-        b.attach_processor(gpu, ProcessorDesc::new(ProcKind::Gpu, "gpu", 1 << 20));
-        b.attach_processor(dram, ProcessorDesc::new(ProcKind::Cpu, "cpu", 4 << 20));
+        b.attach_processor(gpu, ProcessorDesc::new(ProcKind::Gpu, "gpu"));
+        b.attach_processor(dram, ProcessorDesc::new(ProcKind::Cpu, "cpu"));
         b.build()
     }
 

@@ -42,6 +42,7 @@ impl Transform {
 
     /// Apply to a byte buffer (pure function; used in Real mode).
     pub fn apply(&self, src: &[u8]) -> Vec<u8> {
+        // analyze:allow(panic-paths): the product's one caller, move_data_transform, returns BadRange before a mismatched buffer reaches here
         assert_eq!(src.len() as u64, self.bytes(), "transform size mismatch");
         let Transform::RowToCol { rows, cols, elem } = *self;
         let mut out = vec![0u8; src.len()];

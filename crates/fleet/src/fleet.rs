@@ -306,17 +306,76 @@ mod tests {
             .arrival(northup_sim::SimTime::from_secs_f64(0.0005 * i as f64))
     }
 
+    /// 24 light jobs over four fault-free shards.
+    fn clean_run() -> FleetReport {
+        let cfg = FleetConfig::preset(4, 9);
+        let mut fleet = Fleet::new(cfg.clone()).expect("4 shards");
+        for i in 0..24 {
+            fleet.submit(light_job(&cfg, i));
+        }
+        fleet.run().expect("fleet run")
+    }
+
+    /// Ten jobs homed on a shard whose staging node dies early.
+    fn chaos_run() -> FleetReport {
+        let mut cfg = FleetConfig::preset(3, 5);
+        cfg.sched.quarantine_after = 2;
+        cfg.sched.probation = false;
+        // The staging node every reservation targets (first child of
+        // the root) dies early on shard 0 only.
+        let staging = cfg.tree.children(cfg.tree.root())[0];
+        cfg.shard_overrides.insert(
+            0,
+            FaultPlan::new(1)
+                .script(staging, 0, FaultKind::Persistent)
+                .script(staging, 1, FaultKind::Persistent),
+        );
+        let quarter = cfg.tree.node(staging).mem.capacity / 4;
+        let mut fleet = Fleet::new(cfg.clone()).expect("3 shards");
+        for i in 0..10 {
+            let res = staging_reservation(&cfg.tree, quarter);
+            let work = JobWork::new(3)
+                .read(8 << 20)
+                .xfer(8 << 20)
+                .compute(SimDur::from_millis(2));
+            // Everything homed on the doomed shard.
+            fleet.submit(FleetJob::new(format!("j{i}"), res, work).home(0));
+        }
+        fleet.run().expect("fleet run")
+    }
+
+    /// FNV-1a over the report's JSON bytes.
+    fn json_hash(report: &FleetReport) -> u64 {
+        report
+            .to_json()
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// The other fleet tests compare a run with its own replay; these pins
+    /// hold across commits, so a change that moves routing, settlement or
+    /// the bytes of `to_json()` fails here.
+    #[test]
+    fn clean_and_chaos_runs_are_pinned() {
+        let clean = clean_run();
+        let chaos = chaos_run();
+        assert_eq!(
+            (clean.outcome_digest, json_hash(&clean)),
+            (0x4882_f13f_5824_9ef8, 0x0cd0_2b6d_a7dc_5d1b),
+            "clean fleet run moved"
+        );
+        assert_eq!(
+            (chaos.outcome_digest, json_hash(&chaos)),
+            (0xf535_4f50_bb2c_011d, 0x09f8_b7d8_57c8_dd46),
+            "chaos fleet run moved"
+        );
+    }
+
     #[test]
     fn fault_free_fleet_completes_and_replays_bit_identically() {
-        let build = || {
-            let cfg = FleetConfig::preset(4, 9);
-            let mut fleet = Fleet::new(cfg.clone()).expect("4 shards");
-            for i in 0..24 {
-                fleet.submit(light_job(&cfg, i));
-            }
-            fleet.run().expect("fleet run")
-        };
-        let report = build();
+        let report = clean_run();
         assert_eq!(report.count(JobState::Done), 24, "{}", report.summary());
         assert!(report.migrations.is_empty(), "no faults, no migrations");
         assert!(report.capacity_ok);
@@ -328,40 +387,14 @@ mod tests {
         for o in &report.outcomes {
             assert_eq!(o.shard, o.uid as u32 % 4, "{} strayed from home", o.name);
         }
-        let again = build();
+        let again = clean_run();
         assert_eq!(report.outcome_digest, again.outcome_digest);
         assert_eq!(report.to_json(), again.to_json(), "byte-identical replay");
     }
 
     #[test]
     fn scripted_quarantine_migrates_jobs_to_surviving_shards() {
-        let build = || {
-            let mut cfg = FleetConfig::preset(3, 5);
-            cfg.sched.quarantine_after = 2;
-            cfg.sched.probation = false;
-            // The staging node every reservation targets (first child of
-            // the root) dies early on shard 0 only.
-            let staging = cfg.tree.children(cfg.tree.root())[0];
-            cfg.shard_overrides.insert(
-                0,
-                FaultPlan::new(1)
-                    .script(staging, 0, FaultKind::Persistent)
-                    .script(staging, 1, FaultKind::Persistent),
-            );
-            let quarter = cfg.tree.node(staging).mem.capacity / 4;
-            let mut fleet = Fleet::new(cfg.clone()).expect("3 shards");
-            for i in 0..10 {
-                let res = staging_reservation(&cfg.tree, quarter);
-                let work = JobWork::new(3)
-                    .read(8 << 20)
-                    .xfer(8 << 20)
-                    .compute(SimDur::from_millis(2));
-                // Everything homed on the doomed shard.
-                fleet.submit(FleetJob::new(format!("j{i}"), res, work).home(0));
-            }
-            fleet.run().expect("fleet run")
-        };
-        let report = build();
+        let report = chaos_run();
         assert!(
             !report.migrations.is_empty(),
             "quarantine must displace jobs: {}",
@@ -385,7 +418,7 @@ mod tests {
         assert_eq!(report.count(JobState::Done), 10, "{}", report.summary());
         assert!(report.capacity_ok && report.exactly_once());
         assert!(report.rounds >= 2);
-        let again = build();
+        let again = chaos_run();
         assert_eq!(report.to_json(), again.to_json(), "byte-identical chaos");
     }
 

@@ -35,20 +35,11 @@ pub struct FaultyBackend<B> {
 impl<B: StorageBackend> FaultyBackend<B> {
     /// Wrap `inner`, failing every `fail_every`-th operation of kind `ops`.
     pub fn new(inner: B, ops: FaultOps, fail_every: u64) -> Self {
-        FaultyBackend::starting_at(inner, ops, fail_every, 0)
-    }
-
-    /// Like [`FaultyBackend::new`], but with the operation counter
-    /// pre-advanced to `offset`. A rebuilt arena (e.g. a fabric `reset`)
-    /// passes the number of operations already performed so the fault
-    /// phase continues across the rebuild instead of restarting — the
-    /// combined stream stays identical to one uninterrupted backend.
-    pub fn starting_at(inner: B, ops: FaultOps, fail_every: u64, offset: u64) -> Self {
         FaultyBackend {
             inner,
             ops,
             fail_every: fail_every.max(1),
-            counter: offset,
+            counter: 0,
             injected: 0,
         }
     }
@@ -168,29 +159,6 @@ mod tests {
         assert_eq!(b.used(), 100, "failed alloc consumed nothing");
         b.release(a).unwrap();
         assert_eq!(b.used(), 0);
-    }
-
-    #[test]
-    fn starting_at_continues_the_phase_of_an_interrupted_stream() {
-        // One uninterrupted backend over 6 reads...
-        let mut whole = FaultyBackend::new(HeapBackend::new("x", 1024), FaultOps::Reads, 3);
-        let blk = whole.alloc(4).unwrap();
-        let mut buf = [0u8; 4];
-        let pattern: Vec<bool> = (0..6)
-            .map(|_| whole.read(blk, 0, &mut buf).is_err())
-            .collect();
-        // ...equals 2 reads on a fresh one plus 4 on a rebuilt one that
-        // starts at offset 2.
-        let mut first = FaultyBackend::new(HeapBackend::new("x", 1024), FaultOps::Reads, 3);
-        let blk = first.alloc(4).unwrap();
-        let mut split: Vec<bool> = (0..2)
-            .map(|_| first.read(blk, 0, &mut buf).is_err())
-            .collect();
-        let mut second =
-            FaultyBackend::starting_at(HeapBackend::new("x", 1024), FaultOps::Reads, 3, 2);
-        let blk = second.alloc(4).unwrap();
-        split.extend((0..4).map(|_| second.read(blk, 0, &mut buf).is_err()));
-        assert_eq!(pattern, split);
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! [`BwPoint`] — is `northup::projection`, the one copy of the formula.
 
 use northup_sim::SimDur;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Direction of a recorded I/O.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dir {
     /// Device → host.
     Read,
@@ -21,7 +20,7 @@ pub enum Dir {
 }
 
 /// Accumulated counters for one device.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoTotals {
     /// Bytes read from the device.
     pub bytes_read: u64,
@@ -34,7 +33,7 @@ pub struct IoTotals {
 }
 
 /// A hypothetical device performance point for projection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BwPoint {
     /// Read bandwidth, bytes/s.
     pub read_bw: f64,

@@ -7,11 +7,10 @@
 //! performance parameters (read/write bandwidth and per-operation latency).
 
 use northup_sim::SimDur;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Physical technology of a memory/storage node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Rotating SATA disk (the paper's WD5000AAKX).
     Hdd,
@@ -61,7 +60,7 @@ impl fmt::Display for DeviceKind {
 
 /// How software reaches a node — the dispatch key of the unified data API
 /// (paper Listing 4 switches on `FILE_TYPE` vs `MEM_TYPE`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StorageClass {
     /// Reached through file I/O (open/seek/read/write on descriptors).
     File,
@@ -82,7 +81,7 @@ impl fmt::Display for StorageClass {
 }
 
 /// Static description of one memory/storage device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Human-readable name ("hyperx-predator").
     pub name: String,
@@ -148,7 +147,7 @@ impl DeviceSpec {
 }
 
 /// Static description of a link between two levels (PCIe, on-chip bus, DMA).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSpec {
     /// Human-readable name ("pcie3-x16").
     pub name: String,

@@ -17,10 +17,9 @@
 use crate::gemm::gemm_flops;
 use crate::stencil::FLOPS_PER_CELL;
 use northup_sim::SimDur;
-use serde::{Deserialize, Serialize};
 
 /// First-order processor model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcModel {
     /// Name for reports.
     pub name: String,

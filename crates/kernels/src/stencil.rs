@@ -22,11 +22,10 @@
 //! tunes with its blocking sizes.
 
 use crate::dense::DenseMatrix;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Physical constants of the HotSpot model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotSpotParams {
     /// Coefficient of the x-direction diffusion term (`step/(cap*Rx)`).
     pub cx: f32,

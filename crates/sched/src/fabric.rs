@@ -5,21 +5,31 @@
 //! (storage/memory bandwidth), per tree edge (link bandwidth + latency),
 //! and per attached processor (compute). All admitted jobs serve their
 //! chunk traffic on these *shared* resources, so SSD and PCIe contention
-//! between concurrent jobs shows up directly in their makespans — the
-//! same construction `northup::Runtime` uses for a single job, lifted to
-//! many.
+//! between concurrent jobs shows up directly in their makespans.
+//!
+//! The construction is close to `northup::Runtime`'s single-job model but
+//! not equal to it: each node's resource is built from the device's
+//! *read* bandwidth and *read* latency, and a chunk's root
+//! [`Stage::WriteBack`] is served on that same resource. So a write-back
+//! is charged at the root's read rate (an `ssd_hyperx_predator` root,
+//! 1400 MB/s read / 600 MB/s write, is written at 1400 MB/s plus its
+//! 60 µs read latency), where `Runtime::schedule_transfer` charges the
+//! device's `write_bw` and `write_latency`. Every pinned schedule digest
+//! and the `service`, `slo` and `chaos` figures are computed under this
+//! model.
 //!
 //! The *what* of a chunk — its ordered, costed stages — is the
-//! [`ChunkChain`] IR compiled by [`northup::fabric::build_chain`]; this
-//! module only decides *when* each stage is served. A chunk is served
-//! **stage by stage**: the scheduler books one [`ChainStage`] at its
+//! [`ChunkChain`](northup::fabric::ChunkChain) IR compiled by
+//! [`northup::fabric::build_chain`]; this module only decides *when*
+//! each stage is served. A chunk is served **stage by stage**: the
+//! scheduler books one [`ChainStage`] at its
 //! actual virtual ready time and only then learns when the next stage
 //! may start. Booking the whole chain at issue time would let an early
 //! chunk reserve the root storage far into the future (the [`Resource`]
 //! list scheduler never backfills idle gaps), which silently serializes
 //! concurrent jobs.
 
-use northup::fabric::{ChainStage, ChunkChain, Fabric, FabricError, Stage};
+use northup::fabric::{ChainStage, Stage};
 use northup::Tree;
 use northup_sim::{Resource, SimTime};
 
@@ -35,9 +45,10 @@ pub struct SimFabric {
 }
 
 impl SimFabric {
-    /// Build the fabric mirroring the runtime's resource construction:
-    /// node bandwidth from `DeviceSpec.read_bw`, link bandwidth/latency
-    /// from `LinkSpec`, one compute resource per node with processors.
+    /// Build the fabric: node bandwidth and latency from
+    /// `DeviceSpec.read_bw` and `read_latency` (for reads and write-backs
+    /// alike), link bandwidth/latency from `LinkSpec`, one compute
+    /// resource per node with processors.
     pub fn new(tree: &Tree) -> Self {
         let mut node_res = Vec::with_capacity(tree.len());
         let mut link_res = Vec::with_capacity(tree.len());
@@ -53,7 +64,7 @@ impl SimFabric {
                     .as_ref()
                     .map(|l| Resource::new(&l.name, l.bandwidth, l.latency)),
             );
-            comp_res.push(n.procs.first().map(|p| Resource::new_compute(&p.name)));
+            comp_res.push(n.procs.first().map(|_| Resource::new_compute()));
         }
         SimFabric {
             node_res,
@@ -85,49 +96,25 @@ impl SimFabric {
     }
 }
 
-impl Fabric for SimFabric {
-    /// Serve a whole chunk for a single tenant, stage after stage. Only
-    /// meaningful when no other job interleaves (tests, FIFO baselines);
-    /// the scheduler proper books stage by stage through
-    /// [`serve`](SimFabric::serve).
-    fn run_chunk(
-        &mut self,
-        chain: &ChunkChain,
-        _idx: u32,
-        ready: SimTime,
-    ) -> std::result::Result<SimTime, FabricError> {
-        let mut t = ready;
-        for stage in &chain.stages {
-            t = self.serve(stage, t);
-        }
-        Ok(t)
-    }
-
-    fn reset(&mut self) -> std::result::Result<(), FabricError> {
-        for r in &mut self.node_res {
-            r.reset();
-        }
-        for r in self.link_res.iter_mut().flatten() {
-            r.reset();
-        }
-        for r in self.comp_res.iter_mut().flatten() {
-            r.reset();
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::JobWork;
-    use northup::fabric::build_chain;
+    use northup::fabric::{build_chain, ChunkChain};
     use northup::{presets, NodeId};
     use northup_hw::catalog;
     use northup_sim::SimDur;
 
     fn leaf_of(tree: &Tree) -> NodeId {
         tree.leaves().next().unwrap().id
+    }
+
+    /// One whole chunk for a single tenant, stage after stage.
+    fn serve_chunk(fab: &mut SimFabric, chain: &ChunkChain, ready: SimTime) -> SimTime {
+        chain
+            .stages
+            .iter()
+            .fold(ready, |t, stage| fab.serve(stage, t))
     }
 
     #[test]
@@ -140,8 +127,8 @@ mod tests {
             .xfer(64 << 20)
             .compute(SimDur::from_millis(3));
         let chain = build_chain(&tree, leaf, work.chunk_work(), 1);
-        let t1 = fab.run_chunk(&chain, 0, SimTime::ZERO).unwrap();
-        let t2 = fab.run_chunk(&chain, 0, SimTime::ZERO).unwrap();
+        let t1 = serve_chunk(&mut fab, &chain, SimTime::ZERO);
+        let t2 = serve_chunk(&mut fab, &chain, SimTime::ZERO);
         assert!(t1 > SimTime::ZERO);
         assert!(
             t2 > t1,
@@ -170,22 +157,5 @@ mod tests {
         let read_only = build_chain(&tree, leaf, JobWork::new(1).read(1).chunk_work(), 1);
         assert_eq!(read_only.stages.len(), 1);
         assert!(build_chain(&tree, leaf, JobWork::new(1).chunk_work(), 1).is_empty());
-    }
-
-    #[test]
-    fn reset_restores_idle_fabric() {
-        let tree = presets::apu_two_level(catalog::ssd_hyperx_predator());
-        let mut fab = SimFabric::new(&tree);
-        let leaf = leaf_of(&tree);
-        let chain = build_chain(
-            &tree,
-            leaf,
-            JobWork::new(1).read(1 << 20).xfer(1 << 20).chunk_work(),
-            1,
-        );
-        let t1 = fab.run_chunk(&chain, 0, SimTime::ZERO).unwrap();
-        fab.reset().unwrap();
-        let t2 = fab.run_chunk(&chain, 0, SimTime::ZERO).unwrap();
-        assert_eq!(t1, t2, "deterministic replay after reset");
     }
 }

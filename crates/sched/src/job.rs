@@ -216,9 +216,6 @@ pub struct JobSpec {
     /// Optional cancellation time (takes effect from the queue instantly,
     /// or at the next chunk boundary once running).
     pub cancel_at: Option<SimTime>,
-    /// Declared SLO deadline class; `None` inherits
-    /// [`SloClass::for_priority`] (the pre-SLO sacrifice order).
-    pub slo: Option<SloClass>,
     /// Chunks already completed elsewhere before this submission — the
     /// migration hook. A job checkpointed on another scheduler (another
     /// shard of a federation) resumes here from chunk `start_chunk`:
@@ -241,22 +238,14 @@ impl JobSpec {
             reservation,
             work,
             cancel_at: None,
-            slo: None,
             start_chunk: 0,
         }
     }
 
-    /// Declare an explicit SLO deadline class (overrides the
-    /// priority-derived default).
-    pub fn slo(mut self, class: SloClass) -> Self {
-        self.slo = Some(class);
-        self
-    }
-
-    /// The SLO class the overload controller enforces for this job:
-    /// the declared class, or the priority-derived default.
+    /// The SLO class the overload controller enforces for this job,
+    /// derived from its priority.
     pub fn effective_slo(&self) -> SloClass {
-        self.slo.unwrap_or(SloClass::for_priority(self.priority))
+        SloClass::for_priority(self.priority)
     }
 
     /// Set the admission class.

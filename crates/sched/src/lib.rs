@@ -19,8 +19,9 @@
 //!   per-event logs are kept in.
 //! * [`fabric`] — [`SimFabric`], the *modeled* backend of the shared
 //!   stage-chain IR (`northup::fabric`): virtual-time resources (root
-//!   storage, links, leaf processors) all admitted jobs contend on,
-//!   mirroring `northup::Runtime`'s single-job model.
+//!   storage, links, leaf processors) all admitted jobs contend on —
+//!   `northup::Runtime`'s single-job model, except that root write-backs
+//!   are charged at the root's read bandwidth and latency.
 //! * [`real`] — [`RealFabric`], the *real* backend: the same chunk
 //!   chains driven through a `Runtime` in `ExecMode::Real` on the
 //!   `northup-exec` work-stealing pool, with staging allocations metered
@@ -101,5 +102,5 @@ pub use slo::{
 };
 // Re-export the shared IR (and the failure-domain vocabulary) so
 // scheduler users need not depend on `northup` directly.
-pub use northup::fabric::{build_chain, Checkpoint, ChunkChain, ChunkWork, Fabric};
+pub use northup::fabric::{build_chain, ChunkChain, ChunkWork, Fabric};
 pub use northup::fault::{FaultKind, FaultPlan};

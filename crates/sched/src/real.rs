@@ -12,13 +12,14 @@
 //! thread pool, folding them into a commutative checksum so results are
 //! identical for any thread count.
 //!
-//! One `RealFabric` is one job's execution arena. The scheduler-level
-//! contract stays chunk-granular: callers drive chunks in order (usually
-//! via `northup_exec::ThreadPool::run_chain`, which polls a
-//! [`CancelToken`](northup_exec::CancelToken) at every boundary), and an
-//! evicted job simply constructs a fresh fabric later and resumes from
-//! its [`Checkpoint`](northup::fabric::Checkpoint) — completed chunks
-//! are never re-run.
+//! One `RealFabric` is one job's execution arena, built fresh for the job
+//! and dropped after it; an arena is never reset or re-used. The
+//! scheduler-level contract stays chunk-granular: callers drive chunks
+//! in order (usually via `northup_exec::ThreadPool::run_chain`, which
+//! polls a [`CancelToken`](northup_exec::CancelToken) at every
+//! boundary), and an evicted job constructs a fresh fabric later and
+//! resumes at its next unprocessed chunk index — completed chunks are
+//! never re-run.
 
 use northup::fabric::{ChunkChain, Fabric, FabricError};
 use northup::fault::FaultPlan;
@@ -39,12 +40,6 @@ pub struct RealFabric {
     file: northup::BufferHandle,
     file_bytes: u64,
     checksum: u64,
-    /// Deterministic device-fault wiring; `None` runs on pristine backends.
-    plan: Option<FaultPlan>,
-    /// How many arenas this fabric has built (bumped by `reset`). Seeds
-    /// the fault-phase offset of rebuilt backends so a reset continues —
-    /// rather than replays — the fault stream.
-    epoch: u64,
 }
 
 impl RealFabric {
@@ -72,52 +67,29 @@ impl RealFabric {
         file_bytes: u64,
         plan: FaultPlan,
     ) -> Result<Self> {
-        Self::build(tree, pool, file_bytes, Some(plan))
+        Self::build(tree, pool, file_bytes, Some(&plan))
     }
 
+    /// Construct the execution arena: a real-mode runtime (with fault
+    /// injectors wired per `plan`) and the filled root dataset buffer.
     fn build(
         tree: &Tree,
         pool: Arc<ThreadPool>,
         file_bytes: u64,
-        plan: Option<FaultPlan>,
+        plan: Option<&FaultPlan>,
     ) -> Result<Self> {
         let file_bytes = file_bytes.max(1);
-        let (rt, file) = Self::build_arena(tree, file_bytes, plan.as_ref(), 0)?;
-        Ok(RealFabric {
-            tree: tree.clone(),
-            rt,
-            pool,
-            file,
-            file_bytes,
-            checksum: 0,
-            plan,
-            epoch: 0,
-        })
-    }
-
-    /// Construct one execution arena: a real-mode runtime (with fault
-    /// injectors wired per `plan`) and the filled root dataset buffer.
-    /// `epoch` pre-advances every injector's operation counter so each
-    /// rebuild continues the fault phase deterministically instead of
-    /// restarting it.
-    fn build_arena(
-        tree: &Tree,
-        file_bytes: u64,
-        plan: Option<&FaultPlan>,
-        epoch: u64,
-    ) -> Result<(Runtime, BufferHandle)> {
         let root = tree.root();
-        let factory = move |node: &northup::Node| -> Option<Box<dyn StorageBackend>> {
+        let factory = |node: &northup::Node| -> Option<Box<dyn StorageBackend>> {
             let plan = plan?;
             if node.id == root {
                 return None;
             }
             let fail_every = plan.real_fail_every(node.id)?;
-            Some(Box::new(FaultyBackend::starting_at(
+            Some(Box::new(FaultyBackend::new(
                 HeapBackend::new(&node.mem.name, node.mem.capacity),
                 FaultOps::ReadsAndWrites,
                 fail_every,
-                epoch,
             )))
         };
         let rt = Runtime::with_custom_backends(
@@ -139,7 +111,14 @@ impl RealFabric {
             rt.write_slice(file, off, &strip[..n])?;
             off += n as u64;
         }
-        Ok((rt, file))
+        Ok(RealFabric {
+            tree: tree.clone(),
+            rt,
+            pool,
+            file,
+            file_bytes,
+            checksum: 0,
+        })
     }
 
     /// Install the job's capacity lease on the underlying runtime, so
@@ -149,28 +128,12 @@ impl RealFabric {
         self.rt.install_lease(lease)
     }
 
-    /// The underlying runtime (timeline, lease inspection).
-    pub fn runtime(&self) -> &Runtime {
-        &self.rt
-    }
-
     /// The commutative checksum folded over every staged byte so far.
     /// Deterministic for a given (file pattern, chunk set) regardless of
     /// thread count or chunk interleaving — the mode-agreement tests
     /// compare it between runs.
     pub fn checksum(&self) -> u64 {
         self.checksum
-    }
-
-    /// The fault plan wired into this fabric's backends, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.plan.as_ref()
-    }
-
-    /// How many times this fabric has rebuilt its arena via
-    /// [`reset`](Fabric::reset).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     fn leaf_proc(&self, leaf: NodeId) -> Option<northup::ProcKind> {
@@ -282,29 +245,6 @@ impl Fabric for RealFabric {
 
         let end = SimTime::ZERO + self.rt.makespan();
         Ok(end.max(ready))
-    }
-
-    /// Rebuild the execution arena: fresh runtime timeline, fresh file
-    /// pattern, cleared checksum, fault-injection phase advanced to the
-    /// next epoch. The installed capacity lease carries over — a reset
-    /// fabric still meters the same admitted reservation.
-    ///
-    /// Strongly exception-safe and idempotent: the replacement arena is
-    /// fully built *before* any of `self` is touched, so a failed reset
-    /// (e.g. the file refill trips an injected fault) leaves the previous
-    /// arena intact and the reset can simply be retried.
-    fn reset(&mut self) -> std::result::Result<(), FabricError> {
-        let epoch = self.epoch + 1;
-        let (rt, file) = Self::build_arena(&self.tree, self.file_bytes, self.plan.as_ref(), epoch)
-            .map_err(FabricError::Reset)?;
-        if let Some(lease) = self.rt.lease() {
-            rt.install_lease(lease);
-        }
-        self.rt = rt;
-        self.file = file;
-        self.checksum = 0;
-        self.epoch = epoch;
-        Ok(())
     }
 }
 
@@ -437,22 +377,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn reset_restores_a_fresh_arena() {
-        let tree = tree();
-        let pool = Arc::new(ThreadPool::new(1));
-        let mut fab = RealFabric::new(&tree, pool, 1 << 20).unwrap();
-        let ch = chain(&tree, 1, 16 << 10);
-        let t1 = fab.run_chunk(&ch, 0, SimTime::ZERO).unwrap();
-        let c1 = fab.checksum();
-        fab.reset().unwrap();
-        assert_eq!(fab.checksum(), 0);
-        assert_eq!(fab.epoch(), 1);
-        let t2 = fab.run_chunk(&ch, 0, SimTime::ZERO).unwrap();
-        assert_eq!(t1, t2, "fresh arena replays identically");
-        assert_eq!(fab.checksum(), c1);
-    }
-
     /// The transient-fault rate 16384/65536 wires a period-4 injector on
     /// the staging node; a clean chunk costs 3 staging ops, so faults
     /// land on every other chunk or so.
@@ -489,7 +413,7 @@ mod tests {
                         assert!(matches!(e, FabricError::Runtime(_)), "{e}");
                         // A faulted chunk releases its staging buffer: no
                         // lease/capacity leak across retries.
-                        assert_eq!(chaos.runtime().used(staging), 0);
+                        assert_eq!(chaos.rt.used(staging), 0);
                         assert!(errors < 32, "retries must converge");
                     }
                 }
@@ -505,61 +429,21 @@ mod tests {
     }
 
     #[test]
-    fn chaos_fault_pattern_is_reproducible_across_fabrics_and_resets() {
+    fn chaos_fault_pattern_is_reproducible_across_fabrics() {
         let tree = tree();
         let ch = chain(&tree, 3, 32 << 10);
         let run = || {
             let pool = Arc::new(ThreadPool::new(2));
             let mut fab = RealFabric::with_faults(&tree, pool, 1 << 20, chaos_plan()).unwrap();
-            let mut pattern = Vec::new();
-            for i in 0..3 {
-                pattern.push(fab.run_chunk(&ch, i, SimTime::ZERO).is_err());
-            }
-            fab.reset().unwrap();
-            for i in 0..3 {
-                pattern.push(fab.run_chunk(&ch, i, SimTime::ZERO).is_err());
-            }
-            (pattern, fab.checksum(), fab.epoch())
+            let pattern: Vec<bool> = (0..6)
+                .map(|i| fab.run_chunk(&ch, i % 3, SimTime::ZERO).is_err())
+                .collect();
+            (pattern, fab.checksum())
         };
         let a = run();
         let b = run();
         assert_eq!(a, b, "same plan + same ops ⇒ same faults, bit for bit");
         assert!(a.0.iter().any(|&e| e), "some attempt faulted");
         assert!(a.0.iter().any(|&e| !e), "some attempt succeeded");
-    }
-
-    #[test]
-    fn reset_preserves_the_installed_lease() {
-        let tree = tree();
-        let staging = tree.children(tree.root())[0];
-        let pool = Arc::new(ThreadPool::new(1));
-        let mut fab = RealFabric::new(&tree, pool, 1 << 20).unwrap();
-        let bytes = 256u64 << 10;
-        fab.install_lease(Reservation::new().with(staging, bytes / 2).to_lease());
-        let ch = chain(&tree, 1, bytes);
-        assert!(fab.run_chunk(&ch, 0, SimTime::ZERO).is_err());
-        fab.reset().unwrap();
-        assert!(
-            fab.runtime().lease().is_some(),
-            "the admitted reservation survives the rebuild"
-        );
-        assert!(
-            fab.run_chunk(&ch, 0, SimTime::ZERO).is_err(),
-            "still metered after reset"
-        );
-    }
-
-    #[test]
-    fn reset_is_idempotent() {
-        let tree = tree();
-        let pool = Arc::new(ThreadPool::new(1));
-        let mut fab = RealFabric::new(&tree, pool, 1 << 20).unwrap();
-        let ch = chain(&tree, 1, 16 << 10);
-        let t1 = fab.run_chunk(&ch, 0, SimTime::ZERO).unwrap();
-        fab.reset().unwrap();
-        fab.reset().unwrap(); // back-to-back resets are harmless
-        assert_eq!(fab.epoch(), 2);
-        let t2 = fab.run_chunk(&ch, 0, SimTime::ZERO).unwrap();
-        assert_eq!(t1, t2);
     }
 }

@@ -68,11 +68,6 @@ impl Reservation {
         self.per_node.is_empty()
     }
 
-    /// Sum of all reserved bytes (a crude job "size" for reports).
-    pub fn total(&self) -> u64 {
-        self.per_node.iter().map(|e| e.1).sum()
-    }
-
     /// Bridge to the runtime: a capacity lease granting exactly this
     /// reservation, for `Runtime::install_lease`.
     pub fn to_lease(&self) -> Arc<CapacityLease> {
@@ -181,7 +176,7 @@ mod tests {
             .with(NodeId(2), 50)
             .with(NodeId(1), 80); // replaces
         assert_eq!(r.get(NodeId(1)), 80);
-        assert_eq!(r.total(), 130);
+        assert_eq!(r.get(NodeId(2)), 50);
         let lease = r.to_lease();
         assert_eq!(lease.granted(NodeId(1)), Some(80));
         assert_eq!(lease.granted(NodeId(0)), None);
@@ -208,7 +203,6 @@ mod tests {
                 prop_assert!(r.iter().eq(model.iter().map(|(&n, &b)| (n, b))), "node order");
                 prop_assert_eq!(r.per_node.capacity(), model.len(), "held at exact capacity");
                 prop_assert_eq!(r.is_empty(), model.is_empty());
-                prop_assert_eq!(r.total(), model.values().sum::<u64>());
                 let lease = r.to_lease();
                 for probe in (0..7).map(NodeId) {
                     prop_assert_eq!(r.get(probe), model.get(&probe).copied().unwrap_or(0));

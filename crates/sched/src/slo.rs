@@ -156,17 +156,12 @@ pub struct SloSample {
     /// percentile over the sliding sample window; `SimDur::ZERO` with
     /// no completions yet.
     pub p99: [SimDur; 3],
-    /// Guaranteed-class pressure in integer percent of target (100 =
-    /// exactly at target).
-    pub pressure_pct: u32,
     /// Escalation tier answered with (0 = nominal … 4 = autoscale).
     pub tier: u8,
     /// Brownout level in force after the tick.
     pub degrade: DegradeLevel,
     /// Dynamic best-effort queue cap in force (`u32::MAX` = uncapped).
     pub batch_cap: u32,
-    /// Jobs shed on this tick.
-    pub shed_now: u32,
     /// Applied capacity scale in percent of the original budgets.
     pub scale_pct: u32,
 }
@@ -423,11 +418,9 @@ impl SloState {
         self.log.push(SloSample {
             at,
             p99,
-            pressure_pct,
             tier: self.tier,
             degrade: self.degrade,
             batch_cap: self.batch_cap.unwrap_or(u32::MAX),
-            shed_now: shed,
             scale_pct: self.scale_pct,
         });
         SloDecision {
@@ -602,7 +595,8 @@ mod tests {
             s.tick(at, 0);
             at += TICK;
         }
-        assert!(s.log.iter().all(|t| t.pressure_pct > MAX_SCALE_PCT));
+        let ceiling = SimDur(INTERACTIVE_TARGET.0 * u64::from(MAX_SCALE_PCT) / 100);
+        assert!(s.log.iter().all(|t| t.p99[0] > ceiling));
         assert!(s.scale_pct > 100, "scaled: {}", s.scale_pct);
         assert!(s.scale_pct <= MAX_SCALE_PCT, "ceiling: {}", s.scale_pct);
         assert_eq!(s.needed_pct, s.scale_pct);

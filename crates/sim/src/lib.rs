@@ -25,7 +25,7 @@ pub mod time;
 pub mod timeline;
 pub mod workers;
 
-pub use resource::{Resource, ResourceStats, Served};
+pub use resource::{Resource, Served};
 pub use time::{transfer_time, SimDur, SimTime};
 pub use timeline::{Breakdown, Category, Span, Timeline};
 pub use workers::{deal_round_robin, simulate_stealing, SimWorker, StealOutcome, WorkerStats};

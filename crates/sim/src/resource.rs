@@ -18,27 +18,13 @@
 //! out naturally because each is its own `Resource`.
 
 use crate::time::{transfer_time, SimDur, SimTime};
-use serde::{Deserialize, Serialize};
-
-/// Accumulated utilization statistics for a resource.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ResourceStats {
-    /// Total time the resource spent serving requests.
-    pub busy: SimDur,
-    /// Number of requests served.
-    pub ops: u64,
-    /// Total bytes served (zero for pure work requests).
-    pub bytes: u64,
-}
 
 /// A FIFO server with a fixed bandwidth and per-operation latency.
 #[derive(Debug, Clone)]
 pub struct Resource {
-    name: String,
     bytes_per_sec: f64,
     latency: SimDur,
     busy_until: SimTime,
-    stats: ResourceStats,
 }
 
 /// The scheduled interval of a single served request.
@@ -60,35 +46,24 @@ impl Served {
 impl Resource {
     /// Create a bandwidth resource. `bytes_per_sec` applies to
     /// [`serve_bytes`](Self::serve_bytes); `latency` is charged per operation.
-    pub fn new(name: impl Into<String>, bytes_per_sec: f64, latency: SimDur) -> Self {
+    /// `_name` labels the device at the call site and is not stored.
+    pub fn new(_name: &str, bytes_per_sec: f64, latency: SimDur) -> Self {
         Resource {
-            name: name.into(),
             bytes_per_sec,
             latency,
             busy_until: SimTime::ZERO,
-            stats: ResourceStats::default(),
         }
     }
 
     /// Create a resource used only via [`serve_for`](Self::serve_for) (e.g.
     /// a processor).
-    pub fn new_compute(name: impl Into<String>) -> Self {
-        Resource::new(name, f64::INFINITY, SimDur::ZERO)
-    }
-
-    /// Resource name (for reports).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn new_compute() -> Self {
+        Resource::new("", f64::INFINITY, SimDur::ZERO)
     }
 
     /// The time at which all currently issued requests will have completed.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// Utilization statistics so far.
-    pub fn stats(&self) -> ResourceStats {
-        self.stats
     }
 
     /// Serve a byte transfer that becomes ready at `ready`.
@@ -98,7 +73,6 @@ impl Resource {
         } else {
             transfer_time(bytes, self.bytes_per_sec, self.latency)
         };
-        self.stats.bytes += bytes;
         self.enqueue(ready, dur)
     }
 
@@ -111,15 +85,7 @@ impl Resource {
         let start = ready.max(self.busy_until);
         let end = start + dur;
         self.busy_until = end;
-        self.stats.busy += dur;
-        self.stats.ops += 1;
         Served { start, end }
-    }
-
-    /// Reset the queue and statistics, keeping the configuration.
-    pub fn reset(&mut self) {
-        self.busy_until = SimTime::ZERO;
-        self.stats = ResourceStats::default();
     }
 }
 
@@ -144,8 +110,6 @@ mod tests {
         assert!((a.end.as_secs_f64() - 0.5).abs() < 1e-9);
         assert_eq!(b.start, a.end);
         assert!((b.end.as_secs_f64() - 1.0).abs() < 1e-9);
-        assert_eq!(r.stats().ops, 2);
-        assert_eq!(r.stats().bytes, 1_000_000_000);
     }
 
     #[test]
@@ -158,15 +122,15 @@ mod tests {
     #[test]
     fn idle_gap_is_not_counted_busy() {
         let mut r = Resource::new("dev", 1e9, SimDur::ZERO);
-        r.serve_bytes(SimTime::ZERO, 1_000_000); // 1ms busy
-        r.serve_bytes(at_ms(500), 1_000_000); // 1ms busy after a long gap
-        assert_eq!(r.stats().busy, ms(2));
+        let a = r.serve_bytes(SimTime::ZERO, 1_000_000); // 1ms busy
+        let b = r.serve_bytes(at_ms(500), 1_000_000); // 1ms busy after a long gap
+        assert_eq!(a.duration() + b.duration(), ms(2));
         assert_eq!(r.busy_until(), at_ms(501));
     }
 
     #[test]
     fn compute_resource_serves_work() {
-        let mut p = Resource::new_compute("gpu");
+        let mut p = Resource::new_compute();
         let s = p.serve_for(at_ms(5), ms(2_000));
         assert_eq!((s.start, s.end), (at_ms(5), at_ms(2_005)));
     }
@@ -176,7 +140,7 @@ mod tests {
         // An I/O device and a GPU working concurrently: the makespan is the
         // max of the two pipelines, not the sum.
         let mut io = Resource::new("ssd", 1e9, SimDur::ZERO);
-        let mut gpu = Resource::new_compute("gpu");
+        let mut gpu = Resource::new_compute();
         let load = io.serve_bytes(SimTime::ZERO, 1_000_000_000); // 1s
         let compute = gpu.serve_for(load.end, ms(100));
         let load2 = io.serve_bytes(SimTime::ZERO, 1_000_000_000); // overlaps compute
@@ -184,14 +148,5 @@ mod tests {
         assert!(load2.start == load.end, "second load starts when I/O frees");
         assert!(compute.end < load2.end, "GPU idle waiting for second load");
         assert!((compute2.end.as_secs_f64() - 2.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reset_clears_queue_and_stats() {
-        let mut r = Resource::new("x", 1e6, ms(1));
-        r.serve_bytes(SimTime::ZERO, 10);
-        r.reset();
-        assert_eq!(r.busy_until(), SimTime::ZERO);
-        assert_eq!(r.stats(), ResourceStats::default());
     }
 }

@@ -6,11 +6,10 @@
 //! aggregates per-category busy time plus the overall makespan.
 
 use crate::time::{SimDur, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Activity categories matching the paper's breakdown figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     /// Leaf computation on a CPU (including CSR-Adaptive row binning).
     CpuCompute,
@@ -73,7 +72,7 @@ impl fmt::Display for Category {
 }
 
 /// One recorded span of activity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Start of the activity in virtual time.
     pub start: SimTime,
@@ -93,7 +92,7 @@ impl Span {
 }
 
 /// Aggregated per-category busy time plus the makespan.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Breakdown {
     /// Busy time per category, indexed by [`Category::ALL`] order.
     pub busy: [SimDur; 7],

@@ -13,12 +13,11 @@
 //! than CPU threads, so GPU workgroups may steal ... from a CPU queue").
 
 use crate::time::{SimDur, SimTime};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Configuration of one simulated consumer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimWorker {
     /// Work units completed per second.
     pub rate: f64,
@@ -41,7 +40,7 @@ impl SimWorker {
 }
 
 /// Per-worker outcome statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkerStats {
     /// Total time spent executing tasks.
     pub busy: SimDur,
@@ -54,7 +53,7 @@ pub struct WorkerStats {
 }
 
 /// Result of a stealing simulation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StealOutcome {
     /// Completion time of the last task.
     pub makespan: SimDur,

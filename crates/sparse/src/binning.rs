@@ -18,10 +18,9 @@
 //! relatively more time", §V-C) — the runtime reproduces that accounting.
 
 use crate::csr::Csr;
-use serde::{Deserialize, Serialize};
 
 /// Which kernel a row block is routed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockKind {
     /// CSR-Stream: a run of short rows, combined nnz <= `stream_nnz`.
     Stream,
@@ -32,7 +31,7 @@ pub enum BlockKind {
 }
 
 /// One binned row block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowBlock {
     /// First row (inclusive).
     pub row_start: usize,
@@ -46,7 +45,7 @@ pub struct RowBlock {
 
 /// Binning thresholds (defaults follow the published CSR-Adaptive values:
 /// LDS row-block size of 1024 nnz, VectorL cutoff around 16k nnz).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinningParams {
     /// Max combined nnz of a CSR-Stream block (fits GPU local memory).
     pub stream_nnz: usize,

@@ -5,11 +5,10 @@
 //! with validated invariants, COO construction, a reference SpMV, and the
 //! row statistics the CSR-Adaptive binning and nnz-aware sharding need.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A CSR sparse matrix over `f32` values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     /// Number of rows.
     pub rows: usize,
@@ -189,37 +188,6 @@ impl Csr {
         }
     }
 
-    /// Transpose (CSC view of the same data, materialized as CSR of A^T).
-    pub fn transpose(&self) -> Csr {
-        let mut counts = vec![0usize; self.cols + 1];
-        for &c in &self.col_idx {
-            counts[c as usize + 1] += 1;
-        }
-        for i in 0..self.cols {
-            counts[i + 1] += counts[i];
-        }
-        let row_ptr = counts.clone();
-        let mut cursor = counts;
-        let mut col_idx = vec![0u32; self.nnz()];
-        let mut vals = vec![0.0f32; self.nnz()];
-        for r in 0..self.rows {
-            let (cols, vs) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vs) {
-                let at = cursor[c as usize];
-                col_idx[at] = r as u32;
-                vals[at] = v;
-                cursor[c as usize] += 1;
-            }
-        }
-        Csr {
-            rows: self.cols,
-            cols: self.rows,
-            row_ptr,
-            col_idx,
-            vals,
-        }
-    }
-
     /// Basic row-length statistics (for suite reports and binning sanity).
     pub fn row_stats(&self) -> RowStats {
         if self.rows == 0 {
@@ -241,7 +209,7 @@ impl Csr {
 }
 
 /// Row-length summary statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RowStats {
     /// Minimum stored entries in a row.
     pub min: usize,
@@ -355,32 +323,6 @@ mod tests {
         let mut y = [1.0f32; 5];
         m.spmv_reference(&[0.0; 7], &mut y);
         assert_eq!(y, [0.0; 5]);
-    }
-
-    #[test]
-    fn transpose_is_an_involution_and_swaps_spmv() {
-        let m = crate::gen::powerlaw(40, 60, 16, 0.9, 4);
-        let t = m.transpose();
-        t.validate().unwrap();
-        assert_eq!(t.rows, m.cols);
-        assert_eq!(t.cols, m.rows);
-        assert_eq!(t.transpose(), m, "(A^T)^T == A");
-        // y = A x equals z where z_j = sum_i A^T[j,i] x_i ... check via
-        // x^T A == (A^T x)^T.
-        let x: Vec<f32> = (0..m.rows).map(|i| (i % 5) as f32 - 2.0).collect();
-        let mut via_t = vec![0.0f32; m.cols];
-        t.spmv_reference(&x, &mut via_t);
-        // Reference: manual x^T A.
-        let mut direct = vec![0.0f32; m.cols];
-        for (r, &xr) in x.iter().enumerate() {
-            let (cols, vals) = m.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                direct[c as usize] += v * xr;
-            }
-        }
-        for (a, b) in via_t.iter().zip(&direct) {
-            assert!((a - b).abs() < 1e-4);
-        }
     }
 
     #[test]

@@ -11,14 +11,13 @@
 //! layout-transforming `move_data` exists to exploit.
 
 use crate::csr::Csr;
-use serde::{Deserialize, Serialize};
 
 /// An ELLPACK matrix over `f32`.
 ///
 /// Entries are stored column-of-slots-major: slot `s` of row `r` lives at
 /// index `s * rows + r`, so SIMD lanes walking consecutive rows read
 /// consecutive memory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ell {
     /// Number of rows.
     pub rows: usize,

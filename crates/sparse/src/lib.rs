@@ -11,7 +11,7 @@
 //!   CSR-Adaptive's kernel choices.
 //! * [`suite`] — named stand-ins for collection matrices plus the paper's
 //!   16M-row SpMV shape for timing-only runs.
-//! * [`shard`] — even-row and nnz-budgeted shard partitioning (§IV-C).
+//! * [`shard`] — even-row shard partitioning (§IV-C).
 //! * [`binning`] — CSR-Adaptive's CPU-side row binning into
 //!   Stream / Vector / VectorL blocks (the paper's \[20\]).
 //! * [`ell`] — the ELLPACK alternative layout for the §VI data-layout
@@ -30,5 +30,5 @@ pub mod suite;
 pub use binning::{bin_rows, kind_histogram, validate_binning, BinningParams, BlockKind, RowBlock};
 pub use csr::{Csr, CsrError, RowStats};
 pub use ell::{Ell, ELL_PAD};
-pub use shard::{covers_exactly, partition_by_nnz, partition_even_rows, Shard};
+pub use shard::{covers_exactly, partition_even_rows, Shard};
 pub use suite::{PaperSpmvShape, SuiteMatrix};

@@ -1,19 +1,13 @@
 //! Row-range sharding of CSR matrices (paper §IV-C).
 //!
 //! A *shard* is a contiguous run of rows together with the `col_id`/`data`
-//! range `row_ptr[start]..row_ptr[end]` it covers. Sharding policies:
-//!
-//! * [`partition_even_rows`] — "a simple strategy is to evenly divide rows";
-//! * [`partition_by_nnz`] — the nnz-aware refinement: rows are accumulated
-//!   until the shard's *byte footprint* would exceed the next level's
-//!   capacity budget ("if the nnz of a shard is too large to fit in the
-//!   next-level memory, it can be further broken into smaller shards").
+//! range `row_ptr[start]..row_ptr[end]` it covers. The sharding policy is
+//! [`partition_even_rows`] — "a simple strategy is to evenly divide rows".
 
 use crate::csr::Csr;
-use serde::{Deserialize, Serialize};
 
 /// One shard: a contiguous row range of a CSR matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shard {
     /// First row (inclusive).
     pub row_start: usize,
@@ -70,30 +64,6 @@ pub fn partition_even_rows(m: &Csr, k: usize) -> Vec<Shard> {
     shards
 }
 
-/// Split greedily so each shard's [`Shard::payload_bytes`] stays within
-/// `byte_budget`. A single row whose payload alone exceeds the budget gets
-/// its own shard (the kernel must then stream it; Northup's recursion would
-/// split it again at a deeper level if one exists).
-pub fn partition_by_nnz(m: &Csr, byte_budget: u64) -> Vec<Shard> {
-    let mut shards = Vec::new();
-    if m.rows == 0 {
-        return shards;
-    }
-    let mut start = 0usize;
-    let mut r = 0usize;
-    while r < m.rows {
-        let candidate = shard_of(m, start, r + 1);
-        if candidate.payload_bytes() > byte_budget && r > start {
-            shards.push(shard_of(m, start, r));
-            start = r;
-        } else {
-            r += 1;
-        }
-    }
-    shards.push(shard_of(m, start, m.rows));
-    shards
-}
-
 /// Check that `shards` exactly tile `m`'s rows in order.
 pub fn covers_exactly(m: &Csr, shards: &[Shard]) -> bool {
     let mut next = 0usize;
@@ -133,46 +103,6 @@ mod tests {
     }
 
     #[test]
-    fn nnz_partition_respects_budget() {
-        let m = gen::powerlaw(300, 2000, 512, 1.1, 7);
-        let budget = 16 * 1024;
-        let shards = partition_by_nnz(&m, budget);
-        assert!(covers_exactly(&m, &shards));
-        for s in &shards {
-            // Either fits, or is a single oversized row.
-            assert!(
-                s.payload_bytes() <= budget || s.rows() == 1,
-                "shard {s:?} = {} B over budget with multiple rows",
-                s.payload_bytes()
-            );
-        }
-    }
-
-    #[test]
-    fn nnz_partition_single_shard_when_budget_huge() {
-        let m = gen::banded(50, 1, 2);
-        let shards = partition_by_nnz(&m, u64::MAX);
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].nnz(), m.nnz());
-    }
-
-    #[test]
-    fn oversized_single_row_gets_own_shard() {
-        // One row with 100 entries, budget fits ~2 rows of padding only.
-        let mut triplets = vec![];
-        for c in 0..100u32 {
-            triplets.push((1usize, c, 1.0f32));
-        }
-        triplets.push((0, 0, 1.0));
-        triplets.push((2, 0, 1.0));
-        let m = Csr::from_coo(3, 100, triplets);
-        let shards = partition_by_nnz(&m, 64);
-        assert!(covers_exactly(&m, &shards));
-        let big = shards.iter().find(|s| s.nnz() == 100).unwrap();
-        assert_eq!(big.rows(), 1);
-    }
-
-    #[test]
     fn payload_matches_slice_storage() {
         let m = gen::laplace_2d(8, 8);
         for s in partition_even_rows(&m, 4) {
@@ -185,6 +115,6 @@ mod tests {
     #[test]
     fn empty_matrix_yields_no_shards() {
         let m = Csr::from_coo(0, 10, Vec::new());
-        assert!(partition_by_nnz(&m, 100).is_empty());
+        assert!(partition_even_rows(&m, 4).is_empty());
     }
 }

@@ -8,10 +8,9 @@
 
 use crate::csr::Csr;
 use crate::gen;
-use serde::{Deserialize, Serialize};
 
 /// A named suite entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SuiteMatrix {
     /// Banded, short regular rows — road-network-like (e.g. `roadNet-CA`).
     SynRoad,
@@ -69,7 +68,7 @@ impl SuiteMatrix {
 /// Paper-scale *shape parameters* for modeled (timing-only) runs: the §IV-C
 /// configuration of "16 million rows, stored in SSD/disk drive ... divided
 /// into four chunks in row-dimension".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperSpmvShape {
     /// Total rows (16 Mi in the paper).
     pub rows: u64,

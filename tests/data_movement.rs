@@ -113,7 +113,7 @@ proptest! {
         spec.capacity = 64 * 1024;
         let mut b = northup::TreeBuilder::new(catalog::ssd_hyperx_predator());
         let dram = b.add_child(NodeId(0), spec, catalog::dram_dma_link());
-        b.attach_processor(dram, ProcessorDesc::new(ProcKind::Gpu, "apu-gpu", 1 << 20));
+        b.attach_processor(dram, ProcessorDesc::new(ProcKind::Gpu, "apu-gpu"));
         let rt = Runtime::new(b.build(), ExecMode::Real).unwrap();
 
         let mut live: Vec<(BufferHandle, u64)> = Vec::new();

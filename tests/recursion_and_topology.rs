@@ -46,7 +46,6 @@ fn recursion_covers_the_asymmetric_tree() {
         rt.tasks_spawned(NodeId(0)) as usize,
         rt.tree().children(NodeId(0)).len()
     );
-    assert_eq!(rt.tasks_active(NodeId(0)), 0, "all tasks retired");
 }
 
 #[test]
@@ -166,10 +165,6 @@ fn a_single_node_tree_is_a_typed_error_from_every_out_of_core_entry_point() {
             on(&|rt| matmul::matmul_northup_on(rt, &mm)).map(drop),
         ),
         (
-            "matmul_northup_ksplit",
-            matmul::matmul_northup_ksplit(&mm, lone(), modeled).map(drop),
-        ),
-        (
             "spmv_northup",
             spmv::spmv_northup(&input, lone(), modeled).map(drop),
         ),
@@ -214,11 +209,8 @@ fn an_unmodelled_processor_is_a_typed_error() {
         catalog::dram_staging_2gb(),
         catalog::dram_dma_link(),
     );
-    b.attach_processor(
-        dram,
-        ProcessorDesc::new(ProcKind::Gpu, "mystery-gpu", 1 << 20),
-    );
-    b.attach_processor(dram, ProcessorDesc::new(ProcKind::Cpu, "apu-cpu", 8 << 20));
+    b.attach_processor(dram, ProcessorDesc::new(ProcKind::Gpu, "mystery-gpu"));
+    b.attach_processor(dram, ProcessorDesc::new(ProcKind::Cpu, "apu-cpu"));
     let tree = b.build();
     let on =
         |f: &dyn Fn(&Runtime) -> Result<AppRun>| f(&Runtime::new(tree.clone(), ExecMode::Modeled)?);
