@@ -1,14 +1,14 @@
 //! Per-function dataflow facts: a single forward pass over a function
-//! body that records what the flow-sensitive rules (R6, R7, R9) need —
-//! the unit of each local binding, which loop variables legitimately
-//! index which container, and which locals alias an event store.
+//! body that records what the flow-sensitive rules (R6, R7) need — the
+//! unit of each local binding and which loop variables legitimately
+//! index which container.
 //!
 //! The pass is deliberately shallow: facts come from `let` bindings,
 //! parameters, and `for` headers only. Rebinding overwrites; anything
 //! the pass cannot prove stays unknown, and unknown never produces a
 //! finding.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::lexer::TokKind;
 use crate::source::{FnItem, SourceFile};
@@ -25,19 +25,11 @@ pub struct FnFacts {
     /// Loop variable → canonical container path it may index
     /// (`for i in 0..st.hot.len()` sanctions `i` for `st.hot`).
     pub sanctioned_idx: BTreeMap<String, String>,
-    /// Locals bound by reference to an event store.
-    pub event_locals: BTreeSet<String>,
 }
 
 impl FnFacts {
-    /// Collect facts for `f` in `sf`. `event_fields` names the struct
-    /// fields known to hold packed events (for alias tracking).
-    pub fn collect(
-        sf: &SourceFile,
-        f: &FnItem,
-        symbols: &SymbolTable,
-        event_fields: &BTreeSet<String>,
-    ) -> FnFacts {
+    /// Collect facts for `f` in `sf`.
+    pub fn collect(sf: &SourceFile, f: &FnItem, symbols: &SymbolTable) -> FnFacts {
         let mut facts = FnFacts::default();
         // Parameters: find this fn in the symbol table by location.
         for sig in &symbols.fns {
@@ -56,7 +48,7 @@ impl FnFacts {
         }
         let mut ci = f.body_start + 1;
         while ci < f.body_end {
-            if let Some(next) = let_binding(sf, ci, symbols, event_fields, &mut facts) {
+            if let Some(next) = let_binding(sf, ci, symbols, &mut facts) {
                 ci = next;
                 continue;
             }
@@ -71,13 +63,12 @@ impl FnFacts {
 }
 
 /// `let [mut] NAME [: TY] = RHS ;` — record the binding's unit (from
-/// the name, the declared type, or a simple RHS) and event aliasing.
+/// the name, the declared type, or a simple RHS).
 /// Returns the code index just past `let NAME` on a match.
 fn let_binding(
     sf: &SourceFile,
     ci: usize,
     symbols: &SymbolTable,
-    event_fields: &BTreeSet<String>,
     facts: &mut FnFacts,
 ) -> Option<usize> {
     if !sf.ct(ci)?.is_ident("let") {
@@ -119,19 +110,14 @@ fn let_binding(
     if sf.ct(j).is_some_and(|t| t.is_punct('=')) {
         let mut r = j + 1;
         // Strip leading `&` / `&mut`.
-        let mut by_ref = false;
-        while let Some(t) = sf.ct(r) {
-            if t.is_punct('&') {
-                by_ref = true;
-                r += 1;
-            } else if t.is_ident("mut") {
-                r += 1;
-            } else {
-                break;
-            }
+        while sf
+            .ct(r)
+            .is_some_and(|t| t.is_punct('&') || t.is_ident("mut"))
+        {
+            r += 1;
         }
         // Simple path RHS: `a.b.c` (terminated by `;`). Its unit is the
-        // last segment's; event aliasing comes from any segment.
+        // last segment's.
         let mut segs: Vec<String> = Vec::new();
         let mut k = r;
         while let Some(t) = sf.ct(k) {
@@ -147,9 +133,6 @@ fn let_binding(
             if unit.is_none() {
                 let last = segs.last().expect("non-empty");
                 unit = units::of_ident(last).or_else(|| symbols.field_unit(last));
-            }
-            if by_ref && segs.iter().any(|s| event_fields.contains(s)) {
-                facts.event_locals.insert(name.clone());
             }
         } else if unit.is_none() {
             // Call RHS: `f(...)` or `x.f(...)` — the callee's agreed
@@ -290,10 +273,8 @@ mod tests {
     fn facts(src: &str) -> FnFacts {
         let sf = SourceFile::parse("crates/sched/src/x.rs", src);
         let symbols = SymbolTable::build(std::slice::from_ref(&sf));
-        let mut events = BTreeSet::new();
-        events.insert("overflow".to_string());
         let f = sf.fns[0].clone();
-        FnFacts::collect(&sf, &f, &symbols, &events)
+        FnFacts::collect(&sf, &f, &symbols)
     }
 
     #[test]
@@ -320,7 +301,7 @@ mod tests {
              fn g(&self) { let cost = self.link.transfer(); }\n",
         );
         let symbols = SymbolTable::build(std::slice::from_ref(&sf));
-        let fg = FnFacts::collect(&sf, &sf.fns[1], &symbols, &BTreeSet::new());
+        let fg = FnFacts::collect(&sf, &sf.fns[1], &symbols);
         assert_eq!(fg.unit_of["cost"], Unit::Ns);
     }
 
@@ -328,12 +309,6 @@ mod tests {
     fn for_header_sanctions_loop_var() {
         let f = facts("fn f(&self) { for i in 0..st.hot.len() { use_(i); } }");
         assert_eq!(f.sanctioned_idx["i"], "st.hot");
-    }
-
-    #[test]
-    fn event_alias_is_tracked() {
-        let f = facts("fn f(&mut self) { let ovf = &mut self.overflow; }");
-        assert!(f.event_locals.contains("ovf"));
     }
 
     #[test]

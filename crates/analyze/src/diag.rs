@@ -22,9 +22,6 @@ pub mod rules {
     /// through the call graph (supersedes the old per-file
     /// `determinism-sources` rule).
     pub const DETERMINISM_TAINT: &str = "determinism-taint";
-    /// R9: ordering packed calendar events by anything other than the
-    /// full `(SimTime, kind, id, seq)` tuple.
-    pub const EVENT_ORDER: &str = "event-order";
     /// R11: a `Relaxed` access on the publication/consumption edge of a
     /// release/acquire protocol atomic.
     pub const ATOMIC_ORDER: &str = "atomic-order";
@@ -36,14 +33,13 @@ pub mod rules {
     pub const SUPPRESSION: &str = "suppression";
 
     /// Every rule a suppression may name.
-    pub const ALL: [&str; 9] = [
+    pub const ALL: [&str; 8] = [
         ORDERED_ITERATION,
         LEASE_DISCIPLINE,
         PANIC_PATHS,
         UNIT_CONSISTENCY,
         ARENA_INDEX,
         DETERMINISM_TAINT,
-        EVENT_ORDER,
         ATOMIC_ORDER,
         BLOCKING_EXTENT,
     ];

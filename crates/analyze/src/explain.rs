@@ -103,18 +103,6 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         example: "fn stamp() -> u128 { Instant::now().elapsed().as_nanos() }",
     },
     RuleDoc {
-        id: rules::EVENT_ORDER,
-        number: "R9",
-        summary: "packed calendar events are ordered by the full (SimTime, kind, id, seq) tuple",
-        scope: &["sched"],
-        inputs: Some("*_by/*_by_key calls on an event store"),
-        contract: "Packed calendar events are ordered only by the full (SimTime, \
-                   kind, id, seq) tuple; sorting or selecting by a projected key \
-                   drops the tie-break and lets insertion order leak into \
-                   schedules.",
-        example: "events.sort_by_key(|e| e.0);",
-    },
-    RuleDoc {
         id: rules::ATOMIC_ORDER,
         number: "R11",
         summary: "Relaxed accesses on a release/acquire publication or consumption edge need a fence or a justified allow",

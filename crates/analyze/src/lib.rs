@@ -25,7 +25,6 @@
 //! | `unit-consistency` (R6) | `core`, `sched`, `fleet` | no mixed-unit arithmetic/comparison across ns, bytes, events |
 //! | `arena-index` (R7) | `sched` | dense arena indices stay in their declared domain and die on compaction |
 //! | `determinism-taint` (R8) | `core`, `sim`, `sched`, `fleet` | wall-clock/entropy sources must not reach schedule-visible code, even transitively |
-//! | `event-order` (R9) | `sched` | packed calendar events are ordered by the full (SimTime, kind, id, seq) tuple |
 //! | `atomic-order` (R11) | `exec` | Relaxed accesses on a release/acquire publication or consumption edge need a fence or a justified allow |
 //! | `blocking-extent` (R12) | `exec` | no lock guard may be held across a may-block call (sleep, channel ops, nested locks, file I/O) |
 //!
@@ -56,7 +55,6 @@ pub mod r12_blocking;
 pub mod r6_units;
 pub mod r7_arena;
 pub mod r8_taint;
-pub mod r9_events;
 pub mod rules;
 pub mod sarif;
 pub mod shared;
@@ -94,7 +92,6 @@ pub fn analyze_sources(files: &[(String, String)]) -> Report {
     r6_units::check(&parsed, &symbols, &cg, inputs, &mut raw);
     r7_arena::check(&parsed, &symbols, inputs, &mut raw);
     r8_taint::check(&parsed, &symbols, &cg, &mut raw);
-    r9_events::check(&parsed, &symbols, inputs, &mut raw);
     r11_atomics::check(&parsed, &registry, inputs, &mut raw);
     r12_blocking::check(&parsed, &symbols, &cg, &lock_world, inputs, &mut raw);
     for sf in &parsed {

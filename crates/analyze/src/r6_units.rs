@@ -10,7 +10,6 @@
 //! flags; the cost is recall, never false alarms in scoring code.
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
 use crate::callgraph::CallGraph;
 use crate::dataflow::FnFacts;
@@ -39,7 +38,6 @@ pub fn check(
     inputs: &mut Inputs,
     out: &mut Vec<Finding>,
 ) {
-    let empty = BTreeSet::new();
     for sf in files {
         if !in_scope(rules::UNIT_CONSISTENCY, &sf.path) {
             continue;
@@ -56,7 +54,7 @@ pub fn check(
                 ci += 1;
                 continue;
             };
-            let facts = facts_at(sf, symbols, &empty, lhs_end, &mut cache);
+            let facts = facts_at(sf, symbols, lhs_end, &mut cache);
             let lhs = unit_ending_at(sf, facts, symbols, lhs_end);
             let rhs = unit_starting_at(sf, facts, symbols, rhs_start);
             if let (Some(l), Some(r)) = (lhs, rhs) {
@@ -94,7 +92,6 @@ type FactsCache = BTreeMap<usize, FnFacts>;
 fn facts_at<'a>(
     sf: &SourceFile,
     symbols: &SymbolTable,
-    empty_events: &BTreeSet<String>,
     ci: usize,
     cache: &'a mut FactsCache,
 ) -> &'a FnFacts {
@@ -103,7 +100,7 @@ fn facts_at<'a>(
         sf.fns
             .iter()
             .find(|f| f.body_start == key)
-            .map(|f| FnFacts::collect(sf, f, symbols, empty_events))
+            .map(|f| FnFacts::collect(sf, f, symbols))
             .unwrap_or_default()
     })
 }
@@ -501,7 +498,6 @@ fn check_call_args(
     inputs: &mut Inputs,
     out: &mut Vec<Finding>,
 ) {
-    let empty = BTreeSet::new();
     let mut caches: BTreeMap<usize, FactsCache> = BTreeMap::new();
     for call in &cg.calls {
         let sf = &files[call.file];
@@ -521,7 +517,7 @@ fn check_call_args(
             continue;
         }
         let cache = caches.entry(call.file).or_default();
-        let facts = facts_at(sf, symbols, &empty, call.ci, cache);
+        let facts = facts_at(sf, symbols, call.ci, cache);
         for ((a_start, a_end), p) in args.iter().zip(params) {
             let Some(pu) = units::of_decl(&p.name, &p.ty) else {
                 continue;

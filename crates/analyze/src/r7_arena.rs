@@ -24,7 +24,7 @@
 //! sanctioned implementation; the discipline applies at arena
 //! boundaries, where handles travel between components.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::dataflow::{self, FnFacts};
 use crate::diag::{count_input, rules, Finding, Inputs};
@@ -114,7 +114,6 @@ pub fn check(
     if reg.domains.is_empty() {
         return;
     }
-    let empty = BTreeSet::new();
     for sf in files {
         if !in_scope(rules::ARENA_INDEX, &sf.path) {
             continue;
@@ -123,7 +122,7 @@ pub fn check(
             if f.is_test {
                 continue;
             }
-            let facts = FnFacts::collect(sf, f, symbols, &empty);
+            let facts = FnFacts::collect(sf, f, symbols);
             check_fn(sf, f.body_start + 1, f.body_end, &facts, &reg, inputs, out);
         }
     }

@@ -2,8 +2,7 @@
 //! application (with liveness tracking) shared by every rule.
 //!
 //! The interprocedural rules live in [`crate::r6_units`],
-//! [`crate::r7_arena`], [`crate::r8_taint`], [`crate::r9_events`],
-//! [`crate::r11_atomics`] and [`crate::r12_blocking`]; which crates each
+//! [`crate::r7_arena`], [`crate::r8_taint`], [`crate::r11_atomics`] and [`crate::r12_blocking`]; which crates each
 //! rule scopes over is [`crate::explain::RULE_DOCS`]' business alone.
 
 use crate::diag::{count_input, rules, Finding, Inputs};

@@ -1,4 +1,4 @@
-//! Per-rule tests, R2–R9, through the public
+//! Per-rule tests, R2–R8, through the public
 //! [`northup_analyze::analyze_sources`] entry point exactly as the CLI
 //! runs. Each rule's `*_true_positive` is its seeded defect: a mutation
 //! of a real product file (see [`common::Seed`]) with the `file:line`
@@ -503,106 +503,6 @@ fn determinism_suppressed_with_justification() {
 // The interprocedural (cross-crate) taint fixtures live in
 // tests/interproc.rs.
 
-// ---------------------------------------------------------------- R9
-
-/// A fixture event store: packed calendar events in a ring + overflow.
-const EVENT_DECL: &str = "\
-pub struct CalendarQueue {
-    /// Near-horizon buckets of packed events.
-    ring: Vec<Vec<Packed>>,
-    /// Far-future packed events, kept max-heap-ordered.
-    overflow: Vec<Packed>,
-}
-";
-
-#[test]
-fn event_order_by_key_true_positive() {
-    let src = format!(
-        "{EVENT_DECL}fn bad(q: &mut CalendarQueue) {{\n\
-         \x20   q.overflow.sort_by_key(|e| e.0);\n\
-         }}\n"
-    );
-    let r = one("crates/sched/src/cal.rs", &src);
-    assert_eq!(failing_lines(&r, rules::EVENT_ORDER), vec![8]);
-    let f = r.failing().find(|f| f.rule == rules::EVENT_ORDER).unwrap();
-    assert!(
-        f.message.contains("(SimTime, kind, id, seq)"),
-        "{}",
-        f.message
-    );
-}
-
-/// `fold_late` sorts the late pile by the packed `(kind, id, seq)` word
-/// alone: events leave the calendar out of time order and six
-/// `calendar::tests` (the `BinaryHeap` oracle among them) fail. Sorting
-/// by `.0` alone — dropping only the tie-break — also trips the rule but
-/// is *not* a defect here: the bucket heaps restore the full order.
-#[test]
-fn event_order_projecting_comparator_true_positive() {
-    let seed = Seed {
-        path: "crates/sched/src/calendar.rs",
-        with: &[],
-        old: "self.late.sort_unstable_by(|a, b| b.cmp(a));",
-        new: "self.late.sort_unstable_by(|a, b| b.1.cmp(&a.1));",
-    };
-    seed.trips(rules::EVENT_ORDER, "b.1.cmp(&a.1)");
-}
-
-#[test]
-fn event_order_through_alias_and_iterator() {
-    // An alias to the store and an iterator adapter both keep the
-    // event-store identity.
-    let src = format!(
-        "{EVENT_DECL}impl CalendarQueue {{\n\
-         \x20   fn bad(&mut self) {{\n\
-         \x20       let ovf = &mut self.overflow;\n\
-         \x20       ovf.sort_by_key(|e| e.1);\n\
-         \x20   }}\n\
-         \x20   fn peek(&self) -> Option<&Packed> {{\n\
-         \x20       self.overflow.iter().min_by_key(|e| e.0)\n\
-         \x20   }}\n\
-         }}\n"
-    );
-    let r = one("crates/sched/src/cal.rs", &src);
-    assert_eq!(failing_lines(&r, rules::EVENT_ORDER), vec![10, 13]);
-}
-
-#[test]
-fn event_order_clean_cases() {
-    // Whole-tuple comparators and full sorts honor the contract; other
-    // containers are not event stores.
-    let src = format!(
-        "{EVENT_DECL}fn fine(q: &mut CalendarQueue, jobs: &mut Vec<u64>) {{\n\
-         \x20   q.overflow.sort_unstable_by(|a, b| b.cmp(a));\n\
-         \x20   q.overflow.sort_unstable();\n\
-         \x20   jobs.sort_by_key(|j| *j);\n\
-         }}\n"
-    );
-    let r = one("crates/sched/src/cal.rs", &src);
-    assert_eq!(r.failing_for(rules::EVENT_ORDER), 0);
-    // fleet is out of R9 scope.
-    let src = format!(
-        "{EVENT_DECL}fn elsewhere(q: &mut CalendarQueue) {{\n\
-         \x20   q.overflow.sort_by_key(|e| e.0);\n\
-         }}\n"
-    );
-    let r = one("crates/fleet/src/cal.rs", &src);
-    assert_eq!(r.failing_for(rules::EVENT_ORDER), 0);
-}
-
-#[test]
-fn event_order_suppressed_with_justification() {
-    let src = format!(
-        "{EVENT_DECL}fn scan(q: &mut CalendarQueue) {{\n\
-         \x20   // analyze:allow(event-order): diagnostic histogram only; result never feeds scheduling\n\
-         \x20   q.overflow.sort_by_key(|e| e.0);\n\
-         }}\n"
-    );
-    let r = one("crates/sched/src/cal.rs", &src);
-    assert_eq!(r.failing().count(), 0);
-    assert_eq!(r.findings.iter().filter(|f| f.suppressed).count(), 1);
-}
-
 // ------------------------------------------------- suppression hygiene
 
 #[test]
@@ -624,13 +524,21 @@ fn unknown_rule_in_allow_fails() {
         "// analyze:allow(made-up-rule): sounds legit\nfn f() {}\n",
     );
     assert!(r.failing_for(rules::SUPPRESSION) >= 1);
-    // The retired R1 name now counts as unknown — stale directives must
-    // be migrated to determinism-taint, not silently ignored.
-    let r = one(
-        "crates/core/src/cache.rs",
-        "// analyze:allow(determinism-sources): pre-PR8 directive\nfn f() {}\n",
-    );
-    assert!(r.failing_for(rules::SUPPRESSION) >= 1);
+    // A retired rule's name counts as unknown — stale directives must
+    // go with the rule (or move to the one that took over its findings),
+    // not be silently ignored.
+    for retired in [
+        "determinism-sources",
+        "lock-order",
+        "lock-set",
+        "event-order",
+    ] {
+        let r = one(
+            "crates/sched/src/cache.rs",
+            &format!("// analyze:allow({retired}): directive of a retired rule\nfn f() {{}}\n"),
+        );
+        assert!(r.failing_for(rules::SUPPRESSION) >= 1, "{retired}");
+    }
 }
 
 #[test]

@@ -1,9 +1,9 @@
-//! Property tests for the calendar event queue: against a `BinaryHeap`
-//! oracle, [`CalendarQueue`] must be a drop-in replacement — every
-//! interleaving of pushes and pops yields the heap's exact pop order,
-//! regardless of how the events land in ring buckets, the pile beyond
-//! the horizon, or the past-time clamp path, and regardless of how often
-//! the ring's geometry is re-derived on the way.
+//! Property tests for the event queue: against a `BinaryHeap` oracle,
+//! [`CalendarQueue`] must be a drop-in replacement — every interleaving
+//! of pushes and pops yields the heap's exact pop order, whichever radix
+//! bucket an event waits in, however often it drops to a lower one, and
+//! whether it was pushed into the current 4.096 µs window, behind it, or
+//! at the saturated end of time.
 
 use northup_sched::CalendarQueue;
 use northup_sim::SimTime;
@@ -14,8 +14,8 @@ use std::collections::BinaryHeap;
 type Ev = (SimTime, u8, u64, u64);
 
 /// (µs offset, kind, id) — compressed so shrinking stays readable.
-/// Offsets span six decades so cases hit the active bucket, the ring,
-/// and the pile; kinds/ids supply tie-breaking dimensions.
+/// Offsets span six decades so cases hit the current window and the
+/// buckets up to ~2³² ns; kinds/ids supply tie-breaking dimensions.
 fn event_strategy() -> impl Strategy<Value = (u64, u8, u64)> {
     (0u64..3_000_000, 0u8..7, 0u64..50)
 }
@@ -111,11 +111,10 @@ proptest! {
     }
 
     /// Hold streams whose re-push distances mix three scales drawn per
-    /// case — from nanoseconds to minutes — over a seeded backlog: the
-    /// shapes that make the queue change its geometry with events in the
-    /// ring (a trickle under an overshooting bulk, a crowd in one bucket,
-    /// bursts at one instant). Whatever it decides, the order is the
-    /// heap's.
+    /// case — from nanoseconds to minutes — over a seeded backlog: a
+    /// trickle under an overshooting bulk, a crowd in one window, bursts
+    /// at one instant. However the events spread over the buckets, the
+    /// order is the heap's.
     #[test]
     fn mixed_scale_hold_stream_matches_binary_heap(
         seed in 0u64..u64::MAX,
@@ -162,11 +161,10 @@ proptest! {
 
     /// The shape of a replay at scale, which the ≤ 400-op scripts above
     /// never reach: tens of thousands of stage-done events in flight over
-    /// a far-future pile of seeded arrivals, one popped and one pushed at
-    /// a time. A quarter of the pushes land within a bucket or two; the
-    /// rest reach up to 280 virtual seconds ahead — forty times the 7 s a
-    /// fixed 4096-bucket ring covers at this density — so the queue has to
-    /// re-derive its geometry mid-stream, with the ring full.
+    /// a far-future backlog of seeded arrivals, one popped and one pushed
+    /// at a time. A quarter of the pushes land within 33 ms; the rest
+    /// reach up to 280 virtual seconds ahead, into the buckets the
+    /// arrivals wait in, so large buckets are drained mid-stream.
     #[test]
     fn stage_done_stream_matches_binary_heap(seed in 0u64..u64::MAX, live in 50_000u64..70_000) {
         let mut rnd = splitmix(seed);
@@ -194,6 +192,76 @@ proptest! {
             if kind == 0 {
                 push(&mut cal, &mut heap, (SimTime(now.0 + delta()), 0, id, 0));
             }
+            prop_assert_eq!(cal.len(), heap.len());
+        }
+        while let Some(Reverse(e)) = heap.pop() {
+            prop_assert_eq!(cal.pop(), Some(e));
+        }
+        prop_assert!(cal.is_empty());
+    }
+}
+
+/// Times on the bit edges a radix heap keys on: 2ᵏ − 1, 2ᵏ and 2ᵏ + 1 ns
+/// for every k — k = 12 is the 4.096 µs window — and the saturated end of
+/// time, `u64::MAX`, which `SimTime + transfer_time(.., 0.0, ..)` — a
+/// stage over a link with no bandwidth — saturates to.
+fn edge_time() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        (0u32..64, 0u64..3).prop_map(|(k, d)| (1u64 << k) - 1 + d),
+        (0u32..64, 0u64..3).prop_map(|(k, d)| (1u64 << k) - 1 + d),
+        Just(u64::MAX),
+    ]
+}
+
+/// An op script over edge times: `Push(t, kind, id)`, `Behind(d, kind,
+/// id)` — a push `d` ns behind the last popped time — or `Pop`.
+#[derive(Debug, Clone)]
+enum EdgeOp {
+    Push(u64, u8, u64),
+    Behind(u64, u8, u64),
+    Pop,
+}
+
+fn edge_ops() -> impl Strategy<Value = Vec<EdgeOp>> {
+    let tagged = || (edge_time(), 0u8..7, 0u64..4);
+    prop::collection::vec(
+        prop_oneof![
+            tagged().prop_map(|(t, k, i)| EdgeOp::Push(t, k, i)),
+            tagged().prop_map(|(t, k, i)| EdgeOp::Push(t, k, i)),
+            tagged().prop_map(|(d, k, i)| EdgeOp::Behind(d, k, i)),
+            Just(EdgeOp::Pop),
+            Just(EdgeOp::Pop),
+        ],
+        0..300,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Times across the whole 64-bit range, on either side of every bit a
+    /// bucket index can turn on, and pushes behind the last pop: the
+    /// order is still the heap's.
+    #[test]
+    fn bucket_edge_times_match_binary_heap(ops in edge_ops()) {
+        let mut cal = CalendarQueue::new();
+        let mut heap: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
+        let mut last = 0u64;
+        for (i, op) in ops.iter().enumerate() {
+            let e = match *op {
+                EdgeOp::Push(t, kind, id) => (SimTime(t), kind, id, i as u64),
+                EdgeOp::Behind(d, kind, id) => (SimTime(last.saturating_sub(d)), kind, id, i as u64),
+                EdgeOp::Pop => {
+                    let popped = cal.pop();
+                    prop_assert_eq!(popped, heap.pop().map(|Reverse(e)| e));
+                    if let Some(e) = popped {
+                        last = e.0 .0;
+                    }
+                    continue;
+                }
+            };
+            cal.push(e);
+            heap.push(Reverse(e));
             prop_assert_eq!(cal.len(), heap.len());
         }
         while let Some(Reverse(e)) = heap.pop() {
