@@ -369,15 +369,19 @@ pub struct ServiceRealRun {
 }
 
 /// Replay `trace` in virtual time, then execute every admitted job's
-/// chunk chain **for real**: each job gets a [`RealFabric`] arena over
-/// `tree`, its admitted reservation installed as a `CapacityLease` (so
-/// staging `alloc`s are enforced at the byte level), and its chunks
-/// driven in order through `ThreadPool::run_chain` on a shared
-/// work-stealing pool — exactly the chunks the model says the job
-/// completed, including partial prefixes of cancelled jobs.
+/// chunk chain **for real** on a shared work-stealing pool. Each job
+/// runs in its lane's [`RealFabric`] arena over `tree`, which
+/// [`RealFabric::start_job`] restarts for it: the dataset pattern is
+/// restored and the job's admitted reservation installed as a
+/// `CapacityLease`, so staging `alloc`s are enforced at the byte level.
+/// Its chunks are driven in order through `ThreadPool::run_chain` —
+/// exactly the chunks the model says the job completed, including
+/// partial prefixes of cancelled jobs.
 ///
 /// Jobs overlap: [`ServiceRealRun::lanes`] of them are in flight at
 /// once, started in job-id order, each keeping its own chunks in order.
+/// A lane builds one arena, sized to the run's largest dataset, and
+/// serves all its jobs from it.
 /// Per-job results do not depend on `threads`, and when jobs fail the
 /// error returned is the lowest failed job id's, as if they had run one
 /// after another.
@@ -429,10 +433,32 @@ fn lane_count(tree: &Tree, jobs: &[RealJob<'_>], threads: usize) -> usize {
     threads.min(jobs.len()).min(fit).max(1)
 }
 
-/// Execute one admitted job's chunk chain in an arena of its own.
+/// The dataset one job's chunks wrap around: two of its largest chunks
+/// (at least 4 KiB each). A chunk size too large to double is
+/// [`NorthupError::Invalid`](northup::NorthupError::Invalid).
+fn dataset_bytes(chain: &ChunkChain) -> Result<u64, SchedError> {
+    let work = chain.work;
+    let per_chunk = work
+        .read_bytes
+        .max(work.xfer_bytes)
+        .max(work.write_bytes)
+        .max(4 << 10);
+    per_chunk.checked_mul(2).ok_or_else(|| {
+        SchedError::Runtime(northup::NorthupError::Invalid(format!(
+            "a {per_chunk} B chunk has no dataset: twice it overflows u64"
+        )))
+    })
+}
+
+/// Execute one admitted job's chunk chain in its lane's arena `lane`,
+/// built on the lane's first job at `arena_bytes`. Under a fault plan
+/// the job gets a fresh arena instead, so its injectors start at
+/// operation zero whichever lane runs it.
 fn run_job_real(
     tree: &Tree,
     pool: &Arc<ThreadPool>,
+    lane: &mut Option<RealFabric>,
+    arena_bytes: u64,
     job: &RealJob<'_>,
     plan: Option<&FaultPlan>,
 ) -> Result<RealJobRun, SchedError> {
@@ -441,19 +467,15 @@ fn run_job_real(
         chain,
         staging,
     } = job;
-    let work = chain.work;
-    let per_chunk = work
-        .read_bytes
-        .max(work.xfer_bytes)
-        .max(work.write_bytes)
-        .max(4 << 10);
-    let mut fab = match plan {
-        Some(p) => RealFabric::with_faults(tree, Arc::clone(pool), per_chunk * 2, p.clone())?,
-        None => RealFabric::new(tree, Arc::clone(pool), per_chunk * 2)?,
+    let file_bytes = dataset_bytes(chain)?;
+    let fab = match lane {
+        Some(fab) if plan.is_none() => fab,
+        _ => lane.insert(match plan {
+            Some(p) => RealFabric::with_faults(tree, Arc::clone(pool), file_bytes, p.clone())?,
+            None => RealFabric::new(tree, Arc::clone(pool), arena_bytes)?,
+        }),
     };
-    if let Some(lease) = outcome.lease() {
-        fab.install_lease(lease);
-    }
+    fab.start_job(file_bytes, outcome.lease())?;
     let token = CancelToken::new();
     let mut t = SimTime::ZERO;
     let mut failure = None;
@@ -494,30 +516,13 @@ fn run_job_real(
     })
 }
 
-/// [`run_service_real`] under any configuration. With a
-/// [`SchedulerConfig::fault_plan`], the one plan drives the modeled
-/// replay (seeded stage faults, retry backoff, quarantine — all in
-/// virtual time) **and** the real execution (every job's [`RealFabric`]
-/// arena wires fault injectors into its staging backends; chunks are
-/// driven through `ThreadPool::run_chain_with_retry` with real,
-/// cancellation-aware backoff sleeps). Chunk bodies are transactional,
-/// so a retried chunk applies its side effects exactly once and the
-/// per-job checksums equal a fault-free run's. Same tree + trace + plan
-/// ⇒ bit-identical report, checksums, and retry counts.
-fn run_real_inner(
-    tree: &Tree,
-    trace: Vec<JobSpec>,
-    cfg: SchedulerConfig,
-    threads: usize,
-) -> Result<ServiceRealRun, SchedError> {
-    let plan = cfg.fault_plan.clone();
-    let specs = trace.clone();
-    let report = run_service_with(tree, trace, cfg)?;
-    let pool = Arc::new(ThreadPool::new(threads));
-    let jobs: Vec<RealJob<'_>> = report
+/// The jobs of `report` that ran chunks in the model, in job-id order,
+/// each with its chain compiled from its spec in `specs`.
+fn real_jobs<'a>(tree: &Tree, report: &'a SchedReport, specs: &[JobSpec]) -> Vec<RealJob<'a>> {
+    report
         .jobs
         .iter()
-        .zip(&specs)
+        .zip(specs)
         .filter(|(outcome, _)| outcome.chunks_done > 0)
         .filter_map(|(outcome, spec)| {
             let chain = build_chain(
@@ -533,8 +538,39 @@ fn run_real_inner(
                 staging,
             })
         })
-        .collect();
+        .collect()
+}
+
+/// [`run_service_real`] under any configuration. With a
+/// [`SchedulerConfig::fault_plan`], the one plan drives the modeled
+/// replay (seeded stage faults, retry backoff, quarantine — all in
+/// virtual time) **and** the real execution (every job gets a fresh
+/// [`RealFabric`] arena whose fault injectors on its staging backends
+/// count from operation zero, whichever lane runs it; chunks are
+/// driven through `ThreadPool::run_chain_with_retry` with real,
+/// cancellation-aware backoff sleeps). Chunk bodies are transactional,
+/// so a retried chunk applies its side effects exactly once and the
+/// per-job checksums equal a fault-free run's. Same tree + trace + plan
+/// ⇒ bit-identical report, checksums, and retry counts.
+fn run_real_inner(
+    tree: &Tree,
+    trace: Vec<JobSpec>,
+    cfg: SchedulerConfig,
+    threads: usize,
+) -> Result<ServiceRealRun, SchedError> {
+    let plan = cfg.fault_plan.clone();
+    let specs = trace.clone();
+    let report = run_service_with(tree, trace, cfg)?;
+    let pool = Arc::new(ThreadPool::new(threads));
+    let jobs = real_jobs(tree, &report, &specs);
     let lanes = lane_count(tree, &jobs, pool.threads());
+    // Every lane's arena holds the run's largest dataset; a job whose
+    // dataset overflows fails on its own turn.
+    let arena_bytes = jobs
+        .iter()
+        .filter_map(|job| dataset_bytes(&job.chain).ok())
+        .max()
+        .unwrap_or(0);
 
     // Each lane pulls the next job index, so jobs start in job-id order and
     // every job below a started one has started too. After a failure no
@@ -548,16 +584,26 @@ fn run_real_inner(
         jobs.iter().map(|_| OnceLock::new()).collect();
     pool.scope(|s| {
         for _ in 0..lanes {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() || i > lowest_failed.load(Ordering::Relaxed) {
-                    break;
+            s.spawn(|| {
+                let mut arena = None;
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= jobs.len() || i > lowest_failed.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let ran = run_job_real(
+                        tree,
+                        &pool,
+                        &mut arena,
+                        arena_bytes,
+                        &jobs[i],
+                        plan.as_ref(),
+                    );
+                    if ran.is_err() {
+                        lowest_failed.fetch_min(i, Ordering::Relaxed);
+                    }
+                    let _ = slots[i].set(ran);
                 }
-                let ran = run_job_real(tree, &pool, &jobs[i], plan.as_ref());
-                if ran.is_err() {
-                    lowest_failed.fetch_min(i, Ordering::Relaxed);
-                }
-                let _ = slots[i].set(ran);
             });
         }
     });
@@ -1003,6 +1049,55 @@ mod tests {
             jobs: 96,
             ..TraceConfig::default()
         });
+    }
+
+    #[test]
+    fn a_lane_arena_runs_each_job_as_a_fresh_arena_would() {
+        let tree = tree();
+        let cfg = TraceConfig {
+            jobs: 9,
+            ..TraceConfig::default()
+        };
+        let specs = synthetic_trace(&tree, &cfg);
+        let pool = Arc::new(ThreadPool::new(2));
+        for plan in [None, Some(chaos_plan())] {
+            let cfg = SchedulerConfig {
+                fault_plan: plan.clone(),
+                ..with_policy(AdmissionPolicy::WeightedFair)
+            };
+            let report = run_service_with(&tree, specs.clone(), cfg).unwrap();
+            let jobs = real_jobs(&tree, &report, &specs);
+            let arena_bytes = jobs
+                .iter()
+                .map(|job| dataset_bytes(&job.chain).unwrap())
+                .max()
+                .unwrap();
+            let record = |run: RealJobRun| (run.chunks_run, run.checksum, run.retries);
+            let mut lane = None;
+            let mut retries = 0;
+            for job in &jobs {
+                let in_lane =
+                    run_job_real(&tree, &pool, &mut lane, arena_bytes, job, plan.as_ref());
+                let own = dataset_bytes(&job.chain).unwrap();
+                let fresh = run_job_real(&tree, &pool, &mut None, own, job, plan.as_ref());
+                let in_lane = record(in_lane.unwrap());
+                retries += in_lane.2;
+                assert_eq!(in_lane, record(fresh.unwrap()), "{}", job.outcome.name);
+            }
+            assert_eq!(jobs.len(), 9);
+            assert_eq!(retries > 0, plan.is_some(), "faults reach the arenas");
+        }
+    }
+
+    #[test]
+    fn a_dataset_too_large_to_double_is_a_typed_error() {
+        let tree = tree();
+        let leaf = tree.leaves().next().unwrap().id;
+        let work = JobWork::new(1).read(u64::MAX).chunk_work();
+        assert!(matches!(
+            dataset_bytes(&build_chain(&tree, leaf, work, 1)),
+            Err(SchedError::Runtime(northup::NorthupError::Invalid(_)))
+        ));
     }
 
     /// `n` two-chunk jobs of 64 KiB chunks, each reserving `lease` bytes

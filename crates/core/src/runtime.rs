@@ -275,6 +275,13 @@ impl Runtime {
         self.inner.lock().timeline.makespan()
     }
 
+    /// Forget the recorded timeline — spans, busy totals and makespan —
+    /// so a runtime that serves one job after another logs each job's
+    /// spans only. Resource busy times are kept.
+    pub fn clear_timeline(&self) {
+        self.inner.lock().timeline.reset();
+    }
+
     /// Export the recorded activity spans as Chrome trace-event JSON
     /// (open in `chrome://tracing` / Perfetto) — one track per category.
     pub fn chrome_trace(&self) -> String {

@@ -12,33 +12,39 @@
 //! thread pool, folding them into a commutative checksum so results are
 //! identical for any thread count.
 //!
-//! One `RealFabric` is one job's execution arena, built fresh for the job
-//! and dropped after it; an arena is never reset or re-used. The
-//! scheduler-level contract stays chunk-granular: callers drive chunks
-//! in order (usually via `northup_exec::ThreadPool::run_chain`, which
-//! polls a [`CancelToken`](northup_exec::CancelToken) at every
-//! boundary), and an evicted job constructs a fresh fabric later and
-//! resumes at its next unprocessed chunk index — completed chunks are
-//! never re-run.
+//! One `RealFabric` is an execution arena that serves jobs one after
+//! another: [`start_job`](RealFabric::start_job) lays the dataset pattern
+//! back over the bytes earlier jobs wrote back, so every job sees what a
+//! fresh arena would show it. The scheduler-level contract stays
+//! chunk-granular: callers drive chunks in order (usually via
+//! `northup_exec::ThreadPool::run_chain`, which polls a
+//! [`CancelToken`](northup_exec::CancelToken) at every boundary), and an
+//! evicted job resumes later at its next unprocessed chunk index —
+//! completed chunks are never re-run.
 
 use northup::fabric::{ChunkChain, Fabric, FabricError};
 use northup::fault::FaultPlan;
 use northup::lease::CapacityLease;
 use northup::runtime::SetupCosts;
-use northup::{BufferHandle, ExecMode, NodeId, Result, Runtime, Tree};
+use northup::{BufferHandle, ExecMode, NodeId, NorthupError, Result, Runtime, Tree};
 use northup_exec::ThreadPool;
 use northup_hw::{FaultOps, FaultyBackend, HeapBackend, StorageBackend};
 use northup_sim::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Real-thread chunk-chain execution for one job.
+/// Real-thread chunk-chain execution, one job at a time.
 pub struct RealFabric {
     tree: Tree,
     rt: Runtime,
     pool: Arc<ThreadPool>,
     file: northup::BufferHandle,
+    /// Length of the root file: the largest dataset a job may use.
+    capacity: u64,
+    /// The current job's dataset: chunk offsets wrap around `[0, file_bytes)`.
     file_bytes: u64,
+    /// End of the largest write-back since the pattern was last laid.
+    dirty: u64,
     checksum: u64,
 }
 
@@ -60,7 +66,8 @@ impl RealFabric {
     /// dataset must stay intact for chunks to be retryable; root-storage
     /// faults are exercised by the modeled fabric instead. Two fabrics
     /// built from the same plan fail on identical operation ordinals, so
-    /// chaos runs are reproducible bit for bit.
+    /// chaos runs are reproducible bit for bit — which is why a faulty
+    /// arena serves one job: its injectors count from the build.
     pub fn with_faults(
         tree: &Tree,
         pool: Arc<ThreadPool>,
@@ -99,26 +106,61 @@ impl RealFabric {
             &factory,
         )?;
         let file = rt.alloc(file_bytes, root)?;
-        // Deterministic non-trivial content, written in bounded strips.
-        // Byte `i` of the file is a function of `i mod 256`, and 256
-        // divides the strip, so every strip holds the same bytes.
-        let strip: Vec<u8> = (0..1usize << 16)
-            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
-            .collect();
-        let mut off = 0u64;
-        while off < file_bytes {
-            let n = (strip.len() as u64).min(file_bytes - off) as usize;
-            rt.write_slice(file, off, &strip[..n])?;
-            off += n as u64;
-        }
-        Ok(RealFabric {
+        let mut fab = RealFabric {
             tree: tree.clone(),
             rt,
             pool,
             file,
+            capacity: file_bytes,
             file_bytes,
+            dirty: file_bytes, // the whole file still wants the pattern
             checksum: 0,
-        })
+        };
+        fab.lay_pattern()?;
+        Ok(fab)
+    }
+
+    /// Write the deterministic dataset pattern over `[0, dirty)` of the
+    /// root file, in bounded strips. Byte `i` is a function of
+    /// `i mod 256`, and 256 divides the strip, so every strip holds the
+    /// same bytes.
+    fn lay_pattern(&mut self) -> Result<()> {
+        let strip: Vec<u8> = (0..1usize << 16)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
+            .collect();
+        let mut off = 0u64;
+        while off < self.dirty {
+            let n = (strip.len() as u64).min(self.dirty - off) as usize;
+            self.rt.write_slice(self.file, off, &strip[..n])?;
+            off += n as u64;
+        }
+        self.dirty = 0;
+        Ok(())
+    }
+
+    /// Make the arena ready for the next job, so that job sees exactly
+    /// what a fresh arena of `file_bytes` would show it: the pattern is
+    /// laid back over the bytes earlier jobs wrote back, chunk offsets
+    /// wrap around `file_bytes`, the checksum restarts at zero, `lease`
+    /// meters the job's staging allocs (`None`: unmetered), and the
+    /// runtime's timeline forgets the earlier jobs' spans.
+    ///
+    /// `file_bytes` larger than the arena was built with is
+    /// [`NorthupError::Invalid`].
+    pub fn start_job(&mut self, file_bytes: u64, lease: Option<Arc<CapacityLease>>) -> Result<()> {
+        let file_bytes = file_bytes.max(1);
+        if file_bytes > self.capacity {
+            return Err(NorthupError::Invalid(format!(
+                "a {file_bytes} B dataset does not fit a {} B arena",
+                self.capacity
+            )));
+        }
+        self.lay_pattern()?;
+        self.file_bytes = file_bytes;
+        self.checksum = 0;
+        self.install_lease(lease.unwrap_or_else(|| CapacityLease::new([])));
+        self.rt.clear_timeline();
+        Ok(())
     }
 
     /// Install the job's capacity lease on the underlying runtime, so
@@ -128,10 +170,10 @@ impl RealFabric {
         self.rt.install_lease(lease)
     }
 
-    /// The commutative checksum folded over every staged byte so far.
-    /// Deterministic for a given (file pattern, chunk set) regardless of
-    /// thread count or chunk interleaving — the mode-agreement tests
-    /// compare it between runs.
+    /// The commutative checksum folded over every byte staged since the
+    /// job started. Deterministic for a given (file pattern, chunk set)
+    /// regardless of thread count or chunk interleaving — the
+    /// mode-agreement tests compare it between runs.
     pub fn checksum(&self) -> u64 {
         self.checksum
     }
@@ -156,28 +198,24 @@ impl RealFabric {
         let mut chunk_sum = 0u64;
         if let Some(buf) = buf {
             if work.read_bytes > 0 || work.xfer_bytes > 0 {
-                // Root read + link staging in one runtime move; chunks
-                // wrap around the shared file so every index is in range.
+                // Root read + link staging in one runtime move.
                 let n = work
                     .xfer_bytes
                     .max(work.read_bytes)
                     .min(stage_bytes)
                     .min(self.file_bytes);
-                let src_off = (u64::from(idx) * n) % (self.file_bytes - n + 1).max(1);
+                let src_off = chunk_offset(idx, n, self.file_bytes);
                 self.rt.move_data(buf, 0, self.file, src_off, n)?;
 
                 // The real kernel: fold the staged bytes, where they
-                // lie, into a commutative (wrapping-add) checksum on the
-                // pool.
+                // lie, into a commutative (wrapping-add) checksum, one
+                // pool task per thread.
                 let acc = AtomicU64::new(0);
                 let pool = &self.pool;
                 self.rt.with_bytes(buf, 0, n, |bytes| {
-                    pool.par_for(bytes.len(), 1 << 14, |r| {
-                        let mut s = 0u64;
-                        for &b in &bytes[r] {
-                            s = s.wrapping_add(u64::from(b));
-                        }
-                        acc.fetch_add(s, Ordering::Relaxed);
+                    let grain = bytes.len().div_ceil(pool.threads()).max(64 << 10);
+                    pool.par_for(bytes.len(), grain, |r| {
+                        acc.fetch_add(byte_sum(&bytes[r]), Ordering::Relaxed);
                     });
                 })?;
                 chunk_sum = acc.into_inner();
@@ -191,7 +229,10 @@ impl RealFabric {
             if work.write_bytes > 0 {
                 // Write-back lands at a fixed offset with deterministic
                 // content, so a retried chunk re-applies identical bytes.
+                // The extent counts as dirty before the move, so a move
+                // that fails part-way is restored too.
                 let n = work.write_bytes.min(stage_bytes).min(self.file_bytes);
+                self.dirty = self.dirty.max(n);
                 self.rt.move_data(self.file, 0, buf, 0, n)?;
             }
         } else if work.compute > northup_sim::SimDur::ZERO {
@@ -203,6 +244,42 @@ impl RealFabric {
         self.checksum = self.checksum.wrapping_add(chunk_sum);
         Ok(())
     }
+}
+
+/// Where chunk `idx` reads its `n` bytes: chunks stride by `n` and wrap
+/// around the `file_bytes` dataset, so every index is in range. The
+/// product is taken in `u128`: it cannot overflow, and below 2⁶⁴ it is
+/// the `u64` product.
+fn chunk_offset(idx: u32, n: u64, file_bytes: u64) -> u64 {
+    let starts = u128::from(file_bytes.saturating_sub(n)) + 1;
+    let off = u128::from(idx) * u128::from(n) % starts;
+    // `off < starts ≤ 2⁶⁴`, so it fits.
+    u64::try_from(off).unwrap_or(u64::MAX)
+}
+
+/// The wrapping sum of `bytes` — the byte loop's result, taken 32 bytes
+/// at a time: each 32-byte block adds into 32 `u16` lanes, which are
+/// flushed every 257 blocks — 257 × 255 = 65 535, so no lane overflows.
+fn byte_sum(bytes: &[u8]) -> u64 {
+    const LANES: usize = 32;
+    let mut sum = 0u64;
+    for group in bytes.chunks(257 * LANES) {
+        let blocks = group.chunks_exact(LANES);
+        let tail = blocks.remainder();
+        let mut lanes = [0u16; LANES];
+        for block in blocks {
+            for (lane, &b) in lanes.iter_mut().zip(block) {
+                *lane += u16::from(b);
+            }
+        }
+        for &lane in &lanes {
+            sum = sum.wrapping_add(u64::from(lane));
+        }
+        for &b in tail {
+            sum = sum.wrapping_add(u64::from(b));
+        }
+    }
+    sum
 }
 
 impl Fabric for RealFabric {
@@ -258,6 +335,7 @@ mod tests {
     use northup_exec::CancelToken;
     use northup_hw::catalog;
     use northup_sim::SimDur;
+    use proptest::prelude::*;
 
     fn tree() -> Tree {
         presets::apu_two_level(catalog::ssd_hyperx_predator())
@@ -445,5 +523,153 @@ mod tests {
         assert_eq!(a, b, "same plan + same ops ⇒ same faults, bit for bit");
         assert!(a.0.iter().any(|&e| e), "some attempt faulted");
         assert!(a.0.iter().any(|&e| !e), "some attempt succeeded");
+    }
+
+    /// Run every chunk of `ch` and return the job's checksum.
+    fn run_job(fab: &mut RealFabric, ch: &ChunkChain, chunks: u32) -> u64 {
+        let mut t = SimTime::ZERO;
+        for i in 0..chunks {
+            t = fab.run_chunk(ch, i, t).unwrap();
+        }
+        fab.checksum()
+    }
+
+    /// The whole root file, and the pattern a fresh arena lays.
+    fn file_and_pattern(fab: &RealFabric) -> (Vec<u8>, Vec<u8>) {
+        let mut file = vec![0u8; fab.capacity as usize];
+        fab.rt.read_slice(fab.file, 0, &mut file).unwrap();
+        let pattern = (0..file.len())
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
+            .collect();
+        (file, pattern)
+    }
+
+    #[test]
+    fn a_lane_arena_gives_every_job_what_a_fresh_arena_gives_it() {
+        let tree = tree();
+        let leaf = tree.leaves().next().unwrap().id;
+        let pool = Arc::new(ThreadPool::new(2));
+        // Large, small, large datasets of `2n` bytes and a few. A chunk
+        // reads `n` bytes and writes `2n` back at offset 0, the last `n`
+        // of them the staging buffer's zeros; chunks 2 and 3 read across
+        // the zeros chunk 1 wrote. So every job starts on bytes the job
+        // before it wrote back, and they sum differently from the pattern.
+        let large = 128u64 << 10;
+        let small = 8u64 << 10;
+        let jobs = [
+            (large, 2 * large + 333),
+            (small, 2 * small + 77),
+            (large, 2 * large + 333),
+        ];
+        let mut lane = RealFabric::new(&tree, Arc::clone(&pool), 2 * large + 333).unwrap();
+        for (k, &(n, file_bytes)) in jobs.iter().enumerate() {
+            let work = JobWork::new(4).read(n).xfer(n).write(2 * n).chunk_work();
+            let ch = build_chain(&tree, leaf, work, 4);
+            if k > 0 {
+                let (file, pattern) = file_and_pattern(&lane);
+                let read = ..n as usize;
+                assert!(
+                    file[read] != pattern[read],
+                    "job {k} reads written-back bytes"
+                );
+            }
+            lane.start_job(file_bytes, None).unwrap();
+            let (file, pattern) = file_and_pattern(&lane);
+            assert!(
+                file == pattern,
+                "job {k}: the whole arena holds the pattern again"
+            );
+
+            let mut fresh = RealFabric::new(&tree, Arc::clone(&pool), file_bytes).unwrap();
+            assert_eq!(
+                run_job(&mut lane, &ch, 4),
+                run_job(&mut fresh, &ch, 4),
+                "job {k}"
+            );
+        }
+        assert!(
+            lane.start_job(2 * large + 334, None).is_err(),
+            "a dataset larger than the arena is refused"
+        );
+    }
+
+    #[test]
+    fn start_job_keeps_one_job_of_spans_and_swaps_the_lease() {
+        let tree = tree();
+        let staging = tree.children(tree.root())[0];
+        let mut fab = RealFabric::new(&tree, Arc::new(ThreadPool::new(2)), 1 << 20).unwrap();
+        let ch = chain(&tree, 3, 64 << 10);
+        let spans = |fab: &RealFabric| fab.rt.chrome_trace().matches("\"ph\"").count();
+        let mut first = None;
+        for k in 0..3 {
+            fab.start_job(1 << 20, None).unwrap();
+            run_job(&mut fab, &ch, 3);
+            let n = spans(&fab);
+            assert!(n > 0);
+            assert_eq!(*first.get_or_insert(n), n, "spans after job {}", k + 1);
+        }
+        // A lease too small for one staging buffer fails the job; the
+        // next job's `None` takes it off again.
+        let tight = Reservation::new().with(staging, 1).to_lease();
+        fab.start_job(1 << 20, Some(tight)).unwrap();
+        assert!(fab.run_chunk(&ch, 0, SimTime::ZERO).is_err());
+        fab.start_job(1 << 20, None).unwrap();
+        assert!(fab.run_chunk(&ch, 0, SimTime::ZERO).is_ok());
+    }
+
+    #[test]
+    fn chunk_offsets_do_not_overflow() {
+        // Below 2^64 the product is the u64 one.
+        for (idx, n, file_bytes) in [(0, 64, 1 << 20), (7, 4096, 1 << 20), (3, 100, 150)] {
+            let want = (u64::from(idx) * n) % (file_bytes - n + 1);
+            assert_eq!(chunk_offset(idx, n, file_bytes), want);
+        }
+        // (2^32 - 1) · 2^33 ≥ 2^64: u64 would panic or wrap to 60112632824.
+        assert_eq!(chunk_offset(u32::MAX, 1 << 33, 1 << 40), 128_815_200_240);
+        assert_eq!(chunk_offset(u32::MAX, u64::MAX, u64::MAX), 0);
+        assert_eq!(
+            chunk_offset(5, 10, 4),
+            0,
+            "a chunk larger than the dataset reads at 0"
+        );
+    }
+
+    /// The byte loop [`byte_sum`] replaces.
+    fn byte_loop(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0u64, |s, &b| s.wrapping_add(u64::from(b)))
+    }
+
+    #[test]
+    fn byte_sum_holds_all_ones_across_the_flush() {
+        let ones = vec![0xFFu8; 3 * 8224 + 31];
+        for len in [0, 31, 32, 8191, 8223, 8224, 8225, 2 * 8224 + 1, ones.len()] {
+            assert_eq!(byte_sum(&ones[..len]), 255 * len as u64, "len {len}");
+        }
+    }
+
+    proptest! {
+        /// Any length from 0 to three flush groups and a tail, at any
+        /// alignment, all-`0xFF` or mixed bytes: the same sum as the loop.
+        #[test]
+        fn byte_sum_equals_the_byte_loop(
+            len in 0usize..3 * 8224 + 32,
+            skip in 0usize..32,
+            seed in any::<u64>(),
+            ones in any::<bool>(),
+        ) {
+            let bytes: Vec<u8> = (0..skip + len)
+                .map(|i| {
+                    if ones {
+                        return 0xFF;
+                    }
+                    let x = (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    (x >> 56) as u8
+                })
+                .collect();
+            let slice = &bytes[skip..];
+            prop_assert_eq!(byte_sum(slice), byte_loop(slice));
+        }
     }
 }
