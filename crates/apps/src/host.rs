@@ -36,8 +36,8 @@ pub fn read_matrix(
     cols: usize,
 ) -> Result<DenseMatrix> {
     let mut data = Vec::new();
-    rt.with_bytes(h, off, (rows * cols * 4) as u64, |bytes| {
-        data = bytes_to_f32s(bytes);
+    rt.with_bytes(&[(h, off, (rows * cols * 4) as u64)], |bytes| {
+        data = bytes_to_f32s(bytes[0]);
     })?;
     Ok(DenseMatrix { rows, cols, data })
 }

@@ -12,6 +12,15 @@
 //! 3. runs the adaptive kernels on the GPU, and
 //! 4. writes the result segment of `b` back to storage.
 //!
+//! Steps 2 and 3 run, for real, on the bytes step 1 staged: the runtime
+//! lends the shard's three arrays in one loan ([`Runtime::with_bytes`]),
+//! and binning and the kernels read them in place through
+//! [`CsrBytes`], rebasing `row_ptr` and decoding each entry as they load
+//! it. Malformed staged bytes — a non-monotone `row_ptr`, a `row_ptr`
+//! span that disagrees with the staged entries, a column past `x` — are
+//! [`NorthupError::Invalid`]. The host [`Csr`] only writes the storage
+//! files and serves as the oracle.
+//!
 //! The dense vector `x` is staged once and stays resident ("one requirement
 //! for SpMV is the fastest memory has to be big enough to hold the
 //! vector").
@@ -24,9 +33,13 @@ use crate::report::AppRun;
 use northup::{
     BufferHandle, ChainBufs, ExecMode, NodeId, NorthupError, ProcKind, Result, Runtime, Tree,
 };
-use northup_kernels::{binning_time, bytes_to_f32s, f32s_to_bytes, rel_error, spmv_adaptive};
+use northup_kernels::{
+    binning_time, bytes_to_f32s, f32s_to_bytes, rel_error, spmv_adaptive, try_spmv_adaptive,
+};
 use northup_sim::SimDur;
-use northup_sparse::{bin_rows, partition_even_rows, BinningParams, Csr, PaperSpmvShape};
+use northup_sparse::{
+    bin_rows, partition_even_rows, BinningParams, Csr, CsrBytes, CsrError, PaperSpmvShape,
+};
 
 /// The SpMV input: a real matrix (Real mode) or paper-scale shape
 /// parameters (Modeled mode).
@@ -172,6 +185,35 @@ fn stage_shard(
     Ok(bufs)
 }
 
+/// Bin and run CSR-Adaptive on a staged shard: its `row_ptr`, `col_id`
+/// and `data` (`bufs`, `sizes` bytes each) are lent in one loan and read
+/// where they lie, `y = A x` for the shard's rows.
+fn staged_spmv(
+    rt: &Runtime,
+    bufs: [BufferHandle; 3],
+    sizes: [u64; 3],
+    x: &[f32],
+    y: &mut [f32],
+) -> Result<()> {
+    let ranges = [
+        (bufs[0], 0, sizes[0]),
+        (bufs[1], 0, sizes[1]),
+        (bufs[2], 0, sizes[2]),
+    ];
+    let mut out = Ok(());
+    rt.with_bytes(&ranges, |parts| {
+        out = match *parts {
+            [row_ptr, col_id, data] => {
+                CsrBytes::new(x.len(), row_ptr, col_id, data).and_then(|view| {
+                    try_spmv_adaptive(&view, &bin_rows(&view, BinningParams::default()), x, y)
+                })
+            }
+            _ => Err(CsrError::BadRowPtr),
+        };
+    })?;
+    out.map_err(|e| NorthupError::Invalid(format!("staged CSR shard: {e}")))
+}
+
 /// In-memory CSR-Adaptive baseline: matrix resident in DRAM, one binning
 /// pass on the CPU, adaptive kernels on the GPU.
 pub fn spmv_in_memory(input: &SpmvInput, mode: ExecMode) -> Result<AppRun> {
@@ -305,12 +347,16 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
             &format!("spmv shard {ci_idx}"),
         )?;
 
-        // Real kernel execution.
-        if let (ExecMode::Real, SpmvInput::Matrix(m)) = (mode, input) {
-            let sub = m.slice_rows(g.row_start as usize, (g.row_start + g.rows) as usize);
-            let blocks = bin_rows(&sub, BinningParams::default());
-            let mut yv = vec![0.0f32; sub.rows];
-            spmv_adaptive(&sub, &blocks, &x_host, &mut yv);
+        // Real kernel execution, on the bytes the GPU charge reads.
+        if let (ExecMode::Real, SpmvInput::Matrix(_)) = (mode, input) {
+            let mut yv = vec![0.0f32; g.rows as usize];
+            staged_spmv(
+                rt,
+                [leaf[0], leaf[1], leaf[2]],
+                [rp, ci, va],
+                &x_host,
+                &mut yv,
+            )?;
             checksum += yv.iter().map(|&v| v as f64).sum::<f64>();
             rt.write_slice(leaf[3], 0, &f32s_to_bytes(&yv))?;
         }
@@ -403,12 +449,10 @@ pub fn power_iteration_northup(
                 &[y_s],
                 &format!("spmv it{it} shard{idx}"),
             )?;
-            let sub = m.slice_rows(g.row_start as usize, (g.row_start + g.rows) as usize);
-            let blocks = bin_rows(&sub, BinningParams::default());
-            let mut yv = vec![0.0f32; sub.rows];
-            spmv_adaptive(&sub, &blocks, &x_host, &mut yv);
-            y_host[g.row_start as usize..(g.row_start + g.rows) as usize].copy_from_slice(&yv);
-            rt.write_slice(y_s, 0, &f32s_to_bytes(&yv))?;
+            let [rp, ci, va, _] = g.sizes();
+            let yv = &mut y_host[g.row_start as usize..(g.row_start + g.rows) as usize];
+            staged_spmv(&rt, [rp_s, ci_s, va_s], [rp, ci, va], &x_host, yv)?;
+            rt.write_slice(y_s, 0, &f32s_to_bytes(yv))?;
             rt.move_data(y_stage, g.row_start * 4, y_s, 0, g.rows * 4)?;
             for h in [rp_s, ci_s, va_s, y_s] {
                 rt.release(h)?;
@@ -564,6 +608,74 @@ mod tests {
             .map(|(_, t)| t.read_ops)
             .unwrap();
         assert!(io >= 60 * 4 * 3, "re-streamed every iteration: {io} ops");
+    }
+
+    /// `staged_spmv` over a shard staged from raw `row_ptr` words,
+    /// `(column, value)` entries and a 4-column `x`.
+    fn spmv_staged_words(row_ptr: &[u32], entries: &[(u32, f32)]) -> Result<Vec<f32>> {
+        let rt = Runtime::new(
+            northup::presets::apu_two_level(catalog::ssd_hyperx_predator()),
+            ExecMode::Real,
+        )?;
+        let stage = rt.tree().staging_level()?;
+        let images = [
+            row_ptr
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .collect::<Vec<u8>>(),
+            entries.iter().flat_map(|e| e.0.to_le_bytes()).collect(),
+            entries.iter().flat_map(|e| e.1.to_le_bytes()).collect(),
+        ];
+        let staged = |image: &Vec<u8>| -> Result<BufferHandle> {
+            let h = rt.alloc(image.len() as u64, stage)?;
+            rt.write_slice(h, 0, image)?;
+            Ok(h)
+        };
+        let bufs = [
+            staged(&images[0])?,
+            staged(&images[1])?,
+            staged(&images[2])?,
+        ];
+        let sizes = images.each_ref().map(|i| i.len() as u64);
+        let mut y = vec![f32::NAN; row_ptr.len().saturating_sub(1)];
+        staged_spmv(&rt, bufs, sizes, &[1.0, 2.0, 3.0, 4.0], &mut y)?;
+        Ok(y)
+    }
+
+    #[test]
+    fn a_staged_shard_is_read_with_its_row_ptr_rebased() {
+        let entries = [(0, 1.0), (3, 1.0), (1, 0.5), (2, 2.0)];
+        assert_eq!(
+            spmv_staged_words(&[7, 9, 9, 11], &entries).unwrap(),
+            [5.0, 0.0, 7.0]
+        );
+    }
+
+    #[test]
+    fn a_non_monotone_staged_row_ptr_is_invalid() {
+        let entries = [(0, 1.0), (3, 1.0), (1, 0.5), (2, 2.0)];
+        assert!(matches!(
+            spmv_staged_words(&[7, 10, 9, 11], &entries),
+            Err(NorthupError::Invalid(why)) if why.contains("decreases at row 1")
+        ));
+    }
+
+    #[test]
+    fn a_staged_row_ptr_span_unlike_the_staged_entries_is_invalid() {
+        let entries = [(0, 1.0), (3, 1.0), (1, 0.5)];
+        assert!(matches!(
+            spmv_staged_words(&[7, 9, 9, 11], &entries),
+            Err(NorthupError::Invalid(why)) if why.contains("length mismatch")
+        ));
+    }
+
+    #[test]
+    fn a_staged_column_past_x_is_invalid() {
+        let entries = [(0, 1.0), (3, 1.0), (4, 0.5), (2, 2.0)];
+        assert!(matches!(
+            spmv_staged_words(&[7, 9, 9, 11], &entries),
+            Err(NorthupError::Invalid(why)) if why.contains("column 4 out of range at offset 2")
+        ));
     }
 
     #[test]

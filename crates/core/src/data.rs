@@ -26,7 +26,7 @@
 use crate::error::{NorthupError, Result};
 use crate::runtime::{ExecMode, RtInner, Runtime};
 use crate::topology::{NodeId, ProcKind};
-use northup_hw::{BlockId, Dir, HwResult, StorageBackend, StorageClass};
+use northup_hw::{gather, BlockId, Dir, HwResult, StorageBackend, StorageClass};
 use northup_sim::{transfer_time, Category, Served, SimDur, SimTime};
 
 /// Opaque reference to an allocation on some tree node (the paper's
@@ -429,7 +429,9 @@ impl Runtime {
             if src_is_file {
                 d.fill(db, doff, row_len, &mut |buf| s.read(sb, so, buf))?;
             } else {
-                s.lend(sb, so, row_len, &mut |bytes| d.write(db, doff, bytes))?;
+                s.lend(&[(sb, so, row_len)], &mut |bytes| {
+                    d.write(db, doff, bytes[0])
+                })?;
             }
         }
         Ok(())
@@ -542,25 +544,49 @@ impl Runtime {
         Ok(())
     }
 
-    /// Run `f` over `len` bytes of a buffer starting at `offset`, in place
-    /// where the node holds them in memory (verification and leaf kernels
-    /// — not charged; one backend read, like [`read_slice`](Self::read_slice)).
-    /// `f` runs under the runtime lock and must not call into this runtime.
+    /// Run `f` over several `(handle, offset, len)` byte ranges at once,
+    /// in order, in place where their node holds them in memory
+    /// (verification and leaf kernels — not charged; one backend read per
+    /// range, like [`read_slice`](Self::read_slice)). Every range must lie
+    /// on one node and is checked before any byte is lent. `f` runs under
+    /// the runtime lock and must not call into this runtime.
     pub fn with_bytes(
         &self,
-        h: BufferHandle,
-        offset: u64,
-        len: u64,
-        mut f: impl FnMut(&[u8]),
+        ranges: &[(BufferHandle, u64, u64)],
+        mut f: impl FnMut(&[&[u8]]),
     ) -> Result<()> {
         let mut g = self.inner.lock();
-        let info = g.info(h)?;
-        check_range(h, &info, offset, len)?;
-        g.backends[info.node.0].lend(info.block, offset, len, &mut |bytes| {
-            f(bytes);
+        let mut node = None;
+        for &(h, offset, len) in ranges {
+            let info = g.info(h)?;
+            check_range(h, &info, offset, len)?;
+            let expected = *node.get_or_insert(info.node);
+            if info.node != expected {
+                return Err(NorthupError::WrongNode {
+                    actual: info.node,
+                    expected,
+                });
+            }
+        }
+        let Some(node) = node else {
+            f(&[]);
+            return Ok(());
+        };
+        let inner = &mut *g;
+        let blocks = ranges.iter().map(|&(h, offset, len)| {
+            let info = inner
+                .buffers
+                .get(&h.0)
+                .ok_or(NorthupError::UnknownBuffer(h))?;
+            Ok((info.block, offset, len))
+        });
+        gather((BlockId(0), 0, 0), blocks, |blocks| {
+            inner.backends[node.0].lend(blocks, &mut |parts| {
+                f(parts);
+                Ok(())
+            })?;
             Ok(())
-        })?;
-        Ok(())
+        })
     }
 
     /// Charge a leaf computation of duration `dur` on the processor of
@@ -1014,10 +1040,34 @@ mod tests {
 
                         for &(so, _, len) in &spans {
                             let mut seen = None;
-                            rt.with_bytes(dst, so as u64, len as u64, |b| seen = Some(b.to_vec()))
-                                .unwrap();
+                            rt.with_bytes(&[(dst, so as u64, len as u64)], |b| {
+                                seen = Some(b.concat())
+                            })
+                            .unwrap();
                             assert_eq!(seen.as_deref(), Some(&dst_model[so..so + len]), "{case}");
                         }
+                        // One loan of several ranges: two overlapping ranges
+                        // of one buffer, an empty one, and where both buffers
+                        // share a node, the source too (five ranges, more
+                        // than are gathered on the stack).
+                        let mut ranges =
+                            vec![(dst, 31, 77), (dst, 0, 512), (dst, 40, 0), (dst, 60, 9)];
+                        let mut want = vec![
+                            &dst_model[31..108],
+                            &dst_model[..],
+                            &dst_model[40..40],
+                            &dst_model[60..69],
+                        ];
+                        if sn == dn {
+                            ranges.push((src, 5, 100));
+                            want.push(&src_model[5..105]);
+                        }
+                        let mut seen = Vec::new();
+                        rt.with_bytes(&ranges, |parts| {
+                            seen = parts.iter().map(|p| p.to_vec()).collect()
+                        })
+                        .unwrap();
+                        assert_eq!(seen, want, "{case}");
                         rt.release(src).unwrap();
                         rt.release(dst).unwrap();
                     }
@@ -1031,9 +1081,10 @@ mod tests {
         let rt = rt();
         for node in [rt.tree().root(), NodeId(1)] {
             let h = rt.alloc(10, node).unwrap();
+            let other = rt.alloc(10, node).unwrap();
             let mut called = false;
             assert!(matches!(
-                rt.with_bytes(h, 8, 4, |_| called = true),
+                rt.with_bytes(&[(h, 8, 4)], |_| called = true),
                 Err(NorthupError::BadRange {
                     offset: 8,
                     len: 4,
@@ -1042,16 +1093,44 @@ mod tests {
                 })
             ));
             assert!(matches!(
-                rt.with_bytes(h, u64::MAX, 2, |_| called = true),
+                rt.with_bytes(&[(h, u64::MAX, 2)], |_| called = true),
                 Err(NorthupError::BadRange { .. })
+            ));
+            // A bad range anywhere in the list refuses the whole loan.
+            assert!(matches!(
+                rt.with_bytes(&[(other, 0, 10), (h, 0, 4), (h, 9, 2)], |_| called = true),
+                Err(NorthupError::BadRange { offset: 9, .. })
             ));
             rt.release(h).unwrap();
             assert!(matches!(
-                rt.with_bytes(h, 0, 1, |_| called = true),
+                rt.with_bytes(&[(h, 0, 1)], |_| called = true),
+                Err(NorthupError::UnknownBuffer(_))
+            ));
+            assert!(matches!(
+                rt.with_bytes(&[(other, 0, 1), (h, 0, 1)], |_| called = true),
                 Err(NorthupError::UnknownBuffer(_))
             ));
             assert!(!called);
+            rt.release(other).unwrap();
         }
+        // Every range of one loan lives on one node.
+        let (file, mem) = (
+            rt.alloc(8, rt.tree().root()).unwrap(),
+            rt.alloc(8, NodeId(1)).unwrap(),
+        );
+        let mut called = false;
+        assert!(matches!(
+            rt.with_bytes(&[(file, 0, 8), (mem, 0, 8)], |_| called = true),
+            Err(NorthupError::WrongNode {
+                actual: NodeId(1),
+                expected: NodeId(0),
+            })
+        ));
+        assert!(!called);
+        // No range at all lends nothing, once.
+        let mut calls = Vec::new();
+        rt.with_bytes(&[], |parts| calls.push(parts.len())).unwrap();
+        assert_eq!(calls, [0]);
     }
 
     /// Both nodes of the APU tree behind fault injectors: `root_ops` on
@@ -1119,12 +1198,19 @@ mod tests {
         // A move never writes its source or reads its destination.
         assert_eq!(failures(&faulty_rt(Writes, Reads, 1), true, false), never);
         assert_eq!(failures(&faulty_rt(Reads, Writes, 1), false, false), never);
-        // `with_bytes` is one read.
+        // `with_bytes` is one read per range.
         let rt = faulty_rt(Reads, Reads, 2);
         let h = rt.alloc(8, NodeId(1)).unwrap();
         let seen: Vec<bool> = (0..4)
-            .map(|_| rt.with_bytes(h, 0, 8, |_| {}).is_err())
+            .map(|_| rt.with_bytes(&[(h, 0, 8)], |_| {}).is_err())
             .collect();
+        assert_eq!(seen, [false, true, false, true]);
+        let rt = faulty_rt(Reads, Reads, 3);
+        let h = rt.alloc(8, NodeId(1)).unwrap();
+        let seen: Vec<bool> = (0..4)
+            .map(|_| rt.with_bytes(&[(h, 0, 4), (h, 4, 4)], |_| {}).is_err())
+            .collect();
+        // Ordinals 1-2, 3 (tripped), 4-5, 6 (tripped).
         assert_eq!(seen, [false, true, false, true]);
     }
 

@@ -116,20 +116,41 @@ pub trait StorageBackend: Send {
     fn available(&self) -> u64 {
         self.capacity().saturating_sub(self.used())
     }
-    /// Lend `len` bytes of `block` starting at `offset` to `f`: one read.
-    /// A backend that holds its blocks in memory passes a slice of the
-    /// block itself; the default reads into a temporary.
+    /// Lend each `(block, offset, len)` of `ranges` to one call of `f`,
+    /// in order: one read per range. A backend that holds its blocks in
+    /// memory passes slices of the blocks themselves; the default reads
+    /// the ranges into one temporary. Every range is checked before any
+    /// byte is lent.
     fn lend(
         &mut self,
-        block: BlockId,
-        offset: u64,
-        len: u64,
-        f: &mut dyn FnMut(&[u8]) -> HwResult<()>,
+        ranges: &[(BlockId, u64, u64)],
+        f: &mut dyn FnMut(&[&[u8]]) -> HwResult<()>,
     ) -> HwResult<()> {
-        check_bounds(block, offset, len, self.size_of(block)?)?;
-        let mut tmp = vec![0u8; len as usize];
-        self.read(block, offset, &mut tmp)?;
-        f(&tmp)
+        let mut total = 0u64;
+        for &(block, offset, len) in ranges {
+            let size = self.size_of(block)?;
+            check_bounds(block, offset, len, size)?;
+            total = total.checked_add(len).ok_or(HwError::OutOfBounds {
+                block,
+                offset,
+                len,
+                size,
+            })?;
+        }
+        let mut tmp = vec![0u8; total as usize];
+        let mut rest = &mut tmp[..];
+        for &(block, offset, len) in ranges {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len as usize);
+            self.read(block, offset, head)?;
+            rest = tail;
+        }
+        let mut rest = &tmp[..];
+        let parts = ranges.iter().map(|&(_, _, len)| {
+            let (head, tail) = rest.split_at(len as usize);
+            rest = tail;
+            Ok(head)
+        });
+        gather(&[][..], parts, f)
     }
     /// Let `f` fill `len` bytes of `block` starting at `offset`: one
     /// write. A backend that holds its blocks in memory passes a slice of
@@ -148,6 +169,29 @@ pub trait StorageBackend: Send {
         f(&mut tmp)?;
         self.write(block, offset, &tmp)
     }
+}
+
+/// Calls `f` once with the items of `items` as one slice, gathered on the
+/// stack when there are at most four (so a one-range loan allocates
+/// nothing); `blank` fills the unused stack slots. The first error ends
+/// the gather, and `f` is then not called.
+pub fn gather<T: Copy, R, E>(
+    blank: T,
+    items: impl ExactSizeIterator<Item = Result<T, E>>,
+    f: impl FnOnce(&[T]) -> Result<R, E>,
+) -> Result<R, E> {
+    const INLINE: usize = 4;
+    if items.len() > INLINE {
+        let all = items.collect::<Result<Vec<T>, E>>()?;
+        return f(&all);
+    }
+    let mut inline = [blank; INLINE];
+    let mut n = 0;
+    for (slot, item) in inline.iter_mut().zip(items) {
+        *slot = item?;
+        n += 1;
+    }
+    f(&inline[..n])
 }
 
 fn check_bounds(block: BlockId, offset: u64, len: u64, size: u64) -> HwResult<()> {
@@ -186,6 +230,17 @@ impl HeapBackend {
             blocks: HashMap::new(),
         }
     }
+
+    /// `len` bytes of `block` from `offset`, where they lie.
+    fn slice(&self, block: BlockId, offset: u64, len: u64) -> HwResult<&[u8]> {
+        let buf = self
+            .blocks
+            .get(&block.0)
+            .ok_or(HwError::InvalidBlock(block))?;
+        check_bounds(block, offset, len, buf.len() as u64)?;
+        let o = offset as usize;
+        Ok(&buf[o..o + len as usize])
+    }
 }
 
 impl StorageBackend for HeapBackend {
@@ -214,10 +269,8 @@ impl StorageBackend for HeapBackend {
     }
 
     fn read(&mut self, block: BlockId, offset: u64, dst: &mut [u8]) -> HwResult<()> {
-        self.lend(block, offset, dst.len() as u64, &mut |bytes| {
-            dst.copy_from_slice(bytes);
-            Ok(())
-        })
+        dst.copy_from_slice(self.slice(block, offset, dst.len() as u64)?);
+        Ok(())
     }
 
     fn write(&mut self, block: BlockId, offset: u64, src: &[u8]) -> HwResult<()> {
@@ -229,18 +282,13 @@ impl StorageBackend for HeapBackend {
 
     fn lend(
         &mut self,
-        block: BlockId,
-        offset: u64,
-        len: u64,
-        f: &mut dyn FnMut(&[u8]) -> HwResult<()>,
+        ranges: &[(BlockId, u64, u64)],
+        f: &mut dyn FnMut(&[&[u8]]) -> HwResult<()>,
     ) -> HwResult<()> {
-        let buf = self
-            .blocks
-            .get(&block.0)
-            .ok_or(HwError::InvalidBlock(block))?;
-        check_bounds(block, offset, len, buf.len() as u64)?;
-        let o = offset as usize;
-        f(&buf[o..o + len as usize])
+        let parts = ranges
+            .iter()
+            .map(|&(block, offset, len)| self.slice(block, offset, len));
+        gather(&[][..], parts, f)
     }
 
     fn fill(
@@ -511,6 +559,7 @@ impl StorageBackend for PhantomBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultOps, FaultyBackend};
 
     fn roundtrip(b: &mut dyn StorageBackend) {
         let before = b.used();
@@ -680,43 +729,125 @@ mod tests {
     #[test]
     fn lend_and_fill_agree_with_a_vec_model_between_every_backend_pair() {
         const SIZE: usize = 300;
-        // (source offset, destination offset, length), zero-length included.
-        let spans = [
-            (0, 0, SIZE),
-            (17, 40, 100),
-            (299, 0, 1),
-            (5, 5, 0),
-            (300, 300, 0),
+        // (source ranges as (block, offset, length), destination offset):
+        // zero-length ranges, no range at all, two overlapping ranges of
+        // one block, both blocks, and more ranges than fit on the stack.
+        type Loan = &'static [(usize, usize, usize)];
+        let cases: [(Loan, usize); 9] = [
+            (&[(0, 0, SIZE)], 0),
+            (&[(0, 17, 100)], 40),
+            (&[(0, 299, 1)], 0),
+            (&[(0, 5, 0)], 5),
+            (&[(0, 300, 0)], 300),
+            (&[], 7),
+            (&[(0, 10, 20), (0, 15, 30)], 3),
+            (&[(1, 0, 50), (0, 250, 50), (1, 299, 1)], 100),
+            (
+                &[
+                    (0, 0, 10),
+                    (1, 5, 10),
+                    (0, 20, 0),
+                    (1, 280, 20),
+                    (0, 100, 40),
+                    (1, 0, 60),
+                ],
+                150,
+            ),
         ];
         let kinds = byte_backends().len();
         for si in 0..kinds {
             for di in 0..kinds {
-                for &(so, doff, len) in &spans {
+                for &(ranges, doff) in &cases {
                     for lend_side in [true, false] {
                         let (sname, mut src) = byte_backends().swap_remove(si);
                         let (dname, mut dst) = byte_backends().swap_remove(di);
-                        let case = format!("{sname}->{dname} [{so},{doff},{len}] lend={lend_side}");
-                        let (sb, db) = (
+                        let case = format!("{sname}->{dname} {ranges:?}->{doff} lend={lend_side}");
+                        let sb = [
                             src.alloc(SIZE as u64).unwrap(),
-                            dst.alloc(SIZE as u64).unwrap(),
-                        );
-                        let (src_model, mut dst_model) = (pattern(SIZE, 1), pattern(SIZE, 99));
-                        src.write(sb, 0, &src_model).unwrap();
+                            src.alloc(SIZE as u64).unwrap(),
+                        ];
+                        let db = dst.alloc(SIZE as u64).unwrap();
+                        let src_model = [pattern(SIZE, 1), pattern(SIZE, 2)];
+                        let mut dst_model = pattern(SIZE, 99);
+                        for (&blk, model) in sb.iter().zip(&src_model) {
+                            src.write(blk, 0, model).unwrap();
+                        }
                         dst.write(db, 0, &dst_model).unwrap();
 
-                        let (so64, do64, len64) = (so as u64, doff as u64, len as u64);
+                        let spans: Vec<(BlockId, u64, u64)> = ranges
+                            .iter()
+                            .map(|&(b, o, l)| (sb[b], o as u64, l as u64))
+                            .collect();
+                        let total: u64 = spans.iter().map(|s| s.2).sum();
                         if lend_side {
-                            src.lend(sb, so64, len64, &mut |bytes| dst.write(db, do64, bytes))
+                            src.lend(&spans, &mut |parts| {
+                                assert_eq!(parts.len(), spans.len(), "{case}");
+                                let mut at = doff as u64;
+                                for part in parts {
+                                    dst.write(db, at, part)?;
+                                    at += part.len() as u64;
+                                }
+                                Ok(())
+                            })
                         } else {
-                            dst.fill(db, do64, len64, &mut |buf| src.read(sb, so64, buf))
+                            dst.fill(db, doff as u64, total, &mut |buf| {
+                                let mut rest = buf;
+                                for &(blk, o, l) in &spans {
+                                    let (head, tail) =
+                                        std::mem::take(&mut rest).split_at_mut(l as usize);
+                                    src.read(blk, o, head)?;
+                                    rest = tail;
+                                }
+                                Ok(())
+                            })
                         }
                         .unwrap_or_else(|e| panic!("{case}: {e}"));
-                        dst_model[doff..doff + len].copy_from_slice(&src_model[so..so + len]);
+                        let mut at = doff;
+                        for &(b, o, l) in ranges {
+                            dst_model[at..at + l].copy_from_slice(&src_model[b][o..o + l]);
+                            at += l;
+                        }
 
                         assert_eq!(contents(dst.as_mut(), db, SIZE), dst_model, "{case}");
-                        assert_eq!(contents(src.as_mut(), sb, SIZE), src_model, "{case}");
+                        for (&blk, model) in sb.iter().zip(&src_model) {
+                            assert_eq!(&contents(src.as_mut(), blk, SIZE), model, "{case}");
+                        }
                     }
                 }
+            }
+        }
+
+        // A fault injector counts one read per range: a loan of `k` ranges
+        // fails where the first failing one of `k` plain reads would, lends
+        // nothing then, and leaves the next ordinals where the reads would.
+        for skew in 0..3 {
+            for k in 0..=6 {
+                let faulty = || FaultyBackend::new(HeapBackend::new("x", 64), FaultOps::Reads, 3);
+                let (mut lender, mut reader) = (faulty(), faulty());
+                let (lb, rb) = (lender.alloc(8).unwrap(), reader.alloc(8).unwrap());
+                let mut buf = [0u8; 8];
+                for _ in 0..skew {
+                    let _ = lender.read(lb, 0, &mut buf);
+                    let _ = reader.read(rb, 0, &mut buf);
+                }
+                let mut lent = false;
+                let lend_failed = lender
+                    .lend(&vec![(lb, 0, 8); k], &mut |_| {
+                        lent = true;
+                        Ok(())
+                    })
+                    .is_err();
+                let read_failed = (0..k).any(|_| reader.read(rb, 0, &mut buf).is_err());
+                assert_eq!(lend_failed, read_failed, "skew {skew}, {k} ranges");
+                assert_eq!(lent, !lend_failed, "skew {skew}, {k} ranges");
+                for _ in 0..3 {
+                    assert_eq!(
+                        lender.read(lb, 0, &mut buf).is_err(),
+                        reader.read(rb, 0, &mut buf).is_err(),
+                        "skew {skew}, {k} ranges"
+                    );
+                }
+                assert_eq!(lender.injected(), reader.injected());
             }
         }
     }
@@ -728,7 +859,7 @@ mod tests {
             let mut called = false;
             assert!(
                 matches!(
-                    b.lend(blk, 8, 4, &mut |_| {
+                    b.lend(&[(blk, 8, 4)], &mut |_| {
                         called = true;
                         Ok(())
                     }),
@@ -755,15 +886,31 @@ mod tests {
             // before anything is allocated for it.
             assert!(
                 matches!(
-                    b.lend(blk, 0, u64::MAX, &mut |_| Ok(())),
+                    b.lend(&[(blk, 0, u64::MAX)], &mut |_| Ok(())),
                     Err(HwError::OutOfBounds { .. })
+                ),
+                "{name}"
+            );
+            // A loan is refused whole when any of its ranges is bad.
+            let other = b.alloc(10).unwrap();
+            assert!(
+                matches!(
+                    b.lend(&[(other, 0, 10), (blk, 4, 7)], &mut |_| {
+                        called = true;
+                        Ok(())
+                    }),
+                    Err(HwError::OutOfBounds {
+                        offset: 4,
+                        len: 7,
+                        ..
+                    })
                 ),
                 "{name}"
             );
             b.release(blk).unwrap();
             assert!(
                 matches!(
-                    b.lend(blk, 0, 1, &mut |_| Ok(())),
+                    b.lend(&[(blk, 0, 1)], &mut |_| Ok(())),
                     Err(HwError::InvalidBlock(id)) if id == blk
                 ),
                 "{name}"
@@ -785,7 +932,10 @@ mod tests {
             let blk = b.alloc(8).unwrap();
             let fail = || HwError::Io(io::Error::other("closure failed"));
             assert!(
-                matches!(b.lend(blk, 0, 8, &mut |_| Err(fail())), Err(HwError::Io(_))),
+                matches!(
+                    b.lend(&[(blk, 0, 8)], &mut |_| Err(fail())),
+                    Err(HwError::Io(_))
+                ),
                 "{name}"
             );
             assert!(

@@ -90,15 +90,17 @@ impl<B: StorageBackend> StorageBackend for FaultyBackend<B> {
         self.inner.write(block, offset, src)
     }
 
+    /// One read ordinal per range, so a loan of `k` ranges fails where
+    /// `k` plain reads would.
     fn lend(
         &mut self,
-        block: BlockId,
-        offset: u64,
-        len: u64,
-        f: &mut dyn FnMut(&[u8]) -> HwResult<()>,
+        ranges: &[(BlockId, u64, u64)],
+        f: &mut dyn FnMut(&[&[u8]]) -> HwResult<()>,
     ) -> HwResult<()> {
-        self.trip(self.fails_reads())?;
-        self.inner.lend(block, offset, len, f)
+        for _ in ranges {
+            self.trip(self.fails_reads())?;
+        }
+        self.inner.lend(ranges, f)
     }
 
     fn fill(
@@ -173,7 +175,7 @@ mod tests {
             reads.push(if i % 2 == 0 {
                 b.read(blk, 0, &mut buf).is_err()
             } else {
-                b.lend(blk, 0, 8, &mut |_| Ok(())).is_err()
+                b.lend(&[(blk, 0, 8)], &mut |_| Ok(())).is_err()
             });
         }
         assert_eq!(reads, [false, false, true, false, false, true]);
@@ -204,11 +206,11 @@ mod tests {
             })
             .is_err());
         assert!(!called);
-        assert!(b.lend(blk, 0, 4, &mut |_| Ok(())).is_ok());
+        assert!(b.lend(&[(blk, 0, 4)], &mut |_| Ok(())).is_ok());
         let mut b = FaultyBackend::new(HeapBackend::new("x", 1024), FaultOps::Reads, 1);
         let blk = b.alloc(4).unwrap();
         assert!(b.fill(blk, 0, 4, &mut |_| Ok(())).is_ok());
-        assert!(b.lend(blk, 0, 4, &mut |_| Ok(())).is_err());
+        assert!(b.lend(&[(blk, 0, 4)], &mut |_| Ok(())).is_err());
     }
 
     #[test]

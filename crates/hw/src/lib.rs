@@ -33,7 +33,7 @@ pub mod iotrack;
 pub mod spec;
 
 pub use backend::{
-    BlockId, FileBackend, HeapBackend, HwError, HwResult, PhantomBackend, StorageBackend,
+    gather, BlockId, FileBackend, HeapBackend, HwError, HwResult, PhantomBackend, StorageBackend,
 };
 pub use cache::{CacheStats, CachedDevice};
 pub use fault::{FaultOps, FaultyBackend};

@@ -12,8 +12,9 @@
 //! * [`stencil`] — HotSpot-2D, updated a row at a time, with halo
 //!   extraction and exact temporal blocking (§IV-B generalizes the packed
 //!   border vectors to width > 1).
-//! * [`spmv`] — CSR-Stream / CSR-Vector / CSR-VectorL kernels dispatched by
-//!   the CSR-Adaptive binning (§IV-C).
+//! * [`spmv`] — CSR-Stream (fused, one pass per entry) / CSR-Vector /
+//!   CSR-VectorL kernels dispatched by the CSR-Adaptive binning (§IV-C),
+//!   over any `CsrView`: a `Csr` or a staged shard's bytes.
 //! * [`model`] — roofline [`ProcModel`]s for the APU GPU/CPU and the
 //!   W9100-class discrete GPU, the CPU binning rate, and the Fig. 11
 //!   queue-count latency-hiding curve.
@@ -30,7 +31,7 @@ pub mod stencil;
 pub use dense::{bytes_to_f32s, f32s_to_bytes, DenseMatrix};
 pub use gemm::{gemm_flops, matmul_naive, matmul_tiled, LEAF_TILE};
 pub use model::{binning_time, latency_hiding_efficiency, ProcModel, BINNING_ROWS_PER_SEC};
-pub use spmv::{rel_error, spmv_adaptive, WG_LANES};
+pub use spmv::{rel_error, spmv_adaptive, try_spmv_adaptive, WG_LANES};
 pub use stencil::{
     extract_halo_block, multi_step_blocked, multi_step_reference, step_halo_block, step_reference,
     HaloBlock, HotSpotParams, FLOPS_PER_CELL,

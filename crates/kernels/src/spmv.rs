@@ -6,17 +6,24 @@
 //! [`BlockKind`]: northup_sparse::BlockKind
 //!
 //! * **CSR-Stream** — one workgroup stages the block's entire nnz range in
-//!   local memory, then rows reduce out of it. We reproduce the two-phase
-//!   structure (stream products into a scratch buffer, then per-row reduce)
-//!   so the memory-access pattern and FP summation order match the GPU
-//!   algorithm.
+//!   local memory, then rows reduce out of it. We fuse the two phases:
+//!   each row accumulates its products `v * x[c]` from 0.0 in entry order,
+//!   the same roundings in the same order as the staged products reduced
+//!   per row (Rust does not contract to FMA). FP order matches; LDS
+//!   traffic is the cost model's to charge.
 //! * **CSR-Vector** — the workgroup's lanes stride one long row and combine
 //!   with a tree reduction; we reproduce the lane-strided partial sums and
 //!   the tree combine.
 //! * **CSR-VectorL** — like Vector but partial sums accumulate across
 //!   multiple workgroup-sized segments.
+//!
+//! The kernels read the matrix through [`CsrView`], so one implementation
+//! serves a [`Csr`](northup_sparse::Csr) and a staged shard's bytes
+//! ([`CsrBytes`](northup_sparse::CsrBytes)) alike. Each column is checked
+//! against `x` where it is loaded: an out-of-range one is a
+//! [`CsrError::ColumnOutOfRange`], not a panic.
 
-use northup_sparse::{BlockKind, Csr, RowBlock};
+use northup_sparse::{BlockKind, CsrError, CsrView, RowBlock};
 
 /// Simulated workgroup width (lanes) for Vector kernels.
 pub const WG_LANES: usize = 64;
@@ -24,60 +31,71 @@ pub const WG_LANES: usize = 64;
 /// Elements per cooperating workgroup pass of CSR-VectorL.
 const LONG_SEGMENT: usize = WG_LANES * 16;
 
-/// The stored values and column indices of rows `[row_start, row_end)`.
-fn entries(m: &Csr, row_start: usize, row_end: usize) -> (&[f32], &[u32]) {
-    let (lo, hi) = (m.row_ptr[row_start], m.row_ptr[row_end]);
-    (&m.vals[lo..hi], &m.col_idx[lo..hi])
+/// The first entry of `[lo, hi)` whose column has no `x` element: the
+/// error path of every kernel's `x` lookup.
+#[cold]
+fn bad_column<M: CsrView>(m: &M, lo: usize, hi: usize, cols: usize) -> CsrError {
+    m.entries(lo, hi)
+        .zip(lo..)
+        .find(|&((_, c), _)| c as usize >= cols)
+        .map_or(CsrError::LengthMismatch, |((_, col), at)| {
+            CsrError::ColumnOutOfRange { at, col }
+        })
 }
 
-/// CSR-Stream: rows `[block.row_start, block.row_end)` into `y_block`,
-/// staging the products in `scratch` (the workgroup's LDS; cleared here,
-/// so one buffer serves a whole pass).
-fn stream_block(m: &Csr, block: &RowBlock, x: &[f32], y_block: &mut [f32], scratch: &mut Vec<f32>) {
-    // Phase 1: stream all products of the block into scratch.
-    let (vals, cols) = entries(m, block.row_start, block.row_end);
-    scratch.clear();
-    scratch.extend(vals.iter().zip(cols).map(|(&v, &c)| v * x[c as usize]));
-    // Phase 2: per-row reduction out of the scratch buffer.
-    let ptrs = &m.row_ptr[block.row_start..=block.row_end];
-    for (yr, w) in y_block.iter_mut().zip(ptrs.windows(2)) {
+/// CSR-Stream, fused: each row of `block` sums its own products into
+/// `y_block`, in entry order.
+fn stream_block<M: CsrView>(
+    m: &M,
+    block: &RowBlock,
+    x: &[f32],
+    y_block: &mut [f32],
+) -> Result<(), CsrError> {
+    let mut lo = m.row_start(block.row_start);
+    for (r, yr) in (block.row_start + 1..=block.row_end).zip(y_block) {
+        let hi = m.row_start(r);
         let mut acc = 0.0f32;
-        for v in &scratch[w[0] - ptrs[0]..w[1] - ptrs[0]] {
-            acc += v;
+        for (v, c) in m.entries(lo, hi) {
+            let Some(&xc) = x.get(c as usize) else {
+                return Err(bad_column(m, lo, hi, x.len()));
+            };
+            acc += v * xc;
         }
         *yr = acc;
+        lo = hi;
     }
+    Ok(())
 }
 
 /// One workgroup over a run of entries: entry `k` accumulates into lane
 /// `k % WG_LANES` (a workgroup-wide chunk per step), then the lanes combine
-/// by tree reduction.
-fn lane_sum(vals: &[f32], cols: &[u32], x: &[f32]) -> f32 {
+/// by tree reduction. `None` when a column has no `x` element.
+fn lane_sum(entries: impl Iterator<Item = (f32, u32)>, x: &[f32]) -> Option<f32> {
     let mut lanes = [0.0f32; WG_LANES];
-    for (vs, cs) in vals.chunks(WG_LANES).zip(cols.chunks(WG_LANES)) {
-        for ((lane, &v), &c) in lanes.iter_mut().zip(vs).zip(cs) {
-            *lane += v * x[c as usize];
-        }
+    for (k, (v, c)) in entries.enumerate() {
+        lanes[k % WG_LANES] += v * x.get(c as usize)?;
     }
-    tree_reduce(lanes)
+    Some(tree_reduce(lanes))
 }
 
 /// CSR-Vector: one long row, lane-strided partials + tree reduction.
-fn vector_row(m: &Csr, block: &RowBlock, x: &[f32]) -> f32 {
+fn vector_row<M: CsrView>(m: &M, block: &RowBlock, x: &[f32]) -> Result<f32, CsrError> {
     debug_assert_eq!(block.row_end - block.row_start, 1);
-    let (vals, cols) = entries(m, block.row_start, block.row_end);
-    lane_sum(vals, cols, x)
+    let (lo, hi) = (m.row_start(block.row_start), m.row_start(block.row_end));
+    lane_sum(m.entries(lo, hi), x).ok_or_else(|| bad_column(m, lo, hi, x.len()))
 }
 
 /// CSR-VectorL: one very long row, segment-wise Vector passes accumulated.
-fn vector_long_row(m: &Csr, block: &RowBlock, x: &[f32]) -> f32 {
+fn vector_long_row<M: CsrView>(m: &M, block: &RowBlock, x: &[f32]) -> Result<f32, CsrError> {
     debug_assert_eq!(block.row_end - block.row_start, 1);
-    let (vals, cols) = entries(m, block.row_start, block.row_end);
+    let (lo, hi) = (m.row_start(block.row_start), m.row_start(block.row_end));
     let mut acc = 0.0f32;
-    for (vs, cs) in vals.chunks(LONG_SEGMENT).zip(cols.chunks(LONG_SEGMENT)) {
-        acc += lane_sum(vs, cs, x); // the GPU's cross-workgroup atomic add
+    for s in (lo..hi).step_by(LONG_SEGMENT) {
+        let e = (s + LONG_SEGMENT).min(hi);
+        // The GPU's cross-workgroup atomic add.
+        acc += lane_sum(m.entries(s, e), x).ok_or_else(|| bad_column(m, s, e, x.len()))?;
     }
-    acc
+    Ok(acc)
 }
 
 fn tree_reduce(mut lanes: [f32; WG_LANES]) -> f32 {
@@ -92,23 +110,40 @@ fn tree_reduce(mut lanes: [f32; WG_LANES]) -> f32 {
     lanes[0]
 }
 
-/// Run `b`'s kernel into the block's own rows `y_block`.
-fn run_block(m: &Csr, b: &RowBlock, x: &[f32], y_block: &mut [f32], scratch: &mut Vec<f32>) {
-    match b.kind {
-        BlockKind::Stream => stream_block(m, b, x, y_block, scratch),
-        BlockKind::Vector => y_block[0] = vector_row(m, b, x),
-        BlockKind::VectorLong => y_block[0] = vector_long_row(m, b, x),
+/// Dispatch every row block to its kernel: the full CSR-Adaptive SpMV over
+/// any [`CsrView`]. A column with no `x` element stops the pass with
+/// [`CsrError::ColumnOutOfRange`]; rows of earlier blocks are written.
+///
+/// # Panics
+/// Panics if `x.len() != m.cols()` or `y.len() != m.rows()`.
+pub fn try_spmv_adaptive<M: CsrView>(
+    m: &M,
+    blocks: &[RowBlock],
+    x: &[f32],
+    y: &mut [f32],
+) -> Result<(), CsrError> {
+    assert_eq!(x.len(), m.cols());
+    assert_eq!(y.len(), m.rows());
+    for b in blocks {
+        let y_block = &mut y[b.row_start..b.row_end];
+        match b.kind {
+            BlockKind::Stream => stream_block(m, b, x, y_block)?,
+            BlockKind::Vector => y_block[0] = vector_row(m, b, x)?,
+            BlockKind::VectorLong => y_block[0] = vector_long_row(m, b, x)?,
+        }
     }
+    Ok(())
 }
 
-/// Dispatch every row block to its kernel: the full CSR-Adaptive SpMV. One
-/// scratch buffer serves every Stream block of the pass.
-pub fn spmv_adaptive(m: &Csr, blocks: &[RowBlock], x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), m.cols);
-    assert_eq!(y.len(), m.rows);
-    let mut scratch = Vec::new();
-    for b in blocks {
-        run_block(m, b, x, &mut y[b.row_start..b.row_end], &mut scratch);
+/// [`try_spmv_adaptive`] over a matrix whose columns are known to be in
+/// range, such as a validated [`Csr`](northup_sparse::Csr).
+///
+/// # Panics
+/// Panics on a shape mismatch, as [`try_spmv_adaptive`] does, and on a
+/// column out of range.
+pub fn spmv_adaptive<M: CsrView>(m: &M, blocks: &[RowBlock], x: &[f32], y: &mut [f32]) {
+    if let Err(e) = try_spmv_adaptive(m, blocks, x, y) {
+        panic!("spmv_adaptive: {e}");
     }
 }
 
@@ -132,7 +167,7 @@ pub fn rel_error(reference: &[f32], got: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use northup_sparse::{bin_rows, gen, BinningParams};
+    use northup_sparse::{bin_rows, gen, BinningParams, Csr, CsrBytes};
     use proptest::prelude::*;
 
     fn check_adaptive(m: &Csr, params: BinningParams) {
@@ -285,6 +320,98 @@ mod tests {
                 stream_nnz,
                 vector_long_nnz: stream_nnz + long_extra,
             });
+        }
+    }
+
+    /// The little-endian image of rows `[start, end)` of `m` as a shard's
+    /// staging reads it: `row_ptr` words not rebased, then the entries.
+    fn staged(m: &Csr, start: usize, end: usize) -> [Vec<u8>; 3] {
+        let (lo, hi) = (m.row_ptr[start], m.row_ptr[end]);
+        [
+            m.row_ptr[start..=end]
+                .iter()
+                .flat_map(|&p| (p as u32).to_le_bytes())
+                .collect(),
+            m.col_idx[lo..hi]
+                .iter()
+                .flat_map(|c| c.to_le_bytes())
+                .collect(),
+            m.vals[lo..hi]
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect(),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn staged_bytes_bin_and_multiply_like_the_sliced_csr(
+            rows in 1usize..60,
+            max_nnz in 1usize..1500,
+            alpha in 0usize..12,
+            seed in 0u64..1000,
+            stream_nnz in 1usize..200,
+            long_extra in 0usize..1200,
+            cut_a in 0usize..60,
+            cut_b in 0usize..60,
+        ) {
+            let m = gen::powerlaw(rows, 1500, max_nnz, alpha as f64 * 0.1, seed);
+            let (start, end) = (cut_a.min(cut_b).min(rows), cut_a.max(cut_b).min(rows));
+            let params = BinningParams {
+                stream_nnz,
+                vector_long_nnz: stream_nnz + long_extra,
+            };
+            let sub = m.slice_rows(start, end);
+            let [rp, ci, va] = staged(&m, start, end);
+            let view = CsrBytes::new(m.cols, &rp, &ci, &va).unwrap();
+            let blocks = bin_rows(&view, params);
+            assert_eq!(blocks, bin_rows(&sub, params));
+            let x: Vec<f32> = (0..m.cols)
+                .map(|i| (i as f32 * 0.37).sin() * (1 + i % 7) as f32)
+                .collect();
+            let bits = |y: &[f32]| y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            let mut want = vec![f32::NAN; sub.rows];
+            old_adaptive(&sub, &blocks, &x, &mut want);
+            let mut from_csr = vec![f32::NAN; sub.rows];
+            spmv_adaptive(&sub, &blocks, &x, &mut from_csr);
+            let mut from_bytes = vec![f32::NAN; sub.rows];
+            try_spmv_adaptive(&view, &blocks, &x, &mut from_bytes).unwrap();
+            assert_eq!(bits(&from_csr), bits(&want));
+            assert_eq!(bits(&from_bytes), bits(&want));
+        }
+    }
+
+    #[test]
+    fn a_column_past_x_is_a_typed_error_in_every_kernel() {
+        // Rows of 3, 40 and 300 entries go to Stream, Vector and VectorL.
+        let lens = [3usize, 40, 300];
+        let triplets: Vec<(usize, u32, f32)> = lens
+            .iter()
+            .enumerate()
+            .flat_map(|(r, &len)| (0..len as u32).map(move |c| (r, c, 1.0)))
+            .collect();
+        let m = Csr::from_coo(3, 300, triplets);
+        let params = BinningParams {
+            stream_nnz: 8,
+            vector_long_nnz: 64,
+        };
+        let x = vec![1.0f32; m.cols];
+        for (row, kind) in [BlockKind::Stream, BlockKind::Vector, BlockKind::VectorLong]
+            .into_iter()
+            .enumerate()
+        {
+            let [rp, mut ci, va] = staged(&m, 0, 3);
+            let at = m.row_ptr[row] + lens[row] / 2;
+            ci[at * 4..at * 4 + 4].copy_from_slice(&300u32.to_le_bytes());
+            let view = CsrBytes::new(m.cols, &rp, &ci, &va).unwrap();
+            let blocks = bin_rows(&view, params);
+            assert_eq!(blocks[row].kind, kind);
+            let mut y = vec![0.0f32; 3];
+            assert_eq!(
+                try_spmv_adaptive(&view, &blocks, &x, &mut y),
+                Err(CsrError::ColumnOutOfRange { at, col: 300 }),
+                "{kind:?}"
+            );
         }
     }
 

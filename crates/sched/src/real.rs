@@ -212,7 +212,8 @@ impl RealFabric {
                 // pool task per thread.
                 let acc = AtomicU64::new(0);
                 let pool = &self.pool;
-                self.rt.with_bytes(buf, 0, n, |bytes| {
+                self.rt.with_bytes(&[(buf, 0, n)], |parts| {
+                    let bytes = parts[0];
                     let grain = bytes.len().div_ceil(pool.threads()).max(64 << 10);
                     pool.par_for(bytes.len(), grain, |r| {
                         acc.fetch_add(byte_sum(&bytes[r]), Ordering::Relaxed);

@@ -18,6 +18,7 @@
 //! relatively more time", §V-C) — the runtime reproduces that accounting.
 
 use crate::csr::Csr;
+use crate::view::CsrView;
 
 /// Which kernel a row block is routed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,15 +64,16 @@ impl Default for BinningParams {
 }
 
 /// Bin the rows of `m` into row blocks.
-pub fn bin_rows(m: &Csr, params: BinningParams) -> Vec<RowBlock> {
+pub fn bin_rows<M: CsrView>(m: &M, params: BinningParams) -> Vec<RowBlock> {
     assert!(params.stream_nnz >= 1);
     assert!(params.vector_long_nnz >= params.stream_nnz);
     let mut blocks = Vec::new();
     let mut start = 0usize;
     let mut acc = 0usize;
     let mut r = 0usize;
-    while r < m.rows {
-        let n = m.row_nnz(r);
+    let rows = m.rows();
+    while r < rows {
+        let n = m.row_start(r + 1) - m.row_start(r);
         if n > params.stream_nnz {
             // Flush any pending stream block.
             if r > start {

@@ -14,6 +14,9 @@
 //! * [`shard`] — even-row shard partitioning (§IV-C).
 //! * [`binning`] — CSR-Adaptive's CPU-side row binning into
 //!   Stream / Vector / VectorL blocks (the paper's \[20\]).
+//! * [`view`] — [`CsrView`], the row access binning and the kernels use,
+//!   over a [`Csr`] or over a staged shard's little-endian bytes
+//!   ([`CsrBytes`]).
 //! * [`ell`] — the ELLPACK alternative layout for the §VI data-layout
 //!   study (regular accesses vs padding traffic).
 
@@ -26,9 +29,11 @@ pub mod ell;
 pub mod gen;
 pub mod shard;
 pub mod suite;
+pub mod view;
 
 pub use binning::{bin_rows, kind_histogram, validate_binning, BinningParams, BlockKind, RowBlock};
 pub use csr::{Csr, CsrError, RowStats};
 pub use ell::{Ell, ELL_PAD};
 pub use shard::{covers_exactly, partition_even_rows, Shard};
 pub use suite::{PaperSpmvShape, SuiteMatrix};
+pub use view::{CsrBytes, CsrView};

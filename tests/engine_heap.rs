@@ -1,5 +1,6 @@
 //! Heap held and allocations made by the event engine, pinned per job
-//! (DESIGN.md §12).
+//! (DESIGN.md §12), and the allocations of a kernel's loan of staged
+//! bytes (none).
 //!
 //! A binary of its own, because it installs a counting
 //! `#[global_allocator]` (the counters of `benchmark/src/alloc.rs`,
@@ -52,8 +53,9 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// `System` plus live and peak-live byte counters and an allocation
-/// count (a growing `realloc` counts as one). The counters publish no
-/// other data, so every access is `Relaxed`.
+/// count (a growing `realloc` counts as one), process-wide and for the
+/// allocating thread. The counters publish no other data, so every
+/// access is `Relaxed`.
 struct CountingAlloc {
     live: AtomicUsize,
     peak: AtomicUsize,
@@ -65,6 +67,7 @@ impl CountingAlloc {
         let live = self.live.fetch_add(by, Relaxed) + by;
         self.peak.fetch_max(live, Relaxed);
         self.allocs.fetch_add(1, Relaxed);
+        THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
     }
 
     fn allocs(&self) -> usize {
@@ -118,6 +121,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
+thread_local! {
+    /// Allocations this thread made: a count the test harness's own
+    /// threads cannot add to. Const-initialised with no destructor, so
+    /// the allocator may touch it.
+    static THREAD_ALLOCS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc {
     live: AtomicUsize::new(0),
@@ -133,6 +143,38 @@ fn counters() -> MutexGuard<'static, ()> {
 }
 
 const JOBS: usize = 50_000;
+
+/// A kernel's loan of up to four ranges of a heap node — out-of-core
+/// SpMV lends a shard's `row_ptr`, `col_id` and `data` at once —
+/// allocates nothing: ranges and slices are gathered on the stack and
+/// the node lends its blocks in place. A strided move's heap-source rows
+/// take the same one-range path.
+#[test]
+fn a_heap_loan_of_up_to_four_ranges_allocates_nothing() {
+    let _counters = counters();
+    let rt = Runtime::new(
+        presets::apu_two_level(catalog::ssd_hyperx_predator()),
+        ExecMode::Real,
+    )
+    .unwrap();
+    let stage = rt.tree().staging_level().unwrap();
+    let h = [rt.alloc(64, stage).unwrap(), rt.alloc(32, stage).unwrap()];
+    let loans: [&[(BufferHandle, u64, u64)]; 3] = [
+        &[(h[0], 0, 64)],
+        &[(h[0], 8, 8), (h[1], 0, 32), (h[0], 0, 0)],
+        &[(h[0], 0, 1), (h[1], 1, 2), (h[0], 2, 3), (h[1], 3, 4)],
+    ];
+    for ranges in loans {
+        let mut lent = 0;
+        let before = THREAD_ALLOCS.with(|n| n.get());
+        rt.with_bytes(ranges, |parts| {
+            lent = parts.iter().map(|p| p.len() as u64).sum()
+        })
+        .unwrap();
+        assert_eq!(THREAD_ALLOCS.with(|n| n.get()), before, "{ranges:?}");
+        assert_eq!(lent, ranges.iter().map(|r| r.2).sum::<u64>());
+    }
+}
 
 #[test]
 fn replay_heap_per_job_is_pinned() {
