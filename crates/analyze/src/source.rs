@@ -52,7 +52,8 @@ pub struct SourceFile {
     /// adjacency over this view so comments never split a pattern.
     pub code: Vec<usize>,
     /// Per-*code-token* flag: true when the token is inside a test
-    /// region (`#[cfg(test)]` item, `#[test]` fn, or a test/bench file).
+    /// region (`#[cfg(test)]` item, `#[test]` fn, a test/bench file, or
+    /// a module file that opens with `#![cfg(test)]`).
     pub in_test: Vec<bool>,
     /// Suppression directives found in comments.
     pub allows: Vec<Allow>,
@@ -182,6 +183,15 @@ fn mark_test_regions(sf: &SourceFile) -> Vec<bool> {
         || p.starts_with("tests/")
         || p.starts_with("benches/")
         || p.starts_with("examples/")
+    {
+        return vec![true; n];
+    }
+    // A module file that opens with `#![cfg(test)]` is test code whole.
+    let inner_cfg_test = ["#", "!", "[", "cfg", "(", "test", ")", "]"];
+    if inner_cfg_test
+        .iter()
+        .enumerate()
+        .all(|(k, s)| sf.ct(k).is_some_and(|t| t.text == *s))
     {
         return vec![true; n];
     }
@@ -389,6 +399,15 @@ mod tests {
             .map(|ci| sf.in_test[ci])
             .collect();
         assert_eq!(unwraps, vec![false, true, true]);
+    }
+
+    #[test]
+    fn an_inner_cfg_test_marks_the_whole_file() {
+        let src = "//! A test-only module.\n#![cfg(test)]\nfn f() { x.unwrap(); }";
+        let sf = SourceFile::parse("crates/core/src/oracle.rs", src);
+        assert!(sf.in_test.iter().all(|&b| b));
+        let sf = SourceFile::parse("crates/core/src/x.rs", "fn f() { x.unwrap(); }");
+        assert!(!sf.in_test.iter().any(|&b| b));
     }
 
     #[test]

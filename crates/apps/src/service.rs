@@ -375,8 +375,9 @@ pub struct ServiceRealRun {
 /// restored and the job's admitted reservation installed as a
 /// `CapacityLease`, so staging `alloc`s are enforced at the byte level.
 /// Its chunks are driven in order through `ThreadPool::run_chain` —
-/// exactly the chunks the model says the job completed, including
-/// partial prefixes of cancelled jobs.
+/// exactly the chunks the model says the job completed, including the
+/// partial prefixes of jobs that end `Failed`, or `Rejected` after an
+/// eviction.
 ///
 /// Jobs overlap: [`ServiceRealRun::lanes`] of them are in flight at
 /// once, started in job-id order, each keeping its own chunks in order.

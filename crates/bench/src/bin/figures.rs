@@ -123,12 +123,11 @@ fn print_slo() {
         northup_sched::INTERACTIVE_TARGET
     );
     println!(
-        "{:>5} {:>4} {:>5} {:>8} {:>9} {:>5} {:>7} {:>8} {:>10} {:>10} {:>10} {:>4} {:>5} {:>7} {:>6}  rejected: full/shed/infeasible",
+        "{:>5} {:>4} {:>5} {:>8} {:>5} {:>7} {:>8} {:>10} {:>10} {:>10} {:>4} {:>5} {:>7} {:>6}  rejected: full/shed/infeasible",
         "load",
         "ctl",
         "done",
         "rejected",
-        "cancelled",
         "sheds",
         "sheds-i",
         "degraded",
@@ -145,12 +144,11 @@ fn print_slo() {
         let p99_ms = |class| r.class_p99(class).as_secs_f64() * 1e3;
         let reasons = RejectReason::ALL.map(|x| r.rejected_for(x).to_string());
         println!(
-            "{:>4}% {:>4} {:>5} {:>8} {:>9} {:>5} {:>7} {:>8} {:>10.6} {:>10.6} {:>10.6} {:>4} {:>5} {:>6}% {:>5}%  {}",
+            "{:>4}% {:>4} {:>5} {:>8} {:>5} {:>7} {:>8} {:>10.6} {:>10.6} {:>10.6} {:>4} {:>5} {:>6}% {:>5}%  {}",
             run.load_pct,
             run.control,
             r.count(JobState::Done),
             r.count(JobState::Rejected),
-            r.count(JobState::Cancelled),
             r.shed_log.len(),
             run.sheds_interactive(),
             r.degraded_jobs(),

@@ -1124,13 +1124,8 @@ mod tests {
         );
         for run in [overload, off, auto] {
             let (name, r) = (run.control, &run.report);
-            let settled = [
-                JobState::Done,
-                JobState::Failed,
-                JobState::Rejected,
-                JobState::Cancelled,
-            ]
-            .map(|state| r.count(state));
+            let settled =
+                [JobState::Done, JobState::Failed, JobState::Rejected].map(|state| r.count(state));
             assert!(
                 r.all_terminal() && settled.iter().sum::<usize>() == SLO_JOBS,
                 "{name}: {settled:?} of {SLO_JOBS} arrivals settled"

@@ -363,12 +363,12 @@ mod tests {
         let chaos = chaos_run();
         assert_eq!(
             (clean.outcome_digest, json_hash(&clean)),
-            (0x4882_f13f_5824_9ef8, 0x0cd0_2b6d_a7dc_5d1b),
+            (0x4882_f13f_5824_9ef8, 0xb1ca_93f4_855f_d0d2),
             "clean fleet run moved"
         );
         assert_eq!(
             (chaos.outcome_digest, json_hash(&chaos)),
-            (0xf535_4f50_bb2c_011d, 0x09f8_b7d8_57c8_dd46),
+            (0xf535_4f50_bb2c_011d, 0x1669_4b15_61a6_a075),
             "chaos fleet run moved"
         );
     }

@@ -81,8 +81,6 @@ pub struct ShardSummary {
     pub failed: u64,
     /// Jobs `Rejected` on this shard.
     pub rejected: u64,
-    /// Jobs `Cancelled` on this shard.
-    pub cancelled: u64,
     /// Jobs that migrated in from other shards.
     pub migrated_in: u64,
     /// Jobs that migrated out after a fence.
@@ -192,7 +190,6 @@ fn state_code(state: JobState) -> u64 {
         JobState::Done => 4,
         JobState::Failed => 5,
         JobState::Rejected => 6,
-        JobState::Cancelled => 7,
     }
 }
 
@@ -309,7 +306,6 @@ pub(crate) fn build(data: RunData) -> FleetReport {
                     done: r.count(JobState::Done) as u64,
                     failed: r.count(JobState::Failed) as u64,
                     rejected: r.count(JobState::Rejected) as u64,
-                    cancelled: r.count(JobState::Cancelled) as u64,
                     migrated_in,
                     migrated_out,
                     faults: r.fault_log.len() as u64,
@@ -329,7 +325,6 @@ pub(crate) fn build(data: RunData) -> FleetReport {
                 done: 0,
                 failed: 0,
                 rejected: 0,
-                cancelled: 0,
                 migrated_in,
                 migrated_out,
                 faults: 0,
@@ -474,13 +469,12 @@ impl FleetReport {
         s.push_str(&format!("  \"rounds\": {},\n", self.rounds));
         s.push_str(&format!(
             "  \"jobs\": {{\"total\": {}, \"done\": {}, \"failed\": {}, \"rejected\": {}, \
-             \"router_rejected\": {}, \"cancelled\": {}}},\n",
+             \"router_rejected\": {}}},\n",
             self.outcomes.len(),
             self.count(JobState::Done),
             self.count(JobState::Failed),
             self.count(JobState::Rejected),
             self.router_rejected(),
-            self.count(JobState::Cancelled),
         ));
         s.push_str("  \"reject_reasons\": {");
         for (i, reason) in RejectReason::ALL.iter().enumerate() {

@@ -91,7 +91,7 @@ proptest! {
         for o in &report.outcomes {
             let terminal = matches!(
                 o.state,
-                JobState::Done | JobState::Failed | JobState::Rejected | JobState::Cancelled
+                JobState::Done | JobState::Failed | JobState::Rejected
             );
             prop_assert!(terminal, "job {} left in {:?}", o.uid, o.state);
         }

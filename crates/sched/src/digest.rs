@@ -64,7 +64,6 @@ fn state_code(s: JobState) -> u64 {
         JobState::Done => 4,
         JobState::Failed => 5,
         JobState::Rejected => 6,
-        JobState::Cancelled => 7,
     }
 }
 

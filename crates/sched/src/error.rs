@@ -21,6 +21,16 @@ pub enum SchedError {
     NoLeaf,
     /// The event heap produced a kind the dispatcher does not know.
     UnknownEvent(u8),
+    /// A scheduled resize's budget vector does not hold exactly one
+    /// entry per tree node.
+    BudgetLength {
+        /// The resize, by `resize_budgets` call order.
+        resize: usize,
+        /// Entries in its budget vector.
+        len: usize,
+        /// Nodes in the scheduler's tree.
+        nodes: usize,
+    },
     /// A backend fabric failed while serving chunks.
     Fabric(FabricError),
     /// The core runtime rejected an operation.
@@ -35,6 +45,10 @@ impl fmt::Display for SchedError {
             }
             SchedError::NoLeaf => write!(f, "tree has no leaf to place jobs on"),
             SchedError::UnknownEvent(k) => write!(f, "unknown scheduler event kind {k}"),
+            SchedError::BudgetLength { resize, len, nodes } => write!(
+                f,
+                "resize {resize} gives {len} node budgets for a tree of {nodes} nodes"
+            ),
             SchedError::Fabric(e) => write!(f, "fabric failure during scheduling: {e}"),
             SchedError::Runtime(e) => write!(f, "runtime failure during scheduling: {e}"),
         }

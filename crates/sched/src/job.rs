@@ -97,8 +97,8 @@ impl SloClass {
 }
 
 /// Lifecycle: `Queued → Admitted → Running → {Done, Failed}`, with
-/// `Rejected` (backpressure / infeasible reservation) and `Cancelled`
-/// as alternative exits. With preemption enabled a `Running` job may be
+/// `Rejected` (backpressure, shed, or infeasible reservation) as the
+/// alternative exit. With preemption enabled a `Running` job may be
 /// evicted at a chunk boundary back to `Preempted` (queued again, no
 /// capacity held, progress checkpointed) and later re-admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,17 +118,12 @@ pub enum JobState {
     Failed,
     /// Never admitted: queue full or reservation infeasible.
     Rejected,
-    /// Cancelled by the submitter (from queue or at a chunk boundary).
-    Cancelled,
 }
 
 impl JobState {
     /// Terminal states never transition again and hold no reservation.
     pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            JobState::Done | JobState::Failed | JobState::Rejected | JobState::Cancelled
-        )
+        matches!(self, JobState::Done | JobState::Failed | JobState::Rejected)
     }
 }
 
@@ -213,9 +208,6 @@ pub struct JobSpec {
     pub reservation: Reservation,
     /// Per-chunk fabric demand.
     pub work: JobWork,
-    /// Optional cancellation time (takes effect from the queue instantly,
-    /// or at the next chunk boundary once running).
-    pub cancel_at: Option<SimTime>,
     /// Chunks already completed elsewhere before this submission — the
     /// migration hook. A job checkpointed on another scheduler (another
     /// shard of a federation) resumes here from chunk `start_chunk`:
@@ -237,7 +229,6 @@ impl JobSpec {
             arrival: SimTime::ZERO,
             reservation,
             work,
-            cancel_at: None,
             start_chunk: 0,
         }
     }
@@ -263,12 +254,6 @@ impl JobSpec {
     /// Set the virtual arrival time.
     pub fn arrival(mut self, at: SimTime) -> Self {
         self.arrival = at;
-        self
-    }
-
-    /// Request cancellation at virtual time `at`.
-    pub fn cancel_at(mut self, at: SimTime) -> Self {
-        self.cancel_at = Some(at);
         self
     }
 

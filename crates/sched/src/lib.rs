@@ -14,7 +14,7 @@
 //!   admitted amounts.
 //! * [`job`] — [`JobSpec`]/[`JobWork`] (arrival, priority, per-chunk
 //!   fabric demand) and the `Queued → Admitted → Running → Done` /
-//!   `Failed` / `Rejected` / `Cancelled` lifecycle.
+//!   `Failed` / `Rejected` lifecycle.
 //! * [`log`] — [`Log`], the paged append-only series the report's
 //!   per-event logs are kept in.
 //! * [`fabric`] — [`SimFabric`], the *modeled* backend of the shared
@@ -79,6 +79,8 @@ pub mod fabric;
 pub mod job;
 pub mod log;
 pub mod real;
+#[cfg(test)]
+mod reference;
 pub mod reserve;
 pub mod scheduler;
 pub mod slo;

@@ -105,6 +105,11 @@ impl NodeBudgets {
         }
     }
 
+    /// Nodes the budget vector covers.
+    pub(crate) fn len(&self) -> usize {
+        self.budget.len()
+    }
+
     /// Schedulable bytes on `node` (zero for unknown nodes).
     pub fn get(&self, node: NodeId) -> u64 {
         self.budget.get(node.0).copied().unwrap_or(0)

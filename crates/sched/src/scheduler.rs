@@ -445,11 +445,6 @@ pub struct SchedReport {
     /// percent of the configured budgets (100 = they sufficed; always
     /// 100 without [`SchedulerConfig::slo`]).
     pub capacity_needed_pct: u32,
-    /// The two derived series as the engine used to store them, pushed
-    /// from the dispatch loop where the stored fields were: what the
-    /// derivations are compared against.
-    #[cfg(test)]
-    recorded: Recorded,
 }
 
 impl SchedReport {
@@ -620,12 +615,11 @@ impl SchedReport {
     /// One-line human summary for drivers and examples.
     pub fn summary(&self) -> String {
         let mut s = format!(
-            "{} jobs: {} done, {} rejected, {} cancelled | makespan {:.3} s | \
+            "{} jobs: {} done, {} rejected | makespan {:.3} s | \
              {:.2} jobs/s | p50 {:.3} s | p99 {:.3} s | reject {:.1}% | {} preemptions",
             self.jobs.len(),
             self.count(JobState::Done),
             self.count(JobState::Rejected),
-            self.count(JobState::Cancelled),
             self.makespan.as_secs_f64(),
             self.throughput,
             self.p50_latency.as_secs_f64(),
@@ -660,37 +654,34 @@ impl SchedReport {
 }
 
 /// Event kinds, in processing order at equal virtual time: completions
-/// free capacity first, then backed-off stages retry; cancellations and
-/// budget changes take effect before new arrivals are considered.
+/// free capacity first, then backed-off stages retry; budget changes
+/// take effect before new arrivals are considered.
 const EV_STAGE_DONE: u8 = 0;
 const EV_RETRY: u8 = 1;
-const EV_CANCEL: u8 = 2;
-const EV_RESIZE: u8 = 3;
-const EV_ARRIVAL: u8 = 4;
+const EV_RESIZE: u8 = 2;
+const EV_ARRIVAL: u8 = 3;
 /// Probation probe of a fenced node (after arrivals at the same instant,
 /// so a restore at time t serves queued work from t onward, not a
 /// same-instant arrival race).
-const EV_PROBE: u8 = 5;
+const EV_PROBE: u8 = 4;
 /// SLO control tick (last at equal time, so the controller observes the
 /// instant's completions and arrivals before it reacts). Scheduled only
 /// with [`SchedulerConfig::slo`]; the handler re-arms the next tick.
-const EV_CONTROL: u8 = 6;
+const EV_CONTROL: u8 = 5;
 
 /// Sentinel chain index of a job that currently has no placement.
 const CHAIN_NONE: u32 = u32::MAX;
 
-/// Eviction/cancellation marks carried in [`HotJob::flags`].
+/// Eviction marks carried in [`HotJob::flags`].
 ///
-/// `F_CANCEL` — cancellation honored at the chunk boundary.
 /// `F_PREEMPT` — marked by a higher-priority arrival; revalidated at the
 /// boundary (the pressure may have passed).
 /// `F_RESIZE` — marked by a budget shrink; unconditional at the boundary.
 /// `F_FAULT` — a fenced node lies on the job's chain; displaced at the
 /// boundary (or at the next stage booking, whichever comes first).
-const F_CANCEL: u8 = 1 << 0;
-const F_PREEMPT: u8 = 1 << 1;
-const F_RESIZE: u8 = 1 << 2;
-const F_FAULT: u8 = 1 << 3;
+const F_PREEMPT: u8 = 1 << 0;
+const F_RESIZE: u8 = 1 << 1;
+const F_FAULT: u8 = 1 << 2;
 
 /// The per-event job state, packed dense so the run loop's random access
 /// per `EV_STAGE_DONE` touches one 20-byte record instead of a fat
@@ -712,8 +703,8 @@ struct HotJob {
     /// Cached `stages.len()` of the interned chain (hot-loop bound).
     chain_len: u16,
     state: JobState,
-    /// `F_CANCEL | F_PREEMPT | F_RESIZE | F_FAULT` marks, honored at the
-    /// chunk boundary.
+    /// `F_PREEMPT | F_RESIZE | F_FAULT` marks, honored at the chunk
+    /// boundary.
     flags: u8,
 }
 
@@ -814,14 +805,6 @@ impl JobScheduler {
         id
     }
 
-    /// Request cancellation of `id` at virtual time `at` (same effect as
-    /// submitting the spec with [`JobSpec::cancel_at`]).
-    pub fn cancel(&mut self, id: JobId, at: SimTime) {
-        if let Some(spec) = self.submitted.get_mut(id.0 as usize) {
-            spec.cancel_at = Some(at);
-        }
-    }
-
     /// Schedule a live budget reconfiguration: at virtual time `at` the
     /// given budgets replace the ones in force. Shrinks follow
     /// [`SchedulerConfig::resize_drain`]; growths simply admit more.
@@ -833,22 +816,28 @@ impl JobScheduler {
 
     /// Replay the submitted trace in virtual time and consume the
     /// scheduler. Deterministic: same trace + same config ⇒ same report.
-    /// Errors surface violated internal invariants as [`SchedError`]
+    /// A resize whose budget vector does not cover exactly the tree's
+    /// nodes is refused up front as [`SchedError::BudgetLength`]; other
+    /// errors surface violated internal invariants as [`SchedError`]
     /// instead of panicking the embedding service.
     pub fn run(mut self) -> Result<SchedReport, SchedError> {
+        for (resize, (_, budgets)) in self.pending_resizes.iter().enumerate() {
+            if budgets.len() != self.tree.len() {
+                return Err(SchedError::BudgetLength {
+                    resize,
+                    len: budgets.len(),
+                    nodes: self.tree.len(),
+                });
+            }
+        }
         self.jobs = std::mem::take(&mut self.submitted)
             .into_iter()
             .map(JobRec::new)
             .collect();
         let mut st = RunState::new(&self.tree, &self.cfg, &self.jobs);
 
-        // Seed arrivals (and standalone cancellations of queued jobs).
         for (i, rec) in self.jobs.iter().enumerate() {
-            let id = i as u64;
-            st.events.push((rec.spec.arrival, EV_ARRIVAL, id, 0));
-            if let Some(t) = rec.spec.cancel_at {
-                st.events.push((t, EV_CANCEL, id, 0));
-            }
+            st.events.push((rec.spec.arrival, EV_ARRIVAL, i as u64, 0));
         }
         for (i, (at, _)) in self.pending_resizes.iter().enumerate() {
             st.events.push((*at, EV_RESIZE, i as u64, 0));
@@ -892,8 +881,10 @@ impl JobScheduler {
             st.events_processed += 1;
             match kind {
                 EV_STAGE_DONE => self.on_stage_done(&mut st, JobId(id), t)?,
-                EV_RETRY => self.on_retry(&mut st, JobId(id), t)?,
-                EV_CANCEL => self.on_cancel(&mut st, JobId(id), t),
+                // A backed-off stage re-books at a fresh ordinal, so
+                // persistent trouble on the node eventually escalates. Only
+                // the job's own events move it, so it is still in place.
+                EV_RETRY => self.book_stage(&mut st, JobId(id), t)?,
                 EV_RESIZE => self.on_resize(&mut st, id as usize, t)?,
                 EV_ARRIVAL => self.on_arrival(&mut st, JobId(id), t)?,
                 EV_PROBE => self.on_probe(&mut st, NodeId(id as usize), t)?,
@@ -906,9 +897,6 @@ impl JobScheduler {
     }
 
     fn on_arrival(&mut self, st: &mut RunState, id: JobId, t: SimTime) -> Result<(), SchedError> {
-        if st.hot[id.0 as usize].state.is_terminal() {
-            return Ok(()); // e.g. cancelled before arrival
-        }
         let rec = &self.jobs[id.0 as usize];
         let class = class_index(rec.spec.priority);
         if let Some(slo) = st.slo.as_mut() {
@@ -1057,21 +1045,6 @@ impl JobScheduler {
         Ok(())
     }
 
-    fn on_cancel(&mut self, st: &mut RunState, id: JobId, t: SimTime) {
-        match st.hot[id.0 as usize].state {
-            JobState::Queued | JobState::Preempted => {
-                st.queues.remove(id);
-                st.hot[id.0 as usize].state = JobState::Cancelled;
-                self.jobs[id.0 as usize].finished_at = Some(t);
-            }
-            JobState::Admitted | JobState::Running => {
-                // Honored at the chunk boundary.
-                st.hot[id.0 as usize].flags |= F_CANCEL;
-            }
-            _ => {}
-        }
-    }
-
     /// A budget reconfiguration takes effect.
     fn on_resize(&mut self, st: &mut RunState, idx: usize, t: SimTime) -> Result<(), SchedError> {
         self.budgets = self.pending_resizes[idx].1.clone();
@@ -1096,7 +1069,7 @@ impl JobScheduler {
 
     /// A stage of the current chunk finished: book the next stage at its
     /// actual ready time, or close the chunk and decide at the boundary —
-    /// cancel > done > fault-evict > resize-evict > preempt > next chunk.
+    /// done > fault-evict > resize-evict > preempt > next chunk.
     fn on_stage_done(
         &mut self,
         st: &mut RunState,
@@ -1123,25 +1096,17 @@ impl JobScheduler {
         if flags == 0 && !done {
             return self.issue_chunk(st, id, t);
         }
-        if flags & F_CANCEL != 0 {
-            self.finish(st, id, JobState::Cancelled, t)
-        } else if done {
+        if done {
             self.finish(st, id, JobState::Done, t)
         } else if flags & F_FAULT != 0 {
             self.fault_evict(st, id, t)
-        } else if flags & F_RESIZE != 0 {
+        } else if flags & F_RESIZE != 0 || self.eviction_still_needed(st, id) {
             self.displace(st, id, t, false)
-        } else if flags & F_PREEMPT != 0 {
-            if self.eviction_still_needed(st, id) {
-                self.displace(st, id, t, false)
-            } else {
-                // The pressure passed (e.g. another release already made
-                // room); keep running.
-                st.hot[id.0 as usize].flags &= !F_PREEMPT;
-                self.jobs[id.0 as usize].preempt_requested_at = None;
-                self.issue_chunk(st, id, t)
-            }
         } else {
+            // Only `F_PREEMPT` is left, and the pressure passed (e.g.
+            // another release already made room); keep running.
+            st.hot[id.0 as usize].flags &= !F_PREEMPT;
+            self.jobs[id.0 as usize].preempt_requested_at = None;
             self.issue_chunk(st, id, t)
         }
     }
@@ -1158,7 +1123,7 @@ impl JobScheduler {
         }
         if h.chain_len == 0 {
             // All-zero work shape: every chunk completes instantly.
-            let (first, total, flags) = (h.chunks_done, h.chunks_total, h.flags);
+            let (first, total) = (h.chunks_done, h.chunks_total);
             h.chunks_done = total;
             for i in first..total {
                 st.chunk_log.push(ChunkSample {
@@ -1167,12 +1132,7 @@ impl JobScheduler {
                     index: i,
                 });
             }
-            let end_state = if flags & F_CANCEL != 0 {
-                JobState::Cancelled
-            } else {
-                JobState::Done
-            };
-            return self.finish(st, id, end_state, t);
+            return self.finish(st, id, JobState::Done, t);
         }
         self.book_stage(st, id, t)
     }
@@ -1258,17 +1218,6 @@ impl JobScheduler {
                 self.on_persistent_fault(st, id, node, t)
             }
         }
-    }
-
-    /// A backed-off stage retries: re-book the same stage. The plan is
-    /// consulted again at a fresh ordinal, so persistent trouble on the
-    /// node eventually escalates instead of retrying forever.
-    fn on_retry(&mut self, st: &mut RunState, id: JobId, t: SimTime) -> Result<(), SchedError> {
-        let h = &st.hot[id.0 as usize];
-        if h.state != JobState::Running || h.chain == CHAIN_NONE {
-            return Ok(()); // displaced or cancelled while backing off
-        }
-        self.book_stage(st, id, t)
     }
 
     /// A persistent fault on `node` (observed by `id`'s current stage):
@@ -1410,17 +1359,9 @@ impl JobScheduler {
             if *e > st.max_committed[n.0] {
                 st.max_committed[n.0] = *e;
             }
-            #[cfg(test)]
-            st.recorded.capacity_trace.push(CapacitySample {
-                at: t,
-                node: n,
-                committed: *e,
-            });
         }
         rec.admitted_at = Some(t);
         st.hot[id.0 as usize].state = JobState::Admitted;
-        #[cfg(test)]
-        st.recorded.admission_order.push(id);
         st.admission_log.push(AdmissionEvent {
             at: t,
             job: id,
@@ -1514,12 +1455,6 @@ impl JobScheduler {
         for (n, b) in self.jobs[id.0 as usize].spec.reservation.iter() {
             let e = &mut st.committed[n.0];
             *e = e.saturating_sub(b);
-            #[cfg(test)]
-            st.recorded.capacity_trace.push(CapacitySample {
-                at: t,
-                node: n,
-                committed: *e,
-            });
         }
         st.admission_log.push(AdmissionEvent {
             at: t,
@@ -1612,7 +1547,7 @@ impl JobScheduler {
 
     /// Revalidation at the boundary: is some strictly-higher-priority
     /// queued job still blocked on capacity? If not, the pressure that
-    /// marked this victim has passed and the eviction is cancelled.
+    /// marked this victim has passed and the eviction is dropped.
     fn eviction_still_needed(&self, st: &RunState, victim: JobId) -> bool {
         let vw = self.jobs[victim.0 as usize].spec.priority.weight();
         st.queues.fifo_live().any(|q| {
@@ -1637,7 +1572,7 @@ impl JobScheduler {
         eff
     }
 
-    /// Running jobs not yet marked for eviction or cancellation whose
+    /// Running jobs not yet marked for eviction whose
     /// priority weight is below `below_weight`, in victim order: lowest
     /// priority first, most recently admitted first.
     fn ranked_victims(&self, st: &RunState, below_weight: u64) -> Vec<JobId> {
@@ -1647,7 +1582,7 @@ impl JobScheduler {
             .enumerate()
             .filter(|(i, h)| {
                 matches!(h.state, JobState::Admitted | JobState::Running)
-                    && h.flags & (F_PREEMPT | F_RESIZE | F_CANCEL) == 0
+                    && h.flags & (F_PREEMPT | F_RESIZE) == 0
                     && self.jobs[*i].spec.priority.weight() < below_weight
             })
             .map(|(i, _)| JobId(i as u64))
@@ -1913,8 +1848,6 @@ impl JobScheduler {
             capacity_needed_pct,
             events: st.events_processed,
             jobs,
-            #[cfg(test)]
-            recorded: st.recorded,
         }
     }
 }
@@ -2084,15 +2017,6 @@ impl ChainArena {
     }
 }
 
-/// [`SchedReport::admission_order`] and [`SchedReport::capacity_trace`]
-/// as stored series.
-#[cfg(test)]
-#[derive(Debug, Clone, Default)]
-struct Recorded {
-    admission_order: Vec<JobId>,
-    capacity_trace: Vec<CapacitySample>,
-}
-
 /// Per-run mutable state, kept out of `JobScheduler` so `run` borrows
 /// stay simple.
 struct RunState {
@@ -2117,8 +2041,6 @@ struct RunState {
     chains: ChainArena,
     admission_log: Log<AdmissionEvent>,
     chunk_log: Log<ChunkSample>,
-    #[cfg(test)]
-    recorded: Recorded,
     resize_log: Vec<ResizeSample>,
     preemption_latencies: Vec<SimDur>,
     active: usize,
@@ -2186,8 +2108,6 @@ impl RunState {
             chains: ChainArena::new(),
             admission_log: Log::new(),
             chunk_log: Log::new(),
-            #[cfg(test)]
-            recorded: Recorded::default(),
             resize_log: Vec::new(),
             preemption_latencies: Vec::new(),
             active: 0,
@@ -2306,10 +2226,10 @@ pub fn staging_reservation(tree: &Tree, bytes: u64) -> Reservation {
 mod tests {
     use super::*;
     use crate::job::JobWork;
+    use crate::reference;
     use crate::slo::INTERACTIVE_TARGET;
     use northup::presets;
     use northup_hw::catalog;
-    use proptest::prelude::*;
 
     fn tree() -> Tree {
         presets::apu_two_level(catalog::ssd_hyperx_predator())
@@ -2423,20 +2343,6 @@ mod tests {
         ));
         let report = sched.run().unwrap();
         assert_eq!(report.job(id).state, JobState::Rejected);
-    }
-
-    #[test]
-    fn cancellation_from_queue_and_at_chunk_boundary() {
-        let tree = tree();
-        let mut sched = JobScheduler::new(tree.clone(), SchedulerConfig::default());
-        let hog = sched.submit(small_job("hog", &tree, 0.9, 16));
-        let waiter = sched.submit(small_job("waiter", &tree, 0.9, 4));
-        sched.cancel(waiter, SimTime::from_secs_f64(0.001));
-        sched.cancel(hog, SimTime::from_secs_f64(0.05));
-        let report = sched.run().unwrap();
-        assert_eq!(report.job(waiter).state, JobState::Cancelled);
-        assert_eq!(report.job(hog).state, JobState::Cancelled);
-        assert!(report.all_terminal());
     }
 
     #[test]
@@ -2736,105 +2642,147 @@ mod tests {
         assert!(off.slo_log.is_empty(), "no controller, no samples");
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
+    /// Whether some capacity sample after the first resize holds more
+    /// than the budgets then in force (the latest resize-log entry) on a
+    /// node that was never fenced: committed bytes above a shrunk line,
+    /// which only a drain leaves standing.
+    fn drained_over_a_shrink(report: &SchedReport) -> bool {
+        let fenced: BTreeSet<NodeId> = report.quarantine_log.iter().map(|q| q.node).collect();
+        report.capacity_trace().any(|c| {
+            let in_force = report.resize_log.iter().rfind(|r| r.at < c.at);
+            in_force.is_some_and(|r| !fenced.contains(&c.node) && c.committed > r.budgets[c.node.0])
+        })
+    }
 
-        /// The derived series against the stored ones they replaced
-        /// (kept as a test-only recorder pushed from the same lines),
-        /// element for element, with every event source on at once:
-        /// preemption, faults with probation, two live resizes with
-        /// eviction, and the SLO controller with autoscale. Work, arrivals
-        /// and resizes run 35× slower than a 2 ms target would need, so
-        /// the controller's 70 ms one is breached as often: it sheds,
-        /// browns out and scales.
-        #[test]
-        fn derived_series_equal_the_recorded_ones(
-            trace in prop::collection::vec(
-                (0.05f64..0.8, 0.0f64..0.6, 1u32..6, 0usize..3, 0u64..20_000, 0u32..3),
-                1..40,
-            ),
-            seed in 0u64..1_000,
-            fifo in any::<bool>(),
-        ) {
-            let tree = presets::asymmetric_fig2();
-            let (cpu, staging) = (NodeId(1), NodeId(3));
-            let cap = |n: NodeId, frac: f64| (tree.node(n).mem.capacity as f64 * frac) as u64;
-            const SLOW: u64 = 35;
-            let mut sched = JobScheduler::new(
-                tree.clone(),
-                SchedulerConfig {
-                    max_queue: 12,
-                    policy: if fifo { AdmissionPolicy::Fifo } else { AdmissionPolicy::WeightedFair },
-                    preempt: true,
-                    resize_drain: ResizeDrain::Preempt,
-                    fault_plan: Some(FaultPlan::new(seed).transient_rate(3000).persistent_rate(600)),
-                    quarantine_after: 2,
-                    probation: true,
-                    fault_aware_placement: true,
-                    slo: Some(SloConfig { autoscale: true }),
+    /// The engine against the naive reference (`crate::reference`), every
+    /// report field and every log entry by entry, with every event
+    /// source on at once: preemption, faults with probation and
+    /// fault-aware placement (fencing at the first or second persistent
+    /// fault), a shrink and a restore under either drain
+    /// mode, the SLO controller with autoscale, both admission policies,
+    /// zero-chunk and all-zero-work jobs, and checkpoints before, at and
+    /// past the chunk count. Work, arrivals and resizes run 35× slower
+    /// than a 2 ms target would need, so the controller's 70 ms one is
+    /// breached as often: it sheds, browns out and scales. Across the
+    /// cases every decision the comparison could miss happens.
+    #[test]
+    fn engine_agrees_with_the_reference_entry_by_entry() {
+        const CASES: u64 = 256;
+        const SLOW: u64 = 35;
+        let tree = presets::asymmetric_fig2();
+        let (cpu, staging) = (NodeId(1), NodeId(3));
+        let cap = |n: NodeId, frac: f64| (tree.node(n).mem.capacity as f64 * frac) as u64;
+        let full = NodeBudgets::from_tree(&tree, 1.0);
+        let mut seen: BTreeMap<&str, u32> = BTreeMap::new();
+        for case in 0..CASES {
+            let mut s = 0xd1ff_5eed ^ case;
+            let mut draw = |n: u64| reference::mix(&mut s) % n;
+            let fifo = draw(4) == 0;
+            let drain = draw(2) == 0;
+            let cfg = SchedulerConfig {
+                max_queue: 12,
+                policy: if fifo {
+                    AdmissionPolicy::Fifo
+                } else {
+                    AdmissionPolicy::WeightedFair
                 },
-            );
-            for (i, &(on_cpu, on_staging, chunks, prio, arrival_us, tenant)) in trace.iter().enumerate() {
+                preempt: true,
+                resize_drain: if drain {
+                    ResizeDrain::Drain
+                } else {
+                    ResizeDrain::Preempt
+                },
+                fault_plan: Some(
+                    FaultPlan::new(draw(1_000))
+                        .transient_rate(3000)
+                        .persistent_rate(600),
+                ),
+                quarantine_after: 1 + draw(2) as u32,
+                probation: true,
+                fault_aware_placement: true,
+                slo: Some(SloConfig { autoscale: true }),
+            };
+            let mut specs = Vec::new();
+            for i in 0..1 + draw(40) {
+                let on_cpu = 0.05 + draw(7_500) as f64 / 10_000.0;
+                let on_staging = draw(6_000) as f64 / 10_000.0;
+                let chunks = draw(6) as u32;
                 // One or two reserved nodes: a two-entry reservation
                 // yields two samples per transition.
                 let res = Reservation::new()
                     .with(cpu, cap(cpu, on_cpu))
                     .with(staging, cap(staging, (on_staging - 0.3).max(0.0)));
-                sched.submit(
-                    JobSpec::new(
-                        format!("d{i}"),
-                        res,
-                        JobWork::new(chunks)
-                            .read(SLOW * (8 << 20))
-                            .xfer(SLOW * (8 << 20))
-                            .compute(SimDur::from_micros(SLOW * 400)),
-                    )
-                    .priority(Priority::ALL[prio])
-                    .tenant(TenantId(tenant))
-                    .arrival(SimTime(SLOW * arrival_us * 1_000)),
-                );
+                let work = match draw(16) {
+                    0 => JobWork::new(chunks),
+                    _ => JobWork::new(chunks)
+                        .read(SLOW * (8 << 20))
+                        .xfer(SLOW * (8 << 20))
+                        .compute(SimDur::from_micros(SLOW * 400)),
+                };
+                let mut spec = JobSpec::new(format!("d{i}"), res, work)
+                    .priority(Priority::ALL[draw(3) as usize])
+                    .tenant(TenantId(draw(3) as u32))
+                    .arrival(SimTime(SLOW * draw(20_000) * 1_000));
+                if draw(4) == 0 {
+                    spec = spec.resume_from(draw(u64::from(chunks) + 3) as u32);
+                }
+                specs.push(spec);
             }
-            let full = NodeBudgets::from_tree(&tree, 1.0);
-            sched.resize_budgets(SimTime::ZERO + SimDur::from_millis(SLOW * 4), full.scaled(0.5));
-            sched.resize_budgets(SimTime::ZERO + SimDur::from_millis(SLOW * 12), full);
-            let report = sched.run().unwrap();
-            prop_assert!(report.all_terminal());
-            prop_assert!(
-                report.admission_order().eq(report.recorded.admission_order.iter().copied()),
-                "admission order: derived {:?}, recorded {:?}",
-                report.admission_order().collect::<Vec<_>>(),
-                report.recorded.admission_order
-            );
-            prop_assert!(
-                report.capacity_trace().eq(report.recorded.capacity_trace.iter().copied()),
-                "capacity trace: derived {:?}, recorded {:?}",
-                report.capacity_trace().collect::<Vec<_>>(),
-                report.recorded.capacity_trace
-            );
+            let resizes = vec![
+                (
+                    SimTime::ZERO + SimDur::from_millis(SLOW * 4),
+                    full.scaled(0.5),
+                ),
+                (SimTime::ZERO + SimDur::from_millis(SLOW * 12), full.clone()),
+            ];
+            let report = reference::agree(&tree, cfg, specs, resizes)
+                .unwrap_or_else(|e| panic!("case {case}: {e}"));
+            assert!(report.all_terminal(), "case {case}");
+            let kinds = |k| report.admission_log.iter().any(|e| e.kind == k);
+            for (what, happened) in [
+                ("Preempted", kinds(AdmissionEventKind::Preempted)),
+                ("FaultEvicted", kinds(AdmissionEventKind::FaultEvicted)),
+                ("quarantine", !report.quarantine_log.is_empty()),
+                ("restore", !report.restore_log.is_empty()),
+                ("shed", !report.shed_log.is_empty()),
+                ("degraded", report.degraded_jobs() > 0),
+                (
+                    "autoscale",
+                    report.slo_log.iter().any(|t| t.scale_pct > 100),
+                ),
+                (
+                    "QueueFull",
+                    report.rejected_for(RejectReason::QueueFull) > 0,
+                ),
+                ("drain shrink", drain && drained_over_a_shrink(&report)),
+            ] {
+                *seen.entry(what).or_insert(0) += u32::from(happened);
+            }
         }
+        assert!(
+            seen.values().all(|&n| n > 0),
+            "cases per decision: {seen:?}"
+        );
     }
 
-    /// The recorder comparison above is not vacuous: the same knobs on a
-    /// fixed trace do evict, fault, fence, restore and resize, and the
-    /// derived series still match sample for sample.
+    /// The comparison above is not vacuous on a fixed trace either: the
+    /// same knobs do evict, fault, fence, restore and resize, and the
+    /// engine and the reference still agree sample for sample.
     #[test]
     fn derived_series_hold_through_evictions_faults_and_resizes() {
         let tree = presets::asymmetric_fig2();
         let node = NodeId(1);
         let bytes = tree.node(node).mem.capacity / 10 * 4;
-        let mut s = JobScheduler::new(
-            tree.clone(),
-            SchedulerConfig {
-                preempt: true,
-                resize_drain: ResizeDrain::Preempt,
-                fault_plan: Some(FaultPlan::new(11).transient_rate(3000).persistent_rate(900)),
-                quarantine_after: 2,
-                probation: true,
-                ..SchedulerConfig::default()
-            },
-        );
-        for i in 0..24u64 {
-            s.submit(
+        let cfg = SchedulerConfig {
+            preempt: true,
+            resize_drain: ResizeDrain::Preempt,
+            fault_plan: Some(FaultPlan::new(11).transient_rate(3000).persistent_rate(900)),
+            quarantine_after: 2,
+            probation: true,
+            ..SchedulerConfig::default()
+        };
+        let specs = (0..24u64)
+            .map(|i| {
                 JobSpec::new(
                     format!("j{i}"),
                     Reservation::new()
@@ -2843,13 +2791,15 @@ mod tests {
                     JobWork::new(6).read(8 << 20).xfer(8 << 20),
                 )
                 .priority(Priority::ALL[2 - (i % 3) as usize])
-                .arrival(SimTime::from_secs_f64(0.0007 * i as f64)),
-            );
-        }
+                .arrival(SimTime::from_secs_f64(0.0007 * i as f64))
+            })
+            .collect();
         let full = NodeBudgets::from_tree(&tree, 1.0);
-        s.resize_budgets(SimTime::from_secs_f64(0.004), full.scaled(0.5));
-        s.resize_budgets(SimTime::from_secs_f64(0.02), full);
-        let report = s.run().unwrap();
+        let resizes = vec![
+            (SimTime::from_secs_f64(0.004), full.scaled(0.5)),
+            (SimTime::from_secs_f64(0.02), full),
+        ];
+        let report = reference::agree(&tree, cfg, specs, resizes).unwrap_or_else(|e| panic!("{e}"));
         assert!(report.all_terminal());
         let kinds = |k| report.admission_log.iter().filter(|e| e.kind == k).count();
         assert!(
@@ -2865,16 +2815,40 @@ mod tests {
         assert!(!report.quarantine_log.is_empty(), "{}", report.summary());
         assert!(!report.restore_log.is_empty(), "{}", report.summary());
         assert_eq!(report.resize_log.len(), 2);
-        assert!(report
-            .admission_order()
-            .eq(report.recorded.admission_order.iter().copied()));
-        assert!(report
-            .capacity_trace()
-            .eq(report.recorded.capacity_trace.iter().copied()));
         assert_eq!(
             report.capacity_trace().count(),
             2 * report.admission_log.len(),
             "two reserved nodes, two samples per transition"
+        );
+    }
+
+    #[test]
+    fn a_resize_budget_vector_longer_than_the_tree_is_a_typed_error() {
+        // A 2-node scheduler given a 9-node budget vector, and a job
+        // reserving node 8 that the longer vector calls feasible.
+        let tree = tree();
+        let mut s = JobScheduler::new(tree, SchedulerConfig::default());
+        let far = NodeBudgets::from_tree(&presets::fleet_shard(), 1.0);
+        s.resize_budgets(SimTime::ZERO + SimDur::from_millis(1), far);
+        s.submit(
+            JobSpec::new(
+                "far",
+                Reservation::new().with(NodeId(8), 1 << 20),
+                JobWork::new(1).read(1 << 20),
+            )
+            .arrival(SimTime::ZERO + SimDur::from_millis(10)),
+        );
+        let out = s.run();
+        assert!(
+            matches!(
+                out,
+                Err(SchedError::BudgetLength {
+                    resize: 0,
+                    len: 9,
+                    nodes: 2
+                })
+            ),
+            "{out:?}"
         );
     }
 

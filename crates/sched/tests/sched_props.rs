@@ -15,11 +15,11 @@ use northup_sched::{
 use northup_sim::{SimDur, SimTime};
 use proptest::prelude::*;
 
-/// (dram fraction, chunks, priority index, arrival µs, cancel µs or 0).
-type JobTuple = (f64, u32, usize, u64, u64);
+/// (dram fraction, chunks, priority index, arrival µs).
+type JobTuple = (f64, u32, usize, u64);
 
 fn job_strategy() -> impl Strategy<Value = JobTuple> {
-    (0.05f64..0.95, 0u32..5, 0usize..3, 0u64..5_000, 0u64..40_000)
+    (0.05f64..0.95, 0u32..5, 0usize..3, 0u64..5_000)
 }
 
 fn build(trace: &[JobTuple], policy: AdmissionPolicy, max_queue: usize) -> SchedReport {
@@ -34,8 +34,8 @@ fn build(trace: &[JobTuple], policy: AdmissionPolicy, max_queue: usize) -> Sched
             ..SchedulerConfig::default()
         },
     );
-    for (i, &(frac, chunks, prio, arrival_us, cancel_us)) in trace.iter().enumerate() {
-        let mut spec = JobSpec::new(
+    for (i, &(frac, chunks, prio, arrival_us)) in trace.iter().enumerate() {
+        let spec = JobSpec::new(
             format!("p{i}"),
             Reservation::new().with(dram, (budget as f64 * frac) as u64),
             JobWork::new(chunks)
@@ -45,9 +45,6 @@ fn build(trace: &[JobTuple], policy: AdmissionPolicy, max_queue: usize) -> Sched
         )
         .priority(Priority::ALL[prio])
         .arrival(SimTime::from_secs_f64(arrival_us as f64 * 1e-6));
-        if cancel_us > 0 {
-            spec = spec.cancel_at(SimTime::from_secs_f64(cancel_us as f64 * 1e-6));
-        }
         sched.submit(spec);
     }
     sched.run().unwrap()

@@ -149,8 +149,7 @@ proptest! {
         prop_assert!(report.all_terminal());
         let settled = report.count(JobState::Done)
             + report.count(JobState::Failed)
-            + report.count(JobState::Rejected)
-            + report.count(JobState::Cancelled);
+            + report.count(JobState::Rejected);
         prop_assert_eq!(settled, trace.len(), "terminal states partition the trace");
         let by_reason: usize = RejectReason::ALL
             .iter()
