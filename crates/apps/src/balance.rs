@@ -14,35 +14,32 @@
 //! ("multiple workgroups per SIMD engine is needed to fully utilize GPU
 //! hardware and hide latency" — 32 queues is best in the paper).
 
+use crate::calibration::HOTSPOT_STEPS_PER_PASS;
+use northup_hw::catalog;
 use northup_kernels::latency_hiding_efficiency;
 use northup_sim::{
     deal_round_robin, simulate_stealing, Resource, SimDur, SimTime, SimWorker, StealOutcome,
 };
 
-/// Throughput calibration for the balanced leaf.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LeafRates {
-    /// Total GPU stencil throughput at full occupancy, cells/s.
-    pub gpu_cells_per_sec: f64,
-    /// Total CPU (all threads) stencil throughput, cells/s.
-    pub cpu_cells_per_sec: f64,
-}
+/// CPU thread queues that join the GPU workgroups when stealing is on.
+const CPU_THREADS: usize = 4;
 
-impl Default for LeafRates {
-    /// APU-class rates: the GPU sustains ~1.5 G cells/s on the memory-bound
-    /// stencil (18 GB/s shared DRAM / 12 B per cell); the 4 CPU threads
-    /// together reach about a sixth of that on the row-block leaf tasks
-    /// (the full-application 8x GPU speedup the paper quotes includes
-    /// launch and staging costs the leaf tasks do not pay).
-    fn default() -> Self {
-        LeafRates {
-            gpu_cells_per_sec: 1.5e9,
-            cpu_cells_per_sec: 0.25e9,
-        }
-    }
-}
+/// Row-block height: each leaf task processes a `BLOCK_ROWS x chunk` row
+/// of blocks.
+const BLOCK_ROWS: usize = 16;
 
-/// One Fig. 11 configuration.
+/// APU-class leaf rates, cells/s: the GPU sustains ~1.5 G cells/s at full
+/// occupancy on the memory-bound stencil (18 GB/s shared DRAM / 12 B per
+/// cell); the [`CPU_THREADS`] together reach about a sixth of that on the
+/// row-block leaf tasks (the full-application 8x GPU speedup the paper
+/// quotes includes launch and staging costs the leaf tasks do not pay).
+const GPU_CELLS_PER_SEC: f64 = 1.5e9;
+const CPU_CELLS_PER_SEC: f64 = 0.25e9;
+
+/// One Fig. 11 configuration. Each task advances
+/// `calibration::HOTSPOT_STEPS_PER_PASS` time steps (the temporal-blocking
+/// depth of the out-of-core pass), and chunks stage at the paper SSD's
+/// read rate with no per-op latency.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BalanceConfig {
     /// Input grid dimension in SSD (the paper's `m`).
@@ -51,19 +48,8 @@ pub struct BalanceConfig {
     pub chunk: usize,
     /// Number of GPU workgroup queues (8 / 16 / 32 in the paper).
     pub gpu_queues: usize,
-    /// Number of CPU thread queues.
-    pub cpu_threads: usize,
-    /// Row-block height (each task processes a `16 x chunk` row of blocks).
-    pub block_rows: usize,
-    /// Time steps each task advances (the temporal-blocking depth of the
-    /// out-of-core pass; see `calibration::HOTSPOT_STEPS_PER_PASS`).
-    pub steps: usize,
     /// Whether CPU threads participate and GPU workgroups steal.
     pub stealing: bool,
-    /// Leaf throughput calibration.
-    pub rates: LeafRates,
-    /// SSD read bandwidth for chunk staging, bytes/s.
-    pub ssd_read_bw: f64,
 }
 
 impl BalanceConfig {
@@ -75,12 +61,7 @@ impl BalanceConfig {
                 m,
                 chunk,
                 gpu_queues,
-                cpu_threads: 4,
-                block_rows: 16,
-                steps: crate::calibration::HOTSPOT_STEPS_PER_PASS,
                 stealing,
-                rates: LeafRates::default(),
-                ssd_read_bw: 1.4e9,
             })
             .collect()
     }
@@ -93,7 +74,7 @@ impl BalanceConfig {
 
     /// Leaf tasks per chunk (rows of blocks).
     pub fn tasks_per_chunk(&self) -> usize {
-        self.chunk / self.block_rows
+        self.chunk / BLOCK_ROWS
     }
 }
 
@@ -110,8 +91,8 @@ pub struct BalanceRun {
 /// across the consumer queues and run the stealing DES.
 pub fn simulate_chunk_leaf(cfg: &BalanceConfig) -> StealOutcome {
     let eff = latency_hiding_efficiency(cfg.gpu_queues);
-    let gpu_rate = cfg.rates.gpu_cells_per_sec * eff / cfg.gpu_queues as f64;
-    let cpu_rate = cfg.rates.cpu_cells_per_sec / cfg.cpu_threads.max(1) as f64;
+    let gpu_rate = GPU_CELLS_PER_SEC * eff / cfg.gpu_queues as f64;
+    let cpu_rate = CPU_CELLS_PER_SEC / CPU_THREADS as f64;
 
     let mut workers: Vec<SimWorker> = Vec::new();
     // GPU workgroups first; CPU threads after (if participating). An idle
@@ -120,7 +101,7 @@ pub fn simulate_chunk_leaf(cfg: &BalanceConfig) -> StealOutcome {
     // slow CPU consumers drain their queues last (§V-E: "GPU workgroup may
     // steal elements pointed by the head pointer of another CPU queue").
     let total = if cfg.stealing {
-        cfg.gpu_queues + cfg.cpu_threads
+        cfg.gpu_queues + CPU_THREADS
     } else {
         cfg.gpu_queues
     };
@@ -133,12 +114,12 @@ pub fn simulate_chunk_leaf(cfg: &BalanceConfig) -> StealOutcome {
         workers.push(SimWorker::new(format!("gpu-wg-{i}"), gpu_rate, victims));
     }
     if cfg.stealing {
-        for i in 0..cfg.cpu_threads {
+        for i in 0..CPU_THREADS {
             workers.push(SimWorker::new(format!("cpu-{i}"), cpu_rate, Vec::new()));
         }
     }
 
-    let task_cells = (cfg.block_rows * cfg.chunk * cfg.steps) as f64;
+    let task_cells = (BLOCK_ROWS * cfg.chunk * HOTSPOT_STEPS_PER_PASS) as f64;
     let tasks = vec![task_cells; cfg.tasks_per_chunk()];
     let queues = deal_round_robin(&tasks, workers.len());
     simulate_stealing(&workers, queues)
@@ -149,7 +130,8 @@ pub fn simulate_chunk_leaf(cfg: &BalanceConfig) -> StealOutcome {
 pub fn run_balanced(cfg: &BalanceConfig) -> BalanceRun {
     let leaf = simulate_chunk_leaf(cfg);
     let chunk_bytes = (cfg.chunk * cfg.chunk * 4) as u64;
-    let mut ssd = Resource::new("ssd", cfg.ssd_read_bw, SimDur::ZERO);
+    let ssd_read_bw = catalog::ssd_hyperx_predator().read_bw;
+    let mut ssd = Resource::new("ssd", ssd_read_bw, SimDur::ZERO);
     let mut leaf_res = Resource::new_compute();
     let mut end = SimTime::ZERO;
     for _ in 0..cfg.chunks() {
@@ -271,8 +253,7 @@ mod tests {
         let p = BalanceConfig::paper_points(32, true)[2];
         assert_eq!((p.m, p.chunk), (32_768, 4_096));
         let s = fig11_speedup(&p);
-        let r = LeafRates::default();
-        let bound = 1.0 + r.cpu_cells_per_sec / r.gpu_cells_per_sec + 0.05;
+        let bound = 1.0 + CPU_CELLS_PER_SEC / GPU_CELLS_PER_SEC + 0.05;
         assert!(s < bound, "{s} vs bound {bound}");
     }
 }

@@ -53,7 +53,7 @@ pub mod spmv;
 pub mod subtree;
 
 pub use adaptive::{adaptive_stencil_stream, AdaptiveMapper, AdaptiveOutcome, Policy};
-pub use balance::{fig11_speedup, run_balanced, BalanceConfig, BalanceRun, LeafRates};
+pub use balance::{fig11_speedup, run_balanced, BalanceConfig, BalanceRun};
 pub use distributed::{gemm_cluster, scaling_curve, DistGemmConfig};
 pub use fleet::{fleet_trace, AFFINITY_PCT};
 pub use host::when_real;
@@ -67,8 +67,8 @@ pub use reduce::{map_northup, reduce_northup, ReduceOp, StreamConfig};
 pub use report::AppRun;
 pub use service::{
     job_profile, overload_slo, overload_trace, run_service_real, run_service_slo, run_service_with,
-    service_estimate, synthetic_trace, OverloadConfig, RealJobRun, ServiceJobKind, ServiceRealRun,
-    TraceConfig, SERVICE_TENANTS,
+    synthetic_trace, OverloadConfig, RealJobRun, ServiceJobKind, ServiceRealRun, TraceConfig,
+    SERVICE_TENANTS,
 };
 pub use spmv::{spmv_apu, spmv_in_memory, spmv_northup, SpmvInput};
 pub use subtree::{branches, run_batch, Branch, Dispatch, SubtreeOutcome};

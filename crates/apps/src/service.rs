@@ -213,22 +213,6 @@ impl Default for OverloadConfig {
     }
 }
 
-/// Crude deterministic service-time estimate of one job: per-chunk
-/// compute plus bytes at the modeled ~1 GiB/s blend, times the chunk
-/// count. The overload generator only uses it as a load denominator, so
-/// the scale factor cancels (the same convention as the fleet router's
-/// cost estimate). Saturates: a trace may carry any `u64` byte count.
-pub fn service_estimate(spec: &JobSpec) -> SimDur {
-    let w = &spec.work;
-    let per_chunk = w
-        .compute
-        .0
-        .saturating_add(w.read_bytes)
-        .saturating_add(w.xfer_bytes)
-        .saturating_add(w.write_bytes);
-    SimDur(per_chunk.saturating_mul(u64::from(w.chunks.max(1))))
-}
-
 /// Generate a deterministic open-loop overload trace at
 /// `cfg.load_pct`% of estimated capacity. Kinds cycle
 /// Gemm → Hotspot → SpMV and classes cycle
@@ -245,8 +229,9 @@ pub fn overload_trace(tree: &Tree, cfg: &OverloadConfig) -> Vec<JobSpec> {
     // divided by the assumed concurrency; offered load scales it down.
     let mut demand_ns: u64 = 0;
     for kind in ServiceJobKind::ALL {
-        let spec = job_profile(kind, tree, cfg.scale);
-        demand_ns += service_estimate(&spec).0 / ServiceJobKind::ALL.len() as u64;
+        let work = job_profile(kind, tree, cfg.scale).work;
+        let est = u64::try_from(work.service_estimate(work.chunks.max(1))).unwrap_or(u64::MAX);
+        demand_ns += est / ServiceJobKind::ALL.len() as u64;
     }
     let concurrency = u64::from(cfg.concurrency.max(1));
     let sustainable_ns = demand_ns / concurrency;
@@ -717,19 +702,6 @@ mod tests {
         assert_eq!(tenants.len(), SERVICE_TENANTS as usize);
         assert_eq!(trace[0].tenant, northup_sched::TenantId(0));
         assert_eq!(trace[5].tenant, northup_sched::TenantId(1));
-    }
-
-    #[test]
-    fn service_estimate_saturates_on_hostile_byte_counts() {
-        // A `JobSpec` may carry any u64 byte count: the per-chunk sum
-        // saturates instead of overflowing.
-        let work = JobWork::new(2)
-            .read(u64::MAX - 1)
-            .xfer(1)
-            .compute(SimDur(1))
-            .write(1);
-        let spec = JobSpec::new("j", northup_sched::Reservation::new(), work);
-        assert_eq!(service_estimate(&spec), SimDur(u64::MAX));
     }
 
     #[test]

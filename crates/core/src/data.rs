@@ -466,17 +466,15 @@ impl Runtime {
 
         if sc == StorageClass::File {
             let spec = &tree.node(src_node).mem;
-            let dur = transfer_time(len, spec.read_bw, spec.read_latency);
-            let s = g.node_res[src_node.0].serve_for(ready, dur);
+            let s = g.node_res[src_node.0].serve_for(ready, spec.read_time(len));
             g.io.record(&spec.name, Dir::Read, len);
             category = Category::FileIo;
             served = Some(s);
         }
         if dc == StorageClass::File {
             let spec = &tree.node(dst_node).mem;
-            let dur = transfer_time(len, spec.write_bw, spec.write_latency);
             let start_ready = served.map(|s| s.end).unwrap_or(ready);
-            let s = g.node_res[dst_node.0].serve_for(start_ready, dur);
+            let s = g.node_res[dst_node.0].serve_for(start_ready, spec.write_time(len));
             g.io.record(&spec.name, Dir::Write, len);
             category = Category::FileIo;
             served = Some(match served {
@@ -502,21 +500,23 @@ impl Runtime {
                     };
                     g.node_res[src_node.0].serve_for(ready, dur)
                 } else {
-                    let link = g.link_res[src_node.0]
-                        .is_some()
-                        .then_some(src_node)
-                        .filter(|&n| tree.parent(n) == Some(dst_node))
-                        .or_else(|| (tree.parent(dst_node) == Some(src_node)).then_some(dst_node))
-                        .ok_or(NorthupError::NotAdjacent(src_node, dst_node))?;
+                    // The edge's child end owns the link that is crossed.
+                    let hop = if tree.parent(src_node) == Some(dst_node) {
+                        src_node
+                    } else {
+                        dst_node
+                    };
+                    let spec = tree.node(hop).link.as_ref();
+                    let spec = spec.filter(|_| tree.adjacent(src_node, dst_node));
+                    let (Some(spec), Some(res)) = (spec, g.link_res[hop.0].as_mut()) else {
+                        return Err(NorthupError::NotAdjacent(src_node, dst_node));
+                    };
                     category = if sc == StorageClass::Device || dc == StorageClass::Device {
                         Category::DeviceTransfer
                     } else {
                         Category::MemCopy
                     };
-                    let res = g.link_res[link.0]
-                        .as_mut()
-                        .ok_or(NorthupError::NotAdjacent(src_node, dst_node))?;
-                    res.serve_bytes(ready, len)
+                    res.serve_for(ready, spec.hop_time(len))
                 }
             }
         };

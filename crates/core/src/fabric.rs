@@ -9,24 +9,24 @@
 //! (`northup-sched`'s `SimFabric`). This module extracts what they share:
 //!
 //! * [`Stage`] — the five step kinds of a chunk's root→leaf→root journey.
-//! * [`StageCost`] — what one stage costs (bytes moved or compute time).
 //! * [`ChunkWork`] — the per-chunk demand shape a job declares.
-//! * [`ChunkChain`] — the compiled chain: an ordered list of costed
+//! * [`ChunkChain`] — the compiled chain: an ordered list of priced
 //!   stages for one placement, repeated `chunks` times, built by
-//!   [`build_chain`].
+//!   [`build_chain`]. Each stage carries its duration, priced once there
+//!   with the device and link functions `Runtime` moves data with.
 //! * [`Fabric`] — the chunk-serving trait, implemented by the *real*
 //!   backend (`northup-sched::RealFabric`): it drives a chain through a
 //!   [`Runtime`](crate::Runtime) in [`ExecMode::Real`](crate::ExecMode)
 //!   on the `northup-exec` work-stealing pool, with allocations metered
 //!   by the job's [`CapacityLease`](crate::CapacityLease). The *modeled*
-//!   backend (`northup-sched::SimFabric`) books the same chain stage by
-//!   stage on shared virtual-time resources and needs no trait.
+//!   backend (`northup-sched::SimFabric`) books each stage's duration on
+//!   a shared virtual-time server and needs no trait.
 //!
 //! The invariant that makes preemption and mode-agreement testable: a
 //! chain is a pure function of (tree, leaf, work), so every backend sees
-//! the *same* stages with the *same* costs, and chunk index `i` means the
-//! same unit of work everywhere. A preempted job's checkpoint is the
-//! count of chunks it completed; it resumes at the next index.
+//! the *same* stages with the *same* durations, and chunk index `i`
+//! means the same unit of work everywhere. A preempted job's checkpoint
+//! is the count of chunks it completed; it resumes at the next index.
 
 use crate::error::NorthupError;
 use crate::topology::{NodeId, Tree};
@@ -94,37 +94,13 @@ impl Stage {
     }
 }
 
-/// What one stage costs: bytes for transfer stages, time for compute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageCost {
-    /// Bytes served by a storage or link resource (zero for compute).
-    pub bytes: u64,
-    /// Kernel time charged to a processor (zero for transfers).
-    pub compute: SimDur,
-}
-
-impl StageCost {
-    /// A pure byte-movement cost.
-    pub fn bytes(bytes: u64) -> Self {
-        StageCost {
-            bytes,
-            compute: SimDur::ZERO,
-        }
-    }
-
-    /// A pure compute cost.
-    pub fn compute(compute: SimDur) -> Self {
-        StageCost { bytes: 0, compute }
-    }
-}
-
-/// One costed stage of a compiled chain.
+/// One priced stage of a compiled chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainStage {
     /// The step kind.
     pub stage: Stage,
-    /// Its cost on whatever resource serves it.
-    pub cost: StageCost,
+    /// How long the device, link or processor serving it is busy.
+    pub dur: SimDur,
 }
 
 /// The per-chunk demand shape a job declares: how many bytes each chunk
@@ -182,21 +158,7 @@ impl ChunkWork {
     }
 }
 
-/// A maximal run of consecutive chain stages served by the same tree
-/// node. Schedulers that walk a chain stage-by-stage can instead book a
-/// whole run against that node's resource in one pass — the run
-/// boundaries are exactly where a chunk changes failure domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageRun {
-    /// Index of the first stage of the run in `ChunkChain::stages`.
-    pub start: u32,
-    /// Number of consecutive stages in the run.
-    pub len: u32,
-    /// The dense tree node serving every stage of the run.
-    pub node: NodeId,
-}
-
-/// A compiled stage chain: the ordered, costed stages one chunk passes
+/// A compiled stage chain: the ordered, priced stages one chunk passes
 /// through when placed on `leaf`, executed `chunks` times in sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkChain {
@@ -204,14 +166,12 @@ pub struct ChunkChain {
     pub leaf: NodeId,
     /// The declared per-chunk demand the chain was compiled from.
     pub work: ChunkWork,
-    /// The costed stages of one chunk, zero-cost stages skipped.
+    /// The priced stages of one chunk, zero-demand stages skipped.
     pub stages: Vec<ChainStage>,
     /// The serving node of each stage (`stages[i]` ↔ `nodes[i]`), i.e.
     /// `stage.node(root)` precomputed as dense ids so hot schedulers
     /// never re-derive failure domains per event.
     pub nodes: Vec<NodeId>,
-    /// Maximal consecutive same-node stage runs over `stages`.
-    pub runs: Vec<StageRun>,
     /// How many sequential chunks the chain runs.
     pub chunks: u32,
 }
@@ -239,7 +199,12 @@ impl ChunkChain {
 /// Compile the stage chain for one chunk of `work` placed on `leaf`:
 /// root read, link staging down every linked hop of the root→leaf path,
 /// leaf compute, link write-back up the same hops, root write-back —
-/// with zero-cost stages skipped. Empty when the work shape is all-zero.
+/// with zero-demand stages skipped. Empty when the work shape is all-zero.
+/// Each stage is priced here, once, by the functions `Runtime` moves data
+/// with: root stages by the root device's
+/// [`read_time`](northup_hw::DeviceSpec::read_time), link stages by the
+/// hop's [`hop_time`](northup_hw::LinkSpec::hop_time), compute as
+/// declared.
 ///
 /// Every backend must execute this exact chain, which is what makes
 /// Modeled and Real runs agree on chunk counts and per-chunk semantics.
@@ -253,20 +218,22 @@ pub fn build_chain(tree: &Tree, leaf: NodeId, work: ChunkWork, chunks: u32) -> C
         cur = p;
     }
     path.reverse();
+    let root = tree.root();
+    let root_mem = &tree.node(root).mem;
 
     let mut stages = Vec::new();
     if work.read_bytes > 0 {
         stages.push(ChainStage {
             stage: Stage::Read,
-            cost: StageCost::bytes(work.read_bytes),
+            dur: root_mem.read_time(work.read_bytes),
         });
     }
     if work.xfer_bytes > 0 {
         for &hop in &path {
-            if tree.node(hop).link.is_some() {
+            if let Some(link) = &tree.node(hop).link {
                 stages.push(ChainStage {
                     stage: Stage::LinkDown(hop),
-                    cost: StageCost::bytes(work.xfer_bytes),
+                    dur: link.hop_time(work.xfer_bytes),
                 });
             }
         }
@@ -274,42 +241,32 @@ pub fn build_chain(tree: &Tree, leaf: NodeId, work: ChunkWork, chunks: u32) -> C
     if work.compute > SimDur::ZERO {
         stages.push(ChainStage {
             stage: Stage::Compute(leaf),
-            cost: StageCost::compute(work.compute),
+            dur: work.compute,
         });
     }
     if work.write_bytes > 0 {
         for &hop in path.iter().rev() {
-            if tree.node(hop).link.is_some() {
+            if let Some(link) = &tree.node(hop).link {
                 stages.push(ChainStage {
                     stage: Stage::LinkUp(hop),
-                    cost: StageCost::bytes(work.write_bytes),
+                    dur: link.hop_time(work.write_bytes),
                 });
             }
         }
         stages.push(ChainStage {
             stage: Stage::WriteBack,
-            cost: StageCost::bytes(work.write_bytes),
+            // ROADMAP 2(b): the root's *read* rate and latency, where
+            // `Runtime` writes a file at `write_time`; every pinned
+            // schedule digest is computed under this price.
+            dur: root_mem.read_time(work.write_bytes),
         });
     }
-    let root = tree.root();
     let nodes: Vec<NodeId> = stages.iter().map(|s| s.stage.node(root)).collect();
-    let mut runs: Vec<StageRun> = Vec::new();
-    for (i, &n) in nodes.iter().enumerate() {
-        match runs.last_mut() {
-            Some(r) if r.node == n => r.len += 1,
-            _ => runs.push(StageRun {
-                start: i as u32,
-                len: 1,
-                node: n,
-            }),
-        }
-    }
     ChunkChain {
         leaf,
         work,
         stages,
         nodes,
-        runs,
         chunks,
     }
 }
@@ -333,8 +290,9 @@ pub trait Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets;
+    use crate::{presets, ExecMode, Runtime};
     use northup_hw::catalog;
+    use northup_sim::Category;
 
     fn tree() -> Tree {
         presets::apu_two_level(catalog::ssd_hyperx_predator())
@@ -363,25 +321,75 @@ mod tests {
         Ok(())
     }
 
+    /// Every stage's `dur` is the price of the device, link or processor
+    /// that serves it, on trees of two, three and four levels.
     #[test]
-    fn costs_attach_to_the_right_stages() -> Result<(), crate::TopologyError> {
-        let tree = tree();
-        let leaf = tree.staging_level()?;
+    fn costs_attach_to_the_right_stages() {
+        let ssd = catalog::ssd_hyperx_predator();
+        let (read, xfer, write) = (100_000, 50_000, 25_000);
+        let compute = SimDur::from_micros(7);
         let work = ChunkWork::new()
-            .read(100)
-            .xfer(50)
-            .compute(SimDur::from_micros(7))
-            .write(25);
-        let chain = build_chain(&tree, leaf, work, 1);
-        for cs in &chain.stages {
-            match cs.stage {
-                Stage::Read => assert_eq!(cs.cost.bytes, 100),
-                Stage::LinkDown(_) => assert_eq!(cs.cost.bytes, 50),
-                Stage::Compute(_) => assert_eq!(cs.cost.compute, SimDur::from_micros(7)),
-                Stage::LinkUp(_) => assert_eq!(cs.cost.bytes, 25),
-                Stage::WriteBack => assert_eq!(cs.cost.bytes, 25),
+            .read(read)
+            .xfer(xfer)
+            .compute(compute)
+            .write(write);
+        for tree in [
+            presets::apu_two_level(ssd.clone()),
+            presets::discrete_gpu_three_level(ssd.clone()),
+            presets::asymmetric_fig2(),
+        ] {
+            let root = &tree.node(tree.root()).mem;
+            let hop_time = |hop: NodeId, len| tree.node(hop).link.as_ref().map(|l| l.hop_time(len));
+            for leaf in tree.leaves().map(|l| l.id) {
+                for cs in &build_chain(&tree, leaf, work, 1).stages {
+                    let want = match cs.stage {
+                        Stage::Read => Some(root.read_time(read)),
+                        Stage::LinkDown(hop) => hop_time(hop, xfer),
+                        Stage::Compute(_) => Some(compute),
+                        Stage::LinkUp(hop) => hop_time(hop, write),
+                        // ROADMAP 2(b): the root's read price, not its write price.
+                        Stage::WriteBack => Some(root.read_time(write)),
+                    };
+                    assert_eq!(Some(cs.dur), want, "{:?} on {leaf}", cs.stage);
+                }
             }
         }
+        // On the SSD root that is not the device's write price: the one
+        // divergence from `Runtime`, pinned by the loop above.
+        assert_ne!(ssd.read_time(write), ssd.write_time(write));
+    }
+
+    /// `Runtime` and a compiled chain price the stages both models share
+    /// alike, so the two cannot drift (ROADMAP 2(b)): a root→staging
+    /// move's `FileIo` busy time is the chain's `Read`, and a DRAM→GPU
+    /// move's `DeviceTransfer` busy time is that hop's `LinkDown`.
+    #[test]
+    fn runtime_moves_and_chain_stages_price_alike() -> crate::Result<()> {
+        let len = 3 << 20;
+        let busy = |tree: Tree, from: NodeId, to: NodeId, c: Category| -> crate::Result<SimDur> {
+            let rt = Runtime::new(tree, ExecMode::Modeled)?;
+            let (src, dst) = (rt.alloc(len, from)?, rt.alloc(len, to)?);
+            rt.move_data(dst, 0, src, 0, len)?;
+            Ok(rt.report().breakdown.get(c))
+        };
+        let ssd = catalog::ssd_hyperx_predator();
+
+        // apu_two_level: n0 = SSD root, n1 = DRAM staging leaf.
+        let apu = presets::apu_two_level(ssd.clone());
+        let chain = build_chain(&apu, NodeId(1), ChunkWork::new().read(len), 1);
+        assert_eq!(chain.stages[0].stage, Stage::Read);
+        let file_io = busy(apu, NodeId(0), NodeId(1), Category::FileIo)?;
+        assert_eq!(file_io, chain.stages[0].dur);
+
+        // discrete_gpu_three_level: n1 = DRAM, n2 = GPU device memory.
+        let gpu = presets::discrete_gpu_three_level(ssd);
+        let chain = build_chain(&gpu, NodeId(2), ChunkWork::new().xfer(len), 1);
+        let hop = chain
+            .stages
+            .iter()
+            .find(|s| s.stage == Stage::LinkDown(NodeId(2)));
+        let dma = busy(gpu, NodeId(1), NodeId(2), Category::DeviceTransfer)?;
+        assert_eq!(Some(dma), hop.map(|s| s.dur));
         Ok(())
     }
 
@@ -418,12 +426,12 @@ mod tests {
         Ok(())
     }
 
-    /// The precompiled `nodes` and `runs` vectors are derived views of
-    /// `stages` — the hot schedulers index them blindly, so they must
-    /// stay mutually consistent for every work shape (zero-cost stages
-    /// skipped, single-stage chains, deeper asymmetric trees included).
+    /// The precompiled `nodes` vector is a derived view of `stages` — the
+    /// hot schedulers index it blindly, so it must match for every work
+    /// shape (zero-demand stages skipped, single-stage chains, deeper
+    /// asymmetric trees included).
     #[test]
-    fn compiled_nodes_and_runs_tile_the_stages() -> Result<(), crate::TopologyError> {
+    fn compiled_nodes_tile_the_stages() {
         let shapes = [
             ChunkWork::new()
                 .read(8)
@@ -436,7 +444,7 @@ mod tests {
         ];
         for tree in [tree(), presets::asymmetric_fig2()] {
             let root = tree.root();
-            for leaf in tree.leaves().map(|l| l.id).collect::<Vec<_>>() {
+            for leaf in tree.leaves().map(|l| l.id) {
                 for work in shapes {
                     let chain = build_chain(&tree, leaf, work, 1);
                     // nodes[i] is stages[i]'s failure domain, precomputed.
@@ -444,25 +452,8 @@ mod tests {
                     for (cs, &n) in chain.stages.iter().zip(&chain.nodes) {
                         assert_eq!(n, cs.stage.node(root));
                     }
-                    // runs tile 0..stages.len() contiguously, each run is
-                    // maximal (adjacent runs never share a node), and each
-                    // covers stages served by exactly its node.
-                    let mut next = 0u32;
-                    for (i, r) in chain.runs.iter().enumerate() {
-                        assert_eq!(r.start, next, "runs must tile contiguously");
-                        assert!(r.len > 0, "empty run");
-                        for j in r.start..r.start + r.len {
-                            assert_eq!(chain.nodes[j as usize], r.node);
-                        }
-                        if i > 0 {
-                            assert_ne!(chain.runs[i - 1].node, r.node, "run not maximal");
-                        }
-                        next += r.len;
-                    }
-                    assert_eq!(next as usize, chain.stages.len());
                 }
             }
         }
-        Ok(())
     }
 }

@@ -80,9 +80,7 @@ pub use ctx::Ctx;
 pub use dag::{DagNode, TaskDag};
 pub use data::BufferHandle;
 pub use error::{NorthupError, Result};
-pub use fabric::{
-    build_chain, ChainStage, ChunkChain, ChunkWork, Fabric, FabricError, Stage, StageCost, StageRun,
-};
+pub use fabric::{build_chain, ChainStage, ChunkChain, ChunkWork, Fabric, FabricError, Stage};
 pub use fault::{retry_backoff, FaultKind, FaultPlan, RETRY_ATTEMPTS};
 pub use lease::CapacityLease;
 pub use pipeline::{ChainBufs, ChunkPipeline};

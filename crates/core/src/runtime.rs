@@ -144,12 +144,7 @@ pub struct Runtime {
 impl Runtime {
     /// Create a runtime over `tree` in the given execution mode.
     pub fn new(tree: Tree, mode: ExecMode) -> Result<Self> {
-        Self::with_setup_costs(tree, mode, SetupCosts::default())
-    }
-
-    /// Create a runtime with custom buffer setup costs.
-    pub fn with_setup_costs(tree: Tree, mode: ExecMode, setup: SetupCosts) -> Result<Self> {
-        Self::with_custom_backends(tree, mode, setup, &|_| None)
+        Self::with_custom_backends(tree, mode, SetupCosts::default(), &|_| None)
     }
 
     /// Create a runtime substituting custom backends where `factory`
@@ -181,12 +176,8 @@ impl Runtime {
                 },
             };
             backends.push(backend);
-            node_res.push(Resource::new(&spec.name, spec.read_bw, SimDur::ZERO));
-            link_res.push(
-                node.link
-                    .as_ref()
-                    .map(|l| Resource::new(&l.name, l.bandwidth, l.latency)),
-            );
+            node_res.push(Resource::new_compute());
+            link_res.push(node.link.as_ref().map(|_| Resource::new_compute()));
             proc_res.push(node.procs.iter().map(|_| Resource::new_compute()).collect());
         }
         let n = tree.len();

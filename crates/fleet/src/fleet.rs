@@ -27,7 +27,7 @@
 use crate::config::{link_transfer, FleetConfig, FleetJob};
 use crate::error::FleetError;
 use crate::report::{self, FleetReport, MigrationRecord};
-use crate::router::{cost_ns, mix64, route, ShardView};
+use crate::router::{mix64, route, ShardView};
 use northup_sched::{JobScheduler, JobSpec, JobState, NodeBudgets, SchedReport};
 use northup_sim::SimTime;
 use std::collections::BTreeSet;
@@ -137,7 +137,7 @@ impl Fleet {
                 router_rejected[uid] = true;
                 continue;
             };
-            views[s].load_ns += cost_ns(&job.work, job.work.chunks);
+            views[s].load_ns += job.work.service_estimate(job.work.chunks);
             path[uid].push(Placement {
                 shard: s,
                 index: traces[s].len(),
@@ -188,7 +188,7 @@ impl Fleet {
                     .to_spec()
                     .resume_from(c.chunks_done)
                     .arrival(c.at + transfer);
-                views[target].load_ns += cost_ns(&job.work, remaining);
+                views[target].load_ns += job.work.service_estimate(remaining);
                 path[c.uid as usize].push(Placement {
                     shard: target,
                     index: traces[target].len(),

@@ -25,7 +25,6 @@
 //! inputs: same seed + same trace ⇒ same placement, bit for bit.
 
 use crate::config::link_transfer;
-use northup_sched::JobWork;
 
 /// Score penalty per unit of accumulated fault pressure (~1 ms: one
 /// persistent fault outweighs a millisecond of queued load).
@@ -53,18 +52,6 @@ pub(crate) struct ShardView {
     /// changing, which is what keeps completed chunk prefixes stable
     /// across migration rounds (DESIGN.md §11).
     pub troubled: bool,
-}
-
-/// Crude service-time estimate of `remaining` chunks in nanoseconds:
-/// compute time plus bytes at ~1 GiB/s (1 byte ≈ 1 ns). The router only
-/// compares these against each other, so the scale factor cancels.
-pub(crate) fn cost_ns(work: &JobWork, remaining: u32) -> u128 {
-    let per_chunk = u128::from(work.compute.0)
-        // analyze:allow(unit-consistency): deliberate: a byte is priced at 1 ns (the modeled ~1 GiB/s), which makes the sum the ns service-time estimate the score weighs against its other ns terms
-        + u128::from(work.read_bytes)
-        + u128::from(work.xfer_bytes)
-        + u128::from(work.write_bytes);
-    u128::from(remaining) * per_chunk
 }
 
 /// Pick the best shard for a job (or migration remnant), or `None` when
@@ -158,7 +145,7 @@ mod tests {
     #[test]
     fn cost_estimate_scales_with_remaining_chunks() {
         let w = JobWork::new(8).read(1 << 20).xfer(1 << 20);
-        assert_eq!(cost_ns(&w, 8), 4 * cost_ns(&w, 2));
-        assert_eq!(cost_ns(&w, 0), 0);
+        assert_eq!(w.service_estimate(8), 4 * w.service_estimate(2));
+        assert_eq!(w.service_estimate(0), 0);
     }
 }

@@ -14,7 +14,7 @@
 //! working sets that fit the cache approach pure-SSD speed.
 
 use crate::spec::DeviceSpec;
-use northup_sim::{transfer_time, Resource, Served, SimDur, SimTime};
+use northup_sim::{Resource, Served, SimTime};
 use std::collections::{BTreeMap, HashMap};
 
 /// Hit/miss statistics.
@@ -96,8 +96,8 @@ impl CachedDevice {
         assert!(block > 0);
         let capacity_blocks = (cache_bytes / block).max(1) as usize;
         CachedDevice {
-            fast_res: Resource::new(&fast.name, fast.read_bw, SimDur::ZERO),
-            slow_res: Resource::new(&slow.name, slow.read_bw, SimDur::ZERO),
+            fast_res: Resource::new_compute(),
+            slow_res: Resource::new_compute(),
             fast,
             slow,
             block,
@@ -123,8 +123,7 @@ impl CachedDevice {
             let served = if self.lru.touch(blk) {
                 self.stats.hits += 1;
                 // Hit: fast read of one block.
-                let dur = transfer_time(self.block, self.fast.read_bw, self.fast.read_latency);
-                self.fast_res.serve_for(t, dur)
+                self.fast_res.serve_for(t, self.fast.read_time(self.block))
             } else {
                 self.stats.misses += 1;
                 if self.lru.len() > self.capacity_blocks {
@@ -132,12 +131,9 @@ impl CachedDevice {
                     self.stats.evictions += 1;
                 }
                 // Miss: slow read, then fill + read on the fast device.
-                let slow_dur = transfer_time(self.block, self.slow.read_bw, self.slow.read_latency);
-                let s = self.slow_res.serve_for(t, slow_dur);
-                let fill_dur =
-                    transfer_time(self.block, self.fast.write_bw, self.fast.write_latency)
-                        + transfer_time(self.block, self.fast.read_bw, self.fast.read_latency);
-                self.fast_res.serve_for(s.end, fill_dur)
+                let s = self.slow_res.serve_for(t, self.slow.read_time(self.block));
+                let fill = self.fast.write_time(self.block) + self.fast.read_time(self.block);
+                self.fast_res.serve_for(s.end, fill)
             };
             first = first.or(Some(served.start));
             t = served.end;
@@ -164,14 +160,10 @@ impl CachedDevice {
                     self.stats.evictions += 1;
                 }
             }
-            let fast = self.fast_res.serve_for(
-                t,
-                transfer_time(self.block, self.fast.write_bw, self.fast.write_latency),
-            );
-            let slow = self.slow_res.serve_for(
-                fast.end,
-                transfer_time(self.block, self.slow.write_bw, self.slow.write_latency),
-            );
+            let fast = self.fast_res.serve_for(t, self.fast.write_time(self.block));
+            let slow = self
+                .slow_res
+                .serve_for(fast.end, self.slow.write_time(self.block));
             first = first.or(Some(fast.start));
             t = slow.end;
         }

@@ -6,7 +6,7 @@
 //! `storage_type` in Listing 1), its capacity, and its first-order
 //! performance parameters (read/write bandwidth and per-operation latency).
 
-use northup_sim::SimDur;
+use northup_sim::{transfer_time, SimDur};
 use std::fmt;
 
 /// Physical technology of a memory/storage node.
@@ -137,6 +137,19 @@ impl DeviceSpec {
         self
     }
 
+    /// Time to read `len` bytes: the read latency plus `len` ÷ `read_bw`.
+    /// The one read price of the model: `Runtime`'s file reads, a chain's
+    /// root `Read` stage and [`CachedDevice`](crate::CachedDevice) call it.
+    pub fn read_time(&self, len: u64) -> SimDur {
+        transfer_time(len, self.read_bw, self.read_latency)
+    }
+
+    /// Time to write `len` bytes: the write latency plus `len` ÷
+    /// `write_bw` (`Runtime`'s file writes and `CachedDevice`).
+    pub fn write_time(&self, len: u64) -> SimDur {
+        transfer_time(len, self.write_bw, self.write_latency)
+    }
+
     /// Scale both bandwidths by `factor` (used for the variable-buffer-size
     /// effective-bandwidth degradation of CSR-Adaptive I/O, paper §V-B).
     pub fn scaled_bandwidth(mut self, factor: f64) -> Self {
@@ -165,6 +178,13 @@ impl LinkSpec {
             bandwidth,
             latency,
         }
+    }
+
+    /// Time to move `len` bytes over the link: its latency plus `len` ÷
+    /// `bandwidth`, in either direction. `Runtime`'s link moves and a
+    /// chain's `LinkDown` / `LinkUp` stages call it.
+    pub fn hop_time(&self, len: u64) -> SimDur {
+        transfer_time(len, self.bandwidth, self.latency)
     }
 }
 

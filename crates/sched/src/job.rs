@@ -191,6 +191,19 @@ impl JobWork {
             .compute(self.compute)
             .write(self.write_bytes)
     }
+
+    /// Crude service-time estimate of `chunks` chunks in nanoseconds:
+    /// compute time plus every byte at 1 ns (the modeled ~1 GiB/s). The
+    /// fleet router and the overload generator only compare or divide
+    /// these, so the scale factor cancels. Exact for any input.
+    pub fn service_estimate(&self, chunks: u32) -> u128 {
+        let per_chunk = u128::from(self.compute.0)
+            // analyze:allow(unit-consistency): deliberate: a byte is priced at 1 ns (the modeled ~1 GiB/s), which makes the sum the ns service-time estimate the router and the overload generator weigh against ns terms
+            + u128::from(self.read_bytes)
+            + u128::from(self.xfer_bytes)
+            + u128::from(self.write_bytes);
+        u128::from(chunks) * per_chunk
+    }
 }
 
 /// Everything the submitter declares about one job.
@@ -264,5 +277,25 @@ impl JobSpec {
     pub fn resume_from(mut self, chunks: u32) -> Self {
         self.start_chunk = chunks;
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn service_estimate_saturates_on_hostile_byte_counts() {
+        // A `JobSpec` may carry any u64 byte count: the estimate is exact
+        // in u128, so the overload generator's clamp to u64 saturates
+        // instead of overflowing.
+        let work = JobWork::new(2)
+            .read(u64::MAX - 1)
+            .xfer(1)
+            .compute(SimDur(1))
+            .write(1);
+        let est = work.service_estimate(work.chunks);
+        assert_eq!(est, 2 * (u128::from(u64::MAX) + 2));
+        assert_eq!(u64::try_from(est).unwrap_or(u64::MAX), u64::MAX);
     }
 }

@@ -1258,7 +1258,7 @@ impl JobScheduler {
             let h = st.hot[i];
             if matches!(h.state, JobState::Admitted | JobState::Running)
                 && h.chain != CHAIN_NONE
-                && chain_touches(st.chains.get(h.chain), node)
+                && st.chains.get(h.chain).nodes.contains(&node)
             {
                 st.hot[i].flags |= F_FAULT;
             }
@@ -2190,13 +2190,6 @@ fn path_fault_pressure(tree: &Tree, node_persistent: &[u32], leaf: NodeId) -> u6
             None => return pressure,
         }
     }
-}
-
-/// Whether any stage of `chain` is served by `node` (checked against
-/// the chain's precompiled run list — one comparison per failure
-/// domain instead of one per stage).
-fn chain_touches(chain: &ChunkChain, node: NodeId) -> bool {
-    chain.runs.iter().any(|r| r.node == node)
 }
 
 /// The child-of-root subtree containing `node` (the node itself when it
