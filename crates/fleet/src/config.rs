@@ -40,7 +40,8 @@ pub struct FleetConfig {
     /// Per-shard fault-plan overrides: shard `s` uses
     /// `shard_overrides[&s]` verbatim (no reseeding) instead of the
     /// reseeded template — how a chaos study scripts a guaranteed
-    /// quarantine on one shard while the rest stay clean.
+    /// quarantine on one shard while the rest stay clean. A key
+    /// ≥ `shards` makes `Fleet::new` fail with `FleetError::NoSuchShard`.
     pub shard_overrides: BTreeMap<usize, FaultPlan>,
 }
 

@@ -9,6 +9,9 @@ pub enum FleetError {
     NoShards,
     /// The shard tree has no leaf to place work on.
     NoLeaf,
+    /// `FleetConfig::shard_overrides` names a shard the fleet does not
+    /// have (an index ≥ `shards`).
+    NoSuchShard(usize),
     /// A shard's scheduler failed (propagated unchanged).
     Sched(SchedError),
 }
@@ -18,6 +21,7 @@ impl std::fmt::Display for FleetError {
         match self {
             FleetError::NoShards => write!(f, "fleet config declares zero shards"),
             FleetError::NoLeaf => write!(f, "shard tree has no leaf to place work on"),
+            FleetError::NoSuchShard(s) => write!(f, "fault override for missing shard {s}"),
             FleetError::Sched(e) => write!(f, "shard scheduler error: {e}"),
         }
     }

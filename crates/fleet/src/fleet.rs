@@ -7,7 +7,12 @@
 //!    of [`crate::router`] (gang-style all-or-nothing: the whole
 //!    reservation fits a single shard or the job is router-rejected).
 //! 2. **Run** every shard that received work — each a deterministic
-//!    virtual-time co-simulation with its own reseeded fault plan.
+//!    virtual-time co-simulation with its own reseeded fault plan. The
+//!    round's shards share nothing mutable, so they run side by side, one
+//!    worker per core; each worker distills its shard's `SchedReport`
+//!    into the [`ShardRun`] the fleet keeps and drops the report there.
+//!    Runs are applied in shard order, so neither the worker count nor
+//!    the timing can move a byte of the report.
 //! 3. **Migrate**: on shards that fenced a node, jobs that ended
 //!    `Failed` or `Rejected` move to an untroubled shard, resuming from
 //!    their chunk checkpoint (`JobSpec::resume_from`) after a modeled
@@ -26,11 +31,13 @@
 
 use crate::config::{link_transfer, FleetConfig, FleetJob};
 use crate::error::FleetError;
-use crate::report::{self, FleetReport, MigrationRecord};
+use crate::report::{self, FleetReport, MigrationRecord, ShardRun};
 use crate::router::{mix64, route, ShardView};
-use northup_sched::{JobScheduler, JobSpec, JobState, NodeBudgets, SchedReport};
+use northup_sched::{JobScheduler, JobState, NodeBudgets};
 use northup_sim::SimTime;
 use std::collections::BTreeSet;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Cross-shard migrations one job may make before its failure is final.
 const MAX_MIGRATIONS: u32 = 3;
@@ -39,20 +46,62 @@ const MAX_MIGRATIONS: u32 = 3;
 /// the replay; each round only re-runs shards that received migrants).
 const MAX_ROUNDS: u32 = 4;
 
-/// One entry of a shard's submission trace: the fleet-wide uid plus the
-/// shard-local spec (with `start_chunk` set for migrated remnants).
-#[derive(Debug, Clone)]
-pub(crate) struct TraceEntry {
-    pub uid: u64,
-    pub spec: JobSpec,
+/// One entry of a shard's submission trace: the fleet-wide uid, the
+/// chunk it resumes from (non-zero for migrated remnants) and its
+/// arrival on the shard. The shard-local spec is built at submit.
+#[derive(Debug, Clone, Copy)]
+struct TraceEntry {
+    uid: u64,
+    start_chunk: u32,
+    arrival: SimTime,
 }
 
-/// One stop on a job's migration path: which shard, and at which
-/// position in that shard's trace (= its shard-local `JobId`).
+/// One stop on a job's migration path: which shard, at which position
+/// in that shard's trace (= its shard-local `JobId`), and the job's
+/// stop before this one.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Placement {
     pub shard: usize,
     pub index: usize,
+    prev: Option<usize>,
+}
+
+/// Every job's migration path, flat: the stops in placement order, and
+/// per job the index of its latest stop (`None` until it is routed).
+#[derive(Debug)]
+pub(crate) struct Paths {
+    stops: Vec<Placement>,
+    last: Vec<Option<usize>>,
+}
+
+impl Paths {
+    fn new(jobs: usize) -> Self {
+        Paths {
+            stops: Vec::with_capacity(jobs),
+            last: vec![None; jobs],
+        }
+    }
+
+    fn push(&mut self, uid: usize, shard: usize, index: usize) {
+        let prev = self.last[uid];
+        self.last[uid] = Some(self.stops.len());
+        self.stops.push(Placement { shard, index, prev });
+    }
+
+    /// The job's latest stop; `None` for a job the router rejected.
+    pub(crate) fn last(&self, uid: usize) -> Option<Placement> {
+        self.last[uid].map(|i| self.stops[i])
+    }
+
+    /// Cross-shard migrations the job has made: its stops after the first.
+    pub(crate) fn migrations(&self, uid: usize) -> u32 {
+        self.stops(uid).skip(1).count() as u32
+    }
+
+    /// Every stop of the job, latest first.
+    pub(crate) fn stops(&self, uid: usize) -> impl Iterator<Item = Placement> + '_ {
+        std::iter::successors(self.last(uid), |p| p.prev.map(|i| self.stops[i]))
+    }
 }
 
 /// A job that must move: its latest shard failed or rejected it after a
@@ -78,14 +127,18 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// A fleet with no jobs yet. Fails on a zero-shard config or a tree
-    /// with no leaves.
+    /// A fleet with no jobs yet. Fails on a zero-shard config, a tree
+    /// with no leaves, or a fault override for a shard the fleet does
+    /// not have.
     pub fn new(cfg: FleetConfig) -> Result<Self, FleetError> {
         if cfg.shards == 0 {
             return Err(FleetError::NoShards);
         }
         if cfg.tree.leaves().next().is_none() {
             return Err(FleetError::NoLeaf);
+        }
+        if let Some(&s) = cfg.shard_overrides.keys().find(|&&s| s >= cfg.shards) {
+            return Err(FleetError::NoSuchShard(s));
         }
         Ok(Fleet {
             cfg,
@@ -112,68 +165,68 @@ impl Fleet {
 
     /// Route, run, migrate, settle; returns the fleet-wide report.
     pub fn run(self) -> Result<FleetReport, FleetError> {
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        self.run_with(workers)
+    }
+
+    /// [`Fleet::run`] with each round's shards spread over at most
+    /// `workers` threads. The report does not depend on `workers`.
+    fn run_with(self, workers: usize) -> Result<FleetReport, FleetError> {
         let (n, seed) = (self.cfg.shards, self.cfg.seed);
         let budgets = NodeBudgets::from_tree(&self.cfg.tree, 1.0);
+        let budget = budgets
+            .snapshot()
+            .iter()
+            .fold(0u64, |a, &b| a.saturating_add(b));
         let mut views = vec![ShardView::default(); n];
         let mut traces: Vec<Vec<TraceEntry>> = (0..n).map(|_| Vec::new()).collect();
-        let mut path: Vec<Vec<Placement>> = self.jobs.iter().map(|_| Vec::new()).collect();
-        let mut router_rejected = vec![false; self.jobs.len()];
-        let mut migrations_of = vec![0u32; self.jobs.len()];
+        let mut paths = Paths::new(self.jobs.len());
         let mut migrations: Vec<MigrationRecord> = Vec::new();
 
         // Initial routing, in uid order. The feasibility check is the
         // gang-style all-or-nothing reservation: shards are homogeneous,
         // so "fits no shard whole" is one comparison against the shared
-        // budget vector.
+        // budget vector. A job left without a stop is router-rejected.
         for (uid, job) in self.jobs.iter().enumerate() {
             if !budgets.feasible(&job.reservation) {
-                router_rejected[uid] = true;
                 continue;
             }
             let home = (job.home as usize).min(n - 1);
+            // `None` is unreachable while at least one shard is
+            // untroubled, but a closed fleet rejects rather than errors.
             let Some(s) = route(seed, uid as u64, home, job.input_bytes(), &views, None) else {
-                // Unreachable while at least one shard is untroubled,
-                // but a closed fleet rejects rather than errors.
-                router_rejected[uid] = true;
                 continue;
             };
             views[s].load_ns += job.work.service_estimate(job.work.chunks);
-            path[uid].push(Placement {
-                shard: s,
-                index: traces[s].len(),
-            });
+            paths.push(uid, s, traces[s].len());
             traces[s].push(TraceEntry {
                 uid: uid as u64,
-                spec: job.to_spec(),
+                start_chunk: 0,
+                arrival: job.arrival,
             });
         }
 
-        let mut reports: Vec<Option<SchedReport>> = (0..n).map(|_| None).collect();
+        let mut runs: Vec<Option<ShardRun>> = (0..n).map(|_| None).collect();
         let mut dirty: BTreeSet<usize> = (0..n).filter(|&s| !traces[s].is_empty()).collect();
         let mut rounds = 0u32;
 
         while !dirty.is_empty() {
             rounds += 1;
-            for &s in &dirty {
-                reports[s] = Some(self.run_shard(s, &traces[s])?);
-            }
-            dirty.clear();
-            for (s, view) in views.iter_mut().enumerate() {
-                if let Some(r) = &reports[s] {
-                    view.pressure = r
-                        .node_fault_pressure()
-                        .values()
-                        .map(|&v| u64::from(v))
-                        .sum();
-                    view.troubled = !r.quarantine_log.is_empty();
-                }
+            let round: Vec<usize> = std::mem::take(&mut dirty).into_iter().collect();
+            let done = run_round(&round, workers, |s| {
+                self.run_shard(s, &traces[s], &budgets, budget)
+            })?;
+            for (&s, run) in round.iter().zip(done) {
+                views[s].pressure = run.pressure;
+                views[s].troubled = run.summary.quarantines > 0;
+                runs[s] = Some(run);
             }
             if rounds > MAX_ROUNDS {
                 break;
             }
-            let candidates = self.find_candidates(&views, &traces, &path, &reports);
+            let candidates = find_candidates(&views, &traces, &paths, &runs);
             for c in candidates {
-                if migrations_of[c.uid as usize] >= MAX_MIGRATIONS {
+                if paths.migrations(c.uid as usize) >= MAX_MIGRATIONS {
                     continue;
                 }
                 let job = &self.jobs[c.uid as usize];
@@ -184,17 +237,13 @@ impl Fleet {
                     continue; // nowhere untroubled: the failure is final
                 };
                 let transfer = link_transfer(bytes);
-                let spec = job
-                    .to_spec()
-                    .resume_from(c.chunks_done)
-                    .arrival(c.at + transfer);
                 views[target].load_ns += job.work.service_estimate(remaining);
-                path[c.uid as usize].push(Placement {
-                    shard: target,
-                    index: traces[target].len(),
+                paths.push(c.uid as usize, target, traces[target].len());
+                traces[target].push(TraceEntry {
+                    uid: c.uid,
+                    start_chunk: c.chunks_done,
+                    arrival: c.at + transfer,
                 });
-                traces[target].push(TraceEntry { uid: c.uid, spec });
-                migrations_of[c.uid as usize] += 1;
                 migrations.push(MigrationRecord {
                     uid: c.uid,
                     from: c.from as u32,
@@ -210,63 +259,26 @@ impl Fleet {
 
         Ok(report::build(report::RunData {
             cfg: &self.cfg,
-            jobs: &self.jobs,
-            traces: &traces,
-            path: &path,
-            reports: &reports,
+            jobs: self.jobs,
+            paths: &paths,
+            runs: &runs,
             migrations,
-            router_rejected: &router_rejected,
-            migrations_of: &migrations_of,
-            budgets: &budgets,
+            budget,
             rounds,
         }))
     }
 
-    /// The migration set, in uid order: every job whose latest outcome on
-    /// a *troubled* shard (one that fenced a node) is `Failed` or
-    /// `Rejected`.
-    fn find_candidates(
+    /// One shard's deterministic co-simulation over its current trace,
+    /// distilled to what the fleet settles. The fault plan is the fleet
+    /// template reseeded per shard, so every shard draws an independent
+    /// stream from the one fleet seed.
+    fn run_shard(
         &self,
-        views: &[ShardView],
-        traces: &[Vec<TraceEntry>],
-        path: &[Vec<Placement>],
-        reports: &[Option<SchedReport>],
-    ) -> Vec<Candidate> {
-        let mut candidates = Vec::new();
-        for (s, view) in views.iter().enumerate() {
-            if !view.troubled {
-                continue;
-            }
-            let Some(report) = &reports[s] else {
-                continue;
-            };
-            for (idx, entry) in traces[s].iter().enumerate() {
-                let current = path[entry.uid as usize].last().map(|p| (p.shard, p.index));
-                if current != Some((s, idx)) {
-                    continue; // already moved on in an earlier round
-                }
-                let Some(out) = report.jobs.get(idx) else {
-                    continue;
-                };
-                if !matches!(out.state, JobState::Failed | JobState::Rejected) {
-                    continue;
-                }
-                candidates.push(Candidate {
-                    uid: entry.uid,
-                    from: s,
-                    chunks_done: out.chunks_done,
-                    at: out.finished_at.unwrap_or(out.arrival),
-                });
-            }
-        }
-        candidates.sort_by_key(|c| c.uid);
-        candidates
-    }
-
-    /// One shard's deterministic co-simulation over its current trace.
-    /// The fault plan is the fleet template reseeded per shard, so every
-    /// shard draws an independent stream from the one fleet seed.
-    fn run_shard(&self, s: usize, trace: &[TraceEntry]) -> Result<SchedReport, FleetError> {
+        s: usize,
+        trace: &[TraceEntry],
+        budgets: &NodeBudgets,
+        budget: u64,
+    ) -> Result<ShardRun, FleetError> {
         let mut cfg = self.cfg.sched.clone();
         cfg.fault_plan = match self.cfg.shard_overrides.get(&s) {
             Some(p) => Some(p.clone()),
@@ -276,10 +288,92 @@ impl Fleet {
         };
         let mut sched = JobScheduler::new(self.cfg.tree.clone(), cfg);
         for e in trace {
-            sched.submit(e.spec.clone());
+            let spec = self.jobs[e.uid as usize]
+                .to_spec()
+                .resume_from(e.start_chunk)
+                .arrival(e.arrival);
+            sched.submit(spec);
         }
-        Ok(sched.run()?)
+        Ok(ShardRun::distill(s, sched.run()?, budgets, budget))
     }
+}
+
+/// The migration set, in uid order: every job whose latest outcome on a
+/// *troubled* shard (one that fenced a node) is `Failed` or `Rejected`.
+fn find_candidates(
+    views: &[ShardView],
+    traces: &[Vec<TraceEntry>],
+    paths: &Paths,
+    runs: &[Option<ShardRun>],
+) -> Vec<Candidate> {
+    let mut candidates = Vec::new();
+    for (s, view) in views.iter().enumerate() {
+        if !view.troubled {
+            continue;
+        }
+        let Some(run) = &runs[s] else {
+            continue;
+        };
+        for (idx, entry) in traces[s].iter().enumerate() {
+            let current = paths.last(entry.uid as usize).map(|p| (p.shard, p.index));
+            if current != Some((s, idx)) {
+                continue; // already moved on in an earlier round
+            }
+            let Some(end) = run.jobs.get(idx) else {
+                continue;
+            };
+            if !matches!(end.state, JobState::Failed | JobState::Rejected) {
+                continue;
+            }
+            candidates.push(Candidate {
+                uid: entry.uid,
+                from: s,
+                chunks_done: end.chunks_done,
+                at: end.finished_at.unwrap_or(end.arrival),
+            });
+        }
+    }
+    candidates.sort_by_key(|c| c.uid);
+    candidates
+}
+
+/// Runs `shard` for every index of `dirty` (ascending) on up to
+/// `workers` threads, which claim indices in ascending order from one
+/// counter. Each result lands in its own slot and the slots are read in
+/// `dirty`'s order, so the results — and the error returned, the lowest
+/// failing shard's, the one a sequential loop stops at — do not depend on
+/// `workers` or on timing. A worker's panic is re-raised here.
+fn run_round<T: Send, E: Send>(
+    dirty: &[usize],
+    workers: usize,
+    shard: impl Fn(usize) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
+    let workers = workers.min(dirty.len()).max(1);
+    let (next, shard) = (&AtomicUsize::new(0), &shard);
+    let mut slots: Vec<(usize, Result<T, E>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut mine = Vec::new();
+                    loop {
+                        // Relaxed: the counter only hands out distinct
+                        // indices; results travel back through `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&s) = dirty.get(i) else {
+                            break mine;
+                        };
+                        mine.push((i, shard(s)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    slots.sort_unstable_by_key(|&(i, _)| i);
+    slots.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -318,6 +412,10 @@ mod tests {
 
     /// Ten jobs homed on a shard whose staging node dies early.
     fn chaos_run() -> FleetReport {
+        chaos_fleet().run().expect("fleet run")
+    }
+
+    fn chaos_fleet() -> Fleet {
         let mut cfg = FleetConfig::preset(3, 5);
         cfg.sched.quarantine_after = 2;
         cfg.sched.probation = false;
@@ -341,7 +439,28 @@ mod tests {
             // Everything homed on the doomed shard.
             fleet.submit(FleetJob::new(format!("j{i}"), res, work).home(0));
         }
-        fleet.run().expect("fleet run")
+        fleet
+    }
+
+    /// 2 400 light jobs over six shards; shard 0 fences its staging node
+    /// at its first two fault decisions, so its failures migrate and a
+    /// second round runs.
+    fn big_chaos_fleet() -> Fleet {
+        let mut cfg = FleetConfig::preset(6, 11);
+        cfg.sched.quarantine_after = 2;
+        cfg.sched.fault_aware_placement = false;
+        let staging = cfg.tree.children(cfg.tree.root())[0];
+        cfg.shard_overrides.insert(
+            0,
+            FaultPlan::new(11)
+                .script(staging, 0, FaultKind::Persistent)
+                .script(staging, 1, FaultKind::Persistent),
+        );
+        let mut fleet = Fleet::new(cfg.clone()).expect("6 shards");
+        for i in 0..2_400 {
+            fleet.submit(light_job(&cfg, i));
+        }
+        fleet
     }
 
     /// FNV-1a over the report's JSON bytes.
@@ -443,6 +562,62 @@ mod tests {
             JobState::Done
         );
         assert_eq!(report.router_rejected(), 1);
+    }
+
+    #[test]
+    fn reports_do_not_depend_on_the_worker_count() {
+        for (name, make) in [
+            ("chaos", chaos_fleet as fn() -> Fleet),
+            ("2.4k chaos", big_chaos_fleet),
+        ] {
+            let reports: Vec<FleetReport> = [1, 2, 4]
+                .into_iter()
+                .map(|w| make().run_with(w).expect("fleet run"))
+                .collect();
+            assert!(reports[0].rounds >= 2, "{name}: {}", reports[0].summary());
+            assert!(!reports[0].migrations.is_empty(), "{name} migrates");
+            for r in &reports[1..] {
+                assert_eq!(r.outcome_digest, reports[0].outcome_digest, "{name}");
+                assert_eq!(r.to_json(), reports[0].to_json(), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_round_returns_the_lowest_failing_shards_error() {
+        let dirty: Vec<usize> = (0..10).collect();
+        let fail_3_and_7 = |s: usize| if s == 3 || s == 7 { Err(s) } else { Ok(s) };
+        for workers in [1, 2, 4, 8] {
+            assert_eq!(
+                run_round(&dirty, workers, fail_3_and_7),
+                Err(3),
+                "{workers}"
+            );
+            assert_eq!(
+                run_round(&dirty, workers, |s| Ok::<_, ()>(s * 10)),
+                Ok((0..10).map(|s| s * 10).collect()),
+                "results come back in shard order at {workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 5 panicked")]
+    fn a_workers_panic_reaches_the_caller() {
+        let dirty: Vec<usize> = (0..8).collect();
+        let _ = run_round(&dirty, 4, |s| {
+            if s == 5 {
+                panic!("shard 5 panicked");
+            }
+            Ok::<_, ()>(s)
+        });
+    }
+
+    #[test]
+    fn an_override_for_a_missing_shard_is_refused() {
+        let mut cfg = FleetConfig::preset(2, 0);
+        cfg.shard_overrides.insert(2, FaultPlan::new(1));
+        assert!(matches!(Fleet::new(cfg), Err(FleetError::NoSuchShard(2))));
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   shard's budget vector or the router rejects it.
 //! * [`fleet`] — [`Fleet`]: instantiate N independent `JobScheduler`s
 //!   (each with budgets and a `FaultPlan` reseeded from the fleet
-//!   seed), run the routed traces, and **migrate** jobs off shards that
-//!   fence a node — resuming from their chunk checkpoints
+//!   seed), run each round's routed traces side by side (one worker per
+//!   core, results applied in shard order), and **migrate** jobs off
+//!   shards that fence a node — resuming from their chunk checkpoints
 //!   (`JobSpec::resume_from`) after a modeled inter-shard transfer —
 //!   over bounded re-run rounds.
 //! * [`report`] — [`FleetReport`]: per-job settlements with fleet-wide

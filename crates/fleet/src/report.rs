@@ -4,7 +4,7 @@
 //! determinism witness.
 
 use crate::config::{FleetConfig, FleetJob};
-use crate::fleet::{Placement, TraceEntry};
+use crate::fleet::Paths;
 use crate::router::mix64;
 use northup_sched::{
     percentile_sorted, JobState, NodeBudgets, Priority, RejectReason, SchedReport,
@@ -166,17 +166,129 @@ pub fn chunk_checksum(uid: u64, indices: impl IntoIterator<Item = u32>) -> u64 {
         .fold(0u64, |acc, i| acc.wrapping_add(mix64(salt ^ u64::from(i))))
 }
 
+/// One job's settlement on one shard: what the fleet reads of its
+/// `JobOutcome`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JobEnd {
+    pub state: JobState,
+    pub chunks_done: u32,
+    pub finished_at: Option<SimTime>,
+    pub arrival: SimTime,
+    pub reject_reason: Option<RejectReason>,
+}
+
+/// What the fleet keeps of one shard's run. It is distilled from the
+/// shard's `SchedReport` by the worker that ran the shard, and the
+/// report is dropped there.
+#[derive(Debug)]
+pub(crate) struct ShardRun {
+    /// The shard's summary; its migration counts are filled at settlement.
+    pub summary: ShardSummary,
+    /// Per trace position, the job's settlement on this shard.
+    pub jobs: Vec<JobEnd>,
+    /// Trace position `p`'s completed chunk indices, sorted, are
+    /// `chunk_idx[chunk_at[p]..chunk_at[p + 1]]`.
+    chunk_at: Vec<usize>,
+    chunk_idx: Vec<u32>,
+    /// Persistent faults the shard observed: the router's pressure term.
+    pub pressure: u64,
+}
+
+impl ShardRun {
+    /// Distill shard `shard`'s report; `budget` is Σ `budgets`.
+    pub(crate) fn distill(
+        shard: usize,
+        r: SchedReport,
+        budgets: &NodeBudgets,
+        budget: u64,
+    ) -> Self {
+        // Group the chunk log by job position with one counting pass, so
+        // each job's indices are one slice of a single array.
+        let mut chunk_at = vec![0usize; r.jobs.len() + 1];
+        for c in &r.chunk_log {
+            if let Some(n) = chunk_at.get_mut(c.job.0 as usize + 1) {
+                *n += 1;
+            }
+        }
+        for p in 1..chunk_at.len() {
+            chunk_at[p] += chunk_at[p - 1];
+        }
+        let mut fill = chunk_at.clone();
+        let mut chunk_idx = vec![0u32; chunk_at[r.jobs.len()]];
+        for c in &r.chunk_log {
+            if let Some(at) = fill.get_mut(c.job.0 as usize) {
+                chunk_idx[*at] = c.index;
+                *at += 1;
+            }
+        }
+        for w in chunk_at.windows(2) {
+            chunk_idx[w[0]..w[1]].sort_unstable();
+        }
+        let summary = ShardSummary {
+            shard: shard as u32,
+            jobs: r.jobs.len() as u64,
+            done: r.count(JobState::Done) as u64,
+            failed: r.count(JobState::Failed) as u64,
+            rejected: r.count(JobState::Rejected) as u64,
+            migrated_in: 0,
+            migrated_out: 0,
+            faults: r.fault_log.len() as u64,
+            quarantines: r.quarantine_log.len() as u64,
+            restores: r.restore_log.len() as u64,
+            events: r.events,
+            makespan: r.makespan,
+            peak: r
+                .max_committed
+                .iter()
+                .fold(0u64, |a, &b| a.saturating_add(b)),
+            budget,
+            capacity_ok: r
+                .max_committed_pairs()
+                .all(|(node, peak)| peak <= budgets.get(node)),
+            shed: r.shed_log.len() as u64,
+        };
+        ShardRun {
+            summary,
+            jobs: r
+                .jobs
+                .iter()
+                .map(|o| JobEnd {
+                    state: o.state,
+                    chunks_done: o.chunks_done,
+                    finished_at: o.finished_at,
+                    arrival: o.arrival,
+                    reject_reason: o.reject_reason,
+                })
+                .collect(),
+            chunk_at,
+            chunk_idx,
+            pressure: r
+                .node_fault_pressure()
+                .values()
+                .map(|&v| u64::from(v))
+                .sum(),
+        }
+    }
+
+    /// Completed chunk indices of trace position `pos`, ascending.
+    pub(crate) fn chunks(&self, pos: usize) -> &[u32] {
+        match (self.chunk_at.get(pos), self.chunk_at.get(pos + 1)) {
+            (Some(&a), Some(&b)) => &self.chunk_idx[a..b],
+            _ => &[],
+        }
+    }
+}
+
 /// The run state [`build`] settles into a [`FleetReport`].
 pub(crate) struct RunData<'a> {
     pub cfg: &'a FleetConfig,
-    pub jobs: &'a [FleetJob],
-    pub traces: &'a [Vec<TraceEntry>],
-    pub path: &'a [Vec<Placement>],
-    pub reports: &'a [Option<SchedReport>],
+    /// The submitted jobs; their names move into the outcomes.
+    pub jobs: Vec<FleetJob>,
+    pub paths: &'a Paths,
+    pub runs: &'a [Option<ShardRun>],
     pub migrations: Vec<MigrationRecord>,
-    pub router_rejected: &'a [bool],
-    pub migrations_of: &'a [u32],
-    pub budgets: &'a NodeBudgets,
+    /// Σ one shard's node budgets.
+    pub budget: u64,
     pub rounds: u32,
 }
 
@@ -195,28 +307,17 @@ fn state_code(state: JobState) -> u64 {
 
 pub(crate) fn build(data: RunData) -> FleetReport {
     let n = data.cfg.shards;
-
-    // Per-shard chunk indices by shard-local job position, one pass over
-    // each chunk log (uids at 100k scale forbid per-job rescans).
-    let mut chunks_by_pos: Vec<Vec<Vec<u32>>> = (0..n).map(|_| Vec::new()).collect();
-    for (slot, report) in chunks_by_pos.iter_mut().zip(data.reports.iter()) {
-        if let Some(r) = report {
-            let mut by_pos: Vec<Vec<u32>> = vec![Vec::new(); r.jobs.len()];
-            for c in &r.chunk_log {
-                if let Some(v) = by_pos.get_mut(c.job.0 as usize) {
-                    v.push(c.index);
-                }
-            }
-            *slot = by_pos;
-        }
-    }
-
-    let mut outcomes = Vec::with_capacity(data.jobs.len());
-    for (uid, job) in data.jobs.iter().enumerate() {
-        if data.router_rejected[uid] {
+    let mut jobs = data.jobs;
+    let mut outcomes = Vec::with_capacity(jobs.len());
+    // A migrated job's chunk indices, gathered from every shard it
+    // visited; a job that ran on one shard is checked in place.
+    let mut gathered: Vec<u32> = Vec::new();
+    for (uid, job) in jobs.iter_mut().enumerate() {
+        let name = std::mem::take(&mut job.name);
+        let Some(last) = data.paths.last(uid) else {
             outcomes.push(FleetJobOutcome {
                 uid: uid as u64,
-                name: job.name.clone(),
+                name,
                 state: JobState::Rejected,
                 router_rejected: true,
                 shard: job.home.min(n.saturating_sub(1) as u32),
@@ -228,31 +329,31 @@ pub(crate) fn build(data: RunData) -> FleetReport {
                 reject_reason: Some(RejectReason::Infeasible),
             });
             continue;
-        }
-        let locs = &data.path[uid];
-        let (state, chunks_done, finished_at, shard, reject_reason) = match locs.last() {
-            Some(last) => match data.reports[last.shard]
-                .as_ref()
-                .and_then(|r| r.jobs.get(last.index))
-            {
-                Some(out) => (
-                    out.state,
-                    out.chunks_done,
-                    out.finished_at,
-                    last.shard,
-                    out.reject_reason,
-                ),
-                None => (JobState::Rejected, 0, None, last.shard, None),
-            },
-            None => (JobState::Rejected, 0, None, 0, None),
         };
-        let mut indices: Vec<u32> = Vec::new();
-        for p in locs {
-            if let Some(v) = chunks_by_pos[p.shard].get(p.index) {
-                indices.extend_from_slice(v);
+        let run = data.runs[last.shard].as_ref();
+        let (state, chunks_done, finished_at, reject_reason) =
+            match run.and_then(|r| r.jobs.get(last.index)) {
+                Some(end) => (
+                    end.state,
+                    end.chunks_done,
+                    end.finished_at,
+                    end.reject_reason,
+                ),
+                None => (JobState::Rejected, 0, None, None),
+            };
+        let migrations = data.paths.migrations(uid);
+        let indices: &[u32] = if migrations > 0 {
+            gathered.clear();
+            for p in data.paths.stops(uid) {
+                if let Some(r) = &data.runs[p.shard] {
+                    gathered.extend_from_slice(r.chunks(p.index));
+                }
             }
-        }
-        indices.sort_unstable();
+            gathered.sort_unstable();
+            &gathered
+        } else {
+            run.map_or(&[], |r| r.chunks(last.index))
+        };
         let exactly_once = indices.len() == chunks_done as usize
             && indices
                 .iter()
@@ -264,11 +365,11 @@ pub(crate) fn build(data: RunData) -> FleetReport {
         };
         outcomes.push(FleetJobOutcome {
             uid: uid as u64,
-            name: job.name.clone(),
+            name,
             state,
             router_rejected: false,
-            shard: shard as u32,
-            migrations: data.migrations_of[uid],
+            shard: last.shard as u32,
+            migrations,
             chunks_done,
             checksum: chunk_checksum(uid as u64, indices.iter().copied()),
             exactly_once,
@@ -277,67 +378,36 @@ pub(crate) fn build(data: RunData) -> FleetReport {
         });
     }
 
-    // Per-shard summaries from the final (frozen) reports.
-    let budget_total: u64 = data
-        .budgets
-        .snapshot()
-        .iter()
-        .fold(0u64, |a, &b| a.saturating_add(b));
+    // Per-shard summaries from the final (frozen) runs.
     let mut shards = Vec::with_capacity(n);
     for s in 0..n {
-        let migrated_in = data.migrations.iter().filter(|m| m.to == s as u32).count() as u64;
-        let migrated_out = data
-            .migrations
-            .iter()
-            .filter(|m| m.from == s as u32)
-            .count() as u64;
-        let summary = match &data.reports[s] {
-            Some(r) => {
-                let peak = r
-                    .max_committed
-                    .iter()
-                    .fold(0u64, |a, &b| a.saturating_add(b));
-                let capacity_ok = r
-                    .max_committed_pairs()
-                    .all(|(node, peak)| peak <= data.budgets.get(node));
-                ShardSummary {
-                    shard: s as u32,
-                    jobs: data.traces[s].len() as u64,
-                    done: r.count(JobState::Done) as u64,
-                    failed: r.count(JobState::Failed) as u64,
-                    rejected: r.count(JobState::Rejected) as u64,
-                    migrated_in,
-                    migrated_out,
-                    faults: r.fault_log.len() as u64,
-                    quarantines: r.quarantine_log.len() as u64,
-                    restores: r.restore_log.len() as u64,
-                    events: r.events,
-                    makespan: r.makespan,
-                    peak,
-                    budget: budget_total,
-                    capacity_ok,
-                    shed: r.shed_log.len() as u64,
-                }
-            }
+        let mut summary = match &data.runs[s] {
+            Some(r) => r.summary.clone(),
             None => ShardSummary {
                 shard: s as u32,
                 jobs: 0,
                 done: 0,
                 failed: 0,
                 rejected: 0,
-                migrated_in,
-                migrated_out,
+                migrated_in: 0,
+                migrated_out: 0,
                 faults: 0,
                 quarantines: 0,
                 restores: 0,
                 events: 0,
                 makespan: SimDur::ZERO,
                 peak: 0,
-                budget: budget_total,
+                budget: data.budget,
                 capacity_ok: true,
                 shed: 0,
             },
         };
+        summary.migrated_in = data.migrations.iter().filter(|m| m.to == s as u32).count() as u64;
+        summary.migrated_out = data
+            .migrations
+            .iter()
+            .filter(|m| m.from == s as u32)
+            .count() as u64;
         shards.push(summary);
     }
 
@@ -346,7 +416,7 @@ pub(crate) fn build(data: RunData) -> FleetReport {
     for class in Priority::ALL {
         let mut lats: Vec<SimDur> = outcomes
             .iter()
-            .filter(|o| data.jobs[o.uid as usize].priority == class)
+            .filter(|o| jobs[o.uid as usize].priority == class)
             .filter_map(|o| o.latency)
             .collect();
         if lats.is_empty() {
@@ -362,7 +432,7 @@ pub(crate) fn build(data: RunData) -> FleetReport {
     }
 
     let capacity_ok = shards.iter().all(|s| s.capacity_ok);
-    let fleet_budget = budget_total.saturating_mul(n as u64);
+    let fleet_budget = data.budget.saturating_mul(n as u64);
     let fleet_peak = shards.iter().fold(0u64, |a, s| a.saturating_add(s.peak));
     let makespan = shards
         .iter()
