@@ -1,9 +1,12 @@
 //! Work-stealing thread pool built on the Chase–Lev deque.
 //!
 //! This is the real-execution counterpart of the virtual-time worker
-//! simulation in `northup-sim`: in-memory baselines and Northup leaf
-//! computation run their kernels on this pool, so the lock-free stealing
-//! path is exercised for real, not just modeled.
+//! simulation in `northup-sim`: Real-mode service jobs run their chunk
+//! chains on this pool (`run_chain`, on lanes side by side) and the
+//! runtime's `RealFabric` checksums staged bytes with `par_for`, so the
+//! lock-free stealing path is exercised for real, not just modeled. The
+//! leaf kernels' row bands do not use it: they go through
+//! [`fan_out`](crate::fan_out), whose helpers live for one call.
 //!
 //! Design: each worker thread owns a [`deque::Worker`]; tasks spawned from a
 //! worker go to its local deque (bottom), idle workers steal from victims'

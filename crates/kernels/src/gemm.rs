@@ -5,15 +5,19 @@
 //! per-compute-unit local memory with a 16x16 blocking. Our real kernels:
 //!
 //! * [`matmul_naive`] — the textbook triple loop, the correctness oracle;
-//! * [`matmul_tiled`] — the single-threaded leaf kernel: packed panels
-//!   under a register-blocked micro-kernel (structurally the LDS-tiled GPU
-//!   kernel, with registers for the LDS), bit-identical to the oracle.
+//! * [`matmul_tiled`] — the leaf kernel: packed panels under a
+//!   register-blocked micro-kernel (structurally the LDS-tiled GPU kernel,
+//!   with registers for the LDS), its rows of `C` split into bands over
+//!   every core as the GPU kernel's work-groups spread over compute units,
+//!   bit-identical to the oracle at any worker count.
 //!
 //! All compute `C += A * B` so the out-of-core accumulation over k-shards
 //! ("first computing partial results ... then accumulate the partial sums",
 //! §IV-A) uses the same kernels.
 
 use crate::dense::DenseMatrix;
+use northup_exec::fan_out;
+use std::ops::Range;
 
 /// Leaf tile edge, matching the paper's 16x16 GPU local-memory blocking.
 pub const LEAF_TILE: usize = 16;
@@ -44,9 +48,11 @@ pub fn matmul_naive(a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix) {
 /// row panel of `A` and one packed column panel of `B` stream past it.
 const MR: usize = 4;
 const NR: usize = 8;
-/// Depth of one packed k panel: a `KC x NR` micro-panel of `B` (8 KiB)
-/// stays in L1 while the packed `A` panel streams past it.
+/// Depth of one packed k panel: a band's packed `A` rows (16 KiB) and a
+/// `KC x NR` micro-panel of `B` (8 KiB) fit in L1 together.
 const KC: usize = 256;
+/// Rows of `C` in one band: a few `MR` blocks.
+const BAND_ROWS: usize = 4 * MR;
 
 /// `c += a * b`: BLIS-style packed panels under a register-blocked
 /// `MR x NR` micro-kernel. The accumulator block is loaded from `C`, k
@@ -54,6 +60,12 @@ const KC: usize = 256;
 /// followed by one add, so each element of `C` receives exactly the
 /// operations of [`matmul_naive`]'s loop in the same order: the result is
 /// bit-identical to the plain ikj loop this replaced.
+///
+/// Each k panel of `B` is packed once and shared read-only; the rows of
+/// `C` are cut into bands of `4 * MR` rows, each packing its own rows of
+/// `A`, that the caller and one helper per spare core claim in turn. A
+/// band only reorders which elements of `C` are computed when, so the
+/// bits do not depend on the worker count.
 ///
 /// `tile` does not affect the result (it never did: tiling reorders
 /// independent elements, not the sum of one) and no longer affects the
@@ -64,30 +76,71 @@ const KC: usize = 256;
 pub fn matmul_tiled(a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix, tile: usize) {
     check_dims(a, b, c);
     assert!(tile > 0, "tile must be positive");
+    matmul_on(crate::workers(), a, b, c);
+}
+
+/// [`matmul_tiled`] with its bands spread over at most `workers` threads.
+fn matmul_on(workers: usize, a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix) {
     let (m, k, n) = (a.rows, a.cols, b.cols);
+    if n == 0 {
+        return;
+    }
     let mut a_pack = vec![0.0f32; m.next_multiple_of(MR) * KC.min(k)];
     let mut b_pack = vec![0.0f32; n.next_multiple_of(NR) * KC.min(k)];
 
     for pc in (0..k).step_by(KC) {
         let kb = KC.min(k - pc);
-        pack_a(a, pc, kb, &mut a_pack);
         pack_b(b, pc, kb, &mut b_pack);
-        for jr in (0..n).step_by(NR) {
-            let b_panel = &b_pack[jr * kb..][..kb * NR];
-            let jb = NR.min(n - jr);
-            for ir in (0..m).step_by(MR) {
-                let a_panel = &a_pack[ir * kb..][..kb * MR];
-                let ib = MR.min(m - ir);
-                // Load the C block; an edge block's padding lanes start
-                // at zero and are never stored.
-                let mut acc = [[0.0f32; NR]; MR];
-                for (ii, row) in acc.iter_mut().enumerate().take(ib) {
-                    row[..jb].copy_from_slice(&c.data[(ir + ii) * n + jr..][..jb]);
-                }
-                micro_kernel(a_panel, b_panel, &mut acc);
-                for (ii, row) in acc.iter().enumerate().take(ib) {
-                    c.data[(ir + ii) * n + jr..][..jb].copy_from_slice(&row[..jb]);
-                }
+        let b_pack = &b_pack[..];
+        let workers = if m * n * kb < crate::INLINE_BELOW {
+            1
+        } else {
+            workers
+        };
+        let bands: Vec<_> = c
+            .data
+            .chunks_mut(BAND_ROWS * n)
+            .zip(a_pack.chunks_mut(BAND_ROWS * kb))
+            .enumerate()
+            .collect();
+        fan_out(workers, bands, |(i, (c_band, a_band))| {
+            let r0 = i * BAND_ROWS;
+            let rows = r0..r0 + c_band.len() / n;
+            band_kernel(a, rows, pc, kb, b_pack, c_band, a_band);
+        });
+    }
+}
+
+/// `c_band += a[rows, pc..pc+kb] * b[pc..pc+kb, ..]`, where `c_band` holds
+/// rows `rows` of `C`, `b_pack` is the k panel packed by [`pack_b`] and
+/// `a_pack` is this band's room for its rows of `A`.
+fn band_kernel(
+    a: &DenseMatrix,
+    rows: Range<usize>,
+    pc: usize,
+    kb: usize,
+    b_pack: &[f32],
+    c_band: &mut [f32],
+    a_pack: &mut [f32],
+) {
+    let n = c_band.len() / rows.len();
+    pack_a(a, rows.clone(), pc, kb, a_pack);
+    let rows = rows.len();
+    for jr in (0..n).step_by(NR) {
+        let b_panel = &b_pack[jr * kb..][..kb * NR];
+        let jb = NR.min(n - jr);
+        for ir in (0..rows).step_by(MR) {
+            let a_panel = &a_pack[ir * kb..][..kb * MR];
+            let ib = MR.min(rows - ir);
+            // Load the C block; an edge block's padding lanes start
+            // at zero and are never stored.
+            let mut acc = [[0.0f32; NR]; MR];
+            for (ii, row) in acc.iter_mut().enumerate().take(ib) {
+                row[..jb].copy_from_slice(&c_band[(ir + ii) * n + jr..][..jb]);
+            }
+            micro_kernel(a_panel, b_panel, &mut acc);
+            for (ii, row) in acc.iter().enumerate().take(ib) {
+                c_band[(ir + ii) * n + jr..][..jb].copy_from_slice(&row[..jb]);
             }
         }
     }
@@ -108,15 +161,15 @@ fn pack_b(b: &DenseMatrix, pc: usize, kb: usize, out: &mut [f32]) {
     }
 }
 
-/// Pack columns `pc..pc+kb` of `A` into `MR`-tall row micro-panels: panel
-/// `ir / MR` is `kb` columns of `MR` contiguous values, zero-padded past
-/// the last row.
-fn pack_a(a: &DenseMatrix, pc: usize, kb: usize, out: &mut [f32]) {
-    for ir in (0..a.rows).step_by(MR) {
+/// Pack rows `rows` and columns `pc..pc+kb` of `A` into `MR`-tall row
+/// micro-panels: panel `ir / MR` is `kb` columns of `MR` contiguous values,
+/// zero-padded past the last row.
+fn pack_a(a: &DenseMatrix, rows: Range<usize>, pc: usize, kb: usize, out: &mut [f32]) {
+    for ir in (0..rows.len()).step_by(MR) {
         let panel = &mut out[ir * kb..][..kb * MR];
         panel.fill(0.0);
-        for ii in 0..MR.min(a.rows - ir) {
-            let src = &a.data[(ir + ii) * a.cols + pc..][..kb];
+        for ii in 0..MR.min(rows.len() - ir) {
+            let src = &a.data[(rows.start + ir + ii) * a.cols + pc..][..kb];
             for (dst, &v) in panel[ii..].iter_mut().step_by(MR).zip(src) {
                 *dst = v;
             }
@@ -239,6 +292,32 @@ mod tests {
             tile in 1usize..70,
         ) {
             assert_bit_identical(m, k, n, tile);
+        }
+    }
+
+    /// Worker counts the split kernels are held to: one (bands run
+    /// inline), two, and more workers than cores or bands.
+    const WORKERS: [usize; 5] = [1, 2, 3, 4, 7];
+
+    #[test]
+    fn bands_are_bit_identical_to_naive_at_any_worker_count() {
+        // The leaf's shape, one off the MR/NR grid and the k panel, and
+        // one whose rows fit in a single band; all above INLINE_BELOW.
+        for &(m, k, n) in &[
+            (256usize, 1024usize, 256usize),
+            (130, 600, 200),
+            (9, 600, 200),
+        ] {
+            assert!(m * n * KC.min(k) >= crate::INLINE_BELOW);
+            let (a, b) = mats(m, k, n);
+            let c0 = DenseMatrix::random(m, n, 3);
+            let mut naive = c0.clone();
+            matmul_naive(&a, &b, &mut naive);
+            for workers in WORKERS {
+                let mut got = c0.clone();
+                matmul_on(workers, &a, &b, &mut got);
+                assert_eq!(bits(&got), bits(&naive), "({m},{k},{n}) {workers} workers");
+            }
         }
     }
 

@@ -20,9 +20,22 @@
 //! bytes for `steps`-fold fewer passes over storage, which is exactly the
 //! compute/IO ratio knob the paper's out-of-core HotSpot configuration
 //! tunes with its blocking sizes.
+//!
+//! The same argument one level down splits a large block over the host's
+//! cores: [`step_halo_block`] cuts its core into row bands of at least
+//! `BAND_ROWS` rows, and each band re-extracts its own `steps`-wide halo
+//! from the block and runs the serial trapezoid — a little redundant halo
+//! work, no barrier between steps. The full-grid reference splits the
+//! rows of each step's output instead.
 
 use crate::dense::DenseMatrix;
+use northup_exec::fan_out;
 use std::ops::Range;
+
+/// Fewest rows in a band of a split stencil. A halo block is only split
+/// when every band is at least `steps` rows tall, so each interior band
+/// edge carries a full `steps`-wide halo.
+const BAND_ROWS: usize = 128;
 
 /// Physical constants of the HotSpot model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,7 +99,8 @@ fn update_cell(
 }
 
 /// Update the cells `ys x xs` of a `cols`-wide grid from `cur` into `next`,
-/// a row at a time. Columns with both horizontal neighbors run over plain
+/// which holds rows `ys` of the grid (row `ys.start` first), a row at a
+/// time. Columns with both horizontal neighbors run over plain
 /// north / centre / south row slices with no branch in the loop (on the
 /// grid's first and last row the clamped neighbor row is the centre row
 /// itself); the grid's edge columns go through [`update_cell`].
@@ -104,8 +118,9 @@ fn step_region(
     let (xa, xb) = (xs.start.max(1), xs.end.min(cols.saturating_sub(1)));
     let west_edge = xs.contains(&0);
     let east_edge = cols > 1 && xs.contains(&(cols - 1));
-    for y in ys {
+    for y in ys.clone() {
         let row = y * cols;
+        let out = (y - ys.start) * cols;
         if xa < xb {
             let len = xb - xa;
             let north = &cur[if y > 0 { row - cols } else { row } + xa..][..len];
@@ -113,46 +128,70 @@ fn step_region(
             // [west, centre, east] of every cell, sliding along the row.
             let centre = cur[row + xa - 1..][..len + 2].windows(3);
             let p = &power[row + xa..][..len];
-            let out = &mut next[row + xa..][..len];
+            let dst = &mut next[out + xa..][..len];
             for ((((o, wce), &n), &s), &p) in
-                out.iter_mut().zip(centre).zip(north).zip(south).zip(p)
+                dst.iter_mut().zip(centre).zip(north).zip(south).zip(p)
             {
                 *o = update(wce[1], wce[0], wce[2], n, s, p, prm);
             }
         }
         if west_edge {
-            next[row] = update_cell(cur, power, cols, rows, 0, y, prm);
+            next[out] = update_cell(cur, power, cols, rows, 0, y, prm);
         }
         if east_edge {
-            next[row + cols - 1] = update_cell(cur, power, cols, rows, cols - 1, y, prm);
+            next[out + cols - 1] = update_cell(cur, power, cols, rows, cols - 1, y, prm);
         }
     }
 }
 
-/// One step of the whole grid `cur` into `next`.
-fn step_grid(cur: &DenseMatrix, power: &DenseMatrix, next: &mut DenseMatrix, prm: &HotSpotParams) {
+/// One step of the whole grid `cur` into `next`, the rows of `next` cut
+/// into bands of `BAND_ROWS` spread over at most `workers` threads.
+fn step_grid(
+    workers: usize,
+    cur: &DenseMatrix,
+    power: &DenseMatrix,
+    next: &mut DenseMatrix,
+    prm: &HotSpotParams,
+) {
     assert_eq!((cur.rows, cur.cols), (power.rows, power.cols));
-    let (ys, xs) = (0..cur.rows, 0..cur.cols);
-    step_region(
-        &cur.data,
-        &power.data,
-        &mut next.data,
-        cur.cols,
-        ys,
-        xs,
-        prm,
-    );
+    let cols = cur.cols;
+    if next.data.is_empty() {
+        return;
+    }
+    let workers = if next.data.len() < crate::INLINE_BELOW {
+        1
+    } else {
+        workers
+    };
+    let bands: Vec<_> = next.data.chunks_mut(BAND_ROWS * cols).enumerate().collect();
+    fan_out(workers, bands, |(i, band)| {
+        let y0 = i * BAND_ROWS;
+        let ys = y0..y0 + band.len() / cols;
+        step_region(&cur.data, &power.data, band, cols, ys, 0..cols, prm);
+    });
 }
 
 /// One full-grid step (the correctness oracle).
 pub fn step_reference(temp: &DenseMatrix, power: &DenseMatrix, prm: &HotSpotParams) -> DenseMatrix {
     let mut out = DenseMatrix::zeros(temp.rows, temp.cols);
-    step_grid(temp, power, &mut out, prm);
+    step_grid(crate::workers(), temp, power, &mut out, prm);
     out
 }
 
-/// `steps` full-grid steps, ping-ponging between two grids.
+/// `steps` full-grid steps, ping-ponging between two grids; each step's
+/// rows are split over every core.
 pub fn multi_step_reference(
+    temp: &DenseMatrix,
+    power: &DenseMatrix,
+    steps: usize,
+    prm: &HotSpotParams,
+) -> DenseMatrix {
+    multi_step_on(crate::workers(), temp, power, steps, prm)
+}
+
+/// [`multi_step_reference`] on at most `workers` threads.
+fn multi_step_on(
+    workers: usize,
     temp: &DenseMatrix,
     power: &DenseMatrix,
     steps: usize,
@@ -161,7 +200,7 @@ pub fn multi_step_reference(
     let mut cur = temp.clone();
     let mut next = DenseMatrix::zeros(temp.rows, temp.cols);
     for _ in 0..steps {
-        step_grid(&cur, power, &mut next, prm);
+        step_grid(workers, &cur, power, &mut next, prm);
         std::mem::swap(&mut cur, &mut next);
     }
     cur
@@ -225,14 +264,65 @@ pub fn extract_halo_block(
 /// with halo; sides without halo are true global boundaries where the
 /// clamped update *is* the correct boundary condition. Requires
 /// `steps <= halo` on every non-boundary side (checked).
+///
+/// A core of at least two `BAND_ROWS` bands (each at least `steps` rows)
+/// is split: every band extracts its own `steps`-wide halo from `block`
+/// and advances it alone, on the caller or a helper thread. A band's core
+/// cells see the same inputs through the same updates, so the result is
+/// bit-identical to one trapezoid over the whole block.
 pub fn step_halo_block(block: &HaloBlock, steps: usize, prm: &HotSpotParams) -> DenseMatrix {
-    let [n, s, w, e] = block.halo;
     for (side, &have) in ["north", "south", "west", "east"].iter().zip(&block.halo) {
         assert!(
             have == 0 || have >= steps,
             "{side} halo {have} < steps {steps}"
         );
     }
+    step_halo_block_on(crate::workers(), block, steps, prm)
+}
+
+/// [`step_halo_block`] with its bands spread over at most `workers`
+/// threads (halos already checked).
+fn step_halo_block_on(
+    workers: usize,
+    block: &HaloBlock,
+    steps: usize,
+    prm: &HotSpotParams,
+) -> DenseMatrix {
+    let (h, w) = block.core_size;
+    let bands = h / BAND_ROWS;
+    if bands < 2 || steps > BAND_ROWS || h * w * steps < crate::INLINE_BELOW {
+        return trapezoid(block, steps, prm);
+    }
+    let [north, _, west, _] = block.halo;
+    let mut core = DenseMatrix::zeros(h, w);
+    // Near-equal bands, each at least BAND_ROWS (so at least `steps`) rows.
+    let mut rest = &mut core.data[..];
+    let mut items = Vec::with_capacity(bands);
+    for i in 0..bands {
+        let ys = i * h / bands..(i + 1) * h / bands;
+        let (band, tail) = std::mem::take(&mut rest).split_at_mut(ys.len() * w);
+        items.push((ys, band));
+        rest = tail;
+    }
+    fan_out(workers, items, |(ys, band)| {
+        let sub = extract_halo_block(
+            &block.temp,
+            &block.power,
+            north + ys.start,
+            west,
+            ys.len(),
+            w,
+            steps,
+        );
+        band.copy_from_slice(&trapezoid(&sub, steps, prm).data);
+    });
+    core
+}
+
+/// `steps` shrinking steps over the whole of `block` on the calling
+/// thread; returns the core.
+fn trapezoid(block: &HaloBlock, steps: usize, prm: &HotSpotParams) -> DenseMatrix {
+    let [n, s, w, e] = block.halo;
     let rows = block.temp.rows;
     let cols = block.temp.cols;
     let mut cur = block.temp.data.clone();
@@ -254,7 +344,7 @@ pub fn step_halo_block(block: &HaloBlock, steps: usize, prm: &HotSpotParams) -> 
         step_region(
             &cur,
             &block.power.data,
-            &mut next,
+            &mut next[y0 * cols..y1 * cols],
             cols,
             y0..y1,
             x0..x1,
@@ -345,7 +435,8 @@ mod tests {
         let mut got = DenseMatrix::from_fn(rows, cols, |r, c| -((r * cols + c) as f32));
         let mut want = got.clone();
         let (gy, gx) = (ys.clone(), xs.clone());
-        step_region(&temp.data, &power.data, &mut got.data, cols, gy, gx, &prm);
+        let band = &mut got.data[ys.start * cols..ys.end * cols];
+        step_region(&temp.data, &power.data, band, cols, gy, gx, &prm);
         region_per_cell(&temp, &power, &mut want, ys.clone(), xs.clone(), &prm);
         assert_eq!(bits(&got), bits(&want), "{rows}x{cols} {ys:?} x {xs:?}");
     }
@@ -420,6 +511,65 @@ mod tests {
                     "halo {:?} steps {steps}",
                     hb.halo
                 );
+            }
+        }
+    }
+
+    /// Worker counts the split kernels are held to: one (bands run
+    /// inline), two, and more workers than cores or bands.
+    const WORKERS: [usize; 5] = [1, 2, 3, 4, 7];
+
+    #[test]
+    fn split_reference_is_bit_identical_at_any_worker_count() {
+        // Nine bands of rows, the last one short.
+        let (rows, cols, steps) = (1100usize, 1100usize, 8usize);
+        let (temp, power, prm) = grids(rows, cols);
+        let mut want = temp.clone();
+        for _ in 0..steps {
+            let mut next = DenseMatrix::zeros(rows, cols);
+            step_region(
+                &want.data,
+                &power.data,
+                &mut next.data,
+                cols,
+                0..rows,
+                0..cols,
+                &prm,
+            );
+            want = next;
+        }
+        for workers in WORKERS {
+            let got = multi_step_on(workers, &temp, &power, steps, &prm);
+            assert_eq!(bits(&got), bits(&want), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn split_halo_block_is_bit_identical_for_every_halo_combination() {
+        // A 512-row core is four bands; every subset of sides has a halo,
+        // and a halo wider than the steps taken is cut to `steps` per band.
+        let (core, halo) = (512usize, 8usize);
+        for sides in 0..16usize {
+            let [north, south, west, east] = [0, 1, 2, 3].map(|s| sides >> s & 1 == 1);
+            let margin = |present: bool| if present { halo } else { 0 };
+            let (r0, c0) = (margin(north), margin(west));
+            let (temp, power, prm) = grids(r0 + core + margin(south), c0 + core + margin(east));
+            let hb = extract_halo_block(&temp, &power, r0, c0, core, core, halo);
+            let step_counts: &[usize] = if sides == 15 { &[3, halo] } else { &[halo] };
+            for &steps in step_counts {
+                let serial = trapezoid(&hb, steps, &prm);
+                let reference = multi_step_reference(&temp, &power, steps, &prm);
+                let want = reference.extract_block(r0, c0, core, core);
+                assert_eq!(bits(&serial), bits(&want), "halo {:?}", hb.halo);
+                for workers in WORKERS {
+                    let got = step_halo_block_on(workers, &hb, steps, &prm);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&serial),
+                        "halo {:?} steps {steps} {workers} workers",
+                        hb.halo
+                    );
+                }
             }
         }
     }
