@@ -90,3 +90,8 @@ pub use queues::WorkQueues;
 pub use runtime::{ExecMode, RunReport, Runtime, SetupCosts};
 pub use topology::{Node, NodeId, ProcKind, ProcessorDesc, TopologyError, Tree, TreeBuilder};
 pub use transform::{Transform, TRANSFORM_BW};
+
+/// The executor every real thread runs on, re-exported for the crates
+/// that reach it only through the runtime (`fleet` splits its rounds
+/// with [`exec::fan_out`]).
+pub use northup_exec as exec;

@@ -1,5 +1,5 @@
-//! Fan a list of independent items out over the calling thread and a few
-//! scoped helper threads.
+//! Fan a list of independent items out over the calling thread and the
+//! process-wide pool's helpers.
 //!
 //! The items go into one Chase–Lev [`deque`](crate::deque) in order, and
 //! every participant — the caller included — steals from its top, so the
@@ -9,16 +9,19 @@
 //! moves into the call that claims it, so an item can be a `&mut` slice
 //! of a shared output and no lock guards the output.
 
-use crate::deque::{deque, Stealer};
-use std::panic::resume_unwind;
+use crate::deque::deque;
+use crate::pool::shared;
 
 /// Run `f` on every item, on the calling thread and up to `workers - 1`
-/// helper threads that claim items in order from one queue, and return
-/// the results in item order.
+/// tasks on the process-wide pool that claim items in order from one
+/// queue, and return the results in item order.
 ///
 /// With zero or one item, or `workers <= 1`, everything runs inline on
-/// the caller and no thread starts. A panic in `f` reaches the caller
-/// with its original payload (after every helper has stopped).
+/// the caller and the pool is not started. A panic in `f` reaches the
+/// caller with its original payload (after every task has stopped). The
+/// caller may itself be a pool task, of this pool or another: while it
+/// waits it runs the pool's queued tasks (another caller's too), so a
+/// nested call cannot deadlock.
 pub fn fan_out<T: Send, R: Send>(
     workers: usize,
     items: Vec<T>,
@@ -37,23 +40,23 @@ pub fn fan_out<T: Send, R: Send>(
         .filter_map(|(i, item)| owner.push((i, item)).err())
         .map(|(i, item)| (i, f(item)))
         .collect();
-    let claim = |queue: &Stealer<(usize, T)>| {
+    let claim = || {
         let mut mine = Vec::new();
         while let Some((i, item)) = queue.steal_until_settled() {
             mine.push((i, f(item)));
         }
         mine
     };
-    std::thread::scope(|scope| {
-        let (queue, claim) = (&queue, &claim);
-        let handles: Vec<_> = (0..helpers)
-            .map(|_| scope.spawn(move || claim(queue)))
-            .collect();
-        done.extend(claim(queue));
-        for handle in handles {
-            done.extend(handle.join().unwrap_or_else(|p| resume_unwind(p)));
+    // One result slot per task, moved into it: no lock guards the results.
+    let mut theirs: Vec<Vec<(usize, R)>> = (0..helpers).map(|_| Vec::new()).collect();
+    shared().scope(|scope| {
+        let claim = &claim;
+        for slot in &mut theirs {
+            scope.spawn(move || *slot = claim());
         }
+        done.extend(claim());
     });
+    done.extend(theirs.into_iter().flatten());
     done.sort_unstable_by_key(|&(i, _)| i);
     done.into_iter().map(|(_, r)| r).collect()
 }
@@ -62,10 +65,20 @@ pub fn fan_out<T: Send, R: Send>(
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
     use std::thread::ThreadId;
+
+    /// A caller waiting on the shared pool runs whatever task it finds
+    /// queued there, another caller's included; the tests that split take
+    /// turns so that each sees only its own items' threads.
+    fn alone() -> MutexGuard<'static, ()> {
+        static SPLITS: Mutex<()> = Mutex::new(());
+        SPLITS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn results_come_back_in_item_order() {
+        let _alone = alone();
         for workers in [1usize, 2, 3, 4, 7] {
             let items: Vec<u64> = (0..100).collect();
             let got = fan_out(workers, items, |i| {
@@ -80,6 +93,7 @@ mod tests {
 
     #[test]
     fn each_band_slice_moves_into_its_call() {
+        let _alone = alone();
         let mut out = vec![0u32; 1000];
         let bands: Vec<(usize, &mut [u32])> = out.chunks_mut(64).enumerate().collect();
         let lens = fan_out(4, bands, |(b, band)| {
@@ -95,6 +109,7 @@ mod tests {
 
     #[test]
     fn a_panic_reaches_the_caller_with_its_payload() {
+        let _alone = alone();
         for workers in [2usize, 3, 7] {
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 fan_out(workers, (0..32).collect(), |i: usize| {
@@ -110,6 +125,68 @@ mod tests {
                 Some("item 17 exploded")
             );
         }
+    }
+
+    #[test]
+    fn every_item_runs_on_the_caller_or_a_pool_worker() {
+        let _alone = alone();
+        let caller = std::thread::current().id();
+        for workers in [2usize, 3, 7] {
+            let on = fan_out(workers, (0..64).collect(), |i: u64| {
+                std::hint::black_box((0..(i % 5) * 2000).sum::<u64>());
+                let t = std::thread::current();
+                (t.id(), t.name().map(str::to_owned))
+            });
+            for (id, name) in on {
+                let pooled = name
+                    .as_deref()
+                    .is_some_and(|n| n.starts_with("northup-worker-"));
+                assert!(id == caller || pooled, "{workers} workers: ran on {name:?}");
+            }
+        }
+    }
+
+    /// Runs `f` on its own thread and fails if it has not returned within
+    /// a generous bound: a deadlocked split fails instead of hanging.
+    fn within_bound<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the nested split returned")
+    }
+
+    /// A band split of a few hundred items, as a kernel makes it.
+    fn band_split(seed: u64) -> Vec<u64> {
+        fan_out(4, (0..300).collect(), move |i: u64| i * 3 + seed)
+    }
+
+    #[test]
+    fn a_split_inside_a_lane_task_does_not_deadlock() {
+        let _alone = alone();
+        let got = within_bound(|| {
+            let lanes = crate::ThreadPool::new(2);
+            let mut out = vec![Vec::new(); 4];
+            lanes.scope(|s| {
+                for (lane, slot) in out.iter_mut().enumerate() {
+                    s.spawn(move || *slot = band_split(lane as u64));
+                }
+            });
+            out
+        });
+        for (lane, bands) in got.iter().enumerate() {
+            assert_eq!(bands, &band_split(lane as u64), "lane {lane}");
+            assert_eq!(bands.len(), 300);
+        }
+    }
+
+    #[test]
+    fn a_split_inside_a_shared_pool_task_does_not_deadlock() {
+        let _alone = alone();
+        let got = within_bound(|| fan_out(3, (0..6).collect(), band_split));
+        let want: Vec<Vec<u64>> = (0..6)
+            .map(|seed| (0..300).map(|i| i * 3 + seed).collect())
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

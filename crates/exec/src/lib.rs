@@ -7,11 +7,11 @@
 //! * [`deque`](mod@deque) — a bounded Chase–Lev deque: one owner pushes/pops at the
 //!   tail, thieves steal at the head with a CAS, exactly the head/tail
 //!   discipline of the paper's Fig. 10.
-//! * [`pool`] — a work-stealing thread pool built on those deques, which
-//!   runs Real-mode service jobs side by side on lanes and the runtime's
-//!   chunk checksums.
-//! * [`fan_out`] — the leaf kernels' row bands: the caller and one scoped
-//!   helper per spare core claim items in order from one deque.
+//! * [`pool`] — a work-stealing thread pool built on those deques. One
+//!   process-wide instance, started lazily and sized by [`workers`], runs
+//!   every split; Real-mode service lanes run on a pool of their own.
+//! * [`fan_out`] — the leaf kernels' row bands and the fleet's shards: the
+//!   caller and the process-wide pool's helpers claim items in order.
 //! * [`chain`] — chunk-chain execution hooks: [`CancelToken`] and
 //!   [`ThreadPool::run_chain`], the chunk-boundary cancellation
 //!   discipline real-thread fabrics use for chunk-granular preemption.
@@ -30,4 +30,4 @@ pub mod pool;
 pub use chain::{CancelToken, ChainRunStats};
 pub use deque::{deque, Steal, Stealer, Worker};
 pub use fan::fan_out;
-pub use pool::{Scope, ThreadPool};
+pub use pool::{workers, Scope, ThreadPool};

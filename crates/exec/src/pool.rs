@@ -1,12 +1,14 @@
 //! Work-stealing thread pool built on the Chase–Lev deque.
 //!
 //! This is the real-execution counterpart of the virtual-time worker
-//! simulation in `northup-sim`: Real-mode service jobs run their chunk
-//! chains on this pool (`run_chain`, on lanes side by side) and the
-//! runtime's `RealFabric` checksums staged bytes with `par_for`, so the
-//! lock-free stealing path is exercised for real, not just modeled. The
-//! leaf kernels' row bands do not use it: they go through
-//! [`fan_out`](crate::fan_out), whose helpers live for one call.
+//! simulation in `northup-sim`, and every real thread the product starts
+//! is one of its workers. One process-wide pool, started by the first
+//! [`fan_out`](crate::fan_out) that needs a helper, runs the leaf
+//! kernels' row bands and the fleet's shards. Real-mode service jobs run
+//! their chunk chains on a pool of their own (`run_chain`, on lanes side
+//! by side), sized by the caller, whose lanes block on file I/O a split
+//! must not wait behind; the runtime's `RealFabric` checksums staged
+//! bytes on it with `par_for`.
 //!
 //! Design: each worker thread owns a [`deque::Worker`]; tasks spawned from a
 //! worker go to its local deque (bottom), idle workers steal from victims'
@@ -20,9 +22,10 @@ use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -145,11 +148,6 @@ impl ThreadPool {
         self.threads
     }
 
-    /// Submit a detached task.
-    pub fn spawn(&self, f: impl FnOnce() + Send + 'static) {
-        self.submit(Box::new(f));
-    }
-
     fn submit(&self, job: Job) {
         // If called from one of this pool's workers, push to its local deque
         // (the fast path the Chase-Lev design exists for).
@@ -190,28 +188,14 @@ impl ThreadPool {
             state: Arc::clone(&state),
             _env: PhantomData,
         };
-        let result = f(&scope);
+        // A panicking `f` still waits: the tasks it spawned may borrow `'env`.
+        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
         scope.wait();
+        let result = result.unwrap_or_else(|payload| resume_unwind(payload));
         if let Some(payload) = state.panic.lock().take() {
             resume_unwind(payload);
         }
         result
-    }
-
-    /// Run two closures potentially in parallel, returning both results.
-    pub fn join<RA: Send, RB: Send>(
-        &self,
-        a: impl FnOnce() -> RA + Send,
-        b: impl FnOnce() -> RB + Send,
-    ) -> (RA, RB) {
-        let mut ra = None;
-        let mut rb = None;
-        self.scope(|s| {
-            s.spawn(|| ra = Some(a()));
-            rb = Some(b());
-        });
-        // analyze:allow(panic-paths): scope() joins both closures before returning, so both Options are always Some
-        (ra.expect("task a completed"), rb.expect("task b ran"))
     }
 
     /// Parallel loop over `0..n` in chunks of `grain`, calling
@@ -246,6 +230,23 @@ impl Drop for ThreadPool {
             let _ = h.join();
         }
     }
+}
+
+/// The threads a split runs on: the caller plus one helper per spare
+/// core (the process-wide pool's size plus one, on a host with more than
+/// one core). Read once; the host's core count does not change.
+pub fn workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// The process-wide pool: `workers() - 1` helpers (at least one, for a
+/// caller that asks for more workers than there are cores), started by
+/// the first call that needs a helper, so a process that never splits
+/// starts no thread.
+pub(crate) fn shared() -> &'static ThreadPool {
+    static SHARED: OnceLock<ThreadPool> = OnceLock::new();
+    SHARED.get_or_init(|| ThreadPool::new(workers() - 1))
 }
 
 struct ScopeState {
@@ -352,33 +353,6 @@ mod tests {
     use std::sync::atomic::AtomicU32;
 
     #[test]
-    fn spawn_runs_detached_tasks() {
-        let pool = ThreadPool::new(4);
-        let counter = Arc::new(AtomicU32::new(0));
-        for _ in 0..100 {
-            let c = Arc::clone(&counter);
-            pool.spawn(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        // Scope flush: an empty scope waits for nothing, so use a scoped task
-        // barrier instead.
-        pool.scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {});
-            }
-        });
-        // Detached tasks have no completion guarantee at this point; poll.
-        for _ in 0..1000 {
-            if counter.load(Ordering::Relaxed) == 100 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
     fn scope_borrows_environment() {
         let pool = ThreadPool::new(4);
         let mut data = vec![0u32; 64];
@@ -438,14 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_results() {
-        let pool = ThreadPool::new(3);
-        let (a, b) = pool.join(|| 6 * 7, || "hi".to_string());
-        assert_eq!(a, 42);
-        assert_eq!(b, "hi");
-    }
-
-    #[test]
     fn par_for_covers_range_exactly_once() {
         let pool = ThreadPool::new(4);
         let hits: Vec<AtomicU32> = (0..1000).map(|_| AtomicU32::new(0)).collect();
@@ -481,6 +447,24 @@ mod tests {
             });
         });
         assert_eq!(c.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_panicking_scope_body_still_waits_for_its_tasks() {
+        let pool = ThreadPool::new(2);
+        let done = AtomicU32::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.scope(|s| {
+                s.spawn(|| {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    done.fetch_add(1, Ordering::Relaxed);
+                });
+                panic!("scope body exploded");
+            })
+        }));
+        let payload = result.expect_err("the body's panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"scope body exploded"));
+        assert_eq!(done.load(Ordering::Relaxed), 1, "the task finished first");
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //!    reservation fits a single shard or the job is router-rejected).
 //! 2. **Run** every shard that received work — each a deterministic
 //!    virtual-time co-simulation with its own reseeded fault plan. The
-//!    round's shards share nothing mutable, so they run side by side, one
-//!    worker per core; each worker distills its shard's `SchedReport`
-//!    into the [`ShardRun`] the fleet keeps and drops the report there.
-//!    Runs are applied in shard order, so neither the worker count nor
-//!    the timing can move a byte of the report.
+//!    round's shards share nothing mutable, so they run side by side on
+//!    the caller and the process-wide pool's helpers (`exec::fan_out`);
+//!    each shard's `SchedReport` is distilled into the `ShardRun` the
+//!    fleet keeps and dropped there. Runs are applied in shard order, so
+//!    neither the worker count nor the timing can move a byte of the
+//!    report.
 //! 3. **Migrate**: on shards that fenced a node, jobs that ended
 //!    `Failed` or `Rejected` move to an untroubled shard, resuming from
 //!    their chunk checkpoint (`JobSpec::resume_from`) after a modeled
@@ -33,11 +34,10 @@ use crate::config::{link_transfer, FleetConfig, FleetJob};
 use crate::error::FleetError;
 use crate::report::{self, FleetReport, MigrationRecord, ShardRun};
 use crate::router::{mix64, route, ShardView};
+use northup::exec::{fan_out, workers};
 use northup_sched::{JobScheduler, JobState, NodeBudgets};
 use northup_sim::SimTime;
 use std::collections::BTreeSet;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Cross-shard migrations one job may make before its failure is final.
 const MAX_MIGRATIONS: u32 = 3;
@@ -165,12 +165,13 @@ impl Fleet {
 
     /// Route, run, migrate, settle; returns the fleet-wide report.
     pub fn run(self) -> Result<FleetReport, FleetError> {
-        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        self.run_with(workers)
+        self.run_with(workers())
     }
 
     /// [`Fleet::run`] with each round's shards spread over at most
-    /// `workers` threads. The report does not depend on `workers`.
+    /// `workers` threads. The report does not depend on `workers`: the
+    /// runs come back in shard order, and a failing round returns its
+    /// lowest failing shard's error, the one a sequential loop stops at.
     fn run_with(self, workers: usize) -> Result<FleetReport, FleetError> {
         let (n, seed) = (self.cfg.shards, self.cfg.seed);
         let budgets = NodeBudgets::from_tree(&self.cfg.tree, 1.0);
@@ -213,10 +214,13 @@ impl Fleet {
         while !dirty.is_empty() {
             rounds += 1;
             let round: Vec<usize> = std::mem::take(&mut dirty).into_iter().collect();
-            let done = run_round(&round, workers, |s| {
+            let done = fan_out(workers, round, |s| {
                 self.run_shard(s, &traces[s], &budgets, budget)
-            })?;
-            for (&s, run) in round.iter().zip(done) {
+                    .map(|run| (s, run))
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+            for (s, run) in done {
                 views[s].pressure = run.pressure;
                 views[s].troubled = run.summary.quarantines > 0;
                 runs[s] = Some(run);
@@ -335,45 +339,6 @@ fn find_candidates(
     }
     candidates.sort_by_key(|c| c.uid);
     candidates
-}
-
-/// Runs `shard` for every index of `dirty` (ascending) on up to
-/// `workers` threads, which claim indices in ascending order from one
-/// counter. Each result lands in its own slot and the slots are read in
-/// `dirty`'s order, so the results — and the error returned, the lowest
-/// failing shard's, the one a sequential loop stops at — do not depend on
-/// `workers` or on timing. A worker's panic is re-raised here.
-fn run_round<T: Send, E: Send>(
-    dirty: &[usize],
-    workers: usize,
-    shard: impl Fn(usize) -> Result<T, E> + Sync,
-) -> Result<Vec<T>, E> {
-    let workers = workers.min(dirty.len()).max(1);
-    let (next, shard) = (&AtomicUsize::new(0), &shard);
-    let mut slots: Vec<(usize, Result<T, E>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    loop {
-                        // Relaxed: the counter only hands out distinct
-                        // indices; results travel back through `join`.
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&s) = dirty.get(i) else {
-                            break mine;
-                        };
-                        mine.push((i, shard(s)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    slots.sort_unstable_by_key(|&(i, _)| i);
-    slots.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -583,18 +548,26 @@ mod tests {
         }
     }
 
+    /// A round as `run_with` runs it: fan the shards out, collect in
+    /// shard order.
+    fn round<T: Send, E: Send>(
+        dirty: &[usize],
+        workers: usize,
+        shard: impl Fn(usize) -> Result<T, E> + Sync,
+    ) -> Result<Vec<T>, E> {
+        fan_out(workers, dirty.to_vec(), shard)
+            .into_iter()
+            .collect()
+    }
+
     #[test]
     fn a_round_returns_the_lowest_failing_shards_error() {
         let dirty: Vec<usize> = (0..10).collect();
         let fail_3_and_7 = |s: usize| if s == 3 || s == 7 { Err(s) } else { Ok(s) };
         for workers in [1, 2, 4, 8] {
+            assert_eq!(round(&dirty, workers, fail_3_and_7), Err(3), "{workers}");
             assert_eq!(
-                run_round(&dirty, workers, fail_3_and_7),
-                Err(3),
-                "{workers}"
-            );
-            assert_eq!(
-                run_round(&dirty, workers, |s| Ok::<_, ()>(s * 10)),
+                round(&dirty, workers, |s| Ok::<_, ()>(s * 10)),
                 Ok((0..10).map(|s| s * 10).collect()),
                 "results come back in shard order at {workers} workers"
             );
@@ -605,12 +578,19 @@ mod tests {
     #[should_panic(expected = "shard 5 panicked")]
     fn a_workers_panic_reaches_the_caller() {
         let dirty: Vec<usize> = (0..8).collect();
-        let _ = run_round(&dirty, 4, |s| {
+        let shard = |s: usize| {
             if s == 5 {
                 panic!("shard 5 panicked");
             }
             Ok::<_, ()>(s)
-        });
+        };
+        for workers in [1, 2, 4] {
+            let caught = std::panic::catch_unwind(|| round(&dirty, workers, shard));
+            let payload = caught.expect_err("the panic propagates");
+            let msg = payload.downcast_ref::<&str>();
+            assert_eq!(msg, Some(&"shard 5 panicked"), "{workers}");
+        }
+        let _ = round(&dirty, 8, shard);
     }
 
     #[test]

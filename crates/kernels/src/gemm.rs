@@ -16,7 +16,7 @@
 //! §IV-A) uses the same kernels.
 
 use crate::dense::DenseMatrix;
-use northup_exec::fan_out;
+use northup_exec::{fan_out, workers};
 use std::ops::Range;
 
 /// Leaf tile edge, matching the paper's 16x16 GPU local-memory blocking.
@@ -76,7 +76,7 @@ const BAND_ROWS: usize = 4 * MR;
 pub fn matmul_tiled(a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix, tile: usize) {
     check_dims(a, b, c);
     assert!(tile > 0, "tile must be positive");
-    matmul_on(crate::workers(), a, b, c);
+    matmul_on(workers(), a, b, c);
 }
 
 /// [`matmul_tiled`] with its bands spread over at most `workers` threads.

@@ -14,11 +14,11 @@
 //!   border vectors to width > 1).
 //!
 //! GEMM and both stencil drivers split their rows into bands that the
-//! caller and one helper per spare core claim in turn
-//! ([`northup_exec::fan_out`]), as the paper's leaves spread over a GPU's
-//! compute units. Every cell is the same expression in the same order
-//! whichever thread runs its band, so the results are bit-identical at
-//! any worker count; shapes below 64 Ki cell updates or multiply-adds
+//! caller and the process-wide pool's helpers, one per spare core, claim
+//! in turn ([`northup_exec::fan_out`]), as the paper's leaves spread over
+//! a GPU's compute units. Every cell is the same expression in the same
+//! order whichever thread runs its band, so the results are bit-identical
+//! at any worker count; shapes below 64 Ki cell updates or multiply-adds
 //! stay on the caller.
 //! * [`spmv`] — CSR-Stream (fused, one pass per entry) / CSR-Vector /
 //!   CSR-VectorL kernels dispatched by the CSR-Adaptive binning (§IV-C),
@@ -29,9 +29,6 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-
-use std::num::NonZeroUsize;
-use std::sync::OnceLock;
 
 pub mod dense;
 pub mod gemm;
@@ -49,12 +46,6 @@ pub use stencil::{
 };
 
 /// Cell updates or multiply-adds of one split below which a kernel runs
-/// inline on the caller: a helper thread costs more than it saves there.
+/// inline on the caller: waking a pool helper and handing it a band costs
+/// more than it saves there.
 const INLINE_BELOW: usize = 1 << 16;
-
-/// The threads a split kernel's bands run on: the caller plus one helper
-/// per spare core. Read once; the host's core count does not change.
-fn workers() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
-}

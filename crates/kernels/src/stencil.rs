@@ -29,7 +29,7 @@
 //! rows of each step's output instead.
 
 use crate::dense::DenseMatrix;
-use northup_exec::fan_out;
+use northup_exec::{fan_out, workers};
 use std::ops::Range;
 
 /// Fewest rows in a band of a split stencil. A halo block is only split
@@ -174,7 +174,7 @@ fn step_grid(
 /// One full-grid step (the correctness oracle).
 pub fn step_reference(temp: &DenseMatrix, power: &DenseMatrix, prm: &HotSpotParams) -> DenseMatrix {
     let mut out = DenseMatrix::zeros(temp.rows, temp.cols);
-    step_grid(crate::workers(), temp, power, &mut out, prm);
+    step_grid(workers(), temp, power, &mut out, prm);
     out
 }
 
@@ -186,7 +186,7 @@ pub fn multi_step_reference(
     steps: usize,
     prm: &HotSpotParams,
 ) -> DenseMatrix {
-    multi_step_on(crate::workers(), temp, power, steps, prm)
+    multi_step_on(workers(), temp, power, steps, prm)
 }
 
 /// [`multi_step_reference`] on at most `workers` threads.
@@ -277,7 +277,7 @@ pub fn step_halo_block(block: &HaloBlock, steps: usize, prm: &HotSpotParams) -> 
             "{side} halo {have} < steps {steps}"
         );
     }
-    step_halo_block_on(crate::workers(), block, steps, prm)
+    step_halo_block_on(workers(), block, steps, prm)
 }
 
 /// [`step_halo_block`] with its bands spread over at most `workers`
