@@ -4,11 +4,12 @@
 //! A tile is loaded *with its borders* — the paper packs the non-contiguous
 //! east/west borders into compact vectors; we generalize the border width to
 //! the temporal-blocking depth `steps_per_pass` and move the whole halo
-//! rectangle with a strided transfer (row-granular I/O, one charged op).
+//! rectangle with a strided transfer (one charged op; one read per row).
 //! The leaf kernel advances `steps_per_pass` time steps per load (trapezoid
 //! temporal blocking, exact — see `northup_kernels::stencil`), then the core
-//! region is written to the output file. Input and output files ping-pong
-//! across passes.
+//! region is written back to the output file row by row; the file backend
+//! holds rows shorter than a page, so a row of tiles lands as one
+//! contiguous band. Input and output files ping-pong across passes.
 
 use crate::calibration::{model_for, HOTSPOT_STEPS_PER_PASS};
 use crate::host::{read_matrix, when_real};
@@ -560,6 +561,40 @@ mod tests {
         for run in runs {
             let bits = run.checksum.unwrap().to_bits();
             assert_eq!(bits, CHECKSUM_BITS, "{}: {bits:#018x}", run.name);
+        }
+    }
+
+    /// Core rows shorter than a page reach the file as whole bands: on a
+    /// 256² grid in 64-blocks (256 B rows), each pass's 1 024 row writes
+    /// land as one write syscall, so the run makes the two input writes
+    /// and one per pass. Counted from the OS's per-thread tally, where it
+    /// keeps one.
+    #[test]
+    fn sub_page_core_rows_land_as_one_write_per_pass() {
+        const CHECKSUM_BITS: u64 = 0x4155_d4bd_e685_8000;
+        let syscw = || {
+            let io = std::fs::read_to_string("/proc/thread-self/io").ok()?;
+            let line = io.lines().find_map(|l| l.strip_prefix("syscw:"))?;
+            line.trim().parse::<u64>().ok()
+        };
+        let cfg = HotspotConfig {
+            n: 256,
+            block: 64,
+            steps_per_pass: 4,
+            passes: 2,
+            ring: 2,
+            seed: 1,
+        };
+        let tree = northup::presets::apu_two_level(catalog::ssd_hyperx_predator());
+        let rt = Runtime::new(tree, ExecMode::Real).unwrap();
+        let before = syscw();
+        let run = hotspot_northup_on(&rt, &cfg).unwrap();
+        let after = syscw();
+        assert_eq!(run.verified, Some(true));
+        let bits = run.checksum.unwrap().to_bits();
+        assert_eq!(bits, CHECKSUM_BITS, "{bits:#018x}");
+        if let (Some(before), Some(after)) = (before, after) {
+            assert_eq!(after - before, 2 + cfg.passes as u64);
         }
     }
 

@@ -310,6 +310,10 @@ impl Runtime {
     /// sub-blocks of row-major matrices (HotSpot halo regions, GEMM column
     /// shards). Charged as one transfer of `rows * row_len` bytes — the
     /// paper's border *packing* keeps the device-visible I/O contiguous.
+    /// Real mode moves each run with one backend read and one write; a
+    /// file backend holds runs shorter than a page and lands each
+    /// contiguous stretch as one write, so core rows written back tile by
+    /// tile reach the device as bands.
     #[allow(clippy::too_many_arguments)]
     pub fn move_data_strided(
         &self,
