@@ -9,7 +9,11 @@
 //!   register-blocked micro-kernel (structurally the LDS-tiled GPU kernel,
 //!   with registers for the LDS), its rows of `C` split into bands over
 //!   every core as the GPU kernel's work-groups spread over compute units,
-//!   bit-identical to the oracle at any worker count.
+//!   bit-identical to the oracle at any worker count. On x86-64 a band runs
+//!   through an AVX2 build of the same code when the CPU has AVX2 (checked
+//!   at run time), and through the baseline build otherwise; AVX2 widens
+//!   the vectors but keeps each product one multiply and one add (no FMA),
+//!   so the bits match too.
 //!
 //! All compute `C += A * B` so the out-of-core accumulation over k-shards
 //! ("first computing partial results ... then accumulate the partial sums",
@@ -44,8 +48,9 @@ pub fn matmul_naive(a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix) {
 }
 
 /// Micro-kernel geometry: an `MR x NR` block of `C` is held in registers
-/// (eight 4-lane vectors on the baseline x86-64 target) while one packed
-/// row panel of `A` and one packed column panel of `B` stream past it.
+/// (four 8-lane vectors in the AVX2 build, eight 4-lane vectors in the
+/// baseline x86-64 build) while one packed row panel of `A` and one packed
+/// column panel of `B` stream past it.
 const MR: usize = 4;
 const NR: usize = 8;
 /// Depth of one packed k panel: a band's packed `A` rows (16 KiB) and a
@@ -76,11 +81,34 @@ const BAND_ROWS: usize = 4 * MR;
 pub fn matmul_tiled(a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix, tile: usize) {
     check_dims(a, b, c);
     assert!(tile > 0, "tile must be positive");
-    matmul_on(workers(), a, b, c);
+    matmul_on(Isa::host(), workers(), a, b, c);
 }
 
-/// [`matmul_tiled`] with its bands spread over at most `workers` threads.
-fn matmul_on(workers: usize, a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix) {
+/// The build of [`band_kernel`] that runs a band.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Isa {
+    /// Compiled for the build's target: SSE2 on baseline x86-64.
+    Portable,
+    /// Compiled with AVX2 enabled, never FMA: a product stays one multiply
+    /// followed by one add. Runs the portable build on a CPU without AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    /// The widest build this CPU runs.
+    fn host() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Portable
+    }
+}
+
+/// [`matmul_tiled`] with its bands run by the `isa` build and spread over
+/// at most `workers` threads.
+fn matmul_on(isa: Isa, workers: usize, a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix) {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     if n == 0 {
         return;
@@ -106,14 +134,56 @@ fn matmul_on(workers: usize, a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatr
         fan_out(workers, bands, |(i, (c_band, a_band))| {
             let r0 = i * BAND_ROWS;
             let rows = r0..r0 + c_band.len() / n;
-            band_kernel(a, rows, pc, kb, b_pack, c_band, a_band);
+            run_band(isa, a, rows, pc, kb, b_pack, c_band, a_band);
         });
+    }
+}
+
+/// [`band_kernel`] through the `isa` build.
+#[allow(unsafe_code)]
+#[allow(clippy::too_many_arguments)]
+fn run_band(
+    isa: Isa,
+    a: &DenseMatrix,
+    rows: Range<usize>,
+    pc: usize,
+    kb: usize,
+    b_pack: &[f32],
+    c_band: &mut [f32],
+    a_pack: &mut [f32],
+) {
+    /// [`band_kernel`] compiled with AVX2; it inlines everything it calls,
+    /// so the whole band runs on 8-lane vectors.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn band_kernel_avx2(
+        a: &DenseMatrix,
+        rows: Range<usize>,
+        pc: usize,
+        kb: usize,
+        b_pack: &[f32],
+        c_band: &mut [f32],
+        a_pack: &mut [f32],
+    ) {
+        band_kernel(a, rows, pc, kb, b_pack, c_band, a_pack);
+    }
+
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
+            // SAFETY: `band_kernel_avx2` needs AVX2, which
+            // `is_x86_feature_detected!("avx2")` has just found on this CPU.
+            unsafe { band_kernel_avx2(a, rows, pc, kb, b_pack, c_band, a_pack) }
+        }
+        _ => band_kernel(a, rows, pc, kb, b_pack, c_band, a_pack),
     }
 }
 
 /// `c_band += a[rows, pc..pc+kb] * b[pc..pc+kb, ..]`, where `c_band` holds
 /// rows `rows` of `C`, `b_pack` is the k panel packed by [`pack_b`] and
-/// `a_pack` is this band's room for its rows of `A`.
+/// `a_pack` is this band's room for its rows of `A`. Inlined, with all it
+/// calls, into each build [`run_band`] picks from.
+#[inline(always)]
 fn band_kernel(
     a: &DenseMatrix,
     rows: Range<usize>,
@@ -164,6 +234,7 @@ fn pack_b(b: &DenseMatrix, pc: usize, kb: usize, out: &mut [f32]) {
 /// Pack rows `rows` and columns `pc..pc+kb` of `A` into `MR`-tall row
 /// micro-panels: panel `ir / MR` is `kb` columns of `MR` contiguous values,
 /// zero-padded past the last row.
+#[inline(always)]
 fn pack_a(a: &DenseMatrix, rows: Range<usize>, pc: usize, kb: usize, out: &mut [f32]) {
     for ir in (0..rows.len()).step_by(MR) {
         let panel = &mut out[ir * kb..][..kb * MR];
@@ -179,7 +250,7 @@ fn pack_a(a: &DenseMatrix, rows: Range<usize>, pc: usize, kb: usize, out: &mut [
 
 /// `acc += a_panel * b_panel` over the panels' shared k extent: one rank-1
 /// update of the register block per k, ascending.
-#[inline]
+#[inline(always)]
 fn micro_kernel(a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
     // A by-value copy of the block: updated through the reference it stays
     // in memory, as a local it stays in registers (4x faster).
@@ -254,6 +325,40 @@ mod tests {
         assert_eq!(bits(&got), bits(&naive), "naive ({m},{k},{n},{tile})");
     }
 
+    /// Worker counts the split kernels are held to: one (bands run
+    /// inline), two, and more workers than cores or bands.
+    const WORKERS: [usize; 5] = [1, 2, 3, 4, 7];
+
+    /// Every build of the band kernel this CPU runs; says when it skips
+    /// the AVX2 build.
+    fn isas() -> Vec<Isa> {
+        if Isa::host() == Isa::Portable {
+            eprintln!("AVX2 build skipped: this CPU lacks AVX2");
+            return vec![Isa::Portable];
+        }
+        vec![Isa::Portable, Isa::host()]
+    }
+
+    /// Each build of the band kernel at every worker count on a pre-loaded
+    /// `C`, bit for bit against the naive oracle.
+    fn assert_every_path_matches_naive(m: usize, k: usize, n: usize) {
+        let (a, b) = mats(m, k, n);
+        let c0 = DenseMatrix::random(m, n, 3);
+        let mut naive = c0.clone();
+        matmul_naive(&a, &b, &mut naive);
+        for isa in isas() {
+            for workers in WORKERS {
+                let mut got = c0.clone();
+                matmul_on(isa, workers, &a, &b, &mut got);
+                assert_eq!(
+                    bits(&got),
+                    bits(&naive),
+                    "({m},{k},{n}) {isa:?}, {workers} workers"
+                );
+            }
+        }
+    }
+
     #[test]
     fn tiled_matches_naive() {
         for &(m, k, n, tile) in &[
@@ -292,32 +397,22 @@ mod tests {
             tile in 1usize..70,
         ) {
             assert_bit_identical(m, k, n, tile);
+            assert_every_path_matches_naive(m, k, n);
         }
     }
-
-    /// Worker counts the split kernels are held to: one (bands run
-    /// inline), two, and more workers than cores or bands.
-    const WORKERS: [usize; 5] = [1, 2, 3, 4, 7];
 
     #[test]
     fn bands_are_bit_identical_to_naive_at_any_worker_count() {
         // The leaf's shape, one off the MR/NR grid and the k panel, and
         // one whose rows fit in a single band; all above INLINE_BELOW.
+        // Each runs on the portable and the AVX2 build.
         for &(m, k, n) in &[
             (256usize, 1024usize, 256usize),
             (130, 600, 200),
             (9, 600, 200),
         ] {
             assert!(m * n * KC.min(k) >= crate::INLINE_BELOW);
-            let (a, b) = mats(m, k, n);
-            let c0 = DenseMatrix::random(m, n, 3);
-            let mut naive = c0.clone();
-            matmul_naive(&a, &b, &mut naive);
-            for workers in WORKERS {
-                let mut got = c0.clone();
-                matmul_on(workers, &a, &b, &mut got);
-                assert_eq!(bits(&got), bits(&naive), "({m},{k},{n}) {workers} workers");
-            }
+            assert_every_path_matches_naive(m, k, n);
         }
     }
 

@@ -8,7 +8,9 @@
 //! time for what the OpenCL kernel would have cost:
 //!
 //! * [`dense`] — row-major `f32` matrices with block extract/insert.
-//! * [`gemm`] — naive / packed micro-kernel `C += A·B` (§IV-A).
+//! * [`gemm`] — naive / packed micro-kernel `C += A·B` (§IV-A); on x86-64
+//!   with AVX2 (checked at run time) its bands run an AVX2 build of the
+//!   same code, bit for bit the baseline build's result.
 //! * [`stencil`] — HotSpot-2D, updated a row at a time, with halo
 //!   extraction and exact temporal blocking (§IV-B generalizes the packed
 //!   border vectors to width > 1).
@@ -28,7 +30,10 @@
 //!   queue-count latency-hiding curve.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// One item may opt out: `gemm`'s band dispatch, whose only `unsafe` is the
+// call into the AVX2 build after the CPU has been checked for AVX2.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod dense;
 pub mod gemm;
