@@ -145,8 +145,8 @@ pub fn adaptive_stencil_stream(
         run: AppRun {
             name: format!("adaptive-stencil/{policy:?}"),
             report: rt.report(),
-            verified: None,
             checksum: None,
+            output: None,
         },
         per_device,
         settled,

@@ -14,11 +14,10 @@
 //! * each node's chain pipelines independently of the others, so node
 //!   parallelism emerges from the resource model rather than being coded.
 
-use crate::host::{read_matrix, verify_gemm, when_real};
-use crate::matmul::gemm_tile;
+use crate::host::Grid;
+use crate::matmul::{gemm_tile, write_inputs};
 use crate::report::AppRun;
 use northup::{BufferHandle, ChainBufs, ExecMode, NorthupError, Result, Runtime};
-use northup_kernels::{f32s_to_bytes, DenseMatrix};
 
 /// Configuration of a distributed GEMM run.
 #[derive(Debug, Clone)]
@@ -27,29 +26,25 @@ pub struct DistGemmConfig {
     pub n: usize,
     /// Row-strip / column-shard blocking.
     pub block: usize,
-    /// Number of GPU compute nodes in the cluster.
-    pub nodes: usize,
     /// Input seed (Real mode).
     pub seed: u64,
 }
 
 impl DistGemmConfig {
-    /// Paper-scale input on a small cluster.
-    pub fn paper(nodes: usize) -> Self {
+    /// Paper-scale input.
+    pub fn paper() -> Self {
         DistGemmConfig {
             n: crate::calibration::paper::GEMM_N,
             block: crate::calibration::paper::GEMM_BLOCK,
-            nodes,
             seed: 1,
         }
     }
 
-    /// Laptop-scale verified input.
-    pub fn small(nodes: usize) -> Self {
+    /// Laptop-scale input for Real-mode runs.
+    pub fn small() -> Self {
         DistGemmConfig {
             n: 64,
             block: 16,
-            nodes,
             seed: 7,
         }
     }
@@ -76,10 +71,11 @@ struct NodeChain<'rt> {
     deep: ChainBufs<'rt>,
 }
 
-/// Run the distributed GEMM; Real mode verifies against the naive oracle.
-pub fn gemm_cluster(cfg: &DistGemmConfig, mode: ExecMode) -> Result<AppRun> {
-    let tree = northup::presets::cluster(cfg.nodes, 0);
-    let rt = Runtime::new(tree, mode)?;
+/// Run the distributed GEMM on a caller's runtime over a cluster tree
+/// ([`northup::presets::cluster`]): every child of the root is a compute
+/// node. C is row-major. Every buffer but C goes back to `rt` once the
+/// report is taken.
+pub fn gemm_cluster(rt: &Runtime, cfg: &DistGemmConfig) -> Result<AppRun> {
     let n = cfg.n as u64;
     let block = cfg.block as u64;
     let nb = cfg.nb()? as u64;
@@ -90,24 +86,15 @@ pub fn gemm_cluster(cfg: &DistGemmConfig, mode: ExecMode) -> Result<AppRun> {
     let a_file = rt.alloc(n * n * 4, root)?;
     let b_file = rt.alloc(n * n * 4, root)?;
     let c_file = rt.alloc(n * n * 4, root)?;
-
-    let (a_mat, b_mat) = when_real(mode, || {
-        let am = DenseMatrix::random(cfg.n, cfg.n, cfg.seed);
-        let bm = DenseMatrix::random(cfg.n, cfg.n, cfg.seed + 1);
-        rt.write_slice(a_file, 0, &f32s_to_bytes(&am.data))?;
-        for j in 0..nb {
-            let shard = bm.extract_block(0, (j * block) as usize, cfg.n, cfg.block);
-            rt.write_slice(b_file, j * shard_b, &f32s_to_bytes(&shard.data))?;
-        }
-        Ok((am, bm))
-    })?
-    .unzip();
+    if rt.is_real() {
+        write_inputs(rt, cfg.seed, (cfg.n, cfg.block), a_file, b_file)?;
+    }
 
     // Build each node's chain and buffers.
     let mut chains: Vec<NodeChain> = Vec::new();
     for &stage in rt.tree().children(root) {
         chains.push(NodeChain {
-            deep: ChainBufs::new(&rt, stage, &[strip_a, shard_b, block * block * 4])?,
+            deep: ChainBufs::new(rt, stage, &[strip_a, shard_b, block * block * 4])?,
             a_stage: rt.alloc(strip_a, stage)?,
             b_ring: [rt.alloc(shard_b, stage)?, rt.alloc(shard_b, stage)?],
             c_strip: rt.alloc(strip_a, stage)?,
@@ -142,7 +129,7 @@ pub fn gemm_cluster(cfg: &DistGemmConfig, mode: ExecMode) -> Result<AppRun> {
                 let staged = [chain.a_stage, b_buf, chain.c_strip];
                 let label = format!("node gemm ({i},{j})");
                 let dims = (cfg.block, cfg.n);
-                if let Some(top) = gemm_tile(&rt, &chain.deep, &staged, j == 0, dims, &label)? {
+                if let Some(top) = gemm_tile(rt, &chain.deep, &staged, j == 0, dims, &label)? {
                     let row = block * 4;
                     rt.move_data_strided(chain.c_strip, j * row, n * 4, top, 0, row, row, block)?;
                 }
@@ -155,19 +142,22 @@ pub fn gemm_cluster(cfg: &DistGemmConfig, mode: ExecMode) -> Result<AppRun> {
         }
     }
 
-    let mut checksum = None;
-    let mut verified = None;
-    if let (Some(am), Some(bm)) = (&a_mat, &b_mat) {
-        let cm = read_matrix(&rt, c_file, 0, cfg.n, cfg.n)?;
-        (checksum, verified) = verify_gemm(am, bm, &cm);
+    let name = format!("gemm-cluster/{k}nodes");
+    let run = AppRun::of(rt, name, c_file, Grid::row_major(cfg.n, cfg.n))?;
+    for chain in chains {
+        chain.deep.release()?;
+        for h in [
+            chain.a_stage,
+            chain.b_ring[0],
+            chain.b_ring[1],
+            chain.c_strip,
+        ] {
+            rt.release(h)?;
+        }
     }
-
-    Ok(AppRun {
-        name: format!("gemm-cluster/{}nodes", cfg.nodes),
-        report: rt.report(),
-        verified,
-        checksum,
-    })
+    rt.release(a_file)?;
+    rt.release(b_file)?;
+    Ok(run)
 }
 
 /// Strong-scaling curve: makespan per node count for a fixed problem.
@@ -175,13 +165,9 @@ pub fn scaling_curve(n: usize, block: usize, node_counts: &[usize]) -> Result<Ve
     node_counts
         .iter()
         .map(|&k| {
-            let cfg = DistGemmConfig {
-                n,
-                block,
-                nodes: k,
-                seed: 1,
-            };
-            let run = gemm_cluster(&cfg, ExecMode::Modeled)?;
+            let cfg = DistGemmConfig { n, block, seed: 1 };
+            let rt = Runtime::new(northup::presets::cluster(k, 0), ExecMode::Modeled)?;
+            let run = gemm_cluster(&rt, &cfg)?;
             Ok((k, run.makespan().as_secs_f64()))
         })
         .collect()
@@ -190,19 +176,36 @@ pub fn scaling_curve(n: usize, block: usize, node_counts: &[usize]) -> Result<Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::{compare, Tolerance};
+    use northup_kernels::{matmul_naive, DenseMatrix};
+
+    /// A runtime over a cluster of `nodes` GPU nodes.
+    fn cluster(nodes: usize, mode: ExecMode) -> Runtime {
+        Runtime::new(northup::presets::cluster(nodes, 0), mode).unwrap()
+    }
 
     #[test]
     fn distributed_gemm_verifies_on_small_inputs() {
+        let cfg = DistGemmConfig::small();
+        let a = DenseMatrix::random(cfg.n, cfg.n, cfg.seed);
+        let b = DenseMatrix::random(cfg.n, cfg.n, cfg.seed + 1);
+        let mut oracle = DenseMatrix::zeros(cfg.n, cfg.n);
+        matmul_naive(&a, &b, &mut oracle);
         for nodes in [1usize, 2, 3] {
-            let run = gemm_cluster(&DistGemmConfig::small(nodes), ExecMode::Real).unwrap();
-            assert_eq!(run.verified, Some(true), "{nodes} nodes");
+            let rt = cluster(nodes, ExecMode::Real);
+            let run = gemm_cluster(&rt, &cfg).unwrap();
+            let grid = Grid::row_major(cfg.n, cfg.n);
+            let tol = Tolerance::Abs(1e-3 * cfg.n as f32);
+            let checked = compare(&rt, run.output.unwrap(), grid, &oracle.data, tol);
+            assert!(checked.is_ok(), "{nodes} nodes: {checked:?}");
         }
     }
 
     #[test]
     fn checksum_is_node_count_invariant() {
-        let one = gemm_cluster(&DistGemmConfig::small(1), ExecMode::Real).unwrap();
-        let three = gemm_cluster(&DistGemmConfig::small(3), ExecMode::Real).unwrap();
+        let cfg = DistGemmConfig::small();
+        let one = gemm_cluster(&cluster(1, ExecMode::Real), &cfg).unwrap();
+        let three = gemm_cluster(&cluster(3, ExecMode::Real), &cfg).unwrap();
         let (a, b) = (one.checksum.unwrap(), three.checksum.unwrap());
         assert!((a - b).abs() <= 1e-6 * a.abs().max(1.0));
     }
@@ -226,9 +229,9 @@ mod tests {
 
     #[test]
     fn timing_is_mode_independent() {
-        let cfg = DistGemmConfig::small(2);
-        let real = gemm_cluster(&cfg, ExecMode::Real).unwrap();
-        let modeled = gemm_cluster(&cfg, ExecMode::Modeled).unwrap();
+        let cfg = DistGemmConfig::small();
+        let real = gemm_cluster(&cluster(2, ExecMode::Real), &cfg).unwrap();
+        let modeled = gemm_cluster(&cluster(2, ExecMode::Modeled), &cfg).unwrap();
         assert_eq!(real.report.breakdown, modeled.report.breakdown);
     }
 }

@@ -12,7 +12,7 @@
 //! contiguous band. Input and output files ping-pong across passes.
 
 use crate::calibration::{model_for, HOTSPOT_STEPS_PER_PASS};
-use crate::host::{read_matrix, when_real};
+use crate::host::{read_matrix, write_rows, Grid};
 use crate::report::AppRun;
 use northup::{
     BufferHandle, ChainBufs, ChunkPipeline, ExecMode, NorthupError, ProcKind, Result, Runtime, Tree,
@@ -21,6 +21,7 @@ use northup_kernels::{
     f32s_to_bytes, multi_step_reference, step_halo_block, DenseMatrix, HaloBlock, HotSpotParams,
     ProcModel,
 };
+use std::ops::Range;
 
 /// Configuration of one HotSpot scenario.
 #[derive(Debug, Clone)]
@@ -78,14 +79,30 @@ impl HotspotConfig {
         }
         Ok(self.n / self.block)
     }
-}
 
-fn inputs(cfg: &HotspotConfig) -> (DenseMatrix, DenseMatrix) {
-    let temp = DenseMatrix::from_fn(cfg.n, cfg.n, |r, c| {
-        80.0 + ((r.wrapping_mul(31) ^ c.wrapping_mul(17) ^ cfg.seed as usize) % 23) as f32
-    });
-    let power = DenseMatrix::from_fn(cfg.n, cfg.n, |r, c| ((r + c) % 5) as f32 * 0.2);
-    (temp, power)
+    /// Rows `rows` of the initial temperature grid. A cell is a function
+    /// of its indices and the seed alone, so a band is generated on its
+    /// own, with the bits it has in the whole grid.
+    pub fn temperature(&self, rows: Range<usize>) -> DenseMatrix {
+        DenseMatrix::from_fn(rows.len(), self.n, |r, c| {
+            let r = rows.start + r;
+            80.0 + ((r.wrapping_mul(31) ^ c.wrapping_mul(17) ^ self.seed as usize) % 23) as f32
+        })
+    }
+
+    /// Rows `rows` of the power grid (a function of the indices alone).
+    pub fn power(&self, rows: Range<usize>) -> DenseMatrix {
+        DenseMatrix::from_fn(rows.len(), self.n, |r, c| {
+            ((rows.start + r + c) % 5) as f32 * 0.2
+        })
+    }
+
+    /// Write the temperature grid into `temp` and the power grid into
+    /// `power`, a band of rows at a time, one file after the other.
+    fn write_inputs(&self, rt: &Runtime, temp: BufferHandle, power: BufferHandle) -> Result<()> {
+        write_rows(rt, temp, self.n, self.n, |rows| self.temperature(rows).data)?;
+        write_rows(rt, power, self.n, self.n, |rows| self.power(rows).data)
+    }
 }
 
 /// In-memory baseline: grid resident, one GPU timeline for all steps.
@@ -103,38 +120,22 @@ pub fn hotspot_in_memory(cfg: &HotspotConfig, mode: ExecMode) -> Result<AppRun> 
     root.compute(ProcKind::Gpu, dur, &[temp, power], &[out], "hotspot full")?;
 
     let mut checksum = None;
-    let mut verified = None;
     if mode == ExecMode::Real {
-        let (tm, pm) = inputs(cfg);
+        let (tm, pm) = (cfg.temperature(0..cfg.n), cfg.power(0..cfg.n));
         rt.write_slice(temp, 0, &f32s_to_bytes(&tm.data))?;
         rt.write_slice(power, 0, &f32s_to_bytes(&pm.data))?;
         let prm = HotSpotParams::default();
         let result = multi_step_reference(&tm, &pm, cfg.total_steps(), &prm);
         rt.write_slice(out, 0, &f32s_to_bytes(&result.data))?;
         checksum = Some(result.checksum());
-        verified = Some(true); // by construction (this IS the oracle)
     }
 
     Ok(AppRun {
         name: "hotspot/in-memory".into(),
         report: rt.report(),
-        verified,
         checksum,
+        output: None,
     })
-}
-
-/// The `(checksum, verified)` pair of an out-of-core run: the final grid in
-/// `file` against `total_steps` of the in-memory reference.
-fn verify_grid(
-    rt: &Runtime,
-    cfg: &HotspotConfig,
-    file: BufferHandle,
-    temp: &DenseMatrix,
-    power: &DenseMatrix,
-) -> Result<(Option<f64>, Option<bool>)> {
-    let got = read_matrix(rt, file, 0, cfg.n, cfg.n)?;
-    let oracle = multi_step_reference(temp, power, cfg.total_steps(), &HotSpotParams::default());
-    Ok((Some(got.checksum()), Some(oracle.max_abs_diff(&got) < 1e-3)))
 }
 
 /// Out-of-core Northup HotSpot over a chain topology.
@@ -157,14 +158,9 @@ pub fn hotspot_northup_on(rt: &Runtime, cfg: &HotspotConfig) -> Result<AppRun> {
     // analyze:allow(lease-discipline): by contract the grids and the staging ring stay allocated on the caller's runtime (it inspects the trace afterwards) and go when the caller drops it; one run per runtime
     let t_files = [rt.alloc(n2b, root)?, rt.alloc(n2b, root)?];
     let p_file = rt.alloc(n2b, root)?;
-
-    let (t_mat, p_mat) = when_real(mode, || {
-        let (tm, pm) = inputs(cfg);
-        rt.write_slice(t_files[0], 0, &f32s_to_bytes(&tm.data))?;
-        rt.write_slice(p_file, 0, &f32s_to_bytes(&pm.data))?;
-        Ok((tm, pm))
-    })?
-    .unzip();
+    if mode == ExecMode::Real {
+        cfg.write_inputs(rt, t_files[0], p_file)?;
+    }
 
     let stage_node = rt.tree().staging_level()?;
     let max_region = ((cfg.block + 2 * halo) * (cfg.block + 2 * halo) * 4) as u64;
@@ -266,18 +262,8 @@ pub fn hotspot_northup_on(rt: &Runtime, cfg: &HotspotConfig) -> Result<AppRun> {
         )?;
     }
 
-    let mut checksum = None;
-    let mut verified = None;
-    if let (Some(tm), Some(pm)) = (&t_mat, &p_mat) {
-        (checksum, verified) = verify_grid(rt, cfg, t_files[cfg.passes % 2], tm, pm)?;
-    }
-
-    Ok(AppRun {
-        name: "hotspot/northup".into(),
-        report: rt.report(),
-        verified,
-        checksum,
-    })
+    let result = t_files[cfg.passes % 2];
+    AppRun::of(rt, "hotspot/northup", result, Grid::row_major(n, n))
 }
 
 /// Fraction of each chunk's rows to place on the GPU when splitting a leaf
@@ -292,23 +278,18 @@ pub fn optimal_gpu_fraction() -> f64 {
 }
 
 /// Out-of-core HotSpot with each chunk's rows split between the APU's GPU
-/// and CPU (`gpu_fraction` of the rows to the GPU). Both devices compute
-/// concurrently in virtual time (separate processor resources); Real mode
-/// executes both halves and verifies the merged result exactly.
-pub fn hotspot_split_leaf(
-    cfg: &HotspotConfig,
-    gpu_fraction: f64,
-    storage: northup_hw::DeviceSpec,
-    mode: ExecMode,
-) -> Result<AppRun> {
+/// and CPU (`gpu_fraction` of the rows to the GPU), on a caller's runtime
+/// over an APU tree. Both devices compute concurrently in virtual time
+/// (separate processor resources); Real mode executes both halves. Every
+/// buffer but the result goes back to `rt` once the report is taken.
+pub fn hotspot_split_leaf(rt: &Runtime, cfg: &HotspotConfig, gpu_fraction: f64) -> Result<AppRun> {
     if !(0.0..=1.0).contains(&gpu_fraction) {
         return Err(NorthupError::Invalid(format!(
             "gpu_fraction {gpu_fraction} must lie in [0, 1]"
         )));
     }
     let bands = cfg.tiles()?;
-    let tree = northup::presets::apu_two_level(storage);
-    let rt = Runtime::new(tree, mode)?;
+    let mode = rt.mode();
     let n = cfg.n;
     let halo = cfg.steps_per_pass;
 
@@ -316,14 +297,9 @@ pub fn hotspot_split_leaf(
     let n2b = (n * n * 4) as u64;
     let t_files = [rt.alloc(n2b, root)?, rt.alloc(n2b, root)?];
     let p_file = rt.alloc(n2b, root)?;
-
-    let (t_mat, p_mat) = when_real(mode, || {
-        let (tm, pm) = inputs(cfg);
-        rt.write_slice(t_files[0], 0, &f32s_to_bytes(&tm.data))?;
-        rt.write_slice(p_file, 0, &f32s_to_bytes(&pm.data))?;
-        Ok((tm, pm))
-    })?
-    .unzip();
+    if mode == ExecMode::Real {
+        cfg.write_inputs(rt, t_files[0], p_file)?;
+    }
 
     let stage_node = rt.tree().staging_level()?;
     let gpu_model = ProcModel::apu_gpu();
@@ -397,8 +373,8 @@ pub fn hotspot_split_leaf(
             if mode == ExecMode::Real {
                 // Real compute: both device halves produced from the same
                 // staged halo block via the exact trapezoid kernel.
-                let temp = read_matrix(&rt, in_stage[r], 0, hh, n)?;
-                let power = read_matrix(&rt, pw_stage[r], 0, hh, n)?;
+                let temp = read_matrix(rt, in_stage[r], 0, hh, n)?;
+                let power = read_matrix(rt, pw_stage[r], 0, hh, n)?;
                 for (dev_r0, dev_rows, buf) in [
                     (0usize, gpu_rows, out_gpu[r]),
                     (gpu_rows, cpu_rows, out_cpu[r]),
@@ -445,18 +421,17 @@ pub fn hotspot_split_leaf(
         }
     }
 
-    let mut checksum = None;
-    let mut verified = None;
-    if let (Some(tm), Some(pm)) = (&t_mat, &p_mat) {
-        (checksum, verified) = verify_grid(&rt, cfg, t_files[cfg.passes % 2], tm, pm)?;
+    let result = t_files[cfg.passes % 2];
+    let name = format!("hotspot/split-{gpu_fraction:.2}");
+    let run = AppRun::of(rt, name, result, Grid::row_major(n, n))?;
+    let scratch = [t_files[(cfg.passes + 1) % 2], p_file];
+    for h in scratch.into_iter().chain(in_stage).chain(pw_stage) {
+        rt.release(h)?;
     }
-
-    Ok(AppRun {
-        name: format!("hotspot/split-{gpu_fraction:.2}"),
-        report: rt.report(),
-        verified,
-        checksum,
-    })
+    for h in out_gpu.into_iter().chain(out_cpu) {
+        rt.release(h)?;
+    }
+    Ok(run)
 }
 
 /// Run the Northup HotSpot over the 2-level APU preset.
@@ -471,13 +446,31 @@ pub fn hotspot_apu(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use northup_hw::catalog;
+    use crate::host::{compare, Tolerance};
+    use northup_hw::{catalog, DeviceSpec};
+
+    /// A Real runtime over the APU tree on `storage`.
+    fn apu(storage: DeviceSpec) -> Runtime {
+        Runtime::new(northup::presets::apu_two_level(storage), ExecMode::Real).unwrap()
+    }
+
+    /// Hold a Real run's final grid to `total_steps` of the in-memory
+    /// reference, to within 1e-3 per cell.
+    fn assert_matches_reference(rt: &Runtime, cfg: &HotspotConfig, run: &AppRun) {
+        let (temp, power) = (cfg.temperature(0..cfg.n), cfg.power(0..cfg.n));
+        let prm = HotSpotParams::default();
+        let oracle = multi_step_reference(&temp, &power, cfg.total_steps(), &prm);
+        let grid = Grid::row_major(cfg.n, cfg.n);
+        let output = run.output.expect("a Real run names its result");
+        compare(rt, output, grid, &oracle.data, Tolerance::Abs(1e-3)).unwrap();
+    }
 
     #[test]
     fn northup_small_matches_reference() {
         let cfg = HotspotConfig::small();
-        let run = hotspot_apu(&cfg, catalog::ssd_hyperx_predator(), ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true), "out-of-core result exact");
+        let rt = apu(catalog::ssd_hyperx_predator());
+        let run = hotspot_northup_on(&rt, &cfg).unwrap();
+        assert_matches_reference(&rt, &cfg, &run);
     }
 
     #[test]
@@ -486,8 +479,23 @@ mod tests {
             passes: 3,
             ..HotspotConfig::small()
         };
-        let run = hotspot_apu(&cfg, catalog::hdd_wd5000(), ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true));
+        let rt = apu(catalog::hdd_wd5000());
+        let run = hotspot_northup_on(&rt, &cfg).unwrap();
+        assert_matches_reference(&rt, &cfg, &run);
+    }
+
+    #[test]
+    fn input_bands_are_the_whole_grids_rows() {
+        let cfg = HotspotConfig::small();
+        let (temp, power) = (cfg.temperature(0..cfg.n), cfg.power(0..cfg.n));
+        for (r0, h) in [(0, 1), (5, 17), (47, 1)] {
+            let rows = r0..r0 + h;
+            assert_eq!(
+                cfg.temperature(rows.clone()),
+                temp.extract_block(r0, 0, h, cfg.n)
+            );
+            assert_eq!(cfg.power(rows), power.extract_block(r0, 0, h, cfg.n));
+        }
     }
 
     #[test]
@@ -500,8 +508,9 @@ mod tests {
             ring: 2,
             seed: 1,
         };
-        let run = hotspot_apu(&cfg, catalog::ssd_hyperx_predator(), ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true));
+        let rt = apu(catalog::ssd_hyperx_predator());
+        let run = hotspot_northup_on(&rt, &cfg).unwrap();
+        assert_matches_reference(&rt, &cfg, &run);
     }
 
     /// A block that does not divide n, or a GPU share outside [0, 1], is a
@@ -513,14 +522,12 @@ mod tests {
             block: 20,
             ..HotspotConfig::small()
         };
-        let tree = northup::presets::apu_two_level(catalog::ssd_hyperx_predator());
-        let rt = Runtime::new(tree, ExecMode::Real).unwrap();
+        let rt = apu(catalog::ssd_hyperx_predator());
         let run = hotspot_northup_on(&rt, &cfg);
         assert!(matches!(run, Err(NorthupError::Invalid(_))), "{run:?}");
-        let storage = catalog::ssd_hyperx_predator();
-        let run = hotspot_split_leaf(&cfg, 0.5, storage.clone(), ExecMode::Real);
+        let run = hotspot_split_leaf(&rt, &cfg, 0.5);
         assert!(matches!(run, Err(NorthupError::Invalid(_))), "{run:?}");
-        let run = hotspot_split_leaf(&HotspotConfig::small(), 1.5, storage, ExecMode::Real);
+        let run = hotspot_split_leaf(&rt, &HotspotConfig::small(), 1.5);
         assert!(matches!(run, Err(NorthupError::Invalid(_))), "{run:?}");
     }
 
@@ -528,8 +535,9 @@ mod tests {
     fn northup_three_level_matches_reference() {
         let cfg = HotspotConfig::small();
         let tree = northup::presets::discrete_gpu_three_level(catalog::hdd_wd5000());
-        let run = hotspot_northup(&cfg, tree, ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true));
+        let rt = Runtime::new(tree, ExecMode::Real).unwrap();
+        let run = hotspot_northup_on(&rt, &cfg).unwrap();
+        assert_matches_reference(&rt, &cfg, &run);
     }
 
     #[test]
@@ -556,7 +564,7 @@ mod tests {
             hotspot_in_memory(&cfg, ExecMode::Real).unwrap(),
         ];
         for f in [0.0, 0.3, 0.7, 1.0] {
-            runs.push(hotspot_split_leaf(&cfg, f, ssd(), ExecMode::Real).unwrap());
+            runs.push(hotspot_split_leaf(&apu(ssd()), &cfg, f).unwrap());
         }
         for run in runs {
             let bits = run.checksum.unwrap().to_bits();
@@ -590,7 +598,7 @@ mod tests {
         let before = syscw();
         let run = hotspot_northup_on(&rt, &cfg).unwrap();
         let after = syscw();
-        assert_eq!(run.verified, Some(true));
+        assert_matches_reference(&rt, &cfg, &run);
         let bits = run.checksum.unwrap().to_bits();
         assert_eq!(bits, CHECKSUM_BITS, "{bits:#018x}");
         if let (Some(before), Some(after)) = (before, after) {
@@ -623,9 +631,9 @@ mod tests {
             seed: 3,
         };
         for f in [0.0, 0.3, 0.7, 1.0] {
-            let run = hotspot_split_leaf(&cfg, f, catalog::ssd_hyperx_predator(), ExecMode::Real)
-                .unwrap();
-            assert_eq!(run.verified, Some(true), "fraction {f}");
+            let rt = apu(catalog::ssd_hyperx_predator());
+            let run = hotspot_split_leaf(&rt, &cfg, f).unwrap();
+            assert_matches_reference(&rt, &cfg, &run);
         }
     }
 
@@ -640,19 +648,19 @@ mod tests {
         };
         let f = optimal_gpu_fraction();
         assert!((0.5..1.0).contains(&f), "GPU does most of the work: {f}");
-        let gpu_only =
-            hotspot_split_leaf(&cfg, 1.0, catalog::ssd_hyperx_predator(), ExecMode::Modeled)
-                .unwrap();
-        let split =
-            hotspot_split_leaf(&cfg, f, catalog::ssd_hyperx_predator(), ExecMode::Modeled).unwrap();
+        let modeled = || {
+            let tree = northup::presets::apu_two_level(catalog::ssd_hyperx_predator());
+            Runtime::new(tree, ExecMode::Modeled).unwrap()
+        };
+        let gpu_only = hotspot_split_leaf(&modeled(), &cfg, 1.0).unwrap();
+        let split = hotspot_split_leaf(&modeled(), &cfg, f).unwrap();
         let speedup = gpu_only.makespan().as_secs_f64() / split.makespan().as_secs_f64();
         assert!(
             speedup > 1.05,
             "split at {f:.2} should beat gpu-only: {speedup:.3}"
         );
         // And a terrible split (mostly CPU) is worse than gpu-only.
-        let bad = hotspot_split_leaf(&cfg, 0.1, catalog::ssd_hyperx_predator(), ExecMode::Modeled)
-            .unwrap();
+        let bad = hotspot_split_leaf(&modeled(), &cfg, 0.1).unwrap();
         assert!(bad.makespan() > gpu_only.makespan());
     }
 

@@ -16,11 +16,13 @@
 //! the crossover.
 
 use crate::calibration::spmv_gpu_model;
+use crate::host::Grid;
 use crate::report::AppRun;
+use crate::spmv::spmv_x;
 use northup::{ExecMode, NorthupError, ProcKind, Result, Runtime, TRANSFORM_BW};
-use northup_kernels::{f32s_to_bytes, rel_error, ProcModel};
+use northup_kernels::{f32s_to_bytes, spmv_adaptive, ProcModel};
 use northup_sim::SimDur;
-use northup_sparse::{partition_even_rows, Csr, Ell};
+use northup_sparse::{bin_rows, partition_even_rows, BinningParams, Csr, Ell};
 
 /// Leaf layout for the out-of-core SpMV.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,22 +46,18 @@ pub fn ell_gpu_model() -> ProcModel {
     }
 }
 
-/// Run the out-of-core SpMV (2-level APU, 4 shards) with the chosen leaf
-/// format. Real mode verifies against the reference SpMV.
-pub fn spmv_with_format(
-    m: &Csr,
-    format: SpmvFormat,
-    storage: northup_hw::DeviceSpec,
-    mode: ExecMode,
-) -> Result<AppRun> {
+/// Run the out-of-core SpMV (4 shards, computed at the staging level of
+/// the caller's APU tree) with the chosen leaf format. In Real mode a CSR
+/// shard runs CSR-Adaptive and an ELL shard the ELL kernel; `y` is the
+/// run's output.
+pub fn spmv_with_format(rt: &Runtime, m: &Csr, format: SpmvFormat) -> Result<AppRun> {
     if m.rows != m.cols {
         return Err(NorthupError::Invalid(format!(
             "the format study needs a square matrix, got {}x{}",
             m.rows, m.cols
         )));
     }
-    let tree = northup::presets::apu_two_level(storage);
-    let rt = Runtime::new(tree, mode)?;
+    let mode = rt.mode();
     let rows = m.rows as u64;
     let nnz = m.nnz() as u64;
 
@@ -73,7 +71,7 @@ pub fn spmv_with_format(
 
     let mut x_host: Vec<f32> = Vec::new();
     if mode == ExecMode::Real {
-        x_host = (0..m.cols).map(|i| ((i % 9) as f32 - 4.0) * 0.25).collect();
+        x_host = spmv_x(m.cols);
         rt.write_slice(x_file, 0, &f32s_to_bytes(&x_host))?;
         // The CSR payload itself is staged per shard from host data below;
         // the file content only matters for byte accounting here.
@@ -88,7 +86,6 @@ pub fn spmv_with_format(
     let gpu_ell = ell_gpu_model();
 
     let shards = partition_even_rows(m, crate::calibration::SPMV_CHUNKS);
-    let mut y_host = vec![0.0f32; m.rows];
     let mut payload_off = 0u64;
     for (i, s) in shards.iter().enumerate() {
         let sub = m.slice_rows(s.row_start, s.row_end);
@@ -111,8 +108,8 @@ pub fn spmv_with_format(
                 )?;
                 if mode == ExecMode::Real {
                     let mut yv = vec![0.0f32; sub.rows];
-                    sub.spmv_reference(&x_host, &mut yv);
-                    y_host[s.row_start..s.row_end].copy_from_slice(&yv);
+                    let blocks = bin_rows(&sub, BinningParams::default());
+                    spmv_adaptive(&sub, &blocks, &x_host, &mut yv);
                     rt.write_slice(y_s, 0, &f32s_to_bytes(&yv))?;
                 }
             }
@@ -147,7 +144,6 @@ pub fn spmv_with_format(
                 if mode == ExecMode::Real {
                     let mut yv = vec![0.0f32; sub.rows];
                     ell.spmv(&x_host, &mut yv);
-                    y_host[s.row_start..s.row_end].copy_from_slice(&yv);
                     rt.write_slice(y_s, 0, &f32s_to_bytes(&yv))?;
                 }
                 rt.release(ell_buf)?;
@@ -164,19 +160,8 @@ pub fn spmv_with_format(
         rt.release(shard_buf)?;
     }
 
-    let mut verified = None;
-    if mode == ExecMode::Real {
-        let mut oracle = vec![0.0f32; m.rows];
-        m.spmv_reference(&x_host, &mut oracle);
-        verified = Some(rel_error(&oracle, &y_host) < 1e-4);
-    }
-
-    Ok(AppRun {
-        name: format!("spmv-layout/{format:?}"),
-        report: rt.report(),
-        verified,
-        checksum: None,
-    })
+    let name = format!("spmv-layout/{format:?}");
+    AppRun::of(rt, name, y_file, Grid::row_major(m.rows, 1))
 }
 
 /// One row of the format study.
@@ -199,19 +184,19 @@ impl FormatRow {
     }
 }
 
-/// Run the study over named inputs (Modeled mode — shapes only need sizes).
+/// Run the study over named inputs on the APU + SSD tree (Modeled mode —
+/// shapes only need sizes).
 pub fn format_study(inputs: &[(&str, Csr)]) -> Result<Vec<FormatRow>> {
+    let run = |m: &Csr, format| {
+        let storage = northup_hw::catalog::ssd_hyperx_predator();
+        let rt = Runtime::new(northup::presets::apu_two_level(storage), ExecMode::Modeled)?;
+        spmv_with_format(&rt, m, format)
+    };
     inputs
         .iter()
         .map(|(name, m)| {
-            let storage = northup_hw::catalog::ssd_hyperx_predator();
-            let csr = spmv_with_format(m, SpmvFormat::Csr, storage.clone(), ExecMode::Real)?;
-            let ell = spmv_with_format(m, SpmvFormat::EllOnMigrate, storage, ExecMode::Real)?;
-            if csr.verified != Some(true) || ell.verified != Some(true) {
-                return Err(NorthupError::Invalid(format!(
-                    "{name}: SpMV result failed verification"
-                )));
-            }
+            let csr = run(m, SpmvFormat::Csr)?;
+            let ell = run(m, SpmvFormat::EllOnMigrate)?;
             Ok(FormatRow {
                 input: name.to_string(),
                 padding: Ell::from_csr(m).padding_ratio(),
@@ -225,16 +210,44 @@ pub fn format_study(inputs: &[(&str, Csr)]) -> Result<Vec<FormatRow>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::{compare, Tolerance};
     use northup_hw::catalog;
     use northup_sparse::gen;
+
+    fn apu(mode: ExecMode) -> Runtime {
+        let tree = northup::presets::apu_two_level(catalog::ssd_hyperx_predator());
+        Runtime::new(tree, mode).unwrap()
+    }
 
     #[test]
     fn both_formats_verify() {
         let m = gen::uniform_random(400, 400, 12, 3);
+        let mut oracle = vec![0.0f32; m.rows];
+        m.spmv_reference(&spmv_x(m.cols), &mut oracle);
         for f in [SpmvFormat::Csr, SpmvFormat::EllOnMigrate] {
-            let run =
-                spmv_with_format(&m, f, catalog::ssd_hyperx_predator(), ExecMode::Real).unwrap();
-            assert_eq!(run.verified, Some(true), "{f:?}");
+            let rt = apu(ExecMode::Real);
+            let run = spmv_with_format(&rt, &m, f).unwrap();
+            let grid = Grid::row_major(m.rows, 1);
+            let checked = compare(
+                &rt,
+                run.output.unwrap(),
+                grid,
+                &oracle,
+                Tolerance::Rel(1e-4),
+            );
+            assert!(checked.is_ok(), "{f:?}: {checked:?}");
+        }
+    }
+
+    /// Every charge is the same in both modes, so the Modeled study reads
+    /// the makespans a Real run would.
+    #[test]
+    fn timing_is_mode_independent() {
+        let m = gen::powerlaw(300, 300, 64, 0.9, 4);
+        for f in [SpmvFormat::Csr, SpmvFormat::EllOnMigrate] {
+            let real = spmv_with_format(&apu(ExecMode::Real), &m, f).unwrap();
+            let modeled = spmv_with_format(&apu(ExecMode::Modeled), &m, f).unwrap();
+            assert_eq!(real.report.breakdown, modeled.report.breakdown, "{f:?}");
         }
     }
 
@@ -267,13 +280,7 @@ mod tests {
     #[test]
     fn transform_cost_is_charged_to_the_cpu() {
         let m = gen::banded(1000, 4, 7);
-        let run = spmv_with_format(
-            &m,
-            SpmvFormat::EllOnMigrate,
-            catalog::ssd_hyperx_predator(),
-            ExecMode::Real,
-        )
-        .unwrap();
+        let run = spmv_with_format(&apu(ExecMode::Real), &m, SpmvFormat::EllOnMigrate).unwrap();
         let cpu = run.report.breakdown.get(northup_sim::Category::CpuCompute);
         assert!(cpu > SimDur::ZERO, "migration transform on the CPU");
     }

@@ -2,14 +2,15 @@
 //!
 //! Each §IV application comes as an in-memory baseline plus a Northup
 //! out-of-core version over any chain topology preset, with Real mode
-//! (real bytes, results verified against oracles) and Modeled mode
-//! (paper-scale virtual-time runs).
+//! (real bytes: the driver folds a checksum from its result on storage and
+//! names the result's buffer, which callers hold to their oracles) and
+//! Modeled mode (paper-scale virtual-time runs).
 //!
-//! An out-of-core version is a storage layout, a load closure, a leaf
-//! kernel and an oracle. The hierarchy walk itself is not in this crate:
-//! the prefetching ring at the staging level is [`northup::ChunkPipeline`]
-//! and the level-by-level descent and ascent below it is
-//! [`northup::ChainBufs`] (a tree that forks below the staging level is a
+//! An out-of-core version is a storage layout, a load closure and a leaf
+//! kernel; it never holds its whole problem on the host. The hierarchy
+//! walk itself is not in this crate: the prefetching ring at the staging
+//! level is [`northup::ChunkPipeline`] and the level-by-level descent and
+//! ascent below it is [`northup::ChainBufs`] (a tree that forks below the staging level is a
 //! typed `NotAChain` error, a leaf without the processor `NoProcessor`).
 //!
 //! * [`matmul`] — tiled dense matrix multiply; the §IV-A row-shard reuse
@@ -30,8 +31,8 @@
 //!   across N shard trees through the `northup-fleet` router, with
 //!   tenant data affinity and cross-shard migration (DESIGN.md §11).
 //! * [`calibration`] — every model knob, documented.
-//! * [`host`] — the Real-mode tails the drivers share (`when_real`,
-//!   `read_matrix`, `verify_gemm`).
+//! * [`host`] — banded input writes and checksums the drivers share, and
+//!   the one comparison callers hold a run's output to an oracle with.
 //! * [`report`] — run results and Fig.-6-style comparisons.
 
 #![warn(missing_docs)]
@@ -56,7 +57,6 @@ pub use adaptive::{adaptive_stencil_stream, AdaptiveMapper, AdaptiveOutcome, Pol
 pub use balance::{fig11_speedup, run_balanced, BalanceConfig, BalanceRun};
 pub use distributed::{gemm_cluster, scaling_curve, DistGemmConfig};
 pub use fleet::{fleet_trace, AFFINITY_PCT};
-pub use host::when_real;
 pub use hotspot::{
     hotspot_apu, hotspot_in_memory, hotspot_northup, hotspot_split_leaf, optimal_gpu_fraction,
     HotspotConfig,

@@ -16,7 +16,7 @@
 //! the same A-reuse.
 
 use crate::calibration::{model_for, GEMM_RING};
-use crate::host::{read_matrix, verify_gemm, when_real};
+use crate::host::{read_matrix, Grid};
 use crate::report::AppRun;
 use northup::{
     BufferHandle, ChainBufs, ChunkPipeline, ExecMode, NorthupError, ProcKind, Result, Runtime, Tree,
@@ -110,33 +110,27 @@ pub fn matmul_in_memory(cfg: &MatmulConfig, mode: ExecMode) -> Result<AppRun> {
     let b = root.alloc(bytes)?;
     let c = root.alloc(bytes)?;
 
-    let (a_mat, b_mat) = when_real(mode, || {
-        let am = DenseMatrix::random(cfg.n, cfg.n, cfg.seed);
-        let bm = DenseMatrix::random(cfg.n, cfg.n, cfg.seed + 1);
-        rt.write_slice(a, 0, &f32s_to_bytes(&am.data))?;
-        rt.write_slice(b, 0, &f32s_to_bytes(&bm.data))?;
-        Ok((am, bm))
-    })?
-    .unzip();
-
     let gpu = rt.proc_at(root.node(), ProcKind::Gpu)?;
     let dur = model_for(&gpu.name)?.gemm_time(n, n, n);
     root.compute(ProcKind::Gpu, dur, &[a, b], &[c], "gemm full")?;
 
     let mut checksum = None;
-    let mut verified = None;
-    if let (Some(am), Some(bm)) = (&a_mat, &b_mat) {
+    if mode == ExecMode::Real {
+        let am = DenseMatrix::random(cfg.n, cfg.n, cfg.seed);
+        let bm = DenseMatrix::random(cfg.n, cfg.n, cfg.seed + 1);
+        rt.write_slice(a, 0, &f32s_to_bytes(&am.data))?;
+        rt.write_slice(b, 0, &f32s_to_bytes(&bm.data))?;
         let mut cm = DenseMatrix::zeros(cfg.n, cfg.n);
-        matmul_tiled(am, bm, &mut cm, LEAF_TILE);
+        matmul_tiled(&am, &bm, &mut cm, LEAF_TILE);
         rt.write_slice(c, 0, &f32s_to_bytes(&cm.data))?;
-        (checksum, verified) = verify_gemm(am, bm, &cm);
+        checksum = Some(cm.checksum());
     }
 
     Ok(AppRun {
         name: "matmul/in-memory".into(),
         report: rt.report(),
-        verified,
         checksum,
+        output: None,
     })
 }
 
@@ -155,24 +149,29 @@ pub fn staging_footprint(n: usize, ring: usize) -> impl Fn(usize, usize) -> u64 
     }
 }
 
-/// Reassemble an `n x n` matrix from the block-major layout the schedule
-/// writes C in (tile `(r, c)` at offset `(r * nb + c) * block * block * 4`).
-fn read_block_major(
+/// Preprocessing (uncharged, as in the paper): `A` (of `seed`) row-major,
+/// one `block x n` row shard after the other, then `B` (of `seed + 1`)
+/// column-shard-major, one `n x block` column shard after the other. Each
+/// shard is generated on its own ([`DenseMatrix::random_block`]), so the
+/// files hold [`DenseMatrix::random`]'s bits and no whole matrix is ever in
+/// memory.
+pub(crate) fn write_inputs(
     rt: &Runtime,
-    file: BufferHandle,
-    n: usize,
-    block: usize,
-) -> Result<DenseMatrix> {
-    let nb = n / block;
-    let mut m = DenseMatrix::zeros(n, n);
-    for r in 0..nb {
-        for c in 0..nb {
-            let off = ((r * nb + c) * block * block * 4) as u64;
-            let tile = read_matrix(rt, file, off, block, block)?;
-            m.insert_block(r * block, c * block, &tile);
-        }
+    seed: u64,
+    (n, block): (usize, usize),
+    a_file: BufferHandle,
+    b_file: BufferHandle,
+) -> Result<()> {
+    let shard = (block * n * 4) as u64;
+    for i in 0..n / block {
+        let a = DenseMatrix::random_block(seed, i * block, 0, block, n);
+        rt.write_slice(a_file, i as u64 * shard, &f32s_to_bytes(&a.data))?;
     }
-    Ok(m)
+    for j in 0..n / block {
+        let b = DenseMatrix::random_block(seed + 1, 0, j * block, n, block);
+        rt.write_slice(b_file, j as u64 * shard, &f32s_to_bytes(&b.data))?;
+    }
+    Ok(())
 }
 
 /// One `(block x n) x (n x block)` tile on the GPU at the bottom of `deep`:
@@ -224,7 +223,6 @@ pub fn matmul_northup(cfg: &MatmulConfig, tree: Tree, mode: ExecMode) -> Result<
 /// Like [`matmul_northup`], on a caller-provided runtime (so callers can
 /// enable DAG tracing or inspect the runtime afterwards).
 pub fn matmul_northup_on(rt: &Runtime, cfg: &MatmulConfig) -> Result<AppRun> {
-    let mode = rt.mode();
     let es = cfg.elem_bytes();
     let n = cfg.n as u64;
     let block = cfg.block as u64;
@@ -241,19 +239,9 @@ pub fn matmul_northup_on(rt: &Runtime, cfg: &MatmulConfig) -> Result<AppRun> {
     let b_file = rt.alloc(file_bytes, root)?;
     let c_file = rt.alloc(file_bytes, root)?;
 
-    // Preprocessing (uncharged, as in the paper): write A row-major and B in
-    // column-shard-major layout.
-    let (a_mat, b_mat) = when_real(mode, || {
-        let am = DenseMatrix::random(cfg.n, cfg.n, cfg.seed);
-        let bm = DenseMatrix::random(cfg.n, cfg.n, cfg.seed + 1);
-        rt.write_slice(a_file, 0, &f32s_to_bytes(&am.data))?;
-        for j in 0..nb {
-            let shard = bm.extract_block(0, (j * block) as usize, cfg.n, cfg.block);
-            rt.write_slice(b_file, j * shard_b, &f32s_to_bytes(&shard.data))?;
-        }
-        Ok((am, bm))
-    })?
-    .unzip();
+    if rt.is_real() {
+        write_inputs(rt, cfg.seed, (cfg.n, cfg.block), a_file, b_file)?;
+    }
 
     // Staging level (first child of the root): the A row shard is double-
     // buffered for prefetch, B shards and C tiles ride the pipeline's ring.
@@ -296,20 +284,8 @@ pub fn matmul_northup_on(rt: &Runtime, cfg: &MatmulConfig) -> Result<AppRun> {
         },
     )?;
 
-    // Verification: reassemble C from its block-major layout.
-    let mut checksum = None;
-    let mut verified = None;
-    if let (Some(am), Some(bm)) = (&a_mat, &b_mat) {
-        let cm = read_block_major(rt, c_file, cfg.n, cfg.block)?;
-        (checksum, verified) = verify_gemm(am, bm, &cm);
-    }
-
-    Ok(AppRun {
-        name: "matmul/northup".into(),
-        report: rt.report(),
-        verified,
-        checksum,
-    })
+    let grid = Grid::block_major(cfg.n, cfg.block);
+    AppRun::of(rt, "matmul/northup", c_file, grid)
 }
 
 /// Run the Northup matmul over the 2-level APU preset with a given storage.
@@ -324,21 +300,38 @@ pub fn matmul_apu(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::{compare, Tolerance};
     use northup_hw::catalog;
+    use northup_kernels::matmul_naive;
+
+    /// Hold a Real run's C to the naive `A x B`, to within `1e-3 * n`.
+    fn assert_matches_naive(rt: &Runtime, cfg: &MatmulConfig, run: &AppRun) {
+        let a = DenseMatrix::random(cfg.n, cfg.n, cfg.seed);
+        let b = DenseMatrix::random(cfg.n, cfg.n, cfg.seed + 1);
+        let mut oracle = DenseMatrix::zeros(cfg.n, cfg.n);
+        matmul_naive(&a, &b, &mut oracle);
+        let grid = Grid::block_major(cfg.n, cfg.block);
+        let tol = Tolerance::Abs(1e-3 * cfg.n as f32);
+        let output = run.output.expect("a Real run names its result");
+        compare(rt, output, grid, &oracle.data, tol).unwrap();
+    }
 
     #[test]
     fn northup_small_matches_reference_on_apu() {
         let cfg = MatmulConfig::small();
-        let run = matmul_apu(&cfg, catalog::ssd_hyperx_predator(), ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true), "{run:?}");
+        let tree = northup::presets::apu_two_level(catalog::ssd_hyperx_predator());
+        let rt = Runtime::new(tree, ExecMode::Real).unwrap();
+        let run = matmul_northup_on(&rt, &cfg).unwrap();
+        assert_matches_naive(&rt, &cfg, &run);
     }
 
     #[test]
     fn northup_small_matches_reference_on_three_levels() {
         let cfg = MatmulConfig::small();
         let tree = northup::presets::discrete_gpu_three_level(catalog::hdd_wd5000());
-        let run = matmul_northup(&cfg, tree, ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true));
+        let rt = Runtime::new(tree, ExecMode::Real).unwrap();
+        let run = matmul_northup_on(&rt, &cfg).unwrap();
+        assert_matches_naive(&rt, &cfg, &run);
     }
 
     #[test]
@@ -412,8 +405,9 @@ mod tests {
         assert_eq!(cfg.block, 4 * 1024, "the paper's manual 4k blocking");
         // And at a small scale the planned config runs and verifies.
         let cfg = MatmulConfig::auto(&tree, 64, 1).unwrap();
-        let run = matmul_northup(&cfg, tree, ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true));
+        let rt = Runtime::new(tree, ExecMode::Real).unwrap();
+        let run = matmul_northup_on(&rt, &cfg).unwrap();
+        assert_matches_naive(&rt, &cfg, &run);
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //!   (stream in, stream out).
 
 use crate::calibration::model_for;
-use crate::host::when_real;
+use crate::host::{write_rows, Grid};
 use crate::report::AppRun;
-use northup::{ChunkPipeline, ExecMode, ProcKind, Result, Runtime, Tree};
+use northup::{BufferHandle, ChunkPipeline, ExecMode, ProcKind, Result, Runtime, Tree};
 use northup_kernels::{bytes_to_f32s, f32s_to_bytes};
+use std::ops::Range;
 
 /// Configuration of a streaming map/reduce scenario.
 #[derive(Debug, Clone)]
@@ -67,13 +68,21 @@ impl StreamConfig {
         out
     }
 
-    fn host_input(&self) -> Vec<f32> {
-        (0..self.elements)
+    /// Elements `range` of the input array, each a function of its index
+    /// and the seed alone, so a band is generated on its own.
+    pub fn input(&self, range: Range<u64>) -> Vec<f32> {
+        range
             .map(|i| {
                 let v = (i.wrapping_mul(0x9E37_79B9).wrapping_add(self.seed) % 1000) as f32;
                 v / 500.0 - 1.0
             })
             .collect()
+    }
+
+    /// Write the input array into `file`, a band at a time.
+    fn write_input(&self, rt: &Runtime, file: BufferHandle) -> Result<()> {
+        let band = |r: Range<usize>| self.input(r.start as u64..r.end as u64);
+        write_rows(rt, file, self.elements as usize, 1, band)
     }
 }
 
@@ -87,7 +96,8 @@ pub enum ReduceOp {
 }
 
 /// Streaming out-of-core reduction over a chain tree. Returns the reduced
-/// value (Real mode; 0 in Modeled mode) and the run.
+/// value (Real mode; 0 in Modeled mode), for the caller to hold to its
+/// oracle, and the run.
 pub fn reduce_northup(
     cfg: &StreamConfig,
     op: ReduceOp,
@@ -98,12 +108,9 @@ pub fn reduce_northup(
     let root = rt.tree().root();
     let bytes = cfg.elements * 4;
     let file = rt.alloc(bytes, root)?;
-
-    let host = when_real(mode, || {
-        let data = cfg.host_input();
-        rt.write_slice(file, 0, &f32s_to_bytes(&data))?;
-        Ok(data)
-    })?;
+    if mode == ExecMode::Real {
+        cfg.write_input(&rt, file)?;
+    }
 
     let stage = rt.tree().staging_level()?;
     let gpu_model = model_for(&rt.proc_at(stage, ProcKind::Gpu)?.name)?;
@@ -141,54 +148,34 @@ pub fn reduce_northup(
     )?;
     pipe.release()?;
 
-    let mut verified = None;
-    if let Some(host) = host {
-        let oracle = match op {
-            ReduceOp::Sum => host.iter().map(|&v| v as f64).sum::<f64>(),
-            ReduceOp::Max => host
-                .iter()
-                .map(|&v| v as f64)
-                .fold(f64::NEG_INFINITY, f64::max),
-        };
-        verified = Some((acc.get() - oracle).abs() <= 1e-9 * oracle.abs().max(1.0));
-    }
-
     let value = acc.get();
     Ok((
         value,
         AppRun {
             name: format!("reduce/{op:?}"),
             report: rt.report(),
-            verified,
             checksum: Some(value),
+            output: None,
         },
     ))
 }
 
-/// Streaming out-of-core `y = a*x + b` written back to a second file.
-pub fn map_northup(
-    cfg: &StreamConfig,
-    a: f32,
-    b: f32,
-    tree: Tree,
-    mode: ExecMode,
-) -> Result<AppRun> {
-    let rt = Runtime::new(tree, mode)?;
+/// Streaming out-of-core `y = a*x + b` written back to a second file, on a
+/// caller's runtime; `y` is the run's output.
+pub fn map_northup(rt: &Runtime, cfg: &StreamConfig, a: f32, b: f32) -> Result<AppRun> {
+    let mode = rt.mode();
     let root = rt.tree().root();
     let bytes = cfg.elements * 4;
     let x_file = rt.alloc(bytes, root)?;
     let y_file = rt.alloc(bytes, root)?;
-
-    let host = when_real(mode, || {
-        let data = cfg.host_input();
-        rt.write_slice(x_file, 0, &f32s_to_bytes(&data))?;
-        Ok(data)
-    })?;
+    if mode == ExecMode::Real {
+        cfg.write_input(rt, x_file)?;
+    }
 
     let stage = rt.tree().staging_level()?;
     let gpu_model = model_for(&rt.proc_at(stage, ProcKind::Gpu)?.name)?;
 
-    let pipe = ChunkPipeline::new(&rt, stage, cfg.ring, &[cfg.chunk * 4, cfg.chunk * 4])?;
+    let pipe = ChunkPipeline::new(rt, stage, cfg.ring, &[cfg.chunk * 4, cfg.chunk * 4])?;
     pipe.run(
         &cfg.chunks(),
         |&(off, n), bufs| {
@@ -216,30 +203,18 @@ pub fn map_northup(
         },
     )?;
     pipe.release()?;
-
-    let mut verified = None;
-    if let Some(host) = host {
-        let mut raw = vec![0u8; bytes as usize];
-        rt.read_slice(y_file, 0, &mut raw)?;
-        let got = bytes_to_f32s(&raw);
-        verified = Some(
-            host.iter()
-                .zip(&got)
-                .all(|(&x, &y)| (a * x + b - y).abs() < 1e-5),
-        );
-    }
-
-    Ok(AppRun {
-        name: "map/axpb".into(),
-        report: rt.report(),
-        verified,
-        checksum: None,
-    })
+    AppRun::of(
+        rt,
+        "map/axpb",
+        y_file,
+        Grid::row_major(cfg.elements as usize, 1),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::{compare, Tolerance};
     use northup_hw::catalog;
     use northup_sim::Category;
 
@@ -247,21 +222,50 @@ mod tests {
         northup::presets::apu_two_level(catalog::ssd_hyperx_predator())
     }
 
+    /// A Real reduction of `cfg`'s input by `op`, held to the host's
+    /// reduction of the same array to within 1e-9 (relative, at least 1).
+    fn assert_reduces_like_the_host(cfg: &StreamConfig, op: ReduceOp) -> f64 {
+        let (value, _) = reduce_northup(cfg, op, apu(), ExecMode::Real).unwrap();
+        let host = cfg.input(0..cfg.elements).into_iter().map(f64::from);
+        let oracle = match op {
+            ReduceOp::Sum => host.sum::<f64>(),
+            ReduceOp::Max => host.fold(f64::NEG_INFINITY, f64::max),
+        };
+        assert!(
+            (value - oracle).abs() <= 1e-9 * oracle.abs().max(1.0),
+            "{op:?}: {value} vs {oracle}"
+        );
+        value
+    }
+
     #[test]
     fn sum_and_max_verify() {
         let cfg = StreamConfig::small();
-        let (_, run) = reduce_northup(&cfg, ReduceOp::Sum, apu(), ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true));
-        let (m, run) = reduce_northup(&cfg, ReduceOp::Max, apu(), ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true));
+        assert_reduces_like_the_host(&cfg, ReduceOp::Sum);
+        let m = assert_reduces_like_the_host(&cfg, ReduceOp::Max);
         assert!(m <= 1.0 && m > 0.9, "values live in [-1, 1): {m}");
     }
 
     #[test]
     fn map_verifies_and_writes_back() {
         let cfg = StreamConfig::small();
-        let run = map_northup(&cfg, 2.5, -0.5, apu(), ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true));
+        let (a, b) = (2.5, -0.5);
+        let rt = Runtime::new(apu(), ExecMode::Real).unwrap();
+        let run = map_northup(&rt, &cfg, a, b).unwrap();
+        let oracle: Vec<f32> = cfg
+            .input(0..cfg.elements)
+            .iter()
+            .map(|&x| a * x + b)
+            .collect();
+        let grid = Grid::row_major(cfg.elements as usize, 1);
+        compare(
+            &rt,
+            run.output.unwrap(),
+            grid,
+            &oracle,
+            Tolerance::Abs(1e-5),
+        )
+        .unwrap();
         // One read + one write per chunk, plus setup.
         let io = run
             .report
@@ -282,8 +286,7 @@ mod tests {
             ring: 2,
             seed: 9,
         };
-        let (_, run) = reduce_northup(&cfg, ReduceOp::Sum, apu(), ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true));
+        assert_reduces_like_the_host(&cfg, ReduceOp::Sum);
     }
 
     #[test]
@@ -308,7 +311,6 @@ mod tests {
             ring: 2,
             seed: 1,
         };
-        let (_, run) = reduce_northup(&cfg, ReduceOp::Max, apu(), ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true));
+        assert_reduces_like_the_host(&cfg, ReduceOp::Max);
     }
 }

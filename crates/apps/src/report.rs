@@ -1,6 +1,7 @@
 //! Application run results and comparison helpers.
 
-use northup::RunReport;
+use crate::host::{checksum, Grid};
+use northup::{BufferHandle, Result, RunReport, Runtime};
 use northup_sim::{Category, SimDur};
 
 /// Result of one application run (baseline or Northup).
@@ -10,13 +11,35 @@ pub struct AppRun {
     pub name: String,
     /// Full runtime report (breakdown and I/O totals).
     pub report: RunReport,
-    /// `Some(true)` when Real-mode output matched the reference oracle.
-    pub verified: Option<bool>,
-    /// Order-independent checksum of the result (Real mode).
+    /// Checksum of the result (Real mode): its elements as `f64`, summed
+    /// in row order.
     pub checksum: Option<f64>,
+    /// The buffer holding the result on the runtime the run used (Real
+    /// mode), for the caller to check against an oracle
+    /// ([`crate::host::compare`]) while it holds that runtime. `None` in
+    /// Modeled mode and where the result is a returned value.
+    pub output: Option<BufferHandle>,
 }
 
 impl AppRun {
+    /// The run of a driver whose result is the `grid` in `result` on
+    /// `rt`: the report so far and, in Real mode, the result's checksum,
+    /// folded from storage a band at a time, and its buffer.
+    pub(crate) fn of(
+        rt: &Runtime,
+        name: impl Into<String>,
+        result: BufferHandle,
+        grid: Grid,
+    ) -> Result<AppRun> {
+        let real = rt.is_real();
+        Ok(AppRun {
+            name: name.into(),
+            report: rt.report(),
+            checksum: real.then(|| checksum(rt, result, grid)).transpose()?,
+            output: real.then_some(result),
+        })
+    }
+
     /// Virtual makespan of the run.
     pub fn makespan(&self) -> SimDur {
         self.report.makespan()
@@ -41,7 +64,7 @@ impl AppRun {
     pub fn summary(&self) -> String {
         let b = &self.report.breakdown;
         format!(
-            "{:<28} {:>10}  cpu {:>5.1}%  gpu {:>5.1}%  setup {:>5.1}%  io {:>5.1}%  xfer {:>5.1}%{}",
+            "{:<28} {:>10}  cpu {:>5.1}%  gpu {:>5.1}%  setup {:>5.1}%  io {:>5.1}%  xfer {:>5.1}%",
             self.name,
             format!("{}", self.makespan()),
             100.0 * b.share(Category::CpuCompute),
@@ -49,11 +72,6 @@ impl AppRun {
             100.0 * b.share(Category::BufferSetup),
             100.0 * (b.share(Category::FileIo) + b.share(Category::MemCopy)),
             100.0 * b.share(Category::DeviceTransfer),
-            match self.verified {
-                Some(true) => "  [verified]",
-                Some(false) => "  [MISMATCH]",
-                None => "",
-            }
         )
     }
 }
@@ -77,8 +95,8 @@ mod tests {
                 breakdown: tl.breakdown(),
                 io: vec![],
             },
-            verified: None,
             checksum: None,
+            output: None,
         }
     }
 

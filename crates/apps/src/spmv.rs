@@ -19,7 +19,7 @@
 //! it. Malformed staged bytes — a non-monotone `row_ptr`, a `row_ptr`
 //! span that disagrees with the staged entries, a column past `x` — are
 //! [`NorthupError::Invalid`]. The host [`Csr`] only writes the storage
-//! files and serves as the oracle.
+//! files (and is the callers' oracle).
 //!
 //! The dense vector `x` is staged once and stays resident ("one requirement
 //! for SpMV is the fastest memory has to be big enough to hold the
@@ -29,13 +29,12 @@ use crate::calibration::{
     model_for, spmv_dgpu_model, spmv_gpu_model, SPMV_CHUNKS, SPMV_IO_EFFICIENCY,
     SPMV_NORTHUP_BIN_FACTOR, SPMV_REPACK_BW,
 };
+use crate::host::Grid;
 use crate::report::AppRun;
 use northup::{
     BufferHandle, ChainBufs, ExecMode, NodeId, NorthupError, ProcKind, Result, Runtime, Tree,
 };
-use northup_kernels::{
-    binning_time, bytes_to_f32s, f32s_to_bytes, rel_error, spmv_adaptive, try_spmv_adaptive,
-};
+use northup_kernels::{binning_time, f32s_to_bytes, spmv_adaptive, try_spmv_adaptive};
 use northup_sim::SimDur;
 use northup_sparse::{
     bin_rows, partition_even_rows, BinningParams, Csr, CsrBytes, CsrError, PaperSpmvShape,
@@ -134,6 +133,12 @@ fn shard_geometry(input: &SpmvInput) -> Vec<ShardGeom> {
                 .collect()
         }
     }
+}
+
+/// The dense `x` every Real-mode SpMV driver multiplies by, `cols` long:
+/// each entry a function of its index alone.
+pub fn spmv_x(cols: usize) -> Vec<f32> {
+    (0..cols).map(|i| ((i % 11) as f32 - 5.0) * 0.3).collect()
 }
 
 fn gpu_spmv_model(name: &str) -> northup_kernels::ProcModel {
@@ -236,24 +241,19 @@ pub fn spmv_in_memory(input: &SpmvInput, mode: ExecMode) -> Result<AppRun> {
     root.compute(ProcKind::Gpu, dur, &[mat, x], &[y], "csr-adaptive")?;
 
     let mut checksum = None;
-    let mut verified = None;
     if let (ExecMode::Real, SpmvInput::Matrix(m)) = (mode, input) {
-        let xv: Vec<f32> = (0..m.cols).map(|i| ((i % 11) as f32 - 5.0) * 0.3).collect();
         let blocks = bin_rows(m, BinningParams::default());
         let mut yv = vec![0.0f32; m.rows];
-        spmv_adaptive(m, &blocks, &xv, &mut yv);
+        spmv_adaptive(m, &blocks, &spmv_x(m.cols), &mut yv);
         rt.write_slice(y, 0, &f32s_to_bytes(&yv))?;
-        let mut oracle = vec![0.0f32; m.rows];
-        m.spmv_reference(&xv, &mut oracle);
-        verified = Some(rel_error(&oracle, &yv) < 1e-4);
         checksum = Some(yv.iter().map(|&v| v as f64).sum());
     }
 
     Ok(AppRun {
         name: "spmv/in-memory".into(),
         report: rt.report(),
-        verified,
         checksum,
+        output: None,
     })
 }
 
@@ -284,7 +284,7 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
     let mut x_host: Vec<f32> = Vec::new();
     if let (ExecMode::Real, SpmvInput::Matrix(m)) = (mode, input) {
         write_csr(rt, csr_files, m)?;
-        x_host = (0..m.cols).map(|i| ((i % 11) as f32 - 5.0) * 0.3).collect();
+        x_host = spmv_x(m.cols);
         rt.write_slice(x_file, 0, &f32s_to_bytes(&x_host))?;
     }
 
@@ -306,7 +306,6 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
     // and issue the next shard's variable-length reads until the current
     // pass has examined row_ptr. This is exactly why CSR-Adaptive gets
     // less I/O overlap than HotSpot's regular blocks in the paper (§V-B).
-    let mut checksum = 0.0f64;
     for (ci_idx, g) in geoms.iter().enumerate() {
         let staged = stage_shard(rt, stage_node, csr_files, g)?;
         let [rp_s, ci_s, va_s, y_s] = staged;
@@ -357,7 +356,6 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
                 &x_host,
                 &mut yv,
             )?;
-            checksum += yv.iter().map(|&v| v as f64).sum::<f64>();
             rt.write_slice(leaf[3], 0, &f32s_to_bytes(&yv))?;
         }
 
@@ -373,24 +371,8 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
         }
     }
 
-    let mut verified = None;
-    let mut csum = None;
-    if let (ExecMode::Real, SpmvInput::Matrix(m)) = (mode, input) {
-        let mut bytes = vec![0u8; (rows * 4) as usize];
-        rt.read_slice(y_file, 0, &mut bytes)?;
-        let got = bytes_to_f32s(&bytes);
-        let mut oracle = vec![0.0f32; m.rows];
-        m.spmv_reference(&x_host, &mut oracle);
-        verified = Some(rel_error(&oracle, &got) < 1e-4);
-        csum = Some(checksum);
-    }
-
-    Ok(AppRun {
-        name: "spmv/northup".into(),
-        report: rt.report(),
-        verified,
-        checksum: csum,
-    })
+    let grid = Grid::row_major(rows as usize, 1);
+    AppRun::of(rt, "spmv/northup", y_file, grid)
 }
 
 /// Power iteration on an out-of-core matrix: repeated `y = A x` passes with
@@ -490,8 +472,8 @@ pub fn power_iteration_northup(
         AppRun {
             name: "spmv/power-iteration".into(),
             report: rt.report(),
-            verified: None,
             checksum: Some(eigenvalue),
+            output: None,
         },
     ))
 }
@@ -519,33 +501,61 @@ pub fn spmv_apu(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::{compare, Tolerance};
     use northup_hw::catalog;
+    use northup_kernels::rel_error;
     use northup_sparse::gen;
 
     fn small_matrix() -> Csr {
         gen::powerlaw(600, 600, 128, 0.9, 42)
     }
 
+    /// `m x` by the reference SpMV.
+    fn oracle(m: &Csr) -> Vec<f32> {
+        let mut y = vec![0.0f32; m.rows];
+        m.spmv_reference(&spmv_x(m.cols), &mut y);
+        y
+    }
+
+    /// Run `m` out of core on a Real runtime over `tree` and hold its `y`
+    /// to the reference SpMV, to within 1e-4 relative.
+    fn assert_matches_reference(tree: Tree, m: Csr) {
+        let rt = Runtime::new(tree, ExecMode::Real).unwrap();
+        let want = oracle(&m);
+        let run = spmv_northup_on(&rt, &SpmvInput::Matrix(m)).unwrap();
+        let grid = Grid::row_major(want.len(), 1);
+        compare(&rt, run.output.unwrap(), grid, &want, Tolerance::Rel(1e-4)).unwrap();
+    }
+
     #[test]
     fn northup_small_matches_reference() {
-        let input = SpmvInput::Matrix(small_matrix());
-        let run = spmv_apu(&input, catalog::ssd_hyperx_predator(), ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true));
+        let storage = spmv_storage(catalog::ssd_hyperx_predator());
+        let tree = northup::presets::apu_two_level(storage);
+        assert_matches_reference(tree, small_matrix());
     }
 
     #[test]
     fn northup_three_level_matches_reference() {
-        let input = SpmvInput::Matrix(gen::banded(500, 3, 7));
         let tree = northup::presets::discrete_gpu_three_level(catalog::hdd_wd5000());
-        let run = spmv_northup(&input, tree, ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true));
+        assert_matches_reference(tree, gen::banded(500, 3, 7));
     }
 
+    /// The baseline's `y` is CSR-Adaptive's: that is within 1e-4 of the
+    /// reference, and the baseline's checksum is its sum, bit for bit.
     #[test]
     fn in_memory_baseline_verifies() {
-        let input = SpmvInput::Matrix(small_matrix());
-        let run = spmv_in_memory(&input, ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true));
+        let m = small_matrix();
+        let mut y = vec![0.0f32; m.rows];
+        spmv_adaptive(
+            &m,
+            &bin_rows(&m, BinningParams::default()),
+            &spmv_x(m.cols),
+            &mut y,
+        );
+        assert!(rel_error(&oracle(&m), &y) < 1e-4);
+        let run = spmv_in_memory(&SpmvInput::Matrix(m), ExecMode::Real).unwrap();
+        let sum: f64 = y.iter().map(|&v| v as f64).sum();
+        assert_eq!(run.checksum.unwrap().to_bits(), sum.to_bits());
     }
 
     #[test]

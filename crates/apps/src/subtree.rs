@@ -174,8 +174,8 @@ pub fn run_batch(
         run: AppRun {
             name: format!("subtree-batch/{dispatch:?}"),
             report: rt.report(),
-            verified: None,
             checksum: None,
+            output: None,
         },
         per_leaf,
     })

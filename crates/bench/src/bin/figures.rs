@@ -318,11 +318,12 @@ fn print_extensions() {
             ..HotspotConfig::paper()
         };
         let f = optimal_gpu_fraction();
-        let gpu_only =
-            hotspot_split_leaf(&cfg, 1.0, catalog::ssd_hyperx_predator(), ExecMode::Modeled)
-                .expect("gpu only");
-        let split = hotspot_split_leaf(&cfg, f, catalog::ssd_hyperx_predator(), ExecMode::Modeled)
-            .expect("split");
+        let apu = || {
+            let tree = presets::apu_two_level(catalog::ssd_hyperx_predator());
+            Runtime::new(tree, ExecMode::Modeled).expect("runtime")
+        };
+        let gpu_only = hotspot_split_leaf(&apu(), &cfg, 1.0).expect("gpu only");
+        let split = hotspot_split_leaf(&apu(), &cfg, f).expect("split");
         println!(
             "leaf split (hotspot): gpu-only {} vs cpu+gpu split@{:.2} {} ({:.2}x)",
             gpu_only.makespan(),

@@ -255,9 +255,11 @@ pub fn build_chain(tree: &Tree, leaf: NodeId, work: ChunkWork, chunks: u32) -> C
         }
         stages.push(ChainStage {
             stage: Stage::WriteBack,
-            // ROADMAP 2(b): the root's *read* rate and latency, where
-            // `Runtime` writes a file at `write_time`; every pinned
-            // schedule digest is computed under this price.
+            // The root's *read* rate and latency, where `Runtime` writes
+            // a file at `write_time`; every pinned schedule digest is
+            // computed under this price. The write price waits on a
+            // re-sized overload trace: at it, the overload run misses its
+            // completion and latency targets.
             dur: root_mem.read_time(work.write_bytes),
         });
     }
@@ -347,7 +349,8 @@ mod tests {
                         Stage::LinkDown(hop) => hop_time(hop, xfer),
                         Stage::Compute(_) => Some(compute),
                         Stage::LinkUp(hop) => hop_time(hop, write),
-                        // ROADMAP 2(b): the root's read price, not its write price.
+                        // The root's read price, not its write price (see
+                        // `build_chain`: the fix waits on the overload trace).
                         Stage::WriteBack => Some(root.read_time(write)),
                     };
                     assert_eq!(Some(cs.dur), want, "{:?} on {leaf}", cs.stage);
@@ -360,7 +363,8 @@ mod tests {
     }
 
     /// `Runtime` and a compiled chain price the stages both models share
-    /// alike, so the two cannot drift (ROADMAP 2(b)): a root→staging
+    /// alike, so the two cannot drift (only `WriteBack` differs, until
+    /// the overload trace is re-sized for its write price): a root→staging
     /// move's `FileIo` busy time is the chain's `Read`, and a DRAM→GPU
     /// move's `DeviceTransfer` busy time is that hop's `LinkDown`.
     #[test]

@@ -46,7 +46,16 @@ impl DenseMatrix {
 
     /// A deterministic pseudo-random matrix (splitmix-style hash of indices).
     pub fn random(rows: usize, cols: usize, seed: u64) -> Self {
+        DenseMatrix::random_block(seed, 0, 0, rows, cols)
+    }
+
+    /// The `rows x cols` block at `(r0, c0)` of every [`random`](Self::random)
+    /// matrix of this `seed` large enough to hold it, bit for bit: each
+    /// element is a hash of its global indices, so a shard is generated on
+    /// its own.
+    pub fn random_block(seed: u64, r0: usize, c0: usize, rows: usize, cols: usize) -> Self {
         DenseMatrix::from_fn(rows, cols, |r, c| {
+            let (r, c) = (r0 + r, c0 + c);
             let mut z = seed
                 .wrapping_add((r as u64) << 32)
                 .wrapping_add(c as u64)
@@ -209,6 +218,15 @@ mod tests {
         assert!(a.data.iter().all(|v| (-1.0..1.0).contains(v)));
         // Not degenerate.
         assert!(a.data.iter().any(|&v| v != a.data[0]));
+    }
+
+    #[test]
+    fn a_random_block_is_the_block_of_the_whole_matrix() {
+        let whole = DenseMatrix::random(12, 20, 7);
+        for (r0, c0, h, w) in [(0, 0, 12, 20), (4, 0, 3, 20), (0, 8, 12, 4), (5, 13, 7, 7)] {
+            let block = DenseMatrix::random_block(7, r0, c0, h, w);
+            assert_eq!(block, whole.extract_block(r0, c0, h, w), "({r0}, {c0})");
+        }
     }
 
     #[test]

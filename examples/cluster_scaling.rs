@@ -6,13 +6,26 @@
 //! ```
 
 use northup_suite::apps::distributed::{gemm_cluster, scaling_curve, DistGemmConfig};
+use northup_suite::apps::host::{compare, Grid, Tolerance};
 use northup_suite::apps::subtree::{run_batch, Dispatch};
+use northup_suite::kernels::{matmul_naive, DenseMatrix};
 use northup_suite::prelude::*;
 
 fn main() -> Result<()> {
-    // Correctness first: the distributed schedule is exact.
-    let run = gemm_cluster(&DistGemmConfig::small(3), ExecMode::Real)?;
-    assert_eq!(run.verified, Some(true));
+    // Correctness first: the distributed schedule is exact, its C (row-
+    // major) within 1e-3 * n of the naive A x B.
+    let cfg = DistGemmConfig::small();
+    let rt = Runtime::new(presets::cluster(3, 0), ExecMode::Real)?;
+    let run = gemm_cluster(&rt, &cfg)?;
+    let a = DenseMatrix::random(cfg.n, cfg.n, cfg.seed);
+    let b = DenseMatrix::random(cfg.n, cfg.n, cfg.seed + 1);
+    let mut oracle = DenseMatrix::zeros(cfg.n, cfg.n);
+    matmul_naive(&a, &b, &mut oracle);
+    if let Some(output) = run.output {
+        let grid = Grid::row_major(cfg.n, cfg.n);
+        let tol = Tolerance::Abs(1e-3 * cfg.n as f32);
+        compare(&rt, output, grid, &oracle.data, tol)?;
+    }
     println!("distributed GEMM verified on 3 nodes (real bytes, PFS + InfiniBand + NVM chains)\n");
 
     // Strong scaling at paper scale (16k x 16k, 4k blocking, W9100 nodes).

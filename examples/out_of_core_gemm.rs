@@ -10,7 +10,9 @@
 //! cargo run --release --example out_of_core_gemm -- --paper   # 16k modeled
 //! ```
 
-use northup_suite::apps::matmul::matmul_northup;
+use northup_suite::apps::host::{compare, Grid, Tolerance};
+use northup_suite::apps::matmul::matmul_northup_on;
+use northup_suite::kernels::{matmul_naive, DenseMatrix};
 use northup_suite::prelude::*;
 
 fn main() -> Result<()> {
@@ -38,6 +40,12 @@ fn main() -> Result<()> {
 
     let baseline = matmul_in_memory(&cfg, mode)?;
     println!("{}", baseline.summary());
+    // Each out-of-core run below is held to the oracle before it prints.
+    let real = if mode == ExecMode::Real {
+        "  [verified]"
+    } else {
+        ""
+    };
 
     let machines: Vec<(&str, Tree)> = vec![
         (
@@ -55,17 +63,30 @@ fn main() -> Result<()> {
         ("exascale node (4 levels)", presets::exascale_node()),
     ];
 
+    // The naive A x B every machine's C is held to (Real mode only).
+    let oracle = (mode == ExecMode::Real).then(|| {
+        let a = DenseMatrix::random(cfg.n, cfg.n, cfg.seed);
+        let b = DenseMatrix::random(cfg.n, cfg.n, cfg.seed + 1);
+        let mut c = DenseMatrix::zeros(cfg.n, cfg.n);
+        matmul_naive(&a, &b, &mut c);
+        c
+    });
     for (name, tree) in machines {
         let levels = tree.max_level() + 1;
-        let run = matmul_northup(&cfg, tree, mode)?;
+        let rt = Runtime::new(tree, mode)?;
+        let run = matmul_northup_on(&rt, &cfg)?;
+        if let (Some(oracle), Some(output)) = (&oracle, run.output) {
+            // C is stored block-major, one block x block tile after another.
+            let grid = Grid::block_major(cfg.n, cfg.block);
+            let tol = Tolerance::Abs(1e-3 * cfg.n as f32);
+            let checked = compare(&rt, output, grid, &oracle.data, tol);
+            assert!(checked.is_ok(), "result mismatch on {name}: {checked:?}");
+        }
         println!(
-            "{}  [{name}, {levels} levels]  slowdown vs in-memory: {:.3}",
+            "{}{real}  [{name}, {levels} levels]  slowdown vs in-memory: {:.3}",
             run.summary(),
             run.slowdown_vs(&baseline)
         );
-        if mode == ExecMode::Real {
-            assert_eq!(run.verified, Some(true), "result mismatch on {name}");
-        }
     }
     println!("same application code ran on every topology — only the tree changed");
     Ok(())

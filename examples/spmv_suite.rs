@@ -10,6 +10,8 @@
 //! cargo run --release --example spmv_suite
 //! ```
 
+use northup_suite::apps::host::{compare, Grid, Tolerance};
+use northup_suite::apps::spmv::{spmv_northup_on, spmv_storage, spmv_x};
 use northup_suite::prelude::*;
 use northup_suite::sparse::{bin_rows, kind_histogram, BinningParams, SuiteMatrix};
 
@@ -25,8 +27,16 @@ fn main() -> Result<()> {
 
         let input = SpmvInput::Matrix(csr.clone());
         let baseline = spmv_in_memory(&input, ExecMode::Real)?;
-        let run = spmv_apu(&input, catalog::ssd_hyperx_predator(), ExecMode::Real)?;
-        assert_eq!(run.verified, Some(true), "{} mismatch", m.name());
+        let storage = spmv_storage(catalog::ssd_hyperx_predator());
+        let rt = Runtime::new(presets::apu_two_level(storage), ExecMode::Real)?;
+        let run = spmv_northup_on(&rt, &input)?;
+        let mut oracle = vec![0.0f32; csr.rows];
+        csr.spmv_reference(&spmv_x(csr.cols), &mut oracle);
+        if let Some(output) = run.output {
+            let grid = Grid::row_major(csr.rows, 1);
+            let checked = compare(&rt, output, grid, &oracle, Tolerance::Rel(1e-4));
+            assert!(checked.is_ok(), "{} mismatch: {checked:?}", m.name());
+        }
 
         println!(
             "{:<12} {:>9} {:>11} {:>8.1} {:>22} {:>10} {:>9.3}",

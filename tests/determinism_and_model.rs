@@ -166,7 +166,8 @@ fn paper_scale_makespans_are_pinned_to_the_nanosecond() {
     }
 
     for (k, ns) in [(1, 8_475_635_992), (3, 4_490_827_754)] {
-        let run = gemm_cluster(&DistGemmConfig::paper(k), ExecMode::Modeled).unwrap();
+        let rt = Runtime::new(presets::cluster(k, 0), ExecMode::Modeled).unwrap();
+        let run = gemm_cluster(&rt, &DistGemmConfig::paper()).unwrap();
         assert_eq!(run.makespan().0, ns, "gemm_cluster on {k} nodes");
     }
 }

@@ -1,12 +1,13 @@
 //! Heap held and allocations made by the event engine, pinned per job
-//! (DESIGN.md §12), and the allocations of a kernel's loan of staged
-//! bytes (none).
+//! (DESIGN.md §12), the allocations of a kernel's loan of staged bytes
+//! (none), and the peak heap of an out-of-core app run (a band, not the
+//! problem).
 //!
 //! A binary of its own, because it installs a counting
 //! `#[global_allocator]` (the counters of `benchmark/src/alloc.rs`,
 //! copied: the harness is a separate package). The counters are
-//! process-wide, so the two tests take one lock and never overlap. Each
-//! reads exact counts that need no stopwatch.
+//! process-wide, so the tests take one lock and never overlap. Each
+//! reads counts that need no stopwatch.
 //!
 //! `replay_heap_per_job_is_pinned` replays the benchmark's `sched_replay`
 //! configuration at 50 000 jobs — the `replay_50k_digest_is_pinned` run
@@ -43,6 +44,8 @@
 //! 17 987 since the controller keeps each window's largest samples,
 //! 17 982 once placement stopped allocating work-queue nodes.
 
+use northup_suite::apps::hotspot::hotspot_northup_on;
+use northup_suite::apps::matmul::matmul_northup_on;
 use northup_suite::apps::service::{
     overload_slo, overload_trace, synthetic_trace, OverloadConfig, TraceConfig,
 };
@@ -270,4 +273,105 @@ fn overload_run_allocations_are_pinned() {
         "run() made {allocs} allocations over {ticks} control ticks: \
          not two per tick under the parent's {PARENT}"
     );
+}
+
+/// Bytes a staging ring of `ring` slots of `sizes` holds.
+fn ring_bytes(ring: u64, sizes: &[u64]) -> u64 {
+    ring * sizes.iter().sum::<u64>()
+}
+
+/// An out-of-core run holds its staging ring and a band, never its
+/// problem: peak live heap during one Real `hotspot_northup_on` (2048²
+/// grid in 512-blocks, one step a pass, two passes: three 16 MiB grids on
+/// storage) and one Real `matmul_northup_on` (1024², 256-blocks: the
+/// `gemm_ooc` problem, three 4 MiB matrices on storage) is bounded by the
+/// sum of
+///
+/// * **the staging ring** — HotSpot: two slots of two 514² halo regions
+///   and a 512² core (6 324 288 B); GEMM: the double-buffered 1 MiB A row
+///   shard and two slots of a 1 MiB B shard and a 256 KiB C tile
+///   (4 718 592 B);
+/// * **held writes** — `FileBackend` holds sub-page writes up to 4 MiB
+///   (HotSpot's 2 KiB core rows); GEMM's C tiles are 256 KiB, so it holds
+///   none;
+/// * **one input band** and its byte image — a 4 MiB band of grid rows
+///   (8 MiB); a 1 MiB A or B shard (2 MiB);
+/// * **one checksum band** — 4 MiB of result rows; one 1 MiB row of C
+///   tiles.
+///
+/// Inputs are written before the ring exists and the checksum is read
+/// after the last tile, so the two bands are never live with the leaf's
+/// operand copies; the sum leaves room for those and for the runtime's
+/// own records. The bounds are 23 101 504 B and 7 864 320 B, each at least
+/// 2x under the reading of the drivers before they wrote and read in
+/// bands, in bytes:
+///
+/// | | whole-problem drivers (parent) | banded drivers |
+/// |---|---|---|
+/// | `hotspot_northup_on` | 90 359 763 | 15 182 347 – 16 508 971 |
+/// | `matmul_northup_on` | 17 831 717 | 7 609 816 – 7 609 879 |
+///
+/// The parent kept both input grids (A and B) whole for the whole run and
+/// rebuilt the whole result for its checksum and oracle. HotSpot's reading varies
+/// with how the stencil's row bands overlap on the pool's workers; the
+/// bound does not. Debug and release read alike.
+#[test]
+fn out_of_core_runs_hold_a_band_not_the_problem() {
+    let _counters = counters();
+    let tree = || presets::apu_two_level(catalog::ssd_hyperx_predator());
+    // Peak live heap during one call, runtime built beforehand.
+    let peak_of = |run: &dyn Fn(&Runtime) -> Result<AppRun>| {
+        let rt = Runtime::new(tree(), ExecMode::Real).unwrap();
+        let base = ALLOC.live();
+        ALLOC.take_peak();
+        let run = run(&rt).unwrap();
+        let peak = ALLOC.take_peak() - base;
+        assert!(
+            run.checksum.is_some() && run.output.is_some(),
+            "{}",
+            run.name
+        );
+        peak as u64
+    };
+    const MIB: u64 = 1 << 20;
+
+    let hs = HotspotConfig {
+        n: 2048,
+        block: 512,
+        steps_per_pass: 1,
+        passes: 2,
+        ring: 2,
+        seed: 1,
+    };
+    let region = (512 + 2) * (512 + 2) * 4;
+    let core = 512 * 512 * 4;
+    let hotspot_bound = ring_bytes(2, &[region, region, core]) + 4 * MIB + 2 * 4 * MIB + 4 * MIB;
+    let hotspot = peak_of(&|rt| hotspot_northup_on(rt, &hs));
+
+    let mm = MatmulConfig {
+        n: 1024,
+        block: 256,
+        ring: 2,
+        seed: 1,
+    };
+    let (shard, tile) = (256 * 1024 * 4, 256 * 256 * 4);
+    let matmul_bound = 2 * shard + ring_bytes(2, &[shard, tile]) + 2 * shard + shard;
+    let matmul = peak_of(&|rt| matmul_northup_on(rt, &mm));
+
+    // What the parent commit measured, and this bound.
+    const PARENT: (u64, u64) = (90_359_763, 17_831_717);
+    for (what, now, bound, parent) in [
+        ("hotspot_northup_on", hotspot, hotspot_bound, PARENT.0),
+        ("matmul_northup_on", matmul, matmul_bound, PARENT.1),
+    ] {
+        println!("{what}: peak {now} B, bound {bound} B"); // `-- --nocapture` to re-base
+        assert!(
+            now <= bound,
+            "{what}: peak {now} B over its bound {bound} B"
+        );
+        assert!(
+            2 * bound <= parent,
+            "{what}: bound {bound} B not 2x under the parent's {parent} B"
+        );
+    }
 }

@@ -4,12 +4,70 @@
 //! topologies. These are the end-to-end guarantees behind the paper's
 //! portability claim.
 
-use northup_suite::apps::hotspot::hotspot_northup;
-use northup_suite::apps::matmul::matmul_northup;
-use northup_suite::apps::spmv::spmv_northup;
+use northup_suite::apps::host::{compare, Grid, Tolerance};
+use northup_suite::apps::hotspot::hotspot_northup_on;
+use northup_suite::apps::matmul::matmul_northup_on;
+use northup_suite::apps::spmv::{spmv_northup_on, spmv_storage, spmv_x};
+use northup_suite::kernels::{matmul_naive, multi_step_reference, DenseMatrix, HotSpotParams};
 use northup_suite::prelude::*;
-use northup_suite::sparse::gen;
+use northup_suite::sparse::{gen, Csr};
 use proptest::prelude::*;
+
+/// The out-of-core GEMM on a Real runtime over `tree`, its C held to the
+/// naive `A x B` within `1e-3 * n`.
+fn matmul_check(tree: Tree, cfg: &MatmulConfig) -> Result<()> {
+    let rt = Runtime::new(tree, ExecMode::Real)?;
+    let run = matmul_northup_on(&rt, cfg)?;
+    let a = DenseMatrix::random(cfg.n, cfg.n, cfg.seed);
+    let b = DenseMatrix::random(cfg.n, cfg.n, cfg.seed + 1);
+    let mut oracle = DenseMatrix::zeros(cfg.n, cfg.n);
+    matmul_naive(&a, &b, &mut oracle);
+    let grid = Grid::block_major(cfg.n, cfg.block);
+    let tol = Tolerance::Abs(1e-3 * cfg.n as f32);
+    compare(
+        &rt,
+        run.output.expect("Real output"),
+        grid,
+        &oracle.data,
+        tol,
+    )
+}
+
+/// The out-of-core HotSpot on a Real runtime over `tree`, its final grid
+/// held to `total_steps` of the in-memory reference within 1e-3.
+fn hotspot_check(tree: Tree, cfg: &HotspotConfig) -> Result<()> {
+    let rt = Runtime::new(tree, ExecMode::Real)?;
+    let run = hotspot_northup_on(&rt, cfg)?;
+    let (temp, power) = (cfg.temperature(0..cfg.n), cfg.power(0..cfg.n));
+    let prm = HotSpotParams::default();
+    let oracle = multi_step_reference(&temp, &power, cfg.total_steps(), &prm);
+    let grid = Grid::row_major(cfg.n, cfg.n);
+    let tol = Tolerance::Abs(1e-3);
+    compare(
+        &rt,
+        run.output.expect("Real output"),
+        grid,
+        &oracle.data,
+        tol,
+    )
+}
+
+/// The out-of-core SpMV of `m` on a Real runtime over `tree`, its `y` held
+/// to the reference SpMV within 1e-4 relative.
+fn spmv_check(tree: Tree, m: Csr) -> Result<()> {
+    let rt = Runtime::new(tree, ExecMode::Real)?;
+    let mut oracle = vec![0.0f32; m.rows];
+    m.spmv_reference(&spmv_x(m.cols), &mut oracle);
+    let run = spmv_northup_on(&rt, &SpmvInput::Matrix(m))?;
+    let grid = Grid::row_major(oracle.len(), 1);
+    compare(
+        &rt,
+        run.output.expect("Real output"),
+        grid,
+        &oracle,
+        Tolerance::Rel(1e-4),
+    )
+}
 
 fn storages() -> Vec<DeviceSpec> {
     vec![
@@ -32,8 +90,8 @@ fn matmul_verifies_on_every_storage_class() {
     };
     for storage in storages() {
         let name = storage.name.clone();
-        let run = matmul_apu(&cfg, storage, ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true), "matmul on {name}");
+        let checked = matmul_check(presets::apu_two_level(storage), &cfg);
+        assert!(checked.is_ok(), "matmul on {name}: {checked:?}");
     }
 }
 
@@ -49,18 +107,19 @@ fn hotspot_verifies_on_every_storage_class() {
     };
     for storage in storages() {
         let name = storage.name.clone();
-        let run = hotspot_apu(&cfg, storage, ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true), "hotspot on {name}");
+        let checked = hotspot_check(presets::apu_two_level(storage), &cfg);
+        assert!(checked.is_ok(), "hotspot on {name}: {checked:?}");
     }
 }
 
 #[test]
 fn spmv_verifies_on_every_storage_class() {
-    let input = SpmvInput::Matrix(gen::powerlaw(300, 300, 64, 0.8, 17));
+    let m = gen::powerlaw(300, 300, 64, 0.8, 17);
     for storage in storages() {
         let name = storage.name.clone();
-        let run = spmv_apu(&input, storage, ExecMode::Real).unwrap();
-        assert_eq!(run.verified, Some(true), "spmv on {name}");
+        let tree = presets::apu_two_level(spmv_storage(storage));
+        let checked = spmv_check(tree, m.clone());
+        assert!(checked.is_ok(), "spmv on {name}: {checked:?}");
     }
 }
 
@@ -73,8 +132,7 @@ fn all_apps_verify_on_the_exascale_chain() {
         ring: 2,
         seed: 9,
     };
-    let run = matmul_northup(&cfg, presets::exascale_node(), ExecMode::Real).unwrap();
-    assert_eq!(run.verified, Some(true));
+    matmul_check(presets::exascale_node(), &cfg).unwrap();
 
     let hcfg = HotspotConfig {
         n: 32,
@@ -84,12 +142,9 @@ fn all_apps_verify_on_the_exascale_chain() {
         ring: 2,
         seed: 1,
     };
-    let run = hotspot_northup(&hcfg, presets::exascale_node(), ExecMode::Real).unwrap();
-    assert_eq!(run.verified, Some(true));
+    hotspot_check(presets::exascale_node(), &hcfg).unwrap();
 
-    let input = SpmvInput::Matrix(gen::banded(200, 2, 5));
-    let run = spmv_northup(&input, presets::exascale_node(), ExecMode::Real).unwrap();
-    assert_eq!(run.verified, Some(true));
+    spmv_check(presets::exascale_node(), gen::banded(200, 2, 5)).unwrap();
 }
 
 proptest! {
@@ -102,8 +157,8 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let cfg = MatmulConfig { n: blocks * block, block, ring: 2, seed };
-        let run = matmul_apu(&cfg, catalog::ssd_hyperx_predator(), ExecMode::Real).unwrap();
-        prop_assert_eq!(run.verified, Some(true));
+        let checked = matmul_check(presets::apu_two_level(catalog::ssd_hyperx_predator()), &cfg);
+        prop_assert!(checked.is_ok(), "{:?}", checked);
     }
 
     #[test]
@@ -122,8 +177,8 @@ proptest! {
             ring: 2,
             seed,
         };
-        let run = hotspot_apu(&cfg, catalog::ssd_hyperx_predator(), ExecMode::Real).unwrap();
-        prop_assert_eq!(run.verified, Some(true));
+        let checked = hotspot_check(presets::apu_two_level(catalog::ssd_hyperx_predator()), &cfg);
+        prop_assert!(checked.is_ok(), "{:?}", checked);
     }
 
     #[test]
@@ -133,9 +188,9 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let m = gen::uniform_random(rows, rows.max(nnz_per_row + 1), nnz_per_row, seed);
-        let input = SpmvInput::Matrix(m);
-        let run = spmv_apu(&input, catalog::hdd_wd5000(), ExecMode::Real).unwrap();
-        prop_assert_eq!(run.verified, Some(true));
+        let tree = presets::apu_two_level(spmv_storage(catalog::hdd_wd5000()));
+        let checked = spmv_check(tree, m);
+        prop_assert!(checked.is_ok(), "{:?}", checked);
     }
 
     #[test]

@@ -125,15 +125,12 @@ fn render_outputs_are_stable() {
 
 /// A tree that is only a root has no level to stage chunks on. Every
 /// out-of-core entry point that takes a tree reports that as the typed
-/// [`TopologyError::NoStagingLevel`] instead of panicking. The other two
-/// `staging_level()` callers, `hotspot_split_leaf` and
-/// `layout::spmv_with_format`, take a storage device and build
-/// `presets::apu_two_level` themselves, so nobody can hand them a lone
-/// root and they have no row.
+/// [`TopologyError::NoStagingLevel`] instead of panicking, the ones that
+/// take the caller's runtime included.
 #[test]
 fn a_single_node_tree_is_a_typed_error_from_every_out_of_core_entry_point() {
     use northup_suite::apps::reduce::{map_northup, reduce_northup, ReduceOp, StreamConfig};
-    use northup_suite::apps::{hotspot, matmul, spmv};
+    use northup_suite::apps::{hotspot, layout, matmul, spmv};
     use northup_suite::core::TopologyError;
     use northup_suite::sparse::gen;
 
@@ -154,7 +151,7 @@ fn a_single_node_tree_is_a_typed_error_from_every_out_of_core_entry_point() {
         ),
         (
             "map_northup",
-            map_northup(&st, 2.0, 1.0, lone(), modeled).map(drop),
+            on(&|rt| map_northup(rt, &st, 2.0, 1.0)).map(drop),
         ),
         (
             "matmul_northup",
@@ -183,6 +180,14 @@ fn a_single_node_tree_is_a_typed_error_from_every_out_of_core_entry_point() {
         (
             "hotspot_northup_on",
             on(&|rt| hotspot::hotspot_northup_on(rt, &hs)).map(drop),
+        ),
+        (
+            "hotspot_split_leaf",
+            on(&|rt| hotspot::hotspot_split_leaf(rt, &hs, 0.5)).map(drop),
+        ),
+        (
+            "spmv_with_format",
+            on(&|rt| layout::spmv_with_format(rt, &m, layout::SpmvFormat::Csr)).map(drop),
         ),
     ];
     for (name, result) in table {

@@ -3,8 +3,10 @@
 //! parallelism headroom a DAG scheduler would have over the paper's
 //! in-order queues.
 
+use northup_suite::apps::host::{compare, Grid, Tolerance};
 use northup_suite::apps::matmul::matmul_northup_on;
 use northup_suite::apps::spmv::spmv_northup_on;
+use northup_suite::kernels::{matmul_naive, DenseMatrix};
 use northup_suite::prelude::*;
 use northup_suite::sparse::gen;
 
@@ -23,7 +25,13 @@ fn traced_matmul_produces_a_consistent_dag() {
     .unwrap();
     rt.enable_dag();
     let run = matmul_northup_on(&rt, &cfg).unwrap();
-    assert_eq!(run.verified, Some(true));
+    let a = DenseMatrix::random(cfg.n, cfg.n, cfg.seed);
+    let b = DenseMatrix::random(cfg.n, cfg.n, cfg.seed + 1);
+    let mut oracle = DenseMatrix::zeros(cfg.n, cfg.n);
+    matmul_naive(&a, &b, &mut oracle);
+    let grid = Grid::block_major(cfg.n, cfg.block);
+    let tol = Tolerance::Abs(1e-3 * cfg.n as f32);
+    compare(&rt, run.output.unwrap(), grid, &oracle.data, tol).unwrap();
 
     let dag = rt.task_dag();
     assert!(!dag.is_empty());
