@@ -4,7 +4,11 @@
 //! writes its inputs to storage a band of rows at a time, runs its
 //! schedule, and folds the checksum of its result from storage a band at
 //! a time, so host memory is set by the staging ring, not by the problem.
-//! [`read_matrix`] lends a staged tile to a leaf kernel.
+//! `write_rows` is the one input writer: it encodes each band's cells
+//! straight into one reused byte buffer, its rows split over the pool.
+//! [`read_matrix`] decodes a staged tile for GEMM's leaf and SpMV's
+//! staged `x`; HotSpot's leaf steps its tiles straight from the lent bytes
+//! instead.
 //!
 //! Checking a result against an oracle is the caller's work, not the
 //! driver's: [`compare`] reads a run's [`AppRun::output`] band by band and
@@ -13,8 +17,8 @@
 //! [`AppRun::output`]: crate::AppRun::output
 
 use northup::{BufferHandle, NorthupError, Result, Runtime};
-use northup_kernels::{bytes_to_f32s, f32s_to_bytes, DenseMatrix};
-use std::ops::Range;
+use northup_exec::{fan_out, workers};
+use northup_kernels::{bytes_to_f32s, DenseMatrix};
 
 /// The most bytes a helper here moves between host and storage at once:
 /// a band of whole rows (never less than one row, or one row of tiles).
@@ -37,21 +41,39 @@ pub fn read_matrix(
     Ok(DenseMatrix { rows, cols, data })
 }
 
-/// Write a row-major `rows x cols` f32 matrix into `h` from byte 0, one
-/// band of whole rows after the other (uncharged, like
-/// [`Runtime::write_slice`]): `band(r0..r1)` yields rows `r0..r1`, so no
-/// more than one band is ever in memory.
+/// Write the row-major `rows x cols` f32 matrix whose element `(r, c)` is
+/// `cell(r, c)` into `h` from byte 0, one band of whole rows after the
+/// other (uncharged, like [`Runtime::write_slice`]). Every band is encoded
+/// into one reused buffer of at most [`BAND_BYTES`], each cell's
+/// little-endian bytes written in place, its rows cut into one near-equal
+/// range per pool worker.
 pub(crate) fn write_rows(
     rt: &Runtime,
     h: BufferHandle,
     rows: usize,
     cols: usize,
-    mut band: impl FnMut(Range<usize>) -> Vec<f32>,
+    cell: impl Fn(usize, usize) -> f32 + Sync,
 ) -> Result<()> {
-    let step = (BAND_BYTES / (4 * cols).max(1)).max(1);
+    let row_bytes = 4 * cols;
+    if row_bytes == 0 {
+        return Ok(());
+    }
+    let step = (BAND_BYTES / row_bytes).max(1);
+    let mut buf = vec![0u8; step.min(rows) * row_bytes];
     for r0 in (0..rows).step_by(step) {
-        let r1 = (r0 + step).min(rows);
-        rt.write_slice(h, (r0 * cols * 4) as u64, &f32s_to_bytes(&band(r0..r1)))?;
+        let n = step.min(rows - r0);
+        let band = &mut buf[..n * row_bytes];
+        let piece = n.div_ceil(workers());
+        let pieces: Vec<_> = band.chunks_mut(piece * row_bytes).enumerate().collect();
+        fan_out(workers(), pieces, |(i, bytes)| {
+            for (j, row) in bytes.chunks_exact_mut(row_bytes).enumerate() {
+                let r = r0 + i * piece + j;
+                for (c, word) in row.chunks_exact_mut(4).enumerate() {
+                    word.copy_from_slice(&cell(r, c).to_le_bytes());
+                }
+            }
+        });
+        rt.write_slice(h, (r0 * row_bytes) as u64, band)?;
     }
     Ok(())
 }
@@ -205,6 +227,7 @@ mod tests {
     use super::*;
     use northup::{presets, ExecMode};
     use northup_hw::catalog;
+    use northup_kernels::f32s_to_bytes;
 
     /// A Real runtime and a root buffer holding `data`.
     fn stored(data: &[f32]) -> (Runtime, BufferHandle) {

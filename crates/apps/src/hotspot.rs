@@ -6,20 +6,23 @@
 //! the temporal-blocking depth `steps_per_pass` and move the whole halo
 //! rectangle with a strided transfer (one charged op; one read per row).
 //! The leaf kernel advances `steps_per_pass` time steps per load (trapezoid
-//! temporal blocking, exact — see `northup_kernels::stencil`), then the core
-//! region is written back to the output file row by row; the file backend
-//! holds rows shorter than a page, so a row of tiles lands as one
-//! contiguous band. Input and output files ping-pong across passes.
+//! temporal blocking, exact — see `northup_kernels::stencil`) straight from
+//! the staged bytes the runtime lends: each of the kernel's row bands
+//! decodes its own window of the tile once, and no host copy of the tile
+//! is made first. Then the core region is written back to the output file
+//! row by row; the file backend holds rows shorter than a page, so a row
+//! of tiles lands as one contiguous band. Input and output files
+//! ping-pong across passes. The inputs are written a band at a time, each
+//! cell encoded straight into one reused byte buffer on the pool.
 
 use crate::calibration::{model_for, HOTSPOT_STEPS_PER_PASS};
-use crate::host::{read_matrix, write_rows, Grid};
+use crate::host::{write_rows, Grid};
 use crate::report::AppRun;
 use northup::{
     BufferHandle, ChainBufs, ChunkPipeline, ExecMode, NorthupError, ProcKind, Result, Runtime, Tree,
 };
 use northup_kernels::{
-    f32s_to_bytes, multi_step_reference, step_halo_block, DenseMatrix, HaloBlock, HotSpotParams,
-    ProcModel,
+    f32s_to_bytes, multi_step_reference, step_halo_bytes, DenseMatrix, HotSpotParams, ProcModel,
 };
 use std::ops::Range;
 
@@ -85,24 +88,31 @@ impl HotspotConfig {
     /// own, with the bits it has in the whole grid.
     pub fn temperature(&self, rows: Range<usize>) -> DenseMatrix {
         DenseMatrix::from_fn(rows.len(), self.n, |r, c| {
-            let r = rows.start + r;
-            80.0 + ((r.wrapping_mul(31) ^ c.wrapping_mul(17) ^ self.seed as usize) % 23) as f32
+            self.temperature_at(rows.start + r, c)
         })
     }
 
     /// Rows `rows` of the power grid (a function of the indices alone).
     pub fn power(&self, rows: Range<usize>) -> DenseMatrix {
-        DenseMatrix::from_fn(rows.len(), self.n, |r, c| {
-            ((rows.start + r + c) % 5) as f32 * 0.2
-        })
+        DenseMatrix::from_fn(rows.len(), self.n, |r, c| power_at(rows.start + r, c))
+    }
+
+    /// Cell `(r, c)` of the initial temperature grid.
+    fn temperature_at(&self, r: usize, c: usize) -> f32 {
+        80.0 + ((r.wrapping_mul(31) ^ c.wrapping_mul(17) ^ self.seed as usize) % 23) as f32
     }
 
     /// Write the temperature grid into `temp` and the power grid into
     /// `power`, a band of rows at a time, one file after the other.
     fn write_inputs(&self, rt: &Runtime, temp: BufferHandle, power: BufferHandle) -> Result<()> {
-        write_rows(rt, temp, self.n, self.n, |rows| self.temperature(rows).data)?;
-        write_rows(rt, power, self.n, self.n, |rows| self.power(rows).data)
+        write_rows(rt, temp, self.n, self.n, |r, c| self.temperature_at(r, c))?;
+        write_rows(rt, power, self.n, self.n, power_at)
     }
+}
+
+/// Cell `(r, c)` of the power grid.
+fn power_at(r: usize, c: usize) -> f32 {
+    ((r + c) % 5) as f32 * 0.2
 }
 
 /// In-memory baseline: grid resident, one GPU timeline for all steps.
@@ -174,7 +184,6 @@ pub fn hotspot_northup_on(rt: &Runtime, cfg: &HotspotConfig) -> Result<AppRun> {
     let deep = ChainBufs::new(rt, stage_node, &sizes)?;
     let leaf_node = deep.leaf();
     let gpu_model = model_for(&rt.proc_at(leaf_node, ProcKind::Gpu)?.name)?;
-    let prm = HotSpotParams::default();
 
     // Geometry of one tile's clipped halo rectangle.
     let geom = |bi: usize, bj: usize| {
@@ -229,14 +238,10 @@ pub fn hotspot_northup_on(rt: &Runtime, cfg: &HotspotConfig) -> Result<AppRun> {
                 )?;
 
                 if mode == ExecMode::Real {
-                    let hb = HaloBlock {
-                        temp: read_matrix(rt, leaf[0], 0, hh, ww)?,
-                        power: read_matrix(rt, leaf[1], 0, hh, ww)?,
-                        halo: [north, south, west, east],
-                        core_origin: (r0, c0),
-                        core_size: (cfg.block, cfg.block),
-                    };
-                    let core = step_halo_block(&hb, cfg.steps_per_pass, &prm);
+                    let halo = [north, south, west, east];
+                    let core_size = (cfg.block, cfg.block);
+                    let ranges = [(leaf[0], 0, region_bytes), (leaf[1], 0, region_bytes)];
+                    let core = step_staged(rt, ranges, halo, core_size, cfg.steps_per_pass)?;
                     rt.write_slice(leaf[2], 0, &f32s_to_bytes(&core.data))?;
                 }
 
@@ -264,6 +269,26 @@ pub fn hotspot_northup_on(rt: &Runtime, cfg: &HotspotConfig) -> Result<AppRun> {
 
     let result = t_files[cfg.passes % 2];
     AppRun::of(rt, "hotspot/northup", result, Grid::row_major(n, n))
+}
+
+/// Advance a staged halo block `steps` time steps straight from the bytes
+/// the runtime lends: `ranges` are its temperature and power regions, one
+/// node, `halo` and `core_size` its shape. Returns the core.
+fn step_staged(
+    rt: &Runtime,
+    ranges: [(BufferHandle, u64, u64); 2],
+    halo: [usize; 4],
+    core_size: (usize, usize),
+    steps: usize,
+) -> Result<DenseMatrix> {
+    let prm = HotSpotParams::default();
+    let mut core = None;
+    rt.with_bytes(&ranges, |parts| {
+        if let [temp, power] = parts {
+            core = Some(step_halo_bytes(temp, power, halo, core_size, steps, &prm));
+        }
+    })?;
+    core.ok_or_else(|| NorthupError::Invalid("a staged halo block was not lent".into()))
 }
 
 /// Fraction of each chunk's rows to place on the GPU when splitting a leaf
@@ -304,7 +329,6 @@ pub fn hotspot_split_leaf(rt: &Runtime, cfg: &HotspotConfig, gpu_fraction: f64) 
     let stage_node = rt.tree().staging_level()?;
     let gpu_model = ProcModel::apu_gpu();
     let cpu_model = ProcModel::apu_cpu();
-    let prm = HotSpotParams::default();
 
     // One chunk = a horizontal band of the grid (simplest split geometry);
     // the band is loaded with its halo, then its rows are divided between
@@ -373,8 +397,6 @@ pub fn hotspot_split_leaf(rt: &Runtime, cfg: &HotspotConfig, gpu_fraction: f64) 
             if mode == ExecMode::Real {
                 // Real compute: both device halves produced from the same
                 // staged halo block via the exact trapezoid kernel.
-                let temp = read_matrix(rt, in_stage[r], 0, hh, n)?;
-                let power = read_matrix(rt, pw_stage[r], 0, hh, n)?;
                 for (dev_r0, dev_rows, buf) in [
                     (0usize, gpu_rows, out_gpu[r]),
                     (gpu_rows, cpu_rows, out_cpu[r]),
@@ -386,16 +408,11 @@ pub fn hotspot_split_leaf(rt: &Runtime, cfg: &HotspotConfig, gpu_fraction: f64) 
                     let abs0 = r0 + dev_r0; // global first row of this part
                     let top = halo.min(abs0);
                     let bot = halo.min(n - (abs0 + dev_rows));
-                    let local0 = (abs0 - top) - rr0;
-                    let lh = dev_rows + top + bot;
-                    let hb = HaloBlock {
-                        temp: temp.extract_block(local0, 0, lh, n),
-                        power: power.extract_block(local0, 0, lh, n),
-                        halo: [top, bot, 0, 0],
-                        core_origin: (abs0, 0),
-                        core_size: (dev_rows, n),
-                    };
-                    let core = step_halo_block(&hb, cfg.steps_per_pass, &prm);
+                    let at = (((abs0 - top) - rr0) * n * 4) as u64;
+                    let len = ((dev_rows + top + bot) * n * 4) as u64;
+                    let ranges = [(in_stage[r], at, len), (pw_stage[r], at, len)];
+                    let halo = [top, bot, 0, 0];
+                    let core = step_staged(rt, ranges, halo, (dev_rows, n), cfg.steps_per_pass)?;
                     rt.write_slice(buf, 0, &f32s_to_bytes(&core.data))?;
                 }
             }
@@ -495,6 +512,28 @@ mod tests {
                 temp.extract_block(r0, 0, h, cfg.n)
             );
             assert_eq!(cfg.power(rows), power.extract_block(r0, 0, h, cfg.n));
+        }
+        // The files the input writer lands are the whole grids' bytes: on
+        // the 48² grid (one band) and on a 1100² grid, whose 4 400 B rows
+        // fill one 4 MiB band and part of a second.
+        for n in [48, 1100] {
+            let cfg = HotspotConfig {
+                n,
+                ..HotspotConfig::small()
+            };
+            let rt = apu(catalog::ssd_hyperx_predator());
+            let bytes = (n * n * 4) as u64;
+            let root = rt.tree().root();
+            let (t, p) = (
+                rt.alloc(bytes, root).unwrap(),
+                rt.alloc(bytes, root).unwrap(),
+            );
+            cfg.write_inputs(&rt, t, p).unwrap();
+            for (h, want) in [(t, cfg.temperature(0..n)), (p, cfg.power(0..n))] {
+                let mut got = vec![0u8; bytes as usize];
+                rt.read_slice(h, 0, &mut got).unwrap();
+                assert!(got == f32s_to_bytes(&want.data), "{n}²");
+            }
         }
     }
 

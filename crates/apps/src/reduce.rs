@@ -71,18 +71,19 @@ impl StreamConfig {
     /// Elements `range` of the input array, each a function of its index
     /// and the seed alone, so a band is generated on its own.
     pub fn input(&self, range: Range<u64>) -> Vec<f32> {
-        range
-            .map(|i| {
-                let v = (i.wrapping_mul(0x9E37_79B9).wrapping_add(self.seed) % 1000) as f32;
-                v / 500.0 - 1.0
-            })
-            .collect()
+        range.map(|i| self.input_at(i)).collect()
+    }
+
+    /// Element `i` of the input array.
+    fn input_at(&self, i: u64) -> f32 {
+        let v = (i.wrapping_mul(0x9E37_79B9).wrapping_add(self.seed) % 1000) as f32;
+        v / 500.0 - 1.0
     }
 
     /// Write the input array into `file`, a band at a time.
     fn write_input(&self, rt: &Runtime, file: BufferHandle) -> Result<()> {
-        let band = |r: Range<usize>| self.input(r.start as u64..r.end as u64);
-        write_rows(rt, file, self.elements as usize, 1, band)
+        let elements = self.elements as usize;
+        write_rows(rt, file, elements, 1, |i, _| self.input_at(i as u64))
     }
 }
 
@@ -276,6 +277,24 @@ mod tests {
             .unwrap();
         assert_eq!(io.bytes_read, cfg.elements * 4);
         assert_eq!(io.bytes_written, cfg.elements * 4);
+    }
+
+    #[test]
+    fn the_input_file_is_the_generated_array_byte_for_byte() {
+        // One band, and a band and a half of 1 Mi elements: the pooled
+        // writer lands what `input` generates.
+        for elements in [10_000u64, (3 << 20) / 2 + 3] {
+            let cfg = StreamConfig {
+                elements,
+                ..StreamConfig::small()
+            };
+            let rt = Runtime::new(apu(), ExecMode::Real).unwrap();
+            let file = rt.alloc(elements * 4, rt.tree().root()).unwrap();
+            cfg.write_input(&rt, file).unwrap();
+            let mut got = vec![0u8; elements as usize * 4];
+            rt.read_slice(file, 0, &mut got).unwrap();
+            assert!(got == f32s_to_bytes(&cfg.input(0..elements)), "{elements}");
+        }
     }
 
     #[test]

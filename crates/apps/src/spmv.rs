@@ -29,7 +29,7 @@ use crate::calibration::{
     model_for, spmv_dgpu_model, spmv_gpu_model, SPMV_CHUNKS, SPMV_IO_EFFICIENCY,
     SPMV_NORTHUP_BIN_FACTOR, SPMV_REPACK_BW,
 };
-use crate::host::Grid;
+use crate::host::{read_matrix, Grid};
 use crate::report::AppRun;
 use northup::{
     BufferHandle, ChainBufs, ExecMode, NodeId, NorthupError, ProcKind, Result, Runtime, Tree,
@@ -281,11 +281,9 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
     let y_file = rt.alloc(rows * 4, root)?;
 
     // Preprocessing: write the real matrix (Real mode only).
-    let mut x_host: Vec<f32> = Vec::new();
     if let (ExecMode::Real, SpmvInput::Matrix(m)) = (mode, input) {
         write_csr(rt, csr_files, m)?;
-        x_host = spmv_x(m.cols);
-        rt.write_slice(x_file, 0, &f32s_to_bytes(&x_host))?;
+        rt.write_slice(x_file, 0, &f32s_to_bytes(&spmv_x(m.cols)))?;
     }
 
     let stage_node = rt.tree().staging_level()?;
@@ -296,6 +294,11 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
     let x_deep = ChainBufs::new(rt, stage_node, &[rows * 4])?;
     let x_leaf = x_deep.push_down(&[x_stage], &[(0, rows * 4)])?[0];
     let leaf_node = x_deep.leaf();
+    // The kernels multiply by the x the leaf holds, decoded from it once.
+    let x = match (mode, input) {
+        (ExecMode::Real, SpmvInput::Matrix(m)) => read_matrix(rt, x_leaf, 0, 1, m.cols)?.data,
+        _ => Vec::new(),
+    };
     let cpu_node = stage_node; // CPU is at the staging DRAM in both presets
     let gpu_model = gpu_spmv_model(&rt.proc_at(leaf_node, ProcKind::Gpu)?.name);
 
@@ -349,13 +352,7 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
         // Real kernel execution, on the bytes the GPU charge reads.
         if let (ExecMode::Real, SpmvInput::Matrix(_)) = (mode, input) {
             let mut yv = vec![0.0f32; g.rows as usize];
-            staged_spmv(
-                rt,
-                [leaf[0], leaf[1], leaf[2]],
-                [rp, ci, va],
-                &x_host,
-                &mut yv,
-            )?;
+            staged_spmv(rt, [leaf[0], leaf[1], leaf[2]], [rp, ci, va], &x, &mut yv)?;
             rt.write_slice(leaf[3], 0, &f32s_to_bytes(&yv))?;
         }
 
@@ -380,6 +377,11 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
 /// that motivates out-of-core SpMV — each iteration re-streams the matrix,
 /// §VI's low-reuse case). Returns the dominant eigenvalue estimate and the
 /// run. Real mode only (needs the actual matrix).
+///
+/// The kernels multiply by the host's `x`: the host normalizes each
+/// iterate and writes it into staging itself, so `x` never comes from
+/// storage and the host copy is the staged vector's source, not a
+/// shortcut past it.
 pub fn power_iteration_northup(
     m: &Csr,
     iterations: usize,

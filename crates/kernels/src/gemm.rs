@@ -20,6 +20,7 @@
 //! §IV-A) uses the same kernels.
 
 use crate::dense::DenseMatrix;
+use crate::isa::Isa;
 use northup_exec::{fan_out, workers};
 use std::ops::Range;
 
@@ -82,28 +83,6 @@ pub fn matmul_tiled(a: &DenseMatrix, b: &DenseMatrix, c: &mut DenseMatrix, tile:
     check_dims(a, b, c);
     assert!(tile > 0, "tile must be positive");
     matmul_on(Isa::host(), workers(), a, b, c);
-}
-
-/// The build of [`band_kernel`] that runs a band.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Isa {
-    /// Compiled for the build's target: SSE2 on baseline x86-64.
-    Portable,
-    /// Compiled with AVX2 enabled, never FMA: a product stays one multiply
-    /// followed by one add. Runs the portable build on a CPU without AVX2.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl Isa {
-    /// The widest build this CPU runs.
-    fn host() -> Isa {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Isa::Avx2;
-        }
-        Isa::Portable
-    }
 }
 
 /// [`matmul_tiled`] with its bands run by the `isa` build and spread over
@@ -329,16 +308,6 @@ mod tests {
     /// inline), two, and more workers than cores or bands.
     const WORKERS: [usize; 5] = [1, 2, 3, 4, 7];
 
-    /// Every build of the band kernel this CPU runs; says when it skips
-    /// the AVX2 build.
-    fn isas() -> Vec<Isa> {
-        if Isa::host() == Isa::Portable {
-            eprintln!("AVX2 build skipped: this CPU lacks AVX2");
-            return vec![Isa::Portable];
-        }
-        vec![Isa::Portable, Isa::host()]
-    }
-
     /// Each build of the band kernel at every worker count on a pre-loaded
     /// `C`, bit for bit against the naive oracle.
     fn assert_every_path_matches_naive(m: usize, k: usize, n: usize) {
@@ -346,7 +315,7 @@ mod tests {
         let c0 = DenseMatrix::random(m, n, 3);
         let mut naive = c0.clone();
         matmul_naive(&a, &b, &mut naive);
-        for isa in isas() {
+        for isa in crate::isa::every() {
             for workers in WORKERS {
                 let mut got = c0.clone();
                 matmul_on(isa, workers, &a, &b, &mut got);

@@ -13,7 +13,10 @@
 //!   same code, bit for bit the baseline build's result.
 //! * [`stencil`] — HotSpot-2D, updated a row at a time, with halo
 //!   extraction and exact temporal blocking (§IV-B generalizes the packed
-//!   border vectors to width > 1).
+//!   border vectors to width > 1); a halo block steps from a matrix or
+//!   straight from its staged little-endian bytes, and on x86-64 with AVX2
+//!   its rows run an AVX2 build of the same update, bit for bit the
+//!   baseline build's result.
 //!
 //! GEMM and both stencil drivers split their rows into bands that the
 //! caller and the process-wide pool's helpers, one per spare core, claim
@@ -30,13 +33,15 @@
 //!   queue-count latency-hiding curve.
 
 #![warn(missing_docs)]
-// One item may opt out: `gemm`'s band dispatch, whose only `unsafe` is the
-// call into the AVX2 build after the CPU has been checked for AVX2.
+// Two items may opt out: `gemm`'s band dispatch and `stencil`'s region
+// dispatch, whose only `unsafe` is the call into the AVX2 build after the
+// CPU has been checked for AVX2.
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod dense;
 pub mod gemm;
+mod isa;
 pub mod model;
 pub mod spmv;
 pub mod stencil;
@@ -46,8 +51,8 @@ pub use gemm::{gemm_flops, matmul_naive, matmul_tiled, LEAF_TILE};
 pub use model::{binning_time, latency_hiding_efficiency, ProcModel, BINNING_ROWS_PER_SEC};
 pub use spmv::{rel_error, spmv_adaptive, try_spmv_adaptive, WG_LANES};
 pub use stencil::{
-    extract_halo_block, multi_step_blocked, multi_step_reference, step_halo_block, step_reference,
-    HaloBlock, HotSpotParams, FLOPS_PER_CELL,
+    extract_halo_block, multi_step_blocked, multi_step_reference, step_halo_block, step_halo_bytes,
+    step_reference, HaloBlock, HotSpotParams, FLOPS_PER_CELL,
 };
 
 /// Cell updates or multiply-adds of one split below which a kernel runs

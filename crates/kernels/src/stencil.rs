@@ -23,12 +23,21 @@
 //!
 //! The same argument one level down splits a large block over the host's
 //! cores: [`step_halo_block`] cuts its core into row bands of at least
-//! `BAND_ROWS` rows, and each band re-extracts its own `steps`-wide halo
+//! `BAND_ROWS` rows, and each band takes its own `steps`-wide halo window
 //! from the block and runs the serial trapezoid — a little redundant halo
-//! work, no barrier between steps. The full-grid reference splits the
-//! rows of each step's output instead.
+//! work, no barrier between steps. [`step_halo_bytes`] is the same split
+//! over a block given as the little-endian bytes a runtime lends from a
+//! staged tile: each band decodes only its own window, once, into the
+//! grid it steps, so a tile is copied once on its way to the kernel. The
+//! full-grid reference splits the rows of each step's output instead.
+//!
+//! On x86-64 every row update runs through an AVX2 build of the same code
+//! when the CPU has AVX2 (checked at run time), the baseline build
+//! otherwise. AVX2 widens the vectors but never fuses a multiply and an
+//! add, so every path evaluates the one update expression with its bits.
 
 use crate::dense::DenseMatrix;
+use crate::isa::Isa;
 use northup_exec::{fan_out, workers};
 use std::ops::Range;
 
@@ -100,10 +109,13 @@ fn update_cell(
 
 /// Update the cells `ys x xs` of a `cols`-wide grid from `cur` into `next`,
 /// which holds rows `ys` of the grid (row `ys.start` first), a row at a
-/// time. Columns with both horizontal neighbors run over plain
-/// north / centre / south row slices with no branch in the loop (on the
-/// grid's first and last row the clamped neighbor row is the centre row
-/// itself); the grid's edge columns go through [`update_cell`].
+/// time. Columns with both horizontal neighbors run over plain west /
+/// centre / east and north / south row slices with no branch in the loop
+/// (on the grid's first and last row the clamped neighbor row is the
+/// centre row itself); the grid's edge columns go through
+/// [`update_cell`]. Inlined, with all it calls, into each build
+/// [`run_region`] picks from.
+#[inline(always)]
 fn step_region(
     cur: &[f32],
     power: &[f32],
@@ -125,14 +137,13 @@ fn step_region(
             let len = xb - xa;
             let north = &cur[if y > 0 { row - cols } else { row } + xa..][..len];
             let south = &cur[if y + 1 < rows { row + cols } else { row } + xa..][..len];
-            // [west, centre, east] of every cell, sliding along the row.
-            let centre = cur[row + xa - 1..][..len + 2].windows(3);
+            let west = &cur[row + xa - 1..][..len];
+            let centre = &cur[row + xa..][..len];
+            let east = &cur[row + xa + 1..][..len];
             let p = &power[row + xa..][..len];
             let dst = &mut next[out + xa..][..len];
-            for ((((o, wce), &n), &s), &p) in
-                dst.iter_mut().zip(centre).zip(north).zip(south).zip(p)
-            {
-                *o = update(wce[1], wce[0], wce[2], n, s, p, prm);
+            for (i, o) in dst.iter_mut().enumerate() {
+                *o = update(centre[i], west[i], east[i], north[i], south[i], p[i], prm);
             }
         }
         if west_edge {
@@ -144,9 +155,51 @@ fn step_region(
     }
 }
 
+/// [`step_region`] through the `isa` build.
+#[allow(unsafe_code)]
+#[allow(clippy::too_many_arguments)]
+fn run_region(
+    isa: Isa,
+    cur: &[f32],
+    power: &[f32],
+    next: &mut [f32],
+    cols: usize,
+    ys: Range<usize>,
+    xs: Range<usize>,
+    prm: &HotSpotParams,
+) {
+    /// [`step_region`] compiled with AVX2; it inlines everything it calls,
+    /// so each row's interior runs on 8-lane vectors.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn step_region_avx2(
+        cur: &[f32],
+        power: &[f32],
+        next: &mut [f32],
+        cols: usize,
+        ys: Range<usize>,
+        xs: Range<usize>,
+        prm: &HotSpotParams,
+    ) {
+        step_region(cur, power, next, cols, ys, xs, prm);
+    }
+
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
+            // SAFETY: `step_region_avx2` needs AVX2, which
+            // `is_x86_feature_detected!("avx2")` has just found on this CPU.
+            unsafe { step_region_avx2(cur, power, next, cols, ys, xs, prm) }
+        }
+        _ => step_region(cur, power, next, cols, ys, xs, prm),
+    }
+}
+
 /// One step of the whole grid `cur` into `next`, the rows of `next` cut
-/// into bands of `BAND_ROWS` spread over at most `workers` threads.
+/// into bands of `BAND_ROWS` run by the `isa` build and spread over at
+/// most `workers` threads.
 fn step_grid(
+    isa: Isa,
     workers: usize,
     cur: &DenseMatrix,
     power: &DenseMatrix,
@@ -167,14 +220,14 @@ fn step_grid(
     fan_out(workers, bands, |(i, band)| {
         let y0 = i * BAND_ROWS;
         let ys = y0..y0 + band.len() / cols;
-        step_region(&cur.data, &power.data, band, cols, ys, 0..cols, prm);
+        run_region(isa, &cur.data, &power.data, band, cols, ys, 0..cols, prm);
     });
 }
 
 /// One full-grid step (the correctness oracle).
 pub fn step_reference(temp: &DenseMatrix, power: &DenseMatrix, prm: &HotSpotParams) -> DenseMatrix {
     let mut out = DenseMatrix::zeros(temp.rows, temp.cols);
-    step_grid(workers(), temp, power, &mut out, prm);
+    step_grid(Isa::host(), workers(), temp, power, &mut out, prm);
     out
 }
 
@@ -186,11 +239,13 @@ pub fn multi_step_reference(
     steps: usize,
     prm: &HotSpotParams,
 ) -> DenseMatrix {
-    multi_step_on(workers(), temp, power, steps, prm)
+    multi_step_on(Isa::host(), workers(), temp, power, steps, prm)
 }
 
-/// [`multi_step_reference`] on at most `workers` threads.
+/// [`multi_step_reference`] through the `isa` build on at most `workers`
+/// threads.
 fn multi_step_on(
+    isa: Isa,
     workers: usize,
     temp: &DenseMatrix,
     power: &DenseMatrix,
@@ -200,7 +255,7 @@ fn multi_step_on(
     let mut cur = temp.clone();
     let mut next = DenseMatrix::zeros(temp.rows, temp.cols);
     for _ in 0..steps {
-        step_grid(workers, &cur, power, &mut next, prm);
+        step_grid(isa, workers, &cur, power, &mut next, prm);
         std::mem::swap(&mut cur, &mut next);
     }
     cur
@@ -266,36 +321,145 @@ pub fn extract_halo_block(
 /// `steps <= halo` on every non-boundary side (checked).
 ///
 /// A core of at least two `BAND_ROWS` bands (each at least `steps` rows)
-/// is split: every band extracts its own `steps`-wide halo from `block`
-/// and advances it alone, on the caller or a helper thread. A band's core
-/// cells see the same inputs through the same updates, so the result is
-/// bit-identical to one trapezoid over the whole block.
+/// is split: every band copies its own `steps`-wide halo window out of
+/// `block` and advances it alone, on the caller or a helper thread. A
+/// band's core cells see the same inputs through the same updates, so the
+/// result is bit-identical to one trapezoid over the whole block.
+///
+/// # Panics
+/// Panics if a side's halo is short of `steps`, or if `block.temp` or
+/// `block.power` is not the shape its halo and core make.
 pub fn step_halo_block(block: &HaloBlock, steps: usize, prm: &HotSpotParams) -> DenseMatrix {
-    for (side, &have) in ["north", "south", "west", "east"].iter().zip(&block.halo) {
+    let shape = Shape::checked(block.halo, block.core_size, steps);
+    for (what, m) in [("temperature", &block.temp), ("power", &block.power)] {
         assert!(
-            have == 0 || have >= steps,
-            "{side} halo {have} < steps {steps}"
+            (m.rows, m.cols) == shape.dims(),
+            "{what} is {}x{}, the halo block {:?}",
+            m.rows,
+            m.cols,
+            shape.dims()
         );
     }
-    step_halo_block_on(workers(), block, steps, prm)
+    let (temp, power) = (
+        Cells::Floats(&block.temp.data),
+        Cells::Floats(&block.power.data),
+    );
+    step_block_on(Isa::host(), workers(), temp, power, shape, steps, prm)
 }
 
-/// [`step_halo_block`] with its bands spread over at most `workers`
-/// threads (halos already checked).
-fn step_halo_block_on(
-    workers: usize,
-    block: &HaloBlock,
+/// [`step_halo_block`] on a block given as the little-endian `f32` bytes of
+/// its temperatures and power, row-major over the block — as a runtime
+/// lends a staged tile. `halo` is the halo on each side ([north, south,
+/// west, east]) around a core of `core_size` (rows, cols). Each band
+/// decodes only its own window, once, into the grid it steps.
+///
+/// # Panics
+/// Panics if a side's halo is short of `steps`, or if either slice holds
+/// fewer bytes than the block's cells.
+pub fn step_halo_bytes(
+    temp: &[u8],
+    power: &[u8],
+    halo: [usize; 4],
+    core_size: (usize, usize),
     steps: usize,
     prm: &HotSpotParams,
 ) -> DenseMatrix {
-    let (h, w) = block.core_size;
-    let bands = h / BAND_ROWS;
-    if bands < 2 || steps > BAND_ROWS || h * w * steps < crate::INLINE_BELOW {
-        return trapezoid(block, steps, prm);
+    let shape = Shape::checked(halo, core_size, steps);
+    let (rows, cols) = shape.dims();
+    for (what, bytes) in [("temperature", temp), ("power", power)] {
+        assert!(
+            bytes.len() >= rows * cols * 4,
+            "{what} holds {} bytes, a {rows}x{cols} block needs {}",
+            bytes.len(),
+            rows * cols * 4
+        );
     }
-    let [north, _, west, _] = block.halo;
+    let (temp, power) = (Cells::Bytes(temp), Cells::Bytes(power));
+    step_block_on(Isa::host(), workers(), temp, power, shape, steps, prm)
+}
+
+/// The geometry of a halo block: the halo on each side ([north, south,
+/// west, east]; 0 on a global boundary) around a `core` of (rows, cols).
+#[derive(Clone, Copy, Debug)]
+struct Shape {
+    halo: [usize; 4],
+    core: (usize, usize),
+}
+
+impl Shape {
+    /// The shape, once every side with a halo has at least `steps` of it.
+    fn checked(halo: [usize; 4], core: (usize, usize), steps: usize) -> Shape {
+        for (side, &have) in ["north", "south", "west", "east"].iter().zip(&halo) {
+            assert!(
+                have == 0 || have >= steps,
+                "{side} halo {have} < steps {steps}"
+            );
+        }
+        Shape { halo, core }
+    }
+
+    /// Rows and columns of the whole block, halo included.
+    fn dims(self) -> (usize, usize) {
+        let [n, s, w, e] = self.halo;
+        (self.core.0 + n + s, self.core.1 + w + e)
+    }
+}
+
+/// A halo block's temperatures or power, row-major over the block: `f32`s,
+/// or their little-endian bytes.
+#[derive(Clone, Copy)]
+enum Cells<'a> {
+    Floats(&'a [f32]),
+    Bytes(&'a [u8]),
+}
+
+impl Cells<'_> {
+    /// The `rows x cols` window at (`r0`, `c0`) of these cells, laid out
+    /// `stride` to a row, as `f32`s.
+    fn window(self, stride: usize, r0: usize, c0: usize, rows: usize, cols: usize) -> Vec<f32> {
+        let mut out = Vec::with_capacity(rows * cols);
+        for r in r0..r0 + rows {
+            let at = r * stride + c0;
+            match self {
+                Cells::Floats(v) => out.extend_from_slice(&v[at..at + cols]),
+                Cells::Bytes(b) => out.extend(
+                    b[4 * at..4 * (at + cols)]
+                        .chunks_exact(4)
+                        .map(|w| f32::from_le_bytes([w[0], w[1], w[2], w[3]])),
+                ),
+            }
+        }
+        out
+    }
+}
+
+/// Advance the block `shape` whose cells are `temp` and `power` by `steps`
+/// (halos already checked) and return its core. The core's rows are cut
+/// into near-equal bands when there are at least two `BAND_ROWS` of them,
+/// one band otherwise; each band takes a `steps`-wide halo window (none on
+/// a global boundary) and runs [`trapezoid`] through the `isa` build, on
+/// at most `workers` threads.
+fn step_block_on(
+    isa: Isa,
+    workers: usize,
+    temp: Cells,
+    power: Cells,
+    shape: Shape,
+    steps: usize,
+    prm: &HotSpotParams,
+) -> DenseMatrix {
+    let (h, w) = shape.core;
+    let [north, south, west, east] = shape.halo;
+    let stride = shape.dims().1;
+    let split = h / BAND_ROWS;
+    let bands = if split < 2 || steps > BAND_ROWS || h * w * steps < crate::INLINE_BELOW {
+        1
+    } else {
+        split
+    };
     let mut core = DenseMatrix::zeros(h, w);
-    // Near-equal bands, each at least BAND_ROWS (so at least `steps`) rows.
+    // Near-equal bands; a split band is at least BAND_ROWS (so at least
+    // `steps`) rows.
     let mut rest = &mut core.data[..];
     let mut items = Vec::with_capacity(bands);
     for i in 0..bands {
@@ -305,27 +469,38 @@ fn step_halo_block_on(
         rest = tail;
     }
     fan_out(workers, items, |(ys, band)| {
-        let sub = extract_halo_block(
-            &block.temp,
-            &block.power,
-            north + ys.start,
-            west,
-            ys.len(),
-            w,
-            steps,
-        );
-        band.copy_from_slice(&trapezoid(&sub, steps, prm).data);
+        let sub = Shape {
+            halo: [
+                steps.min(north + ys.start),
+                steps.min(south + (h - ys.end)),
+                steps.min(west),
+                steps.min(east),
+            ],
+            core: (ys.len(), w),
+        };
+        let (rows, cols) = sub.dims();
+        let (r0, c0) = (north + ys.start - sub.halo[0], west - sub.halo[2]);
+        let cur = temp.window(stride, r0, c0, rows, cols);
+        let power = power.window(stride, r0, c0, rows, cols);
+        trapezoid(isa, sub, cur, &power, steps, prm, band);
     });
     core
 }
 
-/// `steps` shrinking steps over the whole of `block` on the calling
-/// thread; returns the core.
-fn trapezoid(block: &HaloBlock, steps: usize, prm: &HotSpotParams) -> DenseMatrix {
-    let [n, s, w, e] = block.halo;
-    let rows = block.temp.rows;
-    let cols = block.temp.cols;
-    let mut cur = block.temp.data.clone();
+/// `steps` shrinking steps over the block `shape` on the calling thread,
+/// stepping its temperatures `cur` (row-major over the block) under
+/// `power`, through the `isa` build; writes the core into `core`.
+fn trapezoid(
+    isa: Isa,
+    shape: Shape,
+    mut cur: Vec<f32>,
+    power: &[f32],
+    steps: usize,
+    prm: &HotSpotParams,
+    core: &mut [f32],
+) {
+    let [n, s, w, e] = shape.halo;
+    let (rows, cols) = shape.dims();
     let mut next = vec![0.0f32; cur.len()];
     for step in 0..steps {
         // Trusted region after this step (ring `step+1` consumed on halo sides).
@@ -341,9 +516,10 @@ fn trapezoid(block: &HaloBlock, steps: usize, prm: &HotSpotParams) -> DenseMatri
         } else {
             cols - (step + 1).min(cols)
         };
-        step_region(
+        run_region(
+            isa,
             &cur,
-            &block.power.data,
+            power,
             &mut next[y0 * cols..y1 * cols],
             cols,
             y0..y1,
@@ -352,13 +528,12 @@ fn trapezoid(block: &HaloBlock, steps: usize, prm: &HotSpotParams) -> DenseMatri
         );
         std::mem::swap(&mut cur, &mut next);
     }
-    // Extract the core.
-    let full = DenseMatrix {
-        rows,
-        cols,
-        data: cur,
-    };
-    full.extract_block(n, w, block.core_size.0, block.core_size.1)
+    let (h, width) = shape.core;
+    if width > 0 {
+        for (dst, r) in core.chunks_exact_mut(width).zip(n..n + h) {
+            dst.copy_from_slice(&cur[r * cols + w..][..width]);
+        }
+    }
 }
 
 /// One out-of-core "pass": advance the whole grid `steps` time steps by
@@ -392,6 +567,7 @@ pub const FLOPS_PER_CELL: f64 = 12.0;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::f32s_to_bytes;
     use proptest::prelude::*;
 
     fn grids(rows: usize, cols: usize) -> (DenseMatrix, DenseMatrix, HotSpotParams) {
@@ -432,13 +608,20 @@ mod tests {
     /// per-cell oracle, including the cells it must leave alone.
     fn assert_region_bit_identical(rows: usize, cols: usize, ys: Range<usize>, xs: Range<usize>) {
         let (temp, power, prm) = grids(rows, cols);
-        let mut got = DenseMatrix::from_fn(rows, cols, |r, c| -((r * cols + c) as f32));
+        let got = DenseMatrix::from_fn(rows, cols, |r, c| -((r * cols + c) as f32));
         let mut want = got.clone();
-        let (gy, gx) = (ys.clone(), xs.clone());
-        let band = &mut got.data[ys.start * cols..ys.end * cols];
-        step_region(&temp.data, &power.data, band, cols, gy, gx, &prm);
         region_per_cell(&temp, &power, &mut want, ys.clone(), xs.clone(), &prm);
-        assert_eq!(bits(&got), bits(&want), "{rows}x{cols} {ys:?} x {xs:?}");
+        for isa in crate::isa::every() {
+            let mut got = got.clone();
+            let (gy, gx) = (ys.clone(), xs.clone());
+            let band = &mut got.data[ys.start * cols..ys.end * cols];
+            run_region(isa, &temp.data, &power.data, band, cols, gy, gx, &prm);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{rows}x{cols} {ys:?} x {xs:?} {isa:?}"
+            );
+        }
     }
 
     #[test]
@@ -502,6 +685,7 @@ mod tests {
                 hb.halo,
                 [north, south, west, east].map(|p| margin(p).min(halo))
             );
+            let (tb, pb) = (f32s_to_bytes(&hb.temp.data), f32s_to_bytes(&hb.power.data));
             for steps in 1..=halo {
                 let core = step_halo_block(&hb, steps, &prm);
                 let reference = multi_step_reference(&temp, &power, steps, &prm);
@@ -511,6 +695,8 @@ mod tests {
                     "halo {:?} steps {steps}",
                     hb.halo
                 );
+                let from_bytes = step_halo_bytes(&tb, &pb, hb.halo, hb.core_size, steps, &prm);
+                assert_eq!(bits(&from_bytes), bits(&core), "bytes, halo {:?}", hb.halo);
             }
         }
     }
@@ -538,9 +724,11 @@ mod tests {
             );
             want = next;
         }
-        for workers in WORKERS {
-            let got = multi_step_on(workers, &temp, &power, steps, &prm);
-            assert_eq!(bits(&got), bits(&want), "{workers} workers");
+        for isa in crate::isa::every() {
+            for workers in WORKERS {
+                let got = multi_step_on(isa, workers, &temp, &power, steps, &prm);
+                assert_eq!(bits(&got), bits(&want), "{isa:?}, {workers} workers");
+            }
         }
     }
 
@@ -548,6 +736,7 @@ mod tests {
     fn split_halo_block_is_bit_identical_for_every_halo_combination() {
         // A 512-row core is four bands; every subset of sides has a halo,
         // and a halo wider than the steps taken is cut to `steps` per band.
+        // Each build steps the block from its matrix and from its bytes.
         let (core, halo) = (512usize, 8usize);
         for sides in 0..16usize {
             let [north, south, west, east] = [0, 1, 2, 3].map(|s| sides >> s & 1 == 1);
@@ -555,23 +744,52 @@ mod tests {
             let (r0, c0) = (margin(north), margin(west));
             let (temp, power, prm) = grids(r0 + core + margin(south), c0 + core + margin(east));
             let hb = extract_halo_block(&temp, &power, r0, c0, core, core, halo);
+            let shape = Shape::checked(hb.halo, hb.core_size, halo);
+            let (tb, pb) = (f32s_to_bytes(&hb.temp.data), f32s_to_bytes(&hb.power.data));
+            let sources = [
+                (Cells::Floats(&hb.temp.data), Cells::Floats(&hb.power.data)),
+                (Cells::Bytes(&tb), Cells::Bytes(&pb)),
+            ];
             let step_counts: &[usize] = if sides == 15 { &[3, halo] } else { &[halo] };
             for &steps in step_counts {
-                let serial = trapezoid(&hb, steps, &prm);
+                // One trapezoid over the whole block, on the portable build.
+                let mut serial = DenseMatrix::zeros(core, core);
+                let cur = hb.temp.data.clone();
+                trapezoid(
+                    Isa::Portable,
+                    shape,
+                    cur,
+                    &hb.power.data,
+                    steps,
+                    &prm,
+                    &mut serial.data,
+                );
                 let reference = multi_step_reference(&temp, &power, steps, &prm);
                 let want = reference.extract_block(r0, c0, core, core);
                 assert_eq!(bits(&serial), bits(&want), "halo {:?}", hb.halo);
-                for workers in WORKERS {
-                    let got = step_halo_block_on(workers, &hb, steps, &prm);
-                    assert_eq!(
-                        bits(&got),
-                        bits(&serial),
-                        "halo {:?} steps {steps} {workers} workers",
-                        hb.halo
-                    );
+                for isa in crate::isa::every() {
+                    for workers in WORKERS {
+                        for (source, (t, p)) in ["matrix", "bytes"].iter().zip(sources) {
+                            let got = step_block_on(isa, workers, t, p, shape, steps, &prm);
+                            assert_eq!(
+                                bits(&got),
+                                bits(&serial),
+                                "halo {:?} steps {steps} {isa:?} {workers} workers, {source}",
+                                hb.halo
+                            );
+                        }
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "power holds 95 bytes, a 4x6 block needs 96")]
+    fn a_short_byte_block_is_rejected() {
+        let (temp, power, prm) = grids(4, 6);
+        let (tb, pb) = (f32s_to_bytes(&temp.data), f32s_to_bytes(&power.data));
+        step_halo_bytes(&tb, &pb[..95], [0, 0, 1, 1], (4, 4), 1, &prm);
     }
 
     #[test]

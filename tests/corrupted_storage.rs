@@ -136,3 +136,16 @@ fn spmv_computes_from_the_staged_matrix() {
         run.map(|r| r.checksum)
     );
 }
+
+#[test]
+fn spmv_computes_from_the_staged_x() {
+    let input = SpmvInput::Matrix(gen::powerlaw(600, 600, 128, 0.9, 42));
+    // Root allocations: row_ptr, col_id, data, x, y. A negated x negates
+    // every product, so the checksum flips its sign and nothing else.
+    let (clean, corrupt) = checksums(3, negate_f32s, |rt| spmv_northup_on(rt, &input));
+    assert_eq!(
+        corrupt.to_bits(),
+        (-clean).to_bits(),
+        "{clean} vs {corrupt}"
+    );
+}

@@ -295,7 +295,8 @@ fn ring_bytes(ring: u64, sizes: &[u64]) -> u64 {
 ///   (HotSpot's 2 KiB core rows); GEMM's C tiles are 256 KiB, so it holds
 ///   none;
 /// * **one input band** and its byte image — a 4 MiB band of grid rows
-///   (8 MiB); a 1 MiB A or B shard (2 MiB);
+///   (8 MiB; HotSpot's writer now encodes cells straight into one 4 MiB
+///   byte band, so it holds half that); a 1 MiB A or B shard (2 MiB);
 /// * **one checksum band** — 4 MiB of result rows; one 1 MiB row of C
 ///   tiles.
 ///
@@ -306,15 +307,19 @@ fn ring_bytes(ring: u64, sizes: &[u64]) -> u64 {
 /// 2x under the reading of the drivers before they wrote and read in
 /// bands, in bytes:
 ///
-/// | | whole-problem drivers (parent) | banded drivers |
-/// |---|---|---|
-/// | `hotspot_northup_on` | 90 359 763 | 15 182 347 – 16 508 971 |
-/// | `matmul_northup_on` | 17 831 717 | 7 609 816 – 7 609 879 |
+/// | | whole-problem drivers (parent) | banded drivers | one byte band, tiles stepped from staged bytes |
+/// |---|---|---|---|
+/// | `hotspot_northup_on` | 90 359 763 | 15 182 347 – 16 511 499 | 14 869 745 – 14 870 781 |
+/// | `matmul_northup_on` | 17 831 717 | 7 609 816 – 7 609 879 | 7 609 879 |
 ///
 /// The parent kept both input grids (A and B) whole for the whole run and
-/// rebuilt the whole result for its checksum and oracle. HotSpot's reading varies
-/// with how the stencil's row bands overlap on the pool's workers; the
-/// bound does not. Debug and release read alike.
+/// rebuilt the whole result for its checksum and oracle. The banded
+/// drivers' input writer held an `f32` band and its byte image at once;
+/// the last column's writer holds only the byte band, and HotSpot's leaf
+/// decodes each row band's window from the staged bytes instead of first
+/// copying the whole tile. HotSpot's reading varies with how the
+/// stencil's row bands overlap on the pool's workers; the bound does not.
+/// Debug and release read alike.
 #[test]
 fn out_of_core_runs_hold_a_band_not_the_problem() {
     let _counters = counters();
