@@ -16,13 +16,13 @@
 //! the crossover.
 
 use crate::calibration::spmv_gpu_model;
-use crate::host::Grid;
+use crate::host::{read_matrix, Grid};
 use crate::report::AppRun;
-use crate::spmv::spmv_x;
+use crate::spmv::{spmv_x, staged_spmv, u32s_to_bytes, with_staged_csr};
 use northup::{ExecMode, NorthupError, ProcKind, Result, Runtime, TRANSFORM_BW};
-use northup_kernels::{f32s_to_bytes, spmv_adaptive, ProcModel};
+use northup_kernels::{f32s_to_bytes, ProcModel};
 use northup_sim::SimDur;
-use northup_sparse::{bin_rows, partition_even_rows, BinningParams, Csr, Ell};
+use northup_sparse::{partition_even_rows, Csr, CsrError, CsrView, Ell};
 
 /// Leaf layout for the out-of-core SpMV.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,9 +47,10 @@ pub fn ell_gpu_model() -> ProcModel {
 }
 
 /// Run the out-of-core SpMV (4 shards, computed at the staging level of
-/// the caller's APU tree) with the chosen leaf format. In Real mode a CSR
-/// shard runs CSR-Adaptive and an ELL shard the ELL kernel; `y` is the
-/// run's output.
+/// the caller's APU tree) with the chosen leaf format. In Real mode each
+/// shard computes from the bytes it staged, by the `x` staged beside it:
+/// a CSR shard runs CSR-Adaptive over them in place, an ELL shard the ELL
+/// kernel over the ELL built from them. `y` is the run's output.
 pub fn spmv_with_format(rt: &Runtime, m: &Csr, format: SpmvFormat) -> Result<AppRun> {
     if m.rows != m.cols {
         return Err(NorthupError::Invalid(format!(
@@ -62,30 +63,45 @@ pub fn spmv_with_format(rt: &Runtime, m: &Csr, format: SpmvFormat) -> Result<App
     let nnz = m.nnz() as u64;
 
     let root = rt.tree().root();
-    // Preprocessed chunked layout: each shard's (row_ptr slice, col, data)
-    // stored contiguously, so each shard costs (rows_i + 1) * 4 + nnz_i * 8.
+    // Preprocessed chunked layout: each shard's `row_ptr` words, column
+    // ids and values stored contiguously, shard after shard, so each shard
+    // costs (rows_i + 1) * 4 + nnz_i * 8.
     let chunks = crate::calibration::SPMV_CHUNKS as u64;
     let payload_file = rt.alloc((rows + chunks) * 4 + nnz * 8, root)?;
     let x_file = rt.alloc(rows * 4, root)?;
     let y_file = rt.alloc(rows * 4, root)?;
 
-    let mut x_host: Vec<f32> = Vec::new();
+    let shards = partition_even_rows(m, crate::calibration::SPMV_CHUNKS);
     if mode == ExecMode::Real {
-        x_host = spmv_x(m.cols);
-        rt.write_slice(x_file, 0, &f32s_to_bytes(&x_host))?;
-        // The CSR payload itself is staged per shard from host data below;
-        // the file content only matters for byte accounting here.
+        rt.write_slice(x_file, 0, &f32s_to_bytes(&spmv_x(m.cols)))?;
+        let mut off = 0;
+        for s in &shards {
+            let entries = s.nnz_start..s.nnz_end;
+            let row_ptr = &m.row_ptr[s.row_start..=s.row_end];
+            for part in [
+                u32s_to_bytes(row_ptr.iter().map(|&v| v as u32)),
+                u32s_to_bytes(m.col_idx[entries.clone()].iter().copied()),
+                f32s_to_bytes(&m.vals[entries]),
+            ] {
+                rt.write_slice(payload_file, off, &part)?;
+                off += part.len() as u64;
+            }
+        }
     }
 
     let stage = rt.tree().staging_level()?;
     let x_stage = rt.alloc(rows * 4, stage)?;
     rt.move_data(x_stage, 0, x_file, 0, rows * 4)?;
+    // The kernels multiply by the x staged here, decoded from it once.
+    let x = match mode {
+        ExecMode::Real => read_matrix(rt, x_stage, 0, 1, m.cols)?.data,
+        ExecMode::Modeled => Vec::new(),
+    };
 
     let cpu = ProcKind::Cpu;
     let gpu_csr = spmv_gpu_model();
     let gpu_ell = ell_gpu_model();
 
-    let shards = partition_even_rows(m, crate::calibration::SPMV_CHUNKS);
     let mut payload_off = 0u64;
     for (i, s) in shards.iter().enumerate() {
         let sub = m.slice_rows(s.row_start, s.row_end);
@@ -93,6 +109,13 @@ pub fn spmv_with_format(rt: &Runtime, m: &Csr, format: SpmvFormat) -> Result<App
         let shard_buf = rt.alloc(csr_bytes, stage)?;
         rt.move_data(shard_buf, 0, payload_file, payload_off, csr_bytes)?;
         payload_off += csr_bytes;
+        // The staged shard's three arrays, where they lie in `shard_buf`.
+        let (rp, ci) = ((sub.rows as u64 + 1) * 4, sub.nnz() as u64 * 4);
+        let ranges = [
+            (shard_buf, 0, rp),
+            (shard_buf, rp, ci),
+            (shard_buf, rp + ci, ci),
+        ];
 
         let y_s = rt.alloc((sub.rows * 4) as u64, stage)?;
         match format {
@@ -108,8 +131,7 @@ pub fn spmv_with_format(rt: &Runtime, m: &Csr, format: SpmvFormat) -> Result<App
                 )?;
                 if mode == ExecMode::Real {
                     let mut yv = vec![0.0f32; sub.rows];
-                    let blocks = bin_rows(&sub, BinningParams::default());
-                    spmv_adaptive(&sub, &blocks, &x_host, &mut yv);
+                    staged_spmv(rt, ranges, &x, &mut yv)?;
                     rt.write_slice(y_s, 0, &f32s_to_bytes(&yv))?;
                 }
             }
@@ -117,6 +139,8 @@ pub fn spmv_with_format(rt: &Runtime, m: &Csr, format: SpmvFormat) -> Result<App
                 // The layout-transforming migration: CPU converts the staged
                 // CSR arrays into a per-shard ELL buffer (cost = a permute
                 // pass over input + output bytes, like move_data_transform).
+                // The charges take the host shard's shape, so a Modeled
+                // run books what a Real one does.
                 let ell = Ell::from_csr(&sub);
                 let ell_bytes = ell.storage_bytes().max(8);
                 let ell_buf = rt.alloc(ell_bytes, stage)?;
@@ -143,7 +167,19 @@ pub fn spmv_with_format(rt: &Runtime, m: &Csr, format: SpmvFormat) -> Result<App
                 )?;
                 if mode == ExecMode::Real {
                     let mut yv = vec![0.0f32; sub.rows];
-                    ell.spmv(&x_host, &mut yv);
+                    with_staged_csr(rt, ranges, x.len(), |view| {
+                        // The ELL kernel panics on a column past `x`.
+                        let nnz = view.row_start(view.rows());
+                        let past_x = view
+                            .entries(0, nnz)
+                            .enumerate()
+                            .find(|(_, (_, c))| *c as usize >= x.len());
+                        if let Some((at, (_, col))) = past_x {
+                            return Err(CsrError::ColumnOutOfRange { at, col });
+                        }
+                        Ell::from_csr(view).spmv(&x, &mut yv);
+                        Ok(())
+                    })?;
                     rt.write_slice(y_s, 0, &f32s_to_bytes(&yv))?;
                 }
                 rt.release(ell_buf)?;

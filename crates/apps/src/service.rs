@@ -354,7 +354,7 @@ pub struct ServiceRealRun {
 }
 
 /// Replay `trace` in virtual time, then execute every admitted job's
-/// chunk chain **for real** on a shared work-stealing pool. Each job
+/// chunk chain **for real** on a shared thread pool. Each job
 /// runs in its lane's [`RealFabric`] arena over `tree`, which
 /// [`RealFabric::start_job`] restarts for it: the dataset pattern is
 /// restored and the job's admitted reservation installed as a

@@ -151,7 +151,7 @@ fn gpu_spmv_model(name: &str) -> northup_kernels::ProcModel {
 
 /// Little-endian byte image of `words`, written a word at a time into one
 /// allocation (the `u32` twin of [`f32s_to_bytes`]).
-fn u32s_to_bytes(words: impl ExactSizeIterator<Item = u32>) -> Vec<u8> {
+pub(crate) fn u32s_to_bytes(words: impl ExactSizeIterator<Item = u32>) -> Vec<u8> {
     let mut out = vec![0u8; words.len() * 4];
     for (dst, w) in out.chunks_exact_mut(4).zip(words) {
         dst.copy_from_slice(&w.to_le_bytes());
@@ -190,33 +190,39 @@ fn stage_shard(
     Ok(bufs)
 }
 
-/// Bin and run CSR-Adaptive on a staged shard: its `row_ptr`, `col_id`
-/// and `data` (`bufs`, `sizes` bytes each) are lent in one loan and read
-/// where they lie, `y = A x` for the shard's rows.
-fn staged_spmv(
+/// Run `kernel` on a staged shard read where it lies: its `row_ptr`,
+/// `col_id` and `data` (`ranges`) are lent in one loan and viewed as a
+/// `cols`-column [`CsrBytes`]. A malformed shard is
+/// [`NorthupError::Invalid`].
+pub(crate) fn with_staged_csr(
     rt: &Runtime,
-    bufs: [BufferHandle; 3],
-    sizes: [u64; 3],
-    x: &[f32],
-    y: &mut [f32],
+    ranges: [(BufferHandle, u64, u64); 3],
+    cols: usize,
+    mut kernel: impl FnMut(&CsrBytes<'_>) -> std::result::Result<(), CsrError>,
 ) -> Result<()> {
-    let ranges = [
-        (bufs[0], 0, sizes[0]),
-        (bufs[1], 0, sizes[1]),
-        (bufs[2], 0, sizes[2]),
-    ];
     let mut out = Ok(());
     rt.with_bytes(&ranges, |parts| {
         out = match *parts {
             [row_ptr, col_id, data] => {
-                CsrBytes::new(x.len(), row_ptr, col_id, data).and_then(|view| {
-                    try_spmv_adaptive(&view, &bin_rows(&view, BinningParams::default()), x, y)
-                })
+                CsrBytes::new(cols, row_ptr, col_id, data).and_then(|view| kernel(&view))
             }
             _ => Err(CsrError::BadRowPtr),
         };
     })?;
     out.map_err(|e| NorthupError::Invalid(format!("staged CSR shard: {e}")))
+}
+
+/// Bin and run CSR-Adaptive on a staged shard (`ranges`, as for
+/// [`with_staged_csr`]): `y = A x` for the shard's rows.
+pub(crate) fn staged_spmv(
+    rt: &Runtime,
+    ranges: [(BufferHandle, u64, u64); 3],
+    x: &[f32],
+    y: &mut [f32],
+) -> Result<()> {
+    with_staged_csr(rt, ranges, x.len(), |view| {
+        try_spmv_adaptive(view, &bin_rows(view, BinningParams::default()), x, y)
+    })
 }
 
 /// In-memory CSR-Adaptive baseline: matrix resident in DRAM, one binning
@@ -352,7 +358,8 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
         // Real kernel execution, on the bytes the GPU charge reads.
         if let (ExecMode::Real, SpmvInput::Matrix(_)) = (mode, input) {
             let mut yv = vec![0.0f32; g.rows as usize];
-            staged_spmv(rt, [leaf[0], leaf[1], leaf[2]], [rp, ci, va], &x, &mut yv)?;
+            let ranges = [(leaf[0], 0, rp), (leaf[1], 0, ci), (leaf[2], 0, va)];
+            staged_spmv(rt, ranges, &x, &mut yv)?;
             rt.write_slice(leaf[3], 0, &f32s_to_bytes(&yv))?;
         }
 
@@ -435,7 +442,8 @@ pub fn power_iteration_northup(
             )?;
             let [rp, ci, va, _] = g.sizes();
             let yv = &mut y_host[g.row_start as usize..(g.row_start + g.rows) as usize];
-            staged_spmv(&rt, [rp_s, ci_s, va_s], [rp, ci, va], &x_host, yv)?;
+            let ranges = [(rp_s, 0, rp), (ci_s, 0, ci), (va_s, 0, va)];
+            staged_spmv(&rt, ranges, &x_host, yv)?;
             rt.write_slice(y_s, 0, &f32s_to_bytes(yv))?;
             rt.move_data(y_stage, g.row_start * 4, y_s, 0, g.rows * 4)?;
             for h in [rp_s, ci_s, va_s, y_s] {
@@ -648,9 +656,9 @@ mod tests {
             staged(&images[1])?,
             staged(&images[2])?,
         ];
-        let sizes = images.each_ref().map(|i| i.len() as u64);
+        let ranges = std::array::from_fn(|k| (bufs[k], 0, images[k].len() as u64));
         let mut y = vec![f32::NAN; row_ptr.len().saturating_sub(1)];
-        staged_spmv(&rt, bufs, sizes, &[1.0, 2.0, 3.0, 4.0], &mut y)?;
+        staged_spmv(&rt, ranges, &[1.0, 2.0, 3.0, 4.0], &mut y)?;
         Ok(y)
     }
 

@@ -205,53 +205,7 @@ impl Runtime {
         src_off: u64,
         len: u64,
     ) -> Result<Served> {
-        let mut g = self.inner.lock();
-        let si = g.info(src)?;
-        let di = g.info(dst)?;
-        check_range(src, &si, src_off, len)?;
-        check_range(dst, &di, dst_off, len)?;
-
-        if si.node != di.node && !self.tree().adjacent(si.node, di.node) {
-            return Err(NorthupError::NotAdjacent(si.node, di.node));
-        }
-
-        let ready = si.ready_at.max(di.ready_at).max(di.last_read_end);
-        let served = self.schedule_transfer(&mut g, si.node, di.node, len, ready)?;
-
-        // Real byte movement (skipped in Modeled mode).
-        if self.mode() == ExecMode::Real && len > 0 {
-            let from = RowCursor {
-                info: si,
-                offset: src_off,
-                stride: 0,
-            };
-            let to = RowCursor {
-                info: di,
-                offset: dst_off,
-                stride: 0,
-            };
-            self.move_rows(&mut g, from, to, len, 1)?;
-        }
-
-        let s = g
-            .buffers
-            .get_mut(&src.0)
-            .ok_or(NorthupError::UnknownBuffer(src))?;
-        s.last_read_end = s.last_read_end.max(served.end);
-        let d = g
-            .buffers
-            .get_mut(&dst.0)
-            .ok_or(NorthupError::UnknownBuffer(dst))?;
-        d.ready_at = served.end;
-        d.last_read_end = d.last_read_end.max(served.end);
-        g.dag_record(
-            format_args!("move {len}B {}->{}", si.node, di.node),
-            Category::MemCopy,
-            served.duration(),
-            &[src],
-            &[dst],
-        );
-        Ok(served)
+        self.move_runs("move", dst, dst_off, 0, src, src_off, 0, len, 1)
     }
 
     /// Table I: `move_data_down(dst, src, size, offset, i)` — `src` must
@@ -317,6 +271,36 @@ impl Runtime {
     #[allow(clippy::too_many_arguments)]
     pub fn move_data_strided(
         &self,
+        dst: BufferHandle,
+        dst_off: u64,
+        dst_stride: u64,
+        src: BufferHandle,
+        src_off: u64,
+        src_stride: u64,
+        row_len: u64,
+        rows: u64,
+    ) -> Result<Served> {
+        self.move_runs(
+            "move-strided",
+            dst,
+            dst_off,
+            dst_stride,
+            src,
+            src_off,
+            src_stride,
+            row_len,
+            rows,
+        )
+    }
+
+    /// The one body of [`move_data`](Self::move_data) (one run, stride 0)
+    /// and [`move_data_strided`](Self::move_data_strided): range checks,
+    /// adjacency, the virtual-time charge, the real bytes, the buffers'
+    /// dataflow state and the DAG record, labelled `kind`.
+    #[allow(clippy::too_many_arguments)]
+    fn move_runs(
+        &self,
+        kind: &str,
         dst: BufferHandle,
         dst_off: u64,
         dst_stride: u64,
@@ -392,7 +376,7 @@ impl Runtime {
         d.ready_at = served.end;
         d.last_read_end = d.last_read_end.max(served.end);
         g.dag_record(
-            format_args!("move-strided {}B {}->{}", total, si.node, di.node),
+            format_args!("{kind} {total}B {}->{}", si.node, di.node),
             Category::MemCopy,
             served.duration(),
             &[src],

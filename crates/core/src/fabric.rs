@@ -17,7 +17,7 @@
 //! * [`Fabric`] — the chunk-serving trait, implemented by the *real*
 //!   backend (`northup-sched::RealFabric`): it drives a chain through a
 //!   [`Runtime`](crate::Runtime) in [`ExecMode::Real`](crate::ExecMode)
-//!   on the `northup-exec` work-stealing pool, with allocations metered
+//!   on the `northup-exec` thread pool, with allocations metered
 //!   by the job's [`CapacityLease`](crate::CapacityLease). The *modeled*
 //!   backend (`northup-sched::SimFabric`) books each stage's duration on
 //!   a shared virtual-time server and needs no trait.

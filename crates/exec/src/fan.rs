@@ -20,7 +20,7 @@ use crate::pool::shared;
 /// the caller and the pool is not started. A panic in `f` reaches the
 /// caller with its original payload (after every task has stopped). The
 /// caller may itself be a pool task, of this pool or another: while it
-/// waits it runs the pool's queued tasks (another caller's too), so a
+/// waits it runs its own call's queued tasks and no other caller's, so a
 /// nested call cannot deadlock.
 pub fn fan_out<T: Send, R: Send>(
     workers: usize,
@@ -65,20 +65,10 @@ pub fn fan_out<T: Send, R: Send>(
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::{Mutex, MutexGuard, PoisonError};
     use std::thread::ThreadId;
-
-    /// A caller waiting on the shared pool runs whatever task it finds
-    /// queued there, another caller's included; the tests that split take
-    /// turns so that each sees only its own items' threads.
-    fn alone() -> MutexGuard<'static, ()> {
-        static SPLITS: Mutex<()> = Mutex::new(());
-        SPLITS.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 
     #[test]
     fn results_come_back_in_item_order() {
-        let _alone = alone();
         for workers in [1usize, 2, 3, 4, 7] {
             let items: Vec<u64> = (0..100).collect();
             let got = fan_out(workers, items, |i| {
@@ -93,7 +83,6 @@ mod tests {
 
     #[test]
     fn each_band_slice_moves_into_its_call() {
-        let _alone = alone();
         let mut out = vec![0u32; 1000];
         let bands: Vec<(usize, &mut [u32])> = out.chunks_mut(64).enumerate().collect();
         let lens = fan_out(4, bands, |(b, band)| {
@@ -109,7 +98,6 @@ mod tests {
 
     #[test]
     fn a_panic_reaches_the_caller_with_its_payload() {
-        let _alone = alone();
         for workers in [2usize, 3, 7] {
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 fan_out(workers, (0..32).collect(), |i: usize| {
@@ -129,7 +117,6 @@ mod tests {
 
     #[test]
     fn every_item_runs_on_the_caller_or_a_pool_worker() {
-        let _alone = alone();
         let caller = std::thread::current().id();
         for workers in [2usize, 3, 7] {
             let on = fan_out(workers, (0..64).collect(), |i: u64| {
@@ -162,7 +149,6 @@ mod tests {
 
     #[test]
     fn a_split_inside_a_lane_task_does_not_deadlock() {
-        let _alone = alone();
         let got = within_bound(|| {
             let lanes = crate::ThreadPool::new(2);
             let mut out = vec![Vec::new(); 4];
@@ -181,7 +167,6 @@ mod tests {
 
     #[test]
     fn a_split_inside_a_shared_pool_task_does_not_deadlock() {
-        let _alone = alone();
         let got = within_bound(|| fan_out(3, (0..6).collect(), band_split));
         let want: Vec<Vec<u64>> = (0..6)
             .map(|seed| (0..300).map(|i| i * 3 + seed).collect())

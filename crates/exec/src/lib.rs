@@ -7,11 +7,13 @@
 //! * [`deque`](mod@deque) — a bounded Chase–Lev deque: one owner pushes/pops at the
 //!   tail, thieves steal at the head with a CAS, exactly the head/tail
 //!   discipline of the paper's Fig. 10.
-//! * [`pool`] — a work-stealing thread pool built on those deques. One
-//!   process-wide instance, started lazily and sized by [`workers`], runs
-//!   every split; Real-mode service lanes run on a pool of their own.
+//! * [`pool`] — a thread pool with one FIFO task queue; a caller waiting
+//!   on a scope runs only that scope's queued tasks. One process-wide
+//!   instance, started lazily and sized by [`workers`], runs every split;
+//!   Real-mode service lanes run on a pool of their own.
 //! * [`fan_out`] — the leaf kernels' row bands and the fleet's shards: the
-//!   caller and the process-wide pool's helpers claim items in order.
+//!   caller and the process-wide pool's helpers steal items in order from
+//!   one deque.
 //! * [`chain`] — chunk-chain execution hooks: [`CancelToken`] and
 //!   [`ThreadPool::run_chain`], the chunk-boundary cancellation
 //!   discipline real-thread fabrics use for chunk-granular preemption.

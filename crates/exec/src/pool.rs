@@ -1,4 +1,4 @@
-//! Work-stealing thread pool built on the Chase–Lev deque.
+//! The executor's thread pool: one FIFO queue and a fixed set of workers.
 //!
 //! This is the real-execution counterpart of the virtual-time worker
 //! simulation in `northup-sim`, and every real thread the product starts
@@ -10,41 +10,38 @@
 //! must not wait behind; the runtime's `RealFabric` checksums staged
 //! bytes on it with `par_for`.
 //!
-//! Design: each worker thread owns a [`deque::Worker`]; tasks spawned from a
-//! worker go to its local deque (bottom), idle workers steal from victims'
-//! tops, and external threads submit through a shared injector. A blocked
-//! `Scope::wait` helps execute tasks instead of sleeping, so nested scopes
-//! cannot deadlock the pool.
+//! Design: every spawned task goes to the back of the pool's one queue,
+//! tagged with the scope that spawned it, and idle workers take tasks
+//! from the front. A blocked `Scope::wait` runs its own scope's queued
+//! tasks and nothing else, then sleeps until the ones running elsewhere
+//! finish. So nested scopes cannot deadlock the pool — every task a
+//! waiter waits on is either still queued, and the waiter runs it, or
+//! running on another thread — and a waiter never ends up behind another
+//! caller's work.
 
-use crate::deque::{self, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-const LOCAL_QUEUE_CAP: usize = 8192;
-
-static POOL_IDS: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// (pool id, pointer to this thread's local deque). The pointer is valid
-    /// for the worker thread's whole life; the pool id guards against a
-    /// thread of pool A being asked to push into pool B.
-    static LOCAL: Cell<(u64, *const Worker<Job>)> = const { Cell::new((0, std::ptr::null())) };
+/// A queued task and the scope that spawned it, named by the address of
+/// the scope's state: unique while the task is queued, because the task
+/// holds that state alive.
+struct Task {
+    scope: usize,
+    job: Job,
 }
 
 struct Shared {
-    id: u64,
-    injector: Mutex<VecDeque<Job>>,
-    stealers: Vec<Stealer<Job>>,
+    /// The pool's one queue, oldest task first.
+    injector: Mutex<VecDeque<Task>>,
     sleepers: AtomicUsize,
     lock: Mutex<()>,
     cond: Condvar,
@@ -52,13 +49,21 @@ struct Shared {
 }
 
 impl Shared {
-    fn pop_injected(&self) -> Option<Job> {
-        self.injector.lock().pop_front()
-    }
-
-    fn inject(&self, job: Job) {
+    fn inject(&self, job: Task) {
         self.injector.lock().push_back(job);
         self.wake_one();
+    }
+
+    /// The oldest queued task, for a worker.
+    fn next_job(&self) -> Option<Job> {
+        self.injector.lock().pop_front().map(|task| task.job)
+    }
+
+    /// The oldest queued task of `scope`, for that scope's waiter.
+    fn next_job_of(&self, scope: usize) -> Option<Job> {
+        let mut queue = self.injector.lock();
+        let at = queue.iter().position(|task| task.scope == scope)?;
+        queue.remove(at).map(|task| task.job)
     }
 
     fn wake_one(&self) {
@@ -72,31 +77,9 @@ impl Shared {
         let _g = self.lock.lock();
         self.cond.notify_all();
     }
-
-    /// Try to find a job: injector first (freshest external work), then steal
-    /// round-robin starting after `home` to spread contention.
-    fn find_job(&self, home: usize) -> Option<Job> {
-        if let Some(job) = self.pop_injected() {
-            return Some(job);
-        }
-        let n = self.stealers.len();
-        let mut retry = true;
-        while retry {
-            retry = false;
-            for k in 1..=n {
-                let v = (home + k) % n;
-                match self.stealers[v].steal() {
-                    Steal::Success(job) => return Some(job),
-                    Steal::Retry => retry = true,
-                    Steal::Empty => {}
-                }
-            }
-        }
-        None
-    }
 }
 
-/// A fixed-size work-stealing thread pool.
+/// A fixed-size thread pool with one shared task queue.
 pub struct ThreadPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -107,31 +90,19 @@ impl ThreadPool {
     /// Spawn a pool with `threads` workers (clamped to at least 1).
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let id = POOL_IDS.fetch_add(1, Ordering::Relaxed);
-        let mut workers = Vec::with_capacity(threads);
-        let mut stealers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (w, s) = deque::deque::<Job>(LOCAL_QUEUE_CAP);
-            workers.push(w);
-            stealers.push(s);
-        }
         let shared = Arc::new(Shared {
-            id,
             injector: Mutex::new(VecDeque::new()),
-            stealers,
             sleepers: AtomicUsize::new(0),
             lock: Mutex::new(()),
             cond: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
-        let handles = workers
-            .into_iter()
-            .enumerate()
-            .map(|(i, local)| {
+        let handles = (0..threads)
+            .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("northup-worker-{i}"))
-                    .spawn(move || worker_loop(shared, local, i))
+                    .spawn(move || worker_loop(shared))
                     // analyze:allow(panic-paths): pool construction; OS refusing a thread at startup is unrecoverable setup, not a runtime path
                     .expect("spawn worker thread")
             })
@@ -146,31 +117,6 @@ impl ThreadPool {
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    fn submit(&self, job: Job) {
-        // If called from one of this pool's workers, push to its local deque
-        // (the fast path the Chase-Lev design exists for).
-        let pushed_local = LOCAL.with(|tls| {
-            let (pool, ptr) = tls.get();
-            if pool == self.shared.id && !ptr.is_null() {
-                // Safety: ptr points at the current thread's own Worker,
-                // alive for the thread's lifetime; we are that thread.
-                let local = unsafe { &*ptr };
-                match local.push(job) {
-                    Ok(()) => {
-                        self.shared.wake_one();
-                        Ok(())
-                    }
-                    Err(job) => Err(job),
-                }
-            } else {
-                Err(job)
-            }
-        });
-        if let Err(job) = pushed_local {
-            self.shared.inject(job);
-        }
     }
 
     /// Run `f` with a [`Scope`] that can spawn borrowed tasks; returns after
@@ -285,30 +231,26 @@ impl<'pool, 'env> Scope<'pool, 'env> {
         // including its borrows of `'env` — cannot outlive the scope. This is
         // the standard scoped-spawn lifetime erasure (cf. crossbeam/rayon).
         let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
-        self.pool.submit(job);
+        self.pool.shared.inject(Task {
+            scope: self.id(),
+            job,
+        });
     }
 
-    /// Block until all tasks spawned on this scope completed, helping to
-    /// execute pool work while waiting (so nested scopes cannot deadlock).
+    fn id(&self) -> usize {
+        Arc::as_ptr(&self.state) as usize
+    }
+
+    /// Block until all tasks spawned on this scope completed, running this
+    /// scope's still-queued tasks while waiting (so nested scopes cannot
+    /// deadlock) and no other caller's.
     fn wait(&self) {
         let shared = &self.pool.shared;
         while self.state.pending.load(Ordering::Acquire) > 0 {
-            // Prefer local work if we are a pool worker; otherwise
-            // steal/drain the injector like a worker would.
-            let job = LOCAL.with(|tls| {
-                let (pool, ptr) = tls.get();
-                if pool == shared.id && !ptr.is_null() {
-                    // Safety: see `submit`.
-                    unsafe { &*ptr }.pop()
-                } else {
-                    None
-                }
-            });
-            let job = job.or_else(|| shared.find_job(0));
-            match job {
+            match shared.next_job_of(self.id()) {
                 Some(job) => job(),
                 None => {
-                    // Nothing to help with; sleep until a completion or new work.
+                    // The rest run elsewhere; sleep until one completes.
                     let mut g = self.state.lock.lock();
                     if self.state.pending.load(Ordering::Acquire) > 0 {
                         self.state
@@ -321,10 +263,9 @@ impl<'pool, 'env> Scope<'pool, 'env> {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, local: Worker<Job>, index: usize) {
-    LOCAL.with(|tls| tls.set((shared.id, &local as *const _)));
+fn worker_loop(shared: Arc<Shared>) {
     loop {
-        if let Some(job) = local.pop().or_else(|| shared.find_job(index)) {
+        if let Some(job) = shared.next_job() {
             job();
             continue;
         }
@@ -335,7 +276,7 @@ fn worker_loop(shared: Arc<Shared>, local: Worker<Job>, index: usize) {
         shared.sleepers.fetch_add(1, Ordering::AcqRel);
         let mut g = shared.lock.lock();
         // analyze:allow(blocking-extent): the injector re-check must happen under the sleep lock to avoid lost wakeups, and injector is a leaf lock held O(1)
-        let empty = local.is_empty() && shared.injector.lock().is_empty();
+        let empty = shared.injector.lock().is_empty();
         if empty && !shared.shutdown.load(Ordering::Acquire) {
             shared
                 .cond
@@ -344,7 +285,6 @@ fn worker_loop(shared: Arc<Shared>, local: Worker<Job>, index: usize) {
         drop(g);
         shared.sleepers.fetch_sub(1, Ordering::AcqRel);
     }
-    LOCAL.with(|tls| tls.set((0, std::ptr::null())));
 }
 
 #[cfg(test)]
@@ -475,7 +415,7 @@ mod tests {
             for i in 0..200 {
                 let total = Arc::clone(&total);
                 s.spawn(move || {
-                    // Uneven task sizes to force stealing.
+                    // Uneven task sizes, so the workers finish out of step.
                     let mut acc = 0usize;
                     for k in 0..(i % 17) * 1000 + 1 {
                         acc = acc.wrapping_add(k);
@@ -486,6 +426,54 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 200);
+    }
+
+    /// One worker, parked; caller B has queued `b1` and not yet waited.
+    /// Caller A's wait must run A's own `a1` and leave `b1` to B.
+    #[test]
+    fn a_waiting_caller_runs_only_its_own_scopes_tasks() {
+        use std::sync::Barrier;
+        use std::thread::{current, ThreadId};
+        let pool = ThreadPool::new(1);
+        let (parked, release) = (Barrier::new(3), Barrier::new(2));
+        let (b_queued, b_hold) = (Barrier::new(2), Barrier::new(2));
+        let b1_on: Mutex<Option<ThreadId>> = Mutex::new(None);
+        let a1_on: Mutex<Option<ThreadId>> = Mutex::new(None);
+        let mut b1_left_queued = false;
+        std::thread::scope(|t| {
+            t.spawn(|| {
+                pool.scope(|s| {
+                    s.spawn(|| {
+                        parked.wait();
+                        release.wait();
+                    });
+                    // Only the worker can take the task while this body blocks.
+                    parked.wait();
+                })
+            });
+            parked.wait();
+            t.spawn(|| {
+                pool.scope(|s| {
+                    s.spawn(|| *b1_on.lock() = Some(current().id()));
+                    b_queued.wait();
+                    b_hold.wait();
+                })
+            });
+            b_queued.wait();
+            pool.scope(|s| s.spawn(|| *a1_on.lock() = Some(current().id())));
+            b1_left_queued = b1_on.lock().is_none();
+            // Release B and the worker before any assert, so a failure
+            // cannot leave them blocked.
+            b_hold.wait();
+            release.wait();
+        });
+        let a = current().id();
+        assert_eq!(*a1_on.lock(), Some(a), "A ran its own task");
+        assert!(b1_left_queued, "A ran B's task");
+        assert!(
+            b1_on.lock().is_some_and(|on| on != a),
+            "B's task ran, not on A"
+        );
     }
 
     #[test]

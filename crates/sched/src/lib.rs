@@ -24,7 +24,7 @@
 //!   are charged at the root's read bandwidth and latency.
 //! * [`real`] — [`RealFabric`], the *real* backend: the same chunk
 //!   chains driven through a `Runtime` in `ExecMode::Real` on the
-//!   `northup-exec` work-stealing pool, with staging allocations metered
+//!   `northup-exec` thread pool, with staging allocations metered
 //!   by the job's `CapacityLease` and chunk-boundary cancellation via
 //!   `northup_exec::CancelToken`.
 //! * [`scheduler`] — [`JobScheduler`]: weighted fair admission across

@@ -1,6 +1,6 @@
 //! The real-execution backend of the stage-chain IR: chunk chains driven
 //! through a `northup::Runtime` in [`ExecMode::Real`] on the
-//! `northup-exec` work-stealing pool.
+//! `northup-exec` thread pool.
 //!
 //! Where [`SimFabric`](crate::SimFabric) *books* a chunk's stages on
 //! virtual-time resources, [`RealFabric`] *performs* them: the staging

@@ -11,6 +11,7 @@
 //! layout-transforming `move_data` exists to exploit.
 
 use crate::csr::Csr;
+use crate::view::CsrView;
 
 /// An ELLPACK matrix over `f32`.
 ///
@@ -35,21 +36,24 @@ pub struct Ell {
 pub const ELL_PAD: u32 = u32::MAX;
 
 impl Ell {
-    /// Convert from CSR.
-    pub fn from_csr(m: &Csr) -> Ell {
-        let width = (0..m.rows).map(|r| m.row_nnz(r)).max().unwrap_or(0);
-        let mut col_idx = vec![ELL_PAD; m.rows * width];
-        let mut vals = vec![0.0f32; m.rows * width];
-        for r in 0..m.rows {
-            let (cols, vs) = m.row(r);
-            for (s, (&c, &v)) in cols.iter().zip(vs).enumerate() {
-                col_idx[s * m.rows + r] = c;
-                vals[s * m.rows + r] = v;
+    /// Convert from CSR: a [`Csr`], or a staged shard's bytes read in
+    /// place ([`CsrBytes`](crate::CsrBytes)).
+    pub fn from_csr(m: &impl CsrView) -> Ell {
+        let rows = m.rows();
+        let span = |r: usize| m.row_start(r)..m.row_start(r + 1);
+        let width = (0..rows).map(|r| span(r).len()).max().unwrap_or(0);
+        let mut col_idx = vec![ELL_PAD; rows * width];
+        let mut vals = vec![0.0f32; rows * width];
+        for r in 0..rows {
+            let entries = m.entries(span(r).start, span(r).end);
+            for (s, (v, c)) in entries.enumerate() {
+                col_idx[s * rows + r] = c;
+                vals[s * rows + r] = v;
             }
         }
         Ell {
-            rows: m.rows,
-            cols: m.cols,
+            rows,
+            cols: m.cols(),
             width,
             col_idx,
             vals,
@@ -147,6 +151,18 @@ mod tests {
         roundtrip(&gen::banded(50, 3, 2));
         roundtrip(&gen::powerlaw(80, 300, 64, 1.0, 3));
         roundtrip(&Csr::from_coo(10, 10, Vec::new()));
+    }
+
+    #[test]
+    fn a_staged_shard_converts_like_its_csr() {
+        let m = gen::powerlaw(80, 300, 64, 1.0, 3);
+        let le =
+            |words: Vec<u32>| -> Vec<u8> { words.into_iter().flat_map(u32::to_le_bytes).collect() };
+        let row_ptr = le(m.row_ptr.iter().map(|&v| v as u32).collect());
+        let col_id = le(m.col_idx.clone());
+        let data = le(m.vals.iter().map(|v| v.to_bits()).collect());
+        let view = crate::CsrBytes::new(m.cols, &row_ptr, &col_id, &data).unwrap();
+        assert_eq!(Ell::from_csr(&view), Ell::from_csr(&m));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! error. A run that still matched would be computing from a host copy.
 
 use northup_suite::apps::hotspot::hotspot_northup_on;
+use northup_suite::apps::layout::{spmv_with_format, SpmvFormat};
 use northup_suite::apps::matmul::matmul_northup_on;
 use northup_suite::apps::spmv::spmv_northup_on;
 use northup_suite::core::runtime::SetupCosts;
@@ -148,4 +149,34 @@ fn spmv_computes_from_the_staged_x() {
         (-clean).to_bits(),
         "{clean} vs {corrupt}"
     );
+}
+
+#[test]
+fn spmv_layout_computes_from_the_staged_payload() {
+    let m = gen::powerlaw(600, 600, 128, 0.9, 42);
+    // Root allocations: the shard payload, x, y. A payload that reads as
+    // all ones has a `row_ptr` that spans no entries.
+    for format in [SpmvFormat::Csr, SpmvFormat::EllOnMigrate] {
+        let run = spmv_with_format(&runtime(Some((0, saturate))), &m, format);
+        assert!(
+            matches!(run, Err(NorthupError::Invalid(ref why)) if why.contains("length mismatch")),
+            "{format:?}: {:?}",
+            run.map(|r| r.checksum)
+        );
+    }
+}
+
+#[test]
+fn spmv_layout_computes_from_the_staged_x() {
+    let m = gen::powerlaw(600, 600, 128, 0.9, 42);
+    // Root allocations: the shard payload, x, y. A negated x flips the
+    // checksum's sign and nothing else.
+    for format in [SpmvFormat::Csr, SpmvFormat::EllOnMigrate] {
+        let (clean, corrupt) = checksums(1, negate_f32s, |rt| spmv_with_format(rt, &m, format));
+        assert_eq!(
+            corrupt.to_bits(),
+            (-clean).to_bits(),
+            "{format:?}: {clean} vs {corrupt}"
+        );
+    }
 }

@@ -8,8 +8,8 @@ use std::collections::VecDeque;
 
 #[test]
 fn many_pools_can_coexist() {
-    // Pool-id discrimination in the TLS fast path: tasks of pool A spawned
-    // from pool B's workers must not corrupt either.
+    // Scopes of pool B opened from pool A's tasks: each waiter runs only
+    // its own scope's tasks, and neither pool loses or repeats one.
     let a = ThreadPool::new(2);
     let b = ThreadPool::new(2);
     let count = std::sync::atomic::AtomicUsize::new(0);
