@@ -14,16 +14,16 @@
 //! Three entry points replay a trace: [`run_service_with`] in virtual
 //! time under any [`SchedulerConfig`]; [`run_service_slo`] under the
 //! overload-control stack; and [`run_service_real`], which additionally
-//! executes every admitted job's chunk chain on a shared `northup-exec`
-//! thread pool through [`RealFabric`], several jobs at a time, with each
-//! job's admitted reservation installed as a `CapacityLease` so staging
-//! allocations are enforced for real.
+//! executes every admitted job's chunk chain on the process-wide
+//! `northup-exec` pool through [`RealFabric`], several jobs at a time,
+//! with each job's admitted reservation installed as a `CapacityLease` so
+//! staging allocations are enforced for real.
 
 use crate::calibration::paper;
 use crate::calibration::GEMM_RING;
 use northup::fabric::ChunkChain;
 use northup::{retry_backoff, NodeId, Tree, RETRY_ATTEMPTS};
-use northup_exec::{CancelToken, ThreadPool};
+use northup_exec::{fan_out, shared, CancelToken};
 use northup_sched::{
     build_chain, staging_reservation, AdmissionPolicy, Fabric, FaultPlan, JobId, JobOutcome,
     JobScheduler, JobSpec, JobWork, Priority, RealFabric, SchedError, SchedReport, SchedulerConfig,
@@ -33,7 +33,7 @@ use northup_sim::{SimDur, SimTime};
 use rand::{Rng, SeedableRng, StdRng};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// The application mix a service-trace job can be.
@@ -345,7 +345,7 @@ pub struct ServiceRealRun {
     pub report: SchedReport,
     /// Real execution records, in job-id order (admitted jobs only).
     pub jobs: Vec<RealJobRun>,
-    /// Worker threads in the shared pool.
+    /// The cap on jobs in flight at once that the caller asked for.
     pub threads: usize,
     /// Jobs that were allowed in flight at once: `threads`, capped by the
     /// job count and by how many of the largest admitted lease fit the
@@ -354,8 +354,8 @@ pub struct ServiceRealRun {
 }
 
 /// Replay `trace` in virtual time, then execute every admitted job's
-/// chunk chain **for real** on a shared thread pool. Each job
-/// runs in its lane's [`RealFabric`] arena over `tree`, which
+/// chunk chain **for real** on the process-wide thread pool. Each job
+/// runs in a [`RealFabric`] arena over `tree`, which
 /// [`RealFabric::start_job`] restarts for it: the dataset pattern is
 /// restored and the job's admitted reservation installed as a
 /// `CapacityLease`, so staging `alloc`s are enforced at the byte level.
@@ -364,10 +364,10 @@ pub struct ServiceRealRun {
 /// partial prefixes of jobs that end `Failed`, or `Rejected` after an
 /// eviction.
 ///
-/// Jobs overlap: [`ServiceRealRun::lanes`] of them are in flight at
-/// once, started in job-id order, each keeping its own chunks in order.
-/// A lane builds one arena, sized to the run's largest dataset, and
-/// serves all its jobs from it.
+/// Jobs overlap: up to [`ServiceRealRun::lanes`] of them run at once,
+/// the caller's thread among them, started in job-id order, each keeping
+/// its chunks in order. A job takes an idle arena, sized to the run's
+/// largest dataset, or builds one: never more arenas than lanes.
 /// Per-job results do not depend on `threads`, and when jobs fail the
 /// error returned is the lowest failed job id's, as if they had run one
 /// after another.
@@ -399,7 +399,7 @@ struct RealJob<'a> {
     staging: NodeId,
 }
 
-/// How many jobs run at once: at most one per pool thread, and few enough
+/// How many jobs run at once: at most `threads`, and few enough
 /// that the staging buffers their leases allow fit the capacity of every
 /// staging node together (a job stages one chunk at a time, inside its
 /// lease, so `lanes × largest lease` bounds the bytes in flight).
@@ -436,14 +436,13 @@ fn dataset_bytes(chain: &ChunkChain) -> Result<u64, SchedError> {
     })
 }
 
-/// Execute one admitted job's chunk chain in its lane's arena `lane`,
-/// built on the lane's first job at `arena_bytes`. Under a fault plan
-/// the job gets a fresh arena instead, so its injectors start at
-/// operation zero whichever lane runs it.
+/// Execute one admitted job's chunk chain in `arena`, built here at
+/// `arena_bytes` if there is none. Under a fault plan the job gets a
+/// fresh arena instead, so its injectors start at operation zero
+/// whichever lane runs it.
 fn run_job_real(
     tree: &Tree,
-    pool: &Arc<ThreadPool>,
-    lane: &mut Option<RealFabric>,
+    arena: &mut Option<RealFabric>,
     arena_bytes: u64,
     job: &RealJob<'_>,
     plan: Option<&FaultPlan>,
@@ -454,9 +453,10 @@ fn run_job_real(
         staging,
     } = job;
     let file_bytes = dataset_bytes(chain)?;
-    let fab = match lane {
+    let pool = shared();
+    let fab = match arena {
         Some(fab) if plan.is_none() => fab,
-        _ => lane.insert(match plan {
+        _ => arena.insert(match plan {
             Some(p) => RealFabric::with_faults(tree, Arc::clone(pool), file_bytes, p.clone())?,
             None => RealFabric::new(tree, Arc::clone(pool), arena_bytes)?,
         }),
@@ -547,58 +547,43 @@ fn run_real_inner(
     let plan = cfg.fault_plan.clone();
     let specs = trace.clone();
     let report = run_service_with(tree, trace, cfg)?;
-    let pool = Arc::new(ThreadPool::new(threads));
     let jobs = real_jobs(tree, &report, &specs);
-    let lanes = lane_count(tree, &jobs, pool.threads());
-    // Every lane's arena holds the run's largest dataset; a job whose
-    // dataset overflows fails on its own turn.
+    let lanes = lane_count(tree, &jobs, threads);
+    // Every arena holds the run's largest dataset; a job whose dataset
+    // overflows fails on its own turn.
     let arena_bytes = jobs
         .iter()
         .filter_map(|job| dataset_bytes(&job.chain).ok())
         .max()
         .unwrap_or(0);
 
-    // Each lane pulls the next job index, so jobs start in job-id order and
-    // every job below a started one has started too. After a failure no
-    // job above it starts; the ones below still finish, so the lowest
-    // failed job is known when the scope ends. Both counters only steer
-    // the lanes (`Relaxed`): results travel through the slots, which the
-    // scope's join publishes.
-    let next = AtomicUsize::new(0);
+    // `fan_out` claims jobs in job-id order, so every job below a started
+    // one has started too. After a failure no job above it starts; the
+    // ones below still finish, so the lowest failed job is known when the
+    // split returns. The counter only steers the claims (`Relaxed`).
+    // A failed job's arena is dropped, not reused.
     let lowest_failed = AtomicUsize::new(usize::MAX);
-    let slots: Vec<OnceLock<Result<RealJobRun, SchedError>>> =
-        jobs.iter().map(|_| OnceLock::new()).collect();
-    pool.scope(|s| {
-        for _ in 0..lanes {
-            s.spawn(|| {
-                let mut arena = None;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() || i > lowest_failed.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let ran = run_job_real(
-                        tree,
-                        &pool,
-                        &mut arena,
-                        arena_bytes,
-                        &jobs[i],
-                        plan.as_ref(),
-                    );
-                    if ran.is_err() {
-                        lowest_failed.fetch_min(i, Ordering::Relaxed);
-                    }
-                    let _ = slots[i].set(ran);
-                }
-            });
+    let arenas: Mutex<Vec<RealFabric>> = Mutex::new(Vec::new());
+    let idle = || arenas.lock().unwrap_or_else(PoisonError::into_inner);
+    let ran = fan_out(lanes, jobs.iter().enumerate().collect(), |(i, job)| {
+        if i > lowest_failed.load(Ordering::Relaxed) {
+            return None;
         }
+        let mut arena = idle().pop();
+        let ran = run_job_real(tree, &mut arena, arena_bytes, job, plan.as_ref());
+        if ran.is_ok() {
+            idle().extend(arena);
+        } else {
+            lowest_failed.fetch_min(i, Ordering::Relaxed);
+        }
+        Some(ran)
     });
     // Job-id order; the first error met is the lowest failed job's, which
-    // is the one a sequential run would have stopped at. Slots above it
-    // may be empty.
-    let jobs = slots
+    // is the one a sequential run would have stopped at. Jobs above it
+    // may not have run.
+    let jobs = ran
         .into_iter()
-        .map_while(OnceLock::into_inner)
+        .map_while(|ran| ran)
         .collect::<Result<Vec<_>, _>>()?;
     Ok(ServiceRealRun {
         report,
@@ -1032,7 +1017,6 @@ mod tests {
             ..TraceConfig::default()
         };
         let specs = synthetic_trace(&tree, &cfg);
-        let pool = Arc::new(ThreadPool::new(2));
         for plan in [None, Some(chaos_plan())] {
             let cfg = SchedulerConfig {
                 fault_plan: plan.clone(),
@@ -1049,10 +1033,9 @@ mod tests {
             let mut lane = None;
             let mut retries = 0;
             for job in &jobs {
-                let in_lane =
-                    run_job_real(&tree, &pool, &mut lane, arena_bytes, job, plan.as_ref());
+                let in_lane = run_job_real(&tree, &mut lane, arena_bytes, job, plan.as_ref());
                 let own = dataset_bytes(&job.chain).unwrap();
-                let fresh = run_job_real(&tree, &pool, &mut None, own, job, plan.as_ref());
+                let fresh = run_job_real(&tree, &mut None, own, job, plan.as_ref());
                 let in_lane = record(in_lane.unwrap());
                 retries += in_lane.2;
                 assert_eq!(in_lane, record(fresh.unwrap()), "{}", job.outcome.name);
@@ -1164,7 +1147,7 @@ mod tests {
                 .unwrap_err()
                 .to_string()
         };
-        for threads in [1, 4] {
+        for threads in [1, 2, 4, 8] {
             let slow_first = error(vec![big.clone(), tiny.clone()], threads);
             assert!(
                 slow_first.contains("injected device fault"),

@@ -1,20 +1,20 @@
 //! Fan a list of independent items out over the calling thread and the
 //! process-wide pool's helpers.
 //!
-//! The items go into one Chase–Lev [`deque`](crate::deque) in order, and
-//! every participant — the caller included — steals from its top, so the
-//! items are claimed in order from one CAS-advanced counter. A participant
-//! that finishes early claims the next item: on a host whose second core
-//! comes and goes this beats handing each thread a fixed share. Each item
-//! moves into the call that claims it, so an item can be a `&mut` slice
-//! of a shared output and no lock guards the output.
+//! Every participant — the caller included — claims the next item from
+//! one cursor over the items, so they are claimed in order, one short
+//! lock per claim. A participant that finishes early claims the next
+//! item: on a host whose second core comes and goes this beats handing
+//! each thread a fixed share. Each item moves into the call that claims
+//! it, so an item can be a `&mut` slice of a shared output, and no lock
+//! is held while `f` runs.
 
-use crate::deque::deque;
 use crate::pool::shared;
+use parking_lot::Mutex;
 
 /// Run `f` on every item, on the calling thread and up to `workers - 1`
 /// tasks on the process-wide pool that claim items in order from one
-/// queue, and return the results in item order.
+/// cursor, and return the results in item order.
 ///
 /// With zero or one item, or `workers <= 1`, everything runs inline on
 /// the caller and the pool is not started. A panic in `f` reaches the
@@ -31,34 +31,32 @@ pub fn fan_out<T: Send, R: Send>(
     if helpers == 0 {
         return items.into_iter().map(f).collect();
     }
-    let (owner, queue) = deque(items.len());
-    // The deque holds at least `items.len()` slots, so every push lands;
-    // a refused item would still run, on the caller.
-    let mut done: Vec<(usize, R)> = items
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, item)| owner.push((i, item)).err())
-        .map(|(i, item)| (i, f(item)))
-        .collect();
+    let claims = Mutex::new(items.into_iter().enumerate());
     let claim = || {
         let mut mine = Vec::new();
-        while let Some((i, item)) = queue.steal_until_settled() {
+        while let Some((i, item)) = claim_next(&claims) {
             mine.push((i, f(item)));
         }
         mine
     };
     // One result slot per task, moved into it: no lock guards the results.
     let mut theirs: Vec<Vec<(usize, R)>> = (0..helpers).map(|_| Vec::new()).collect();
-    shared().scope(|scope| {
+    let mut done = shared().scope(|scope| {
         let claim = &claim;
         for slot in &mut theirs {
             scope.spawn(move || *slot = claim());
         }
-        done.extend(claim());
+        claim()
     });
     done.extend(theirs.into_iter().flatten());
     done.sort_unstable_by_key(|&(i, _)| i);
     done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// The next unclaimed item. The guard drops on return, before the claimer
+/// runs `f` on the item.
+fn claim_next<I: Iterator>(claims: &Mutex<I>) -> Option<I::Item> {
+    claims.lock().next()
 }
 
 #[cfg(test)]
@@ -139,7 +137,7 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || tx.send(f()));
         rx.recv_timeout(std::time::Duration::from_secs(60))
-            .expect("the nested split returned")
+            .expect("the split returned")
     }
 
     /// A band split of a few hundred items, as a kernel makes it.
@@ -172,6 +170,27 @@ mod tests {
             .map(|seed| (0..300).map(|i| i * 3 + seed).collect())
             .collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn no_lock_is_held_while_f_runs() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Item 0's call waits for item 1's: a claim guard held across `f`
+        // would keep item 1 from being claimed and the split would hang.
+        let got = within_bound(|| {
+            let one_done = AtomicBool::new(false);
+            fan_out(2, vec![0u32, 1], |i| {
+                if i == 0 {
+                    while !one_done.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    one_done.store(true, Ordering::Release);
+                }
+                i
+            })
+        });
+        assert_eq!(got, vec![0, 1]);
     }
 
     #[test]

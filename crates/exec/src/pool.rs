@@ -2,13 +2,10 @@
 //!
 //! This is the real-execution counterpart of the virtual-time worker
 //! simulation in `northup-sim`, and every real thread the product starts
-//! is one of its workers. One process-wide pool, started by the first
-//! [`fan_out`](crate::fan_out) that needs a helper, runs the leaf
-//! kernels' row bands and the fleet's shards. Real-mode service jobs run
-//! their chunk chains on a pool of their own (`run_chain`, on lanes side
-//! by side), sized by the caller, whose lanes block on file I/O a split
-//! must not wait behind; the runtime's `RealFabric` checksums staged
-//! bytes on it with `par_for`.
+//! is a worker of its one pool, the process-wide [`shared`] one. It runs
+//! the leaf kernels' row bands, the fleet's shards and the Real-mode
+//! service lanes (each driving a chunk chain with `run_chain`), and
+//! `RealFabric` checksums staged bytes on it with `par_for`.
 //!
 //! Design: every spawned task goes to the back of the pool's one queue,
 //! tagged with the scope that spawned it, and idle workers take tasks
@@ -188,11 +185,11 @@ pub fn workers() -> usize {
 
 /// The process-wide pool: `workers() - 1` helpers (at least one, for a
 /// caller that asks for more workers than there are cores), started by
-/// the first call that needs a helper, so a process that never splits
-/// starts no thread.
-pub(crate) fn shared() -> &'static ThreadPool {
-    static SHARED: OnceLock<ThreadPool> = OnceLock::new();
-    SHARED.get_or_init(|| ThreadPool::new(workers() - 1))
+/// the first call that needs it, so a process that never splits starts
+/// no thread.
+pub fn shared() -> &'static Arc<ThreadPool> {
+    static SHARED: OnceLock<Arc<ThreadPool>> = OnceLock::new();
+    SHARED.get_or_init(|| Arc::new(ThreadPool::new(workers() - 1)))
 }
 
 struct ScopeState {

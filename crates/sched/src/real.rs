@@ -9,8 +9,9 @@
 //! right at `alloc`, the enforcement point admission promised), bytes
 //! really move from the root file buffer through the runtime's storage
 //! backends, and the leaf "kernel" really reads the staged bytes on the
-//! thread pool, folding them into a commutative checksum so results are
-//! identical for any thread count.
+//! pool it was given — the process-wide one, in the service — one piece
+//! per pool thread, folding them into a commutative checksum so results
+//! are identical for any thread count.
 //!
 //! One `RealFabric` is an execution arena that serves jobs one after
 //! another: [`start_job`](RealFabric::start_job) lays the dataset pattern

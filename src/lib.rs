@@ -8,7 +8,7 @@
 //! * [`hw`] — simulated heterogeneous devices (SSD/HDD/NVM/DRAM/HBM/GPU
 //!   memory) with real-byte backends.
 //! * [`sim`] — the deterministic virtual-time substrate.
-//! * [`exec`] — the Chase–Lev work-stealing deque and the thread pool.
+//! * [`exec`] — the process-wide thread pool, `fan_out` and the Chase–Lev deque.
 //! * [`sparse`] — CSR matrices, generators, sharding, CSR-Adaptive binning.
 //! * [`kernels`] — GEMM / HotSpot-2D / SpMV kernels and device cost models.
 //! * [`apps`] — the three paper case studies plus the work-stealing leaf.

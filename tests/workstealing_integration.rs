@@ -1,5 +1,6 @@
-//! Work-stealing integration: the real pool and deque, and the
-//! virtual-time DES's conservation laws.
+//! Work-stealing integration: pools nested in each other's tasks, the
+//! Chase–Lev deque's sequential semantics, and the virtual-time DES's
+//! conservation laws.
 
 use northup_suite::exec::ThreadPool;
 use northup_suite::sim::{deal_round_robin, simulate_stealing, SimWorker};
