@@ -22,7 +22,8 @@ use northup::{
     BufferHandle, ChainBufs, ChunkPipeline, ExecMode, NorthupError, ProcKind, Result, Runtime, Tree,
 };
 use northup_kernels::{
-    f32s_to_bytes, multi_step_reference, step_halo_bytes, DenseMatrix, HotSpotParams, ProcModel,
+    f32s_to_bytes, multi_step_reference, put_f32s, step_halo_bytes, DenseMatrix, HotSpotParams,
+    ProcModel,
 };
 use std::ops::Range;
 
@@ -242,7 +243,7 @@ pub fn hotspot_northup_on(rt: &Runtime, cfg: &HotspotConfig) -> Result<AppRun> {
                     let core_size = (cfg.block, cfg.block);
                     let ranges = [(leaf[0], 0, region_bytes), (leaf[1], 0, region_bytes)];
                     let core = step_staged(rt, ranges, halo, core_size, cfg.steps_per_pass)?;
-                    rt.write_slice(leaf[2], 0, &f32s_to_bytes(&core.data))?;
+                    rt.fill(leaf[2], 0, core.bytes(), |out| put_f32s(out, &core.data))?;
                 }
 
                 // Pull the core back up the chain into the staging buffer.
@@ -413,7 +414,7 @@ pub fn hotspot_split_leaf(rt: &Runtime, cfg: &HotspotConfig, gpu_fraction: f64) 
                     let ranges = [(in_stage[r], at, len), (pw_stage[r], at, len)];
                     let halo = [top, bot, 0, 0];
                     let core = step_staged(rt, ranges, halo, (dev_rows, n), cfg.steps_per_pass)?;
-                    rt.write_slice(buf, 0, &f32s_to_bytes(&core.data))?;
+                    rt.fill(buf, 0, core.bytes(), |out| put_f32s(out, &core.data))?;
                 }
             }
 

@@ -18,11 +18,21 @@
 use crate::calibration::spmv_gpu_model;
 use crate::host::{read_matrix, Grid};
 use crate::report::AppRun;
-use crate::spmv::{spmv_x, staged_spmv, u32s_to_bytes, with_staged_csr};
+use crate::spmv::{spmv_x, staged_spmv, with_staged_csr};
 use northup::{ExecMode, NorthupError, ProcKind, Result, Runtime, TRANSFORM_BW};
 use northup_kernels::{f32s_to_bytes, ProcModel};
 use northup_sim::SimDur;
 use northup_sparse::{partition_even_rows, Csr, CsrError, CsrView, Ell};
+
+/// Little-endian byte image of `words`, written a word at a time into one
+/// allocation (the `u32` twin of [`f32s_to_bytes`]).
+fn u32s_to_bytes(words: impl ExactSizeIterator<Item = u32>) -> Vec<u8> {
+    let mut out = vec![0u8; words.len() * 4];
+    for (dst, w) in out.chunks_exact_mut(4).zip(words) {
+        dst.copy_from_slice(&w.to_le_bytes());
+    }
+    out
+}
 
 /// Leaf layout for the out-of-core SpMV.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -21,7 +21,7 @@ use crate::report::AppRun;
 use northup::{
     BufferHandle, ChainBufs, ChunkPipeline, ExecMode, NorthupError, ProcKind, Result, Runtime, Tree,
 };
-use northup_kernels::{f32s_to_bytes, matmul_tiled, DenseMatrix, LEAF_TILE};
+use northup_kernels::{f32s_to_bytes, matmul_tiled, put_f32s, DenseMatrix, LEAF_TILE};
 
 /// Configuration of one matmul scenario.
 #[derive(Debug, Clone)]
@@ -208,7 +208,7 @@ pub(crate) fn gemm_tile(
         let bm = read_matrix(rt, leaf[1], 0, n, block)?;
         let mut cm = DenseMatrix::zeros(block, block);
         matmul_tiled(&am, &bm, &mut cm, LEAF_TILE);
-        rt.write_slice(leaf[2], 0, &f32s_to_bytes(&cm.data))?;
+        rt.fill(leaf[2], 0, cm.bytes(), |out| put_f32s(out, &cm.data))?;
     }
     deep.pull_up(2, (block * block * 4) as u64)
 }

@@ -19,22 +19,28 @@
 //! it. Malformed staged bytes — a non-monotone `row_ptr`, a `row_ptr`
 //! span that disagrees with the staged entries, a column past `x` — are
 //! [`NorthupError::Invalid`]. The host [`Csr`] only writes the storage
-//! files (and is the callers' oracle).
+//! files, each array through one reused byte band of at most 4 MiB (and
+//! is the callers' oracle). Leaf results are encoded straight into the
+//! leaf buffer ([`Runtime::fill`]).
 //!
 //! The dense vector `x` is staged once and stays resident ("one requirement
 //! for SpMV is the fastest memory has to be big enough to hold the
 //! vector").
+//!
+//! [`power_iteration_northup`] re-streams the shards every iteration
+//! through one staging set it owns for the whole run, sized for the
+//! largest shard; its `y` lives only in staging.
 
 use crate::calibration::{
     model_for, spmv_dgpu_model, spmv_gpu_model, SPMV_CHUNKS, SPMV_IO_EFFICIENCY,
     SPMV_NORTHUP_BIN_FACTOR, SPMV_REPACK_BW,
 };
-use crate::host::{read_matrix, Grid};
+use crate::host::{read_matrix, write_rows, Grid};
 use crate::report::AppRun;
 use northup::{
     BufferHandle, ChainBufs, ExecMode, NodeId, NorthupError, ProcKind, Result, Runtime, Tree,
 };
-use northup_kernels::{binning_time, f32s_to_bytes, spmv_adaptive, try_spmv_adaptive};
+use northup_kernels::{binning_time, f32s_to_bytes, put_f32s, spmv_adaptive, try_spmv_adaptive};
 use northup_sim::SimDur;
 use northup_sparse::{
     bin_rows, partition_even_rows, BinningParams, Csr, CsrBytes, CsrError, PaperSpmvShape,
@@ -149,45 +155,45 @@ fn gpu_spmv_model(name: &str) -> northup_kernels::ProcModel {
     }
 }
 
-/// Little-endian byte image of `words`, written a word at a time into one
-/// allocation (the `u32` twin of [`f32s_to_bytes`]).
-pub(crate) fn u32s_to_bytes(words: impl ExactSizeIterator<Item = u32>) -> Vec<u8> {
-    let mut out = vec![0u8; words.len() * 4];
-    for (dst, w) in out.chunks_exact_mut(4).zip(words) {
-        dst.copy_from_slice(&w.to_le_bytes());
-    }
-    out
-}
-
 /// Preprocessing: write `m`'s arrays into the `[row_ptr, col_id, data]`
-/// storage files (uncharged, like the paper's one-time reorganization).
+/// storage files (uncharged, like the paper's one-time reorganization),
+/// each through [`write_rows`]'s one reused band as a one-column matrix.
+/// A `u32` word passes through it as the `f32` of the same bits.
 fn write_csr(rt: &Runtime, files: [BufferHandle; 3], m: &Csr) -> Result<()> {
-    let row_ptr = u32s_to_bytes(m.row_ptr.iter().map(|&v| v as u32));
-    rt.write_slice(files[0], 0, &row_ptr)?;
-    rt.write_slice(files[1], 0, &u32s_to_bytes(m.col_idx.iter().copied()))?;
-    rt.write_slice(files[2], 0, &f32s_to_bytes(&m.vals))
+    write_rows(rt, files[0], m.rows + 1, 1, |r, _| {
+        f32::from_bits(m.row_ptr[r] as u32)
+    })?;
+    write_rows(rt, files[1], m.nnz(), 1, |i, _| {
+        f32::from_bits(m.col_idx[i])
+    })?;
+    write_rows(rt, files[2], m.nnz(), 1, |i, _| m.vals[i])
 }
 
-/// Stage one shard at `stage`: per-shard `[row_ptr, col_id, data, y]`
-/// buffers (Listing 3's `setup_buffer`) and the three variable-sized array
-/// reads from the storage `files`. The caller releases the four handles.
-fn stage_shard(
+/// Allocate a `[row_ptr, col_id, data, y]` buffer set of `sizes` at
+/// `stage` (Listing 3's `setup_buffer`). The caller releases the handles.
+fn alloc_set(rt: &Runtime, stage: NodeId, sizes: [u64; 4]) -> Result<[BufferHandle; 4]> {
+    Ok([
+        rt.alloc(sizes[0], stage)?,
+        rt.alloc(sizes[1], stage)?,
+        rt.alloc(sizes[2], stage)?,
+        rt.alloc(sizes[3], stage)?,
+    ])
+}
+
+/// Read shard `g`'s three arrays from the storage `files` into the first
+/// three buffers of `bufs`, each from offset 0: three variable-sized
+/// reads.
+fn read_shard(
     rt: &Runtime,
-    stage: NodeId,
+    bufs: &[BufferHandle; 4],
     files: [BufferHandle; 3],
     g: &ShardGeom,
-) -> Result<[BufferHandle; 4]> {
-    let [rp, ci, va, y] = g.sizes();
-    let bufs = [
-        rt.alloc(rp, stage)?,
-        rt.alloc(ci, stage)?,
-        rt.alloc(va, stage)?,
-        rt.alloc(y, stage)?,
-    ];
+) -> Result<()> {
+    let [rp, ci, va, _] = g.sizes();
     rt.move_data(bufs[0], 0, files[0], g.row_start * 4, rp)?;
     rt.move_data(bufs[1], 0, files[1], g.nnz_start * 4, ci)?;
     rt.move_data(bufs[2], 0, files[2], g.nnz_start * 4, va)?;
-    Ok(bufs)
+    Ok(())
 }
 
 /// Run `kernel` on a staged shard read where it lies: its `row_ptr`,
@@ -316,7 +322,8 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
     // pass has examined row_ptr. This is exactly why CSR-Adaptive gets
     // less I/O overlap than HotSpot's regular blocks in the paper (§V-B).
     for (ci_idx, g) in geoms.iter().enumerate() {
-        let staged = stage_shard(rt, stage_node, csr_files, g)?;
+        let staged = alloc_set(rt, stage_node, g.sizes())?;
+        read_shard(rt, &staged, csr_files, g)?;
         let [rp_s, ci_s, va_s, y_s] = staged;
         let [rp, ci, va, y] = g.sizes();
 
@@ -360,7 +367,7 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
             let mut yv = vec![0.0f32; g.rows as usize];
             let ranges = [(leaf[0], 0, rp), (leaf[1], 0, ci), (leaf[2], 0, va)];
             staged_spmv(rt, ranges, &x, &mut yv)?;
-            rt.write_slice(leaf[3], 0, &f32s_to_bytes(&yv))?;
+            rt.fill(leaf[3], 0, y, |out| put_f32s(out, &yv))?;
         }
 
         // Result segment back up the chain and out to storage.
@@ -385,10 +392,20 @@ pub fn spmv_northup_on(rt: &Runtime, input: &SpmvInput) -> Result<AppRun> {
 /// §VI's low-reuse case). Returns the dominant eigenvalue estimate and the
 /// run. Real mode only (needs the actual matrix).
 ///
-/// The kernels multiply by the host's `x`: the host normalizes each
-/// iterate and writes it into staging itself, so `x` never comes from
-/// storage and the host copy is the staged vector's source, not a
-/// shortcut past it.
+/// The run stages into memory it owns: one `[row_ptr, col_id, data, y]`
+/// set sized for the largest shard, allocated once and released after
+/// the last iteration. Every shard is read into it from offset 0 and lent
+/// at its own lengths only, so no byte a larger shard left behind reaches
+/// the kernel. `y` lives only in staging: each shard's kernel result goes
+/// through one reused host vector into the staged `y` segment and on to
+/// `y_stage`, and `x·y` and `‖y‖²` fold shard by shard in row order.
+/// Normalization reads `y_stage` in one loan into the host's `x` and
+/// encodes that into `x_stage` in place. The kernels multiply by the
+/// host's `x`: it is the staged vector's source, not a shortcut past it.
+///
+/// Reusing one set serialises a shard's reads behind the previous
+/// shard's kernel, as CSR gets no prefetch anyway (see
+/// [`spmv_northup_on`]).
 pub fn power_iteration_northup(
     m: &Csr,
     iterations: usize,
@@ -417,18 +434,29 @@ pub fn power_iteration_northup(
     // Power iteration computes at the staging level itself (an APU leaf).
     let gpu_model = gpu_spmv_model(&rt.proc_at(stage_node, ProcKind::Gpu)?.name);
 
+    // The one staging set: each buffer as large as the largest shard's.
+    let largest = geoms.iter().fold([0u64; 4], |set, g| {
+        let sizes = g.sizes();
+        std::array::from_fn(|k| set[k].max(sizes[k]))
+    });
+    let staged = alloc_set(&rt, stage_node, largest)?;
+    let [rp_s, ci_s, va_s, y_s] = staged;
+    let mut y = vec![0.0f32; (largest[3] / 4) as usize];
+
     // x stays resident at the staging level across iterations; y is
     // produced there and becomes the next x after normalization.
     let x_stage = rt.alloc(rows * 4, stage_node)?;
     let y_stage = rt.alloc(rows * 4, stage_node)?;
     let mut x_host = vec![1.0f32 / (m.rows as f32).sqrt(); m.rows];
-    rt.write_slice(x_stage, 0, &f32s_to_bytes(&x_host))?;
+    rt.fill(x_stage, 0, rows * 4, |out| put_f32s(out, &x_host))?;
 
     let mut eigenvalue = 0.0f64;
     for it in 0..iterations {
-        let mut y_host = vec![0.0f32; m.rows];
+        // `x·y` and `‖y‖²`, one accumulator each, folded in row order from
+        // `-0.0` (where `Sum` starts): a whole-vector sum's bits.
+        let (mut dot, mut norm_sq) = (-0.0f64, -0.0f64);
         for (idx, g) in geoms.iter().enumerate() {
-            let [rp_s, ci_s, va_s, y_s] = stage_shard(&rt, stage_node, csr_files, g)?;
+            read_shard(&rt, &staged, csr_files, g)?;
             let bin = binning_time(g.rows);
             rt.charge_compute(cpu_node, ProcKind::Cpu, bin, &[rp_s], &[rp_s], "bin")?;
             let dur = gpu_model.spmv_time(g.rows, g.nnz);
@@ -440,28 +468,21 @@ pub fn power_iteration_northup(
                 &[y_s],
                 &format!("spmv it{it} shard{idx}"),
             )?;
-            let [rp, ci, va, _] = g.sizes();
-            let yv = &mut y_host[g.row_start as usize..(g.row_start + g.rows) as usize];
+            let [rp, ci, va, yb] = g.sizes();
+            let yv = &mut y[..g.rows as usize];
             let ranges = [(rp_s, 0, rp), (ci_s, 0, ci), (va_s, 0, va)];
             staged_spmv(&rt, ranges, &x_host, yv)?;
-            rt.write_slice(y_s, 0, &f32s_to_bytes(yv))?;
-            rt.move_data(y_stage, g.row_start * 4, y_s, 0, g.rows * 4)?;
-            for h in [rp_s, ci_s, va_s, y_s] {
-                rt.release(h)?;
+            rt.fill(y_s, 0, yb, |out| put_f32s(out, yv))?;
+            rt.move_data(y_stage, g.row_start * 4, y_s, 0, yb)?;
+            let xv = &x_host[g.row_start as usize..][..yv.len()];
+            for (&a, &b) in xv.iter().zip(yv.iter()) {
+                dot += a as f64 * b as f64;
+                norm_sq += (b as f64).powi(2);
             }
         }
         // Rayleigh quotient and normalization on the CPU.
-        let dot: f64 = x_host
-            .iter()
-            .zip(&y_host)
-            .map(|(&a, &b)| a as f64 * b as f64)
-            .sum();
         eigenvalue = dot;
-        let norm = y_host
-            .iter()
-            .map(|&v| (v as f64).powi(2))
-            .sum::<f64>()
-            .sqrt();
+        let norm = norm_sq.sqrt().max(1e-30);
         let norm_dur = SimDur::from_secs_f64(rows as f64 * 4.0 / SPMV_REPACK_BW);
         rt.charge_compute(
             cpu_node,
@@ -471,10 +492,17 @@ pub fn power_iteration_northup(
             &[x_stage],
             "normalize",
         )?;
-        for (x, &y) in x_host.iter_mut().zip(&y_host) {
-            *x = (y as f64 / norm.max(1e-30)) as f32;
-        }
-        rt.write_slice(x_stage, 0, &f32s_to_bytes(&x_host))?;
+        rt.with_bytes(&[(y_stage, 0, rows * 4)], |parts| {
+            let [ys] = parts else { return };
+            for (x, w) in x_host.iter_mut().zip(ys.chunks_exact(4)) {
+                let y = f32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+                *x = (y as f64 / norm) as f32;
+            }
+        })?;
+        rt.fill(x_stage, 0, rows * 4, |out| put_f32s(out, &x_host))?;
+    }
+    for h in staged {
+        rt.release(h)?;
     }
 
     Ok((
@@ -628,6 +656,25 @@ mod tests {
             .map(|(_, t)| t.read_ops)
             .unwrap();
         assert!(io >= 60 * 4 * 3, "re-streamed every iteration: {io} ops");
+    }
+
+    /// One staging set serves every shard, so a shard that lent more than
+    /// its own lengths would hand the kernel the tail a larger shard left
+    /// behind. Here the largest shard comes second, with over 4x the
+    /// first's entries and over 2x those of each shard after it; the
+    /// estimate is pinned to the bits captured when every shard had
+    /// buffers of its own.
+    #[test]
+    fn power_iteration_over_uneven_shards_is_pinned_bit_for_bit() {
+        let m = gen::powerlaw(400, 400, 256, 1.1, 9);
+        let nnz: Vec<usize> = partition_even_rows(&m, SPMV_CHUNKS)
+            .iter()
+            .map(|s| s.nnz())
+            .collect();
+        assert_eq!(nnz, [169, 747, 244, 337]);
+        let tree = northup::presets::apu_two_level(catalog::ssd_hyperx_predator());
+        let (lambda, _) = power_iteration_northup(&m, 12, tree).unwrap();
+        assert_eq!(lambda.to_bits(), 0x3fe0_c5e1_1fe4_a404, "{lambda}");
     }
 
     /// `staged_spmv` over a shard staged from raw `row_ptr` words,

@@ -577,6 +577,30 @@ impl Runtime {
         })
     }
 
+    /// Let `f` write the `len` bytes of `h` from `offset`, in place where
+    /// its node holds them in memory — the write twin of
+    /// [`with_bytes`](Self::with_bytes): host data into a buffer with no
+    /// byte image beside it (not charged, like
+    /// [`write_slice`](Self::write_slice); one backend `fill`, which on a
+    /// file node is one write). The range is checked before `f` runs; `f`
+    /// runs under the runtime lock and must not call into this runtime.
+    pub fn fill(
+        &self,
+        h: BufferHandle,
+        offset: u64,
+        len: u64,
+        mut f: impl FnMut(&mut [u8]),
+    ) -> Result<()> {
+        let mut g = self.inner.lock();
+        let info = g.info(h)?;
+        check_range(h, &info, offset, len)?;
+        g.backends[info.node.0].fill(info.block, offset, len, &mut |bytes| {
+            f(bytes);
+            Ok(())
+        })?;
+        Ok(())
+    }
+
     /// Charge a leaf computation of duration `dur` on the processor of
     /// `kind` attached to `node`, reading `reads` and producing `writes`.
     /// Returns the scheduled interval.
@@ -1119,6 +1143,95 @@ mod tests {
         let mut calls = Vec::new();
         rt.with_bytes(&[], |parts| calls.push(parts.len())).unwrap();
         assert_eq!(calls, [0]);
+    }
+
+    #[test]
+    fn a_fill_lands_in_place_on_a_heap_node() {
+        let rt = rt();
+        let h = rt.alloc(16, NodeId(1)).unwrap();
+        rt.write_slice(h, 0, &[1u8; 16]).unwrap();
+        rt.fill(h, 4, 8, |bytes| {
+            assert_eq!(bytes, [1u8; 8], "the node's own bytes are lent");
+            for (i, b) in bytes.iter_mut().enumerate() {
+                *b = 10 + i as u8;
+            }
+        })
+        .unwrap();
+        let mut out = [0u8; 16];
+        rt.read_slice(h, 0, &mut out).unwrap();
+        assert_eq!(
+            out,
+            [1, 1, 1, 1, 10, 11, 12, 13, 14, 15, 16, 17, 1, 1, 1, 1]
+        );
+    }
+
+    #[test]
+    fn a_fill_on_a_file_node_is_visible_to_read_slice() {
+        let rt = rt();
+        // A sub-page fill is one write `FileBackend` holds; a whole page
+        // goes straight to the file. Both read back.
+        for len in [100u64, 8 << 10] {
+            let h = rt.alloc(len + 8, rt.tree().root()).unwrap();
+            rt.fill(h, 8, len, |bytes| {
+                for (i, b) in bytes.iter_mut().enumerate() {
+                    *b = (i % 251) as u8;
+                }
+            })
+            .unwrap();
+            let mut out = vec![0xffu8; (len + 8) as usize];
+            rt.read_slice(h, 0, &mut out).unwrap();
+            assert_eq!(out[..8], [0u8; 8], "{len}");
+            assert!(out[8..]
+                .iter()
+                .enumerate()
+                .all(|(i, &b)| b == (i % 251) as u8));
+            rt.release(h).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_fill_rejects_bad_ranges_and_dead_handles_before_writing() {
+        let rt = rt();
+        for node in [rt.tree().root(), NodeId(1)] {
+            let h = rt.alloc(10, node).unwrap();
+            let mut called = false;
+            assert!(matches!(
+                rt.fill(h, 8, 4, |_| called = true),
+                Err(NorthupError::BadRange {
+                    offset: 8,
+                    len: 4,
+                    size: 10,
+                    ..
+                })
+            ));
+            assert!(matches!(
+                rt.fill(h, u64::MAX, 2, |_| called = true),
+                Err(NorthupError::BadRange { .. })
+            ));
+            rt.release(h).unwrap();
+            assert!(matches!(
+                rt.fill(h, 0, 1, |_| called = true),
+                Err(NorthupError::UnknownBuffer(_))
+            ));
+            assert!(!called);
+        }
+    }
+
+    #[test]
+    fn a_zero_length_fill_changes_nothing() {
+        let rt = rt();
+        for node in [rt.tree().root(), NodeId(1)] {
+            let h = rt.alloc(8, node).unwrap();
+            rt.write_slice(h, 0, &[3u8; 8]).unwrap();
+            for offset in [0, 5, 8] {
+                rt.fill(h, offset, 0, |bytes| assert!(bytes.is_empty()))
+                    .unwrap();
+            }
+            let mut out = [0u8; 8];
+            rt.read_slice(h, 0, &mut out).unwrap();
+            assert_eq!(out, [3u8; 8]);
+            rt.release(h).unwrap();
+        }
     }
 
     /// Both nodes of the APU tree behind fault injectors: `root_ops` on

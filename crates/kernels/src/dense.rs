@@ -146,10 +146,21 @@ impl DenseMatrix {
 /// Convert an `f32` slice to little-endian bytes (for buffer injection).
 pub fn f32s_to_bytes(vals: &[f32]) -> Vec<u8> {
     let mut out = vec![0u8; vals.len() * 4];
+    put_f32s(&mut out, vals);
+    out
+}
+
+/// Write `vals` as little-endian bytes into `out`, in place: the
+/// allocation-free twin of [`f32s_to_bytes`], for a buffer a runtime
+/// lends to be filled.
+///
+/// # Panics
+/// Panics if `out` is not exactly `4 * vals.len()` bytes.
+pub fn put_f32s(out: &mut [u8], vals: &[f32]) {
+    assert_eq!(out.len(), vals.len() * 4, "byte length not 4 per value");
     for (dst, v) in out.chunks_exact_mut(4).zip(vals) {
         dst.copy_from_slice(&v.to_le_bytes());
     }
-    out
 }
 
 /// Convert little-endian bytes back to `f32`s.

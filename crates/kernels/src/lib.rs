@@ -46,7 +46,7 @@ pub mod model;
 pub mod spmv;
 pub mod stencil;
 
-pub use dense::{bytes_to_f32s, f32s_to_bytes, DenseMatrix};
+pub use dense::{bytes_to_f32s, f32s_to_bytes, put_f32s, DenseMatrix};
 pub use gemm::{gemm_flops, matmul_naive, matmul_tiled, LEAF_TILE};
 pub use model::{binning_time, latency_hiding_efficiency, ProcModel, BINNING_ROWS_PER_SEC};
 pub use spmv::{rel_error, spmv_adaptive, try_spmv_adaptive, WG_LANES};
